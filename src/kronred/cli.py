@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InputError, KronredError, NumericsError
+from .errors import InputError, NumericsError
 from .grid import (ClassDefaults, Grid, assemble_linearized, build_jacobian,
                    parse_grid_json, parse_matpower_case, solve_fixed_point, with_sigma)
 from .reduction import reduce_grid, make_star_grid, reduced_system_to_dict
 from .simulate import (SimConfig, coi_frequency_variance_estimate, default_burn_in,
-                       default_dt_max, make_builder, stats_csv, trajectory_csv)
+                       default_dt_max, make_builder, run_ensemble, stats_csv, trajectory_csv)
 from .variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
                        variance_report_csv)
 
@@ -167,13 +167,7 @@ def cmd_simulate(args) -> None:
     grid = _load_grid(args)
     cfg = _run_cfg(args, grid)
     builder, bus_ids = make_builder(grid, cfg)
-    trajs = []
-    for idx in range(cfg.ensemble_size):
-        seed = int(np.uint64(cfg.base_seed) ^ np.uint64(idx))
-        try:
-            trajs.append(builder(seed))
-        except KronredError as e:
-            raise NumericsError(f"trajectory {idx} (seed {seed}) failed: {e}") from e
+    trajs = run_ensemble(builder, cfg)
     stats = coi_frequency_variance_estimate(trajs, cfg.burn_in, bus_ids=bus_ids)
 
     out_dir = Path(args.out_dir)
@@ -206,10 +200,8 @@ def cmd_compare(args) -> None:
         margs.model = model
         cfg = _run_cfg(margs, grid)
         builder, bus_ids = make_builder(grid, cfg)
-        trajs = [builder(int(np.uint64(cfg.base_seed) ^ np.uint64(i)))
-                 for i in range(cfg.ensemble_size)]
         empirical[model] = coi_frequency_variance_estimate(
-            trajs, cfg.burn_in, bus_ids=bus_ids).variance
+            run_ensemble(builder, cfg), cfg.burn_in, bus_ids=bus_ids).variance
 
     naive_ref = naive_analytic if naive_analytic is not None else empirical.get("reduced-naive")
     corrected_ref = analytic if analytic is not None else empirical.get("reduced-xi")

@@ -25,11 +25,20 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.signal import lfilter
 
 from .errors import InputError, NumericsError
-from .grid import (Grid, LinearizedSystem, OperatingPoint, assemble_linearized,
-                   build_jacobian, solve_fixed_point)
+from .grid import (Grid, LinearizedSystem, OperatingPoint, _angle_jacobian,
+                   assemble_linearized, build_jacobian, solve_fixed_point)
 from .reduction import ReducedSystem, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
+
+# Longest time grid a simulation may request: every integrator holds the
+# whole noise path and trajectory in memory.
+MAX_STEPS = 10_000_000
+
+# Acceptance of a nonlinear implicit step: max-norm of the exact step
+# residual, and the iteration cap.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,9 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InputError(f"unknown model {self.model!r}; choose from {MODELS}")
+        for name in ("t_end", "dt_max", "burn_in"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt_max > 0:
             raise InputError(f"dt_max must be > 0, got {self.dt_max}")
         if not 0 <= self.burn_in < self.t_end:
@@ -111,8 +123,15 @@ class EnsembleStats:
 
 
 def make_time_grid(t_end: float, dt_max: float) -> np.ndarray:
-    """Uniform grid covering [0, t_end] with step <= dt_max."""
-    n = max(1, math.ceil(round(t_end / dt_max, 9)))
+    """Uniform grid covering [0, t_end] with step <= dt_max.
+
+    Refuses more than MAX_STEPS steps before allocating anything.
+    """
+    steps = round(t_end / dt_max, 9)
+    if not steps <= MAX_STEPS:
+        raise InputError(f"t_end / dt_max = {steps:.4g} steps exceeds the limit of "
+                         f"{MAX_STEPS} steps")
+    n = max(1, math.ceil(steps))
     return np.linspace(0.0, t_end, n + 1)
 
 
@@ -238,16 +257,23 @@ def _run_linear(a, b, noise_vals, t_grid, theta, n_record):
     return pos, vel
 
 
+def _second_order_matrix(jac: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """First-order form of m x'' = jac x - d x': the matrix A of
+    (x, x')' = A (x, x'), positions first."""
+    n = len(m)
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    a[n:, :n] = jac / m[:, None]
+    a[n:, n:] = -np.diag(d / m)
+    return a
+
+
 def _full_linear_matrices(sys: LinearizedSystem):
-    n_s, n_f = sys.n_slow, sys.n_fast
-    n = n_s + n_f
+    n = sys.n_slow + sys.n_fast
     jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
     m_eff = np.concatenate([sys.m_slow, sys.epsilon * sys.m_fast])
     d_eff = np.concatenate([sys.d_slow, sys.epsilon * sys.d_fast])
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
-    a[n:, :n] = jac / m_eff[:, None]
-    a[n:, n:] = -np.diag(d_eff / m_eff)
+    a = _second_order_matrix(jac, m_eff, d_eff)
     b = np.zeros((2 * n, n))
     b[n:, :] = np.diag(1.0 / m_eff)
     return a, b
@@ -285,10 +311,7 @@ def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise, mode: str | Non
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     noise_vals = _noise_values(noise, t_grid, n_s + n_f)
 
-    a = np.zeros((2 * n_s, 2 * n_s))
-    a[:n_s, n_s:] = np.eye(n_s)
-    a[n_s:, :n_s] = red.j_red / red.m_slow[:, None]
-    a[n_s:, n_s:] = -np.diag(red.d_slow / red.m_slow)
+    a = _second_order_matrix(red.j_red, red.m_slow, red.d_slow)
     select = np.zeros((n_s, n_s + n_f))
     select[:, :n_s] = np.eye(n_s)
     if mode == "xi" and n_f:
@@ -314,9 +337,23 @@ def integrate_full_nonlinear(
 ) -> Trajectory:
     """Drift-implicit integration of the nonlinear structure-preserving model.
 
-    Each step solves the theta-implicit equation with Newton iteration
-    (tolerance 1e-10 on the step residual, warm-started from an explicit
-    predictor).  Fast buses use epsilon-scaled inertia and damping.
+    Each step solves the theta-implicit equation
+    ``z - X - dt (1 - theta) f(X) - dt F - dt theta f(z) = 0`` over the
+    2n-dimensional state (F: the noise forcing, constant over the step)
+    by a chord (simplified Newton) iteration ``z <- z - C r(z)``, where
+    ``C`` is the inverse of ``I - theta dt A`` and ``A`` the drift
+    Jacobian.  ``C`` is built once at the operating point and rebuilt at
+    the current iterate only when a correction fails to halve the
+    max-norm residual, or when its contraction rate could not reach the
+    tolerance within the iterations left (Hairer & Wanner, Solving ODEs
+    II, IV.8); the rebuilt matrix is kept for later steps.  ``C`` only
+    steers the corrections: a step is accepted when the max-norm of the
+    exact residual is <= 1e-10, within 30 iterations.  Each step starts
+    from the linearly implicit predictor ``X + C dt (f(X) + F)``, and
+    the drift of the accepted iterate is reused as the next step's
+    ``f(X)``.  The coupling flows are evaluated over the line list, so
+    a drift costs O(lines).  Fast buses use epsilon-scaled inertia and
+    damping.
     ``x0``/``v0`` are optional initial angle deviations from the
     operating point and initial frequencies, in slow-then-fast order
     (default: start at the operating point at rest).  A deviation beyond
@@ -330,7 +367,7 @@ def integrate_full_nonlinear(
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     noise_vals = _noise_values(noise, t_grid, n)
     dt = t_grid[1] - t_grid[0]
-    theta_w = cfg.theta
+    h = dt * cfg.theta
 
     coupling = grid.coupling_matrix()[np.ix_(order, order)]
     p_inj = grid.param_vector("p")[order]
@@ -342,56 +379,63 @@ def integrate_full_nonlinear(
     d_eff = d * eps_scale
     theta_star = np.asarray(op.theta, dtype=float)[order]
 
-    def drift(state):
-        ang, omega = state[:n], state[n:]
-        sin_diff = np.sin(ang[:, None] - ang[None, :])
-        flow = (coupling * sin_diff).sum(axis=1)
-        return np.concatenate([omega, (p_inj - flow - d_eff * omega) / m_eff])
+    # Every line once per end: bus ends[e] receives
+    # b * sin(ang[ends[e]] - ang[others[e]]) / m_eff[ends[e]] of outflow.
+    src, dst = np.nonzero(np.triu(coupling))
+    ends = np.concatenate([src, dst])
+    others = np.concatenate([dst, src])
+    line_gain = coupling[ends, others] / m_eff[ends]
+    p_over_m = p_inj / m_eff
+    d_over_m = d_eff / m_eff
+    kick_scale = dt / m_eff
 
-    def drift_jacobian(state):
-        ang = state[:n]
-        cos_w = coupling * np.cos(ang[:, None] - ang[None, :])
-        np.fill_diagonal(cos_w, 0.0)
-        jac_ang = cos_w - np.diag(cos_w.sum(axis=1))
-        full = np.zeros((2 * n, 2 * n))
-        full[:n, n:] = np.eye(n)
-        full[n:, :n] = jac_ang / m_eff[:, None]
-        full[n:, n:] = -np.diag(d_eff / m_eff)
-        return full
+    def drift(state):
+        flow = np.bincount(ends, line_gain * np.sin(state[ends] - state[others]), minlength=n)
+        return np.concatenate([state[n:], p_over_m - flow - d_over_m * state[n:]])
+
+    eye = np.eye(2 * n)
+
+    def chord_matrix(ang, t):
+        a = _second_order_matrix(_angle_jacobian(coupling, ang), m_eff, d_eff)
+        try:
+            chord = np.linalg.inv(eye - h * a)
+        except np.linalg.LinAlgError as e:
+            raise NumericsError(f"implicit step solve failed at t={t:.4g}") from e
+        if not np.all(np.isfinite(chord)):
+            raise NumericsError(f"implicit step solve failed at t={t:.4g}")
+        return chord
 
     n_steps = len(t_grid) - 1
-    x = np.zeros((n_steps + 1, n_s))
-    xdot = np.zeros((n_steps + 1, n_s))
-    y = np.zeros((n_steps + 1, n - n_s))
-    ydot = np.zeros((n_steps + 1, n - n_s))
     dev0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     omega0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     if dev0.shape != (n,) or omega0.shape != (n,):
         raise InputError(f"initial condition must have shape ({n},)")
+    # Row k: angle deviations from the operating point, then frequencies.
+    record = np.empty((n_steps + 1, 2 * n))
+    record[0, :n] = dev0
+    record[0, n:] = omega0
     state = np.concatenate([theta_star + dev0, omega0])
-    x[0] = dev0[:n_s]
-    xdot[0] = omega0[:n_s]
-    y[0] = dev0[n_s:]
-    ydot[0] = omega0[n_s:]
+    f0 = drift(state)
+    chord = chord_matrix(theta_star, t_grid[0])
 
-    eye = np.eye(2 * n)
     for k in range(n_steps):
-        forcing = np.concatenate([np.zeros(n), noise_vals[k] / m_eff])
-        f0 = drift(state)
-        base = state + dt * (1.0 - theta_w) * f0 + dt * forcing
-        trial = state + dt * (f0 + forcing)  # explicit predictor
-        converged = False
-        for _ in range(30):
-            residual = trial - base - dt * theta_w * drift(trial)
-            if np.abs(residual).max() <= 1e-10:
-                converged = True
+        euler_step = dt * f0  # dt (f(X) + F)
+        euler_step[n:] += noise_vals[k] * kick_scale
+        base = state + euler_step - h * f0
+        trial = state + chord.dot(euler_step)
+        last = math.inf
+        for it in range(_NEWTON_MAX_ITER):
+            f0 = drift(trial)
+            residual = trial - base - h * f0
+            res = np.abs(residual).max()
+            if res <= _NEWTON_TOL:
                 break
-            jac = eye - dt * theta_w * drift_jacobian(trial)
-            try:
-                trial = trial - np.linalg.solve(jac, residual)
-            except np.linalg.LinAlgError as e:
-                raise NumericsError(f"implicit step solve failed at t={t_grid[k]:.4g}") from e
-        if not converged:
+            rate = res / last
+            if rate > 0.5 or res * rate ** (_NEWTON_MAX_ITER - 1 - it) > _NEWTON_TOL:
+                chord = chord_matrix(trial[:n], t_grid[k])
+            last = res
+            trial = trial - chord.dot(residual)
+        else:
             raise NumericsError(
                 f"Newton did not converge at t={t_grid[k]:.4g}; reduce dt_max")
         state = trial
@@ -399,11 +443,10 @@ def integrate_full_nonlinear(
         if np.abs(dev - dev.mean()).max() > math.pi:
             raise NumericsError(
                 f"divergence detected at t={t_grid[k + 1]:.4g}: |COI-frame deviation| > pi")
-        x[k + 1] = dev[:n_s]
-        xdot[k + 1] = state[n:n + n_s]
-        y[k + 1] = dev[n_s:]
-        ydot[k + 1] = state[n + n_s:]
-    return Trajectory(t=t_grid, x=x, xdot=xdot, y=y, ydot=ydot)
+        record[k + 1, :n] = dev
+        record[k + 1, n:] = state[n:]
+    return Trajectory(t=t_grid, x=record[:, :n_s], xdot=record[:, n:n + n_s],
+                      y=record[:, n_s:n], ydot=record[:, n + n_s:])
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +504,31 @@ def coi_frequency_variance_estimate(
                          stderr=stderr, n_samples=n_total)
 
 
-def ensemble_run(builder, cfg: SimConfig, bus_ids: tuple[int, ...] | None = None) -> EnsembleStats:
-    """Run cfg.ensemble_size trajectories and pool their COI statistics.
+def run_ensemble(builder, cfg: SimConfig) -> list[Trajectory]:
+    """Build cfg.ensemble_size trajectories.
 
     ``builder(seed)`` must return a Trajectory; trajectory i gets seed
     base_seed XOR i, so results are independent of execution order and
-    bit-reproducible for a fixed base seed.
+    bit-reproducible for a fixed base seed.  An InputError passes
+    through unchanged; a numerical failure (NumericsError, or a
+    ValueError or ArithmeticError from the numerics) becomes a
+    NumericsError naming the trajectory and its seed.
     """
     trajs = []
     for idx in range(cfg.ensemble_size):
         seed = int(np.uint64(cfg.base_seed) ^ np.uint64(idx))
         try:
             trajs.append(builder(seed))
-        except Exception as e:
+        except (NumericsError, ValueError, ArithmeticError) as e:
             raise NumericsError(f"trajectory {idx} (seed {seed}) failed: {e}") from e
-    return coi_frequency_variance_estimate(trajs, cfg.burn_in, bus_ids=bus_ids)
+    return trajs
+
+
+def ensemble_run(builder, cfg: SimConfig, bus_ids: tuple[int, ...] | None = None) -> EnsembleStats:
+    """Run cfg.ensemble_size trajectories (see run_ensemble) and pool
+    their COI statistics."""
+    return coi_frequency_variance_estimate(run_ensemble(builder, cfg), cfg.burn_in,
+                                           bus_ids=bus_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,13 @@ class TestSimulate:
         assert main(argv) == 0
         assert (tmp_path / "second" / "stats.csv").read_bytes() == stats_before
 
+    @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "1e-300"]])
+    def test_oversized_time_grid_is_input_error(self, tmp_path, capsys, flags):
+        grid = homogeneous_grid_file(tmp_path)
+        assert main(["simulate", grid, "--model", "reduced-xi", "--burn-in", "1", *flags,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
 
 class TestCompare:
     def test_homogeneous_all_columns_populated(self, tmp_path):
@@ -212,6 +219,15 @@ class TestCompare:
             cells = row.split(",")
             assert cells[1] == "" and cells[2] == ""
             assert cells[3] != "" and cells[4] != ""
+
+    def test_failing_trajectory_named_with_seed(self, tmp_path, capsys):
+        doc = json.loads(TWO_BUS)
+        for bus in doc["buses"]:
+            bus["sigma"] = 50.0  # noise far beyond the b=1 line capacity
+        grid = write_grid(tmp_path, json.dumps(doc))
+        assert main(["compare", grid, "--models", "full-nonlinear", "--t-end", "5",
+                     "--burn-in", "1", "--seed", "4", "--out-dir", str(tmp_path)]) == 3
+        assert "trajectory 0 (seed 4) failed" in capsys.readouterr().err
 
 
 class TestStarDemo:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kronred.simulate as simulate
 from conftest import make_grid, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
 from kronred.grid import SLOW, FAST, assemble_linearized, build_jacobian, solve_fixed_point
@@ -82,6 +83,18 @@ class TestTimeGrid:
         assert np.diff(t).max() <= 0.03 + 1e-15
         assert t[0] == 0.0 and t[-1] == 1.0
 
+    @pytest.mark.parametrize("t_end,dt", [(math.inf, 0.01), (200.0, 1e-300), (math.nan, 0.1)])
+    def test_oversized_or_non_finite_refused(self, t_end, dt):
+        with pytest.raises(InputError, match="steps"):
+            make_time_grid(t_end, dt)
+
+    @pytest.mark.parametrize("field", ["t_end", "dt_max", "burn_in"])
+    def test_sim_config_rejects_non_finite(self, field):
+        kwargs = dict(model="reduced-xi", dt_max=0.01, t_end=10.0, burn_in=1.0)
+        kwargs[field] = math.inf
+        with pytest.raises(InputError, match=f"{field} must be finite"):
+            SimConfig(**kwargs)
+
     def test_default_dt_caps_at_fast_relaxation(self):
         grid = two_bus_grid()
         assert default_dt_max(grid, 1.0) == pytest.approx(0.01)  # tau/10
@@ -140,6 +153,70 @@ class TestFullNonlinear:
         shove = np.tile([5.0, -5.0], (5000, 1))  # far beyond the b=1 line capacity
         with pytest.raises(NumericsError, match="divergence|Newton"):
             integrate_full_nonlinear(grid, op, cfg, shove)
+
+
+def theta_method_residuals(grid, op, cfg, noise, traj):
+    """Per-step max-norm residual of the theta-method equation, recomputed
+    from the returned states with a dense drift written out here."""
+    order = grid.ordering()
+    n_s = len(grid.slow_ids)
+    b = grid.coupling_matrix()[np.ix_(order, order)]
+    p = grid.param_vector("p")[order]
+    scale = np.where(np.arange(grid.n_buses) < n_s, 1.0, cfg.epsilon)
+    m = grid.param_vector("m")[order] * scale
+    d = grid.param_vector("d")[order] * scale
+    ang = np.column_stack([traj.x, traj.y]) + op.theta[order][None, :]
+    omega = np.column_stack([traj.xdot, traj.ydot])
+
+    def drift(a, w):
+        flow = (b[None, :, :] * np.sin(a[:, :, None] - a[:, None, :])).sum(axis=2)
+        return w, (p - flow - d * w) / m
+
+    dt = traj.t[1] - traj.t[0]
+    th = cfg.theta
+    va, vw = drift(ang, omega)
+    res_ang = ang[1:] - ang[:-1] - dt * ((1 - th) * va[:-1] + th * va[1:])
+    res_w = (omega[1:] - omega[:-1] - dt * ((1 - th) * vw[:-1] + th * vw[1:])
+             - dt * noise / m)
+    return np.maximum(np.abs(res_ang).max(axis=1), np.abs(res_w).max(axis=1))
+
+
+class TestFullNonlinearStepper:
+    # the cases with a large initial deviation drive the iterate far from
+    # the operating point, where the chord matrix must be rebuilt
+    @pytest.mark.parametrize("theta,seed,epsilon,deviation", [
+        (0.5, 12, 0.1, 0.0), (1.0, 12, 0.1, 0.0), (0.5, 3, 0.05, 1.2), (1.0, 12, 0.1, 1.6)])
+    def test_steps_solve_theta_method_equation(self, theta, seed, epsilon, deviation,
+                                               monkeypatch):
+        grid = random_connected_grid(np.random.default_rng(seed), 7, injection_scale=0.3)
+        op = solve_fixed_point(grid)
+        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
+                        epsilon=epsilon, theta=theta)
+        n = grid.n_buses
+        noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
+        x0 = deviation * np.cos(np.arange(n))
+        builds = []
+        jacobian = simulate._angle_jacobian
+
+        def counting_jacobian(*args):
+            builds.append(args)
+            return jacobian(*args)
+
+        monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
+        traj = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
+        assert theta_method_residuals(grid, op, cfg, noise, traj).max() <= 1e-10
+        np.testing.assert_array_equal(traj.x[0], x0[:len(grid.slow_ids)])
+        if deviation:
+            assert len(builds) > 1
+
+    def test_ensemble_bit_identical_for_fixed_seed(self):
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=10.0, burn_in=2.0,
+                        ensemble_size=2, base_seed=31)
+        s1 = run_model_ensemble(grid, cfg)
+        s2 = run_model_ensemble(grid, cfg)
+        np.testing.assert_array_equal(s1.variance, s2.variance)
+        np.testing.assert_array_equal(s1.stderr, s2.stderr)
 
 
 class TestFullLinear:
@@ -305,6 +382,14 @@ class TestEnsembleRun:
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
                         ensemble_size=4, base_seed=0)
         with pytest.raises(NumericsError, match="trajectory 2"):
+            ensemble_run(builder, cfg)
+
+    def test_input_error_passes_through(self):
+        def builder(seed):
+            raise InputError("bad input")
+
+        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0)
+        with pytest.raises(InputError, match="bad input"):
             ensemble_run(builder, cfg)
 
     def test_stderr_shrinks_with_ensemble(self):
