@@ -13,8 +13,7 @@ from .grid import (Bus, ClassDefaults, Grid, Line, LinearizedSystem, OperatingPo
                    parse_matpower_case, serialize_grid_json, solve_fixed_point,
                    with_sigma)
 from .reduction import (ReducedSystem, effective_noise_covariance, make_star_grid,
-                        noise_map, reduce_grid, reduced_system_from_dict,
-                        reduced_system_to_dict, schur_reduce)
+                        reduce_grid, reduced_system_from_dict, reduced_system_to_dict)
 from .simulate import (EnsembleStats, OUSpec, SimConfig, Trajectory,
                        coi_frequency_variance_estimate, default_burn_in,
                        default_dt_max, ensemble_run, integrate_full_linear,

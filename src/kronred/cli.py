@@ -75,8 +75,8 @@ def _load_grid(args) -> Grid:
     if path.suffix == ".json":
         return parse_grid_json(text)
     if path.suffix == ".m":
-        slow = ClassDefaults(m=args.slow_m, d=args.slow_d, sigma=0.0, tau=args.tau)
-        fast = ClassDefaults(m=args.fast_m, d=args.fast_d, sigma=0.0, tau=args.tau)
+        slow = ClassDefaults(m=args.slow_m, d=args.slow_d, tau=args.tau)
+        fast = ClassDefaults(m=args.fast_m, d=args.fast_d, tau=args.tau)
         grid = parse_matpower_case(text, slow=slow, fast=fast, rebalance=True)
         lo, hi = _parse_sigma_dist(args.sigma_dist)
         rng = np.random.default_rng(np.uint64(args.seed))
@@ -101,9 +101,7 @@ def _parse_sigma_dist(spec: str) -> tuple[float, float]:
 def _analysis_pipeline(grid: Grid, epsilon: float):
     op = solve_fixed_point(grid)
     jac = build_jacobian(grid, op)
-    sys = assemble_linearized(grid, jac, epsilon)
-    red = reduce_grid(grid, sys)
-    return op, sys, red
+    return op, reduce_grid(grid, assemble_linearized(grid, jac, epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +111,7 @@ def _analysis_pipeline(grid: Grid, epsilon: float):
 def cmd_reduce(args) -> None:
     started = time.time()
     grid = _load_grid(args)
-    op, sys, red = _analysis_pipeline(grid, args.epsilon)
+    op, red = _analysis_pipeline(grid, args.epsilon)
     out_dir = Path(args.out_dir)
     _write_text(out_dir / "reduced.json",
                 json.dumps(reduced_system_to_dict(red), indent=2) + "\n")
@@ -134,10 +132,10 @@ def cmd_reduce(args) -> None:
 def cmd_variance(args) -> None:
     started = time.time()
     grid = _load_grid(args)
-    op, sys, red = _analysis_pipeline(grid, args.epsilon)
+    _, red = _analysis_pipeline(grid, args.epsilon)
     try:
         basis = eigendecompose_reduced(red.j_red)
-        gam = gamma_matrix(sys, basis, red.sigma_fast)
+        gam = gamma_matrix(red, basis)
         report = coi_variance(red, basis, gam)
     except InputError as e:
         raise InputError(f"{e}\nhint: the `simulate` command has no homogeneity restriction") \
@@ -183,12 +181,12 @@ def cmd_compare(args) -> None:
     started = time.time()
     grid = _load_grid(args)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    op, sys, red = _analysis_pipeline(grid, args.epsilon)
+    _, red = _analysis_pipeline(grid, args.epsilon)
 
     analytic = naive_analytic = None
     try:
         basis = eigendecompose_reduced(red.j_red)
-        gam = gamma_matrix(sys, basis, red.sigma_fast)
+        gam = gamma_matrix(red, basis)
         report = coi_variance(red, basis, gam)
         analytic, naive_analytic = report.var_total, report.var_naive
     except InputError:
@@ -250,9 +248,9 @@ def cmd_star_demo(args) -> None:
         raise InputError(f"--n-outer must be >= 2, got {args.n_outer}")
     grid = make_star_grid(args.n_outer, args.center, b=args.b, sigma=args.sigma,
                           m=args.m, d=args.d, tau=args.tau)
-    op, sys, red = _analysis_pipeline(grid, 1.0)
+    _, red = _analysis_pipeline(grid, 1.0)
     basis = eigendecompose_reduced(red.j_red)
-    gam = gamma_matrix(sys, basis, red.sigma_fast)
+    gam = gamma_matrix(red, basis)
 
     print(f"star with {args.n_outer} outer buses around a {args.center} center")
     print(f"slow buses: {red.n_slow}, fast buses: {red.n_fast}")
@@ -282,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--format", choices=["csv"], default="csv", help="tabular output format")
 
     gridio = argparse.ArgumentParser(add_help=False)
     gridio.add_argument("grid", help="grid file (.json schema or MATPOWER .m)")

@@ -61,6 +61,10 @@ class Bus:
     def __post_init__(self):
         if self.speed_class not in (SLOW, FAST):
             raise InputError(f"bus {self.id}: class must be 'slow' or 'fast', got {self.speed_class!r}")
+        for name in ("m", "d", "p", "sigma", "tau", "v"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"bus {self.id}: {name} must be finite, got {value}")
         if not self.m > 0:
             raise InputError(f"bus {self.id}: inertia m must be > 0, got {self.m}")
         if not self.d > 0:
@@ -84,8 +88,9 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise InputError(f"line {self.from_bus}-{self.to_bus}: self-loop not allowed")
-        if not self.b > 0:
-            raise InputError(f"line {self.from_bus}-{self.to_bus}: susceptance must be > 0, got {self.b}")
+        if not (self.b > 0 and math.isfinite(self.b)):
+            raise InputError(
+                f"line {self.from_bus}-{self.to_bus}: susceptance must be finite and > 0, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,6 @@ class Grid:
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
-    base_power: float = 1.0
 
     def __post_init__(self):
         if not self.buses:
@@ -283,6 +287,8 @@ def parse_grid_json(text: str) -> Grid:
         missing = _LINE_FIELDS - set(raw)
         if missing:
             raise InputError(f"{path}: missing fields {sorted(missing)}")
+        if not isinstance(raw["B"], (int, float)):
+            raise InputError(f"{path}.B: must be a number")
         lines.append(Line(from_bus=raw["from"], to_bus=raw["to"], b=float(raw["B"])))
 
     return Grid(buses=tuple(buses), lines=tuple(lines))
@@ -309,11 +315,14 @@ def serialize_grid_json(grid: Grid) -> str:
 
 @dataclass(frozen=True)
 class ClassDefaults:
-    """Dynamic and noise parameters applied per speed class at ingestion."""
+    """Dynamic parameters and noise correlation time applied per speed class.
+
+    Case files carry no noise amplitudes: parsed buses get sigma = 0,
+    to be replaced with ``with_sigma``.
+    """
 
     m: float
     d: float
-    sigma: float
     tau: float
 
 
@@ -341,13 +350,15 @@ def parse_matpower_case(
 ) -> Grid:
     """Build a Grid from a MATPOWER case file (plain-text subset).
 
-    Buses with at least one entry in the gen table become slow, all
-    others fast.  Line couplings use 1/x per branch (parallel branches
-    are merged by adding 1/x); voltage magnitudes come from the bus VM
-    column; injections are total generator output minus bus load, in
-    per-unit of baseMVA.  Shunts, phase shifts and line resistance are
-    ignored.  With ``rebalance`` the generator outputs are scaled by a
-    common factor so injections sum to zero (case files carry losses).
+    Buses with at least one in-service entry in the gen table
+    (GEN_STATUS, column 8, > 0) become slow, all others fast; generators
+    out of service are ignored.  Line couplings use 1/x per branch
+    (parallel branches are merged by adding 1/x); voltage magnitudes come
+    from the bus VM column; injections are total generator output minus
+    bus load, in per-unit of baseMVA.  Shunts, phase shifts and line
+    resistance are ignored.  With ``rebalance`` the generator outputs are
+    scaled by a common factor so injections sum to zero (case files carry
+    losses).
     """
     comment_free = re.sub(r"%.*", "", text)
     m = re.search(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", comment_free)
@@ -373,6 +384,8 @@ def parse_matpower_case(
         bid = int(row[0])
         if bid not in load:
             raise InputError(f"mpc.gen: unknown bus {bid}")
+        if len(row) >= 8 and row[7] <= 0:
+            continue  # out of service
         gen_output[bid] = gen_output.get(bid, 0.0) + row[1]
 
     couplings: dict[frozenset, float] = {}
@@ -404,7 +417,7 @@ def parse_matpower_case(
         p = (scale * gen_output.get(bid, 0.0) - load[bid]) / base_mva
         buses.append(Bus(
             id=bid, speed_class=SLOW if is_gen else FAST, m=cls.m, d=cls.d,
-            p=p, sigma=cls.sigma, tau=cls.tau, v=vmag[bid],
+            p=p, sigma=0.0, tau=cls.tau, v=vmag[bid],
         ))
 
     lines = []
@@ -412,7 +425,7 @@ def parse_matpower_case(
         f, t = sorted(pair)
         lines.append(Line(from_bus=f, to_bus=t, b=b))
 
-    return Grid(buses=tuple(buses), lines=tuple(lines), base_power=base_mva)
+    return Grid(buses=tuple(buses), lines=tuple(lines))
 
 
 def with_sigma(grid: Grid, sigma: np.ndarray) -> Grid:
@@ -420,7 +433,7 @@ def with_sigma(grid: Grid, sigma: np.ndarray) -> Grid:
     if len(sigma) != grid.n_buses:
         raise InputError(f"sigma length {len(sigma)} != number of buses {grid.n_buses}")
     buses = tuple(replace(b, sigma=float(s)) for b, s in zip(grid.buses, sigma))
-    return Grid(buses=buses, lines=grid.lines, base_power=grid.base_power)
+    return Grid(buses=buses, lines=grid.lines)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ noise map K = -J_SF J_FF^-1, so the effective noise
 
 is spatially correlated even when all bus noises are independent.  Its
 equal-time covariance is Sigma_xi = diag(sigma_S^2) + K diag(sigma_F^2) K^T.
-All solves use a Cholesky factorization of -J_FF (never an explicit
-inverse).
+J_red and K come from the same solve W = J_FF^-1 J_FS, made with one
+Cholesky factorization of -J_FF per reduction (never an explicit
+inverse): J_red = J_SS - J_SF W and K = -W^T.
 """
 
 from __future__ import annotations
@@ -72,30 +73,6 @@ def factor_fast_block(j_ff: np.ndarray):
     return cho_factor(-j_ff)
 
 
-def _solve_ff(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve J_FF X = rhs given the factor of -J_FF."""
-    return -cho_solve(factor, rhs)
-
-
-def schur_reduce(sys: LinearizedSystem) -> np.ndarray:
-    """Schur complement J_red = J_SS - J_SF J_FF^-1 J_FS, symmetrized."""
-    if sys.n_fast == 0:
-        j_red = sys.j_ss.copy()
-    else:
-        factor = factor_fast_block(sys.j_ff)
-        j_red = sys.j_ss - sys.j_sf @ _solve_ff(factor, sys.j_fs)
-    return 0.5 * (j_red + j_red.T)
-
-
-def noise_map(sys: LinearizedSystem) -> np.ndarray:
-    """Noise map K = -J_SF J_FF^-1 (row i: weights of fast noise at slow bus i)."""
-    if sys.n_fast == 0:
-        return np.zeros((sys.n_slow, 0))
-    factor = factor_fast_block(sys.j_ff)
-    # K^T = -J_FF^-1 J_FS since J_FF is symmetric
-    return -_solve_ff(factor, sys.j_fs).T
-
-
 def _xi_covariance(k: np.ndarray, sigma_slow: np.ndarray, sigma_fast: np.ndarray) -> np.ndarray:
     if k.shape != (len(sigma_slow), len(sigma_fast)):
         raise InputError(
@@ -110,7 +87,11 @@ def effective_noise_covariance(red: ReducedSystem) -> np.ndarray:
 
 
 def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
-    """Assemble the full ReducedSystem for a grid and its linearization."""
+    """Kron-reduce a grid's linearization to its slow buses.
+
+    J_red = J_SS - J_SF J_FF^-1 J_FS (symmetrized) and the noise map
+    K = -J_SF J_FF^-1 share one factorization of -J_FF and one solve.
+    """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
     idx = grid.bus_index()
@@ -118,11 +99,18 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     f = [idx[i] for i in sys.fast_ids]
     sigma = grid.param_vector("sigma")
     tau = grid.param_vector("tau")
-    k = noise_map(sys)
+    if sys.n_fast == 0:
+        j_red = sys.j_ss
+        k = np.zeros((sys.n_slow, 0))
+    else:
+        # W = J_FF^-1 J_FS; the factor is of -J_FF, hence the sign
+        w = -cho_solve(factor_fast_block(sys.j_ff), sys.j_fs)
+        j_red = sys.j_ss - sys.j_sf @ w
+        k = -w.T  # K = -J_SF J_FF^-1 = -W^T since J_FF is symmetric
     return ReducedSystem(
         slow_ids=sys.slow_ids,
         fast_ids=sys.fast_ids,
-        j_red=schur_reduce(sys),
+        j_red=0.5 * (j_red + j_red.T),
         noise_gain=k,
         sigma_slow=sigma[s].copy(),
         sigma_fast=sigma[f].copy(),

@@ -32,11 +32,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, expm, solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import InputError, NumericsError
-from .grid import LinearizedSystem
-from .reduction import ReducedSystem, factor_fast_block
+from .reduction import ReducedSystem
 from .simulate import Trajectory
 
 
@@ -98,24 +97,21 @@ def eigendecompose_reduced(j_red: np.ndarray, zero_tol: float = 1e-9) -> ModalBa
     return ModalBasis(lambdas=lambdas, modes=modes)
 
 
-def gamma_matrix(sys: LinearizedSystem, basis: ModalBasis, sigma_fast: np.ndarray) -> np.ndarray:
+def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
     """Modal cross-coupling of the fast-bus noise.
 
     Entry (alpha, beta) is u_alpha^T K diag(sigma_F^2) K^T u_beta with
-    K the noise map; computed via linear solves with J_FF, never an
-    explicit inverse.  Symmetric positive semidefinite.
+    K the noise map the reduction stored in ``red.noise_gain``; no
+    further solve with J_FF is needed.  Symmetric positive semidefinite.
     """
-    sigma_fast = np.asarray(sigma_fast, dtype=float)
-    n_s, n_f = sys.n_slow, sys.n_fast
+    n_s, n_f = red.n_slow, red.noise_gain.shape[1]
     if basis.n_modes != n_s:
         raise InputError(f"basis has {basis.n_modes} modes for {n_s} slow buses")
-    if len(sigma_fast) != n_f:
-        raise InputError(f"sigma_fast has {len(sigma_fast)} entries for {n_f} fast buses")
-    if n_f == 0:
-        return np.zeros((n_s, n_s))
-    factor = factor_fast_block(sys.j_ff)
-    w = cho_solve(factor, sys.j_fs @ basis.modes)  # -J_FF^-1 J_FS U, sign cancels
-    g = (w * sigma_fast[:, None]**2).T @ w
+    if len(red.sigma_fast) != n_f:
+        raise InputError(f"sigma_fast has {len(red.sigma_fast)} entries for {n_f} "
+                         "noise-map columns")
+    w = red.noise_gain.T @ basis.modes  # K^T U
+    g = (w * red.sigma_fast[:, None]**2).T @ w
     return 0.5 * (g + g.T)
 
 
@@ -260,7 +256,7 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis, gamma_mat: np.ndarray) -
     u_perp = basis.modes[:, 1:]
 
     kern_s = frequency_variance_kernel(lam[:, None], lam[None, :], tau_s, gamma, m)
-    slow_amp = u_perp.T @ np.diag(red.sigma_slow**2) @ u_perp
+    slow_amp = (u_perp * red.sigma_slow[:, None]**2).T @ u_perp
     var_slow = np.einsum("ia,ab,ib->i", u_perp, slow_amp * kern_s, u_perp)
 
     if red.n_fast and tau_f is not None:

@@ -34,7 +34,7 @@ def analyze(grid, epsilon=1.0):
     sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
     red = reduce_grid(grid, sys)
     basis = eigendecompose_reduced(red.j_red)
-    gam = gamma_matrix(sys, basis, red.sigma_fast)
+    gam = gamma_matrix(red, basis)
     return sys, red, basis, gam
 
 

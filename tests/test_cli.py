@@ -68,6 +68,12 @@ class TestReduce:
         assert main(["reduce", grid, "--out-dir", str(tmp_path)]) == 3
         assert "no fixed point" in capsys.readouterr().err
 
+    def test_format_flag_removed(self, tmp_path, capsys):
+        grid = write_grid(tmp_path, TWO_BUS)
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", grid, "--out-dir", str(tmp_path), "--format", "csv"])
+        assert exc.value.code == 2
+
     def test_manifest_written(self, tmp_path):
         grid = write_grid(tmp_path, TWO_BUS)
         main(["reduce", grid, "--out-dir", str(tmp_path)])
@@ -112,6 +118,21 @@ class TestVariance:
         grid = write_grid(tmp_path, json.dumps(doc))
         assert main(["variance", grid, "--out-dir", str(tmp_path)]) == 2
         assert "simulate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("buses", "sigma", float("nan")),
+        ("buses", "p", float("nan")),
+        ("lines", "B", float("inf")),
+    ])
+    def test_non_finite_json_value_is_input_error(self, tmp_path, capsys, where, key, value):
+        doc = json.loads(TWO_BUS)
+        doc["buses"][1]["class"] = "slow"
+        doc[where][0][key] = value  # written as the JSON tokens NaN / Infinity
+        grid = write_grid(tmp_path, json.dumps(doc))
+        assert main(["variance", grid, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "must be finite" in err
+        assert not (tmp_path / "variance.csv").exists()
 
     def test_order_by_naive(self, tmp_path):
         grid = homogeneous_grid_file(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_grid, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
-from kronred.grid import (ClassDefaults, FAST, SLOW, assemble_linearized,
+from kronred.grid import (Bus, ClassDefaults, FAST, SLOW, assemble_linearized,
                           build_jacobian, parse_grid_json, parse_matpower_case,
                           serialize_grid_json, solve_fixed_point, with_sigma)
 
@@ -52,6 +52,32 @@ class TestParseGridJson:
             doc = json.loads(TWO_BUS_JSON)
             doc["buses"][0][name] = 0.0
             with pytest.raises(InputError):
+                parse_grid_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["m", "d", "p", "sigma", "tau", "v"])
+    def test_non_finite_bus_parameter_rejected(self, name):
+        for value in (math.nan, math.inf, -math.inf):
+            doc = json.loads(TWO_BUS_JSON)
+            doc["buses"][0][name] = value
+            with pytest.raises(InputError, match=rf"bus 1: {name} must be finite"):
+                parse_grid_json(json.dumps(doc))
+
+    def test_nan_sigma_bus_rejected(self):
+        with pytest.raises(InputError, match="sigma must be finite"):
+            Bus(id=1, speed_class=SLOW, m=0.2, d=0.05, p=0.0, sigma=math.nan, tau=0.1)
+
+    def test_non_finite_susceptance_rejected(self):
+        for value in (math.nan, math.inf):
+            doc = json.loads(TWO_BUS_JSON)
+            doc["lines"][0]["B"] = value
+            with pytest.raises(InputError, match="susceptance must be finite"):
+                parse_grid_json(json.dumps(doc))
+
+    def test_non_numeric_susceptance_rejected(self):
+        for value in ("abc", None):
+            doc = json.loads(TWO_BUS_JSON)
+            doc["lines"][0]["B"] = value
+            with pytest.raises(InputError, match=r"lines\[0\]\.B: must be a number"):
                 parse_grid_json(json.dumps(doc))
 
     def test_duplicate_line_rejected(self):
@@ -191,8 +217,8 @@ mpc.branch = [
 ];
 """
 
-DEFAULTS_SLOW = ClassDefaults(m=0.2, d=0.05, sigma=0.01, tau=0.1)
-DEFAULTS_FAST = ClassDefaults(m=0.002, d=0.0005, sigma=0.01, tau=0.1)
+DEFAULTS_SLOW = ClassDefaults(m=0.2, d=0.05, tau=0.1)
+DEFAULTS_FAST = ClassDefaults(m=0.002, d=0.0005, tau=0.1)
 
 
 class TestParseMatpower:
@@ -234,6 +260,15 @@ class TestParseMatpower:
         grid = parse_matpower_case(doubled, DEFAULTS_SLOW, DEFAULTS_FAST)
         b = {(ln.from_bus, ln.to_bus): ln.b for ln in grid.lines}
         assert b[(1, 3)] == pytest.approx(8.0)  # two parallel 1/0.25 branches
+
+    def test_out_of_service_generator_skipped(self):
+        off = THREE_BUS_CASE.replace(
+            " 1 100 0 50 -50 1.02 100 1 200 0;",
+            " 1 100 0 50 -50 1.02 100 1 200 0;\n 2 30 0 50 -50 1.02 100 0 200 0;")
+        grid = parse_matpower_case(off, DEFAULTS_SLOW, DEFAULTS_FAST)
+        assert grid.slow_ids == [1]
+        p = {b.id: b.p for b in grid.buses}
+        assert p[2] == pytest.approx(-0.6)
 
     def test_out_of_service_branch_skipped(self):
         off = THREE_BUS_CASE.replace("1 3 0.01 0.25 0 0 0 0 0 0 1", "1 3 0.01 0.25 0 0 0 0 0 0 0")

@@ -8,9 +8,8 @@ from kronred.errors import InputError, NumericsError
 from kronred.grid import FAST, SLOW, LinearizedSystem, assemble_linearized, \
     build_jacobian, solve_fixed_point
 from kronred.reduction import (ReducedSystem, effective_noise_covariance,
-                               make_star_grid, noise_map, reduce_grid,
-                               reduced_system_from_dict, reduced_system_to_dict,
-                               schur_reduce)
+                               make_star_grid, reduce_grid,
+                               reduced_system_from_dict, reduced_system_to_dict)
 from kronred.simulate import OUSpec, make_time_grid, ou_sample_path
 
 
@@ -26,19 +25,19 @@ def reduce_pipeline(grid, epsilon=1.0):
 
 class TestSchurReduce:
     def test_two_bus_leaf_reduction(self):
-        sys = linearize(two_bus_grid())
-        np.testing.assert_allclose(schur_reduce(sys), [[0.0]], atol=1e-15)
+        _, red = reduce_pipeline(two_bus_grid())
+        np.testing.assert_allclose(red.j_red, [[0.0]], atol=1e-15)
 
     def test_path_hand_schur(self):
         # J_SS - J_SF J_FF^-1 J_FS = diag(-1,-1) - [1;1](-1/2)[1,1]
-        sys = linearize(path3_grid())
-        np.testing.assert_allclose(schur_reduce(sys), [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
+        _, red = reduce_pipeline(path3_grid())
+        np.testing.assert_allclose(red.j_red, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
 
     def test_star_load_center_rank_one_update(self):
         n = 5
-        sys = linearize(make_star_grid(n, center_class=FAST))
+        _, red = reduce_pipeline(make_star_grid(n, center_class=FAST))
         expected = -np.eye(n) + np.full((n, n), 1.0 / n)
-        np.testing.assert_allclose(schur_reduce(sys), expected, atol=1e-14)
+        np.testing.assert_allclose(red.j_red, expected, atol=1e-14)
 
     def test_no_fast_buses_identity_reduction(self):
         grid = path3_grid()
@@ -46,9 +45,9 @@ class TestSchurReduce:
         from conftest import make_grid
         g = make_grid([(1, SLOW, 0.0), (2, SLOW, 0.0), (3, SLOW, 0.0)],
                       [(1, 2, 1.0), (2, 3, 1.0)])
-        sys = linearize(g)
-        np.testing.assert_allclose(schur_reduce(sys), build_jacobian(g, solve_fixed_point(g)))
-        assert noise_map(sys).shape == (3, 0)
+        _, red = reduce_pipeline(g)
+        np.testing.assert_allclose(red.j_red, build_jacobian(g, solve_fixed_point(g)))
+        assert red.noise_gain.shape == (3, 0)
 
     def test_indefinite_fast_block_reports_eigenvalue(self):
         sys = linearize(path3_grid())
@@ -58,17 +57,17 @@ class TestSchurReduce:
             m_slow=sys.m_slow, m_fast=sys.m_fast, d_slow=sys.d_slow,
             d_fast=sys.d_fast, epsilon=1.0)
         with pytest.raises(NumericsError, match=r"not negative definite.*5\.0"):
-            schur_reduce(bad)
+            reduce_grid(path3_grid(), bad)
 
 
 class TestNoiseMap:
     def test_two_bus_full_inheritance(self):
-        sys = linearize(two_bus_grid())
-        np.testing.assert_allclose(noise_map(sys), [[1.0]])
+        _, red = reduce_pipeline(two_bus_grid())
+        np.testing.assert_allclose(red.noise_gain, [[1.0]])
 
     def test_path_half_half(self):
-        sys = linearize(path3_grid())
-        np.testing.assert_allclose(noise_map(sys), [[0.5], [0.5]])
+        _, red = reduce_pipeline(path3_grid())
+        np.testing.assert_allclose(red.noise_gain, [[0.5], [0.5]])
 
 
 class TestEffectiveNoiseCovariance:

@@ -411,7 +411,7 @@ class TestStatisticalConsistency:
         sys = assemble_linearized(grid, build_jacobian(grid, op), 1.0)
         red = reduce_grid(grid, sys)
         basis = eigendecompose_reduced(red.j_red)
-        gam = gamma_matrix(sys, basis, red.sigma_fast)
+        gam = gamma_matrix(red, basis)
         analytic = coi_variance(red, basis, gam).var_total
 
         cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=800.0, burn_in=40.0,

@@ -1,6 +1,7 @@
 """Modal analysis, kernels, closed-form variance, oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.integrate import quad, solve_ivp
 
 from conftest import make_grid, path3_grid, random_connected_grid
 from kronred.errors import InputError, NumericsError
-from kronred.grid import FAST, SLOW, assemble_linearized, build_jacobian, solve_fixed_point
+from kronred.grid import (FAST, SLOW, ClassDefaults, assemble_linearized, build_jacobian,
+                          parse_matpower_case, solve_fixed_point, with_sigma)
 from kronred.reduction import ReducedSystem, make_star_grid, reduce_grid
 from kronred.simulate import make_time_grid
 from kronred.variance import (ModalBasis, coi_variance, eigendecompose_reduced,
@@ -22,7 +24,7 @@ def pipeline(grid, epsilon=1.0):
     sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
     red = reduce_grid(grid, sys)
     basis = eigendecompose_reduced(red.j_red)
-    gam = gamma_matrix(sys, basis, red.sigma_fast)
+    gam = gamma_matrix(red, basis)
     return sys, red, basis, gam
 
 
@@ -96,6 +98,45 @@ class TestGammaMatrix:
             _, red, basis, gam = pipeline(grid)
             assert np.abs(gam - gam.T).max() < 1e-14
             assert np.linalg.eigvalsh(gam).min() > -1e-12
+
+    def test_matches_dense_solve_reference(self, ieee118_text):
+        # Gamma = W^T diag(sigma_F^2) W with W = K^T U = (-J_FF)^-1 J_FS U
+        rng = np.random.default_rng(37)
+        grids = [random_connected_grid(rng, n, n_slow=n // 3 + 1, homogeneous=True)
+                 for n in (4, 9, 17, 30)]
+        slow = ClassDefaults(m=0.2, d=0.05, tau=0.1)
+        fast = ClassDefaults(m=0.002, d=0.0005, tau=0.1)
+        ieee = parse_matpower_case(ieee118_text, slow, fast, rebalance=True)
+        grids.append(with_sigma(ieee, rng.uniform(0.0, 0.01, ieee.n_buses)))
+        for grid in grids:
+            sys, red, basis, gam = pipeline(grid)
+            w = np.linalg.solve(-sys.j_ff, sys.j_fs @ basis.modes)
+            ref = (w * red.sigma_fast[:, None]**2).T @ w
+            assert np.abs(gam - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_inconsistent_reduced_system_rejected(self):
+        _, red, basis, _ = pipeline(path3_grid())
+        with pytest.raises(InputError, match="noise-map columns"):
+            gamma_matrix(replace(red, sigma_fast=np.ones(2)), basis)
+        with pytest.raises(InputError, match="modes for 2 slow buses"):
+            gamma_matrix(red, eigendecompose_reduced(np.zeros((1, 1))))
+
+    def test_fast_block_factored_once_per_reduction(self, monkeypatch):
+        import kronred.reduction
+        import kronred.variance
+        calls = []
+        for module in (kronred.reduction, kronred.variance):
+            original = getattr(module, "factor_fast_block", None)
+            if original is not None:
+                def counted(j_ff, _original=original, _name=module.__name__):
+                    calls.append(_name)
+                    return _original(j_ff)
+                monkeypatch.setattr(module, "factor_fast_block", counted)
+        rng = np.random.default_rng(38)
+        grid = random_connected_grid(rng, 12, n_slow=5, homogeneous=True)
+        sys, red, basis, gam = pipeline(grid)
+        coi_variance(red, basis, gam)
+        assert calls == ["kronred.reduction"]
 
 
 class TestHKernel:
