@@ -16,9 +16,9 @@ from .reduction import (ReducedSystem, effective_noise_covariance, make_star_gri
                         reduce_grid, reduced_system_from_dict, reduced_system_to_dict)
 from .simulate import (EnsembleStats, OUSpec, SimConfig, Trajectory,
                        coi_frequency_variance_estimate, default_burn_in,
-                       default_dt_max, ensemble_run, integrate_full_linear,
-                       integrate_full_nonlinear, integrate_reduced, make_time_grid,
-                       ou_sample_path, run_model_ensemble)
+                       default_dt_max, integrate_full_linear, integrate_full_nonlinear,
+                       integrate_reduced, linearize_and_reduce, make_time_grid,
+                       ou_sample_path, run_ensemble, run_model_ensemble)
 from .variance import (ModalBasis, VarianceReport, coi_variance,
                        eigendecompose_reduced, frequency_variance_kernel,
                        gamma_matrix, h_kernel, lyapunov_oracle_variance,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, NumericsError
-from .grid import (ClassDefaults, Grid, assemble_linearized, build_jacobian,
-                   parse_grid_json, parse_matpower_case, solve_fixed_point, with_sigma)
-from .reduction import reduce_grid, make_star_grid, reduced_system_to_dict
+from .grid import ClassDefaults, Grid, parse_grid_json, parse_matpower_case, with_sigma
+from .reduction import make_star_grid, reduced_system_to_dict
 from .simulate import (SimConfig, coi_frequency_variance_estimate, default_burn_in,
-                       default_dt_max, make_builder, run_ensemble, stats_csv, trajectory_csv)
+                       default_dt_max, linearize_and_reduce, make_builder, run_ensemble,
+                       stats_csv, trajectory_csv)
 from .variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
                        variance_report_csv)
 
@@ -93,15 +94,9 @@ def _parse_sigma_dist(spec: str) -> tuple[float, float]:
         lo, hi = float(parts[1]), float(parts[2])
     except ValueError as e:
         raise InputError(f"--sigma-dist bounds must be numbers, got {spec!r}") from e
-    if lo < 0 or hi < lo:
-        raise InputError(f"--sigma-dist needs 0 <= lo <= hi, got {spec!r}")
+    if not 0 <= lo <= hi < math.inf:
+        raise InputError(f"--sigma-dist needs 0 <= lo <= hi < inf, got {spec!r}")
     return lo, hi
-
-
-def _analysis_pipeline(grid: Grid, epsilon: float):
-    op = solve_fixed_point(grid)
-    jac = build_jacobian(grid, op)
-    return op, reduce_grid(grid, assemble_linearized(grid, jac, epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +106,7 @@ def _analysis_pipeline(grid: Grid, epsilon: float):
 def cmd_reduce(args) -> None:
     started = time.time()
     grid = _load_grid(args)
-    op, red = _analysis_pipeline(grid, args.epsilon)
+    op, _, red = linearize_and_reduce(grid, 1.0)
     out_dir = Path(args.out_dir)
     _write_text(out_dir / "reduced.json",
                 json.dumps(reduced_system_to_dict(red), indent=2) + "\n")
@@ -132,7 +127,7 @@ def cmd_reduce(args) -> None:
 def cmd_variance(args) -> None:
     started = time.time()
     grid = _load_grid(args)
-    _, red = _analysis_pipeline(grid, args.epsilon)
+    _, _, red = linearize_and_reduce(grid, 1.0)
     try:
         basis = eigendecompose_reduced(red.j_red)
         gam = gamma_matrix(red, basis)
@@ -152,10 +147,10 @@ def cmd_variance(args) -> None:
     _write_manifest(args, started, ["variance.csv"], [Path(args.grid)])
 
 
-def _run_cfg(args, grid: Grid) -> SimConfig:
+def _run_cfg(args, grid: Grid, model: str) -> SimConfig:
     dt = args.dt if args.dt is not None else default_dt_max(grid, args.epsilon)
     burn = args.burn_in if args.burn_in is not None else min(default_burn_in(grid), 0.5 * args.t_end)
-    return SimConfig(model=args.model, dt_max=dt, t_end=args.t_end, burn_in=burn,
+    return SimConfig(model=model, dt_max=dt, t_end=args.t_end, burn_in=burn,
                      ensemble_size=args.ensemble, base_seed=args.seed,
                      epsilon=args.epsilon, theta=args.theta)
 
@@ -163,13 +158,13 @@ def _run_cfg(args, grid: Grid) -> SimConfig:
 def cmd_simulate(args) -> None:
     started = time.time()
     grid = _load_grid(args)
-    cfg = _run_cfg(args, grid)
-    builder, bus_ids = make_builder(grid, cfg)
-    trajs = run_ensemble(builder, cfg)
-    stats = coi_frequency_variance_estimate(trajs, cfg.burn_in, bus_ids=bus_ids)
+    cfg = _run_cfg(args, grid, args.model)
+    op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
+    trajs = run_ensemble(make_builder(grid, op, sys, red, cfg), cfg)
+    stats = coi_frequency_variance_estimate(trajs, cfg.burn_in, bus_ids=red.slow_ids)
 
     out_dir = Path(args.out_dir)
-    _write_text(out_dir / "trajectory.csv", trajectory_csv(trajs[0], bus_ids, args.decimate))
+    _write_text(out_dir / "trajectory.csv", trajectory_csv(trajs[0], red.slow_ids, args.decimate))
     _write_text(out_dir / "stats.csv", stats_csv(stats))
     print(f"model {cfg.model}: {cfg.ensemble_size} trajectories, dt {trajs[0].t[1]:.4g} s, "
           f"t_end {cfg.t_end} s, burn-in {cfg.burn_in:.4g} s")
@@ -181,7 +176,7 @@ def cmd_compare(args) -> None:
     started = time.time()
     grid = _load_grid(args)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    _, red = _analysis_pipeline(grid, args.epsilon)
+    op, sys, red = linearize_and_reduce(grid, args.epsilon)
 
     analytic = naive_analytic = None
     try:
@@ -194,12 +189,9 @@ def cmd_compare(args) -> None:
 
     empirical = {}
     for model in models:
-        margs = argparse.Namespace(**vars(args))
-        margs.model = model
-        cfg = _run_cfg(margs, grid)
-        builder, bus_ids = make_builder(grid, cfg)
+        cfg = _run_cfg(args, grid, model)
         empirical[model] = coi_frequency_variance_estimate(
-            run_ensemble(builder, cfg), cfg.burn_in, bus_ids=bus_ids).variance
+            run_ensemble(make_builder(grid, op, sys, red, cfg), cfg), cfg.burn_in).variance
 
     naive_ref = naive_analytic if naive_analytic is not None else empirical.get("reduced-naive")
     corrected_ref = analytic if analytic is not None else empirical.get("reduced-xi")
@@ -248,14 +240,14 @@ def cmd_star_demo(args) -> None:
         raise InputError(f"--n-outer must be >= 2, got {args.n_outer}")
     grid = make_star_grid(args.n_outer, args.center, b=args.b, sigma=args.sigma,
                           m=args.m, d=args.d, tau=args.tau)
-    _, red = _analysis_pipeline(grid, 1.0)
+    _, _, red = linearize_and_reduce(grid, 1.0)
     basis = eigendecompose_reduced(red.j_red)
     gam = gamma_matrix(red, basis)
 
     print(f"star with {args.n_outer} outer buses around a {args.center} center")
     print(f"slow buses: {red.n_slow}, fast buses: {red.n_fast}")
     if args.center == "slow":
-        predicted = args.sigma**2 * red.n_fast
+        predicted = args.sigma * args.sigma * red.n_fast  # inf, not OverflowError, when huge
         print(f"uniform-mode Gamma value : {float(gam[0, 0])!r}")
         print(f"closed-form prediction   : sigma^2 * N_F = {predicted!r}")
     else:
@@ -283,8 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gridio = argparse.ArgumentParser(add_help=False)
     gridio.add_argument("grid", help="grid file (.json schema or MATPOWER .m)")
-    gridio.add_argument("--epsilon", type=float, default=1.0,
-                        help="timescale ratio for the fast buses")
     gridio.add_argument("--slow-m", type=float, default=0.2, help="slow-class inertia [s^2] (.m files)")
     gridio.add_argument("--slow-d", type=float, default=0.05, help="slow-class damping [s] (.m files)")
     gridio.add_argument("--fast-m", type=float, default=0.002, help="fast-class inertia [s^2] (.m files)")
@@ -294,6 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="per-bus sigma sampler for .m files, uniform:lo:hi")
 
     simflags = argparse.ArgumentParser(add_help=False)
+    simflags.add_argument("--epsilon", type=float, default=1.0,
+                          help="timescale ratio for the fast buses")
     simflags.add_argument("--t-end", type=float, default=200.0, help="simulated time [s]")
     simflags.add_argument("--dt", type=float, default=None, help="max time step [s]")
     simflags.add_argument("--burn-in", type=float, default=None, help="discarded initial time [s]")
@@ -348,6 +340,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if not 0 <= args.seed < 2**64:
+        parser.error(f"--seed must be in [0, 2^64), got {args.seed}")
     args._argv = argv
     try:
         args.func(args)

@@ -243,7 +243,7 @@ def parse_grid_json(text: str) -> Grid:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # ValueError: also over-long integers
         raise InputError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")
@@ -265,16 +265,11 @@ def parse_grid_json(text: str) -> Grid:
         missing = _BUS_REQUIRED - set(raw)
         if missing:
             raise InputError(f"{path}: missing fields {sorted(missing)}")
-        if not isinstance(raw["id"], int):
+        if type(raw["id"]) is not int:  # bool is an int subclass
             raise InputError(f"{path}.id: must be an integer")
-        for name in ("m", "d", "p", "sigma", "tau", "v"):
-            if name in raw and not isinstance(raw[name], (int, float)):
-                raise InputError(f"{path}.{name}: must be a number")
-        buses.append(Bus(
-            id=raw["id"], speed_class=raw["class"], m=float(raw["m"]),
-            d=float(raw["d"]), p=float(raw["p"]), sigma=float(raw["sigma"]),
-            tau=float(raw["tau"]), v=float(raw.get("v", 1.0)),
-        ))
+        num = {name: _json_float(raw[name], f"{path}.{name}")
+               for name in ("m", "d", "p", "sigma", "tau", "v") if name in raw}
+        buses.append(Bus(id=raw["id"], speed_class=raw["class"], **num))
 
     lines = []
     for k, raw in enumerate(doc["lines"]):
@@ -287,11 +282,21 @@ def parse_grid_json(text: str) -> Grid:
         missing = _LINE_FIELDS - set(raw)
         if missing:
             raise InputError(f"{path}: missing fields {sorted(missing)}")
-        if not isinstance(raw["B"], (int, float)):
-            raise InputError(f"{path}.B: must be a number")
-        lines.append(Line(from_bus=raw["from"], to_bus=raw["to"], b=float(raw["B"])))
+        if not (type(raw["from"]) is int and type(raw["to"]) is int):
+            raise InputError(f"{path}: from and to must be integers")
+        lines.append(Line(from_bus=raw["from"], to_bus=raw["to"],
+                          b=_json_float(raw["B"], f"{path}.B")))
 
     return Grid(buses=tuple(buses), lines=tuple(lines))
+
+
+def _json_float(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{path}: must be a number")
+    try:
+        return float(value)
+    except OverflowError as e:
+        raise InputError(f"{path}: number too large for a float") from e
 
 
 def serialize_grid_json(grid: Grid) -> str:
@@ -342,6 +347,12 @@ def _matpower_table(text: str, name: str) -> list[list[float]]:
     return rows
 
 
+def _bus_number(value: float, table: str) -> int:
+    if not (math.isfinite(value) and value == int(value)):
+        raise InputError(f"mpc.{table}: bus number must be an integer, got {value}")
+    return int(value)
+
+
 def parse_matpower_case(
     text: str,
     slow: ClassDefaults,
@@ -352,17 +363,23 @@ def parse_matpower_case(
 
     Buses with at least one in-service entry in the gen table
     (GEN_STATUS, column 8, > 0) become slow, all others fast; generators
-    out of service are ignored.  Line couplings use 1/x per branch
-    (parallel branches are merged by adding 1/x); voltage magnitudes come
-    from the bus VM column; injections are total generator output minus
-    bus load, in per-unit of baseMVA.  Shunts, phase shifts and line
-    resistance are ignored.  With ``rebalance`` the generator outputs are
-    scaled by a common factor so injections sum to zero (case files carry
-    losses).
+    out of service are ignored.  Isolated buses (BUS_TYPE, column 2,
+    equal to 4) are skipped together with their gen and branch rows, as
+    MATPOWER does.  Line couplings use 1/x per branch (parallel branches
+    are merged by adding 1/x); voltage magnitudes come from the bus VM
+    column; injections are total generator output minus bus load, in
+    per-unit of baseMVA.  Shunts, phase shifts and line resistance are
+    ignored.  With ``rebalance`` the generator outputs are scaled by a
+    common factor so injections sum to zero (case files carry losses).
     """
     comment_free = re.sub(r"%.*", "", text)
-    m = re.search(r"mpc\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", comment_free)
-    base_mva = float(m.group(1)) if m else 100.0
+    m = re.search(r"mpc\.baseMVA\s*=\s*([^;\s]+)\s*;", comment_free)
+    try:
+        base_mva = float(m.group(1)) if m else 100.0
+    except ValueError:
+        base_mva = math.nan
+    if not (base_mva > 0 and math.isfinite(base_mva)):
+        raise InputError(f"mpc.baseMVA must be a finite number > 0, got {m.group(1)!r}")
 
     bus_rows = _matpower_table(comment_free, "bus")
     branch_rows = _matpower_table(comment_free, "branch")
@@ -370,10 +387,14 @@ def parse_matpower_case(
 
     load = {}
     vmag = {}
+    isolated = set()
     for row in bus_rows:
         if len(row) < 9:
             raise InputError("mpc.bus: row too short (need at least 9 columns)")
-        bid = int(row[0])
+        bid = _bus_number(row[0], "bus")
+        if row[1] == 4:
+            isolated.add(bid)
+            continue
         load[bid] = row[2]
         vmag[bid] = row[7] if row[7] > 0 else 1.0
 
@@ -381,22 +402,24 @@ def parse_matpower_case(
     for row in gen_rows:
         if len(row) < 2:
             raise InputError("mpc.gen: row too short (need at least 2 columns)")
-        bid = int(row[0])
-        if bid not in load:
+        bid = _bus_number(row[0], "gen")
+        if bid not in load and bid not in isolated:
             raise InputError(f"mpc.gen: unknown bus {bid}")
-        if len(row) >= 8 and row[7] <= 0:
-            continue  # out of service
+        if bid in isolated or len(row) >= 8 and row[7] <= 0:
+            continue  # at an isolated bus, or out of service
         gen_output[bid] = gen_output.get(bid, 0.0) + row[1]
 
     couplings: dict[frozenset, float] = {}
     for row in branch_rows:
         if len(row) < 4:
             raise InputError("mpc.branch: row too short (need at least 4 columns)")
-        f, t, x = int(row[0]), int(row[1]), row[3]
-        if f not in load or t not in load:
+        f, t, x = _bus_number(row[0], "branch"), _bus_number(row[1], "branch"), row[3]
+        if not {f, t} <= load.keys() | isolated:
             raise InputError(f"mpc.branch: branch {f}-{t} references unknown bus")
-        if len(row) >= 11 and row[10] == 0:
-            continue  # out of service
+        if {f, t} & isolated or len(row) >= 11 and row[10] == 0:
+            continue  # touches an isolated bus, or out of service
+        if f == t:
+            raise InputError(f"mpc.branch: branch {f}-{t} connects a bus to itself")
         if x == 0:
             raise InputError(f"mpc.branch: zero reactance on branch {f}-{t}")
         couplings[frozenset((f, t))] = couplings.get(frozenset((f, t)), 0.0) + 1.0 / abs(x)
@@ -410,7 +433,7 @@ def parse_matpower_case(
         scale = load_total / gen_total
 
     buses = []
-    for row in bus_rows:
+    for row in (row for row in bus_rows if row[1] != 4):  # isolated buses skipped
         bid = int(row[0])
         is_gen = bid in gen_output
         cls = slow if is_gen else fast

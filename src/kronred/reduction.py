@@ -20,7 +20,7 @@ inverse): J_red = J_SS - J_SF W and K = -W^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -156,26 +156,14 @@ def make_star_grid(
 # ---------------------------------------------------------------------------
 
 def reduced_system_to_dict(red: ReducedSystem) -> dict:
-    """JSON-friendly dict with matrices as row-major nested lists."""
-    return {
-        "slow_ids": list(red.slow_ids),
-        "fast_ids": list(red.fast_ids),
-        "j_red": red.j_red.tolist(),
-        "noise_gain": red.noise_gain.tolist(),
-        "sigma_slow": red.sigma_slow.tolist(),
-        "sigma_fast": red.sigma_fast.tolist(),
-        "tau_slow": red.tau_slow.tolist(),
-        "tau_fast": red.tau_fast.tolist(),
-        "m_slow": red.m_slow.tolist(),
-        "d_slow": red.d_slow.tolist(),
-        "sigma_xi": red.sigma_xi.tolist(),
-    }
+    """JSON-friendly dict, one key per field in field order, with
+    matrices as row-major nested lists."""
+    doc = {f.name: getattr(red, f.name) for f in fields(red)}
+    return {k: list(v) if isinstance(v, tuple) else v.tolist() for k, v in doc.items()}
 
 
 def reduced_system_from_dict(doc: dict) -> ReducedSystem:
-    required = {"slow_ids", "fast_ids", "j_red", "noise_gain", "sigma_slow",
-                "sigma_fast", "tau_slow", "tau_fast", "m_slow", "d_slow", "sigma_xi"}
-    missing = required - set(doc)
+    missing = {f.name for f in fields(ReducedSystem)} - set(doc)
     if missing:
         raise InputError(f"reduced-system JSON missing fields {sorted(missing)}")
     n_s = len(doc["slow_ids"])

@@ -18,7 +18,7 @@ eta_slow, the full models apply each bus its own channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -197,11 +197,6 @@ def ou_spec_for_grid(grid: Grid, seed: int) -> OUSpec:
                   tau=grid.param_vector("tau")[order], seed=seed)
 
 
-def ou_spec_for_reduced(red: ReducedSystem, seed: int) -> OUSpec:
-    return OUSpec(sigma=np.concatenate([red.sigma_slow, red.sigma_fast]),
-                  tau=np.concatenate([red.tau_slow, red.tau_fast]), seed=seed)
-
-
 def _noise_values(noise, t_grid: np.ndarray, n_channels: int) -> np.ndarray:
     """Per-step noise values from an OUSpec or a prebuilt array."""
     if isinstance(noise, OUSpec):
@@ -268,15 +263,13 @@ def _second_order_matrix(jac: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.nd
     return a
 
 
-def _full_linear_matrices(sys: LinearizedSystem):
-    n = sys.n_slow + sys.n_fast
-    jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
-    m_eff = np.concatenate([sys.m_slow, sys.epsilon * sys.m_fast])
-    d_eff = np.concatenate([sys.d_slow, sys.epsilon * sys.d_fast])
-    a = _second_order_matrix(jac, m_eff, d_eff)
-    b = np.zeros((2 * n, n))
-    b[n:, :] = np.diag(1.0 / m_eff)
-    return a, b
+def _input_matrix(gain: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Noise input of m x'' = ... + gain eta: the matrix B of
+    (x, x')' = A (x, x') + B eta, positions first."""
+    n = len(m)
+    b = np.zeros((2 * n, gain.shape[1]))
+    b[n:] = gain / m[:, None]
+    return b
 
 
 def integrate_full_linear(sys: LinearizedSystem, cfg: SimConfig, noise) -> Trajectory:
@@ -288,37 +281,29 @@ def integrate_full_linear(sys: LinearizedSystem, cfg: SimConfig, noise) -> Traje
     n = sys.n_slow + sys.n_fast
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     noise_vals = _noise_values(noise, t_grid, n)
-    sys_eps = sys if sys.epsilon == cfg.epsilon else replace(sys, epsilon=cfg.epsilon)
-    a, b = _full_linear_matrices(sys_eps)
-    pos, vel = _run_linear(a, b, noise_vals, t_grid, cfg.theta, n)
+    jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
+    m_eff = np.concatenate([sys.m_slow, cfg.epsilon * sys.m_fast])
+    d_eff = np.concatenate([sys.d_slow, cfg.epsilon * sys.d_fast])
+    a = _second_order_matrix(jac, m_eff, d_eff)
+    pos, vel = _run_linear(a, _input_matrix(np.eye(n), m_eff), noise_vals, t_grid, cfg.theta, n)
     n_s = sys.n_slow
     return Trajectory(t=t_grid, x=pos[:, :n_s], xdot=vel[:, :n_s],
                       y=pos[:, n_s:], ydot=vel[:, n_s:])
 
 
-def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise, mode: str | None = None) -> Trajectory:
+def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise) -> Trajectory:
     """Drift-implicit integration of the Kron-reduced slow dynamics.
 
-    mode "xi" drives the system with eta_slow + K eta_fast (all
-    channels sampled and mapped each step); mode "naive" keeps only
-    eta_slow.  Defaults to the mode implied by cfg.model.
+    ``noise`` is an OUSpec or a per-step value array over all buses
+    (slow then fast).  Model "reduced-naive" keeps only eta_slow; any
+    other model drives the system with xi = eta_slow + K eta_fast.
     """
-    if mode is None:
-        mode = {"reduced-xi": "xi", "reduced-naive": "naive"}.get(cfg.model, "xi")
-    if mode not in ("xi", "naive"):
-        raise InputError(f"mode must be 'xi' or 'naive', got {mode!r}")
     n_s, n_f = red.n_slow, red.n_fast
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     noise_vals = _noise_values(noise, t_grid, n_s + n_f)
-
+    k = np.zeros((n_s, n_f)) if cfg.model == "reduced-naive" else red.noise_gain
     a = _second_order_matrix(red.j_red, red.m_slow, red.d_slow)
-    select = np.zeros((n_s, n_s + n_f))
-    select[:, :n_s] = np.eye(n_s)
-    if mode == "xi" and n_f:
-        select[:, n_s:] = red.noise_gain
-    b = np.zeros((2 * n_s, n_s + n_f))
-    b[n_s:, :] = select / red.m_slow[:, None]
-
+    b = _input_matrix(np.hstack([np.eye(n_s), k]), red.m_slow)
     pos, vel = _run_linear(a, b, noise_vals, t_grid, cfg.theta, n_s)
     return Trajectory(t=t_grid, x=pos, xdot=vel)
 
@@ -524,45 +509,36 @@ def run_ensemble(builder, cfg: SimConfig) -> list[Trajectory]:
     return trajs
 
 
-def ensemble_run(builder, cfg: SimConfig, bus_ids: tuple[int, ...] | None = None) -> EnsembleStats:
-    """Run cfg.ensemble_size trajectories (see run_ensemble) and pool
-    their COI statistics."""
-    return coi_frequency_variance_estimate(run_ensemble(builder, cfg), cfg.burn_in,
-                                           bus_ids=bus_ids)
-
-
 # ---------------------------------------------------------------------------
-# Model dispatch
+# One setup per run, model dispatch
 # ---------------------------------------------------------------------------
 
-def make_builder(grid: Grid, cfg: SimConfig):
-    """Trajectory builder for cfg.model, plus the slow bus ids.
-
-    Solves the fixed point and assembles whatever the model needs once;
-    the returned closure only samples noise and integrates.
-    """
+def linearize_and_reduce(grid: Grid, epsilon: float):
+    """Fixed point, linearization and Kron reduction of one grid: the
+    (op, sys, red) every analysis and every model's builder reads from.
+    Raises NumericsError when -J_FF is not positive definite."""
     op = solve_fixed_point(grid)
-    jac = build_jacobian(grid, op)
-    sys = assemble_linearized(grid, jac, cfg.epsilon)
-    bus_ids = sys.slow_ids
+    sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
+    return op, sys, reduce_grid(grid, sys)
+
+
+def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
+                 red: ReducedSystem, cfg: SimConfig):
+    """Trajectory builder for cfg.model from one setup (see
+    linearize_and_reduce): the returned closure only samples noise and
+    integrates.  Every model draws its noise from ou_spec_for_grid."""
     if cfg.model == "full-nonlinear":
-        def builder(seed):
-            return integrate_full_nonlinear(grid, op, cfg, ou_spec_for_grid(grid, seed))
-    elif cfg.model == "full-linear":
-        def builder(seed):
-            return integrate_full_linear(sys, cfg, ou_spec_for_grid(grid, seed))
-    else:
-        red = reduce_grid(grid, sys)
-        mode = "xi" if cfg.model == "reduced-xi" else "naive"
-        def builder(seed):
-            return integrate_reduced(red, cfg, ou_spec_for_reduced(red, seed), mode=mode)
-    return builder, bus_ids
+        return lambda seed: integrate_full_nonlinear(grid, op, cfg, ou_spec_for_grid(grid, seed))
+    if cfg.model == "full-linear":
+        return lambda seed: integrate_full_linear(sys, cfg, ou_spec_for_grid(grid, seed))
+    return lambda seed: integrate_reduced(red, cfg, ou_spec_for_grid(grid, seed))
 
 
 def run_model_ensemble(grid: Grid, cfg: SimConfig) -> EnsembleStats:
     """End-to-end ensemble study of one model on one grid."""
-    builder, bus_ids = make_builder(grid, cfg)
-    return ensemble_run(builder, cfg, bus_ids=bus_ids)
+    op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
+    trajs = run_ensemble(make_builder(grid, op, sys, red, cfg), cfg)
+    return coi_frequency_variance_estimate(trajs, cfg.burn_in, bus_ids=red.slow_ids)
 
 
 # ---------------------------------------------------------------------------

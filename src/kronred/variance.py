@@ -182,7 +182,12 @@ def frequency_variance_kernel(lam_a, lam_b, tau: float, gamma: float, m: float):
         raise InputError("kernel undefined when both eigenvalues are zero (zero mode)")
     if not (tau > 0 and gamma > 0 and m > 0):
         raise InputError(f"tau, gamma, m must be > 0, got ({tau}, {gamma}, {m})")
-    return 2.0 * tau * _h_formula(-lam_a, -lam_b, tau, gamma, m)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return 2.0 * tau * _h_formula(-lam_a, -lam_b, tau, gamma, m)
+    except ArithmeticError as e:  # also Python float overflow in the scalar powers
+        raise NumericsError(
+            f"kernel not finite at tau={tau}, gamma={gamma}, m={m}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ class TestReduce:
             main(["reduce", grid, "--out-dir", str(tmp_path), "--format", "csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["reduce", "variance"])
+    def test_epsilon_flag_removed(self, tmp_path, capsys, command):
+        grid = write_grid(tmp_path, TWO_BUS)
+        with pytest.raises(SystemExit) as exc:
+            main([command, grid, "--out-dir", str(tmp_path), "--epsilon", "0.5"])
+        assert exc.value.code == 2
+
     def test_manifest_written(self, tmp_path):
         grid = write_grid(tmp_path, TWO_BUS)
         main(["reduce", grid, "--out-dir", str(tmp_path)])
@@ -240,6 +247,31 @@ class TestCompare:
             cells = row.split(",")
             assert cells[1] == "" and cells[2] == ""
             assert cells[3] != "" and cells[4] != ""
+
+    def test_one_setup_for_all_models(self, tmp_path, monkeypatch):
+        import kronred.cli
+        import kronred.reduction
+        import kronred.simulate
+        calls = {"solve_fixed_point": 0, "factor_fast_block": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        # every module that calls the fixed-point solver through its own name
+        for module in (kronred.cli, kronred.simulate):
+            if hasattr(module, "solve_fixed_point"):
+                count(module, "solve_fixed_point")
+        count(kronred.reduction, "factor_fast_block")
+        grid = homogeneous_grid_file(tmp_path)
+        assert main(["compare", grid, "--out-dir", str(tmp_path), "--models",
+                     "full-nonlinear,full-linear,reduced-xi,reduced-naive",
+                     "--t-end", "1", "--burn-in", "0.5", "--ensemble", "1"]) == 0
+        assert calls == {"solve_fixed_point": 1, "factor_fast_block": 1}
 
     def test_failing_trajectory_named_with_seed(self, tmp_path, capsys):
         doc = json.loads(TWO_BUS)

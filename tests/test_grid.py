@@ -74,11 +74,44 @@ class TestParseGridJson:
                 parse_grid_json(json.dumps(doc))
 
     def test_non_numeric_susceptance_rejected(self):
-        for value in ("abc", None):
+        for value in ("abc", None, True):
             doc = json.loads(TWO_BUS_JSON)
             doc["lines"][0]["B"] = value
             with pytest.raises(InputError, match=r"lines\[0\]\.B: must be a number"):
                 parse_grid_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where,key,path", [
+        ("buses", "m", r"buses\[0\]\.m"),
+        ("lines", "B", r"lines\[0\]\.B"),
+    ])
+    def test_integer_too_large_for_float_rejected(self, where, key, path):
+        doc = json.loads(TWO_BUS_JSON)
+        doc[where][0][key] = 10**400
+        with pytest.raises(InputError, match=rf"{path}: number too large for a float"):
+            parse_grid_json(json.dumps(doc))
+
+    def test_bus_id_must_be_integer(self):
+        for value in (True, 1.0, "1"):
+            doc = json.loads(TWO_BUS_JSON)
+            doc["buses"][0]["id"] = value
+            with pytest.raises(InputError, match=r"buses\[0\]\.id: must be an integer"):
+                parse_grid_json(json.dumps(doc))
+
+    def test_line_end_must_be_integer(self):
+        for value in ([1], "1", 1.0, True):
+            doc = json.loads(TWO_BUS_JSON)
+            doc["lines"][0]["from"] = value
+            with pytest.raises(InputError, match=r"lines\[0\]: from and to must be integers"):
+                parse_grid_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        # Python >= 3.10.7 refuses to parse the integer; older versions parse it
+        TWO_BUS_JSON.replace('"p": 0.5', '"p": 1' + "0" * 5000),
+        "[" * 100_000 + "]" * 100_000,  # nested beyond the recursion limit
+    ], ids=["over-long-integer", "deep-nesting"])
+    def test_unparseable_json_rejected(self, text):
+        with pytest.raises(InputError, match=r"invalid JSON|p: number too large"):
+            parse_grid_json(text)
 
     def test_duplicate_line_rejected(self):
         doc = json.loads(TWO_BUS_JSON)
@@ -274,6 +307,37 @@ class TestParseMatpower:
         off = THREE_BUS_CASE.replace("1 3 0.01 0.25 0 0 0 0 0 0 1", "1 3 0.01 0.25 0 0 0 0 0 0 0")
         grid = parse_matpower_case(off, DEFAULTS_SLOW, DEFAULTS_FAST)
         assert len(grid.lines) == 2
+
+    def test_isolated_bus_skipped_with_its_rows(self):
+        case = THREE_BUS_CASE.replace(
+            " 3 1 40 10 0 0 1 1.0 0 138 1 1.06 0.94;",
+            " 3 1 40 10 0 0 1 1.0 0 138 1 1.06 0.94;\n 4 4 25 5 0 0 1 1.0 0 138 1 1.06 0.94;")
+        case = case.replace(" 1 100 0 50 -50 1.02 100 1 200 0;",
+                            " 1 100 0 50 -50 1.02 100 1 200 0;\n 4 50 0 50 -50 1.02 100 1 200 0;")
+        case = case.replace(" 1 3 0.01 0.25 0 0 0 0 0 0 1 -360 360;",
+                            " 1 3 0.01 0.25 0 0 0 0 0 0 1 -360 360;\n"
+                            " 3 4 0.01 0.5 0 0 0 0 0 0 1 -360 360;")
+        grid = parse_matpower_case(case, DEFAULTS_SLOW, DEFAULTS_FAST, rebalance=True)
+        plain = parse_matpower_case(THREE_BUS_CASE, DEFAULTS_SLOW, DEFAULTS_FAST,
+                                    rebalance=True)
+        assert grid == plain
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("1 3 0.01 0.25", "3 3 0.01 0.25", "branch 3-3 connects a bus to itself"),
+        ("1 3 0.01 0.25", "1 nan 0.01 0.25", "mpc.branch: bus number must be an integer"),
+        (" 1 100 0 50", " inf 100 0 50", "mpc.gen: bus number must be an integer"),
+        (" 3 1 40 10", " 3.5 1 40 10", "mpc.bus: bus number must be an integer"),
+    ])
+    def test_malformed_bus_reference_rejected(self, old, new, match):
+        bad = THREE_BUS_CASE.replace(old, new)
+        with pytest.raises(InputError, match=match):
+            parse_matpower_case(bad, DEFAULTS_SLOW, DEFAULTS_FAST)
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "e"])
+    def test_bad_base_mva_rejected(self, value):
+        bad = THREE_BUS_CASE.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {value};")
+        with pytest.raises(InputError, match="baseMVA"):
+            parse_matpower_case(bad, DEFAULTS_SLOW, DEFAULTS_FAST)
 
     def test_rebalance_scales_generation(self):
         grid = parse_matpower_case(THREE_BUS_CASE, DEFAULTS_SLOW, DEFAULTS_FAST, rebalance=True)

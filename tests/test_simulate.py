@@ -12,10 +12,9 @@ from kronred.grid import SLOW, FAST, assemble_linearized, build_jacobian, solve_
 from kronred.reduction import reduce_grid
 from kronred.simulate import (EnsembleStats, OUSpec, SimConfig, Trajectory,
                               coi_frequency_variance_estimate, default_dt_max,
-                              ensemble_run, integrate_full_linear,
-                              integrate_full_nonlinear, integrate_reduced,
-                              make_time_grid, ou_sample_path, ou_spec_for_grid,
-                              ou_spec_for_reduced, run_model_ensemble)
+                              integrate_full_linear, integrate_full_nonlinear,
+                              integrate_reduced, make_time_grid, ou_sample_path,
+                              ou_spec_for_grid, run_ensemble, run_model_ensemble)
 from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix, \
     modal_trajectory
 
@@ -263,21 +262,21 @@ class TestIntegrateReduced:
         grid = path3_grid(sigma_slow=0.0, sigma_fast=1.0)
         _, _, red = reduced_of(grid)
         cfg = SimConfig(model="reduced-naive", dt_max=0.01, t_end=5.0, burn_in=0.0)
-        traj = integrate_reduced(red, cfg, ou_spec_for_reduced(red, 4))
+        traj = integrate_reduced(red, cfg, ou_spec_for_grid(grid, 4))
         np.testing.assert_array_equal(traj.x, 0.0)
 
     def test_xi_mode_carries_fast_noise(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=1.0)
         _, _, red = reduced_of(grid)
         cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=5.0, burn_in=0.0)
-        traj = integrate_reduced(red, cfg, ou_spec_for_reduced(red, 4))
+        traj = integrate_reduced(red, cfg, ou_spec_for_grid(grid, 4))
         assert np.abs(traj.xdot).max() > 0
 
     def test_spec_and_array_noise_agree(self):
         grid = path3_grid(sigma_slow=0.3, sigma_fast=1.0)
         _, _, red = reduced_of(grid)
         cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=2.0, burn_in=0.0)
-        spec = ou_spec_for_reduced(red, 11)
+        spec = ou_spec_for_grid(grid, 11)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         path = ou_sample_path(spec, t)[:-1]
         a = integrate_reduced(red, cfg, spec)
@@ -382,7 +381,7 @@ class TestEnsembleRun:
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
                         ensemble_size=4, base_seed=0)
         with pytest.raises(NumericsError, match="trajectory 2"):
-            ensemble_run(builder, cfg)
+            run_ensemble(builder, cfg)
 
     def test_input_error_passes_through(self):
         def builder(seed):
@@ -390,7 +389,7 @@ class TestEnsembleRun:
 
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0)
         with pytest.raises(InputError, match="bad input"):
-            ensemble_run(builder, cfg)
+            run_ensemble(builder, cfg)
 
     def test_stderr_shrinks_with_ensemble(self):
         grid = path3_grid(sigma_slow=0.05, sigma_fast=0.02)
