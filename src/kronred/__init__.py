@@ -12,8 +12,8 @@ from .grid import (Bus, ClassDefaults, Grid, Line, LinearizedSystem, OperatingPo
                    assemble_linearized, build_jacobian, parse_grid_json,
                    parse_matpower_case, serialize_grid_json, solve_fixed_point,
                    with_sigma)
-from .reduction import (ReducedSystem, effective_noise_covariance, make_star_grid,
-                        reduce_grid, reduced_system_from_dict, reduced_system_to_dict)
+from .reduction import (ReducedSystem, make_star_grid, reduce_grid,
+                        reduced_system_from_dict, reduced_system_to_dict)
 from .simulate import (EnsembleStats, OUSpec, SimConfig, Trajectory,
                        coi_frequency_variance_estimate, default_burn_in,
                        default_dt_max, integrate_full_linear, integrate_full_nonlinear,

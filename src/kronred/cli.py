@@ -27,7 +27,7 @@ from . import __version__
 from .errors import InputError, NumericsError
 from .grid import ClassDefaults, Grid, parse_grid_json, parse_matpower_case, with_sigma
 from .reduction import make_star_grid, reduced_system_to_dict
-from .simulate import (SimConfig, coi_frequency_variance_estimate, default_burn_in,
+from .simulate import (MODELS, SimConfig, coi_frequency_variance_estimate, default_burn_in,
                        default_dt_max, linearize_and_reduce, make_builder, run_ensemble,
                        stats_csv, trajectory_csv)
 from .variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
@@ -247,7 +247,7 @@ def cmd_star_demo(args) -> None:
     print(f"star with {args.n_outer} outer buses around a {args.center} center")
     print(f"slow buses: {red.n_slow}, fast buses: {red.n_fast}")
     if args.center == "slow":
-        predicted = args.sigma * args.sigma * red.n_fast  # inf, not OverflowError, when huge
+        predicted = args.sigma * args.sigma * red.n_fast
         print(f"uniform-mode Gamma value : {float(gam[0, 0])!r}")
         print(f"closed-form prediction   : sigma^2 * N_F = {predicted!r}")
     else:
@@ -311,8 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common, gridio, simflags],
                        help="stochastic simulation of one model")
-    p.add_argument("--model", required=True,
-                   choices=["full-nonlinear", "full-linear", "reduced-xi", "reduced-naive"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--decimate", type=int, default=1,
                    help="write every k-th sample of the trajectory CSV")
     p.set_defaults(func=cmd_simulate)

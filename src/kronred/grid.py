@@ -38,6 +38,10 @@ _BUS_FIELDS = {"id", "class", "m", "d", "p", "sigma", "tau", "v"}
 _BUS_REQUIRED = {"id", "class", "m", "d", "p", "sigma", "tau"}
 _LINE_FIELDS = {"from", "to", "B"}
 
+# Newton solve of the fixed point: residual 2-norm tolerance, iteration cap.
+_FIXED_POINT_TOL = 1e-10
+_FIXED_POINT_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class Bus:
@@ -73,6 +77,8 @@ class Bus:
             raise InputError(f"bus {self.id}: noise correlation time tau must be > 0, got {self.tau}")
         if self.sigma < 0:
             raise InputError(f"bus {self.id}: noise sigma must be >= 0, got {self.sigma}")
+        if not math.isfinite(self.sigma * self.sigma):
+            raise InputError(f"bus {self.id}: sigma^2 must be finite, got sigma = {self.sigma}")
         if not self.v > 0:
             raise InputError(f"bus {self.id}: voltage magnitude v must be > 0, got {self.v}")
 
@@ -475,7 +481,7 @@ def _angle_jacobian(coupling: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return cos_w - np.diag(cos_w.sum(axis=1))
 
 
-def solve_fixed_point(grid: Grid, tol: float = 1e-10, max_iter: int = 50) -> OperatingPoint:
+def solve_fixed_point(grid: Grid) -> OperatingPoint:
     """Newton solve of the synchronized fixed point in the zero-mean gauge.
 
     The injections must balance (sum to ~0); the iteration runs on the
@@ -492,8 +498,8 @@ def solve_fixed_point(grid: Grid, tol: float = 1e-10, max_iter: int = 50) -> Ope
     r = _power_residual(grid, coupling, theta)
     rnorm = float(np.linalg.norm(r))
 
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    for _ in range(_FIXED_POINT_MAX_ITER):
+        if rnorm <= _FIXED_POINT_TOL:
             break
         jac = _angle_jacobian(coupling, theta)
         bordered = np.zeros((n + 1, n + 1))
@@ -522,7 +528,8 @@ def solve_fixed_point(grid: Grid, tol: float = 1e-10, max_iter: int = 50) -> Ope
         rnorm = float(np.linalg.norm(r))
     else:
         raise NumericsError(
-            f"no fixed point found within {max_iter} iterations (residual {rnorm:.3e})")
+            f"no fixed point found within {_FIXED_POINT_MAX_ITER} iterations "
+            f"(residual {rnorm:.3e})")
 
     theta = theta - theta.mean()
     idx = grid.bus_index()

@@ -73,24 +73,13 @@ def factor_fast_block(j_ff: np.ndarray):
     return cho_factor(-j_ff)
 
 
-def _xi_covariance(k: np.ndarray, sigma_slow: np.ndarray, sigma_fast: np.ndarray) -> np.ndarray:
-    if k.shape != (len(sigma_slow), len(sigma_fast)):
-        raise InputError(
-            f"noise map shape {k.shape} does not match sigma lengths "
-            f"({len(sigma_slow)}, {len(sigma_fast)})")
-    return np.diag(sigma_slow**2) + (k * sigma_fast**2) @ k.T
-
-
-def effective_noise_covariance(red: ReducedSystem) -> np.ndarray:
-    """Equal-time covariance of xi: diag(sigma_S^2) + K diag(sigma_F^2) K^T."""
-    return _xi_covariance(red.noise_gain, red.sigma_slow, red.sigma_fast)
-
-
 def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     """Kron-reduce a grid's linearization to its slow buses.
 
     J_red = J_SS - J_SF J_FF^-1 J_FS (symmetrized) and the noise map
-    K = -J_SF J_FF^-1 share one factorization of -J_FF and one solve.
+    K = -J_SF J_FF^-1 share one factorization of -J_FF and one solve;
+    sigma_xi = diag(sigma_S^2) + K diag(sigma_F^2) K^T is the equal-time
+    covariance of xi.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
@@ -118,7 +107,7 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
         tau_fast=tau[f].copy(),
         m_slow=sys.m_slow.copy(),
         d_slow=sys.d_slow.copy(),
-        sigma_xi=_xi_covariance(k, sigma[s], sigma[f]),
+        sigma_xi=np.diag(sigma[s]**2) + (k * sigma[f]**2) @ k.T,
     )
 
 

@@ -31,9 +31,11 @@ from .reduction import ReducedSystem, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
 
-# Longest time grid a simulation may request: every integrator holds the
-# whole noise path and trajectory in memory.
+# Most steps one time grid, and one whole ensemble, may request: a run
+# holds every noise path and trajectory in memory.
 MAX_STEPS = 10_000_000
+
+_N_BATCHES = 16  # time batches per trajectory behind the batch-means stderr
 
 # Acceptance of a nonlinear implicit step: max-norm of the exact step
 # residual, and the iteration cap.
@@ -97,6 +99,9 @@ class SimConfig:
             raise InputError(f"theta must be 0.5 or 1.0, got {self.theta}")
         if not self.epsilon > 0:
             raise InputError(f"epsilon must be > 0, got {self.epsilon}")
+        total = self.ensemble_size * _step_count(self.t_end, self.dt_max)
+        if total > MAX_STEPS:
+            raise InputError(f"ensemble_size x steps = {total:.4g} exceeds the limit {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -122,17 +127,19 @@ class EnsembleStats:
     n_samples: int
 
 
-def make_time_grid(t_end: float, dt_max: float) -> np.ndarray:
-    """Uniform grid covering [0, t_end] with step <= dt_max.
-
-    Refuses more than MAX_STEPS steps before allocating anything.
-    """
+def _step_count(t_end: float, dt_max: float) -> int:
+    """Steps of the uniform grid over [0, t_end] with step <= dt_max;
+    refuses more than MAX_STEPS before anything is allocated."""
     steps = round(t_end / dt_max, 9)
     if not steps <= MAX_STEPS:
         raise InputError(f"t_end / dt_max = {steps:.4g} steps exceeds the limit of "
                          f"{MAX_STEPS} steps")
-    n = max(1, math.ceil(steps))
-    return np.linspace(0.0, t_end, n + 1)
+    return max(1, math.ceil(steps))
+
+
+def make_time_grid(t_end: float, dt_max: float) -> np.ndarray:
+    """Uniform grid covering [0, t_end] with step <= dt_max."""
+    return np.linspace(0.0, t_end, _step_count(t_end, dt_max) + 1)
 
 
 def default_dt_max(grid: Grid, epsilon: float) -> float:
@@ -230,26 +237,16 @@ def _linear_step_maps(a: np.ndarray, b: np.ndarray, dt: float, theta: float):
     return step, gain
 
 
-def _run_linear(a, b, noise_vals, t_grid, theta, n_record):
-    """Integrate the LTI system and record the first n_record state pairs.
-
-    State layout: positions first, velocities second, each of size
-    a.shape[0] // 2; records columns [:n_record] of both halves.
-    """
-    dt = t_grid[1] - t_grid[0]
-    step, gain = _linear_step_maps(a, b, dt, theta)
-    dim = a.shape[0]
-    half = dim // 2
-    n_steps = len(t_grid) - 1
-    forced = noise_vals @ gain.T  # per-step forcing contribution, precomputed
-    pos = np.zeros((n_steps + 1, n_record))
-    vel = np.zeros((n_steps + 1, n_record))
-    state = np.zeros(dim)
-    for k in range(n_steps):
-        state = step @ state + forced[k]
-        pos[k + 1] = state[:n_record]
-        vel[k + 1] = state[half:half + n_record]
-    return pos, vel
+def _run_linear(a, b, noise_vals, t_grid, theta):
+    """State record of X' = A X + B eta from rest, one row per grid point:
+    rows 1.. first hold the per-step forcing, then each step adds the
+    propagated previous row in place."""
+    step, gain = _linear_step_maps(a, b, t_grid[1] - t_grid[0], theta)
+    record = np.zeros((len(t_grid), a.shape[0]))
+    np.matmul(noise_vals, gain.T, out=record[1:])
+    for k in range(len(t_grid) - 1):
+        record[k + 1] += step @ record[k]
+    return record
 
 
 def _second_order_matrix(jac: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -263,13 +260,26 @@ def _second_order_matrix(jac: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.nd
     return a
 
 
-def _input_matrix(gain: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Noise input of m x'' = ... + gain eta: the matrix B of
-    (x, x')' = A (x, x') + B eta, positions first."""
+def _trajectory(t_grid: np.ndarray, record: np.ndarray, n_slow: int) -> Trajectory:
+    """Split a positions-then-velocities record into slow x, xdot and,
+    when it also holds fast buses, fast y, ydot."""
+    n = record.shape[1] // 2
+    if n == n_slow:
+        return Trajectory(t=t_grid, x=record[:, :n], xdot=record[:, n:])
+    return Trajectory(t=t_grid, x=record[:, :n_slow], xdot=record[:, n:n + n_slow],
+                      y=record[:, n_slow:n], ydot=record[:, n + n_slow:])
+
+
+def _integrate_linear(jac, m, d, gain, n_slow: int, cfg: SimConfig, noise) -> Trajectory:
+    """Drift-implicit integration of m x'' = jac x - d x' + gain eta from
+    rest, x holding n_slow slow buses first, then any fast buses."""
+    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
+    noise_vals = _noise_values(noise, t_grid, gain.shape[1])
     n = len(m)
     b = np.zeros((2 * n, gain.shape[1]))
     b[n:] = gain / m[:, None]
-    return b
+    record = _run_linear(_second_order_matrix(jac, m, d), b, noise_vals, t_grid, cfg.theta)
+    return _trajectory(t_grid, record, n_slow)
 
 
 def integrate_full_linear(sys: LinearizedSystem, cfg: SimConfig, noise) -> Trajectory:
@@ -278,17 +288,10 @@ def integrate_full_linear(sys: LinearizedSystem, cfg: SimConfig, noise) -> Traje
     ``noise`` is an OUSpec or a per-step value array over all buses
     (slow then fast).  Returns slow x, xdot and fast y, ydot.
     """
-    n = sys.n_slow + sys.n_fast
-    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
-    noise_vals = _noise_values(noise, t_grid, n)
     jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
-    m_eff = np.concatenate([sys.m_slow, cfg.epsilon * sys.m_fast])
-    d_eff = np.concatenate([sys.d_slow, cfg.epsilon * sys.d_fast])
-    a = _second_order_matrix(jac, m_eff, d_eff)
-    pos, vel = _run_linear(a, _input_matrix(np.eye(n), m_eff), noise_vals, t_grid, cfg.theta, n)
-    n_s = sys.n_slow
-    return Trajectory(t=t_grid, x=pos[:, :n_s], xdot=vel[:, :n_s],
-                      y=pos[:, n_s:], ydot=vel[:, n_s:])
+    m = np.concatenate([sys.m_slow, cfg.epsilon * sys.m_fast])
+    d = np.concatenate([sys.d_slow, cfg.epsilon * sys.d_fast])
+    return _integrate_linear(jac, m, d, np.eye(len(m)), sys.n_slow, cfg, noise)
 
 
 def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise) -> Trajectory:
@@ -298,14 +301,10 @@ def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise) -> Trajectory:
     (slow then fast).  Model "reduced-naive" keeps only eta_slow; any
     other model drives the system with xi = eta_slow + K eta_fast.
     """
-    n_s, n_f = red.n_slow, red.n_fast
-    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
-    noise_vals = _noise_values(noise, t_grid, n_s + n_f)
-    k = np.zeros((n_s, n_f)) if cfg.model == "reduced-naive" else red.noise_gain
-    a = _second_order_matrix(red.j_red, red.m_slow, red.d_slow)
-    b = _input_matrix(np.hstack([np.eye(n_s), k]), red.m_slow)
-    pos, vel = _run_linear(a, b, noise_vals, t_grid, cfg.theta, n_s)
-    return Trajectory(t=t_grid, x=pos, xdot=vel)
+    n_s = red.n_slow
+    k = np.zeros((n_s, red.n_fast)) if cfg.model == "reduced-naive" else red.noise_gain
+    return _integrate_linear(red.j_red, red.m_slow, red.d_slow,
+                             np.hstack([np.eye(n_s), k]), n_s, cfg, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +429,7 @@ def integrate_full_nonlinear(
                 f"divergence detected at t={t_grid[k + 1]:.4g}: |COI-frame deviation| > pi")
         record[k + 1, :n] = dev
         record[k + 1, n:] = state[n:]
-    return Trajectory(t=t_grid, x=record[:, :n_s], xdot=record[:, n:n + n_s],
-                      y=record[:, n_s:n], ydot=record[:, n + n_s:])
+    return _trajectory(t_grid, record, n_s)
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +440,12 @@ def coi_frequency_variance_estimate(
     trajs: list[Trajectory],
     burn_in: float,
     bus_ids: tuple[int, ...] | None = None,
-    n_batches: int = 16,
 ) -> EnsembleStats:
     """Per-bus variance of the COI frequency deviation.
 
     At every post-burn-in sample the slow-bus mean frequency is
     subtracted; squares are averaged over time and ensemble.  The
-    standard error comes from batch means (n_batches contiguous time
+    standard error comes from batch means (_N_BATCHES contiguous time
     batches per trajectory, pooled over the ensemble).
     """
     if not trajs:
@@ -474,7 +471,7 @@ def coi_frequency_variance_estimate(
         sq = dev**2
         sq_sum += sq.sum(axis=0)
         dev_sum += dev.sum(axis=0)
-        for chunk in np.array_split(sq, min(n_batches, n_time), axis=0):
+        for chunk in np.array_split(sq, min(_N_BATCHES, n_time), axis=0):
             if len(chunk):
                 batch_means.append(chunk.mean(axis=0))
     n_total = n_time * len(trajs)

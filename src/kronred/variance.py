@@ -38,6 +38,8 @@ from .errors import InputError, NumericsError
 from .reduction import ReducedSystem
 from .simulate import Trajectory
 
+_ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as zero
+
 
 @dataclass(frozen=True)
 class ModalBasis:
@@ -50,14 +52,13 @@ class ModalBasis:
 
     lambdas: np.ndarray
     modes: np.ndarray
-    zero_mode_index: int = 0
 
     @property
     def n_modes(self) -> int:
         return len(self.lambdas)
 
 
-def eigendecompose_reduced(j_red: np.ndarray, zero_tol: float = 1e-9) -> ModalBasis:
+def eigendecompose_reduced(j_red: np.ndarray) -> ModalBasis:
     """Symmetric eigendecomposition with the zero mode snapped.
 
     The zero eigenvalue is set to exactly 0 and its eigenvector to the
@@ -79,10 +80,10 @@ def eigendecompose_reduced(j_red: np.ndarray, zero_tol: float = 1e-9) -> ModalBa
     lambdas = vals[::-1].copy()
     modes = vecs[:, ::-1].copy()
 
-    if abs(lambdas[0]) >= zero_tol * scale:
+    if abs(lambdas[0]) >= _ZERO_TOL * scale:
         raise InputError(
             f"largest eigenvalue {lambdas[0]:.3e} is not a zero mode")
-    if n >= 2 and lambdas[1] >= -zero_tol * scale:
+    if n >= 2 and lambdas[1] >= -_ZERO_TOL * scale:
         raise NumericsError(
             f"zero eigenvalue not simple (second eigenvalue {lambdas[1]:.3e}): "
             "reduced network disconnected")

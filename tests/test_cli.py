@@ -9,6 +9,7 @@ from kronred.cli import main
 from kronred.grid import serialize_grid_json
 from conftest import make_grid
 from kronred.grid import FAST, SLOW
+from test_grid import THREE_BUS_CASE
 
 TWO_BUS = """{
   "buses": [
@@ -141,6 +142,12 @@ class TestVariance:
         assert err.startswith("input error:") and "must be finite" in err
         assert not (tmp_path / "variance.csv").exists()
 
+    def test_sigma_dist_overflowing_sigma_squared_is_input_error(self, tmp_path, capsys):
+        case = write_grid(tmp_path, THREE_BUS_CASE, name="case3.m")
+        assert main(["variance", case, "--sigma-dist", "uniform:0:1e300",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "sigma^2 must be finite" in capsys.readouterr().err
+
     def test_order_by_naive(self, tmp_path):
         grid = homogeneous_grid_file(tmp_path)
         main(["variance", grid, "--out-dir", str(tmp_path), "--order-by-naive"])
@@ -198,7 +205,8 @@ class TestSimulate:
         assert main(argv) == 0
         assert (tmp_path / "second" / "stats.csv").read_bytes() == stats_before
 
-    @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "1e-300"]])
+    @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--dt", "1e-300"],
+                                       ["--ensemble", "1000000000"]])
     def test_oversized_time_grid_is_input_error(self, tmp_path, capsys, flags):
         grid = homogeneous_grid_file(tmp_path)
         assert main(["simulate", grid, "--model", "reduced-xi", "--burn-in", "1", *flags,
@@ -305,3 +313,7 @@ class TestStarDemo:
 
     def test_n_outer_one_rejected(self, tmp_path, capsys):
         assert main(["star-demo", "--n-outer", "1", "--out-dir", str(tmp_path)]) == 2
+
+    def test_sigma_squared_overflow_is_input_error(self, tmp_path, capsys):
+        assert main(["star-demo", "--sigma", "1e300", "--out-dir", str(tmp_path)]) == 2
+        assert "sigma^2 must be finite" in capsys.readouterr().err

@@ -62,6 +62,13 @@ class TestParseGridJson:
             with pytest.raises(InputError, match=rf"bus 1: {name} must be finite"):
                 parse_grid_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("sigma", [1e300, 1.4e154])
+    def test_sigma_squared_overflow_rejected(self, sigma):
+        doc = json.loads(TWO_BUS_JSON)
+        doc["buses"][1]["sigma"] = sigma
+        with pytest.raises(InputError, match=r"bus 2: sigma\^2 must be finite"):
+            parse_grid_json(json.dumps(doc))
+
     def test_nan_sigma_bus_rejected(self):
         with pytest.raises(InputError, match="sigma must be finite"):
             Bus(id=1, speed_class=SLOW, m=0.2, d=0.05, p=0.0, sigma=math.nan, tau=0.1)
@@ -153,7 +160,7 @@ class TestSolveFixedPoint:
         rng = np.random.default_rng(3)
         for _ in range(15):
             grid = random_connected_grid(rng, int(rng.integers(3, 25)))
-            op = solve_fixed_point(grid, tol=1e-10)
+            op = solve_fixed_point(grid)
             assert op.residual_norm <= 1e-10
 
     def test_large_angles_flagged_not_fatal(self):

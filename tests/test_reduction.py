@@ -7,9 +7,8 @@ from conftest import path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
 from kronred.grid import FAST, SLOW, LinearizedSystem, assemble_linearized, \
     build_jacobian, solve_fixed_point
-from kronred.reduction import (ReducedSystem, effective_noise_covariance,
-                               make_star_grid, reduce_grid,
-                               reduced_system_from_dict, reduced_system_to_dict)
+from kronred.reduction import (make_star_grid, reduce_grid, reduced_system_from_dict,
+                               reduced_system_to_dict)
 from kronred.simulate import OUSpec, make_time_grid, ou_sample_path
 
 
@@ -87,16 +86,6 @@ class TestEffectiveNoiseCovariance:
             _, red = reduce_pipeline(grid)
             eigs = np.linalg.eigvalsh(red.sigma_xi)
             assert eigs.min() > -1e-12
-
-    def test_dimension_mismatch_rejected(self):
-        _, red = reduce_pipeline(path3_grid())
-        bad = ReducedSystem(
-            slow_ids=red.slow_ids, fast_ids=red.fast_ids, j_red=red.j_red,
-            noise_gain=np.zeros((2, 3)), sigma_slow=red.sigma_slow,
-            sigma_fast=red.sigma_fast, tau_slow=red.tau_slow, tau_fast=red.tau_fast,
-            m_slow=red.m_slow, d_slow=red.d_slow, sigma_xi=red.sigma_xi)
-        with pytest.raises(InputError, match="does not match"):
-            effective_noise_covariance(bad)
 
 
 class TestLaplacianPreservation:

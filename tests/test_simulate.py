@@ -1,6 +1,7 @@
 """OU sampling, integrators, ensemble statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,12 @@ class TestTimeGrid:
         kwargs[field] = math.inf
         with pytest.raises(InputError, match=f"{field} must be finite"):
             SimConfig(**kwargs)
+
+    def test_sim_config_refuses_ensemble_over_step_budget(self):
+        # 10 steps per trajectory, but all 10^9 trajectories are held at once
+        with pytest.raises(InputError, match="ensemble_size x steps"):
+            SimConfig(model="reduced-xi", dt_max=0.001, t_end=0.01, burn_in=0.0,
+                      ensemble_size=10**9)
 
     def test_default_dt_caps_at_fast_relaxation(self):
         grid = two_bus_grid()
@@ -255,6 +262,71 @@ class TestFullLinear:
         response = np.linalg.solve(lhs, np.array([0.0, 0.0, 1.0]))
         amp_exact = np.abs(response[:2])
         np.testing.assert_allclose(amp_sim, amp_exact, rtol=2e-3)
+
+
+class TestLinearRecord:
+    """Both linear models step one state record in place."""
+
+    @staticmethod
+    def linear_model(model, sys, red, epsilon):
+        if model == "full-linear":
+            jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
+            m = np.concatenate([sys.m_slow, epsilon * sys.m_fast])
+            d = np.concatenate([sys.d_slow, epsilon * sys.d_fast])
+            return jac, m, d, np.eye(len(m))
+        k = np.zeros_like(red.noise_gain) if model == "reduced-naive" else red.noise_gain
+        return red.j_red, red.m_slow, red.d_slow, np.hstack([np.eye(red.n_slow), k])
+
+    @pytest.mark.parametrize("model", ["full-linear", "reduced-xi", "reduced-naive"])
+    def test_states_equal_step_recurrence(self, model):
+        grid = random_connected_grid(np.random.default_rng(4), 9)
+        _, sys, red = reduced_of(grid, 0.3)
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=0.3)
+        t = make_time_grid(cfg.t_end, cfg.dt_max)
+        noise = np.random.default_rng(8).normal(0.0, 0.1, (len(t) - 1, grid.n_buses))
+        integrate = integrate_full_linear if model == "full-linear" else integrate_reduced
+        traj = integrate(sys if model == "full-linear" else red, cfg, noise)
+
+        jac, m, d, gain = self.linear_model(model, sys, red, cfg.epsilon)
+        n, n_s = len(m), red.n_slow
+        b = np.zeros((2 * n, gain.shape[1]))
+        b[n:] = gain / m[:, None]
+        step, g = simulate._linear_step_maps(simulate._second_order_matrix(jac, m, d), b,
+                                             t[1] - t[0], cfg.theta)
+        forced = noise @ g.T
+        state = np.zeros(2 * n)
+        states = [state]
+        for k in range(len(t) - 1):
+            state = step @ state + forced[k]
+            states.append(state)
+        states = np.array(states)
+        np.testing.assert_array_equal(traj.x, states[:, :n_s])
+        np.testing.assert_array_equal(traj.xdot, states[:, n:n + n_s])
+        if model == "full-linear":
+            np.testing.assert_array_equal(traj.y, states[:, n_s:n])
+            np.testing.assert_array_equal(traj.ydot, states[:, n + n_s:])
+        else:
+            assert traj.y is None and traj.ydot is None
+
+    @pytest.mark.parametrize("model,bound", [("full-linear", 2.0), ("reduced-xi", 2.5)])
+    def test_peak_memory_of_one_trajectory(self, model, bound):
+        # noise path plus one record: the state is not also kept in
+        # forcing and per-half position/velocity buffers
+        grid = random_connected_grid(np.random.default_rng(1), 40)
+        _, sys, red = reduced_of(grid)
+        assert red.n_slow == 20
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=200.0, burn_in=0.0)
+        noise = ou_spec_for_grid(grid, seed=2)
+        integrate = integrate_full_linear if model == "full-linear" else integrate_reduced
+        tracemalloc.start()
+        try:
+            traj = integrate(sys if model == "full-linear" else red, cfg, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = 2 * grid.n_buses if model == "full-linear" else 2 * red.n_slow
+        record_bytes = len(traj.t) * dim * 8
+        assert peak <= bound * record_bytes
 
 
 class TestIntegrateReduced:
