@@ -128,9 +128,9 @@ def cmd_variance(args) -> None:
     started = time.time()
     grid = _load_grid(args)
     _, _, red = linearize_and_reduce(grid, 1.0)
+    basis = eigendecompose_reduced(red.j_red)
+    gam = gamma_matrix(red, basis)
     try:
-        basis = eigendecompose_reduced(red.j_red)
-        gam = gamma_matrix(red, basis)
         report = coi_variance(red, basis, gam)
     except InputError as e:
         raise InputError(f"{e}\nhint: the `simulate` command has no homogeneity restriction") \
@@ -179,9 +179,9 @@ def cmd_compare(args) -> None:
     op, sys, red = linearize_and_reduce(grid, args.epsilon)
 
     analytic = naive_analytic = None
+    basis = eigendecompose_reduced(red.j_red)
+    gam = gamma_matrix(red, basis)
     try:
-        basis = eigendecompose_reduced(red.j_red)
-        gam = gamma_matrix(red, basis)
         report = coi_variance(red, basis, gam)
         analytic, naive_analytic = report.var_total, report.var_naive
     except InputError:

@@ -96,6 +96,11 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
         w = -cho_solve(factor_fast_block(sys.j_ff), sys.j_fs)
         j_red = sys.j_ss - sys.j_sf @ w
         k = -w.T  # K = -J_SF J_FF^-1 = -W^T since J_FF is symmetric
+    # Each sigma^2 is finite (Bus checks it), but sums over buses can overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_xi = np.diag(sigma[s]**2) + (k * sigma[f]**2) @ k.T
+    if not np.all(np.isfinite(sigma_xi)):
+        raise InputError("noise covariance sigma_xi overflows: bus sigmas too large")
     return ReducedSystem(
         slow_ids=sys.slow_ids,
         fast_ids=sys.fast_ids,
@@ -107,7 +112,7 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
         tau_fast=tau[f].copy(),
         m_slow=sys.m_slow.copy(),
         d_slow=sys.d_slow.copy(),
-        sigma_xi=np.diag(sigma[s]**2) + (k * sigma[f]**2) @ k.T,
+        sigma_xi=sigma_xi,
     )
 
 

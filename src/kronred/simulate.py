@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.signal import lfilter
 
 from .errors import InputError, NumericsError
 from .grid import (Grid, LinearizedSystem, OperatingPoint, _angle_jacobian,
@@ -184,6 +183,10 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
 
     n_steps = len(dts)
     c = spec.n_channels
+    # Imported here: scipy.signal costs more than a second to import, and
+    # the analysis commands, which never sample noise, should not pay it.
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng(np.uint64(spec.seed))
     eta0 = spec.sigma * rng.standard_normal(c)
     z = rng.standard_normal((n_steps, c))
@@ -353,7 +356,7 @@ def integrate_full_nonlinear(
     dt = t_grid[1] - t_grid[0]
     h = dt * cfg.theta
 
-    coupling = grid.coupling_matrix()[np.ix_(order, order)]
+    edges = grid.edge_list(order)
     p_inj = grid.param_vector("p")[order]
     m = grid.param_vector("m")[order]
     d = grid.param_vector("d")[order]
@@ -363,12 +366,10 @@ def integrate_full_nonlinear(
     d_eff = d * eps_scale
     theta_star = np.asarray(op.theta, dtype=float)[order]
 
-    # Every line once per end: bus ends[e] receives
-    # b * sin(ang[ends[e]] - ang[others[e]]) / m_eff[ends[e]] of outflow.
-    src, dst = np.nonzero(np.triu(coupling))
-    ends = np.concatenate([src, dst])
-    others = np.concatenate([dst, src])
-    line_gain = coupling[ends, others] / m_eff[ends]
+    # Bus ends[e] receives b * sin(ang[ends[e]] - ang[others[e]]) / m_eff[ends[e]]
+    # of outflow.
+    ends, others = edges.ends, edges.others
+    line_gain = edges.b / m_eff[ends]
     p_over_m = p_inj / m_eff
     d_over_m = d_eff / m_eff
     kick_scale = dt / m_eff
@@ -380,7 +381,7 @@ def integrate_full_nonlinear(
     eye = np.eye(2 * n)
 
     def chord_matrix(ang, t):
-        a = _second_order_matrix(_angle_jacobian(coupling, ang), m_eff, d_eff)
+        a = _second_order_matrix(_angle_jacobian(edges, ang), m_eff, d_eff)
         try:
             chord = np.linalg.inv(eye - h * a)
         except np.linalg.LinAlgError as e:
@@ -424,7 +425,7 @@ def integrate_full_nonlinear(
                 f"Newton did not converge at t={t_grid[k]:.4g}; reduce dt_max")
         state = trial
         dev = state[:n] - theta_star
-        if np.abs(dev - dev.mean()).max() > math.pi:
+        if np.abs(dev - dev.sum() / n).max() > math.pi:
             raise NumericsError(
                 f"divergence detected at t={t_grid[k + 1]:.4g}: |COI-frame deviation| > pi")
         record[k + 1, :n] = dev

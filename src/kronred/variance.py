@@ -112,8 +112,12 @@ def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
         raise InputError(f"sigma_fast has {len(red.sigma_fast)} entries for {n_f} "
                          "noise-map columns")
     w = red.noise_gain.T @ basis.modes  # K^T U
-    g = (w * red.sigma_fast[:, None]**2).T @ w
-    return 0.5 * (g + g.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (w * red.sigma_fast[:, None]**2).T @ w
+        g = 0.5 * (g + g.T)
+    if not np.all(np.isfinite(g)):
+        raise InputError("modal noise coupling Gamma overflows: fast-bus sigmas too large")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +267,12 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis, gamma_mat: np.ndarray) -
 
     kern_s = frequency_variance_kernel(lam[:, None], lam[None, :], tau_s, gamma, m)
     slow_amp = (u_perp * red.sigma_slow[:, None]**2).T @ u_perp
-    var_slow = np.einsum("ia,ab,ib->i", u_perp, slow_amp * kern_s, u_perp)
+    var_slow = ((u_perp @ (slow_amp * kern_s)) * u_perp).sum(1)
 
     if red.n_fast and tau_f is not None:
         kern_f = frequency_variance_kernel(lam[:, None], lam[None, :], tau_f, gamma, m)
         fast_amp = gamma_mat[1:, 1:]
-        var_fast = np.einsum("ia,ab,ib->i", u_perp, fast_amp * kern_f, u_perp)
+        var_fast = ((u_perp @ (fast_amp * kern_f)) * u_perp).sum(1)
     else:
         var_fast = np.zeros(n_s)
 

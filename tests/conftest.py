@@ -82,6 +82,17 @@ def random_connected_grid(rng, n, slow_frac=0.5, injection_scale=0.1,
     return Grid(buses=tuple(buses), lines=lines)
 
 
+def dense_coupling(grid):
+    """Dense symmetric coupling matrix b_ij = B_ij |V_i||V_j| in ``buses`` order."""
+    idx = grid.bus_index()
+    vmag = grid.param_vector("v")
+    b = np.zeros((grid.n_buses, grid.n_buses))
+    for ln in grid.lines:
+        i, j = idx[ln.from_bus], idx[ln.to_bus]
+        b[i, j] = b[j, i] = ln.b * vmag[i] * vmag[j]
+    return b
+
+
 @pytest.fixture
 def ieee118_text():
     return (DATA_DIR / "ieee118.m").read_text()

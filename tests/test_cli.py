@@ -1,6 +1,10 @@
 """CLI surface: commands, file outputs, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,21 @@ class TestVariance:
         assert main(["variance", case, "--sigma-dist", "uniform:0:1e300",
                      "--out-dir", str(tmp_path)]) == 2
         assert "sigma^2 must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["variance", "compare"])
+    def test_gamma_overflow_is_input_error(self, tmp_path, capsys, command):
+        # 8 loads, each tied to all 4 generators: K = 1/4, so sigma_xi holds
+        # 8 sigma^2 / 16 but the uniform mode of Gamma 8 sigma^2 / 4 > max float
+        sigma = 1.26e154
+        grid = make_grid([(i, SLOW, 0.0, 0.0) for i in range(1, 5)]
+                         + [(i, FAST, 0.0, sigma) for i in range(5, 13)],
+                         [(s, f, 1.0) for f in range(5, 13) for s in range(1, 5)])
+        path = write_grid(tmp_path, serialize_grid_json(grid))
+        assert main([command, path, "--t-end", "1", "--out-dir", str(tmp_path)]
+                    if command == "compare" else [command, path, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "Gamma overflows" in captured.err
+        assert "hint" not in captured.err and "heterogeneous" not in captured.out
 
     def test_order_by_naive(self, tmp_path):
         grid = homogeneous_grid_file(tmp_path)
@@ -317,3 +336,23 @@ class TestStarDemo:
     def test_sigma_squared_overflow_is_input_error(self, tmp_path, capsys):
         assert main(["star-demo", "--sigma", "1e300", "--out-dir", str(tmp_path)]) == 2
         assert "sigma^2 must be finite" in capsys.readouterr().err
+
+    def test_noise_covariance_overflow_is_input_error(self, tmp_path, capsys):
+        # sigma^2 = 1e308 is finite; the 8 loads' sum at the center is not
+        assert main(["star-demo", "--sigma", "1e154", "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "sigma_xi overflows" in captured.err
+        assert captured.out == ""
+
+
+def test_analysis_commands_do_not_import_the_simulator_filter():
+    # reduce and variance never sample noise, so scipy.signal (and the
+    # scipy.stats it pulls in) must stay unloaded
+    code = ("import sys, kronred.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"

@@ -2,13 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_grid, path3_grid, random_connected_grid, two_bus_grid
+import kronred.grid as grid_module
+from conftest import dense_coupling, make_grid, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
-from kronred.grid import (Bus, ClassDefaults, FAST, SLOW, assemble_linearized,
+from kronred.grid import (Bus, ClassDefaults, FAST, SLOW, OperatingPoint, assemble_linearized,
                           build_jacobian, parse_grid_json, parse_matpower_case,
                           serialize_grid_json, solve_fixed_point, with_sigma)
 
@@ -372,3 +374,64 @@ class TestParseMatpower:
         new = with_sigma(grid, np.array([0.1, 0.2, 0.3]))
         assert [b.sigma for b in new.buses] == [0.1, 0.2, 0.3]
         assert [b.p for b in new.buses] == [b.p for b in grid.buses]
+
+
+def dense_flows_and_jacobian(coupling, theta):
+    """The dense n x n formulas: outflows sum_j b_ij sin(theta_i - theta_j)
+    and J = b cos(theta_i - theta_j) off the diagonal, minus row sums on it."""
+    diff = theta[:, None] - theta[None, :]
+    cos_w = coupling * np.cos(diff)
+    np.fill_diagonal(cos_w, 0.0)
+    return (coupling * np.sin(diff)).sum(axis=1), cos_w - np.diag(cos_w.sum(axis=1))
+
+
+class TestEdgeList:
+    def grids(self, ieee118_text):
+        rng = np.random.default_rng(21)
+        grids = [random_connected_grid(rng, int(rng.integers(2, 60))) for _ in range(10)]
+        grids.append(parse_matpower_case(ieee118_text, DEFAULTS_SLOW, DEFAULTS_FAST,
+                                         rebalance=True))
+        return grids
+
+    def test_flows_and_jacobian_match_dense_formulas(self, ieee118_text):
+        rng = np.random.default_rng(8)
+        for grid in self.grids(ieee118_text):
+            n = grid.n_buses
+            for theta in (solve_fixed_point(grid).theta, rng.uniform(-1.0, 1.0, n)):
+                flows, jac = dense_flows_and_jacobian(dense_coupling(grid), theta)
+                scale = max(1.0, np.abs(jac).max())
+                np.testing.assert_allclose(grid.edge_list().flows(theta), flows,
+                                           rtol=0, atol=1e-12 * scale)
+                np.testing.assert_allclose(build_jacobian(grid, OperatingPoint(theta, 0.0)),
+                                           jac, rtol=0, atol=1e-12 * scale)
+
+    def test_lines_in_upper_triangle_order_of_the_bus_order(self, ieee118_text):
+        # the order np.nonzero(np.triu(b)) gives, so flow sums keep their terms' order
+        for grid in self.grids(ieee118_text):
+            order = grid.ordering()
+            coupling = dense_coupling(grid)[np.ix_(order, order)]
+            src, dst = np.nonzero(np.triu(coupling))
+            edges = grid.edge_list(order)
+            np.testing.assert_array_equal(edges.ends, np.concatenate([src, dst]))
+            np.testing.assert_array_equal(edges.others, np.concatenate([dst, src]))
+            np.testing.assert_array_equal(edges.b, coupling[edges.ends, edges.others])
+
+    def test_fixed_point_memory_far_below_dense(self):
+        n = 1500
+        grid = random_connected_grid(np.random.default_rng(1), n, slow_frac=0.3)
+        tracemalloc.start()
+        try:
+            op = solve_fixed_point(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.residual_norm <= 1e-10
+        assert peak < n * n * 8 / 10  # a tenth of one dense n x n float array
+
+    def test_singular_sparse_factor_is_numerics_error(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(grid_module, "splu", singular)
+        with pytest.raises(NumericsError, match="singular Jacobian away from the uniform mode"):
+            solve_fixed_point(two_bus_grid(p=0.5))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kronred.simulate as simulate
-from conftest import make_grid, path3_grid, random_connected_grid, two_bus_grid
+from conftest import dense_coupling, make_grid, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
 from kronred.grid import SLOW, FAST, assemble_linearized, build_jacobian, solve_fixed_point
 from kronred.reduction import reduce_grid
@@ -125,7 +125,7 @@ class TestFullNonlinear:
         # swing energy: kinetic + coupling potential - injection work
         m = grid.param_vector("m")
         p = grid.param_vector("p")
-        b = grid.coupling_matrix()
+        b = dense_coupling(grid)
         theta = np.column_stack([traj.x, traj.y]) + op.theta[None, :]
         omega = np.column_stack([traj.xdot, traj.ydot])
         kin = 0.5 * (m * omega**2).sum(axis=1)
@@ -166,7 +166,7 @@ def theta_method_residuals(grid, op, cfg, noise, traj):
     from the returned states with a dense drift written out here."""
     order = grid.ordering()
     n_s = len(grid.slow_ids)
-    b = grid.coupling_matrix()[np.ix_(order, order)]
+    b = dense_coupling(grid)[np.ix_(order, order)]
     p = grid.param_vector("p")[order]
     scale = np.where(np.arange(grid.n_buses) < n_s, 1.0, cfg.epsilon)
     m = grid.param_vector("m")[order] * scale

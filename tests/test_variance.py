@@ -114,6 +114,13 @@ class TestGammaMatrix:
             ref = (w * red.sigma_fast[:, None]**2).T @ w
             assert np.abs(gam - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_overflowing_fast_noise_is_input_error(self):
+        # each sigma^2 is finite, the modal sum over fast buses is not
+        _, red, basis, _ = pipeline(path3_grid())
+        big = replace(red, noise_gain=4.0 * red.noise_gain, sigma_fast=np.full(1, 1.2e154))
+        with pytest.raises(InputError, match="Gamma overflows"):
+            gamma_matrix(big, basis)
+
     def test_inconsistent_reduced_system_rejected(self):
         _, red, basis, _ = pipeline(path3_grid())
         with pytest.raises(InputError, match="noise-map columns"):
@@ -305,6 +312,23 @@ class TestCoiVariance:
             report = coi_variance(red, basis, gam)
             oracle = lyapunov_oracle_variance(red)
             np.testing.assert_allclose(report.var_total, oracle, rtol=1e-6)
+
+    def test_matches_einsum_mode_sums(self):
+        rng = np.random.default_rng(23)
+        for n in (5, 40, 200):
+            grid = random_connected_grid(rng, n, homogeneous=True, sigma_range=(0.002, 0.02),
+                                         tau_slow=0.1, tau_fast=0.05)
+            _, red, basis, gam = pipeline(grid)
+            report = coi_variance(red, basis, gam)
+            lam, u = basis.lambdas[1:], basis.modes[:, 1:]
+            kern_s, kern_f = (frequency_variance_kernel(lam[:, None], lam[None, :], tau,
+                                                        report.gamma, report.m)
+                              for tau in (0.1, 0.05))
+            slow_amp = (u * red.sigma_slow[:, None]**2).T @ u
+            var_slow = np.einsum("ia,ab,ib->i", u, slow_amp * kern_s, u)
+            var_fast = np.einsum("ia,ab,ib->i", u, gam[1:, 1:] * kern_f, u)
+            np.testing.assert_allclose(report.var_slow, var_slow, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(report.var_fast, var_fast, rtol=1e-12, atol=0)
 
     def test_csv_columns(self):
         grid = path3_grid(sigma_slow=0.1, sigma_fast=0.5)
