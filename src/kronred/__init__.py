@@ -7,7 +7,7 @@ COI frequency variance, and validate by stochastic simulation of the
 full two-timescale system.
 """
 
-from .errors import InputError, KronredError, NumericsError
+from .errors import HomogeneityError, InputError, KronredError, NumericsError
 from .grid import (Bus, ClassDefaults, Grid, Line, LinearizedSystem, OperatingPoint,
                    assemble_linearized, build_jacobian, parse_grid_json,
                    parse_matpower_case, serialize_grid_json, solve_fixed_point,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InputError, NumericsError
+from .errors import HomogeneityError, InputError, NumericsError
 from .grid import ClassDefaults, Grid, parse_grid_json, parse_matpower_case, with_sigma
 from .reduction import make_star_grid, reduced_system_to_dict
 from .simulate import (MODELS, SimConfig, coi_frequency_variance_estimate, default_burn_in,
@@ -132,8 +133,8 @@ def cmd_variance(args) -> None:
     gam = gamma_matrix(red, basis)
     try:
         report = coi_variance(red, basis, gam)
-    except InputError as e:
-        raise InputError(f"{e}\nhint: the `simulate` command has no homogeneity restriction") \
+    except HomogeneityError as e:
+        raise HomogeneityError(f"{e}\nhint: the `simulate` command has no homogeneity restriction") \
             from e
 
     csv_text = variance_report_csv(report)
@@ -160,13 +161,15 @@ def cmd_simulate(args) -> None:
     grid = _load_grid(args)
     cfg = _run_cfg(args, grid, args.model)
     op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
-    trajs = run_ensemble(make_builder(grid, op, sys, red, cfg), cfg)
-    stats = coi_frequency_variance_estimate(trajs, cfg.burn_in, bus_ids=red.slow_ids)
+    members = run_ensemble(make_builder(grid, op, sys, red, cfg), cfg)
+    first = next(members)  # kept for trajectory.csv; the rest are folded one at a time
+    stats = coi_frequency_variance_estimate(itertools.chain([first], members), cfg.burn_in,
+                                            bus_ids=red.slow_ids)
 
     out_dir = Path(args.out_dir)
-    _write_text(out_dir / "trajectory.csv", trajectory_csv(trajs[0], red.slow_ids, args.decimate))
+    _write_text(out_dir / "trajectory.csv", trajectory_csv(first, red.slow_ids, args.decimate))
     _write_text(out_dir / "stats.csv", stats_csv(stats))
-    print(f"model {cfg.model}: {cfg.ensemble_size} trajectories, dt {trajs[0].t[1]:.4g} s, "
+    print(f"model {cfg.model}: {cfg.ensemble_size} trajectories, dt {first.t[1]:.4g} s, "
           f"t_end {cfg.t_end} s, burn-in {cfg.burn_in:.4g} s")
     print(f"COI variance range {stats.variance.min():.4g} .. {stats.variance.max():.4g}")
     _write_manifest(args, started, ["trajectory.csv", "stats.csv"], [Path(args.grid)])
@@ -184,7 +187,7 @@ def cmd_compare(args) -> None:
     try:
         report = coi_variance(red, basis, gam)
         analytic, naive_analytic = report.var_total, report.var_naive
-    except InputError:
+    except HomogeneityError:
         print("heterogeneous parameters: analytic columns omitted, comparing simulated models")
 
     empirical = {}
@@ -243,6 +246,7 @@ def cmd_star_demo(args) -> None:
     _, _, red = linearize_and_reduce(grid, 1.0)
     basis = eigendecompose_reduced(red.j_red)
     gam = gamma_matrix(red, basis)
+    report = coi_variance(red, basis, gam)
 
     print(f"star with {args.n_outer} outer buses around a {args.center} center")
     print(f"slow buses: {red.n_slow}, fast buses: {red.n_fast}")
@@ -255,7 +259,6 @@ def cmd_star_demo(args) -> None:
         print(f"max |Gamma_ab| over modes >= 2 : {off:.3e}")
         print("closed-form prediction         : 0 (reduction error is small)")
 
-    report = coi_variance(red, basis, gam)
     print("bus_id  var_total      var_naive      ratio")
     for k, bid in enumerate(report.bus_ids):
         tot, nai = float(report.var_total[k]), float(report.var_naive[k])

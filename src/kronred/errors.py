@@ -13,5 +13,9 @@ class InputError(KronredError):
     """Invalid input: schema violations, broken invariants, bad parameters."""
 
 
+class HomogeneityError(InputError):
+    """The closed-form variance needs homogeneous parameters; simulation does not."""
+
+
 class NumericsError(KronredError):
     """Numerical failure: divergence, singular/indefinite matrices, instability."""

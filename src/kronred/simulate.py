@@ -18,6 +18,7 @@ eta_slow, the full models apply each bus its own channel.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,13 @@ from .reduction import ReducedSystem, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
 
-# Most steps one time grid, and one whole ensemble, may request: a run
-# holds every noise path and trajectory in memory.
+# Most steps one time grid, and one whole ensemble, may request: this
+# bounds a run's time.
 MAX_STEPS = 10_000_000
+# Most bytes one ensemble member may hold, its state record plus its noise
+# path: an ensemble is streamed, so a run holds one member at a time
+# (`simulate` also keeps member 0 for its trajectory file).
+MAX_MEMBER_BYTES = 2 * 2**30
 
 _N_BATCHES = 16  # time batches per trajectory behind the batch-means stderr
 
@@ -120,7 +125,6 @@ class EnsembleStats:
     """Per-bus COI frequency statistics pooled over time and ensemble."""
 
     bus_ids: tuple[int, ...]
-    mean: np.ndarray
     variance: np.ndarray
     stderr: np.ndarray
     n_samples: int
@@ -188,15 +192,14 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
     from scipy.signal import lfilter
 
     rng = np.random.default_rng(np.uint64(spec.seed))
-    eta0 = spec.sigma * rng.standard_normal(c)
-    z = rng.standard_normal((n_steps, c))
-
     path = np.empty((n_steps + 1, c))
-    path[0] = eta0
+    path[0] = spec.sigma * rng.standard_normal(c)
+    # The innovations are drawn into the path and filtered in place.
+    rng.standard_normal(out=path[1:])
     for j in range(c):
         a = math.exp(-dt / spec.tau[j])
         b = spec.sigma[j] * math.sqrt(1.0 - a * a)
-        path[1:, j], _ = lfilter([b], [1.0, -a], z[:, j], zi=[a * eta0[j]])
+        path[1:, j], _ = lfilter([b], [1.0, -a], path[1:, j], zi=[a * path[0, j]])
     return path
 
 
@@ -240,18 +243,6 @@ def _linear_step_maps(a: np.ndarray, b: np.ndarray, dt: float, theta: float):
     return step, gain
 
 
-def _run_linear(a, b, noise_vals, t_grid, theta):
-    """State record of X' = A X + B eta from rest, one row per grid point:
-    rows 1.. first hold the per-step forcing, then each step adds the
-    propagated previous row in place."""
-    step, gain = _linear_step_maps(a, b, t_grid[1] - t_grid[0], theta)
-    record = np.zeros((len(t_grid), a.shape[0]))
-    np.matmul(noise_vals, gain.T, out=record[1:])
-    for k in range(len(t_grid) - 1):
-        record[k + 1] += step @ record[k]
-    return record
-
-
 def _second_order_matrix(jac: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
     """First-order form of m x'' = jac x - d x': the matrix A of
     (x, x')' = A (x, x'), positions first."""
@@ -275,13 +266,23 @@ def _trajectory(t_grid: np.ndarray, record: np.ndarray, n_slow: int) -> Trajecto
 
 def _integrate_linear(jac, m, d, gain, n_slow: int, cfg: SimConfig, noise) -> Trajectory:
     """Drift-implicit integration of m x'' = jac x - d x' + gain eta from
-    rest, x holding n_slow slow buses first, then any fast buses."""
+    rest, x holding n_slow slow buses first, then any fast buses.
+
+    One state record, a row per grid point: rows 1.. first hold the
+    per-step noise forcing, then each step adds the propagated previous
+    row in place.  The noise values are a temporary of the forcing
+    product, so they are released before the stepping starts.
+    """
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
-    noise_vals = _noise_values(noise, t_grid, gain.shape[1])
     n = len(m)
     b = np.zeros((2 * n, gain.shape[1]))
     b[n:] = gain / m[:, None]
-    record = _run_linear(_second_order_matrix(jac, m, d), b, noise_vals, t_grid, cfg.theta)
+    step, forcing = _linear_step_maps(_second_order_matrix(jac, m, d), b,
+                                      t_grid[1] - t_grid[0], cfg.theta)
+    record = np.zeros((len(t_grid), 2 * n))
+    np.matmul(_noise_values(noise, t_grid, gain.shape[1]), forcing.T, out=record[1:])
+    for k in range(len(t_grid) - 1):
+        record[k + 1] += step @ record[k]
     return _trajectory(t_grid, record, n_slow)
 
 
@@ -438,7 +439,7 @@ def integrate_full_nonlinear(
 # ---------------------------------------------------------------------------
 
 def coi_frequency_variance_estimate(
-    trajs: list[Trajectory],
+    trajs: Iterable[Trajectory],
     burn_in: float,
     bus_ids: tuple[int, ...] | None = None,
 ) -> EnsembleStats:
@@ -448,63 +449,74 @@ def coi_frequency_variance_estimate(
     subtracted; squares are averaged over time and ensemble.  The
     standard error comes from batch means (_N_BATCHES contiguous time
     batches per trajectory, pooled over the ensemble).
+
+    ``trajs`` may be any iterable, such as the stream of run_ensemble:
+    each member is folded into the sums and released before the next
+    one is taken, so only one member is held at a time.  Raises
+    NumericsError when the estimate is not finite.
     """
-    if not trajs:
-        raise InputError("no trajectories given")
-    t = trajs[0].t
-    n_s = trajs[0].xdot.shape[1]
-    for tr in trajs[1:]:
-        if tr.xdot.shape != trajs[0].xdot.shape or not np.array_equal(tr.t, t):
+    keep = None
+    n_members = 0
+    for tr in trajs:
+        if keep is None:
+            t, shape = tr.t, tr.xdot.shape
+            keep = t >= burn_in
+            n_time = int(keep.sum())
+            if not n_time:
+                raise InputError(f"no samples after burn_in={burn_in}")
+            sq_sum = np.zeros(shape[1])
+            batch_means = []
+        elif tr.xdot.shape != shape or not np.array_equal(tr.t, t):
             raise InputError("trajectories do not share grid and bus ordering")
-    keep = t >= burn_in
-    if not keep.any():
-        raise InputError(f"no samples after burn_in={burn_in}")
+        dev = tr.xdot[keep]  # a copy, so the member itself can go now
+        del tr
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev -= dev.mean(axis=1, keepdims=True)
+            sq = np.square(dev, out=dev)
+            sq_sum += sq.sum(axis=0)
+            batch_means.extend(chunk.mean(axis=0) for chunk in
+                               np.array_split(sq, min(_N_BATCHES, n_time), axis=0) if len(chunk))
+        del dev, sq
+        n_members += 1
+    if not n_members:
+        raise InputError("no trajectories given")
+
+    n_s = shape[1]
+    n_total = n_time * n_members
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = sq_sum / n_total
+        batch_means = np.array(batch_means)
+        if len(batch_means) > 1:
+            stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means))
+        else:
+            stderr = np.full(n_s, np.nan)
+    if not np.all(np.isfinite(variance)) or (len(batch_means) > 1
+                                             and not np.all(np.isfinite(stderr))):
+        raise NumericsError("COI frequency variance estimate is not finite")
     if bus_ids is None:
         bus_ids = tuple(range(n_s))
-
-    sq_sum = np.zeros(n_s)
-    dev_sum = np.zeros(n_s)
-    batch_means = []
-    n_time = int(keep.sum())
-    for tr in trajs:
-        xdot = tr.xdot[keep]
-        dev = xdot - xdot.mean(axis=1, keepdims=True)
-        sq = dev**2
-        sq_sum += sq.sum(axis=0)
-        dev_sum += dev.sum(axis=0)
-        for chunk in np.array_split(sq, min(_N_BATCHES, n_time), axis=0):
-            if len(chunk):
-                batch_means.append(chunk.mean(axis=0))
-    n_total = n_time * len(trajs)
-    variance = sq_sum / n_total
-    mean = dev_sum / n_total
-    batch_means = np.array(batch_means)
-    if len(batch_means) > 1:
-        stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means))
-    else:
-        stderr = np.full(n_s, np.nan)
-    return EnsembleStats(bus_ids=tuple(bus_ids), mean=mean, variance=variance,
-                         stderr=stderr, n_samples=n_total)
+    return EnsembleStats(bus_ids=tuple(bus_ids), variance=variance, stderr=stderr,
+                         n_samples=n_total)
 
 
-def run_ensemble(builder, cfg: SimConfig) -> list[Trajectory]:
-    """Build cfg.ensemble_size trajectories.
+def run_ensemble(builder, cfg: SimConfig) -> Iterator[Trajectory]:
+    """Stream cfg.ensemble_size trajectories, built one at a time as the
+    caller asks for them.
 
     ``builder(seed)`` must return a Trajectory; trajectory i gets seed
     base_seed XOR i, so results are independent of execution order and
-    bit-reproducible for a fixed base seed.  An InputError passes
+    bit-reproducible for a fixed base seed.  The stream keeps no
+    reference to a member it has handed out.  An InputError passes
     through unchanged; a numerical failure (NumericsError, or a
     ValueError or ArithmeticError from the numerics) becomes a
     NumericsError naming the trajectory and its seed.
     """
-    trajs = []
     for idx in range(cfg.ensemble_size):
         seed = int(np.uint64(cfg.base_seed) ^ np.uint64(idx))
         try:
-            trajs.append(builder(seed))
+            yield builder(seed)
         except (NumericsError, ValueError, ArithmeticError) as e:
             raise NumericsError(f"trajectory {idx} (seed {seed}) failed: {e}") from e
-    return trajs
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +536,15 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
                  red: ReducedSystem, cfg: SimConfig):
     """Trajectory builder for cfg.model from one setup (see
     linearize_and_reduce): the returned closure only samples noise and
-    integrates.  Every model draws its noise from ou_spec_for_grid."""
+    integrates.  Every model draws its noise from ou_spec_for_grid.
+    Refuses a member whose state record plus noise path would exceed
+    MAX_MEMBER_BYTES."""
+    n = grid.n_buses
+    width = 2 * red.n_slow if cfg.model.startswith("reduced") else 2 * n
+    held = (_step_count(cfg.t_end, cfg.dt_max) + 1) * (width + n) * 8
+    if held > MAX_MEMBER_BYTES:
+        raise InputError(f"one trajectory would hold {held / 2**30:.3g} GiB of state record and "
+                         f"noise path, above the limit of {MAX_MEMBER_BYTES / 2**30:.3g} GiB")
     if cfg.model == "full-nonlinear":
         return lambda seed: integrate_full_nonlinear(grid, op, cfg, ou_spec_for_grid(grid, seed))
     if cfg.model == "full-linear":
@@ -535,8 +555,8 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
 def run_model_ensemble(grid: Grid, cfg: SimConfig) -> EnsembleStats:
     """End-to-end ensemble study of one model on one grid."""
     op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
-    trajs = run_ensemble(make_builder(grid, op, sys, red, cfg), cfg)
-    return coi_frequency_variance_estimate(trajs, cfg.burn_in, bus_ids=red.slow_ids)
+    return coi_frequency_variance_estimate(run_ensemble(make_builder(grid, op, sys, red, cfg), cfg),
+                                           cfg.burn_in, bus_ids=red.slow_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from .errors import InputError, NumericsError
+from .errors import HomogeneityError, InputError, NumericsError
 from .reduction import ReducedSystem
 from .simulate import Trajectory
 
@@ -229,7 +229,7 @@ def _homogeneous(values: np.ndarray, label: str) -> float:
     if values.size == 0:
         raise InputError(f"empty {label} vector")
     if not np.allclose(values, values[0], rtol=1e-9, atol=0.0):
-        raise InputError(
+        raise HomogeneityError(
             f"analytic formula requires homogeneous parameters; use simulation "
             f"(heterogeneous {label}: min {values.min():.6g}, max {values.max():.6g})")
     return float(values[0])
@@ -265,19 +265,25 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis, gamma_mat: np.ndarray) -
     lam = basis.lambdas[1:]
     u_perp = basis.modes[:, 1:]
 
-    kern_s = frequency_variance_kernel(lam[:, None], lam[None, :], tau_s, gamma, m)
-    slow_amp = (u_perp * red.sigma_slow[:, None]**2).T @ u_perp
-    var_slow = ((u_perp @ (slow_amp * kern_s)) * u_perp).sum(1)
+    # The kernels keep their own overflow checks; an overflow in the
+    # amplitudes or mode sums shows as a non-finite total.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern_s = frequency_variance_kernel(lam[:, None], lam[None, :], tau_s, gamma, m)
+        slow_amp = (u_perp * red.sigma_slow[:, None]**2).T @ u_perp
+        var_slow = ((u_perp @ (slow_amp * kern_s)) * u_perp).sum(1)
 
-    if red.n_fast and tau_f is not None:
-        kern_f = frequency_variance_kernel(lam[:, None], lam[None, :], tau_f, gamma, m)
-        fast_amp = gamma_mat[1:, 1:]
-        var_fast = ((u_perp @ (fast_amp * kern_f)) * u_perp).sum(1)
-    else:
-        var_fast = np.zeros(n_s)
+        if red.n_fast and tau_f is not None:
+            kern_f = frequency_variance_kernel(lam[:, None], lam[None, :], tau_f, gamma, m)
+            fast_amp = gamma_mat[1:, 1:]
+            var_fast = ((u_perp @ (fast_amp * kern_f)) * u_perp).sum(1)
+        else:
+            var_fast = np.zeros(n_s)
+        var_total = var_slow + var_fast
+    if not np.all(np.isfinite(var_total)):
+        raise InputError("COI variance overflows: bus sigmas too large")
 
     return VarianceReport(
-        bus_ids=red.slow_ids, var_total=var_slow + var_fast,
+        bus_ids=red.slow_ids, var_total=var_total,
         var_slow=var_slow, var_fast=var_fast,
         m=m, d=d, gamma=gamma, tau_slow=tau_s, tau_fast=tau_f,
     )

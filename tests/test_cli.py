@@ -11,6 +11,7 @@ import pytest
 
 from kronred.cli import main
 from kronred.grid import serialize_grid_json
+from kronred.reduction import make_star_grid
 from conftest import make_grid
 from kronred.grid import FAST, SLOW
 from test_grid import THREE_BUS_CASE
@@ -45,6 +46,26 @@ def homogeneous_grid_file(tmp_path, sigma_slow=0.01, sigma_fast=0.02):
          (4, FAST, 0.0, sigma_fast), (5, FAST, 0.0, sigma_fast)],
         [(1, 2, 1.0), (2, 3, 1.5), (3, 4, 1.0), (4, 5, 0.8), (5, 1, 1.2)])
     return write_grid(tmp_path, serialize_grid_json(grid))
+
+
+def overflowing_star_file(tmp_path):
+    # sigma^2 = 1e308 and its noise covariances are finite; the slow
+    # amplitudes times the kernel are not
+    return write_grid(tmp_path, serialize_grid_json(make_star_grid(8, "fast", sigma=1e154)))
+
+
+@pytest.mark.parametrize("command", ["variance", "compare", "star-demo"])
+def test_coi_variance_overflow_is_input_error(tmp_path, capsys, command):
+    if command == "star-demo":
+        argv = ["star-demo", "--sigma", "1e154", "--center", "fast"]
+    else:
+        argv = [command, overflowing_star_file(tmp_path)]
+        argv += ["--t-end", "1"] if command == "compare" else []
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "COI variance overflows" in captured.err and "hint" not in captured.err
+    assert captured.out == ""  # nothing printed: no partial table, no rank summary
+    assert not list(tmp_path.glob("*.csv"))
 
 
 class TestReduce:
@@ -231,6 +252,23 @@ class TestSimulate:
         assert main(["simulate", grid, "--model", "reduced-xi", "--burn-in", "1", *flags,
                      "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+    def test_overflowing_estimate_is_numerics_error(self, tmp_path, capsys):
+        path = overflowing_star_file(tmp_path)
+        assert main(["simulate", path, "--model", "reduced-xi", "--t-end", "2",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert "estimate is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "stats.csv").exists()
+
+    def test_member_over_byte_budget_is_input_error(self, tmp_path, capsys, monkeypatch):
+        import kronred.simulate
+        monkeypatch.setattr(kronred.simulate, "MAX_MEMBER_BYTES", 2**20)
+        grid = homogeneous_grid_file(tmp_path)
+        # (10 000 + 1) steps x (2 x 5 states + 5 channels) x 8 B = 1.2 MB
+        assert main(["simulate", grid, "--model", "full-linear", "--t-end", "100", "--dt", "0.01",
+                     "--burn-in", "1", "--ensemble", "1", "--out-dir", str(tmp_path)]) == 2
+        assert "GiB" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestCompare:

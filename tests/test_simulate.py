@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +77,35 @@ class TestOUSampling:
         with pytest.raises(InputError, match="uniform"):
             ou_sample_path(spec, np.array([0.0, 0.1, 0.3]))
 
+    def test_draw_order_and_recurrence(self):
+        # initial state first, then all step innovations in row order
+        spec = OUSpec(sigma=[1.0, 0.5, 2.0], tau=[0.1, 0.3, 0.05], seed=11)
+        t = make_time_grid(2.0, 0.01)
+        rng = np.random.default_rng(11)
+        eta = spec.sigma * rng.standard_normal(3)
+        z = rng.standard_normal((len(t) - 1, 3))
+        a = np.exp(-(t[1] - t[0]) / spec.tau)
+        b = spec.sigma * np.sqrt(1.0 - a * a)
+        expected = [eta]
+        for k in range(len(t) - 1):
+            eta = a * eta + b * z[k]
+            expected.append(eta)
+        np.testing.assert_allclose(ou_sample_path(spec, t), np.array(expected),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_peak_memory_is_one_path(self):
+        # innovations are drawn into the path itself, not into a second array
+        import scipy.signal  # noqa: F401  (imported by ou_sample_path; not traced)
+        spec = OUSpec(sigma=np.full(10, 0.5), tau=np.full(10, 0.1), seed=3)
+        t = make_time_grid(200.0, 0.01)
+        tracemalloc.start()
+        try:
+            path = ou_sample_path(spec, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * path.nbytes
+
 
 class TestTimeGrid:
     def test_step_bounded(self):
@@ -96,10 +126,25 @@ class TestTimeGrid:
             SimConfig(**kwargs)
 
     def test_sim_config_refuses_ensemble_over_step_budget(self):
-        # 10 steps per trajectory, but all 10^9 trajectories are held at once
+        # 10 steps per trajectory, but 10^10 steps for the whole ensemble
         with pytest.raises(InputError, match="ensemble_size x steps"):
             SimConfig(model="reduced-xi", dt_max=0.001, t_end=0.01, burn_in=0.0,
                       ensemble_size=10**9)
+
+    @pytest.mark.parametrize("model,width", [("full-nonlinear", 18), ("full-linear", 18),
+                                             ("reduced-xi", 12), ("reduced-naive", 12)])
+    def test_member_byte_budget(self, monkeypatch, model, width):
+        # record plus noise path: (steps + 1) x (state width + 9 channels) x 8 B
+        grid = random_connected_grid(np.random.default_rng(3), 9)
+        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        assert red.n_slow == 6
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
+        held = 1001 * (width + 9) * 8
+        monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held)
+        simulate.make_builder(grid, op, sys, red, cfg)
+        monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held - 1)
+        with pytest.raises(InputError, match="noise path, above the limit"):
+            simulate.make_builder(grid, op, sys, red, cfg)
 
     def test_default_dt_caps_at_fast_relaxation(self):
         grid = two_bus_grid()
@@ -420,6 +465,14 @@ class TestCoiEstimate:
         with pytest.raises(InputError, match="share"):
             coi_frequency_variance_estimate([mk(t1), mk(t2)], burn_in=0.0)
 
+    def test_non_finite_estimate_is_numerics_error(self):
+        t = make_time_grid(1.0, 0.1)
+        xdot = np.zeros((len(t), 2))
+        xdot[3] = [1e200, -1e200]  # its square overflows
+        traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
+        with pytest.raises(NumericsError, match="not finite"):
+            coi_frequency_variance_estimate([traj], burn_in=0.0)
+
 
 class TestEnsembleRun:
     def test_bit_identical_for_fixed_seed(self):
@@ -453,7 +506,7 @@ class TestEnsembleRun:
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
                         ensemble_size=4, base_seed=0)
         with pytest.raises(NumericsError, match="trajectory 2"):
-            run_ensemble(builder, cfg)
+            list(run_ensemble(builder, cfg))
 
     def test_input_error_passes_through(self):
         def builder(seed):
@@ -461,7 +514,76 @@ class TestEnsembleRun:
 
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0)
         with pytest.raises(InputError, match="bad input"):
-            run_ensemble(builder, cfg)
+            list(run_ensemble(builder, cfg))
+
+    def test_stream_builds_lazily_and_holds_no_member(self):
+        built = []
+
+        def builder(seed):
+            # every member handed out before has been released
+            assert all(ref() is None for ref in built)
+            t = make_time_grid(1.0, 0.1)
+            record = np.ones((len(t), 4)) * seed
+            built.append(weakref.ref(record))
+            return Trajectory(t=t, x=record[:, :2], xdot=record[:, 2:])
+
+        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
+                        ensemble_size=5, base_seed=0)
+        stream = run_ensemble(builder, cfg)
+        assert built == []
+        stats = coi_frequency_variance_estimate(stream, burn_in=0.0)
+        assert len(built) == 5 and stats.n_samples == 5 * 11
+        np.testing.assert_array_equal(stats.variance, 0.0)
+
+    def test_streamed_statistics_equal_pooled_formula(self):
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
+                        ensemble_size=3, base_seed=9)
+        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        builder = simulate.make_builder(grid, op, sys, red, cfg)
+        stats = coi_frequency_variance_estimate(run_ensemble(builder, cfg), cfg.burn_in,
+                                                bus_ids=red.slow_ids)
+
+        # the same members, integrated one at a time and pooled here
+        squares = []
+        for i in range(cfg.ensemble_size):
+            traj = builder(cfg.base_seed ^ i)
+            keep = traj.t >= cfg.burn_in
+            xdot = traj.xdot[keep]
+            squares.append((xdot - xdot.mean(axis=1, keepdims=True))**2)
+        n_time = len(squares[0])
+        sq_sum = np.zeros(red.n_slow)
+        for sq in squares:
+            sq_sum += sq.sum(axis=0)
+        batch_means = np.array([chunk.mean(axis=0) for sq in squares
+                                for chunk in np.array_split(sq, 16, axis=0)])
+        np.testing.assert_array_equal(stats.variance, sq_sum / (n_time * cfg.ensemble_size))
+        np.testing.assert_array_equal(
+            stats.stderr, batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means)))
+        assert stats.n_samples == n_time * cfg.ensemble_size
+        assert stats.bus_ids == red.slow_ids
+        # any iterable: a plain generator of the same members folds alike
+        members = (builder(cfg.base_seed ^ i) for i in range(cfg.ensemble_size))
+        again = coi_frequency_variance_estimate(members, cfg.burn_in)
+        np.testing.assert_array_equal(again.variance, stats.variance)
+        np.testing.assert_array_equal(again.stderr, stats.stderr)
+
+    def test_peak_memory_of_streamed_ensemble(self):
+        # the fold holds one member at a time, never the whole ensemble
+        import scipy.signal  # noqa: F401  (imported by ou_sample_path; not traced)
+        grid = random_connected_grid(np.random.default_rng(1), 40)
+        cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=50.0, burn_in=5.0,
+                        ensemble_size=4, base_seed=2)
+        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        builder = simulate.make_builder(grid, op, sys, red, cfg)
+        tracemalloc.start()
+        try:
+            coi_frequency_variance_estimate(run_ensemble(builder, cfg), cfg.burn_in)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record_bytes = len(make_time_grid(cfg.t_end, cfg.dt_max)) * 2 * grid.n_buses * 8
+        assert peak <= 2.5 * record_bytes
 
     def test_stderr_shrinks_with_ensemble(self):
         grid = path3_grid(sigma_slow=0.05, sigma_fast=0.02)
