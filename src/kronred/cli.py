@@ -175,10 +175,22 @@ def cmd_simulate(args) -> None:
     _write_manifest(args, started, ["trajectory.csv", "stats.csv"], [Path(args.grid)])
 
 
+def _parse_models(spec: str) -> list[str]:
+    models = [m.strip() for m in spec.split(",") if m.strip()]
+    if not models:
+        raise InputError(f"--models names no model, got {spec!r}; choose from {MODELS}")
+    unknown = [m for m in models if m not in MODELS]
+    if unknown:
+        raise InputError(f"--models: unknown model(s) {unknown}; choose from {MODELS}")
+    if len(set(models)) < len(models):
+        raise InputError(f"--models names a model twice: {spec!r}")
+    return models
+
+
 def cmd_compare(args) -> None:
     started = time.time()
+    models = _parse_models(args.models)  # before any work, so a typo costs nothing
     grid = _load_grid(args)
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
     op, sys, red = linearize_and_reduce(grid, args.epsilon)
 
     analytic = naive_analytic = None

@@ -176,6 +176,12 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
     a = exp(-dt/tau), starting from a stationary draw N(0, sigma^2).
     The draw order (initial state first, then all step innovations) is
     fixed, so a given seed always yields the same path.
+
+    The innovations are drawn into the path and the recurrence runs in
+    place on it, one row (all channels) per step.  The coefficients a
+    and b = sigma sqrt(1-a^2) are computed per channel with `math`:
+    `np.exp` differs from `math.exp` in the last bit on some inputs,
+    which would change the path's bytes.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dts = np.diff(t_grid)
@@ -187,19 +193,21 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
 
     n_steps = len(dts)
     c = spec.n_channels
-    # Imported here: scipy.signal costs more than a second to import, and
-    # the analysis commands, which never sample noise, should not pay it.
-    from scipy.signal import lfilter
+    a = np.array([math.exp(-dt / tau) for tau in spec.tau])
+    b = np.array([sigma * math.sqrt(1.0 - a_j * a_j) for sigma, a_j in zip(spec.sigma, a)])
 
     rng = np.random.default_rng(np.uint64(spec.seed))
     path = np.empty((n_steps + 1, c))
     path[0] = spec.sigma * rng.standard_normal(c)
-    # The innovations are drawn into the path and filtered in place.
     rng.standard_normal(out=path[1:])
-    for j in range(c):
-        a = math.exp(-dt / spec.tau[j])
-        b = spec.sigma[j] * math.sqrt(1.0 - a * a)
-        path[1:, j], _ = lfilter([b], [1.0, -a], path[1:, j], zi=[a * path[0, j]])
+    path[1:] *= b
+    carry = np.empty(c)
+    rows = iter(path)  # lazily: a list of row views would cost ~100 B per step
+    prev = next(rows)
+    for row in rows:
+        np.multiply(prev, a, out=carry)
+        np.add(row, carry, out=row)
+        prev = row
     return path
 
 

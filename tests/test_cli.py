@@ -12,6 +12,7 @@ import pytest
 from kronred.cli import main
 from kronred.grid import serialize_grid_json
 from kronred.reduction import make_star_grid
+from kronred.simulate import MODELS
 from conftest import make_grid
 from kronred.grid import FAST, SLOW
 from test_grid import THREE_BUS_CASE
@@ -338,6 +339,37 @@ class TestCompare:
                      "--t-end", "1", "--burn-in", "0.5", "--ensemble", "1"]) == 0
         assert calls == {"solve_fixed_point": 1, "factor_fast_block": 1}
 
+    def test_unknown_model_refused_before_any_simulation(self, tmp_path, capsys, monkeypatch):
+        import kronred.cli
+        built = []
+        make_builder = kronred.cli.make_builder
+
+        def counted(*args, **kwargs):
+            built.append(args[-1].model)
+            return make_builder(*args, **kwargs)
+        monkeypatch.setattr(kronred.cli, "make_builder", counted)
+        grid = homogeneous_grid_file(tmp_path)
+        assert main(["compare", grid, "--models", "reduced-xi,full-nonlinear,bogus",
+                     "--t-end", "1", "--burn-in", "0.5", "--out-dir", str(tmp_path)]) == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert built == []
+        assert not (tmp_path / "compare.csv").exists()
+
+    def test_duplicate_model_refused(self, tmp_path, capsys):
+        # two var_sim_reduced-xi columns would collapse into one under csv.DictReader
+        grid = homogeneous_grid_file(tmp_path)
+        assert main(["compare", grid, "--models", "reduced-xi,reduced-xi",
+                     "--t-end", "1", "--burn-in", "0.5", "--out-dir", str(tmp_path)]) == 2
+        assert "twice" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
+
+    def test_empty_model_list_refused(self, tmp_path, capsys):
+        grid = homogeneous_grid_file(tmp_path)
+        assert main(["compare", grid, "--models", ",",
+                     "--t-end", "1", "--burn-in", "0.5", "--out-dir", str(tmp_path)]) == 2
+        assert "names no model" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
+
     def test_failing_trajectory_named_with_seed(self, tmp_path, capsys):
         doc = json.loads(TWO_BUS)
         for bus in doc["buses"]:
@@ -383,14 +415,23 @@ class TestStarDemo:
         assert captured.out == ""
 
 
-def test_analysis_commands_do_not_import_the_simulator_filter():
-    # reduce and variance never sample noise, so scipy.signal (and the
-    # scipy.stats it pulls in) must stay unloaded
-    code = ("import sys, kronred.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+def test_analysis_commands_do_not_import_the_simulator_filter(tmp_path):
+    # No command loads scipy.signal (or the scipy.stats it pulls in): not
+    # the import of the CLI, and not the commands that sample OU noise.
+    grid = homogeneous_grid_file(tmp_path)
+    sim_flags = ["--t-end", "1", "--burn-in", "0.5", "--ensemble", "1"]
+    runs = [[],
+            ["simulate", grid, "--model", "reduced-xi", *sim_flags,
+             "--out-dir", str(tmp_path / "simulate")],
+            ["compare", grid, "--models", ",".join(MODELS), *sim_flags,
+             "--out-dir", str(tmp_path / "compare")]]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+    code = ("import sys, kronred.cli\n"
+            "assert not sys.argv[1:] or kronred.cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    for argv in runs:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.strip().splitlines()[-1] == "[]", argv

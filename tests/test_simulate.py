@@ -93,9 +93,29 @@ class TestOUSampling:
         np.testing.assert_allclose(ou_sample_path(spec, t), np.array(expected),
                                    rtol=1e-13, atol=1e-15)
 
+    def test_bit_equal_to_scalar_recurrence(self):
+        # exactness, not closeness: the path equals y = a*y + b*z in plain
+        # Python floats over the same draws, with a and b from math
+        sigma, tau = [1.0, 0.5, 0.0, 2.0], [0.1, 0.3, 0.1, 0.3]
+        spec = OUSpec(sigma=sigma, tau=tau, seed=13)
+        t = make_time_grid(5.0, 0.01)
+        dt = t[1] - t[0]
+        rng = np.random.default_rng(13)
+        y0 = spec.sigma * rng.standard_normal(4)
+        z = rng.standard_normal((len(t) - 1, 4))
+        expected = np.empty((len(t), 4))
+        for j in range(4):
+            a = math.exp(-dt / tau[j])
+            b = sigma[j] * math.sqrt(1.0 - a * a)
+            y = expected[0, j] = float(y0[j])
+            for k in range(len(t) - 1):
+                y = expected[k + 1, j] = a * y + b * float(z[k, j])
+        path = ou_sample_path(spec, t)
+        assert np.array_equal(path, expected)
+        assert not path[:, 2].any()
+
     def test_peak_memory_is_one_path(self):
         # innovations are drawn into the path itself, not into a second array
-        import scipy.signal  # noqa: F401  (imported by ou_sample_path; not traced)
         spec = OUSpec(sigma=np.full(10, 0.5), tau=np.full(10, 0.1), seed=3)
         t = make_time_grid(200.0, 0.01)
         tracemalloc.start()
@@ -570,7 +590,6 @@ class TestEnsembleRun:
 
     def test_peak_memory_of_streamed_ensemble(self):
         # the fold holds one member at a time, never the whole ensemble
-        import scipy.signal  # noqa: F401  (imported by ou_sample_path; not traced)
         grid = random_connected_grid(np.random.default_rng(1), 40)
         cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=50.0, burn_in=5.0,
                         ensemble_size=4, base_seed=2)
