@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -30,7 +29,7 @@ from .grid import ClassDefaults, Grid, parse_grid_json, parse_matpower_case, wit
 from .reduction import make_star_grid, reduced_system_to_dict
 from .simulate import (MODELS, SimConfig, coi_frequency_variance_estimate, default_burn_in,
                        default_dt_max, linearize_and_reduce, make_builder, run_ensemble,
-                       stats_csv, trajectory_csv)
+                       stats_csv, tee_first_member, trajectory_csv)
 from .variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
                        variance_report_csv)
 
@@ -158,13 +157,15 @@ def _run_cfg(args, grid: Grid, model: str) -> SimConfig:
 
 def cmd_simulate(args) -> None:
     started = time.time()
+    if args.decimate < 1:  # before any work, so a typo costs nothing
+        raise InputError(f"--decimate must be >= 1, got {args.decimate}")
     grid = _load_grid(args)
     cfg = _run_cfg(args, grid, args.model)
     op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
-    members = run_ensemble(make_builder(grid, op, sys, red, cfg), cfg)
-    first = next(members)  # kept for trajectory.csv; the rest are folded one at a time
-    stats = coi_frequency_variance_estimate(itertools.chain([first], members), cfg.burn_in,
-                                            bus_ids=red.slow_ids)
+    builder, batch = make_builder(grid, op, sys, red, cfg, keep_first=True)
+    # member 0's slow record is kept for trajectory.csv; every batch is folded chunk by chunk
+    members, first = tee_first_member(run_ensemble(builder, cfg, batch))
+    stats = coi_frequency_variance_estimate(members, cfg.burn_in, bus_ids=red.slow_ids)
 
     out_dir = Path(args.out_dir)
     _write_text(out_dir / "trajectory.csv", trajectory_csv(first, red.slow_ids, args.decimate))
@@ -205,8 +206,9 @@ def cmd_compare(args) -> None:
     empirical = {}
     for model in models:
         cfg = _run_cfg(args, grid, model)
+        builder, batch = make_builder(grid, op, sys, red, cfg)
         empirical[model] = coi_frequency_variance_estimate(
-            run_ensemble(make_builder(grid, op, sys, red, cfg), cfg), cfg.burn_in).variance
+            run_ensemble(builder, cfg, batch), cfg.burn_in).variance
 
     naive_ref = naive_analytic if naive_analytic is not None else empirical.get("reduced-naive")
     corrected_ref = analytic if analytic is not None else empirical.get("reduced-xi")

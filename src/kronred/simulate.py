@@ -6,7 +6,10 @@ sampled Ornstein-Uhlenbeck values (one value per step), so the noise
 statistics are exact at any step size and noise sampling is cleanly
 separated from drift stepping.  The drift is advanced with a
 theta-implicit step (theta = 0.5: trapezoid, the default; theta = 1:
-backward Euler for very stiff timescale ratios).
+backward Euler for very stiff timescale ratios).  The linear models step
+a batch of ensemble members together through time, a chunk of rows at a
+time, and each chunk is folded into the ensemble statistics before the
+next one is stepped, so a linear ensemble run holds no whole trajectory.
 
 Noise channels are always ordered slow buses first, then fast buses.
 All models of the same grid draw their channels from the same layout,
@@ -17,9 +20,10 @@ eta_slow, the full models apply each bus its own channel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -34,17 +38,31 @@ MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
 # Most steps one time grid, and one whole ensemble, may request: this
 # bounds a run's time.
 MAX_STEPS = 10_000_000
-# Most bytes one ensemble member may hold, its state record plus its noise
-# path: an ensemble is streamed, so a run holds one member at a time
-# (`simulate` also keeps member 0 for its trajectory file).
+# Most bytes one batch of ensemble members may hold: the chunk buffers the
+# linear models are stepped through, or a nonlinear member's record, noise
+# path and fold copy (`simulate` also keeps member 0's slow x/xdot record).
 MAX_MEMBER_BYTES = 2 * 2**30
 
+# Bytes of chunk buffers one batch of linear members is stepped through.
+# They set both the members stepped together and the rows per chunk, so a
+# run's memory does not grow with t_end.
+_BATCH_BYTES = 4 * 2**20
+# Fewest rows per chunk before an ensemble is split into more batches:
+# each chunk pays a few numpy calls per member and per time batch.
+_MIN_CHUNK_ROWS = 256
+
 _N_BATCHES = 16  # time batches per trajectory behind the batch-means stderr
+# Rows of a batch's chunk buffers beyond its chunk rows: the carried
+# state, the OU coefficients and carries, the fold's sums and batch means.
+_PAD_ROWS = _N_BATCHES + 4
 
 # Acceptance of a nonlinear implicit step: max-norm of the exact step
 # residual, and the iteration cap.
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 30
+
+# Errors of the numerics that a run reports as a failed trajectory (exit 3).
+_FAILURES = (NumericsError, ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -66,6 +84,8 @@ class OUSpec:
             raise InputError("sigma must be >= 0")
         if np.any(tau <= 0):
             raise InputError("tau must be > 0")
+        if not 0 <= self.seed < 2**64:
+            raise InputError(f"seed must be in [0, 2^64), got {self.seed}")
 
     @property
     def n_channels(self) -> int:
@@ -97,8 +117,8 @@ class SimConfig:
             raise InputError(f"need 0 <= burn_in < t_end, got {self.burn_in}, {self.t_end}")
         if self.ensemble_size < 1:
             raise InputError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
-        if self.base_seed < 0:
-            raise InputError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not 0 <= self.base_seed < 2**64:
+            raise InputError(f"base_seed must be in [0, 2^64), got {self.base_seed}")
         if self.theta not in (0.5, 1.0):
             raise InputError(f"theta must be 0.5 or 1.0, got {self.theta}")
         if not self.epsilon > 0:
@@ -118,6 +138,22 @@ class Trajectory:
     xdot: np.ndarray
     y: np.ndarray | None = None
     ydot: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class MemberBatch:
+    """Ensemble members stepped together on one time grid ``t``, streamed
+    in consecutive chunks of rows.
+
+    Iterating ``chunks`` yields ``(k, x, xdot)``: the slow-bus deviations
+    and frequencies at grid rows k, k+1, ... of every member, each of
+    shape (rows, members, n_slow).  They are views of buffers the next
+    chunk overwrites.
+    """
+
+    t: np.ndarray
+    n_slow: int
+    chunks: Iterator[tuple[int, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -165,9 +201,61 @@ def default_burn_in(grid: Grid) -> float:
     return 10.0 * max(tau_max, relax)
 
 
+def _batch_shape(n_rows: int, ensemble: int, row_bytes: int, budget: int) -> tuple[int, int]:
+    """Members stepped together and rows per chunk for a batch whose chunk
+    buffers hold (rows + _PAD_ROWS) x members x row_bytes bytes: as many
+    members as keep chunks at _MIN_CHUNK_ROWS rows within ``budget``, then
+    as many rows as the budget allows.  Never below one of each."""
+    members = max(1, min(ensemble, budget // ((_MIN_CHUNK_ROWS + _PAD_ROWS) * row_bytes)))
+    rows = max(1, min(n_rows, budget // (members * row_bytes) - _PAD_ROWS))
+    return members, rows
+
+
 # ---------------------------------------------------------------------------
 # OU sampling
 # ---------------------------------------------------------------------------
+
+def _ou_chunks(sigma: np.ndarray, tau: np.ndarray, seeds: tuple[int, ...], dt: float,
+               n_rows: int, rows: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Exact stationary OU values of len(seeds) members at n_rows grid
+    points, in consecutive chunks of at most ``rows`` rows.
+
+    A chunk is one flat (rows, members x C) array, member i in columns
+    i*C .. (i+1)*C - 1, so the update runs once per step over all
+    members.  It is a view of one reused buffer, valid until the next
+    chunk, or of ``out`` (one member, shape (n_rows, C)) when given.
+    Member i draws from its own ``default_rng(seeds[i])``: its initial
+    state first, then the step innovations row by row, so the values do
+    not depend on the chunk size or on the other members.
+    """
+    c, members = len(sigma), len(seeds)
+    a = np.array([math.exp(-dt / t) for t in tau])
+    b = np.array([s * math.sqrt(1.0 - a_j * a_j) for s, a_j in zip(sigma, a)])
+    a, b = np.tile(a, members), np.tile(b, members)
+    rngs = [np.random.default_rng(np.uint64(seed)) for seed in seeds]
+    buf = out if out is not None else np.empty((min(rows, n_rows), members * c))
+    last = np.empty(members * c)
+    scaled = np.empty(members * c)
+    for k in range(0, n_rows, rows):
+        block = buf[k:k + rows] if out is not None else buf[:min(rows, n_rows - k)]
+        fresh = 1 if k == 0 else 0  # row 0 of the path is the stationary draw
+        for i, rng in enumerate(rngs):
+            cols = block[:, i * c:(i + 1) * c]
+            if fresh:
+                cols[0] = sigma * rng.standard_normal(c)
+            if members == 1:
+                rng.standard_normal(out=cols[fresh:])
+            else:
+                cols[fresh:] = rng.standard_normal((len(block) - fresh, c))
+        block[fresh:] *= b
+        prev = block[0] if fresh else last
+        for row in block[fresh:]:
+            np.multiply(prev, a, out=scaled)
+            np.add(row, scaled, out=row)
+            prev = row
+        np.copyto(last, block[-1])
+        yield block
+
 
 def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
     """Exact stationary OU samples at every grid point, shape (len(t), C).
@@ -177,8 +265,9 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
     The draw order (initial state first, then all step innovations) is
     fixed, so a given seed always yields the same path.
 
-    The innovations are drawn into the path and the recurrence runs in
-    place on it, one row (all channels) per step.  The coefficients a
+    The path is the one-member case of the chunked sampler the ensemble
+    runs use: the innovations are drawn into the path and the update runs
+    in place on it, one row (all channels) per step.  The coefficients a
     and b = sigma sqrt(1-a^2) are computed per channel with `math`:
     `np.exp` differs from `math.exp` in the last bit on some inputs,
     which would change the path's bytes.
@@ -191,23 +280,10 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
     if not np.allclose(dts, dt, rtol=1e-9, atol=0.0) or dt <= 0:
         raise InputError("time grid must be uniform and increasing")
 
-    n_steps = len(dts)
-    c = spec.n_channels
-    a = np.array([math.exp(-dt / tau) for tau in spec.tau])
-    b = np.array([sigma * math.sqrt(1.0 - a_j * a_j) for sigma, a_j in zip(spec.sigma, a)])
-
-    rng = np.random.default_rng(np.uint64(spec.seed))
-    path = np.empty((n_steps + 1, c))
-    path[0] = spec.sigma * rng.standard_normal(c)
-    rng.standard_normal(out=path[1:])
-    path[1:] *= b
-    carry = np.empty(c)
-    rows = iter(path)  # lazily: a list of row views would cost ~100 B per step
-    prev = next(rows)
-    for row in rows:
-        np.multiply(prev, a, out=carry)
-        np.add(row, carry, out=row)
-        prev = row
+    path = np.empty((len(t_grid), spec.n_channels))
+    rows = _batch_shape(len(path), 1, 8 * spec.n_channels, _BATCH_BYTES)[1]
+    for _ in _ou_chunks(spec.sigma, spec.tau, (spec.seed,), dt, len(path), rows, out=path):
+        pass
     return path
 
 
@@ -218,18 +294,20 @@ def ou_spec_for_grid(grid: Grid, seed: int) -> OUSpec:
                   tau=grid.param_vector("tau")[order], seed=seed)
 
 
-def _noise_values(noise, t_grid: np.ndarray, n_channels: int) -> np.ndarray:
-    """Per-step noise values from an OUSpec or a prebuilt array."""
+def _noise_chunks(noise, t_grid: np.ndarray, n_channels: int, rows: int) -> Iterator[np.ndarray]:
+    """One member's per-step noise values in chunks of at most ``rows``
+    steps, from an OUSpec or a prebuilt array."""
+    n_steps = len(t_grid) - 1
     if isinstance(noise, OUSpec):
         if noise.n_channels != n_channels:
             raise InputError(f"noise spec has {noise.n_channels} channels, need {n_channels}")
-        return ou_sample_path(noise, t_grid)[:-1]
+        return _ou_chunks(noise.sigma, noise.tau, (noise.seed,), t_grid[1] - t_grid[0],
+                          n_steps, rows)
     arr = np.asarray(noise, dtype=float)
-    n_steps = len(t_grid) - 1
     if arr.ndim != 2 or arr.shape[1] != n_channels or arr.shape[0] < n_steps:
         raise InputError(
             f"noise array must be (>= {n_steps}, {n_channels}), got {arr.shape}")
-    return arr[:n_steps]
+    return (arr[k:min(k + rows, n_steps)] for k in range(0, n_steps, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -272,25 +350,83 @@ def _trajectory(t_grid: np.ndarray, record: np.ndarray, n_slow: int) -> Trajecto
                       y=record[:, n_slow:n], ydot=record[:, n + n_slow:])
 
 
-def _integrate_linear(jac, m, d, gain, n_slow: int, cfg: SimConfig, noise) -> Trajectory:
-    """Drift-implicit integration of m x'' = jac x - d x' + gain eta from
-    rest, x holding n_slow slow buses first, then any fast buses.
+def _full_linear_system(sys: LinearizedSystem, cfg: SimConfig):
+    """(jac, m, d, gain, n_slow) of the full linearized model at cfg.epsilon."""
+    jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
+    m = np.concatenate([sys.m_slow, cfg.epsilon * sys.m_fast])
+    d = np.concatenate([sys.d_slow, cfg.epsilon * sys.d_fast])
+    return jac, m, d, np.eye(len(m)), sys.n_slow
 
-    One state record, a row per grid point: rows 1.. first hold the
-    per-step noise forcing, then each step adds the propagated previous
-    row in place.  The noise values are a temporary of the forcing
-    product, so they are released before the stepping starts.
-    """
-    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
+
+def _reduced_system(red: ReducedSystem, cfg: SimConfig):
+    """(jac, m, d, gain, n_slow) of the reduced model: "reduced-naive"
+    keeps only eta_slow, any other model is driven by xi = eta_slow + K eta_fast."""
+    n_s = red.n_slow
+    k = np.zeros((n_s, red.n_fast)) if cfg.model == "reduced-naive" else red.noise_gain
+    return red.j_red, red.m_slow, red.d_slow, np.hstack([np.eye(n_s), k]), n_s
+
+
+def _linear_maps(jac, m, d, gain, dt: float, theta: float):
+    """Step and forcing maps of m x'' = jac x - d x' + gain eta, state
+    (x, x') positions first."""
     n = len(m)
     b = np.zeros((2 * n, gain.shape[1]))
     b[n:] = gain / m[:, None]
-    step, forcing = _linear_step_maps(_second_order_matrix(jac, m, d), b,
-                                      t_grid[1] - t_grid[0], cfg.theta)
-    record = np.zeros((len(t_grid), 2 * n))
-    np.matmul(_noise_values(noise, t_grid, gain.shape[1]), forcing.T, out=record[1:])
-    for k in range(len(t_grid) - 1):
-        record[k + 1] += step @ record[k]
+    return _linear_step_maps(_second_order_matrix(jac, m, d), b, dt, theta)
+
+
+def _row_bytes(width: int, channels: int, n_slow: int) -> int:
+    """Chunk-buffer bytes per row and member of a linear batch: noise values
+    and their draws, the state record, the fold's squared deviations and
+    row means."""
+    return 8 * (2 * channels + width + n_slow + 1)
+
+
+def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable[np.ndarray],
+                   members: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """States of ``members`` copies of X_{k+1} = S X_k + G eta_k from rest,
+    stepped together through time a chunk of at most ``rows`` steps at a
+    time.
+
+    ``noise_chunks`` yields each chunk's per-step noise values, flat
+    (steps, members x C) as _ou_chunks makes them.  Per chunk the forcing
+    of every step and member is one product, written into the rows of
+    the state buffer; each step then adds the propagated previous row in
+    place, one (members, width) product for all members.  Yields
+    ``(k, block)``: the states at grid rows k, k+1, ..., shape
+    (rows, members, width), a view of the buffer the next chunk reuses.
+    The first block starts with the initial state.
+    """
+    width, channels = forcing.shape
+    rec = np.zeros((rows + 1, members, width))
+    row_views = list(rec)  # made once: a view per step would cost ~100 ns each
+    step_t, forcing_t = step.T, forcing.T
+    prod = np.empty((members, width))
+    k = 0
+    for eta in noise_chunks:
+        n = len(eta)
+        np.matmul(eta.reshape(n * members, channels), forcing_t,
+                  out=rec[1:n + 1].reshape(n * members, width))
+        for prev, row in zip(row_views[:n], row_views[1:n + 1]):
+            np.dot(prev, step_t, out=prod)  # on small states np.dot costs half of np.matmul
+            np.add(row, prod, out=row)
+        yield (0, rec[:n + 1]) if k == 0 else (k + 1, rec[1:n + 1])
+        np.copyto(row_views[0], row_views[n])
+        k += n
+
+
+def _integrate_linear(jac, m, d, gain, n_slow: int, cfg: SimConfig, noise) -> Trajectory:
+    """One member of the batched linear loop, collected into a whole state
+    record, a row per grid point, positions first."""
+    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
+    step, forcing = _linear_maps(jac, m, d, gain, t_grid[1] - t_grid[0], cfg.theta)
+    width, channels = forcing.shape
+    rows = _batch_shape(len(t_grid) - 1, 1, _row_bytes(width, channels, n_slow),
+                        _BATCH_BYTES)[1]
+    record = np.empty((len(t_grid), width))
+    for k, block in _linear_chunks(step, forcing, _noise_chunks(noise, t_grid, channels, rows),
+                                   1, rows):
+        record[k:k + len(block)] = block[:, 0]
     return _trajectory(t_grid, record, n_slow)
 
 
@@ -300,10 +436,7 @@ def integrate_full_linear(sys: LinearizedSystem, cfg: SimConfig, noise) -> Traje
     ``noise`` is an OUSpec or a per-step value array over all buses
     (slow then fast).  Returns slow x, xdot and fast y, ydot.
     """
-    jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
-    m = np.concatenate([sys.m_slow, cfg.epsilon * sys.m_fast])
-    d = np.concatenate([sys.d_slow, cfg.epsilon * sys.d_fast])
-    return _integrate_linear(jac, m, d, np.eye(len(m)), sys.n_slow, cfg, noise)
+    return _integrate_linear(*_full_linear_system(sys, cfg), cfg, noise)
 
 
 def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise) -> Trajectory:
@@ -313,10 +446,7 @@ def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise) -> Trajectory:
     (slow then fast).  Model "reduced-naive" keeps only eta_slow; any
     other model drives the system with xi = eta_slow + K eta_fast.
     """
-    n_s = red.n_slow
-    k = np.zeros((n_s, red.n_fast)) if cfg.model == "reduced-naive" else red.noise_gain
-    return _integrate_linear(red.j_red, red.m_slow, red.d_slow,
-                             np.hstack([np.eye(n_s), k]), n_s, cfg, noise)
+    return _integrate_linear(*_reduced_system(red, cfg), cfg, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +491,7 @@ def integrate_full_nonlinear(
     n = grid.n_buses
     n_s = len(grid.slow_ids)
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
-    noise_vals = _noise_values(noise, t_grid, n)
+    noise_vals = next(_noise_chunks(noise, t_grid, n, len(t_grid) - 1))
     dt = t_grid[1] - t_grid[0]
     h = dt * cfg.theta
 
@@ -446,8 +576,63 @@ def integrate_full_nonlinear(
 # Ensemble statistics
 # ---------------------------------------------------------------------------
 
+def _as_batch(member: Trajectory | MemberBatch) -> MemberBatch:
+    """A whole Trajectory as a one-member batch of one chunk."""
+    if isinstance(member, MemberBatch):
+        return member
+    return MemberBatch(t=member.t, n_slow=member.xdot.shape[1],
+                       chunks=iter([(0, member.x[:, None], member.xdot[:, None])]))
+
+
+def _fold_batch(batch: MemberBatch, start: int, ends: list[int]):
+    """Per-member sums of one batch's squared COI frequency deviations over
+    grid rows start, start+1, ...: the total, and one sum per time batch
+    (time batch j ends before row ends[j]).
+
+    Every sum adds its rows in time order, continuing across chunk
+    boundaries from the carried partial sum, so the result does not
+    depend on how the rows were chunked.  Returns (totals, sums) of
+    shapes (members, n_slow) and (time batches, members, n_slow).
+    """
+    total = part = None
+    sums = []
+    expected = 0
+    for k, _, xdot in batch.chunks:
+        if k != expected:
+            raise InputError(f"chunk starts at row {k}, expected {expected}")
+        expected = k + len(xdot)
+        lo = max(k, start)
+        if lo >= expected:
+            continue
+        xdot = xdot[lo - k:]
+        if total is None:
+            total = part = np.zeros(xdot.shape[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # buf[0] carries the running total; buf[1 + i] is the square of row lo + i
+            buf = np.empty((len(xdot) + 1, *xdot.shape[1:]))
+            buf[0] = total
+            dev = buf[1:]
+            np.subtract(xdot, xdot.mean(axis=2, keepdims=True), out=dev)
+            np.square(dev, out=dev)
+            total = buf.sum(axis=0)
+            row = lo
+            while row < expected:
+                hi = min(ends[len(sums)], expected)
+                # the row before this time batch's rows is summed already:
+                # it carries the time batch's partial sum instead
+                buf[row - lo] = part
+                part = buf[row - lo:hi - lo + 1].sum(axis=0)
+                if hi == ends[len(sums)]:
+                    sums.append(part)
+                    part = np.zeros_like(part)
+                row = hi
+    if expected != len(batch.t):
+        raise InputError("trajectories do not share grid and bus ordering")
+    return total, np.array(sums)
+
+
 def coi_frequency_variance_estimate(
-    trajs: Iterable[Trajectory],
+    members: Iterable[Trajectory | MemberBatch],
     burn_in: float,
     bus_ids: tuple[int, ...] | None = None,
 ) -> EnsembleStats:
@@ -458,42 +643,50 @@ def coi_frequency_variance_estimate(
     standard error comes from batch means (_N_BATCHES contiguous time
     batches per trajectory, pooled over the ensemble).
 
-    ``trajs`` may be any iterable, such as the stream of run_ensemble:
-    each member is folded into the sums and released before the next
-    one is taken, so only one member is held at a time.  Raises
-    NumericsError when the estimate is not finite.
+    ``members`` may be any iterable of Trajectory objects (one member
+    each) or MemberBatch streams, such as the stream of run_ensemble:
+    each is folded chunk by chunk into per-member running sums and
+    released before the next one is taken, so only one batch's chunk is
+    held at a time.  The sums add rows in time order and members in
+    ensemble order, so the estimate does not depend on how the members
+    were batched or chunked.  Raises NumericsError when the estimate is
+    not finite.
     """
-    keep = None
+    t = None
     n_members = 0
-    for tr in trajs:
-        if keep is None:
-            t, shape = tr.t, tr.xdot.shape
-            keep = t >= burn_in
-            n_time = int(keep.sum())
+    batch_means = []
+    for member in members:
+        batch = _as_batch(member)
+        del member
+        if t is None:
+            t, n_s = batch.t, batch.n_slow
+            start = int(np.searchsorted(t, burn_in))  # t increases
+            n_time = len(t) - start
             if not n_time:
                 raise InputError(f"no samples after burn_in={burn_in}")
-            sq_sum = np.zeros(shape[1])
-            batch_means = []
-        elif tr.xdot.shape != shape or not np.array_equal(tr.t, t):
+            # the time batches of np.array_split: the first n_time % n_b one row longer
+            n_b = min(_N_BATCHES, n_time)
+            lengths = np.array([n_time // n_b + 1] * (n_time % n_b)
+                               + [n_time // n_b] * (n_b - n_time % n_b))
+            ends = (start + np.cumsum(lengths)).tolist()
+            sq_sum = np.zeros(n_s)
+        elif batch.n_slow != n_s or not np.array_equal(batch.t, t):
             raise InputError("trajectories do not share grid and bus ordering")
-        dev = tr.xdot[keep]  # a copy, so the member itself can go now
-        del tr
+        totals, sums = _fold_batch(batch, start, ends)
+        del batch
         with np.errstate(over="ignore", invalid="ignore"):
-            dev -= dev.mean(axis=1, keepdims=True)
-            sq = np.square(dev, out=dev)
-            sq_sum += sq.sum(axis=0)
-            batch_means.extend(chunk.mean(axis=0) for chunk in
-                               np.array_split(sq, min(_N_BATCHES, n_time), axis=0) if len(chunk))
-        del dev, sq
-        n_members += 1
+            for total in totals:
+                sq_sum += total
+            means = sums / lengths[:, None, None]
+        batch_means.append(means.transpose(1, 0, 2).reshape(-1, n_s))
+        n_members += len(totals)
     if not n_members:
         raise InputError("no trajectories given")
 
-    n_s = shape[1]
     n_total = n_time * n_members
     with np.errstate(over="ignore", invalid="ignore"):
         variance = sq_sum / n_total
-        batch_means = np.array(batch_means)
+        batch_means = np.concatenate(batch_means)
         if len(batch_means) > 1:
             stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means))
         else:
@@ -507,24 +700,65 @@ def coi_frequency_variance_estimate(
                          n_samples=n_total)
 
 
-def run_ensemble(builder, cfg: SimConfig) -> Iterator[Trajectory]:
-    """Stream cfg.ensemble_size trajectories, built one at a time as the
-    caller asks for them.
+def _failure(idx: range, seeds: tuple[int, ...], error: Exception) -> NumericsError:
+    if len(idx) == 1:
+        return NumericsError(f"trajectory {idx[0]} (seed {seeds[0]}) failed: {error}")
+    return NumericsError(f"trajectories {idx[0]}-{idx[-1]} (seeds "
+                         f"{', '.join(map(str, seeds))}) failed: {error}")
 
-    ``builder(seed)`` must return a Trajectory; trajectory i gets seed
-    base_seed XOR i, so results are independent of execution order and
-    bit-reproducible for a fixed base seed.  The stream keeps no
-    reference to a member it has handed out.  An InputError passes
-    through unchanged; a numerical failure (NumericsError, or a
-    ValueError or ArithmeticError from the numerics) becomes a
-    NumericsError naming the trajectory and its seed.
+
+def _guarded_chunks(chunks, idx: range, seeds: tuple[int, ...]):
+    try:
+        yield from chunks
+    except _FAILURES as e:
+        raise _failure(idx, seeds, e) from e
+
+
+def _build(builder, idx: range, seeds: tuple[int, ...]) -> Trajectory | MemberBatch:
+    try:
+        members = builder(seeds)
+    except _FAILURES as e:
+        raise _failure(idx, seeds, e) from e
+    if isinstance(members, MemberBatch):
+        return replace(members, chunks=_guarded_chunks(members.chunks, idx, seeds))
+    return members
+
+
+def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator[Trajectory | MemberBatch]:
+    """Stream cfg.ensemble_size members in batches of at most ``batch``,
+    each built only when the caller asks for it.
+
+    ``builder(seeds)`` must return the members of those seeds: a
+    Trajectory (one member) or a MemberBatch.  Member i gets seed
+    base_seed XOR i, so results are bit-reproducible for a fixed base
+    seed and batch size.  The stream keeps no reference to a batch it
+    has handed out.  An InputError passes through unchanged; a numerical
+    failure (NumericsError, or a ValueError or ArithmeticError from the
+    numerics), while a batch is built or stepped, becomes a
+    NumericsError naming its trajectories and seeds.
     """
-    for idx in range(cfg.ensemble_size):
-        seed = int(np.uint64(cfg.base_seed) ^ np.uint64(idx))
-        try:
-            yield builder(seed)
-        except (NumericsError, ValueError, ArithmeticError) as e:
-            raise NumericsError(f"trajectory {idx} (seed {seed}) failed: {e}") from e
+    for first in range(0, cfg.ensemble_size, batch):
+        idx = range(first, min(first + batch, cfg.ensemble_size))
+        yield _build(builder, idx, tuple(cfg.base_seed ^ i for i in idx))
+
+
+def tee_first_member(members: Iterable[Trajectory | MemberBatch]):
+    """Pass an ensemble stream through unchanged while copying member 0's
+    slow x and xdot.  Returns (stream, record): ``record`` is a Trajectory
+    whose arrays are filled once the stream has passed member 0."""
+    members = iter(members)
+    first = _as_batch(next(members))
+    shape = (len(first.t), first.n_slow)
+    record = Trajectory(t=first.t, x=np.empty(shape), xdot=np.empty(shape))
+
+    def copied(chunks):
+        for k, x, xdot in chunks:
+            record.x[k:k + len(x)] = x[:, 0]
+            record.xdot[k:k + len(x)] = xdot[:, 0]
+            yield k, x, xdot
+
+    first = replace(first, chunks=copied(first.chunks))
+    return itertools.chain([first], members), record
 
 
 # ---------------------------------------------------------------------------
@@ -541,30 +775,58 @@ def linearize_and_reduce(grid: Grid, epsilon: float):
 
 
 def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
-                 red: ReducedSystem, cfg: SimConfig):
-    """Trajectory builder for cfg.model from one setup (see
-    linearize_and_reduce): the returned closure only samples noise and
-    integrates.  Every model draws its noise from ou_spec_for_grid.
-    Refuses a member whose state record plus noise path would exceed
-    MAX_MEMBER_BYTES."""
-    n = grid.n_buses
-    width = 2 * red.n_slow if cfg.model.startswith("reduced") else 2 * n
-    held = (_step_count(cfg.t_end, cfg.dt_max) + 1) * (width + n) * 8
-    if held > MAX_MEMBER_BYTES:
-        raise InputError(f"one trajectory would hold {held / 2**30:.3g} GiB of state record and "
-                         f"noise path, above the limit of {MAX_MEMBER_BYTES / 2**30:.3g} GiB")
+                 red: ReducedSystem, cfg: SimConfig, keep_first: bool = False):
+    """Member builder for cfg.model from one setup (see
+    linearize_and_reduce), and the members it steps together.
+
+    Returns ``(builder, batch)`` for run_ensemble.  The linear models
+    step a batch of members through time in chunks (a MemberBatch); the
+    nonlinear model integrates one member at a time (a Trajectory).
+    Every model draws its noise from ou_spec_for_grid.  Refuses a run
+    whose batch would hold more than MAX_MEMBER_BYTES, counting member
+    0's slow x/xdot record when the caller keeps it (``keep_first``).
+    """
+    n, n_s = grid.n_buses, red.n_slow
+    n_steps = _step_count(cfg.t_end, cfg.dt_max)
+    kept = 8 * (n_steps + 1) * 2 * n_s if keep_first else 0
     if cfg.model == "full-nonlinear":
-        return lambda seed: integrate_full_nonlinear(grid, op, cfg, ou_spec_for_grid(grid, seed))
-    if cfg.model == "full-linear":
-        return lambda seed: integrate_full_linear(sys, cfg, ou_spec_for_grid(grid, seed))
-    return lambda seed: integrate_reduced(red, cfg, ou_spec_for_grid(grid, seed))
+        batch = 1
+        held = 8 * (n_steps + 1) * (3 * n + n_s + 1)  # record, noise path, fold copy
+    else:
+        system = (_full_linear_system(sys, cfg) if cfg.model == "full-linear"
+                  else _reduced_system(red, cfg))
+        width = 2 * len(system[1])
+        row_bytes = _row_bytes(width, n, n_s)
+        batch, rows = _batch_shape(n_steps, cfg.ensemble_size, row_bytes,
+                                   min(_BATCH_BYTES, MAX_MEMBER_BYTES - kept))
+        held = (rows + _PAD_ROWS) * batch * row_bytes
+    if held + kept > MAX_MEMBER_BYTES:
+        raise InputError(f"one batch would hold {(held + kept) / 2**30:.3g} GiB of state and noise "
+                         f"buffers, above the limit of {MAX_MEMBER_BYTES / 2**30:.3g} GiB")
+    if cfg.model == "full-nonlinear":
+        return (lambda seeds: integrate_full_nonlinear(grid, op, cfg,
+                                                       ou_spec_for_grid(grid, seeds[0]))), batch
+
+    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
+    dt = t_grid[1] - t_grid[0]
+    step, forcing = _linear_maps(*system[:4], dt, cfg.theta)
+    noise = ou_spec_for_grid(grid, cfg.base_seed)
+
+    def builder(seeds):
+        chunks = _linear_chunks(step, forcing, _ou_chunks(noise.sigma, noise.tau, seeds, dt,
+                                                          n_steps, rows), len(seeds), rows)
+        return MemberBatch(t=t_grid, n_slow=n_s, chunks=(
+            (k, block[..., :n_s], block[..., width // 2:width // 2 + n_s])
+            for k, block in chunks))
+    return builder, batch
 
 
 def run_model_ensemble(grid: Grid, cfg: SimConfig) -> EnsembleStats:
     """End-to-end ensemble study of one model on one grid."""
     op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
-    return coi_frequency_variance_estimate(run_ensemble(make_builder(grid, op, sys, red, cfg), cfg),
-                                           cfg.burn_in, bus_ids=red.slow_ids)
+    builder, batch = make_builder(grid, op, sys, red, cfg)
+    return coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in,
+                                           bus_ids=red.slow_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,31 @@ class TestSimulate:
         import kronred.simulate
         monkeypatch.setattr(kronred.simulate, "MAX_MEMBER_BYTES", 2**20)
         grid = homogeneous_grid_file(tmp_path)
-        # (10 000 + 1) steps x (2 x 5 states + 5 channels) x 8 B = 1.2 MB
-        assert main(["simulate", grid, "--model", "full-linear", "--t-end", "100", "--dt", "0.01",
-                     "--burn-in", "1", "--ensemble", "1", "--out-dir", str(tmp_path)]) == 2
+        # member 0's slow record alone, kept for trajectory.csv:
+        # (30 000 + 1) steps x (2 x 3 slow buses) x 8 B = 1.44 MB
+        flags = ["--t-end", "300", "--dt", "0.01", "--burn-in", "1", "--ensemble", "1"]
+        assert main(["simulate", grid, "--model", "full-linear", *flags,
+                     "--out-dir", str(tmp_path)]) == 2
         assert "GiB" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+        # compare keeps no record: its chunk buffers fit the same budget
+        assert main(["compare", grid, "--models", "full-linear", *flags,
+                     "--out-dir", str(tmp_path)]) == 0
+
+    def test_bad_decimate_refused_before_any_simulation(self, tmp_path, capsys, monkeypatch):
+        import kronred.cli
+        built = []
+        make_builder = kronred.cli.make_builder
+
+        def counted(*args, **kwargs):
+            built.append(args[-1].model)
+            return make_builder(*args, **kwargs)
+        monkeypatch.setattr(kronred.cli, "make_builder", counted)
+        grid = homogeneous_grid_file(tmp_path)
+        assert main(["simulate", grid, "--model", "full-nonlinear", "--decimate", "0",
+                     "--t-end", "100", "--ensemble", "2", "--out-dir", str(tmp_path)]) == 2
+        assert "--decimate must be >= 1" in capsys.readouterr().err
+        assert built == []
         assert not (tmp_path / "trajectory.csv").exists()
 
 

@@ -12,7 +12,7 @@ from conftest import dense_coupling, make_grid, path3_grid, random_connected_gri
 from kronred.errors import InputError, NumericsError
 from kronred.grid import SLOW, FAST, assemble_linearized, build_jacobian, solve_fixed_point
 from kronred.reduction import reduce_grid
-from kronred.simulate import (EnsembleStats, OUSpec, SimConfig, Trajectory,
+from kronred.simulate import (EnsembleStats, MemberBatch, OUSpec, SimConfig, Trajectory,
                               coi_frequency_variance_estimate, default_dt_max,
                               integrate_full_linear, integrate_full_nonlinear,
                               integrate_reduced, make_time_grid, ou_sample_path,
@@ -93,26 +93,50 @@ class TestOUSampling:
         np.testing.assert_allclose(ou_sample_path(spec, t), np.array(expected),
                                    rtol=1e-13, atol=1e-15)
 
-    def test_bit_equal_to_scalar_recurrence(self):
-        # exactness, not closeness: the path equals y = a*y + b*z in plain
-        # Python floats over the same draws, with a and b from math
-        sigma, tau = [1.0, 0.5, 0.0, 2.0], [0.1, 0.3, 0.1, 0.3]
-        spec = OUSpec(sigma=sigma, tau=tau, seed=13)
-        t = make_time_grid(5.0, 0.01)
+    @staticmethod
+    def scalar_recurrence(sigma, tau, seed, t):
+        """y = a*y + b*z in plain Python floats over the path's draws, with
+        a and b from math."""
         dt = t[1] - t[0]
-        rng = np.random.default_rng(13)
-        y0 = spec.sigma * rng.standard_normal(4)
-        z = rng.standard_normal((len(t) - 1, 4))
-        expected = np.empty((len(t), 4))
-        for j in range(4):
+        rng = np.random.default_rng(seed)
+        y0 = np.asarray(sigma) * rng.standard_normal(len(sigma))
+        z = rng.standard_normal((len(t) - 1, len(sigma)))
+        expected = np.empty((len(t), len(sigma)))
+        for j in range(len(sigma)):
             a = math.exp(-dt / tau[j])
             b = sigma[j] * math.sqrt(1.0 - a * a)
             y = expected[0, j] = float(y0[j])
             for k in range(len(t) - 1):
                 y = expected[k + 1, j] = a * y + b * float(z[k, j])
-        path = ou_sample_path(spec, t)
-        assert np.array_equal(path, expected)
+        return expected
+
+    def test_bit_equal_to_scalar_recurrence(self):
+        # exactness, not closeness
+        sigma, tau = [1.0, 0.5, 0.0, 2.0], [0.1, 0.3, 0.1, 0.3]
+        t = make_time_grid(5.0, 0.01)
+        path = ou_sample_path(OUSpec(sigma=sigma, tau=tau, seed=13), t)
+        assert np.array_equal(path, self.scalar_recurrence(sigma, tau, 13, t))
         assert not path[:, 2].any()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "multiple"])
+    def test_chunked_path_bit_equal_at_chunk_boundaries(self, monkeypatch, offset):
+        # the sampler runs in chunks of rows; a path that ends one row short
+        # of, on, one row past, or on a later chunk boundary equals the
+        # scalar recurrence all the same
+        sigma, tau = [1.0, 0.0, 2.0], [0.1, 0.3, 0.05]
+        monkeypatch.setattr(simulate, "_MIN_CHUNK_ROWS", 1)
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 8 * 3 * (simulate._PAD_ROWS + 7))
+        rows = simulate._batch_shape(10**6, 1, 8 * 3, simulate._BATCH_BYTES)[1]
+        assert rows == 7
+        n_rows = 3 * rows if offset == "multiple" else rows + offset
+        t = np.arange(n_rows) * 0.01
+        path = ou_sample_path(OUSpec(sigma=sigma, tau=tau, seed=17), t)
+        assert np.array_equal(path, self.scalar_recurrence(sigma, tau, 17, t))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_input_error(self, seed):
+        with pytest.raises(InputError, match="seed must be in"):
+            OUSpec(sigma=[1.0], tau=[0.1], seed=seed)
 
     def test_peak_memory_is_one_path(self):
         # innovations are drawn into the path itself, not into a second array
@@ -145,6 +169,12 @@ class TestTimeGrid:
         with pytest.raises(InputError, match=f"{field} must be finite"):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_sim_config_rejects_seed_out_of_range(self, seed):
+        with pytest.raises(InputError, match="base_seed must be in"):
+            SimConfig(model="reduced-xi", dt_max=0.01, t_end=1.0, burn_in=0.0, base_seed=seed)
+        SimConfig(model="reduced-xi", dt_max=0.01, t_end=1.0, burn_in=0.0, base_seed=2**64 - 1)
+
     def test_sim_config_refuses_ensemble_over_step_budget(self):
         # 10 steps per trajectory, but 10^10 steps for the whole ensemble
         with pytest.raises(InputError, match="ensemble_size x steps"):
@@ -154,17 +184,57 @@ class TestTimeGrid:
     @pytest.mark.parametrize("model,width", [("full-nonlinear", 18), ("full-linear", 18),
                                              ("reduced-xi", 12), ("reduced-naive", 12)])
     def test_member_byte_budget(self, monkeypatch, model, width):
-        # record plus noise path: (steps + 1) x (state width + 9 channels) x 8 B
+        # 9 buses, 6 slow, 1000 steps.  A nonlinear member holds its record,
+        # noise path and fold copy: 1001 x (state width + 9 channels + 6 + 1)
+        # x 8 B.  A linear batch holds chunk buffers of
+        # (rows + 20 padding rows) x members x (2 x 9 channels + state width
+        # + 6 + 1) x 8 B, at least one member and one row.  `simulate` also
+        # keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
-        assert red.n_slow == 6
+        assert red.n_slow == 6 and simulate._PAD_ROWS == 20
         cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
-        held = 1001 * (width + 9) * 8
-        monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held)
-        simulate.make_builder(grid, op, sys, red, cfg)
-        monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held - 1)
-        with pytest.raises(InputError, match="noise path, above the limit"):
-            simulate.make_builder(grid, op, sys, red, cfg)
+        if model == "full-nonlinear":
+            held = 1001 * (width + 9 + 6 + 1) * 8
+        else:
+            held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8
+        for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
+            monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
+            simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
+            monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept - 1)
+            with pytest.raises(InputError, match="buffers, above the limit"):
+                simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
+
+    @pytest.mark.parametrize("budget", [2**20, 2**30])
+    def test_large_ensemble_split_into_batches_within_budget(self, monkeypatch, budget):
+        # arithmetic only: 10^6 one-step members are never stepped here
+        grid = random_connected_grid(np.random.default_rng(3), 9)
+        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", budget)
+        cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=0.01, burn_in=0.0,
+                        ensemble_size=10**6)
+        _, batch = simulate.make_builder(grid, op, sys, red, cfg, keep_first=True)
+        row_bytes = (2 * 9 + 18 + 6 + 1) * 8
+        assert 1 < batch < cfg.ensemble_size
+        assert (1 + 20) * batch * row_bytes + 2 * 2 * 6 * 8 <= min(budget, simulate._BATCH_BYTES)
+
+    def test_batch_peak_memory_within_budgeted_bytes(self):
+        # what make_builder counts bounds what a batch really allocates
+        grid = random_connected_grid(np.random.default_rng(1), 40)
+        cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=20.0, burn_in=5.0,
+                        ensemble_size=3, base_seed=2)
+        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
+        row_bytes = simulate._row_bytes(2 * grid.n_buses, grid.n_buses, red.n_slow)
+        rows = simulate._batch_shape(2000, cfg.ensemble_size, row_bytes, simulate._BATCH_BYTES)[1]
+        tracemalloc.start()
+        try:
+            coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch == 3 and rows < 2000
+        assert peak <= (rows + simulate._PAD_ROWS) * batch * row_bytes
 
     def test_default_dt_caps_at_fast_relaxation(self):
         grid = two_bus_grid()
@@ -358,13 +428,16 @@ class TestLinearRecord:
         b[n:] = gain / m[:, None]
         step, g = simulate._linear_step_maps(simulate._second_order_matrix(jac, m, d), b,
                                              t[1] - t[0], cfg.theta)
+        # the batched loop's arithmetic for one member: one forcing product
+        # over the chunk (here the whole path), then per step the row
+        # (1, width) times step.T, added to the step's forcing
         forced = noise @ g.T
-        state = np.zeros(2 * n)
+        state = np.zeros((1, 2 * n))
         states = [state]
         for k in range(len(t) - 1):
-            state = step @ state + forced[k]
+            state = forced[k] + np.dot(state, step.T)
             states.append(state)
-        states = np.array(states)
+        states = np.concatenate(states)
         np.testing.assert_array_equal(traj.x, states[:, :n_s])
         np.testing.assert_array_equal(traj.xdot, states[:, n:n + n_s])
         if model == "full-linear":
@@ -516,8 +589,8 @@ class TestEnsembleRun:
     def test_failure_propagates_with_index(self):
         calls = []
 
-        def builder(seed):
-            calls.append(seed)
+        def builder(seeds):
+            calls.append(seeds)
             if len(calls) == 3:
                 raise ValueError("boom")
             t = make_time_grid(1.0, 0.1)
@@ -529,7 +602,7 @@ class TestEnsembleRun:
             list(run_ensemble(builder, cfg))
 
     def test_input_error_passes_through(self):
-        def builder(seed):
+        def builder(seeds):
             raise InputError("bad input")
 
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0)
@@ -539,11 +612,11 @@ class TestEnsembleRun:
     def test_stream_builds_lazily_and_holds_no_member(self):
         built = []
 
-        def builder(seed):
+        def builder(seeds):
             # every member handed out before has been released
             assert all(ref() is None for ref in built)
             t = make_time_grid(1.0, 0.1)
-            record = np.ones((len(t), 4)) * seed
+            record = np.ones((len(t), 4)) * seeds[0]
             built.append(weakref.ref(record))
             return Trajectory(t=t, x=record[:, :2], xdot=record[:, 2:])
 
@@ -555,19 +628,51 @@ class TestEnsembleRun:
         assert len(built) == 5 and stats.n_samples == 5 * 11
         np.testing.assert_array_equal(stats.variance, 0.0)
 
-    def test_streamed_statistics_equal_pooled_formula(self):
+    def test_batch_failure_while_stepping_names_its_members(self):
+        t = make_time_grid(1.0, 0.1)
+
+        def chunks():
+            yield 0, np.zeros((5, 2, 3)), np.zeros((5, 2, 3))
+            raise FloatingPointError("overflow")
+
+        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
+                        ensemble_size=4, base_seed=8)
+        stream = run_ensemble(lambda seeds: MemberBatch(t=t, n_slow=3, chunks=chunks()), cfg, 2)
+        with pytest.raises(NumericsError, match=r"trajectories 0-1 \(seeds 8, 9\) failed: overflow"):
+            coi_frequency_variance_estimate(stream, burn_in=0.0)
+
+    def test_streamed_statistics_equal_pooled_formula(self, monkeypatch):
+        for chunked in (False, True):
+            if chunked:
+                # two members per batch, chunks of 23 rows: chunk edges fall
+                # inside the 94-row time batches and the ensemble is split
+                monkeypatch.setattr(simulate, "_MIN_CHUNK_ROWS", 10)
+                monkeypatch.setattr(simulate, "_BATCH_BYTES", 9000)
+            self.check_pooled_formula(chunked)
+
+    @staticmethod
+    def check_pooled_formula(chunked):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
                         ensemble_size=3, base_seed=9)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
-        builder = simulate.make_builder(grid, op, sys, red, cfg)
-        stats = coi_frequency_variance_estimate(run_ensemble(builder, cfg), cfg.burn_in,
+        builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
+        assert batch == (2 if chunked else 3)
+        stats = coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in,
                                                 bus_ids=red.slow_ids)
 
-        # the same members, integrated one at a time and pooled here
+        # the same members, collected whole and pooled here
+        members = []
+        for run in run_ensemble(builder, cfg, batch):
+            blocks = [(k, x.copy(), v.copy()) for k, x, v in run.chunks]
+            assert len(blocks) > (16 if chunked else 0)
+            x = np.concatenate([b[1] for b in blocks])
+            xdot = np.concatenate([b[2] for b in blocks])
+            members += [Trajectory(t=run.t, x=x[:, i], xdot=xdot[:, i])
+                        for i in range(xdot.shape[1])]
+        assert len(members) == cfg.ensemble_size
         squares = []
-        for i in range(cfg.ensemble_size):
-            traj = builder(cfg.base_seed ^ i)
+        for traj in members:
             keep = traj.t >= cfg.burn_in
             xdot = traj.xdot[keep]
             squares.append((xdot - xdot.mean(axis=1, keepdims=True))**2)
@@ -582,27 +687,58 @@ class TestEnsembleRun:
             stats.stderr, batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means)))
         assert stats.n_samples == n_time * cfg.ensemble_size
         assert stats.bus_ids == red.slow_ids
-        # any iterable: a plain generator of the same members folds alike
-        members = (builder(cfg.base_seed ^ i) for i in range(cfg.ensemble_size))
-        again = coi_frequency_variance_estimate(members, cfg.burn_in)
+        # any iterable: a plain generator of the same whole members folds alike
+        again = coi_frequency_variance_estimate(iter(members), cfg.burn_in)
         np.testing.assert_array_equal(again.variance, stats.variance)
         np.testing.assert_array_equal(again.stderr, stats.stderr)
 
+    @pytest.mark.parametrize("model", ["full-linear", "reduced-xi", "reduced-naive"])
+    def test_one_member_ensemble_is_the_collector(self, model):
+        # integrate_* and the ensemble run are one loop: member 0 kept by
+        # tee_first_member equals the one-member collector bit for bit
+        grid = random_connected_grid(np.random.default_rng(4), 9)
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=30.0, burn_in=1.0, base_seed=5,
+                        epsilon=0.3)
+        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        builder, batch = simulate.make_builder(grid, op, sys, red, cfg, keep_first=True)
+        members, first = simulate.tee_first_member(run_ensemble(builder, cfg, batch))
+        coi_frequency_variance_estimate(members, cfg.burn_in)
+        integrate = integrate_full_linear if model == "full-linear" else integrate_reduced
+        traj = integrate(sys if model == "full-linear" else red, cfg, ou_spec_for_grid(grid, 5))
+        np.testing.assert_array_equal(first.x, traj.x)
+        np.testing.assert_array_equal(first.xdot, traj.xdot)
+
     def test_peak_memory_of_streamed_ensemble(self):
-        # the fold holds one member at a time, never the whole ensemble
+        # the fold holds one batch's chunk buffers, never a whole record
         grid = random_connected_grid(np.random.default_rng(1), 40)
         cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=50.0, burn_in=5.0,
                         ensemble_size=4, base_seed=2)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
-        builder = simulate.make_builder(grid, op, sys, red, cfg)
+        builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
         tracemalloc.start()
         try:
-            coi_frequency_variance_estimate(run_ensemble(builder, cfg), cfg.burn_in)
+            coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         record_bytes = len(make_time_grid(cfg.t_end, cfg.dt_max)) * 2 * grid.n_buses * 8
         assert peak <= 2.5 * record_bytes
+
+    def test_peak_memory_does_not_grow_with_t_end(self):
+        grid = random_connected_grid(np.random.default_rng(1), 40)
+        peaks = []
+        for t_end in (50.0, 200.0):
+            cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=t_end, burn_in=5.0,
+                            ensemble_size=4, base_seed=2)
+            op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+            builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
+            tracemalloc.start()
+            try:
+                coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_stderr_shrinks_with_ensemble(self):
         grid = path3_grid(sigma_slow=0.05, sigma_fast=0.02)
