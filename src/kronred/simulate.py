@@ -45,11 +45,15 @@ MAX_MEMBER_BYTES = 2 * 2**30
 
 # Bytes of chunk buffers one batch of linear members is stepped through.
 # They set both the members stepped together and the rows per chunk, so a
-# run's memory does not grow with t_end.
+# run's memory does not grow with t_end.  On ieee118, wall time rises
+# below 4 MiB; above it full-linear is flat and reduced-xi gains at most
+# 15 % (at 16 MiB, for 12 MiB more of peak memory).
 _BATCH_BYTES = 4 * 2**20
 # Fewest rows per chunk before an ensemble is split into more batches:
-# each chunk pays a few numpy calls per member and per time batch.
-_MIN_CHUNK_ROWS = 256
+# each chunk pays a few numpy calls per member and per time batch, while
+# each batch pays one step loop.  On ieee118 ensembles of 16 and 64
+# full-linear members, 16 rows was fastest; 256 rows was 40 % slower.
+_MIN_CHUNK_ROWS = 16
 
 _N_BATCHES = 16  # time batches per trajectory behind the batch-means stderr
 # Rows of a batch's chunk buffers beyond its chunk rows: the carried
@@ -216,14 +220,14 @@ def _batch_shape(n_rows: int, ensemble: int, row_bytes: int, budget: int) -> tup
 # ---------------------------------------------------------------------------
 
 def _ou_chunks(sigma: np.ndarray, tau: np.ndarray, seeds: tuple[int, ...], dt: float,
-               n_rows: int, rows: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+               n_rows: int, rows: int) -> Iterator[np.ndarray]:
     """Exact stationary OU values of len(seeds) members at n_rows grid
     points, in consecutive chunks of at most ``rows`` rows.
 
     A chunk is one flat (rows, members x C) array, member i in columns
     i*C .. (i+1)*C - 1, so the update runs once per step over all
     members.  It is a view of one reused buffer, valid until the next
-    chunk, or of ``out`` (one member, shape (n_rows, C)) when given.
+    chunk.
     Member i draws from its own ``default_rng(seeds[i])``: its initial
     state first, then the step innovations row by row, so the values do
     not depend on the chunk size or on the other members.
@@ -233,11 +237,11 @@ def _ou_chunks(sigma: np.ndarray, tau: np.ndarray, seeds: tuple[int, ...], dt: f
     b = np.array([s * math.sqrt(1.0 - a_j * a_j) for s, a_j in zip(sigma, a)])
     a, b = np.tile(a, members), np.tile(b, members)
     rngs = [np.random.default_rng(np.uint64(seed)) for seed in seeds]
-    buf = out if out is not None else np.empty((min(rows, n_rows), members * c))
+    buf = np.empty((min(rows, n_rows), members * c))
     last = np.empty(members * c)
     scaled = np.empty(members * c)
     for k in range(0, n_rows, rows):
-        block = buf[k:k + rows] if out is not None else buf[:min(rows, n_rows - k)]
+        block = buf[:min(rows, n_rows - k)]
         fresh = 1 if k == 0 else 0  # row 0 of the path is the stationary draw
         for i, rng in enumerate(rngs):
             cols = block[:, i * c:(i + 1) * c]
@@ -265,9 +269,9 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
     The draw order (initial state first, then all step innovations) is
     fixed, so a given seed always yields the same path.
 
-    The path is the one-member case of the chunked sampler the ensemble
-    runs use: the innovations are drawn into the path and the update runs
-    in place on it, one row (all channels) per step.  The coefficients a
+    The path is the one-member, one-chunk case of the chunked sampler the
+    ensemble runs use: the innovations are drawn into the path and the
+    update runs in place on it, one row (all channels) per step.  The coefficients a
     and b = sigma sqrt(1-a^2) are computed per channel with `math`:
     `np.exp` differs from `math.exp` in the last bit on some inputs,
     which would change the path's bytes.
@@ -280,11 +284,7 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
     if not np.allclose(dts, dt, rtol=1e-9, atol=0.0) or dt <= 0:
         raise InputError("time grid must be uniform and increasing")
 
-    path = np.empty((len(t_grid), spec.n_channels))
-    rows = _batch_shape(len(path), 1, 8 * spec.n_channels, _BATCH_BYTES)[1]
-    for _ in _ou_chunks(spec.sigma, spec.tau, (spec.seed,), dt, len(path), rows, out=path):
-        pass
-    return path
+    return next(_ou_chunks(spec.sigma, spec.tau, (spec.seed,), dt, len(t_grid), len(t_grid)))
 
 
 def ou_spec_for_grid(grid: Grid, seed: int) -> OUSpec:
@@ -714,22 +714,20 @@ def _guarded_chunks(chunks, idx: range, seeds: tuple[int, ...]):
         raise _failure(idx, seeds, e) from e
 
 
-def _build(builder, idx: range, seeds: tuple[int, ...]) -> Trajectory | MemberBatch:
+def _build(builder, idx: range, seeds: tuple[int, ...]) -> MemberBatch:
     try:
         members = builder(seeds)
     except _FAILURES as e:
         raise _failure(idx, seeds, e) from e
-    if isinstance(members, MemberBatch):
-        return replace(members, chunks=_guarded_chunks(members.chunks, idx, seeds))
-    return members
+    return replace(members, chunks=_guarded_chunks(members.chunks, idx, seeds))
 
 
-def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator[Trajectory | MemberBatch]:
+def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator[MemberBatch]:
     """Stream cfg.ensemble_size members in batches of at most ``batch``,
     each built only when the caller asks for it.
 
-    ``builder(seeds)`` must return the members of those seeds: a
-    Trajectory (one member) or a MemberBatch.  Member i gets seed
+    ``builder(seeds)`` must return the members of those seeds as a
+    MemberBatch.  Member i gets seed
     base_seed XOR i, so results are bit-reproducible for a fixed base
     seed and batch size.  The stream keeps no reference to a batch it
     has handed out.  An InputError passes through unchanged; a numerical
@@ -742,12 +740,12 @@ def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator[Trajectory
         yield _build(builder, idx, tuple(cfg.base_seed ^ i for i in idx))
 
 
-def tee_first_member(members: Iterable[Trajectory | MemberBatch]):
+def tee_first_member(members: Iterable[MemberBatch]):
     """Pass an ensemble stream through unchanged while copying member 0's
     slow x and xdot.  Returns (stream, record): ``record`` is a Trajectory
     whose arrays are filled once the stream has passed member 0."""
     members = iter(members)
-    first = _as_batch(next(members))
+    first = next(members)
     shape = (len(first.t), first.n_slow)
     record = Trajectory(t=first.t, x=np.empty(shape), xdot=np.empty(shape))
 
@@ -780,8 +778,8 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
     linearize_and_reduce), and the members it steps together.
 
     Returns ``(builder, batch)`` for run_ensemble.  The linear models
-    step a batch of members through time in chunks (a MemberBatch); the
-    nonlinear model integrates one member at a time (a Trajectory).
+    step a batch of members through time in chunks; the nonlinear model
+    integrates one member at a time, handed out as one chunk.
     Every model draws its noise from ou_spec_for_grid.  Refuses a run
     whose batch would hold more than MAX_MEMBER_BYTES, counting member
     0's slow x/xdot record when the caller keeps it (``keep_first``).
@@ -804,8 +802,8 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
         raise InputError(f"one batch would hold {(held + kept) / 2**30:.3g} GiB of state and noise "
                          f"buffers, above the limit of {MAX_MEMBER_BYTES / 2**30:.3g} GiB")
     if cfg.model == "full-nonlinear":
-        return (lambda seeds: integrate_full_nonlinear(grid, op, cfg,
-                                                       ou_spec_for_grid(grid, seeds[0]))), batch
+        return (lambda seeds: _as_batch(integrate_full_nonlinear(
+            grid, op, cfg, ou_spec_for_grid(grid, seeds[0])))), batch
 
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     dt = t_grid[1] - t_grid[0]

@@ -118,20 +118,33 @@ class TestOUSampling:
         assert np.array_equal(path, self.scalar_recurrence(sigma, tau, 13, t))
         assert not path[:, 2].any()
 
+    @staticmethod
+    def chunked_path(sigma, tau, seeds, dt, n_rows, rows):
+        """The chunks of the ensemble runs' sampler, copied and joined."""
+        chunks = simulate._ou_chunks(np.array(sigma), np.array(tau), seeds, dt, n_rows, rows)
+        return np.concatenate([chunk.copy() for chunk in chunks])
+
     @pytest.mark.parametrize("offset", [-1, 0, 1, "multiple"])
-    def test_chunked_path_bit_equal_at_chunk_boundaries(self, monkeypatch, offset):
-        # the sampler runs in chunks of rows; a path that ends one row short
-        # of, on, one row past, or on a later chunk boundary equals the
-        # scalar recurrence all the same
-        sigma, tau = [1.0, 0.0, 2.0], [0.1, 0.3, 0.05]
-        monkeypatch.setattr(simulate, "_MIN_CHUNK_ROWS", 1)
-        monkeypatch.setattr(simulate, "_BATCH_BYTES", 8 * 3 * (simulate._PAD_ROWS + 7))
-        rows = simulate._batch_shape(10**6, 1, 8 * 3, simulate._BATCH_BYTES)[1]
-        assert rows == 7
+    def test_chunked_path_bit_equal_at_chunk_boundaries(self, offset):
+        # the ensemble runs sample in chunks of rows; a path that ends one
+        # row short of, on, one row past, or on a later chunk boundary
+        # equals the scalar recurrence all the same
+        sigma, tau, rows = [1.0, 0.0, 2.0], [0.1, 0.3, 0.05], 7
         n_rows = 3 * rows if offset == "multiple" else rows + offset
         t = np.arange(n_rows) * 0.01
-        path = ou_sample_path(OUSpec(sigma=sigma, tau=tau, seed=17), t)
+        path = self.chunked_path(sigma, tau, (17,), 0.01, n_rows, rows)
         assert np.array_equal(path, self.scalar_recurrence(sigma, tau, 17, t))
+
+    def test_members_of_a_chunked_batch_are_their_own_paths(self):
+        # member i of a batch fills columns i*C .. (i+1)*C - 1 with the path
+        # of its own seed, bit for bit, across several chunks
+        sigma, tau, seeds = [1.0, 0.0, 2.0], [0.1, 0.3, 0.05], (17, 2**63 + 5, 0)
+        t = np.arange(23) * 0.01
+        joined = self.chunked_path(sigma, tau, seeds, 0.01, len(t), 7)
+        assert joined.shape == (23, 9)
+        for i, seed in enumerate(seeds):
+            alone = ou_sample_path(OUSpec(sigma=sigma, tau=tau, seed=seed), t)
+            assert np.array_equal(joined[:, 3 * i:3 * i + 3], alone)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_is_input_error(self, seed):
@@ -594,7 +607,8 @@ class TestEnsembleRun:
             if len(calls) == 3:
                 raise ValueError("boom")
             t = make_time_grid(1.0, 0.1)
-            return Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2)))
+            return simulate._as_batch(
+                Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2))))
 
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
                         ensemble_size=4, base_seed=0)
@@ -618,7 +632,7 @@ class TestEnsembleRun:
             t = make_time_grid(1.0, 0.1)
             record = np.ones((len(t), 4)) * seeds[0]
             built.append(weakref.ref(record))
-            return Trajectory(t=t, x=record[:, :2], xdot=record[:, 2:])
+            return simulate._as_batch(Trajectory(t=t, x=record[:, :2], xdot=record[:, 2:]))
 
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
                         ensemble_size=5, base_seed=0)
@@ -683,6 +697,13 @@ class TestEnsembleRun:
         batch_means = np.array([chunk.mean(axis=0) for sq in squares
                                 for chunk in np.array_split(sq, 16, axis=0)])
         np.testing.assert_array_equal(stats.variance, sq_sum / (n_time * cfg.ensemble_size))
+        # stream member i is the member integrated on its own from seed
+        # 9 ^ i: batching changes only the rounding of the products
+        for seed, traj in zip((9, 8, 11), members):
+            alone = integrate_reduced(red, cfg, ou_spec_for_grid(grid, seed))
+            for got, want in ((traj.x, alone.x), (traj.xdot, alone.xdot)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
         np.testing.assert_array_equal(
             stats.stderr, batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means)))
         assert stats.n_samples == n_time * cfg.ensemble_size
