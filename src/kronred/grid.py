@@ -40,6 +40,10 @@ _BUS_FIELDS = {"id", "class", "m", "d", "p", "sigma", "tau", "v"}
 _BUS_REQUIRED = {"id", "class", "m", "d", "p", "sigma", "tau"}
 _LINE_FIELDS = {"from", "to", "B"}
 
+# Most buses a grid may have: the analysis holds dense n x n float64
+# arrays, and 16 384^2 x 8 B is the 2 GiB one simulation batch may hold.
+MAX_BUSES = 16_384
+
 # Newton solve of the fixed point: residual 2-norm tolerance, iteration cap.
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_MAX_ITER = 50
@@ -129,6 +133,8 @@ class Grid:
     def __post_init__(self):
         if not self.buses:
             raise InputError("grid has no buses")
+        if len(self.buses) > MAX_BUSES:
+            raise InputError(f"grid has {len(self.buses)} buses, above the limit of {MAX_BUSES}")
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -373,7 +379,7 @@ def _matpower_table(text: str, name: str) -> list[list[float]]:
     if m is None:
         raise InputError(f"missing mpc.{name} table")
     rows = []
-    for raw in m.group(1).split(";"):
+    for raw in re.split(r"[;\n]", m.group(1)):  # MATLAB ends a row with ; or a newline
         raw = raw.strip()
         if not raw:
             continue

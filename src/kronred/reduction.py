@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, NumericsError
+from . import grid as _grid
 from .grid import FAST, SLOW, Bus, Grid, Line, LinearizedSystem
 
 
@@ -134,6 +135,9 @@ def make_star_grid(
     """
     if n_outer < 1:
         raise InputError(f"n_outer must be >= 1, got {n_outer}")
+    if n_outer + 1 > _grid.MAX_BUSES:  # before any bus is built
+        raise InputError(f"a star of {n_outer} outer buses has {n_outer + 1} buses, "
+                         f"above the limit of {_grid.MAX_BUSES}")
     if center_class not in (SLOW, FAST):
         raise InputError(f"center_class must be 'slow' or 'fast', got {center_class!r}")
     outer_class = FAST if center_class == SLOW else SLOW

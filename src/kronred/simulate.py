@@ -6,10 +6,11 @@ sampled Ornstein-Uhlenbeck values (one value per step), so the noise
 statistics are exact at any step size and noise sampling is cleanly
 separated from drift stepping.  The drift is advanced with a
 theta-implicit step (theta = 0.5: trapezoid, the default; theta = 1:
-backward Euler for very stiff timescale ratios).  The linear models step
-a batch of ensemble members together through time, a chunk of rows at a
-time, and each chunk is folded into the ensemble statistics before the
-next one is stepped, so a linear ensemble run holds no whole trajectory.
+backward Euler for very stiff timescale ratios).  Every model steps a
+batch of ensemble members through time, a chunk of rows at a time, and
+each chunk is folded into the ensemble statistics before the next one is
+stepped, so an ensemble run holds no whole trajectory.  The linear models
+step many members together; the nonlinear model, one.
 
 Noise channels are always ordered slow buses first, then fast buses.
 All models of the same grid draw their channels from the same layout,
@@ -38,12 +39,11 @@ MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
 # Most steps one time grid, and one whole ensemble, may request: this
 # bounds a run's time.
 MAX_STEPS = 10_000_000
-# Most bytes one batch of ensemble members may hold: the chunk buffers the
-# linear models are stepped through, or a nonlinear member's record, noise
-# path and fold copy (`simulate` also keeps member 0's slow x/xdot record).
+# Most bytes one batch of ensemble members may hold: the chunk buffers it
+# is stepped through (`simulate` also keeps member 0's slow x/xdot record).
 MAX_MEMBER_BYTES = 2 * 2**30
 
-# Bytes of chunk buffers one batch of linear members is stepped through.
+# Bytes of chunk buffers one batch of members is stepped through.
 # They set both the members stepped together and the rows per chunk, so a
 # run's memory does not grow with t_end.  On ieee118, wall time rises
 # below 4 MiB; above it full-linear is flat and reduced-xi gains at most
@@ -340,16 +340,6 @@ def _second_order_matrix(jac: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.nd
     return a
 
 
-def _trajectory(t_grid: np.ndarray, record: np.ndarray, n_slow: int) -> Trajectory:
-    """Split a positions-then-velocities record into slow x, xdot and,
-    when it also holds fast buses, fast y, ydot."""
-    n = record.shape[1] // 2
-    if n == n_slow:
-        return Trajectory(t=t_grid, x=record[:, :n], xdot=record[:, n:])
-    return Trajectory(t=t_grid, x=record[:, :n_slow], xdot=record[:, n:n + n_slow],
-                      y=record[:, n_slow:n], ydot=record[:, n + n_slow:])
-
-
 def _full_linear_system(sys: LinearizedSystem, cfg: SimConfig):
     """(jac, m, d, gain, n_slow) of the full linearized model at cfg.epsilon."""
     jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
@@ -376,7 +366,7 @@ def _linear_maps(jac, m, d, gain, dt: float, theta: float):
 
 
 def _row_bytes(width: int, channels: int, n_slow: int) -> int:
-    """Chunk-buffer bytes per row and member of a linear batch: noise values
+    """Chunk-buffer bytes per row and member of a batch: noise values
     and their draws, the state record, the fold's squared deviations and
     row means."""
     return 8 * (2 * channels + width + n_slow + 1)
@@ -415,19 +405,35 @@ def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable
         k += n
 
 
-def _integrate_linear(jac, m, d, gain, n_slow: int, cfg: SimConfig, noise) -> Trajectory:
-    """One member of the batched linear loop, collected into a whole state
-    record, a row per grid point, positions first."""
-    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
-    step, forcing = _linear_maps(jac, m, d, gain, t_grid[1] - t_grid[0], cfg.theta)
-    width, channels = forcing.shape
+def _collect(t_grid: np.ndarray, noise, channels: int, width: int, n_slow: int,
+             member_chunks) -> Trajectory:
+    """One member stepped as a batch of one, collected into a whole state
+    record, a row per grid point, positions first, and split into slow
+    x, xdot and, when the state also holds fast buses, fast y, ydot.
+
+    ``member_chunks(noise_chunks, rows)`` steps the member through the
+    per-step noise values ``noise`` (an OUSpec or an array) and yields
+    ``(k, block)`` as _linear_chunks does, with chunks of as many rows as
+    a one-member ensemble batch gets.
+    """
     rows = _batch_shape(len(t_grid) - 1, 1, _row_bytes(width, channels, n_slow),
                         _BATCH_BYTES)[1]
     record = np.empty((len(t_grid), width))
-    for k, block in _linear_chunks(step, forcing, _noise_chunks(noise, t_grid, channels, rows),
-                                   1, rows):
+    for k, block in member_chunks(_noise_chunks(noise, t_grid, channels, rows), rows):
         record[k:k + len(block)] = block[:, 0]
-    return _trajectory(t_grid, record, n_slow)
+    n = width // 2
+    if n == n_slow:
+        return Trajectory(t=t_grid, x=record[:, :n], xdot=record[:, n:])
+    return Trajectory(t=t_grid, x=record[:, :n_slow], xdot=record[:, n:n + n_slow],
+                      y=record[:, n_slow:n], ydot=record[:, n + n_slow:])
+
+
+def _integrate_linear(jac, m, d, gain, n_slow: int, cfg: SimConfig, noise) -> Trajectory:
+    """One member of the batched linear loop, collected whole."""
+    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
+    step, forcing = _linear_maps(jac, m, d, gain, t_grid[1] - t_grid[0], cfg.theta)
+    return _collect(t_grid, noise, forcing.shape[1], forcing.shape[0], n_slow,
+                    lambda eta, rows: _linear_chunks(step, forcing, eta, 1, rows))
 
 
 def integrate_full_linear(sys: LinearizedSystem, cfg: SimConfig, noise) -> Trajectory:
@@ -487,11 +493,31 @@ def integrate_full_nonlinear(
     angle component is gauge and performs a random walk under noise), is
     flagged as divergence.
     """
+    n = grid.n_buses
+    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
+    return _collect(t_grid, noise, n, 2 * n, len(grid.slow_ids),
+                    lambda eta, rows: _nonlinear_chunks(grid, op, cfg, t_grid, eta, rows, x0, v0))
+
+
+def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np.ndarray,
+                      noise_chunks: Iterable[np.ndarray], rows: int,
+                      x0: np.ndarray | None = None,
+                      v0: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """States of one member of the nonlinear model (see
+    integrate_full_nonlinear), stepped through time a chunk of at most
+    ``rows`` steps at a time.
+
+    ``noise_chunks`` yields each chunk's per-step noise values, one
+    column per bus.  The state, its drift and the chord matrix carry
+    over from one chunk to the next.  Yields ``(k, block)`` as
+    _linear_chunks does: angle deviations from the operating point, then
+    frequencies, at grid rows k, k+1, ..., shape (rows, 1, 2n), a view of
+    the buffer the next chunk reuses.  The first block starts with the
+    initial state.
+    """
     order = grid.ordering()
     n = grid.n_buses
     n_s = len(grid.slow_ids)
-    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
-    noise_vals = next(_noise_chunks(noise, t_grid, n, len(t_grid) - 1))
     dt = t_grid[1] - t_grid[0]
     h = dt * cfg.theta
 
@@ -529,47 +555,50 @@ def integrate_full_nonlinear(
             raise NumericsError(f"implicit step solve failed at t={t:.4g}")
         return chord
 
-    n_steps = len(t_grid) - 1
     dev0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     omega0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     if dev0.shape != (n,) or omega0.shape != (n,):
         raise InputError(f"initial condition must have shape ({n},)")
-    # Row k: angle deviations from the operating point, then frequencies.
-    record = np.empty((n_steps + 1, 2 * n))
-    record[0, :n] = dev0
-    record[0, n:] = omega0
+    rec = np.empty((rows + 1, 1, 2 * n))
+    states = rec[:, 0]  # row i + 1: angle deviations, then frequencies, after step k + i
+    states[0, :n] = dev0
+    states[0, n:] = omega0
     state = np.concatenate([theta_star + dev0, omega0])
     f0 = drift(state)
     chord = chord_matrix(theta_star, t_grid[0])
 
-    for k in range(n_steps):
-        euler_step = dt * f0  # dt (f(X) + F)
-        euler_step[n:] += noise_vals[k] * kick_scale
-        base = state + euler_step - h * f0
-        trial = state + chord.dot(euler_step)
-        last = math.inf
-        for it in range(_NEWTON_MAX_ITER):
-            f0 = drift(trial)
-            residual = trial - base - h * f0
-            res = np.abs(residual).max()
-            if res <= _NEWTON_TOL:
-                break
-            rate = res / last
-            if rate > 0.5 or res * rate ** (_NEWTON_MAX_ITER - 1 - it) > _NEWTON_TOL:
-                chord = chord_matrix(trial[:n], t_grid[k])
-            last = res
-            trial = trial - chord.dot(residual)
-        else:
-            raise NumericsError(
-                f"Newton did not converge at t={t_grid[k]:.4g}; reduce dt_max")
-        state = trial
-        dev = state[:n] - theta_star
-        if np.abs(dev - dev.sum() / n).max() > math.pi:
-            raise NumericsError(
-                f"divergence detected at t={t_grid[k + 1]:.4g}: |COI-frame deviation| > pi")
-        record[k + 1, :n] = dev
-        record[k + 1, n:] = state[n:]
-    return _trajectory(t_grid, record, n_s)
+    k = 0
+    for eta in noise_chunks:
+        for i, noise_i in enumerate(eta):
+            euler_step = dt * f0  # dt (f(X) + F)
+            euler_step[n:] += noise_i * kick_scale
+            base = state + euler_step - h * f0
+            trial = state + chord.dot(euler_step)
+            last = math.inf
+            for it in range(_NEWTON_MAX_ITER):
+                f0 = drift(trial)
+                residual = trial - base - h * f0
+                res = np.abs(residual).max()
+                if res <= _NEWTON_TOL:
+                    break
+                rate = res / last
+                if rate > 0.5 or res * rate ** (_NEWTON_MAX_ITER - 1 - it) > _NEWTON_TOL:
+                    chord = chord_matrix(trial[:n], t_grid[k + i])
+                last = res
+                trial = trial - chord.dot(residual)
+            else:
+                raise NumericsError(
+                    f"Newton did not converge at t={t_grid[k + i]:.4g}; reduce dt_max")
+            state = trial
+            dev = state[:n] - theta_star
+            if np.abs(dev - dev.sum() / n).max() > math.pi:
+                raise NumericsError(f"divergence detected at t={t_grid[k + i + 1]:.4g}: "
+                                    "|COI-frame deviation| > pi")
+            states[i + 1, :n] = dev
+            states[i + 1, n:] = state[n:]
+        n_rows = len(eta)
+        yield (0, rec[:n_rows + 1]) if k == 0 else (k + 1, rec[1:n_rows + 1])
+        k += n_rows
 
 
 # ---------------------------------------------------------------------------
@@ -777,42 +806,43 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
     """Member builder for cfg.model from one setup (see
     linearize_and_reduce), and the members it steps together.
 
-    Returns ``(builder, batch)`` for run_ensemble.  The linear models
-    step a batch of members through time in chunks; the nonlinear model
-    integrates one member at a time, handed out as one chunk.
-    Every model draws its noise from ou_spec_for_grid.  Refuses a run
+    Returns ``(builder, batch)`` for run_ensemble.  Every model steps a
+    batch of members through time in chunks of rows and draws its noise
+    from ou_spec_for_grid; the nonlinear model's batch is one member,
+    since its drift is evaluated one state at a time.  Refuses a run
     whose batch would hold more than MAX_MEMBER_BYTES, counting member
     0's slow x/xdot record when the caller keeps it (``keep_first``).
     """
     n, n_s = grid.n_buses, red.n_slow
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
     kept = 8 * (n_steps + 1) * 2 * n_s if keep_first else 0
-    if cfg.model == "full-nonlinear":
-        batch = 1
-        held = 8 * (n_steps + 1) * (3 * n + n_s + 1)  # record, noise path, fold copy
-    else:
-        system = (_full_linear_system(sys, cfg) if cfg.model == "full-linear"
-                  else _reduced_system(red, cfg))
-        width = 2 * len(system[1])
-        row_bytes = _row_bytes(width, n, n_s)
-        batch, rows = _batch_shape(n_steps, cfg.ensemble_size, row_bytes,
-                                   min(_BATCH_BYTES, MAX_MEMBER_BYTES - kept))
-        held = (rows + _PAD_ROWS) * batch * row_bytes
+    width = 2 * (n_s if cfg.model.startswith("reduced") else n)
+    row_bytes = _row_bytes(width, n, n_s)
+    ensemble = 1 if cfg.model == "full-nonlinear" else cfg.ensemble_size
+    batch, rows = _batch_shape(n_steps, ensemble, row_bytes,
+                               min(_BATCH_BYTES, MAX_MEMBER_BYTES - kept))
+    held = (rows + _PAD_ROWS) * batch * row_bytes
     if held + kept > MAX_MEMBER_BYTES:
         raise InputError(f"one batch would hold {(held + kept) / 2**30:.3g} GiB of state and noise "
                          f"buffers, above the limit of {MAX_MEMBER_BYTES / 2**30:.3g} GiB")
-    if cfg.model == "full-nonlinear":
-        return (lambda seeds: _as_batch(integrate_full_nonlinear(
-            grid, op, cfg, ou_spec_for_grid(grid, seeds[0])))), batch
 
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     dt = t_grid[1] - t_grid[0]
-    step, forcing = _linear_maps(*system[:4], dt, cfg.theta)
     noise = ou_spec_for_grid(grid, cfg.base_seed)
+    if cfg.model == "full-nonlinear":
+        def member_chunks(eta, members):
+            return _nonlinear_chunks(grid, op, cfg, t_grid, eta, rows)
+    else:
+        system = (_full_linear_system(sys, cfg) if cfg.model == "full-linear"
+                  else _reduced_system(red, cfg))
+        step, forcing = _linear_maps(*system[:4], dt, cfg.theta)
+
+        def member_chunks(eta, members):
+            return _linear_chunks(step, forcing, eta, members, rows)
 
     def builder(seeds):
-        chunks = _linear_chunks(step, forcing, _ou_chunks(noise.sigma, noise.tau, seeds, dt,
-                                                          n_steps, rows), len(seeds), rows)
+        chunks = member_chunks(_ou_chunks(noise.sigma, noise.tau, seeds, dt, n_steps, rows),
+                               len(seeds))
         return MemberBatch(t=t_grid, n_slow=n_s, chunks=(
             (k, block[..., :n_s], block[..., width // 2:width // 2 + n_s])
             for k, block in chunks))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kronred.grid
 from kronred.cli import main
 from kronred.grid import serialize_grid_json
 from kronred.reduction import make_star_grid
@@ -168,6 +169,14 @@ class TestVariance:
         assert err.startswith("input error:") and "must be finite" in err
         assert not (tmp_path / "variance.csv").exists()
 
+    def test_grid_above_bus_limit_is_input_error(self, tmp_path, capsys, monkeypatch):
+        grid = write_grid(tmp_path, serialize_grid_json(make_star_grid(8, "slow")))
+        monkeypatch.setattr(kronred.grid, "MAX_BUSES", 8)
+        out = tmp_path / "out"
+        assert main(["variance", grid, "--out-dir", str(out)]) == 2
+        assert "grid has 9 buses, above the limit of 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sigma_dist_overflowing_sigma_squared_is_input_error(self, tmp_path, capsys):
         case = write_grid(tmp_path, THREE_BUS_CASE, name="case3.m")
         assert main(["variance", case, "--sigma-dist", "uniform:0:1e300",
@@ -272,9 +281,10 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)]) == 2
         assert "GiB" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
-        # compare keeps no record: its chunk buffers fit the same budget
-        assert main(["compare", grid, "--models", "full-linear", *flags,
-                     "--out-dir", str(tmp_path)]) == 0
+        # compare keeps no record: every model's chunk buffers fit the same budget
+        for model in ("full-linear", "full-nonlinear"):
+            assert main(["compare", grid, "--models", model, *flags,
+                         "--out-dir", str(tmp_path)]) == 0
 
     def test_bad_decimate_refused_before_any_simulation(self, tmp_path, capsys, monkeypatch):
         import kronred.cli
@@ -423,6 +433,13 @@ class TestStarDemo:
 
     def test_n_outer_one_rejected(self, tmp_path, capsys):
         assert main(["star-demo", "--n-outer", "1", "--out-dir", str(tmp_path)]) == 2
+
+    def test_star_above_bus_limit_is_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(kronred.grid, "MAX_BUSES", 8)
+        out = tmp_path / "out"
+        assert main(["star-demo", "--n-outer", "8", "--out-dir", str(out)]) == 2
+        assert "9 buses, above the limit of 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sigma_squared_overflow_is_input_error(self, tmp_path, capsys):
         assert main(["star-demo", "--sigma", "1e300", "--out-dir", str(tmp_path)]) == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,13 @@ class TestParseMatpower:
         b = {(ln.from_bus, ln.to_bus): ln.b for ln in grid.lines}
         assert b[(1, 2)] == pytest.approx(10.0)  # 1/x
         assert b[(2, 3)] == pytest.approx(5.0)
+
+    def test_rows_ended_by_newline_only(self):
+        # MATLAB ends a matrix row with a semicolon or a newline
+        plain = re.sub(r"(?m)^( .*);$", r"\1", THREE_BUS_CASE)
+        assert plain.count(";") == 4  # mpc.baseMVA and the three closing ];
+        assert (parse_matpower_case(plain, DEFAULTS_SLOW, DEFAULTS_FAST)
+                == parse_matpower_case(THREE_BUS_CASE, DEFAULTS_SLOW, DEFAULTS_FAST))
 
     def test_zero_reactance_rejected(self):
         bad = THREE_BUS_CASE.replace("1 2 0.01 0.1 ", "1 2 0.01 0.0 ")

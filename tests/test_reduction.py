@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import kronred.grid
+import kronred.reduction
 from conftest import path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
 from kronred.grid import FAST, SLOW, LinearizedSystem, assemble_linearized, \
@@ -134,6 +136,12 @@ class TestMakeStarGrid:
     def test_degenerate_single_outer(self):
         grid = make_star_grid(1, center_class=SLOW)
         assert grid.n_buses == 2
+
+    def test_above_bus_limit_refused_before_any_bus(self, monkeypatch):
+        monkeypatch.setattr(kronred.grid, "MAX_BUSES", 8)
+        monkeypatch.setattr(kronred.reduction, "Bus", None)  # building one fails
+        with pytest.raises(InputError, match="9 buses, above the limit of 8"):
+            make_star_grid(8, center_class=SLOW)
 
     def test_uniform_mode_noise_power_scales_with_loads(self):
         # generator center: u^T K diag(sigma^2) K^T u = sigma^2 N_F exactly

@@ -197,20 +197,15 @@ class TestTimeGrid:
     @pytest.mark.parametrize("model,width", [("full-nonlinear", 18), ("full-linear", 18),
                                              ("reduced-xi", 12), ("reduced-naive", 12)])
     def test_member_byte_budget(self, monkeypatch, model, width):
-        # 9 buses, 6 slow, 1000 steps.  A nonlinear member holds its record,
-        # noise path and fold copy: 1001 x (state width + 9 channels + 6 + 1)
-        # x 8 B.  A linear batch holds chunk buffers of
-        # (rows + 20 padding rows) x members x (2 x 9 channels + state width
-        # + 6 + 1) x 8 B, at least one member and one row.  `simulate` also
-        # keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
+        # 9 buses, 6 slow, 1000 steps.  Every model's batch holds chunk
+        # buffers of (rows + 20 padding rows) x members x (2 x 9 channels
+        # + state width + 6 + 1) x 8 B, at least one member and one row.
+        # `simulate` also keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
         assert red.n_slow == 6 and simulate._PAD_ROWS == 20
         cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
-        if model == "full-nonlinear":
-            held = 1001 * (width + 9 + 6 + 1) * 8
-        else:
-            held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8
+        held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
             simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
@@ -362,6 +357,35 @@ class TestFullNonlinearStepper:
         np.testing.assert_array_equal(traj.x[0], x0[:len(grid.slow_ids)])
         if deviation:
             assert len(builds) > 1
+
+    def test_chunk_edges_leave_a_member_unchanged(self, monkeypatch):
+        # chunks of 7 rows against one chunk: the state, its drift and the
+        # chord matrix rebuilt far from the operating point carry over
+        # every chunk edge
+        grid = random_connected_grid(np.random.default_rng(3), 7, injection_scale=0.3)
+        op = solve_fixed_point(grid)
+        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
+                        epsilon=0.05)
+        n, n_s = grid.n_buses, len(grid.slow_ids)
+        noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
+        x0 = 1.2 * np.cos(np.arange(n))
+        whole = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
+        assert simulate._batch_shape(300, 1, simulate._row_bytes(2 * n, n, n_s),
+                                     simulate._BATCH_BYTES)[1] == 300
+        builds = []
+        jacobian = simulate._angle_jacobian
+
+        def counting_jacobian(*args):
+            builds.append(args)
+            return jacobian(*args)
+
+        monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
+        monkeypatch.setattr(simulate, "_BATCH_BYTES",
+                            (7 + simulate._PAD_ROWS) * simulate._row_bytes(2 * n, n, n_s))
+        chunked = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
+        assert len(builds) > 1
+        for name in ("x", "xdot", "y", "ydot"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
     def test_ensemble_bit_identical_for_fixed_seed(self):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
@@ -713,7 +737,7 @@ class TestEnsembleRun:
         np.testing.assert_array_equal(again.variance, stats.variance)
         np.testing.assert_array_equal(again.stderr, stats.stderr)
 
-    @pytest.mark.parametrize("model", ["full-linear", "reduced-xi", "reduced-naive"])
+    @pytest.mark.parametrize("model", simulate.MODELS)
     def test_one_member_ensemble_is_the_collector(self, model):
         # integrate_* and the ensemble run are one loop: member 0 kept by
         # tee_first_member equals the one-member collector bit for bit
@@ -724,8 +748,13 @@ class TestEnsembleRun:
         builder, batch = simulate.make_builder(grid, op, sys, red, cfg, keep_first=True)
         members, first = simulate.tee_first_member(run_ensemble(builder, cfg, batch))
         coi_frequency_variance_estimate(members, cfg.burn_in)
-        integrate = integrate_full_linear if model == "full-linear" else integrate_reduced
-        traj = integrate(sys if model == "full-linear" else red, cfg, ou_spec_for_grid(grid, 5))
+        noise = ou_spec_for_grid(grid, 5)
+        if model == "full-nonlinear":
+            traj = integrate_full_nonlinear(grid, op, cfg, noise)
+        elif model == "full-linear":
+            traj = integrate_full_linear(sys, cfg, noise)
+        else:
+            traj = integrate_reduced(red, cfg, noise)
         np.testing.assert_array_equal(first.x, traj.x)
         np.testing.assert_array_equal(first.xdot, traj.xdot)
 
@@ -745,13 +774,24 @@ class TestEnsembleRun:
         record_bytes = len(make_time_grid(cfg.t_end, cfg.dt_max)) * 2 * grid.n_buses * 8
         assert peak <= 2.5 * record_bytes
 
-    def test_peak_memory_does_not_grow_with_t_end(self):
-        grid = random_connected_grid(np.random.default_rng(1), 40)
+    def test_peak_memory_does_not_grow_with_t_end(self, monkeypatch):
+        self.check_peak_memory_does_not_grow("full-linear", 40, 4, (50.0, 200.0))
+        # the nonlinear steps cost more: chunks of 179 rows, so short runs span several
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 2**16)
+        self.check_peak_memory_does_not_grow("full-nonlinear", 9, 1, (5.0, 20.0))
+
+    @staticmethod
+    def check_peak_memory_does_not_grow(model, n_buses, ensemble, t_ends):
+        grid = random_connected_grid(np.random.default_rng(1), n_buses)
         peaks = []
-        for t_end in (50.0, 200.0):
-            cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=t_end, burn_in=5.0,
-                            ensemble_size=4, base_seed=2)
+        for t_end in t_ends:
+            cfg = SimConfig(model=model, dt_max=0.01, t_end=t_end, burn_in=1.0,
+                            ensemble_size=ensemble, base_seed=2)
             op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+            row_bytes = simulate._row_bytes(2 * n_buses, n_buses, red.n_slow)
+            n_steps = round(t_end / cfg.dt_max)
+            rows = simulate._batch_shape(n_steps, ensemble, row_bytes, simulate._BATCH_BYTES)[1]
+            assert rows < n_steps
             builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
             tracemalloc.start()
             try:
