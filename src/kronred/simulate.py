@@ -9,8 +9,9 @@ theta-implicit step (theta = 0.5: trapezoid, the default; theta = 1:
 backward Euler for very stiff timescale ratios).  Every model steps a
 batch of ensemble members through time, a chunk of rows at a time, and
 each chunk is folded into the ensemble statistics before the next one is
-stepped, so an ensemble run holds no whole trajectory.  The linear models
-step many members together; the nonlinear model, one.
+stepped, so an ensemble run holds no whole trajectory.  The nonlinear
+model runs through the linear models' recurrence too: it solves its
+implicit steps a window of rows at a time by Picard sweeps.
 
 Noise channels are always ordered slow buses first, then fast buses.
 All models of the same grid draw their channels from the same layout,
@@ -61,9 +62,14 @@ _N_BATCHES = 16  # time batches per trajectory behind the batch-means stderr
 _PAD_ROWS = _N_BATCHES + 4
 
 # Acceptance of a nonlinear implicit step: max-norm of the exact step
-# residual, and the iteration cap.
-_NEWTON_TOL = 1e-10
-_NEWTON_MAX_ITER = 30
+# residual.  A Picard window of the nonlinear model takes at most
+# _MAX_SWEEPS sweeps.
+_STEP_TOL = 1e-10
+_MAX_SWEEPS = 30
+# Rows per Picard window of the nonlinear model.  Longer windows need more
+# sweeps, and each sweep pays a few numpy calls per window and one
+# propagation product per row.
+_WINDOW_ROWS = 64
 
 # Errors of the numerics that a run reports as a failed trajectory (exit 3).
 _FAILURES = (NumericsError, ValueError, ArithmeticError)
@@ -205,13 +211,20 @@ def default_burn_in(grid: Grid) -> float:
     return 10.0 * max(tau_max, relax)
 
 
-def _batch_shape(n_rows: int, ensemble: int, row_bytes: int, budget: int) -> tuple[int, int]:
+def _batch_shape(n_rows: int, ensemble: int, row_bytes: int, budget: int, window: int = 1,
+                 window_bytes: int = 0) -> tuple[int, int]:
     """Members stepped together and rows per chunk for a batch whose chunk
-    buffers hold (rows + _PAD_ROWS) x members x row_bytes bytes: as many
-    members as keep chunks at _MIN_CHUNK_ROWS rows within ``budget``, then
-    as many rows as the budget allows.  Never below one of each."""
-    members = max(1, min(ensemble, budget // ((_MIN_CHUNK_ROWS + _PAD_ROWS) * row_bytes)))
-    rows = max(1, min(n_rows, budget // (members * row_bytes) - _PAD_ROWS))
+    buffers hold (rows + _PAD_ROWS) x members x row_bytes bytes, plus
+    ``window_bytes`` per member for work arrays of ``window`` rows: as many
+    members as keep chunks at max(_MIN_CHUNK_ROWS, window) rows within
+    ``budget``, then as many rows as the budget allows, a multiple of
+    ``window`` when the run spans several chunks of more than one window.
+    Never below one of each."""
+    floor = (max(_MIN_CHUNK_ROWS, window) + _PAD_ROWS) * row_bytes + window_bytes
+    members = max(1, min(ensemble, budget // floor))
+    rows = max(1, min(n_rows, (budget // members - window_bytes) // row_bytes - _PAD_ROWS))
+    if window < rows < n_rows:
+        rows -= rows % window
     return members, rows
 
 
@@ -372,6 +385,16 @@ def _row_bytes(width: int, channels: int, n_slow: int) -> int:
     return 8 * (2 * channels + width + n_slow + 1)
 
 
+def _propagate(rows: list[np.ndarray], step_t: np.ndarray, prod: np.ndarray) -> None:
+    """Add S times each row to the next, in place, in time order: rows[i + 1]
+    += rows[i] S^T, one (members, width) product per step for all members.
+    ``rows`` are views made once by the caller: a view per step would cost
+    ~100 ns each."""
+    for prev, row in zip(rows[:-1], rows[1:]):
+        np.dot(prev, step_t, out=prod)  # on small states np.dot costs half of np.matmul
+        np.add(row, prod, out=row)
+
+
 def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable[np.ndarray],
                    members: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
     """States of ``members`` copies of X_{k+1} = S X_k + G eta_k from rest,
@@ -389,7 +412,7 @@ def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable
     """
     width, channels = forcing.shape
     rec = np.zeros((rows + 1, members, width))
-    row_views = list(rec)  # made once: a view per step would cost ~100 ns each
+    row_views = list(rec)
     step_t, forcing_t = step.T, forcing.T
     prod = np.empty((members, width))
     k = 0
@@ -397,16 +420,14 @@ def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable
         n = len(eta)
         np.matmul(eta.reshape(n * members, channels), forcing_t,
                   out=rec[1:n + 1].reshape(n * members, width))
-        for prev, row in zip(row_views[:n], row_views[1:n + 1]):
-            np.dot(prev, step_t, out=prod)  # on small states np.dot costs half of np.matmul
-            np.add(row, prod, out=row)
+        _propagate(row_views[:n + 1], step_t, prod)
         yield (0, rec[:n + 1]) if k == 0 else (k + 1, rec[1:n + 1])
         np.copyto(row_views[0], row_views[n])
         k += n
 
 
 def _collect(t_grid: np.ndarray, noise, channels: int, width: int, n_slow: int,
-             member_chunks) -> Trajectory:
+             member_chunks, window: int = 1, window_bytes: int = 0) -> Trajectory:
     """One member stepped as a batch of one, collected into a whole state
     record, a row per grid point, positions first, and split into slow
     x, xdot and, when the state also holds fast buses, fast y, ydot.
@@ -414,10 +435,11 @@ def _collect(t_grid: np.ndarray, noise, channels: int, width: int, n_slow: int,
     ``member_chunks(noise_chunks, rows)`` steps the member through the
     per-step noise values ``noise`` (an OUSpec or an array) and yields
     ``(k, block)`` as _linear_chunks does, with chunks of as many rows as
-    a one-member ensemble batch gets.
+    a one-member ensemble batch gets (see _batch_shape for ``window`` and
+    ``window_bytes``).
     """
     rows = _batch_shape(len(t_grid) - 1, 1, _row_bytes(width, channels, n_slow),
-                        _BATCH_BYTES)[1]
+                        _BATCH_BYTES, window, window_bytes)[1]
     record = np.empty((len(t_grid), width))
     for k, block in member_chunks(_noise_chunks(noise, t_grid, channels, rows), rows):
         record[k:k + len(block)] = block[:, 0]
@@ -459,6 +481,13 @@ def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise) -> Trajectory:
 # Full nonlinear model
 # ---------------------------------------------------------------------------
 
+def _window_bytes(n: int, n_lines: int) -> int:
+    """Bytes of one member's Picard window work arrays in the nonlinear
+    model (see _nonlinear_chunks): per row and member, six bus vectors,
+    two products' temporaries and the lines' angle differences."""
+    return 8 * (_WINDOW_ROWS + 1) * (8 * n + n_lines)
+
+
 def integrate_full_nonlinear(
     grid: Grid,
     op: OperatingPoint,
@@ -471,21 +500,12 @@ def integrate_full_nonlinear(
 
     Each step solves the theta-implicit equation
     ``z - X - dt (1 - theta) f(X) - dt F - dt theta f(z) = 0`` over the
-    2n-dimensional state (F: the noise forcing, constant over the step)
-    by a chord (simplified Newton) iteration ``z <- z - C r(z)``, where
-    ``C`` is the inverse of ``I - theta dt A`` and ``A`` the drift
-    Jacobian.  ``C`` is built once at the operating point and rebuilt at
-    the current iterate only when a correction fails to halve the
-    max-norm residual, or when its contraction rate could not reach the
-    tolerance within the iterations left (Hairer & Wanner, Solving ODEs
-    II, IV.8); the rebuilt matrix is kept for later steps.  ``C`` only
-    steers the corrections: a step is accepted when the max-norm of the
-    exact residual is <= 1e-10, within 30 iterations.  Each step starts
-    from the linearly implicit predictor ``X + C dt (f(X) + F)``, and
-    the drift of the accepted iterate is reused as the next step's
-    ``f(X)``.  The coupling flows are evaluated over the line list, so
-    a drift costs O(lines).  Fast buses use epsilon-scaled inertia and
-    damping.
+    2n-dimensional state (F: the noise forcing, constant over the step).
+    The steps are solved a window of rows at a time by Picard sweeps
+    through the linear models' recurrence (see _nonlinear_chunks); a step
+    is accepted when the max-norm of its exact residual is <= 1e-10.  The
+    coupling flows are evaluated over the line list, so a drift costs
+    O(lines).  Fast buses use epsilon-scaled inertia and damping.
     ``x0``/``v0`` are optional initial angle deviations from the
     operating point and initial frequencies, in slow-then-fast order
     (default: start at the operating point at rest).  A deviation beyond
@@ -496,108 +516,191 @@ def integrate_full_nonlinear(
     n = grid.n_buses
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     return _collect(t_grid, noise, n, 2 * n, len(grid.slow_ids),
-                    lambda eta, rows: _nonlinear_chunks(grid, op, cfg, t_grid, eta, rows, x0, v0))
+                    lambda eta, rows: _nonlinear_chunks(grid, op, cfg, t_grid, eta, 1, rows,
+                                                        x0, v0),
+                    _WINDOW_ROWS, _window_bytes(n, len(grid.lines)))
 
 
 def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np.ndarray,
-                      noise_chunks: Iterable[np.ndarray], rows: int,
+                      noise_chunks: Iterable[np.ndarray], members: int, rows: int,
                       x0: np.ndarray | None = None,
                       v0: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """States of one member of the nonlinear model (see
-    integrate_full_nonlinear), stepped through time a chunk of at most
-    ``rows`` steps at a time.
+    """States of ``members`` copies of the nonlinear model (see
+    integrate_full_nonlinear), stepped together through time a chunk of at
+    most ``rows`` steps at a time by windowed Picard sweeps (waveform
+    relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE TCAD
+    1(3), 1982).
 
-    ``noise_chunks`` yields each chunk's per-step noise values, one
-    column per bus.  The state, its drift and the chord matrix carry
-    over from one chunk to the next.  Yields ``(k, block)`` as
-    _linear_chunks does: angle deviations from the operating point, then
-    frequencies, at grid rows k, k+1, ..., shape (rows, 1, 2n), a view of
-    the buffer the next chunk reuses.  The first block starts with the
-    initial state.
+    The drift splits as f(X) = A X + r(X), A the drift Jacobian at some
+    angles, and r, like the noise, is a force per bus.  The theta step is
+    then the linear models' recurrence
+    ``X_{k+1} = S X_k + G (eta_k + (1 - theta) r_k + theta r_{k+1})``
+    with S and G the step and forcing maps of A.  Over a window of
+    _WINDOW_ROWS rows, each sweep runs that recurrence for every member at
+    once, with r from the previous sweep, then evaluates the flows, r and
+    the exact step residual over every row, member and line in one pass.
+    The first sweep holds r at the window's first row: it is the linearly
+    implicit predictor.  A window is accepted when every step's residual
+    has max-norm <= _STEP_TOL.  It stalls when a sweep fails to halve the
+    residual, or when that rate could not reach the tolerance within the
+    sweeps left (the chord rule of Hairer & Wanner, Solving ODEs II,
+    IV.8); a stalled window is bisected, so window edges stay at multiples
+    of _WINDOW_ROWS.  A one-row sweep is one chord iteration, so at one
+    row a stall instead rebuilds A, S and G at the iterate of the member
+    with the largest residual; the rebuilt maps are kept for later
+    windows.  A one-row window that does not converge within _MAX_SWEEPS
+    sweeps fails the run.  Every accepted window is checked for
+    divergence, and the first row past it is reported.
+
+    ``noise_chunks`` yields each chunk's per-step noise values, flat
+    (steps, members x n) as _ou_chunks makes them.  The states, the maps
+    and the first row's flows and r carry over from one chunk to the next,
+    and windows start at multiples of _WINDOW_ROWS from each chunk's
+    start, so chunks of a multiple of _WINDOW_ROWS rows leave a member
+    unchanged.  Yields ``(k, block)`` as _linear_chunks does: angle
+    deviations from the operating point, then frequencies, at grid rows
+    k, k+1, ..., shape (rows, members, 2n), a view of the buffer the next
+    chunk reuses.  The first block starts with the initial state.
     """
     order = grid.ordering()
     n = grid.n_buses
-    n_s = len(grid.slow_ids)
     dt = t_grid[1] - t_grid[0]
-    h = dt * cfg.theta
-
+    theta = cfg.theta
     edges = grid.edge_list(order)
-    p_inj = grid.param_vector("p")[order]
-    m = grid.param_vector("m")[order]
-    d = grid.param_vector("d")[order]
-    eps_scale = np.ones(n)
-    eps_scale[n_s:] = cfg.epsilon
-    m_eff = m * eps_scale
-    d_eff = d * eps_scale
+    n_lines = len(edges.b) // 2
+    lo, hi = edges.ends[:n_lines], edges.others[:n_lines]
+    scale = np.ones(n)
+    scale[len(grid.slow_ids):] = cfg.epsilon
+    m = grid.param_vector("m")[order] * scale
+    d = grid.param_vector("d")[order] * scale
+    p = grid.param_vector("p")[order]
     theta_star = np.asarray(op.theta, dtype=float)[order]
+    # line l's angle difference is (dev @ incidence)[l] + gap[l]; b sin(difference)
+    # flows out of bus lo[l] and into bus hi[l]
+    incidence = np.zeros((n, n_lines))
+    incidence[lo, np.arange(n_lines)] = 1.0
+    incidence[hi, np.arange(n_lines)] = -1.0
+    gap = theta_star[lo] - theta_star[hi]
+    outflow = edges.b[:n_lines, None] * incidence.T
+    dt_m = dt / m
 
-    # Bus ends[e] receives b * sin(ang[ends[e]] - ang[others[e]]) / m_eff[ends[e]]
-    # of outflow.
-    ends, others = edges.ends, edges.others
-    line_gain = edges.b / m_eff[ends]
-    p_over_m = p_inj / m_eff
-    d_over_m = d_eff / m_eff
-    kick_scale = dt / m_eff
-
-    def drift(state):
-        flow = np.bincount(ends, line_gain * np.sin(state[ends] - state[others]), minlength=n)
-        return np.concatenate([state[n:], p_over_m - flow - d_over_m * state[n:]])
-
-    eye = np.eye(2 * n)
-
-    def chord_matrix(ang, t):
-        a = _second_order_matrix(_angle_jacobian(edges, ang), m_eff, d_eff)
+    def maps(ang, t):
+        """Step and forcing maps, and the angle Jacobian, at angles ang;
+        all transposed."""
+        jac = _angle_jacobian(edges, ang)
         try:
-            chord = np.linalg.inv(eye - h * a)
-        except np.linalg.LinAlgError as e:
+            step, forcing = _linear_maps(jac, m, d, np.eye(n), dt, theta)
+        except NumericsError as e:
             raise NumericsError(f"implicit step solve failed at t={t:.4g}") from e
-        if not np.all(np.isfinite(chord)):
-            raise NumericsError(f"implicit step solve failed at t={t:.4g}")
-        return chord
+        return step.T, forcing.T, jac.T
+
+    def injection(dev, out):
+        """p minus the flows out of every bus, at angle deviations dev."""
+        ang = dev @ incidence
+        ang += gap
+        np.sin(ang, out=ang)
+        np.matmul(ang, outflow, out=out)
+        np.subtract(p, out, out=out)
 
     dev0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     omega0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     if dev0.shape != (n,) or omega0.shape != (n,):
         raise InputError(f"initial condition must have shape ({n},)")
-    rec = np.empty((rows + 1, 1, 2 * n))
-    states = rec[:, 0]  # row i + 1: angle deviations, then frequencies, after step k + i
-    states[0, :n] = dev0
-    states[0, n:] = omega0
-    state = np.concatenate([theta_star + dev0, omega0])
-    f0 = drift(state)
-    chord = chord_matrix(theta_star, t_grid[0])
+    rec = np.empty((rows + 1, members, 2 * n))
+    rec[0, :, :n] = dev0
+    rec[0, :, n:] = omega0
+    row_views = list(rec)
+    flat = rec.reshape(-1, 2 * n)  # row i, member j at flat[i * members + j]
+    prod = np.empty((members, 2 * n))
+    step_t, forcing_t, jac_t = maps(theta_star, t_grid[0])
+    # window work arrays, flat like the states: the first row, then the window's rows
+    w = min(_WINDOW_ROWS, rows)
+    inj = np.empty(((w + 1) * members, n))  # p minus the flows
+    rem = np.empty_like(inj)  # r: inj minus the linear force jac dev
+    force = np.empty_like(inj)
+    drive = np.empty((w * members, n))
+    res = np.empty((w * members, 2 * n))
+    injection(flat[:members, :n], inj[:members])
+    np.subtract(inj[:members], flat[:members, :n] @ jac_t, out=rem[:members])
+
+    def solve_window(k, start, length, eta):
+        """Sweep rows start+1 .. start+length of the chunk at grid row k;
+        False when the window stalls."""
+        nonlocal step_t, forcing_t, jac_t
+        first, size = start * members, length * members
+        x = flat[first:first + size + members]
+        dev, omega = x[:, :n], x[:, n:]
+        inj_w, rem_w, force_w = inj[:size + members], rem[:size + members], force[:size + members]
+        drive_w, res_w, eta_w = drive[:size], res[:size], eta[first:first + size]
+        res_ang, res_omega = res_w[:, :n], res_w[:, n:]
+        rem_w[members:].reshape(length, members, n)[:] = rem_w[:members]
+        last = math.inf
+        for sweep in range(_MAX_SWEEPS):
+            # drive_i = eta_i + (1 - theta) r_i + theta r_{i+1}
+            np.multiply(rem_w[members:], theta, out=drive_w)
+            np.multiply(rem_w[:size], 1.0 - theta, out=res_ang)
+            drive_w += res_ang
+            drive_w += eta_w
+            np.matmul(drive_w, forcing_t, out=x[members:])
+            _propagate(row_views[start:start + length + 1], step_t, prod)
+            injection(dev[members:], inj_w[members:])
+            np.subtract(inj_w[members:], dev[members:] @ jac_t, out=rem_w[members:])
+            # the exact residual of every step: angles, then frequencies
+            np.multiply(omega[members:], dt * theta, out=res_ang)
+            np.multiply(omega[:size], dt * (1.0 - theta), out=res_omega)
+            res_ang += res_omega
+            np.subtract(dev[members:], res_ang, out=res_ang)
+            res_ang -= dev[:size]
+            np.multiply(omega, d, out=force_w)
+            np.subtract(inj_w, force_w, out=force_w)
+            np.multiply(force_w[members:], theta, out=drive_w)
+            np.multiply(force_w[:size], 1.0 - theta, out=res_omega)
+            drive_w += res_omega
+            drive_w += eta_w
+            drive_w *= dt_m
+            np.subtract(omega[members:], omega[:size], out=res_omega)
+            res_omega -= drive_w
+            np.abs(res_w, out=res_w)
+            worst = res_w.max()
+            if worst <= _STEP_TOL:
+                break
+            rate = worst / last
+            if not (rate <= 0.5 and worst * rate ** (_MAX_SWEEPS - 1 - sweep) <= _STEP_TOL):
+                if length > 1:
+                    return False
+                member = res_w.max(axis=1).argmax()
+                step_t, forcing_t, jac_t = maps(theta_star + dev[members + member],
+                                                t_grid[k + start])
+                np.subtract(inj_w, dev @ jac_t, out=rem_w)
+            last = worst
+        else:
+            if length > 1:
+                return False
+            raise NumericsError(f"implicit step did not converge at t={t_grid[k + start]:.4g}; "
+                                "reduce dt_max")
+        coi = dev[members:].reshape(length, members, n)
+        over = np.abs(coi - coi.sum(axis=2, keepdims=True) / n).max(axis=(1, 2)) > math.pi
+        if over.any():
+            t = t_grid[k + start + over.argmax() + 1]
+            raise NumericsError(f"divergence detected at t={t:.4g}: |COI-frame deviation| > pi")
+        inj[:members] = inj_w[size:]
+        rem[:members] = rem_w[size:]
+        return True
 
     k = 0
     for eta in noise_chunks:
-        for i, noise_i in enumerate(eta):
-            euler_step = dt * f0  # dt (f(X) + F)
-            euler_step[n:] += noise_i * kick_scale
-            base = state + euler_step - h * f0
-            trial = state + chord.dot(euler_step)
-            last = math.inf
-            for it in range(_NEWTON_MAX_ITER):
-                f0 = drift(trial)
-                residual = trial - base - h * f0
-                res = np.abs(residual).max()
-                if res <= _NEWTON_TOL:
-                    break
-                rate = res / last
-                if rate > 0.5 or res * rate ** (_NEWTON_MAX_ITER - 1 - it) > _NEWTON_TOL:
-                    chord = chord_matrix(trial[:n], t_grid[k + i])
-                last = res
-                trial = trial - chord.dot(residual)
-            else:
-                raise NumericsError(
-                    f"Newton did not converge at t={t_grid[k + i]:.4g}; reduce dt_max")
-            state = trial
-            dev = state[:n] - theta_star
-            if np.abs(dev - dev.sum() / n).max() > math.pi:
-                raise NumericsError(f"divergence detected at t={t_grid[k + i + 1]:.4g}: "
-                                    "|COI-frame deviation| > pi")
-            states[i + 1, :n] = dev
-            states[i + 1, n:] = state[n:]
         n_rows = len(eta)
+        eta = eta.reshape(n_rows * members, n)
+        start, pending = 0, []  # pending: lengths of bisected windows, last first
+        with np.errstate(over="ignore", invalid="ignore"):
+            while start < n_rows:
+                length = pending.pop() if pending else min(w, n_rows - start)
+                if solve_window(k, start, length, eta):
+                    start += length
+                else:
+                    pending += [length - length // 2, length // 2]
         yield (0, rec[:n_rows + 1]) if k == 0 else (k + 1, rec[1:n_rows + 1])
+        np.copyto(row_views[0], row_views[n_rows])
         k += n_rows
 
 
@@ -808,20 +911,23 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
 
     Returns ``(builder, batch)`` for run_ensemble.  Every model steps a
     batch of members through time in chunks of rows and draws its noise
-    from ou_spec_for_grid; the nonlinear model's batch is one member,
-    since its drift is evaluated one state at a time.  Refuses a run
-    whose batch would hold more than MAX_MEMBER_BYTES, counting member
-    0's slow x/xdot record when the caller keeps it (``keep_first``).
+    from ou_spec_for_grid.  A batch holds its chunk buffers and, in the
+    nonlinear model, each member's Picard window arrays (_window_bytes);
+    its chunks are then a multiple of the window rows.  The step maps,
+    O(n^2) per batch, are not counted.  Refuses a run whose batch would
+    hold more than MAX_MEMBER_BYTES, counting member 0's slow x/xdot
+    record when the caller keeps it (``keep_first``).
     """
     n, n_s = grid.n_buses, red.n_slow
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
     kept = 8 * (n_steps + 1) * 2 * n_s if keep_first else 0
     width = 2 * (n_s if cfg.model.startswith("reduced") else n)
     row_bytes = _row_bytes(width, n, n_s)
-    ensemble = 1 if cfg.model == "full-nonlinear" else cfg.ensemble_size
-    batch, rows = _batch_shape(n_steps, ensemble, row_bytes,
-                               min(_BATCH_BYTES, MAX_MEMBER_BYTES - kept))
-    held = (rows + _PAD_ROWS) * batch * row_bytes
+    window, window_bytes = ((_WINDOW_ROWS, _window_bytes(n, len(grid.lines)))
+                            if cfg.model == "full-nonlinear" else (1, 0))
+    batch, rows = _batch_shape(n_steps, cfg.ensemble_size, row_bytes,
+                               min(_BATCH_BYTES, MAX_MEMBER_BYTES - kept), window, window_bytes)
+    held = ((rows + _PAD_ROWS) * row_bytes + window_bytes) * batch
     if held + kept > MAX_MEMBER_BYTES:
         raise InputError(f"one batch would hold {(held + kept) / 2**30:.3g} GiB of state and noise "
                          f"buffers, above the limit of {MAX_MEMBER_BYTES / 2**30:.3g} GiB")
@@ -831,7 +937,7 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
     noise = ou_spec_for_grid(grid, cfg.base_seed)
     if cfg.model == "full-nonlinear":
         def member_chunks(eta, members):
-            return _nonlinear_chunks(grid, op, cfg, t_grid, eta, rows)
+            return _nonlinear_chunks(grid, op, cfg, t_grid, eta, members, rows)
     else:
         system = (_full_linear_system(sys, cfg) if cfg.model == "full-linear"
                   else _reduced_system(red, cfg))

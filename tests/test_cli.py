@@ -408,7 +408,8 @@ class TestCompare:
         grid = write_grid(tmp_path, json.dumps(doc))
         assert main(["compare", grid, "--models", "full-nonlinear", "--t-end", "5",
                      "--burn-in", "1", "--seed", "4", "--out-dir", str(tmp_path)]) == 3
-        assert "trajectory 0 (seed 4) failed" in capsys.readouterr().err
+        # the four members are stepped as one batch, which the message names
+        assert "trajectories 0-3 (seeds 4, 5, 6, 7) failed" in capsys.readouterr().err
 
 
 class TestStarDemo:

@@ -200,12 +200,16 @@ class TestTimeGrid:
         # 9 buses, 6 slow, 1000 steps.  Every model's batch holds chunk
         # buffers of (rows + 20 padding rows) x members x (2 x 9 channels
         # + state width + 6 + 1) x 8 B, at least one member and one row.
+        # The nonlinear model's members also hold Picard window arrays of
+        # (64 + 1) rows x (8 x 9 + lines) x 8 B each.
         # `simulate` also keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
-        assert red.n_slow == 6 and simulate._PAD_ROWS == 20
+        assert red.n_slow == 6 and simulate._PAD_ROWS == 20 and simulate._WINDOW_ROWS == 64
         cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
         held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8
+        if model == "full-nonlinear":
+            held += 65 * (8 * 9 + len(grid.lines)) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
             simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
@@ -226,15 +230,20 @@ class TestTimeGrid:
         assert 1 < batch < cfg.ensemble_size
         assert (1 + 20) * batch * row_bytes + 2 * 2 * 6 * 8 <= min(budget, simulate._BATCH_BYTES)
 
-    def test_batch_peak_memory_within_budgeted_bytes(self):
-        # what make_builder counts bounds what a batch really allocates
+    @pytest.mark.parametrize("model", ["full-linear", "full-nonlinear"])
+    def test_batch_peak_memory_within_budgeted_bytes(self, model):
+        # what make_builder counts bounds what a batch really allocates,
+        # the nonlinear model's Picard window arrays included
         grid = random_connected_grid(np.random.default_rng(1), 40)
-        cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=20.0, burn_in=5.0,
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0,
                         ensemble_size=3, base_seed=2)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
         builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
         row_bytes = simulate._row_bytes(2 * grid.n_buses, grid.n_buses, red.n_slow)
-        rows = simulate._batch_shape(2000, cfg.ensemble_size, row_bytes, simulate._BATCH_BYTES)[1]
+        window = ((simulate._WINDOW_ROWS, simulate._window_bytes(grid.n_buses, len(grid.lines)))
+                  if model == "full-nonlinear" else (1, 0))
+        rows = simulate._batch_shape(2000, cfg.ensemble_size, row_bytes, simulate._BATCH_BYTES,
+                                     *window)[1]
         tracemalloc.start()
         try:
             coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
@@ -242,7 +251,7 @@ class TestTimeGrid:
         finally:
             tracemalloc.stop()
         assert batch == 3 and rows < 2000
-        assert peak <= (rows + simulate._PAD_ROWS) * batch * row_bytes
+        assert peak <= ((rows + simulate._PAD_ROWS) * row_bytes + window[1]) * batch
 
     def test_default_dt_caps_at_fast_relaxation(self):
         grid = two_bus_grid()
@@ -300,7 +309,8 @@ class TestFullNonlinear:
         op = solve_fixed_point(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=50.0, burn_in=0.0)
         shove = np.tile([5.0, -5.0], (5000, 1))  # far beyond the b=1 line capacity
-        with pytest.raises(NumericsError, match="divergence|Newton"):
+        # the first step past pi, as the per-step chord-Newton stepper reported it
+        with pytest.raises(NumericsError, match=r"divergence detected at t=0\.54: "):
             integrate_full_nonlinear(grid, op, cfg, shove)
 
 
@@ -332,7 +342,8 @@ def theta_method_residuals(grid, op, cfg, noise, traj):
 
 class TestFullNonlinearStepper:
     # the cases with a large initial deviation drive the iterate far from
-    # the operating point, where the chord matrix must be rebuilt
+    # the operating point: their Picard windows stall down to one row,
+    # where the step maps must be rebuilt
     @pytest.mark.parametrize("theta,seed,epsilon,deviation", [
         (0.5, 12, 0.1, 0.0), (1.0, 12, 0.1, 0.0), (0.5, 3, 0.05, 1.2), (1.0, 12, 0.1, 1.6)])
     def test_steps_solve_theta_method_equation(self, theta, seed, epsilon, deviation,
@@ -358,10 +369,33 @@ class TestFullNonlinearStepper:
         if deviation:
             assert len(builds) > 1
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.05])
+    def test_batched_members_solve_theta_method_equation(self, theta, epsilon):
+        # three members stepped together, each with its own noise, each
+        # checked on its own against the dense residual
+        grid = random_connected_grid(np.random.default_rng(12), 7, injection_scale=0.3)
+        op = solve_fixed_point(grid)
+        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
+                        epsilon=epsilon, theta=theta)
+        n, n_s = grid.n_buses, len(grid.slow_ids)
+        t = make_time_grid(cfg.t_end, cfg.dt_max)
+        noise = np.random.default_rng(5).normal(0.0, 0.05, (300, 3, n))
+        blocks = [block.copy() for _, block in simulate._nonlinear_chunks(
+            grid, op, cfg, t, [noise.reshape(300, 3 * n)], 3, 300)]
+        states = np.concatenate(blocks)
+        assert states.shape == (301, 3, 2 * n)
+        for i in range(3):
+            s = states[:, i]
+            traj = Trajectory(t=t, x=s[:, :n_s], xdot=s[:, n:n + n_s], y=s[:, n_s:n],
+                              ydot=s[:, n + n_s:])
+            assert theta_method_residuals(grid, op, cfg, noise[:, i], traj).max() <= 1e-10
+        assert not np.array_equal(states[:, 0], states[:, 1])
+
     def test_chunk_edges_leave_a_member_unchanged(self, monkeypatch):
-        # chunks of 7 rows against one chunk: the state, its drift and the
-        # chord matrix rebuilt far from the operating point carry over
-        # every chunk edge
+        # chunks of one Picard window (64 rows) against one chunk: the
+        # state, its flows and the step maps rebuilt far from the operating
+        # point carry over every chunk edge
         grid = random_connected_grid(np.random.default_rng(3), 7, injection_scale=0.3)
         op = solve_fixed_point(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
@@ -381,7 +415,9 @@ class TestFullNonlinearStepper:
 
         monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
         monkeypatch.setattr(simulate, "_BATCH_BYTES",
-                            (7 + simulate._PAD_ROWS) * simulate._row_bytes(2 * n, n, n_s))
+                            (simulate._WINDOW_ROWS + simulate._PAD_ROWS)
+                            * simulate._row_bytes(2 * n, n, n_s)
+                            + simulate._window_bytes(n, len(grid.lines)))
         chunked = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
         assert len(builds) > 1
         for name in ("x", "xdot", "y", "ydot"):
@@ -776,8 +812,9 @@ class TestEnsembleRun:
 
     def test_peak_memory_does_not_grow_with_t_end(self, monkeypatch):
         self.check_peak_memory_does_not_grow("full-linear", 40, 4, (50.0, 200.0))
-        # the nonlinear steps cost more: chunks of 179 rows, so short runs span several
-        monkeypatch.setattr(simulate, "_BATCH_BYTES", 2**16)
+        # the nonlinear steps cost more: chunks of 192 rows, three Picard
+        # windows, so short runs span several
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 2**17)
         self.check_peak_memory_does_not_grow("full-nonlinear", 9, 1, (5.0, 20.0))
 
     @staticmethod
@@ -790,7 +827,10 @@ class TestEnsembleRun:
             op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
             row_bytes = simulate._row_bytes(2 * n_buses, n_buses, red.n_slow)
             n_steps = round(t_end / cfg.dt_max)
-            rows = simulate._batch_shape(n_steps, ensemble, row_bytes, simulate._BATCH_BYTES)[1]
+            window = ((simulate._WINDOW_ROWS, simulate._window_bytes(n_buses, len(grid.lines)))
+                      if model == "full-nonlinear" else (1, 0))
+            rows = simulate._batch_shape(n_steps, ensemble, row_bytes, simulate._BATCH_BYTES,
+                                         *window)[1]
             assert rows < n_steps
             builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
             tracemalloc.start()
