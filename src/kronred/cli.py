@@ -6,12 +6,19 @@ input digests, version, duration) sufficient to reproduce the outputs
 bit-for-bit: re-running the recorded argv against the same inputs
 yields byte-identical CSV/JSON data files.
 
+The data files depend on the BLAS threads too: a threaded product splits
+its sums differently.  So every command runs with numpy's and scipy's
+bundled OpenBLAS pinned to one thread, and the manifest records the
+numpy, scipy and BLAS versions and the threads in use.
+
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import glob
 import hashlib
 import json
 import math
@@ -22,6 +29,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import HomogeneityError, InputError, NumericsError
@@ -61,6 +69,7 @@ def _write_manifest(args, started: float, outputs: list[str], inputs: list[Path]
         "seeds": {"seed": args.seed},
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "version": __version__,
+        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": args._blas},
         "duration_s": round(time.time() - started, 3),
         "outputs": outputs,
     }
@@ -352,6 +361,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's and scipy's bundled OpenBLAS: the package whose ``<name>.libs``
+# folder holds it, and the suffix of its exported names.
+_BUNDLED_BLAS = (("numpy", "64_"), ("scipy", ""))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's and scipy's bundled OpenBLAS to one thread, and restore
+    their thread counts on exit.  Yields, per library found, its
+    configuration string (version included) and the threads in use.  A
+    library that is not there, or lacks the thread-count functions, is
+    left alone."""
+    import ctypes
+
+    pinned = []
+    for package, suffix in _BUNDLED_BLAS:
+        site = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
+        for path in sorted(glob.glob(os.path.join(site, f"{package}.libs",
+                                                  "libscipy_openblas*.so"))):
+            try:
+                lib = ctypes.CDLL(path)
+                get, put, config = (getattr(lib, f"scipy_openblas_{name}{suffix}")
+                                    for name in ("get_num_threads", "set_num_threads",
+                                                 "get_config"))
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            pinned.append((package, get, put, config, get()))
+    for _, _, put, _, _ in pinned:
+        put(1)
+    try:
+        yield {package: {"config": config().decode(), "threads": get()}
+               for package, get, _, config, _ in pinned}
+    finally:
+        for _, _, put, _, before in pinned:
+            put(before)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
@@ -360,7 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--seed must be in [0, 2^64), got {args.seed}")
     args._argv = argv
     try:
-        args.func(args)
+        with _one_blas_thread() as args._blas:
+            args.func(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from kronred.cli import main
 from kronred.grid import serialize_grid_json
 from kronred.reduction import make_star_grid
 from kronred.simulate import MODELS
-from conftest import make_grid
+from conftest import DATA_DIR, make_grid, random_connected_grid
 from kronred.grid import FAST, SLOW
 from test_grid import THREE_BUS_CASE
 
@@ -474,3 +474,38 @@ def test_analysis_commands_do_not_import_the_simulator_filter(tmp_path):
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                              text=True, timeout=120, check=True).stdout
         assert out.strip().splitlines()[-1] == "[]", argv
+
+
+def test_data_files_do_not_depend_on_blas_threads(tmp_path):
+    # A threaded BLAS product splits its sums differently: at two OpenBLAS
+    # threads these grids' variance.csv and compare.csv moved in the last
+    # digits.  Every command runs on one BLAS thread and restores the count.
+    grid = random_connected_grid(np.random.default_rng(7), 300, homogeneous=True,
+                                 sigma_range=(0.005, 0.02))
+    runs = [["variance", write_grid(tmp_path, serialize_grid_json(grid))],
+            ["compare", str(DATA_DIR / "ieee118.m"), "--models", "full-linear",
+             "--t-end", "10", "--dt", "0.01", "--burn-in", "5", "--ensemble", "2"]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import ctypes, glob, os, sys, numpy, kronred.cli\n"
+            "libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),"
+            " 'numpy.libs', 'libscipy_openblas*.so'))\n"
+            "count = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_ if libs else None\n"
+            "before = count() if count else None\n"
+            "assert kronred.cli.main(sys.argv[1:]) == 0\n"
+            "print(before, count() if count else None)")
+    for argv in runs:
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{argv[0]}-{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            counts = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", str(out)],
+                                    env=env, capture_output=True, text=True, timeout=120,
+                                    check=True).stdout.split()[-2:]
+            assert counts[0] == counts[1], (argv[0], threads, counts)
+            manifest = json.loads((out / f"manifest_{argv[0]}.json").read_text())
+            libraries = manifest["libraries"]
+            assert libraries["numpy"] == np.__version__ and "scipy" in libraries
+            assert all(blas["threads"] == 1 for blas in libraries["blas"].values())
+            files.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+        assert files[0] and files[0] == files[1], argv[0]
