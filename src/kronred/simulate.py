@@ -854,14 +854,24 @@ def _build(builder, idx: range, seeds: tuple[int, ...]) -> MemberBatch:
     return replace(members, chunks=_guarded_chunks(members.chunks, idx, seeds))
 
 
+def member_seed(base_seed: int, i: int) -> int:
+    """Seed of ensemble member i.  Member 0 keeps ``base_seed``, so it is
+    the one-member run of that seed; member i >= 1 takes a 64-bit draw of
+    SeedSequence([base_seed, i]), so distinct base seeds give distinct
+    ensembles."""
+    if i == 0:
+        return base_seed
+    return int(np.random.SeedSequence([base_seed, i]).generate_state(1, np.uint64)[0])
+
+
 def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator[MemberBatch]:
     """Stream cfg.ensemble_size members in batches of at most ``batch``,
     each built only when the caller asks for it.
 
     ``builder(seeds)`` must return the members of those seeds as a
-    MemberBatch.  Member i gets seed
-    base_seed XOR i, so results are bit-reproducible for a fixed base
-    seed and batch size.  The stream keeps no reference to a batch it
+    MemberBatch.  Member i gets seed member_seed(base_seed, i), so
+    results are bit-reproducible for a fixed base seed and batch size.
+    The stream keeps no reference to a batch it
     has handed out.  An InputError passes through unchanged; a numerical
     failure (NumericsError, or a ValueError or ArithmeticError from the
     numerics), while a batch is built or stepped, becomes a
@@ -869,7 +879,7 @@ def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator[MemberBatc
     """
     for first in range(0, cfg.ensemble_size, batch):
         idx = range(first, min(first + batch, cfg.ensemble_size))
-        yield _build(builder, idx, tuple(cfg.base_seed ^ i for i in idx))
+        yield _build(builder, idx, tuple(member_seed(cfg.base_seed, i) for i in idx))
 
 
 def tee_first_member(members: Iterable[MemberBatch]):

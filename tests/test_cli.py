@@ -13,7 +13,7 @@ import kronred.grid
 from kronred.cli import main
 from kronred.grid import serialize_grid_json
 from kronred.reduction import make_star_grid
-from kronred.simulate import MODELS
+from kronred.simulate import MODELS, member_seed
 from conftest import DATA_DIR, make_grid, random_connected_grid
 from kronred.grid import FAST, SLOW
 from test_grid import THREE_BUS_CASE
@@ -409,7 +409,8 @@ class TestCompare:
         assert main(["compare", grid, "--models", "full-nonlinear", "--t-end", "5",
                      "--burn-in", "1", "--seed", "4", "--out-dir", str(tmp_path)]) == 3
         # the four members are stepped as one batch, which the message names
-        assert "trajectories 0-3 (seeds 4, 5, 6, 7) failed" in capsys.readouterr().err
+        seeds = ", ".join(str(member_seed(4, i)) for i in range(4))
+        assert f"trajectories 0-3 (seeds {seeds}) failed" in capsys.readouterr().err
 
 
 class TestStarDemo:

@@ -650,14 +650,25 @@ class TestEnsembleRun:
         np.testing.assert_array_equal(s1.variance, s2.variance)
         np.testing.assert_array_equal(s1.stderr, s2.stderr)
 
-    def test_distinct_seeds_distinct_results(self):
+    # (2, 3): adjacent base seeds must not run the same members in another order
+    @pytest.mark.parametrize("seeds", [(1, 2), (2, 3)])
+    def test_distinct_seeds_distinct_results(self, seeds):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfg1 = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
-                         ensemble_size=2, base_seed=1)
+                         ensemble_size=2, base_seed=seeds[0])
         cfg2 = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
-                         ensemble_size=2, base_seed=2)
+                         ensemble_size=2, base_seed=seeds[1])
         assert not np.array_equal(run_model_ensemble(grid, cfg1).variance,
                                   run_model_ensemble(grid, cfg2).variance)
+
+    def test_member_seeds(self):
+        # member 0 is the one-member run of the base seed; every other seed
+        # is distinct within and across base seeds, and fits 64 bits
+        top = 2**64 - 1
+        assert [simulate.member_seed(b, 0) for b in (0, 2, top)] == [0, 2, top]
+        seeds = [simulate.member_seed(b, i) for b in (2, 3, top) for i in range(4)]
+        assert len(set(seeds)) == len(seeds)
+        assert all(0 <= seed < 2**64 for seed in seeds)
 
     def test_failure_propagates_with_index(self):
         calls = []
@@ -712,7 +723,8 @@ class TestEnsembleRun:
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
                         ensemble_size=4, base_seed=8)
         stream = run_ensemble(lambda seeds: MemberBatch(t=t, n_slow=3, chunks=chunks()), cfg, 2)
-        with pytest.raises(NumericsError, match=r"trajectories 0-1 \(seeds 8, 9\) failed: overflow"):
+        seeds = rf"8, {simulate.member_seed(8, 1)}"
+        with pytest.raises(NumericsError, match=rf"trajectories 0-1 \(seeds {seeds}\) failed: overflow"):
             coi_frequency_variance_estimate(stream, burn_in=0.0)
 
     def test_streamed_statistics_equal_pooled_formula(self, monkeypatch):
@@ -758,8 +770,9 @@ class TestEnsembleRun:
                                 for chunk in np.array_split(sq, 16, axis=0)])
         np.testing.assert_array_equal(stats.variance, sq_sum / (n_time * cfg.ensemble_size))
         # stream member i is the member integrated on its own from seed
-        # 9 ^ i: batching changes only the rounding of the products
-        for seed, traj in zip((9, 8, 11), members):
+        # member_seed(9, i): batching changes only the rounding of the products
+        for i, traj in enumerate(members):
+            seed = simulate.member_seed(9, i)
             alone = integrate_reduced(red, cfg, ou_spec_for_grid(grid, seed))
             for got, want in ((traj.x, alone.x), (traj.xdot, alone.xdot)):
                 np.testing.assert_allclose(got, want, rtol=1e-12,
