@@ -230,10 +230,14 @@ class TestTimeGrid:
         assert 1 < batch < cfg.ensemble_size
         assert (1 + 20) * batch * row_bytes + 2 * 2 * 6 * 8 <= min(budget, simulate._BATCH_BYTES)
 
-    @pytest.mark.parametrize("model", ["full-linear", "full-nonlinear"])
-    def test_batch_peak_memory_within_budgeted_bytes(self, model):
+    def test_batch_peak_memory_within_budgeted_bytes(self):
         # what make_builder counts bounds what a batch really allocates,
         # the nonlinear model's Picard window arrays included
+        for model in ("full-linear", "full-nonlinear"):
+            self.check_batch_peak_memory(model)
+
+    @staticmethod
+    def check_batch_peak_memory(model):
         grid = random_connected_grid(np.random.default_rng(1), 40)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0,
                         ensemble_size=3, base_seed=2)
@@ -650,16 +654,16 @@ class TestEnsembleRun:
         np.testing.assert_array_equal(s1.variance, s2.variance)
         np.testing.assert_array_equal(s1.stderr, s2.stderr)
 
-    # (2, 3): adjacent base seeds must not run the same members in another order
-    @pytest.mark.parametrize("seeds", [(1, 2), (2, 3)])
-    def test_distinct_seeds_distinct_results(self, seeds):
+    def test_distinct_seeds_distinct_results(self):
+        # (2, 3): adjacent base seeds must not run the same members in another order
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfg1 = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
-                         ensemble_size=2, base_seed=seeds[0])
-        cfg2 = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
-                         ensemble_size=2, base_seed=seeds[1])
-        assert not np.array_equal(run_model_ensemble(grid, cfg1).variance,
-                                  run_model_ensemble(grid, cfg2).variance)
+        for seeds in ((1, 2), (2, 3)):
+            cfg1 = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
+                             ensemble_size=2, base_seed=seeds[0])
+            cfg2 = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
+                             ensemble_size=2, base_seed=seeds[1])
+            assert not np.array_equal(run_model_ensemble(grid, cfg1).variance,
+                                      run_model_ensemble(grid, cfg2).variance), seeds
 
     def test_member_seeds(self):
         # member 0 is the one-member run of the base seed; every other seed
