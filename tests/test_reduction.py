@@ -9,8 +9,8 @@ from conftest import path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
 from kronred.grid import FAST, SLOW, LinearizedSystem, assemble_linearized, \
     build_jacobian, solve_fixed_point
-from kronred.reduction import (make_star_grid, reduce_grid, reduced_system_from_dict,
-                               reduced_system_to_dict)
+from kronred.reduction import (factor_fast_block, make_star_grid, reduce_grid,
+                               reduced_system_from_dict, reduced_system_to_dict)
 from kronred.simulate import OUSpec, make_time_grid, ou_sample_path
 
 
@@ -59,6 +59,26 @@ class TestSchurReduce:
             d_fast=sys.d_fast, epsilon=1.0)
         with pytest.raises(NumericsError, match=r"not negative definite.*5\.0"):
             reduce_grid(path3_grid(), bad)
+
+    def test_definiteness_certified_without_eigenvalues(self, monkeypatch):
+        # a grid's fast block passes on the shifted Cholesky alone; a margin
+        # inside the Cholesky's error allowance goes to the eigenvalues, which
+        # accept it above the gate and reject it below
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        sys = linearize(random_connected_grid(np.random.default_rng(2), 30))
+        assert sys.n_fast > 1
+        factor_fast_block(sys.j_ff)
+        assert calls == []
+        # g = 1e6: the gate needs eigenvalues of -J_FF above 1e-6, and the
+        # Cholesky's allowance adds about 1.3e-9 to its shift
+        factor, _ = factor_fast_block(-np.diag([1e6, 1e-6 + 1e-10]))
+        assert len(calls) == 1
+        np.testing.assert_allclose(np.abs(np.diag(factor)), np.sqrt([1e6, 1e-6 + 1e-10]))
+        with pytest.raises(NumericsError, match="not negative definite"):
+            factor_fast_block(-np.diag([1e6, 0.999e-6]))
+        assert len(calls) == 2
 
 
 class TestNoiseMap:
