@@ -41,7 +41,9 @@ MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
 # bounds a run's time.
 MAX_STEPS = 10_000_000
 # Most bytes one batch of ensemble members may hold: the chunk buffers it
-# is stepped through (`simulate` also keeps member 0's slow x/xdot record).
+# is stepped through, its step maps and what its caller keeps besides
+# (member 0's slow x/xdot record in `simulate`, the whole record in a
+# one-member collector).
 MAX_MEMBER_BYTES = 2 * 2**30
 
 # Bytes of chunk buffers one batch of members is stepped through.
@@ -214,20 +216,41 @@ def default_burn_in(grid: Grid) -> float:
     return 10.0 * max(tau_max, relax)
 
 
-def _batch_shape(n_rows: int, ensemble: int, row_bytes: int, budget: int, window: int = 1,
-                 window_bytes: int = 0) -> tuple[int, int]:
-    """Members stepped together and rows per chunk for a batch whose chunk
-    buffers hold (rows + _PAD_ROWS) x members x row_bytes bytes, plus
-    ``window_bytes`` per member for work arrays of ``window`` rows: as many
-    members as keep chunks at max(_MIN_CHUNK_ROWS, window) rows within
-    ``budget``, then as many rows as the budget allows, a multiple of
-    ``window`` when the run spans several chunks of more than one window.
-    Never below one of each."""
+def _plan_batch(width: int, channels: int, n_slow: int, n_lines: int | None, n_steps: int,
+                ensemble: int, kept: int) -> tuple[int, int]:
+    """Members per batch and rows per chunk: the one place a batch is
+    sized.  The run steps a state of ``width`` entries, driven by
+    ``channels`` noise channels, with ``n_slow`` slow buses, ``n_steps``
+    times; ``n_lines`` is the nonlinear model's line count, None for a
+    linear model.
+
+    Per row and member, chunk buffers hold the noise and its draws, the
+    state, the fold's squares and row means; a nonlinear member adds Picard
+    window arrays of _WINDOW_ROWS + 1 rows (six bus vectors, two products'
+    temporaries, the lines' angle differences).  Up to ``ensemble`` members
+    fill _BATCH_BYTES (or what MAX_MEMBER_BYTES leaves, if less) at
+    max(_MIN_CHUNK_ROWS, window) rows, then rows fill it, at least one of
+    each, whole windows when a nonlinear run spans several chunks.  The
+    step maps and the ``kept`` bytes of the caller count only against
+    MAX_MEMBER_BYTES: a run above it is refused before anything exists.
+    """
+    row_bytes = 8 * (2 * channels + width + n_slow + 1)
+    map_bytes = 8 * width * (width + channels)  # S and G
+    window, window_bytes = 1, 0
+    if n_lines is not None:
+        window, window_bytes = _WINDOW_ROWS, 8 * (_WINDOW_ROWS + 1) * (8 * channels + n_lines)
+        map_bytes += 8 * channels * (channels + 2 * n_lines)  # Jacobian, incidence, outflow
+    budget = min(_BATCH_BYTES, MAX_MEMBER_BYTES - map_bytes - kept)
     floor = (max(_MIN_CHUNK_ROWS, window) + _PAD_ROWS) * row_bytes + window_bytes
     members = max(1, min(ensemble, budget // floor))
-    rows = max(1, min(n_rows, (budget // members - window_bytes) // row_bytes - _PAD_ROWS))
-    if window < rows < n_rows:
+    rows = max(1, min(n_steps, (budget // members - window_bytes) // row_bytes - _PAD_ROWS))
+    if window < rows < n_steps:
         rows -= rows % window
+    held = ((rows + _PAD_ROWS) * row_bytes + window_bytes) * members + map_bytes + kept
+    if held > MAX_MEMBER_BYTES:
+        raise InputError(f"one batch would hold {held / 2**30:.3g} GiB of step maps, records, "
+                         f"state and noise buffers, above the limit of "
+                         f"{MAX_MEMBER_BYTES / 2**30:.3g} GiB")
     return members, rows
 
 
@@ -381,13 +404,6 @@ def _linear_maps(jac, m, d, gain, dt: float, theta: float):
     return _linear_step_maps(_second_order_matrix(jac, m, d), b, dt, theta)
 
 
-def _row_bytes(width: int, channels: int, n_slow: int) -> int:
-    """Chunk-buffer bytes per row and member of a batch: noise values
-    and their draws, the state record, the fold's squared deviations and
-    row means."""
-    return 8 * (2 * channels + width + n_slow + 1)
-
-
 def _propagate(rows: list[np.ndarray], step_t: np.ndarray, prod: np.ndarray) -> None:
     """Add S times each row to the next, in place, in time order: rows[i + 1]
     += rows[i] S^T, one (members, width) product per step for all members.
@@ -429,22 +445,29 @@ def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable
         k += n
 
 
-def _collect(t_grid: np.ndarray, noise, channels: int, width: int, n_slow: int,
-             member_chunks, window: int = 1, window_bytes: int = 0) -> Trajectory:
+def _collector_plan(cfg: SimConfig, width: int, channels: int, n_slow: int,
+                    n_lines: int | None) -> tuple[np.ndarray, int]:
+    """Time grid and rows per chunk of a one-member collector: a batch of
+    one that keeps its whole state record, refused before the grid exists."""
+    n_steps = _step_count(cfg.t_end, cfg.dt_max)
+    rows = _plan_batch(width, channels, n_slow, n_lines, n_steps, 1,
+                       8 * (n_steps + 1) * width)[1]
+    return make_time_grid(cfg.t_end, cfg.dt_max), rows
+
+
+def _collect(t_grid: np.ndarray, noise, channels: int, width: int, n_slow: int, rows: int,
+             member_chunks) -> Trajectory:
     """One member stepped as a batch of one, collected into a whole state
     record, a row per grid point, positions first, and split into slow
     x, xdot and, when the state also holds fast buses, fast y, ydot.
 
-    ``member_chunks(noise_chunks, rows)`` steps the member through the
-    per-step noise values ``noise`` (an OUSpec or an array) and yields
-    ``(k, block)`` as _linear_chunks does, with chunks of as many rows as
-    a one-member ensemble batch gets (see _batch_shape for ``window`` and
-    ``window_bytes``).
+    ``member_chunks(noise_chunks)`` steps the member through the per-step
+    noise values ``noise`` (an OUSpec or an array), in chunks of ``rows``
+    rows as _collector_plan gives them, and yields ``(k, block)`` as
+    _linear_chunks does.
     """
-    rows = _batch_shape(len(t_grid) - 1, 1, _row_bytes(width, channels, n_slow),
-                        _BATCH_BYTES, window, window_bytes)[1]
     record = np.empty((len(t_grid), width))
-    for k, block in member_chunks(_noise_chunks(noise, t_grid, channels, rows), rows):
+    for k, block in member_chunks(_noise_chunks(noise, t_grid, channels, rows)):
         record[k:k + len(block)] = block[:, 0]
     n = width // 2
     if n == n_slow:
@@ -455,10 +478,11 @@ def _collect(t_grid: np.ndarray, noise, channels: int, width: int, n_slow: int,
 
 def _integrate_linear(jac, m, d, gain, n_slow: int, cfg: SimConfig, noise) -> Trajectory:
     """One member of the batched linear loop, collected whole."""
-    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
+    width, channels = 2 * len(m), gain.shape[1]
+    t_grid, rows = _collector_plan(cfg, width, channels, n_slow, None)
     step, forcing = _linear_maps(jac, m, d, gain, t_grid[1] - t_grid[0], cfg.theta)
-    return _collect(t_grid, noise, forcing.shape[1], forcing.shape[0], n_slow,
-                    lambda eta, rows: _linear_chunks(step, forcing, eta, 1, rows))
+    return _collect(t_grid, noise, channels, width, n_slow, rows,
+                    lambda eta: _linear_chunks(step, forcing, eta, 1, rows))
 
 
 def integrate_full_linear(sys: LinearizedSystem, cfg: SimConfig, noise) -> Trajectory:
@@ -483,13 +507,6 @@ def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise) -> Trajectory:
 # ---------------------------------------------------------------------------
 # Full nonlinear model
 # ---------------------------------------------------------------------------
-
-def _window_bytes(n: int, n_lines: int) -> int:
-    """Bytes of one member's Picard window work arrays in the nonlinear
-    model (see _nonlinear_chunks): per row and member, six bus vectors,
-    two products' temporaries and the lines' angle differences."""
-    return 8 * (_WINDOW_ROWS + 1) * (8 * n + n_lines)
-
 
 def integrate_full_nonlinear(
     grid: Grid,
@@ -516,12 +533,10 @@ def integrate_full_nonlinear(
     angle component is gauge and performs a random walk under noise), is
     flagged as divergence.
     """
-    n = grid.n_buses
-    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
-    return _collect(t_grid, noise, n, 2 * n, len(grid.slow_ids),
-                    lambda eta, rows: _nonlinear_chunks(grid, op, cfg, t_grid, eta, 1, rows,
-                                                        x0, v0),
-                    _WINDOW_ROWS, _window_bytes(n, len(grid.lines)))
+    n, n_slow = grid.n_buses, len(grid.slow_ids)
+    t_grid, rows = _collector_plan(cfg, 2 * n, n, n_slow, len(grid.lines))
+    return _collect(t_grid, noise, n, 2 * n, n_slow, rows,
+                    lambda eta: _nonlinear_chunks(grid, op, cfg, t_grid, eta, 1, rows, x0, v0))
 
 
 def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np.ndarray,
@@ -711,14 +726,6 @@ def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np
 # Ensemble statistics
 # ---------------------------------------------------------------------------
 
-def _as_batch(member: Trajectory | MemberBatch) -> MemberBatch:
-    """A whole Trajectory as a one-member batch of one chunk."""
-    if isinstance(member, MemberBatch):
-        return member
-    return MemberBatch(t=member.t, n_slow=member.xdot.shape[1],
-                       chunks=iter([(0, member.x[:, None], member.xdot[:, None])]))
-
-
 def _fold_batch(batch: MemberBatch, start: int, ends: list[int]):
     """Per-member sums of one batch's squared COI frequency deviations over
     grid rows start, start+1, ...: the total, and one sum per time batch
@@ -767,7 +774,7 @@ def _fold_batch(batch: MemberBatch, start: int, ends: list[int]):
 
 
 def coi_frequency_variance_estimate(
-    members: Iterable[Trajectory | MemberBatch],
+    members: Iterable[MemberBatch],
     burn_in: float,
     bus_ids: tuple[int, ...] | None = None,
 ) -> EnsembleStats:
@@ -778,11 +785,10 @@ def coi_frequency_variance_estimate(
     standard error comes from batch means (_N_BATCHES contiguous time
     batches per trajectory, pooled over the ensemble).
 
-    ``members`` may be any iterable of Trajectory objects (one member
-    each) or MemberBatch streams, such as the stream of run_ensemble:
-    each is folded chunk by chunk into per-member running sums and
-    released before the next one is taken, so only one batch's chunk is
-    held at a time.  The sums add rows in time order and members in
+    ``members`` is any iterable of MemberBatch streams, such as the stream
+    of run_ensemble: each is folded chunk by chunk into per-member running
+    sums and released before the next one is taken, so only one batch's
+    chunk is held at a time.  The sums add rows in time order and members in
     ensemble order, so the estimate does not depend on how the members
     were batched or chunked.  Raises NumericsError when the estimate is
     not finite.
@@ -790,9 +796,7 @@ def coi_frequency_variance_estimate(
     t = None
     n_members = 0
     batch_means = []
-    for member in members:
-        batch = _as_batch(member)
-        del member
+    for batch in members:
         if t is None:
             t, n_s = batch.t, batch.n_slow
             start = int(np.searchsorted(t, burn_in))  # t increases
@@ -924,26 +928,18 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
 
     Returns ``(builder, batch)`` for run_ensemble.  Every model steps a
     batch of members through time in chunks of rows and draws its noise
-    from ou_spec_for_grid.  A batch holds its chunk buffers and, in the
-    nonlinear model, each member's Picard window arrays (_window_bytes);
-    its chunks are then a multiple of the window rows.  The step maps,
-    O(n^2) per batch, are not counted.  Refuses a run whose batch would
-    hold more than MAX_MEMBER_BYTES, counting member 0's slow x/xdot
-    record when the caller keeps it (``keep_first``).
+    from ou_spec_for_grid.  Its members and rows come from _plan_batch,
+    which counts the batch's chunk buffers, step maps and, in the
+    nonlinear model, Picard window arrays, plus member 0's slow x/xdot
+    record when the caller keeps it (``keep_first``), and refuses a run
+    above MAX_MEMBER_BYTES before any buffer or map is built.
     """
     n, n_s = grid.n_buses, red.n_slow
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
-    kept = 8 * (n_steps + 1) * 2 * n_s if keep_first else 0
     width = 2 * (n_s if cfg.model.startswith("reduced") else n)
-    row_bytes = _row_bytes(width, n, n_s)
-    window, window_bytes = ((_WINDOW_ROWS, _window_bytes(n, len(grid.lines)))
-                            if cfg.model == "full-nonlinear" else (1, 0))
-    batch, rows = _batch_shape(n_steps, cfg.ensemble_size, row_bytes,
-                               min(_BATCH_BYTES, MAX_MEMBER_BYTES - kept), window, window_bytes)
-    held = ((rows + _PAD_ROWS) * row_bytes + window_bytes) * batch
-    if held + kept > MAX_MEMBER_BYTES:
-        raise InputError(f"one batch would hold {(held + kept) / 2**30:.3g} GiB of state and noise "
-                         f"buffers, above the limit of {MAX_MEMBER_BYTES / 2**30:.3g} GiB")
+    n_lines = len(grid.lines) if cfg.model == "full-nonlinear" else None
+    batch, rows = _plan_batch(width, n, n_s, n_lines, n_steps, cfg.ensemble_size,
+                              8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
 
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     dt = t_grid[1] - t_grid[0]

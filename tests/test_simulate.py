@@ -21,6 +21,12 @@ from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix,
     modal_trajectory
 
 
+def as_batch(traj):
+    """A whole Trajectory as a one-member batch of one chunk."""
+    return MemberBatch(t=traj.t, n_slow=traj.xdot.shape[1],
+                       chunks=iter([(0, traj.x[:, None], traj.xdot[:, None])]))
+
+
 def reduced_of(grid, epsilon=1.0):
     op = solve_fixed_point(grid)
     sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
@@ -200,22 +206,70 @@ class TestTimeGrid:
         # 9 buses, 6 slow, 1000 steps.  Every model's batch holds chunk
         # buffers of (rows + 20 padding rows) x members x (2 x 9 channels
         # + state width + 6 + 1) x 8 B, at least one member and one row.
-        # The nonlinear model's members also hold Picard window arrays of
-        # (64 + 1) rows x (8 x 9 + lines) x 8 B each.
+        # The batch holds its step maps S (width x width) and G (width x 9)
+        # x 8 B.  The nonlinear model's members also hold Picard window
+        # arrays of (64 + 1) rows x (8 x 9 + lines) x 8 B each, and its
+        # batch the 9 x 9 angle Jacobian and the 9 x lines incidence and
+        # outflow matrices x 8 B.
         # `simulate` also keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
         assert red.n_slow == 6 and simulate._PAD_ROWS == 20 and simulate._WINDOW_ROWS == 64
         cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
-        held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8
+        held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 + width * (width + 9) * 8
         if model == "full-nonlinear":
-            held += 65 * (8 * 9 + len(grid.lines)) * 8
+            held += 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * (9 + 2 * len(grid.lines)) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
             simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept - 1)
             with pytest.raises(InputError, match="buffers, above the limit"):
                 simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
+
+    @pytest.mark.parametrize("model", simulate.MODELS)
+    def test_step_maps_counted_before_they_are_built(self, monkeypatch, model):
+        # a limit that the buffers and record fit but the step maps do not:
+        # the run is refused from its dimensions, before any map is built
+        grid = random_connected_grid(np.random.default_rng(3), 9)
+        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
+        width = 12 if model.startswith("reduced") else 18
+        buffers = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 + 1001 * 2 * 6 * 8
+        if model == "full-nonlinear":
+            buffers += 65 * (8 * 9 + len(grid.lines)) * 8
+
+        def no_maps(*args):
+            raise AssertionError("step maps built")
+
+        monkeypatch.setattr(simulate, "_linear_maps", no_maps)
+        monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", buffers + width * (width + 9) * 8 - 1)
+        with pytest.raises(InputError, match="buffers, above the limit"):
+            simulate.make_builder(grid, op, sys, red, cfg, keep_first=True)
+
+    @pytest.mark.parametrize("model", simulate.MODELS)
+    def test_collector_refused_before_it_allocates(self, monkeypatch, model):
+        # 20 000 steps: the whole record fits the limit, the record and
+        # the batch it is stepped through do not
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        op, sys, red = reduced_of(grid)
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=200.0, burn_in=0.0)
+        width = 4 if model.startswith("reduced") else 6
+        record = 20_001 * width * 8
+        monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", record + 1)
+        noise = ou_spec_for_grid(grid, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="buffers, above the limit"):
+                if model == "full-nonlinear":
+                    integrate_full_nonlinear(grid, op, cfg, noise)
+                elif model == "full-linear":
+                    integrate_full_linear(sys, cfg, noise)
+                else:
+                    integrate_reduced(red, cfg, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < record // 10
 
     @pytest.mark.parametrize("budget", [2**20, 2**30])
     def test_large_ensemble_split_into_batches_within_budget(self, monkeypatch, budget):
@@ -243,11 +297,13 @@ class TestTimeGrid:
                         ensemble_size=3, base_seed=2)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
         builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
-        row_bytes = simulate._row_bytes(2 * grid.n_buses, grid.n_buses, red.n_slow)
-        window = ((simulate._WINDOW_ROWS, simulate._window_bytes(grid.n_buses, len(grid.lines)))
-                  if model == "full-nonlinear" else (1, 0))
-        rows = simulate._batch_shape(2000, cfg.ensemble_size, row_bytes, simulate._BATCH_BYTES,
-                                     *window)[1]
+        n_lines = len(grid.lines) if model == "full-nonlinear" else None
+        rows = simulate._plan_batch(2 * grid.n_buses, grid.n_buses, red.n_slow, n_lines, 2000,
+                                    cfg.ensemble_size, 0)[1]
+        # per row and member: noise and draws, state, squares and row means;
+        # per member: the Picard window arrays of 64 + 1 rows
+        row_bytes = 8 * (2 * grid.n_buses + 2 * grid.n_buses + red.n_slow + 1)
+        window_bytes = 0 if n_lines is None else 8 * 65 * (8 * grid.n_buses + n_lines)
         tracemalloc.start()
         try:
             coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
@@ -255,7 +311,7 @@ class TestTimeGrid:
         finally:
             tracemalloc.stop()
         assert batch == 3 and rows < 2000
-        assert peak <= ((rows + simulate._PAD_ROWS) * row_bytes + window[1]) * batch
+        assert peak <= ((rows + simulate._PAD_ROWS) * row_bytes + window_bytes) * batch
 
     def test_default_dt_caps_at_fast_relaxation(self):
         grid = two_bus_grid()
@@ -408,8 +464,11 @@ class TestFullNonlinearStepper:
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
         x0 = 1.2 * np.cos(np.arange(n))
         whole = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
-        assert simulate._batch_shape(300, 1, simulate._row_bytes(2 * n, n, n_s),
-                                     simulate._BATCH_BYTES)[1] == 300
+
+        def plan():
+            return simulate._plan_batch(2 * n, n, n_s, len(grid.lines), 300, 1, 301 * 2 * n * 8)
+
+        assert plan()[1] == 300
         builds = []
         jacobian = simulate._angle_jacobian
 
@@ -418,10 +477,8 @@ class TestFullNonlinearStepper:
             return jacobian(*args)
 
         monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
-        monkeypatch.setattr(simulate, "_BATCH_BYTES",
-                            (simulate._WINDOW_ROWS + simulate._PAD_ROWS)
-                            * simulate._row_bytes(2 * n, n, n_s)
-                            + simulate._window_bytes(n, len(grid.lines)))
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 2**16)
+        assert plan()[1] == simulate._WINDOW_ROWS
         chunked = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
         assert len(builds) > 1
         for name in ("x", "xdot", "y", "ydot"):
@@ -600,14 +657,14 @@ class TestCoiEstimate:
         t = make_time_grid(1.0, 0.1)
         xdot = np.tile(np.linspace(0, 1, len(t))[:, None], (1, 3))
         traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
-        stats = coi_frequency_variance_estimate([traj], burn_in=0.0)
+        stats = coi_frequency_variance_estimate([as_batch(traj)], burn_in=0.0)
         assert np.all(stats.variance < 1e-30)  # exact up to mean-subtraction roundoff
 
     def test_single_bus_identically_zero(self):
         t = make_time_grid(1.0, 0.1)
         xdot = np.random.default_rng(1).normal(size=(len(t), 1))
         traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
-        stats = coi_frequency_variance_estimate([traj], burn_in=0.0)
+        stats = coi_frequency_variance_estimate([as_batch(traj)], burn_in=0.0)
         np.testing.assert_array_equal(stats.variance, 0.0)
 
     def test_iid_normal_projection_identity(self):
@@ -617,7 +674,7 @@ class TestCoiEstimate:
         t = make_time_grid(2000.0, 0.1)
         xdot = rng.normal(0.0, math.sqrt(v), (len(t), n_bus))
         traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
-        stats = coi_frequency_variance_estimate([traj], burn_in=0.0)
+        stats = coi_frequency_variance_estimate([as_batch(traj)], burn_in=0.0)
         expected = v * (n_bus - 1) / n_bus
         np.testing.assert_allclose(stats.variance, expected, rtol=0.05)
         assert np.all(np.abs(stats.variance - expected) < 4 * stats.stderr)
@@ -626,12 +683,13 @@ class TestCoiEstimate:
         t = make_time_grid(1.0, 0.1)
         traj = Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2)))
         with pytest.raises(InputError, match="burn_in"):
-            coi_frequency_variance_estimate([traj], burn_in=5.0)
+            coi_frequency_variance_estimate([as_batch(traj)], burn_in=5.0)
 
     def test_mismatched_grids_rejected(self):
         t1 = make_time_grid(1.0, 0.1)
         t2 = make_time_grid(2.0, 0.1)
-        mk = lambda t: Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2)))
+        mk = lambda t: as_batch(
+            Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2))))
         with pytest.raises(InputError, match="share"):
             coi_frequency_variance_estimate([mk(t1), mk(t2)], burn_in=0.0)
 
@@ -641,7 +699,7 @@ class TestCoiEstimate:
         xdot[3] = [1e200, -1e200]  # its square overflows
         traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
         with pytest.raises(NumericsError, match="not finite"):
-            coi_frequency_variance_estimate([traj], burn_in=0.0)
+            coi_frequency_variance_estimate([as_batch(traj)], burn_in=0.0)
 
 
 class TestEnsembleRun:
@@ -682,7 +740,7 @@ class TestEnsembleRun:
             if len(calls) == 3:
                 raise ValueError("boom")
             t = make_time_grid(1.0, 0.1)
-            return simulate._as_batch(
+            return as_batch(
                 Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2))))
 
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
@@ -707,7 +765,7 @@ class TestEnsembleRun:
             t = make_time_grid(1.0, 0.1)
             record = np.ones((len(t), 4)) * seeds[0]
             built.append(weakref.ref(record))
-            return simulate._as_batch(Trajectory(t=t, x=record[:, :2], xdot=record[:, 2:]))
+            return as_batch(Trajectory(t=t, x=record[:, :2], xdot=record[:, 2:]))
 
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
                         ensemble_size=5, base_seed=0)
@@ -786,7 +844,7 @@ class TestEnsembleRun:
         assert stats.n_samples == n_time * cfg.ensemble_size
         assert stats.bus_ids == red.slow_ids
         # any iterable: a plain generator of the same whole members folds alike
-        again = coi_frequency_variance_estimate(iter(members), cfg.burn_in)
+        again = coi_frequency_variance_estimate(map(as_batch, members), cfg.burn_in)
         np.testing.assert_array_equal(again.variance, stats.variance)
         np.testing.assert_array_equal(again.stderr, stats.stderr)
 
@@ -842,12 +900,10 @@ class TestEnsembleRun:
             cfg = SimConfig(model=model, dt_max=0.01, t_end=t_end, burn_in=1.0,
                             ensemble_size=ensemble, base_seed=2)
             op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
-            row_bytes = simulate._row_bytes(2 * n_buses, n_buses, red.n_slow)
             n_steps = round(t_end / cfg.dt_max)
-            window = ((simulate._WINDOW_ROWS, simulate._window_bytes(n_buses, len(grid.lines)))
-                      if model == "full-nonlinear" else (1, 0))
-            rows = simulate._batch_shape(n_steps, ensemble, row_bytes, simulate._BATCH_BYTES,
-                                         *window)[1]
+            n_lines = len(grid.lines) if model == "full-nonlinear" else None
+            rows = simulate._plan_batch(2 * n_buses, n_buses, red.n_slow, n_lines, n_steps,
+                                        ensemble, 0)[1]
             assert rows < n_steps
             builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
             tracemalloc.start()
