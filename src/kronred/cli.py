@@ -1,10 +1,13 @@
 """Command-line surface: reduce, variance, simulate, compare, star-demo.
 
-Every command writes its outputs atomically (temp file + rename) into
---out-dir, plus a run manifest (command, resolved configuration, seeds,
-input digests, version, duration) sufficient to reproduce the outputs
+Each command computes its data files and returns them, file name to
+text; it opens no file.  Once the command has succeeded, `main` writes
+them atomically (temp file + rename) into --out-dir, in the order
+returned, then a run manifest (command, resolved configuration, seeds,
+input digests, version, duration) sufficient to reproduce them
 bit-for-bit: re-running the recorded argv against the same inputs
-yields byte-identical CSV/JSON data files.
+yields byte-identical CSV/JSON data files.  A command that fails
+(exit 2 or 3) leaves no file behind.
 
 The data files depend on the BLAS threads too: a threaded product splits
 its sums differently.  So every command runs with numpy's and scipy's
@@ -55,25 +58,21 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(args, started: float, outputs: list[str], inputs: list[Path]) -> None:
-    out_dir = Path(args.out_dir)
+def _write_manifest(args, argv: list[str], blas: dict, started: float,
+                    outputs: list[str]) -> None:
+    inputs = [Path(args.grid)] if "grid" in vars(args) else []
     manifest = {
         "command": args.command,
-        "argv": args._argv,
-        "config": {k: v for k, v in sorted(vars(args).items())
-                   if not k.startswith("_") and k != "func"},
+        "argv": argv,
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "seeds": {"seed": args.seed},
-        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "input_digests": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
         "version": __version__,
-        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": args._blas},
+        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas},
         "duration_s": round(time.time() - started, 3),
         "outputs": outputs,
     }
-    _write_text(out_dir / f"manifest_{args.command.replace('-', '_')}.json",
+    _write_text(Path(args.out_dir) / f"manifest_{args.command.replace('-', '_')}.json",
                 json.dumps(manifest, indent=2) + "\n")
 
 
@@ -112,14 +111,9 @@ def _parse_sigma_dist(spec: str) -> tuple[float, float]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_reduce(args) -> None:
-    started = time.time()
+def cmd_reduce(args) -> dict[str, str]:
     grid = _load_grid(args)
     op, _, red = linearize_and_reduce(grid, 1.0)
-    out_dir = Path(args.out_dir)
-    _write_text(out_dir / "reduced.json",
-                json.dumps(reduced_system_to_dict(red), indent=2) + "\n")
-
     basis = eigendecompose_reduced(red.j_red)
     gap = -basis.lambdas[1] if red.n_slow > 1 else 0.0
     row_sums = np.abs(red.noise_gain).sum(axis=1) if red.n_fast else np.zeros(red.n_slow)
@@ -130,11 +124,10 @@ def cmd_reduce(args) -> None:
           f"max {row_sums.max():.4g}")
     if not op.angle_window_ok:
         print(f"warning: {len(op.flagged_lines)} line(s) outside the (-pi/2, pi/2) angle window")
-    _write_manifest(args, started, ["reduced.json"], [Path(args.grid)])
+    return {"reduced.json": json.dumps(reduced_system_to_dict(red), indent=2) + "\n"}
 
 
-def cmd_variance(args) -> None:
-    started = time.time()
+def cmd_variance(args) -> dict[str, str]:
     grid = _load_grid(args)
     _, _, red = linearize_and_reduce(grid, 1.0)
     basis = eigendecompose_reduced(red.j_red)
@@ -150,10 +143,9 @@ def cmd_variance(args) -> None:
         header, *rows = csv_text.strip().split("\n")
         rows.sort(key=lambda r: float(r.split(",")[4]))
         csv_text = "\n".join([header] + rows) + "\n"
-    _write_text(Path(args.out_dir) / "variance.csv", csv_text)
     print(f"wrote variance.csv for {red.n_slow} slow buses "
           f"(total variance range {report.var_total.min():.4g} .. {report.var_total.max():.4g})")
-    _write_manifest(args, started, ["variance.csv"], [Path(args.grid)])
+    return {"variance.csv": csv_text}
 
 
 def _run_cfg(args, grid: Grid, model: str) -> SimConfig:
@@ -164,25 +156,22 @@ def _run_cfg(args, grid: Grid, model: str) -> SimConfig:
                      epsilon=args.epsilon, theta=args.theta)
 
 
-def cmd_simulate(args) -> None:
-    started = time.time()
+def cmd_simulate(args) -> dict[str, str]:
     if args.decimate < 1:  # before any work, so a typo costs nothing
         raise InputError(f"--decimate must be >= 1, got {args.decimate}")
     grid = _load_grid(args)
-    cfg = _run_cfg(args, grid, args.model)
+    cfg = _run_cfg(args, grid, args.model)  # bad flags are refused before the fixed point
     op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
     builder, batch = make_builder(grid, op, sys, red, cfg, keep_first=True)
     # member 0's slow record is kept for trajectory.csv; every batch is folded chunk by chunk
     members, first = tee_first_member(run_ensemble(builder, cfg, batch))
     stats = coi_frequency_variance_estimate(members, cfg.burn_in, bus_ids=red.slow_ids)
 
-    out_dir = Path(args.out_dir)
-    _write_text(out_dir / "trajectory.csv", trajectory_csv(first, red.slow_ids, args.decimate))
-    _write_text(out_dir / "stats.csv", stats_csv(stats))
     print(f"model {cfg.model}: {cfg.ensemble_size} trajectories, dt {first.t[1]:.4g} s, "
           f"t_end {cfg.t_end} s, burn-in {cfg.burn_in:.4g} s")
     print(f"COI variance range {stats.variance.min():.4g} .. {stats.variance.max():.4g}")
-    _write_manifest(args, started, ["trajectory.csv", "stats.csv"], [Path(args.grid)])
+    return {"trajectory.csv": trajectory_csv(first, red.slow_ids, args.decimate),
+            "stats.csv": stats_csv(stats)}
 
 
 def _parse_models(spec: str) -> list[str]:
@@ -197,71 +186,55 @@ def _parse_models(spec: str) -> list[str]:
     return models
 
 
-def cmd_compare(args) -> None:
-    started = time.time()
+def cmd_compare(args) -> dict[str, str]:
     models = _parse_models(args.models)  # before any work, so a typo costs nothing
     grid = _load_grid(args)
+    cfgs = [_run_cfg(args, grid, model) for model in models]  # and so are bad flags
     op, sys, red = linearize_and_reduce(grid, args.epsilon)
 
-    analytic = naive_analytic = None
+    # per-bus values of every column after bus_id, None where a column has none
+    columns = {"var_analytic": None, "var_naive_analytic": None}
     basis = eigendecompose_reduced(red.j_red)
     gam = gamma_matrix(red, basis)
     try:
         report = coi_variance(red, basis, gam)
-        analytic, naive_analytic = report.var_total, report.var_naive
+        columns.update(var_analytic=report.var_total, var_naive_analytic=report.var_naive)
     except HomogeneityError:
         print("heterogeneous parameters: analytic columns omitted, comparing simulated models")
 
-    empirical = {}
-    for model in models:
-        cfg = _run_cfg(args, grid, model)
+    for cfg in cfgs:
         builder, batch = make_builder(grid, op, sys, red, cfg)
-        empirical[model] = coi_frequency_variance_estimate(
+        columns[f"var_sim_{cfg.model}"] = coi_frequency_variance_estimate(
             run_ensemble(builder, cfg, batch), cfg.burn_in).variance
 
-    naive_ref = naive_analytic if naive_analytic is not None else empirical.get("reduced-naive")
-    corrected_ref = analytic if analytic is not None else empirical.get("reduced-xi")
-    n_s = red.n_slow
-    ranks = {}
-    for name, ref in (("naive", naive_ref), ("corrected", corrected_ref)):
-        if ref is not None:
-            ranks[name] = np.argsort(np.argsort(ref))  # ascending variance rank per bus
+    # ranks follow the analytic columns, else the simulated reduced models
+    refs = (("var_naive_analytic", "var_analytic") if columns["var_analytic"] is not None
+            else ("var_sim_reduced-naive", "var_sim_reduced-xi"))
+    naive_ref, corrected_ref = map(columns.get, refs)
+    rn, rc = (None if ref is None else np.argsort(np.argsort(ref))  # ascending, per bus
+              for ref in (naive_ref, corrected_ref))
+    columns.update(rank_naive=rn, rank_corrected=rc,
+                   rank_change=None if rn is None or rc is None else rn - rc)
 
-    header = ["bus_id", "var_analytic", "var_naive_analytic"]
-    header += [f"var_sim_{m}" for m in models]
-    header += ["rank_naive", "rank_corrected", "rank_change"]
-    lines = [",".join(header)]
-    for k, bid in enumerate(red.slow_ids):
-        row = [str(bid)]
-        row.append(repr(float(analytic[k])) if analytic is not None else "")
-        row.append(repr(float(naive_analytic[k])) if naive_analytic is not None else "")
-        row += [repr(float(empirical[m][k])) for m in models]
-        rn = int(ranks["naive"][k]) if "naive" in ranks else ""
-        rc = int(ranks["corrected"][k]) if "corrected" in ranks else ""
-        change = rn - rc if isinstance(rn, int) and isinstance(rc, int) else ""
-        row += [str(rn), str(rc), str(change)]
-        lines.append(",".join(row))
-    csv_text = "\n".join(lines) + "\n"
-
-    out_dir = Path(args.out_dir)
-    _write_text(out_dir / "compare.csv", csv_text)
+    cells = [[""] * red.n_slow if values is None else list(map(repr, values.tolist()))
+             for values in columns.values()]
+    lines = [",".join(["bus_id", *columns])]
+    lines += [",".join([str(bid), *row]) for bid, row in zip(red.slow_ids, zip(*cells))]
     plot = {
         "x_axis": "slow buses ordered by naive variance (ascending)",
         "y_axis": "COI frequency variance [(rad/s)^2]",
         "order": [int(red.slow_ids[k]) for k in np.argsort(naive_ref)]
         if naive_ref is not None else list(map(int, red.slow_ids)),
-        "series": [c for c in header[1:] if not c.startswith("rank")],
+        "series": [c for c in columns if not c.startswith("rank")],
     }
-    _write_text(out_dir / "compare_plot.json", json.dumps(plot, indent=2) + "\n")
-    n_moved = int(np.count_nonzero(ranks["naive"] != ranks["corrected"])) \
-        if len(ranks) == 2 else 0
-    print(f"compared models {models} on {n_s} slow buses; "
+    n_moved = np.count_nonzero(columns["rank_change"]) if columns["rank_change"] is not None else 0
+    print(f"compared models {models} on {red.n_slow} slow buses; "
           f"{n_moved} buses change rank between naive and corrected ordering")
-    _write_manifest(args, started, ["compare.csv", "compare_plot.json"], [Path(args.grid)])
+    return {"compare.csv": "\n".join(lines) + "\n",
+            "compare_plot.json": json.dumps(plot, indent=2) + "\n"}
 
 
-def cmd_star_demo(args) -> None:
-    started = time.time()
+def cmd_star_demo(args) -> dict[str, str]:
     if args.n_outer < 2:
         raise InputError(f"--n-outer must be >= 2, got {args.n_outer}")
     grid = make_star_grid(args.n_outer, args.center, b=args.b, sigma=args.sigma,
@@ -287,7 +260,7 @@ def cmd_star_demo(args) -> None:
         tot, nai = float(report.var_total[k]), float(report.var_naive[k])
         ratio = tot / nai if nai > 0 else float("inf") if tot > 0 else 1.0
         print(f"{bid:>6}  {tot:<13.6g}  {nai:<13.6g}  {ratio:.3g}")
-    _write_manifest(args, started, [], [])
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +380,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= args.seed < 2**64:
         parser.error(f"--seed must be in [0, 2^64), got {args.seed}")
-    args._argv = argv
+    started = time.time()
     try:
-        with _one_blas_thread() as args._blas:
-            args.func(args)
+        with _one_blas_thread() as blas:
+            files = args.func(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except NumericsError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    for name, text in files.items():
+        _write_text(Path(args.out_dir) / name, text)
+    _write_manifest(args, argv, blas, started, list(files))
     return 0
 
 

@@ -600,6 +600,12 @@ def build_jacobian(grid: Grid, op_point: OperatingPoint) -> np.ndarray:
     return _angle_jacobian(grid.edge_list(), theta)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon <= 1.0:
+        raise InputError(
+            f"epsilon must be in (0, 1], got {epsilon}; use the reduced model for the epsilon -> 0 limit")
+
+
 def assemble_linearized(grid: Grid, jacobian: np.ndarray, epsilon: float) -> LinearizedSystem:
     """Split the Jacobian into slow/fast blocks with diagonal M and D.
 
@@ -607,9 +613,7 @@ def assemble_linearized(grid: Grid, jacobian: np.ndarray, epsilon: float) -> Lin
     is kept separate so the physical fast coefficients are
     epsilon*m_fast and epsilon*d_fast.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise InputError(
-            f"epsilon must be in (0, 1], got {epsilon}; use the reduced model for the epsilon -> 0 limit")
+    _check_epsilon(epsilon)
     slow_ids = grid.slow_ids
     fast_ids = grid.fast_ids
     if not slow_ids:

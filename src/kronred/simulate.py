@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InputError, NumericsError
-from .grid import (Grid, LinearizedSystem, OperatingPoint, _angle_jacobian,
+from .grid import (Grid, LinearizedSystem, OperatingPoint, _angle_jacobian, _check_epsilon,
                    assemble_linearized, build_jacobian, solve_fixed_point)
 from .reduction import ReducedSystem, reduce_grid
 
@@ -41,9 +41,9 @@ MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
 # bounds a run's time.
 MAX_STEPS = 10_000_000
 # Most bytes one batch of ensemble members may hold: the chunk buffers it
-# is stepped through, its step maps and what its caller keeps besides
-# (member 0's slow x/xdot record in `simulate`, the whole record in a
-# one-member collector).
+# is stepped through, its step maps and what building them takes, and
+# what its caller keeps besides (member 0's slow x/xdot record in
+# `simulate`, the whole record in a one-member collector).
 MAX_MEMBER_BYTES = 2 * 2**30
 
 # Bytes of chunk buffers one batch of members is stepped through.
@@ -136,8 +136,7 @@ class SimConfig:
             raise InputError(f"base_seed must be in [0, 2^64), got {self.base_seed}")
         if self.theta not in (0.5, 1.0):
             raise InputError(f"theta must be 0.5 or 1.0, got {self.theta}")
-        if not self.epsilon > 0:
-            raise InputError(f"epsilon must be > 0, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         total = self.ensemble_size * _step_count(self.t_end, self.dt_max)
         if total > MAX_STEPS:
             raise InputError(f"ensemble_size x steps = {total:.4g} exceeds the limit {MAX_STEPS}")
@@ -217,7 +216,7 @@ def default_burn_in(grid: Grid) -> float:
 
 
 def _plan_batch(width: int, channels: int, n_slow: int, n_lines: int | None, n_steps: int,
-                ensemble: int, kept: int) -> tuple[int, int]:
+                ensemble: int, kept: int) -> tuple[int, int, int]:
     """Members per batch and rows per chunk: the one place a batch is
     sized.  The run steps a state of ``width`` entries, driven by
     ``channels`` noise channels, with ``n_slow`` slow buses, ``n_steps``
@@ -231,15 +230,18 @@ def _plan_batch(width: int, channels: int, n_slow: int, n_lines: int | None, n_s
     fill _BATCH_BYTES (or what MAX_MEMBER_BYTES leaves, if less) at
     max(_MIN_CHUNK_ROWS, window) rows, then rows fill it, at least one of
     each, whole windows when a nonlinear run spans several chunks.  The
-    step maps and the ``kept`` bytes of the caller count only against
-    MAX_MEMBER_BYTES: a run above it is refused before anything exists.
+    step maps, with what building them holds, and the ``kept`` bytes of
+    the caller count only against MAX_MEMBER_BYTES: a run above it is
+    refused before anything exists.  Returns (members, rows, bytes held).
     """
     row_bytes = 8 * (2 * channels + width + n_slow + 1)
-    map_bytes = 8 * width * (width + channels)  # S and G
+    # S, G and their LU factor (see _linear_maps), and the Jacobian
+    # (width / 2 squared) and noise gain (width / 2 x channels) they are built from
+    map_bytes = 8 * width * (2 * width + channels) + 2 * width * (width + 2 * channels)
     window, window_bytes = 1, 0
     if n_lines is not None:
         window, window_bytes = _WINDOW_ROWS, 8 * (_WINDOW_ROWS + 1) * (8 * channels + n_lines)
-        map_bytes += 8 * channels * (channels + 2 * n_lines)  # Jacobian, incidence, outflow
+        map_bytes += 16 * channels * n_lines  # incidence and outflow
     budget = min(_BATCH_BYTES, MAX_MEMBER_BYTES - map_bytes - kept)
     floor = (max(_MIN_CHUNK_ROWS, window) + _PAD_ROWS) * row_bytes + window_bytes
     members = max(1, min(ensemble, budget // floor))
@@ -251,7 +253,7 @@ def _plan_batch(width: int, channels: int, n_slow: int, n_lines: int | None, n_s
         raise InputError(f"one batch would hold {held / 2**30:.3g} GiB of step maps, records, "
                          f"state and noise buffers, above the limit of "
                          f"{MAX_MEMBER_BYTES / 2**30:.3g} GiB")
-    return members, rows
+    return members, rows, held
 
 
 # ---------------------------------------------------------------------------
@@ -353,32 +355,6 @@ def _noise_chunks(noise, t_grid: np.ndarray, n_channels: int, rows: int) -> Iter
 # Drift-implicit linear stepping
 # ---------------------------------------------------------------------------
 
-def _linear_step_maps(a: np.ndarray, b: np.ndarray, dt: float, theta: float):
-    """One-step maps for X' = A X + B eta with eta constant per step:
-    X_{k+1} = S X_k + G eta_k, from the factored implicit matrix."""
-    n = a.shape[0]
-    try:
-        factor = lu_factor(np.eye(n) - theta * dt * a)
-        step = lu_solve(factor, np.eye(n) + (1.0 - theta) * dt * a)
-        gain = lu_solve(factor, dt * b)
-    except (np.linalg.LinAlgError, ValueError) as e:
-        raise NumericsError(f"singular implicit-step matrix at dt={dt}") from e
-    if not (np.all(np.isfinite(step)) and np.all(np.isfinite(gain))):
-        raise NumericsError(f"singular implicit-step matrix at dt={dt}")
-    return step, gain
-
-
-def _second_order_matrix(jac: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """First-order form of m x'' = jac x - d x': the matrix A of
-    (x, x')' = A (x, x'), positions first."""
-    n = len(m)
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
-    a[n:, :n] = jac / m[:, None]
-    a[n:, n:] = -np.diag(d / m)
-    return a
-
-
 def _full_linear_system(sys: LinearizedSystem, cfg: SimConfig):
     """(jac, m, d, gain, n_slow) of the full linearized model at cfg.epsilon."""
     jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
@@ -397,11 +373,41 @@ def _reduced_system(red: ReducedSystem, cfg: SimConfig):
 
 def _linear_maps(jac, m, d, gain, dt: float, theta: float):
     """Step and forcing maps of m x'' = jac x - d x' + gain eta, state
-    (x, x') positions first."""
+    (x, x') positions first: with eta constant per step, the theta step
+    of the first-order form X' = A X + B eta is X_{k+1} = S X_k + G eta_k,
+    S = (I - theta dt A)^-1 (I + (1 - theta) dt A), G = (I - theta dt A)^-1 dt B.
+
+    A and B are never formed: I + s A is assembled block by block in
+    place (the same floats as I + s * A), Fortran-ordered, and LAPACK
+    factors the implicit matrix and solves for S and G in place.  So
+    building the maps holds one width x width LU factor besides them and
+    their inputs."""
     n = len(m)
-    b = np.zeros((2 * n, gain.shape[1]))
-    b[n:] = gain / m[:, None]
-    return _linear_step_maps(_second_order_matrix(jac, m, d), b, dt, theta)
+    damping, diag = -(d / m), np.arange(n)
+
+    def shifted(s):
+        out = np.zeros((2 * n, 2 * n), order="F")
+        out[diag, diag] = 1.0
+        out[diag, n + diag] = s
+        block = out[n:, :n]
+        np.divide(jac, m[:, None], out=block)
+        block *= s
+        block += 0.0  # a -0.0 becomes the +0.0 of I + s A
+        out[n + diag, n + diag] = 1.0 + s * damping
+        return out
+
+    forcing = np.zeros((2 * n, gain.shape[1]), order="F")
+    np.divide(gain, m[:, None], out=forcing[n:])
+    forcing *= dt
+    try:
+        factor = lu_factor(shifted(-theta * dt), overwrite_a=True)
+        step = lu_solve(factor, shifted((1.0 - theta) * dt), overwrite_b=True)
+        forcing = lu_solve(factor, forcing, overwrite_b=True)
+    except (np.linalg.LinAlgError, ValueError) as e:
+        raise NumericsError(f"singular implicit-step matrix at dt={dt}") from e
+    if not (np.all(np.isfinite(step)) and np.all(np.isfinite(forcing))):
+        raise NumericsError(f"singular implicit-step matrix at dt={dt}")
+    return step, forcing
 
 
 def _propagate(rows: list[np.ndarray], step_t: np.ndarray, prod: np.ndarray) -> None:
@@ -687,6 +693,7 @@ def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np
                 if length > 1:
                     return False
                 member = res_w.max(axis=1).argmax()
+                step_t = forcing_t = jac_t = None  # freed before the new maps are built
                 step_t, forcing_t, jac_t = maps(theta_star + dev[members + member],
                                                 t_grid[k + start])
                 np.subtract(inj_w, dev @ jac_t, out=rem_w)
@@ -938,8 +945,8 @@ def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
     width = 2 * (n_s if cfg.model.startswith("reduced") else n)
     n_lines = len(grid.lines) if cfg.model == "full-nonlinear" else None
-    batch, rows = _plan_batch(width, n, n_s, n_lines, n_steps, cfg.ensemble_size,
-                              8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
+    batch, rows, _ = _plan_batch(width, n, n_s, n_lines, n_steps, cfg.ensemble_size,
+                                 8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
 
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     dt = t_grid[1] - t_grid[0]

@@ -11,6 +11,7 @@ import pytest
 
 import kronred.grid
 from kronred.cli import main
+from kronred.errors import NumericsError
 from kronred.grid import serialize_grid_json
 from kronred.reduction import make_star_grid
 from kronred.simulate import MODELS, member_seed
@@ -68,6 +69,51 @@ def test_coi_variance_overflow_is_input_error(tmp_path, capsys, command):
     assert "COI variance overflows" in captured.err and "hint" not in captured.err
     assert captured.out == ""  # nothing printed: no partial table, no rank summary
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_failed_command_writes_nothing(tmp_path, capsys, monkeypatch):
+    import kronred.cli
+
+    def fail(*args):
+        raise NumericsError("eigendecomposition failed")
+    monkeypatch.setattr(kronred.cli, "eigendecompose_reduced", fail)
+    out = tmp_path / "out"
+    assert main(["reduce", write_grid(tmp_path, TWO_BUS), "--out-dir", str(out)]) == 3
+    assert "eigendecomposition failed" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["reduce", "variance", "simulate", "compare", "star-demo"])
+def test_manifest_lists_the_files_written(tmp_path, capsys, command):
+    grid = homogeneous_grid_file(tmp_path)
+    sim_flags = ["--t-end", "2", "--burn-in", "1", "--ensemble", "1"]
+    argv = {"simulate": ["simulate", grid, "--model", "reduced-xi", *sim_flags],
+            "compare": ["compare", grid, *sim_flags],
+            "star-demo": ["star-demo"]}.get(command, [command, grid])
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    name = f"manifest_{command.replace('-', '_')}.json"
+    manifest = json.loads((out / name).read_text())
+    assert sorted(manifest["outputs"]) == sorted(f.name for f in out.iterdir() if f.name != name)
+    assert list(manifest["input_digests"]) == ([] if command == "star-demo" else [grid])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compare", "--theta", "0.7"], "theta must be 0.5 or 1.0"),
+    (["simulate", "--model", "reduced-xi", "--epsilon", "2"], "epsilon must be in (0, 1]"),
+    (["compare", "--epsilon", "2"], "epsilon must be in (0, 1]"),
+])
+def test_bad_simulation_flags_refused_before_the_fixed_point(tmp_path, capsys, monkeypatch,
+                                                            argv, message):
+    import kronred.simulate
+
+    def solve(*args):
+        raise AssertionError("fixed point solved")
+    monkeypatch.setattr(kronred.simulate, "solve_fixed_point", solve)
+    out = tmp_path / "out"
+    assert main([argv[0], str(DATA_DIR / "ieee118.m"), *argv[1:], "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestReduce:

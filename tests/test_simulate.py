@@ -10,7 +10,8 @@ import pytest
 import kronred.simulate as simulate
 from conftest import dense_coupling, make_grid, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
-from kronred.grid import SLOW, FAST, assemble_linearized, build_jacobian, solve_fixed_point
+from kronred.grid import (SLOW, FAST, ClassDefaults, assemble_linearized, build_jacobian,
+                          parse_matpower_case, solve_fixed_point, with_sigma)
 from kronred.reduction import reduce_grid
 from kronred.simulate import (EnsembleStats, MemberBatch, OUSpec, SimConfig, Trajectory,
                               coi_frequency_variance_estimate, default_dt_max,
@@ -188,6 +189,11 @@ class TestTimeGrid:
         with pytest.raises(InputError, match=f"{field} must be finite"):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1.5, math.nan])
+    def test_sim_config_rejects_epsilon_outside_unit_interval(self, epsilon):
+        with pytest.raises(InputError, match=r"epsilon must be in \(0, 1\]"):
+            SimConfig(model="full-linear", dt_max=0.01, t_end=1.0, burn_in=0.0, epsilon=epsilon)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_sim_config_rejects_seed_out_of_range(self, seed):
         with pytest.raises(InputError, match="base_seed must be in"):
@@ -206,19 +212,22 @@ class TestTimeGrid:
         # 9 buses, 6 slow, 1000 steps.  Every model's batch holds chunk
         # buffers of (rows + 20 padding rows) x members x (2 x 9 channels
         # + state width + 6 + 1) x 8 B, at least one member and one row.
-        # The batch holds its step maps S (width x width) and G (width x 9)
-        # x 8 B.  The nonlinear model's members also hold Picard window
-        # arrays of (64 + 1) rows x (8 x 9 + lines) x 8 B each, and its
-        # batch the 9 x 9 angle Jacobian and the 9 x lines incidence and
-        # outflow matrices x 8 B.
+        # The batch holds its step maps S (width x width) and G (width x 9),
+        # and while it builds them their LU factor (width x width) and the
+        # Jacobian ((width / 2) squared) and noise gain (width / 2 x 9) they
+        # come from, x 8 B.  The nonlinear model's members also hold Picard
+        # window arrays of (64 + 1) rows x (8 x 9 + lines) x 8 B each, and
+        # its batch the 9 x lines incidence and outflow matrices x 8 B.
         # `simulate` also keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
         assert red.n_slow == 6 and simulate._PAD_ROWS == 20 and simulate._WINDOW_ROWS == 64
         cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
-        held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 + width * (width + 9) * 8
+        half = width // 2
+        held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 \
+            + (width * (width + 9) + width * width + half * half + half * 9) * 8
         if model == "full-nonlinear":
-            held += 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * (9 + 2 * len(grid.lines)) * 8
+            held += 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * 2 * len(grid.lines) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
             simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
@@ -270,6 +279,28 @@ class TestTimeGrid:
         finally:
             tracemalloc.stop()
         assert peak < record // 10
+
+    @pytest.mark.parametrize("model", simulate.MODELS)
+    def test_batch_peak_within_plan(self, model, ieee118_text):
+        # the plan counts what a batch really holds: its step maps and
+        # what building them takes, chunk buffers and Picard windows
+        # (one ieee118 member)
+        grid = parse_matpower_case(ieee118_text, slow=ClassDefaults(m=0.2, d=0.05, tau=0.1),
+                                   fast=ClassDefaults(m=0.002, d=0.0005, tau=0.1), rebalance=True)
+        grid = with_sigma(grid, np.random.default_rng(1).uniform(0.0, 0.01, grid.n_buses))
+        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=1.5, base_seed=1)
+        width = 2 * (red.n_slow if model.startswith("reduced") else grid.n_buses)
+        n_lines = len(grid.lines) if model == "full-nonlinear" else None
+        *_, held = simulate._plan_batch(width, grid.n_buses, red.n_slow, n_lines, 300, 1, 0)
+        tracemalloc.start()
+        try:
+            builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
+            coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch == 1 and peak <= held
 
     @pytest.mark.parametrize("budget", [2**20, 2**30])
     def test_large_ensemble_split_into_batches_within_budget(self, monkeypatch, budget):
@@ -558,10 +589,7 @@ class TestLinearRecord:
 
         jac, m, d, gain = self.linear_model(model, sys, red, cfg.epsilon)
         n, n_s = len(m), red.n_slow
-        b = np.zeros((2 * n, gain.shape[1]))
-        b[n:] = gain / m[:, None]
-        step, g = simulate._linear_step_maps(simulate._second_order_matrix(jac, m, d), b,
-                                             t[1] - t[0], cfg.theta)
+        step, g = simulate._linear_maps(jac, m, d, gain, t[1] - t[0], cfg.theta)
         # the batched loop's arithmetic for one member: one forcing product
         # over the chunk (here the whole path), then per step the row
         # (1, width) times step.T, added to the step's forcing
