@@ -1,13 +1,16 @@
 """Command-line surface: reduce, variance, simulate, compare, star-demo.
 
-Each command computes its data files and returns them, file name to
-text; it opens no file.  Once the command has succeeded, `main` writes
-them atomically (temp file + rename) into --out-dir, in the order
-returned, then a run manifest (command, resolved configuration, seeds,
-input digests, version, duration) sufficient to reproduce them
-bit-for-bit: re-running the recorded argv against the same inputs
-yields byte-identical CSV/JSON data files.  A command that fails
-(exit 2 or 3) leaves no file behind.
+Each command computes its data files and returns them, file name to an
+iterable of text pieces (a CSV table line by line from `_csv_lines`, a
+JSON document as one piece); it opens no file and holds no table as
+text.  Once the command has succeeded, `main` streams each file into
+--out-dir atomically (temp file + rename), in the order returned, then
+writes a run manifest (command, resolved configuration, seeds, input
+digests, version, duration) sufficient to reproduce them bit-for-bit:
+re-running the recorded argv against the same inputs yields
+byte-identical CSV/JSON data files.  A command that fails (exit 2 or 3)
+leaves no file behind; an --out-dir that is a file is refused before
+the command runs, and a failed write exits 2.
 
 The data files depend on the BLAS threads too: a threaded product splits
 its sums differently.  So every command runs with numpy's and scipy's
@@ -27,8 +30,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -40,21 +43,30 @@ from .grid import ClassDefaults, Grid, parse_grid_json, parse_matpower_case, wit
 from .reduction import make_star_grid, reduced_system_to_dict
 from .simulate import (MODELS, SimConfig, coi_frequency_variance_estimate, default_burn_in,
                        default_dt_max, linearize_and_reduce, make_builder, run_ensemble,
-                       stats_csv, tee_first_member, trajectory_csv)
-from .variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
-                       variance_report_csv)
+                       tee_first_member)
+from .variance import coi_variance, eigendecompose_reduced, gamma_matrix
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def _csv_lines(header: Iterable[str], rows: Iterable) -> Iterable[str]:
+    """A CSV table line by line: a cell is the repr of its Python value,
+    None an empty cell."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join("" if v is None else repr(v) for v in row) + "\n"
+
+
+def _write_file(path: Path, pieces: Iterable[str]) -> None:
+    """Write the pieces to a new file beside ``path``, then rename it over
+    ``path``.  Unlike mkstemp's 0600, the file gets the mode that
+    open(path, "w") gives."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -72,15 +84,18 @@ def _write_manifest(args, argv: list[str], blas: dict, started: float,
         "duration_s": round(time.time() - started, 3),
         "outputs": outputs,
     }
-    _write_text(Path(args.out_dir) / f"manifest_{args.command.replace('-', '_')}.json",
-                json.dumps(manifest, indent=2) + "\n")
+    _write_file(Path(args.out_dir) / f"manifest_{args.command.replace('-', '_')}.json",
+                [json.dumps(manifest, indent=2) + "\n"])
 
 
 def _load_grid(args) -> Grid:
     path = Path(args.grid)
     if not path.exists():
         raise InputError(f"grid file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read grid file {path}: {e}") from e
     if path.suffix == ".json":
         return parse_grid_json(text)
     if path.suffix == ".m":
@@ -111,7 +126,7 @@ def _parse_sigma_dist(spec: str) -> tuple[float, float]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_reduce(args) -> dict[str, str]:
+def cmd_reduce(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
     op, _, red = linearize_and_reduce(grid, 1.0)
     basis = eigendecompose_reduced(red.j_red)
@@ -124,10 +139,10 @@ def cmd_reduce(args) -> dict[str, str]:
           f"max {row_sums.max():.4g}")
     if not op.angle_window_ok:
         print(f"warning: {len(op.flagged_lines)} line(s) outside the (-pi/2, pi/2) angle window")
-    return {"reduced.json": json.dumps(reduced_system_to_dict(red), indent=2) + "\n"}
+    return {"reduced.json": [json.dumps(reduced_system_to_dict(red), indent=2) + "\n"]}
 
 
-def cmd_variance(args) -> dict[str, str]:
+def cmd_variance(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
     _, _, red = linearize_and_reduce(grid, 1.0)
     basis = eigendecompose_reduced(red.j_red)
@@ -138,14 +153,14 @@ def cmd_variance(args) -> dict[str, str]:
         raise HomogeneityError(f"{e}\nhint: the `simulate` command has no homogeneity restriction") \
             from e
 
-    csv_text = variance_report_csv(report)
+    rows = list(zip(report.bus_ids, report.var_total.tolist(), report.var_slow.tolist(),
+                    report.var_fast.tolist(), report.var_naive.tolist()))
     if args.order_by_naive:
-        header, *rows = csv_text.strip().split("\n")
-        rows.sort(key=lambda r: float(r.split(",")[4]))
-        csv_text = "\n".join([header] + rows) + "\n"
+        rows.sort(key=lambda row: row[4])  # stable: ties keep bus order
     print(f"wrote variance.csv for {red.n_slow} slow buses "
           f"(total variance range {report.var_total.min():.4g} .. {report.var_total.max():.4g})")
-    return {"variance.csv": csv_text}
+    return {"variance.csv": _csv_lines(
+        ["bus_id", "var_total", "var_slow_part", "var_fast_part", "var_naive"], rows)}
 
 
 def _run_cfg(args, grid: Grid, model: str) -> SimConfig:
@@ -156,7 +171,7 @@ def _run_cfg(args, grid: Grid, model: str) -> SimConfig:
                      epsilon=args.epsilon, theta=args.theta)
 
 
-def cmd_simulate(args) -> dict[str, str]:
+def cmd_simulate(args) -> dict[str, Iterable[str]]:
     if args.decimate < 1:  # before any work, so a typo costs nothing
         raise InputError(f"--decimate must be >= 1, got {args.decimate}")
     grid = _load_grid(args)
@@ -170,8 +185,15 @@ def cmd_simulate(args) -> dict[str, str]:
     print(f"model {cfg.model}: {cfg.ensemble_size} trajectories, dt {first.t[1]:.4g} s, "
           f"t_end {cfg.t_end} s, burn-in {cfg.burn_in:.4g} s")
     print(f"COI variance range {stats.variance.min():.4g} .. {stats.variance.max():.4g}")
-    return {"trajectory.csv": trajectory_csv(first, red.slow_ids, args.decimate),
-            "stats.csv": stats_csv(stats)}
+    ids = red.slow_ids
+    # formatted from member 0's record while main writes the file, never held as text
+    trajectory = ([float(first.t[k]), *first.x[k].tolist(), *first.xdot[k].tolist()]
+                  for k in range(0, len(first.t), args.decimate))
+    per_bus = zip(stats.bus_ids, stats.variance.tolist(), stats.stderr.tolist())
+    return {"trajectory.csv": _csv_lines(
+                ["t", *(f"x_{i}" for i in ids), *(f"xdot_{i}" for i in ids)], trajectory),
+            "stats.csv": _csv_lines(["bus_id", "var_coi", "stderr", "n_samples"],
+                                    ((*row, stats.n_samples) for row in per_bus))}
 
 
 def _parse_models(spec: str) -> list[str]:
@@ -186,7 +208,7 @@ def _parse_models(spec: str) -> list[str]:
     return models
 
 
-def cmd_compare(args) -> dict[str, str]:
+def cmd_compare(args) -> dict[str, Iterable[str]]:
     models = _parse_models(args.models)  # before any work, so a typo costs nothing
     grid = _load_grid(args)
     cfgs = [_run_cfg(args, grid, model) for model in models]  # and so are bad flags
@@ -216,10 +238,8 @@ def cmd_compare(args) -> dict[str, str]:
     columns.update(rank_naive=rn, rank_corrected=rc,
                    rank_change=None if rn is None or rc is None else rn - rc)
 
-    cells = [[""] * red.n_slow if values is None else list(map(repr, values.tolist()))
+    cells = [[None] * red.n_slow if values is None else values.tolist()
              for values in columns.values()]
-    lines = [",".join(["bus_id", *columns])]
-    lines += [",".join([str(bid), *row]) for bid, row in zip(red.slow_ids, zip(*cells))]
     plot = {
         "x_axis": "slow buses ordered by naive variance (ascending)",
         "y_axis": "COI frequency variance [(rad/s)^2]",
@@ -230,11 +250,11 @@ def cmd_compare(args) -> dict[str, str]:
     n_moved = np.count_nonzero(columns["rank_change"]) if columns["rank_change"] is not None else 0
     print(f"compared models {models} on {red.n_slow} slow buses; "
           f"{n_moved} buses change rank between naive and corrected ordering")
-    return {"compare.csv": "\n".join(lines) + "\n",
-            "compare_plot.json": json.dumps(plot, indent=2) + "\n"}
+    return {"compare.csv": _csv_lines(["bus_id", *columns], zip(red.slow_ids, *cells)),
+            "compare_plot.json": [json.dumps(plot, indent=2) + "\n"]}
 
 
-def cmd_star_demo(args) -> dict[str, str]:
+def cmd_star_demo(args) -> dict[str, Iterable[str]]:
     if args.n_outer < 2:
         raise InputError(f"--n-outer must be >= 2, got {args.n_outer}")
     grid = make_star_grid(args.n_outer, args.center, b=args.b, sigma=args.sigma,
@@ -380,6 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= args.seed < 2**64:
         parser.error(f"--seed must be in [0, 2^64), got {args.seed}")
+    out_dir = Path(args.out_dir)
+    if out_dir.exists() and not out_dir.is_dir():  # before any work, so a typo costs nothing
+        print(f"input error: --out-dir {out_dir} is not a directory", file=sys.stderr)
+        return 2
     started = time.time()
     try:
         with _one_blas_thread() as blas:
@@ -390,9 +414,14 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    for name, text in files.items():
-        _write_text(Path(args.out_dir) / name, text)
-    _write_manifest(args, argv, blas, started, list(files))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, pieces in files.items():
+            _write_file(out_dir / name, pieces)
+        _write_manifest(args, argv, blas, started, list(files))
+    except OSError as e:
+        print(f"input error: cannot write to --out-dir {out_dir}: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -978,28 +978,3 @@ def run_model_ensemble(grid: Grid, cfg: SimConfig) -> EnsembleStats:
     return coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in,
                                            bus_ids=red.slow_ids)
 
-
-# ---------------------------------------------------------------------------
-# CSV output
-# ---------------------------------------------------------------------------
-
-def trajectory_csv(traj: Trajectory, bus_ids: tuple[int, ...], decimate: int = 1) -> str:
-    """CSV with t, then x_<id> and xdot_<id> per slow bus."""
-    if decimate < 1:
-        raise InputError(f"decimate must be >= 1, got {decimate}")
-    header = ["t"] + [f"x_{i}" for i in bus_ids] + [f"xdot_{i}" for i in bus_ids]
-    lines = [",".join(header)]
-    for k in range(0, len(traj.t), decimate):
-        row = [repr(float(traj.t[k]))]
-        row += [repr(float(v)) for v in traj.x[k]]
-        row += [repr(float(v)) for v in traj.xdot[k]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def stats_csv(stats: EnsembleStats) -> str:
-    """CSV with bus_id, var_coi, stderr, n_samples."""
-    lines = ["bus_id,var_coi,stderr,n_samples"]
-    for k, bid in enumerate(stats.bus_ids):
-        lines.append(f"{bid},{float(stats.variance[k])!r},{float(stats.stderr[k])!r},{stats.n_samples}")
-    return "\n".join(lines) + "\n"

@@ -289,15 +289,6 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis, gamma_mat: np.ndarray) -
     )
 
 
-def variance_report_csv(report: VarianceReport) -> str:
-    """CSV with columns bus_id, var_total, var_slow_part, var_fast_part, var_naive."""
-    lines = ["bus_id,var_total,var_slow_part,var_fast_part,var_naive"]
-    for k, bid in enumerate(report.bus_ids):
-        lines.append(f"{bid},{float(report.var_total[k])!r},{float(report.var_slow[k])!r},"
-                     f"{float(report.var_fast[k])!r},{float(report.var_naive[k])!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Independent Lyapunov oracle
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,44 @@ def test_manifest_lists_the_files_written(tmp_path, capsys, command):
     manifest = json.loads((out / name).read_text())
     assert sorted(manifest["outputs"]) == sorted(f.name for f in out.iterdir() if f.name != name)
     assert list(manifest["input_digests"]) == ([] if command == "star-demo" else [grid])
+
+
+def test_files_get_the_mode_open_gives(tmp_path):
+    out = tmp_path / "out"
+    umask = os.umask(0o022)
+    try:
+        assert main(["reduce", write_grid(tmp_path, TWO_BUS), "--out-dir", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert {f.name: f.stat().st_mode & 0o777 for f in out.iterdir()} == {
+        "reduced.json": 0o644, "manifest_reduce.json": 0o644}
+
+
+@pytest.mark.parametrize("case", ["grid is a directory", "json grid not utf-8",
+                                  "m grid not utf-8", "out-dir is a file",
+                                  "out-dir under a file"])
+def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
+    grid, out = tmp_path / "grid.json", tmp_path / "out"
+    grid.write_text(TWO_BUS)
+    if case == "grid is a directory":
+        grid = tmp_path / "dir.json"
+        grid.mkdir()
+    elif case == "json grid not utf-8":
+        grid.write_bytes(b"\xff" + TWO_BUS.encode())
+    elif case == "m grid not utf-8":
+        grid = tmp_path / "case3.m"
+        grid.write_bytes(b"\xff" + THREE_BUS_CASE.encode())
+    elif case == "out-dir is a file":
+        out.write_text("")
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    assert main(["reduce", str(grid), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    named = out if case.startswith("out-dir") else grid
+    assert captured.err.startswith("input error:") and str(named) in captured.err
+    if case == "out-dir is a file":  # refused before the command ran
+        assert captured.out == "" and out.read_text() == ""
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -331,6 +370,26 @@ class TestSimulate:
         for model in ("full-linear", "full-nonlinear"):
             assert main(["compare", grid, "--models", model, *flags,
                          "--out-dir", str(tmp_path)]) == 0
+
+    def test_trajectory_text_is_never_held(self, tmp_path):
+        # trajectory.csv's rows are formatted from member 0's record while
+        # main writes them.  On a grid this small the 4 MiB chunk buffers
+        # outweigh the text, so the peak of writing every row is held
+        # against that of writing a thousandth of them, not the file size.
+        grid = homogeneous_grid_file(tmp_path)
+        peaks, sizes = [], []
+        for decimate in ("1", "1000"):
+            out = tmp_path / decimate
+            tracemalloc.start()
+            try:
+                assert main(["simulate", grid, "--model", "reduced-xi", "--t-end", "300",
+                             "--dt", "0.01", "--burn-in", "10", "--ensemble", "1",
+                             "--decimate", decimate, "--out-dir", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append((out / "trajectory.csv").stat().st_size)
+        assert peaks[0] - peaks[1] < sizes[0] / 10, (peaks, sizes)
 
     def test_bad_decimate_refused_before_any_simulation(self, tmp_path, capsys, monkeypatch):
         import kronred.cli

@@ -1,5 +1,5 @@
-"""Fuzzed input at the CLI boundary: grid JSON documents, MATPOWER text
-and the numeric command-line flags.
+"""Fuzzed input at the CLI boundary: grid JSON documents, MATPOWER text,
+the raw bytes of grid files and the numeric command-line flags.
 
 Whatever the input, `kronred` must finish with exit code 0, 2 or 3 and
 never with an uncaught exception (a traceback).  Examples are
@@ -63,10 +63,11 @@ def run_cli(argv):
             return e.code
 
 
-def run_on_file(name, text, argv):
+def run_on_file(name, content, argv):
+    """Exit code of `kronred` run on ``content`` (text or bytes) saved as ``name``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
-        path.write_text(text)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         return run_cli([argv[0], str(path), "--out-dir", tmp, *argv[1:]])
 
 
@@ -155,6 +156,32 @@ def matpower_texts(draw):
 @given(text=matpower_texts(), command=st.sampled_from(["reduce", "variance"]))
 def test_matpower_texts(text, command):
     assert run_on_file("case.m", text, [command]) in (0, 2, 3)
+
+
+@st.composite
+def mutated_grid_bytes(draw):
+    """The base grid's JSON or the three-bus case, with one to four bytes
+    replaced, inserted or deleted."""
+    data = bytearray(draw(st.sampled_from([json.dumps(BASE_GRID).encode(),
+                                           THREE_BUS_CASE.encode()])))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data) - 1))
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if action == "delete":
+            del data[i]
+        elif action == "insert":
+            data.insert(i, draw(st.integers(0, 255)))
+        else:
+            data[i] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@FUZZ_SETTINGS
+@given(data=mutated_grid_bytes(), suffix=st.sampled_from([".json", ".m"]),
+       command=st.sampled_from(["reduce", "variance"]))
+@example(data=b"\xff" + json.dumps(BASE_GRID).encode(), suffix=".json", command="reduce")
+def test_grid_file_bytes(data, suffix, command):
+    assert run_on_file(f"grid{suffix}", data, [command]) in (0, 2, 3)
 
 
 FLOAT_FLAGS = st.one_of(

@@ -8,15 +8,16 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from conftest import make_grid, path3_grid, random_connected_grid
+from kronred.cli import main
 from kronred.errors import InputError, NumericsError
 from kronred.grid import (FAST, SLOW, ClassDefaults, assemble_linearized, build_jacobian,
-                          parse_matpower_case, solve_fixed_point, with_sigma)
+                          parse_matpower_case, serialize_grid_json, solve_fixed_point,
+                          with_sigma)
 from kronred.reduction import ReducedSystem, make_star_grid, reduce_grid
 from kronred.simulate import make_time_grid
 from kronred.variance import (ModalBasis, coi_variance, eigendecompose_reduced,
                               frequency_variance_kernel, gamma_matrix, h_kernel,
-                              lyapunov_oracle_variance, modal_trajectory,
-                              variance_report_csv)
+                              lyapunov_oracle_variance, modal_trajectory)
 
 
 def pipeline(grid, epsilon=1.0):
@@ -330,10 +331,11 @@ class TestCoiVariance:
             np.testing.assert_allclose(report.var_slow, var_slow, rtol=1e-12, atol=0)
             np.testing.assert_allclose(report.var_fast, var_fast, rtol=1e-12, atol=0)
 
-    def test_csv_columns(self):
-        grid = path3_grid(sigma_slow=0.1, sigma_fast=0.5)
-        _, red, basis, gam = pipeline(grid)
-        text = variance_report_csv(coi_variance(red, basis, gam))
+    def test_csv_columns(self, tmp_path):
+        grid = tmp_path / "path3.json"
+        grid.write_text(serialize_grid_json(path3_grid(sigma_slow=0.1, sigma_fast=0.5)))
+        assert main(["variance", str(grid), "--out-dir", str(tmp_path)]) == 0
+        text = (tmp_path / "variance.csv").read_text()
         header, first, second = text.strip().split("\n")
         assert header == "bus_id,var_total,var_slow_part,var_fast_part,var_naive"
         cols = first.split(",")
