@@ -5,23 +5,45 @@ fixed point, linearize into slow/fast blocks, Kron-reduce to the slow
 buses with the correlated-noise correction, evaluate the closed-form
 COI frequency variance, and validate by stochastic simulation of the
 full two-timescale system.
+
+The names below load their module on first use (PEP 562), so importing
+the package loads no numpy: `kronred.cli` can pin the BLAS threads first.
 """
 
-from .errors import HomogeneityError, InputError, KronredError, NumericsError
-from .grid import (Bus, ClassDefaults, Grid, Line, LinearizedSystem, OperatingPoint,
-                   assemble_linearized, build_jacobian, parse_grid_json,
-                   parse_matpower_case, serialize_grid_json, solve_fixed_point,
-                   with_sigma)
-from .reduction import (ReducedSystem, make_star_grid, reduce_grid,
-                        reduced_system_from_dict, reduced_system_to_dict)
-from .simulate import (EnsembleStats, OUSpec, SimConfig, Trajectory,
-                       coi_frequency_variance_estimate, default_burn_in,
-                       default_dt_max, integrate_full_linear, integrate_full_nonlinear,
-                       integrate_reduced, linearize_and_reduce, make_time_grid,
-                       ou_sample_path, run_ensemble, run_model_ensemble)
-from .variance import (ModalBasis, VarianceReport, coi_variance,
-                       eigendecompose_reduced, frequency_variance_kernel,
-                       gamma_matrix, h_kernel, lyapunov_oracle_variance,
-                       modal_trajectory)
+import importlib
+
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("HomogeneityError", "InputError", "KronredError", "NumericsError"),
+                    "errors"),
+    **dict.fromkeys(("Bus", "ClassDefaults", "Grid", "Line", "LinearizedSystem",
+                     "OperatingPoint", "assemble_linearized", "build_jacobian",
+                     "parse_grid_json", "parse_matpower_case", "serialize_grid_json",
+                     "solve_fixed_point", "with_sigma"), "grid"),
+    **dict.fromkeys(("ReducedSystem", "make_star_grid", "reduce_grid",
+                     "reduced_system_from_dict", "reduced_system_to_dict"), "reduction"),
+    **dict.fromkeys(("EnsembleStats", "OUSpec", "SimConfig", "Trajectory",
+                     "coi_frequency_variance_estimate", "default_burn_in", "default_dt_max",
+                     "integrate_full_linear", "integrate_full_nonlinear", "integrate_reduced",
+                     "linearize_and_reduce", "make_time_grid", "ou_sample_path", "run_ensemble",
+                     "run_model_ensemble"), "simulate"),
+    **dict.fromkeys(("ModalBasis", "VarianceReport", "coi_variance", "eigendecompose_reduced",
+                     "frequency_variance_kernel", "gamma_matrix", "h_kernel",
+                     "lyapunov_oracle_variance", "modal_trajectory"), "variance"),
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

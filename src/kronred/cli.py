@@ -9,13 +9,17 @@ writes a run manifest (command, resolved configuration, seeds, input
 digests, version, duration) sufficient to reproduce them bit-for-bit:
 re-running the recorded argv against the same inputs yields
 byte-identical CSV/JSON data files.  A command that fails (exit 2 or 3)
-leaves no file behind; an --out-dir that is a file is refused before
-the command runs, and a failed write exits 2.
+leaves no file behind; an --out-dir that is a file, or whose nearest
+existing ancestor is not a writable directory, is refused before the
+command runs, and a failed write exits 2.
 
 The data files depend on the BLAS threads too: a threaded product splits
 its sums differently.  So every command runs with numpy's and scipy's
 bundled OpenBLAS pinned to one thread, and the manifest records the
-numpy, scipy and BLAS versions and the threads in use.
+numpy, scipy and BLAS versions and the threads in use.  Importing this
+module sets OPENBLAS_NUM_THREADS=1 unless it is set already, so a
+process that imports it before numpy starts OpenBLAS with one thread
+and spawns no idle BLAS threads.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
@@ -34,6 +38,11 @@ import time
 from collections.abc import Iterable
 from pathlib import Path
 
+# OpenBLAS reads its thread count once, when numpy loads it: one thread
+# from the start, unless the caller chose.  _one_blas_thread pins it again
+# for a caller that loaded numpy first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import scipy
 
@@ -41,9 +50,8 @@ from . import __version__
 from .errors import HomogeneityError, InputError, NumericsError
 from .grid import ClassDefaults, Grid, parse_grid_json, parse_matpower_case, with_sigma
 from .reduction import make_star_grid, reduced_system_to_dict
-from .simulate import (MODELS, SimConfig, coi_frequency_variance_estimate, default_burn_in,
-                       default_dt_max, linearize_and_reduce, make_builder, run_ensemble,
-                       tee_first_member)
+from .simulate import (MODELS, SimConfig, default_burn_in, default_dt_max,
+                       linearize_and_reduce, run_models)
 from .variance import coi_variance, eigendecompose_reduced, gamma_matrix
 
 
@@ -177,10 +185,8 @@ def cmd_simulate(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
     cfg = _run_cfg(args, grid, args.model)  # bad flags are refused before the fixed point
     op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
-    builder, batch = make_builder(grid, op, sys, red, cfg, keep_first=True)
     # member 0's slow record is kept for trajectory.csv; every batch is folded chunk by chunk
-    members, first = tee_first_member(run_ensemble(builder, cfg, batch))
-    stats = coi_frequency_variance_estimate(members, cfg.burn_in, bus_ids=red.slow_ids)
+    (stats,), first = run_models(grid, op, sys, red, [cfg], keep_first=True)
 
     print(f"model {cfg.model}: {cfg.ensemble_size} trajectories, dt {first.t[1]:.4g} s, "
           f"t_end {cfg.t_end} s, burn-in {cfg.burn_in:.4g} s")
@@ -224,10 +230,9 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
     except HomogeneityError:
         print("heterogeneous parameters: analytic columns omitted, comparing simulated models")
 
-    for cfg in cfgs:
-        builder, batch = make_builder(grid, op, sys, red, cfg)
-        columns[f"var_sim_{cfg.model}"] = coi_frequency_variance_estimate(
-            run_ensemble(builder, cfg, batch), cfg.burn_in).variance
+    # every model steps through one noise stream in lockstep
+    stats, _ = run_models(grid, op, sys, red, cfgs)
+    columns.update((f"var_sim_{cfg.model}", s.variance) for cfg, s in zip(cfgs, stats))
 
     # ranks follow the analytic columns, else the simulated reduced models
     refs = (("var_naive_analytic", "var_analytic") if columns["var_analytic"] is not None
@@ -401,8 +406,14 @@ def main(argv: list[str] | None = None) -> int:
     if not 0 <= args.seed < 2**64:
         parser.error(f"--seed must be in [0, 2^64), got {args.seed}")
     out_dir = Path(args.out_dir)
-    if out_dir.exists() and not out_dir.is_dir():  # before any work, so a typo costs nothing
-        print(f"input error: --out-dir {out_dir} is not a directory", file=sys.stderr)
+    # before any work, so a typo costs nothing: main makes the missing
+    # directories inside the nearest one that exists
+    existing = out_dir.absolute()
+    while not existing.exists():
+        existing = existing.parent
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        print(f"input error: --out-dir {out_dir}: {existing} is not a writable directory",
+              file=sys.stderr)
         return 2
     started = time.time()
     try:

@@ -14,10 +14,14 @@ model runs through the linear models' recurrence too: it solves its
 implicit steps a window of rows at a time by Picard sweeps.
 
 Noise channels are always ordered slow buses first, then fast buses.
-All models of the same grid draw their channels from the same layout,
-so runs with equal seeds see identical underlying noise: the reduced
-"xi" model combines eta_slow + K eta_fast, the naive model keeps only
-eta_slow, the full models apply each bus its own channel.
+All models of the same grid draw their channels from the same layout:
+the reduced "xi" model combines eta_slow + K eta_fast, the naive model
+keeps only eta_slow, the full models apply each bus its own channel.
+So one noise stream drives them all.  A run of several models
+(run_models, behind `compare`) draws each chunk of that noise once,
+steps every model through it in lockstep and folds each model's chunk
+into its statistics before the next chunk is drawn; `simulate` is the
+one-model case of the same run.
 """
 
 from __future__ import annotations
@@ -215,29 +219,31 @@ def default_burn_in(grid: Grid) -> float:
     return 10.0 * max(tau_max, relax)
 
 
-def _plan_batch(width: int, channels: int, n_slow: int, n_lines: int | None, n_steps: int,
-                ensemble: int, kept: int) -> tuple[int, int, int]:
-    """Members per batch and rows per chunk: the one place a batch is
-    sized.  The run steps a state of ``width`` entries, driven by
-    ``channels`` noise channels, with ``n_slow`` slow buses, ``n_steps``
-    times; ``n_lines`` is the nonlinear model's line count, None for a
-    linear model.
+def _plan_batch(widths: tuple[int, ...], channels: int, n_slow: int, n_lines: int | None,
+                n_steps: int, ensemble: int, kept: int) -> tuple[int, int, int]:
+    """Members per batch and rows per chunk: the one place a run is
+    sized.  The run steps one state per model, of ``widths`` entries, all
+    driven by the same ``channels`` noise channels, with ``n_slow`` slow
+    buses, ``n_steps`` times; ``n_lines`` is the line count of the
+    nonlinear model among them, None if there is none.
 
-    Per row and member, chunk buffers hold the noise and its draws, the
-    state, the fold's squares and row means; a nonlinear member adds Picard
-    window arrays of _WINDOW_ROWS + 1 rows (six bus vectors, two products'
-    temporaries, the lines' angle differences).  Up to ``ensemble`` members
-    fill _BATCH_BYTES (or what MAX_MEMBER_BYTES leaves, if less) at
-    max(_MIN_CHUNK_ROWS, window) rows, then rows fill it, at least one of
-    each, whole windows when a nonlinear run spans several chunks.  The
-    step maps, with what building them holds, and the ``kept`` bytes of
-    the caller count only against MAX_MEMBER_BYTES: a run above it is
-    refused before anything exists.  Returns (members, rows, bytes held).
+    Per row and member, chunk buffers hold the noise and its draws once,
+    and per model the state, the fold's squares and row means; a
+    nonlinear member adds Picard window arrays of _WINDOW_ROWS + 1 rows
+    (six bus vectors, two products' temporaries, the lines' angle
+    differences).  Up to ``ensemble`` members fill _BATCH_BYTES (or what
+    MAX_MEMBER_BYTES leaves, if less) at max(_MIN_CHUNK_ROWS, window)
+    rows, then rows fill it, at least one of each, whole windows when a
+    run with the nonlinear model spans several chunks.  Every model's step
+    maps, with what building them holds, and the ``kept`` bytes of the
+    caller count only against MAX_MEMBER_BYTES: a run above it is refused
+    before anything exists.  Returns (members, rows, bytes held).
     """
-    row_bytes = 8 * (2 * channels + width + n_slow + 1)
-    # S, G and their LU factor (see _linear_maps), and the Jacobian
+    row_bytes = 8 * (2 * channels + sum(width + n_slow + 1 for width in widths))
+    # per model S, G and their LU factor (see _linear_maps), and the Jacobian
     # (width / 2 squared) and noise gain (width / 2 x channels) they are built from
-    map_bytes = 8 * width * (2 * width + channels) + 2 * width * (width + 2 * channels)
+    map_bytes = sum(8 * width * (2 * width + channels) + 2 * width * (width + 2 * channels)
+                    for width in widths)
     window, window_bytes = 1, 0
     if n_lines is not None:
         window, window_bytes = _WINDOW_ROWS, 8 * (_WINDOW_ROWS + 1) * (8 * channels + n_lines)
@@ -456,7 +462,7 @@ def _collector_plan(cfg: SimConfig, width: int, channels: int, n_slow: int,
     """Time grid and rows per chunk of a one-member collector: a batch of
     one that keeps its whole state record, refused before the grid exists."""
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
-    rows = _plan_batch(width, channels, n_slow, n_lines, n_steps, 1,
+    rows = _plan_batch((width,), channels, n_slow, n_lines, n_steps, 1,
                        8 * (n_steps + 1) * width)[1]
     return make_time_grid(cfg.t_end, cfg.dt_max), rows
 
@@ -733,51 +739,98 @@ def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np
 # Ensemble statistics
 # ---------------------------------------------------------------------------
 
-def _fold_batch(batch: MemberBatch, start: int, ends: list[int]):
-    """Per-member sums of one batch's squared COI frequency deviations over
-    grid rows start, start+1, ...: the total, and one sum per time batch
-    (time batch j ends before row ends[j]).
+class _CoiFold:
+    """Running sums of one model's squared COI frequency deviations over
+    grid rows t >= burn_in, fed one chunk at a time.
 
-    Every sum adds its rows in time order, continuing across chunk
-    boundaries from the carried partial sum, so the result does not
-    depend on how the rows were chunked.  Returns (totals, sums) of
-    shapes (members, n_slow) and (time batches, members, n_slow).
+    ``begin`` starts a batch of members, ``add`` folds its chunks in row
+    order and ``end`` adds the batch's per-member sums to the ensemble's;
+    ``stats`` gives the estimate.  Per member there is a total and one
+    sum per time batch (time batch j ends before row ends[j]), each adding
+    its rows in time order and continuing across chunk edges from the
+    carried partial sum, so the result does not depend on how the rows
+    were chunked.
     """
-    total = part = None
-    sums = []
-    expected = 0
-    for k, _, xdot in batch.chunks:
-        if k != expected:
-            raise InputError(f"chunk starts at row {k}, expected {expected}")
-        expected = k + len(xdot)
-        lo = max(k, start)
-        if lo >= expected:
-            continue
+
+    def __init__(self, t: np.ndarray, n_slow: int, burn_in: float):
+        self.t, self.n_slow = t, n_slow
+        self.start = int(np.searchsorted(t, burn_in))  # t increases
+        self.n_time = len(t) - self.start
+        if not self.n_time:
+            raise InputError(f"no samples after burn_in={burn_in}")
+        # the time batches of np.array_split: the first n_time % n_b one row longer
+        n_b = min(_N_BATCHES, self.n_time)
+        self.lengths = np.array([self.n_time // n_b + 1] * (self.n_time % n_b)
+                                + [self.n_time // n_b] * (n_b - self.n_time % n_b))
+        self.ends = (self.start + np.cumsum(self.lengths)).tolist()
+        self.sq_sum = np.zeros(n_slow)
+        self.batch_means = []
+        self.n_members = 0
+
+    def begin(self) -> None:
+        self.total = self.part = None
+        self.sums = []
+        self.expected = 0
+
+    def add(self, k: int, xdot: np.ndarray) -> None:
+        """Fold grid rows k, k+1, ... of every member, shape (rows, members, n_slow)."""
+        if k != self.expected:
+            raise InputError(f"chunk starts at row {k}, expected {self.expected}")
+        self.expected = end = k + len(xdot)
+        lo = max(k, self.start)
+        if lo >= end:
+            return
         xdot = xdot[lo - k:]
-        if total is None:
-            total = part = np.zeros(xdot.shape[1:])
+        if self.total is None:
+            self.total = self.part = np.zeros(xdot.shape[1:])
         with np.errstate(over="ignore", invalid="ignore"):
             # buf[0] carries the running total; buf[1 + i] is the square of row lo + i
             buf = np.empty((len(xdot) + 1, *xdot.shape[1:]))
-            buf[0] = total
+            buf[0] = self.total
             dev = buf[1:]
             np.subtract(xdot, xdot.mean(axis=2, keepdims=True), out=dev)
             np.square(dev, out=dev)
-            total = buf.sum(axis=0)
+            self.total = buf.sum(axis=0)
             row = lo
-            while row < expected:
-                hi = min(ends[len(sums)], expected)
+            while row < end:
+                hi = min(self.ends[len(self.sums)], end)
                 # the row before this time batch's rows is summed already:
                 # it carries the time batch's partial sum instead
-                buf[row - lo] = part
-                part = buf[row - lo:hi - lo + 1].sum(axis=0)
-                if hi == ends[len(sums)]:
-                    sums.append(part)
-                    part = np.zeros_like(part)
+                buf[row - lo] = self.part
+                self.part = buf[row - lo:hi - lo + 1].sum(axis=0)
+                if hi == self.ends[len(self.sums)]:
+                    self.sums.append(self.part)
+                    self.part = np.zeros_like(self.part)
                 row = hi
-    if expected != len(batch.t):
-        raise InputError("trajectories do not share grid and bus ordering")
-    return total, np.array(sums)
+
+    def end(self) -> None:
+        if self.expected != len(self.t):
+            raise InputError("trajectories do not share grid and bus ordering")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for total in self.total:
+                self.sq_sum += total
+            means = np.array(self.sums) / self.lengths[:, None, None]
+        self.batch_means.append(means.transpose(1, 0, 2).reshape(-1, self.n_slow))
+        self.n_members += len(self.total)
+
+    def stats(self, bus_ids: tuple[int, ...] | None) -> EnsembleStats:
+        if not self.n_members:
+            raise InputError("no trajectories given")
+        n_total = self.n_time * self.n_members
+        with np.errstate(over="ignore", invalid="ignore"):
+            variance = self.sq_sum / n_total
+            batch_means = np.concatenate(self.batch_means)
+            if len(batch_means) > 1:
+                stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means))
+            else:
+                stderr = np.full(self.n_slow, np.nan)
+        if not np.all(np.isfinite(variance)) or (len(batch_means) > 1
+                                                 and not np.all(np.isfinite(stderr))):
+            raise NumericsError("COI frequency variance estimate is not finite")
+        if bus_ids is None:
+            bus_ids = tuple(range(self.n_slow))
+        return EnsembleStats(bus_ids=tuple(bus_ids), variance=variance, stderr=stderr,
+                             n_samples=n_total)
 
 
 def coi_frequency_variance_estimate(
@@ -800,50 +853,36 @@ def coi_frequency_variance_estimate(
     were batched or chunked.  Raises NumericsError when the estimate is
     not finite.
     """
-    t = None
-    n_members = 0
-    batch_means = []
+    fold = None
     for batch in members:
-        if t is None:
-            t, n_s = batch.t, batch.n_slow
-            start = int(np.searchsorted(t, burn_in))  # t increases
-            n_time = len(t) - start
-            if not n_time:
-                raise InputError(f"no samples after burn_in={burn_in}")
-            # the time batches of np.array_split: the first n_time % n_b one row longer
-            n_b = min(_N_BATCHES, n_time)
-            lengths = np.array([n_time // n_b + 1] * (n_time % n_b)
-                               + [n_time // n_b] * (n_b - n_time % n_b))
-            ends = (start + np.cumsum(lengths)).tolist()
-            sq_sum = np.zeros(n_s)
-        elif batch.n_slow != n_s or not np.array_equal(batch.t, t):
+        if fold is None:
+            fold = _CoiFold(batch.t, batch.n_slow, burn_in)
+        elif batch.n_slow != fold.n_slow or not np.array_equal(batch.t, fold.t):
             raise InputError("trajectories do not share grid and bus ordering")
-        totals, sums = _fold_batch(batch, start, ends)
+        _fold_batch([batch], [fold])
         del batch
-        with np.errstate(over="ignore", invalid="ignore"):
-            for total in totals:
-                sq_sum += total
-            means = sums / lengths[:, None, None]
-        batch_means.append(means.transpose(1, 0, 2).reshape(-1, n_s))
-        n_members += len(totals)
-    if not n_members:
+    if fold is None:
         raise InputError("no trajectories given")
+    return fold.stats(bus_ids)
 
-    n_total = n_time * n_members
-    with np.errstate(over="ignore", invalid="ignore"):
-        variance = sq_sum / n_total
-        batch_means = np.concatenate(batch_means)
-        if len(batch_means) > 1:
-            stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means))
-        else:
-            stderr = np.full(n_s, np.nan)
-    if not np.all(np.isfinite(variance)) or (len(batch_means) > 1
-                                             and not np.all(np.isfinite(stderr))):
-        raise NumericsError("COI frequency variance estimate is not finite")
-    if bus_ids is None:
-        bus_ids = tuple(range(n_s))
-    return EnsembleStats(bus_ids=tuple(bus_ids), variance=variance, stderr=stderr,
-                         n_samples=n_total)
+
+def _fold_batch(models: list[MemberBatch], folds: list[_CoiFold],
+                keep: Trajectory | None = None) -> None:
+    """Fold one batch of members of every model into that model's fold,
+    chunk by chunk in lockstep: chunk j of every model before chunk j + 1
+    of any.  With ``keep``, member 0 of the first model is copied into its
+    x and xdot.  No view of a chunk outlives the call."""
+    for fold in folds:
+        fold.begin()
+    for chunks in zip(*(model.chunks for model in models)):
+        for fold, (k, _, xdot) in zip(folds, chunks):
+            fold.add(k, xdot)
+        if keep is not None:
+            k, x, xdot = chunks[0]
+            keep.x[k:k + len(x)] = x[:, 0]
+            keep.xdot[k:k + len(x)] = xdot[:, 0]
+    for fold in folds:
+        fold.end()
 
 
 def _failure(idx: range, seeds: tuple[int, ...], error: Exception) -> NumericsError:
@@ -853,19 +892,23 @@ def _failure(idx: range, seeds: tuple[int, ...], error: Exception) -> NumericsEr
                          f"{', '.join(map(str, seeds))}) failed: {error}")
 
 
-def _guarded_chunks(chunks, idx: range, seeds: tuple[int, ...]):
-    try:
-        yield from chunks
-    except _FAILURES as e:
-        raise _failure(idx, seeds, e) from e
+def _guarded(members: MemberBatch, idx: range, seeds: tuple[int, ...]) -> MemberBatch:
+    def chunks():
+        try:
+            yield from members.chunks
+        except _FAILURES as e:
+            raise _failure(idx, seeds, e) from e
+    return replace(members, chunks=chunks())
 
 
-def _build(builder, idx: range, seeds: tuple[int, ...]) -> MemberBatch:
+def _build(builder, idx: range, seeds: tuple[int, ...]):
     try:
         members = builder(seeds)
     except _FAILURES as e:
         raise _failure(idx, seeds, e) from e
-    return replace(members, chunks=_guarded_chunks(members.chunks, idx, seeds))
+    if isinstance(members, MemberBatch):
+        return _guarded(members, idx, seeds)
+    return [_guarded(model, idx, seeds) for model in members]
 
 
 def member_seed(base_seed: int, i: int) -> int:
@@ -878,17 +921,18 @@ def member_seed(base_seed: int, i: int) -> int:
     return int(np.random.SeedSequence([base_seed, i]).generate_state(1, np.uint64)[0])
 
 
-def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator[MemberBatch]:
+def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator:
     """Stream cfg.ensemble_size members in batches of at most ``batch``,
     each built only when the caller asks for it.
 
     ``builder(seeds)`` must return the members of those seeds as a
-    MemberBatch.  Member i gets seed member_seed(base_seed, i), so
-    results are bit-reproducible for a fixed base seed and batch size.
-    The stream keeps no reference to a batch it
-    has handed out.  An InputError passes through unchanged; a numerical
-    failure (NumericsError, or a ValueError or ArithmeticError from the
-    numerics), while a batch is built or stepped, becomes a
+    MemberBatch, or as a list of MemberBatches, one per model of a
+    lockstep run (see run_models).  Member i gets seed
+    member_seed(base_seed, i), so results are bit-reproducible for a
+    fixed base seed and batch size.  The stream keeps no reference to a
+    batch it has handed out.  An InputError passes through unchanged; a
+    numerical failure (NumericsError, or a ValueError or ArithmeticError
+    from the numerics), while a batch is built or stepped, becomes a
     NumericsError naming its trajectories and seeds.
     """
     for first in range(0, cfg.ensemble_size, batch):
@@ -896,27 +940,8 @@ def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator[MemberBatc
         yield _build(builder, idx, tuple(member_seed(cfg.base_seed, i) for i in idx))
 
 
-def tee_first_member(members: Iterable[MemberBatch]):
-    """Pass an ensemble stream through unchanged while copying member 0's
-    slow x and xdot.  Returns (stream, record): ``record`` is a Trajectory
-    whose arrays are filled once the stream has passed member 0."""
-    members = iter(members)
-    first = next(members)
-    shape = (len(first.t), first.n_slow)
-    record = Trajectory(t=first.t, x=np.empty(shape), xdot=np.empty(shape))
-
-    def copied(chunks):
-        for k, x, xdot in chunks:
-            record.x[k:k + len(x)] = x[:, 0]
-            record.xdot[k:k + len(x)] = xdot[:, 0]
-            yield k, x, xdot
-
-    first = replace(first, chunks=copied(first.chunks))
-    return itertools.chain([first], members), record
-
-
 # ---------------------------------------------------------------------------
-# One setup per run, model dispatch
+# One setup per run, one noise stream for all its models
 # ---------------------------------------------------------------------------
 
 def linearize_and_reduce(grid: Grid, epsilon: float):
@@ -928,53 +953,101 @@ def linearize_and_reduce(grid: Grid, epsilon: float):
     return op, sys, reduce_grid(grid, sys)
 
 
-def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
-                 red: ReducedSystem, cfg: SimConfig, keep_first: bool = False):
-    """Member builder for cfg.model from one setup (see
-    linearize_and_reduce), and the members it steps together.
+def _lockstep_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
+                      red: ReducedSystem, cfgs: list[SimConfig], keep_first: bool):
+    """Member builder for the models of ``cfgs``, which differ in their
+    model only, and the members it steps together.
 
-    Returns ``(builder, batch)`` for run_ensemble.  Every model steps a
-    batch of members through time in chunks of rows and draws its noise
-    from ou_spec_for_grid.  Its members and rows come from _plan_batch,
-    which counts the batch's chunk buffers, step maps and, in the
-    nonlinear model, Picard window arrays, plus member 0's slow x/xdot
-    record when the caller keeps it (``keep_first``), and refuses a run
-    above MAX_MEMBER_BYTES before any buffer or map is built.
+    ``builder(seeds)`` draws one OU stream for those members from
+    ou_spec_for_grid and returns one MemberBatch per model, all fed from
+    that stream: each chunk is drawn once, so the chunks of every model
+    must be taken in lockstep, chunk j of each before chunk j + 1 of any.
+    One _plan_batch sizes the members and rows of all models together,
+    counting every model's chunk buffers, step maps and, in the nonlinear
+    model, Picard window arrays, plus member 0's slow x/xdot record when
+    the caller keeps it (``keep_first``), and refuses a run above
+    MAX_MEMBER_BYTES before any buffer or map is built.
     """
+    cfg = cfgs[0]
     n, n_s = grid.n_buses, red.n_slow
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
-    width = 2 * (n_s if cfg.model.startswith("reduced") else n)
-    n_lines = len(grid.lines) if cfg.model == "full-nonlinear" else None
-    batch, rows, _ = _plan_batch(width, n, n_s, n_lines, n_steps, cfg.ensemble_size,
+    widths = tuple(2 * (n_s if c.model.startswith("reduced") else n) for c in cfgs)
+    n_lines = len(grid.lines) if any(c.model == "full-nonlinear" for c in cfgs) else None
+    batch, rows, _ = _plan_batch(widths, n, n_s, n_lines, n_steps, cfg.ensemble_size,
                                  8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
 
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     dt = t_grid[1] - t_grid[0]
     noise = ou_spec_for_grid(grid, cfg.base_seed)
-    if cfg.model == "full-nonlinear":
-        def member_chunks(eta, members):
-            return _nonlinear_chunks(grid, op, cfg, t_grid, eta, members, rows)
-    else:
-        system = (_full_linear_system(sys, cfg) if cfg.model == "full-linear"
-                  else _reduced_system(red, cfg))
-        step, forcing = _linear_maps(*system[:4], dt, cfg.theta)
 
-        def member_chunks(eta, members):
-            return _linear_chunks(step, forcing, eta, members, rows)
+    def stepper(c):
+        if c.model == "full-nonlinear":
+            return lambda eta, members: _nonlinear_chunks(grid, op, c, t_grid, eta, members, rows)
+        system = _full_linear_system(sys, c) if c.model == "full-linear" else _reduced_system(red, c)
+        step, forcing = _linear_maps(*system[:4], dt, c.theta)
+        return lambda eta, members: _linear_chunks(step, forcing, eta, members, rows)
+
+    steppers = [stepper(c) for c in cfgs]
+
+    def slow(chunks, half):
+        return ((k, block[..., :n_s], block[..., half:half + n_s]) for k, block in chunks)
 
     def builder(seeds):
-        chunks = member_chunks(_ou_chunks(noise.sigma, noise.tau, seeds, dt, n_steps, rows),
-                               len(seeds))
-        return MemberBatch(t=t_grid, n_slow=n_s, chunks=(
-            (k, block[..., :n_s], block[..., width // 2:width // 2 + n_s])
-            for k, block in chunks))
+        streams = itertools.tee(_ou_chunks(noise.sigma, noise.tau, seeds, dt, n_steps, rows),
+                                len(cfgs))
+        return [MemberBatch(t=t_grid, n_slow=n_s, chunks=slow(step(eta, len(seeds)), width // 2))
+                for step, eta, width in zip(steppers, streams, widths)]
     return builder, batch
+
+
+def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
+                 red: ReducedSystem, cfg: SimConfig, keep_first: bool = False):
+    """Member builder for cfg.model from one setup (see
+    linearize_and_reduce), and the members it steps together: the
+    one-model case of run_models' builder.
+
+    Returns ``(builder, batch)`` for run_ensemble; ``builder(seeds)``
+    returns a MemberBatch.  Its members and rows come from _plan_batch,
+    which counts member 0's slow x/xdot record too when the caller keeps
+    it (``keep_first``).
+    """
+    builder, batch = _lockstep_builder(grid, op, sys, red, [cfg], keep_first)
+    return (lambda seeds: builder(seeds)[0]), batch
+
+
+def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
+               cfgs: list[SimConfig], keep_first: bool = False):
+    """Ensemble runs of several models of one setup, stepped in lockstep
+    on one noise stream.
+
+    The configurations must differ in their model only.  Per batch of
+    members (run_ensemble), each chunk of OU noise is drawn once; every
+    model then steps through it and folds its chunk into its own
+    statistics before the next chunk is drawn.  Returns ``(stats,
+    record)``: one EnsembleStats per configuration, in order, and, with
+    ``keep_first``, the slow x/xdot Trajectory of the first model's
+    member 0 (else None).  Each model's statistics equal its run alone up
+    to the rounding of products over the plan's rows per chunk.
+    """
+    cfg = cfgs[0]
+    if any(replace(c, model=cfg.model) != cfg for c in cfgs):
+        raise InputError("models run together must share every setting but the model")
+    builder, batch = _lockstep_builder(grid, op, sys, red, cfgs, keep_first)
+    folds = record = None
+    for models in run_ensemble(builder, cfg, batch):
+        keep = None
+        if folds is None:
+            t = models[0].t
+            folds = [_CoiFold(t, red.n_slow, cfg.burn_in) for _ in cfgs]
+            if keep_first:
+                shape = (len(t), red.n_slow)
+                record = keep = Trajectory(t=t, x=np.empty(shape), xdot=np.empty(shape))
+        _fold_batch(models, folds, keep)
+        del models
+    return [fold.stats(red.slow_ids) for fold in folds], record
 
 
 def run_model_ensemble(grid: Grid, cfg: SimConfig) -> EnsembleStats:
     """End-to-end ensemble study of one model on one grid."""
     op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
-    builder, batch = make_builder(grid, op, sys, red, cfg)
-    return coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in,
-                                           bus_ids=red.slow_ids)
-
+    return run_models(grid, op, sys, red, [cfg])[0][0]

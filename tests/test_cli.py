@@ -1,5 +1,6 @@
 """CLI surface: commands, file outputs, exit codes, reproducibility."""
 
+import csv
 import json
 import os
 import subprocess
@@ -13,9 +14,9 @@ import pytest
 import kronred.grid
 from kronred.cli import main
 from kronred.errors import NumericsError
-from kronred.grid import serialize_grid_json
+from kronred.grid import parse_grid_json, serialize_grid_json
 from kronred.reduction import make_star_grid
-from kronred.simulate import MODELS, member_seed
+from kronred.simulate import MODELS, SimConfig, member_seed, run_model_ensemble
 from conftest import DATA_DIR, make_grid, random_connected_grid
 from kronred.grid import FAST, SLOW
 from test_grid import THREE_BUS_CASE
@@ -50,6 +51,33 @@ def homogeneous_grid_file(tmp_path, sigma_slow=0.01, sigma_fast=0.02):
          (4, FAST, 0.0, sigma_fast), (5, FAST, 0.0, sigma_fast)],
         [(1, 2, 1.0), (2, 3, 1.5), (3, 4, 1.0), (4, 5, 0.8), (5, 1, 1.2)])
     return write_grid(tmp_path, serialize_grid_json(grid))
+
+
+def count_simulation_runs(monkeypatch):
+    """The models of every simulation run the CLI starts, one list per run."""
+    import kronred.cli
+    runs = []
+    run_models = kronred.cli.run_models
+
+    def counted(grid, op, sys, red, cfgs, **kwargs):
+        runs.append([cfg.model for cfg in cfgs])
+        return run_models(grid, op, sys, red, cfgs, **kwargs)
+    monkeypatch.setattr(kronred.cli, "run_models", counted)
+    return runs
+
+
+@pytest.mark.parametrize("argv,models", [
+    (["simulate", "--model", "full-nonlinear"], [["full-nonlinear"]]),
+    (["compare", "--models", "reduced-xi,full-nonlinear"], [["reduced-xi", "full-nonlinear"]]),
+])
+def test_simulation_run_counter_fires(tmp_path, monkeypatch, argv, models):
+    # the control of the refusal tests' counter: a valid command line
+    # reaches the simulation, one run for all its models
+    runs = count_simulation_runs(monkeypatch)
+    grid = homogeneous_grid_file(tmp_path)
+    assert main([argv[0], grid, *argv[1:], "--t-end", "1", "--burn-in", "0.5",
+                 "--ensemble", "1", "--out-dir", str(tmp_path)]) == 0
+    assert runs == models
 
 
 def overflowing_star_file(tmp_path):
@@ -133,8 +161,10 @@ def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
     captured = capsys.readouterr()
     named = out if case.startswith("out-dir") else grid
     assert captured.err.startswith("input error:") and str(named) in captured.err
-    if case == "out-dir is a file":  # refused before the command ran
-        assert captured.out == "" and out.read_text() == ""
+    if case.startswith("out-dir"):  # refused before the command ran: it prints nothing
+        assert captured.out == ""
+    if case == "out-dir is a file":
+        assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -392,19 +422,12 @@ class TestSimulate:
         assert peaks[0] - peaks[1] < sizes[0] / 10, (peaks, sizes)
 
     def test_bad_decimate_refused_before_any_simulation(self, tmp_path, capsys, monkeypatch):
-        import kronred.cli
-        built = []
-        make_builder = kronred.cli.make_builder
-
-        def counted(*args, **kwargs):
-            built.append(args[-1].model)
-            return make_builder(*args, **kwargs)
-        monkeypatch.setattr(kronred.cli, "make_builder", counted)
+        runs = count_simulation_runs(monkeypatch)
         grid = homogeneous_grid_file(tmp_path)
         assert main(["simulate", grid, "--model", "full-nonlinear", "--decimate", "0",
                      "--t-end", "100", "--ensemble", "2", "--out-dir", str(tmp_path)]) == 2
         assert "--decimate must be >= 1" in capsys.readouterr().err
-        assert built == []
+        assert runs == []
         assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -475,20 +498,55 @@ class TestCompare:
                      "--t-end", "1", "--burn-in", "0.5", "--ensemble", "1"]) == 0
         assert calls == {"solve_fixed_point": 1, "factor_fast_block": 1}
 
-    def test_unknown_model_refused_before_any_simulation(self, tmp_path, capsys, monkeypatch):
-        import kronred.cli
-        built = []
-        make_builder = kronred.cli.make_builder
+    @staticmethod
+    def count_noise_draws(monkeypatch):
+        """The seeds of every OU stream drawn, one tuple per stream."""
+        import kronred.simulate
+        draws = []
+        ou_chunks = kronred.simulate._ou_chunks
 
-        def counted(*args, **kwargs):
-            built.append(args[-1].model)
-            return make_builder(*args, **kwargs)
-        monkeypatch.setattr(kronred.cli, "make_builder", counted)
+        def counted(sigma, tau, seeds, *args):
+            draws.append(seeds)
+            return ou_chunks(sigma, tau, seeds, *args)
+        monkeypatch.setattr(kronred.simulate, "_ou_chunks", counted)
+        return draws
+
+    @pytest.mark.parametrize("models,ensemble,budget", [
+        ("reduced-xi,reduced-naive,full-linear", 3, 2**15),
+        ("reduced-xi,reduced-naive,full-nonlinear", 2, 2**17)])
+    def test_columns_equal_each_model_run_alone(self, tmp_path, monkeypatch, models, ensemble,
+                                                budget):
+        # a small buffer budget splits the run into many chunks, and the
+        # shared plan chunks (and, with three members, batches) the models
+        # unlike their runs alone; the nonlinear model's windows stay whole
+        import kronred.simulate
+        monkeypatch.setattr(kronred.simulate, "_BATCH_BYTES", budget)
+        draws = self.count_noise_draws(monkeypatch)
+        path = homogeneous_grid_file(tmp_path)
+        assert main(["compare", path, "--models", models, "--t-end", "20", "--dt", "0.01",
+                     "--burn-in", "5", "--ensemble", str(ensemble), "--seed", "6",
+                     "--epsilon", "0.5", "--out-dir", str(tmp_path)]) == 0
+        # each member batch's noise is drawn once, for all models
+        assert [s for seeds in draws for s in seeds] == [member_seed(6, i)
+                                                         for i in range(ensemble)]
+        assert len(draws) == (2 if ensemble == 3 else 1)
+        with open(tmp_path / "compare.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        grid = parse_grid_json(Path(path).read_text())
+        for model in models.split(","):
+            cfg = SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0,
+                            ensemble_size=ensemble, base_seed=6, epsilon=0.5)
+            alone = run_model_ensemble(grid, cfg).variance
+            np.testing.assert_allclose([float(row[f"var_sim_{model}"]) for row in rows], alone,
+                                       rtol=1e-12, atol=0, err_msg=model)
+
+    def test_unknown_model_refused_before_any_simulation(self, tmp_path, capsys, monkeypatch):
+        runs = count_simulation_runs(monkeypatch)
         grid = homogeneous_grid_file(tmp_path)
         assert main(["compare", grid, "--models", "reduced-xi,full-nonlinear,bogus",
                      "--t-end", "1", "--burn-in", "0.5", "--out-dir", str(tmp_path)]) == 2
         assert "'bogus'" in capsys.readouterr().err
-        assert built == []
+        assert runs == []
         assert not (tmp_path / "compare.csv").exists()
 
     def test_duplicate_model_refused(self, tmp_path, capsys):
@@ -580,6 +638,30 @@ def test_analysis_commands_do_not_import_the_simulator_filter(tmp_path):
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                              text=True, timeout=120, check=True).stdout
         assert out.strip().splitlines()[-1] == "[]", argv
+
+
+def test_cli_import_starts_blas_on_one_thread():
+    # the package loads no numpy, so kronred.cli sets OPENBLAS_NUM_THREADS
+    # before numpy starts its OpenBLAS
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import ctypes, glob, os, sys, kronred\n"
+            "print('numpy' in sys.modules)\n"
+            "import kronred.cli, numpy\n"
+            "libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),"
+            " 'numpy.libs', 'libscipy_openblas*.so'))\n"
+            "count = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_ if libs else None\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], count() if count else None)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout.split()
+    assert out[0] == "False"
+    assert out[1] == "1" and out[2] in ("1", "None"), out
+    # the exported names still load on first use
+    code = "import kronred; print(kronred.SimConfig.__module__, kronred.__version__)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout.split()
+    assert out == ["kronred.simulate", "0.1.0"]
 
 
 def test_data_files_do_not_depend_on_blas_threads(tmp_path):

@@ -292,7 +292,7 @@ class TestTimeGrid:
         cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=1.5, base_seed=1)
         width = 2 * (red.n_slow if model.startswith("reduced") else grid.n_buses)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
-        *_, held = simulate._plan_batch(width, grid.n_buses, red.n_slow, n_lines, 300, 1, 0)
+        *_, held = simulate._plan_batch((width,), grid.n_buses, red.n_slow, n_lines, 300, 1, 0)
         tracemalloc.start()
         try:
             builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
@@ -329,7 +329,7 @@ class TestTimeGrid:
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
         builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
-        rows = simulate._plan_batch(2 * grid.n_buses, grid.n_buses, red.n_slow, n_lines, 2000,
+        rows = simulate._plan_batch((2 * grid.n_buses,), grid.n_buses, red.n_slow, n_lines, 2000,
                                     cfg.ensemble_size, 0)[1]
         # per row and member: noise and draws, state, squares and row means;
         # per member: the Picard window arrays of 64 + 1 rows
@@ -497,7 +497,7 @@ class TestFullNonlinearStepper:
         whole = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
 
         def plan():
-            return simulate._plan_batch(2 * n, n, n_s, len(grid.lines), 300, 1, 301 * 2 * n * 8)
+            return simulate._plan_batch((2 * n,), n, n_s, len(grid.lines), 300, 1, 301 * 2 * n * 8)
 
         assert plan()[1] == 300
         builds = []
@@ -879,14 +879,12 @@ class TestEnsembleRun:
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_one_member_ensemble_is_the_collector(self, model):
         # integrate_* and the ensemble run are one loop: member 0 kept by
-        # tee_first_member equals the one-member collector bit for bit
+        # run_models equals the one-member collector bit for bit
         grid = random_connected_grid(np.random.default_rng(4), 9)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=30.0, burn_in=1.0, base_seed=5,
                         epsilon=0.3)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
-        builder, batch = simulate.make_builder(grid, op, sys, red, cfg, keep_first=True)
-        members, first = simulate.tee_first_member(run_ensemble(builder, cfg, batch))
-        coi_frequency_variance_estimate(members, cfg.burn_in)
+        _, first = simulate.run_models(grid, op, sys, red, [cfg], keep_first=True)
         noise = ou_spec_for_grid(grid, 5)
         if model == "full-nonlinear":
             traj = integrate_full_nonlinear(grid, op, cfg, noise)
@@ -930,7 +928,7 @@ class TestEnsembleRun:
             op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
             n_steps = round(t_end / cfg.dt_max)
             n_lines = len(grid.lines) if model == "full-nonlinear" else None
-            rows = simulate._plan_batch(2 * n_buses, n_buses, red.n_slow, n_lines, n_steps,
+            rows = simulate._plan_batch((2 * n_buses,), n_buses, red.n_slow, n_lines, n_steps,
                                         ensemble, 0)[1]
             assert rows < n_steps
             builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
@@ -950,6 +948,81 @@ class TestEnsembleRun:
         s4 = run_model_ensemble(grid, mk(4))
         ratio = s1.stderr.mean() / s4.stderr.mean()
         assert 1.2 < ratio < 3.5  # ~2 expected from 4x the batches
+
+
+class TestLockstep:
+    @staticmethod
+    def map_bytes(width, channels):
+        # S, G, their LU factor, and the Jacobian and noise gain they are built from
+        return 8 * width * (2 * width + channels) + 2 * width * (width + 2 * channels)
+
+    def test_shared_plan_within_one_budget(self):
+        # ieee118-compare's run: 54 slow of 118 buses, 2 members x 30 000
+        # steps, three models in one plan hold one _BATCH_BYTES of chunk
+        # buffers besides their step maps, not one per model
+        widths = (108, 108, 236)
+        members, rows, held = simulate._plan_batch(widths, 118, 54, None, 30_000, 2, 0)
+        maps = sum(self.map_bytes(w, 118) for w in widths)
+        assert members == 2 and rows < 30_000
+        assert held - maps <= simulate._BATCH_BYTES
+        alone = [simulate._plan_batch((w,), 118, 54, None, 30_000, 2, 0)[1] for w in widths]
+        assert rows < min(alone)
+
+    def test_nonlinear_rows_whole_windows(self):
+        # star-nonlinear's run: 6 slow of 14 buses, 14 lines; spanning
+        # several chunks, the shared rows are whole Picard windows
+        widths = (12, 12, 28)
+        members, rows, held = simulate._plan_batch(widths, 14, 6, 14, 20_000, 2, 0)
+        assert members == 2 and rows < 20_000
+        assert rows % simulate._WINDOW_ROWS == 0
+        maps = sum(self.map_bytes(w, 14) for w in widths) + 16 * 14 * 14
+        assert held - maps <= simulate._BATCH_BYTES
+
+    def test_peak_within_shared_plan(self, monkeypatch):
+        # what the shared plan counts bounds what a lockstep run of all four
+        # models allocates, over several chunks and member batches
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 2**19)
+        grid = random_connected_grid(np.random.default_rng(1), 40)
+        cfgs = [SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0, ensemble_size=3,
+                          base_seed=2) for model in simulate.MODELS]
+        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        widths = tuple(2 * (red.n_slow if m.startswith("reduced") else 40) for m in simulate.MODELS)
+        members, rows, held = simulate._plan_batch(widths, 40, red.n_slow, len(grid.lines), 2000,
+                                                   3, 0)
+        assert members < 3 and rows < 2000 and rows % simulate._WINDOW_ROWS == 0
+        tracemalloc.start()
+        try:
+            simulate.run_models(grid, op, sys, red, cfgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held
+
+    def test_one_noise_draw_per_member_batch(self, monkeypatch):
+        # every member's OU path is drawn once, for all models together
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 20_000)
+        draws = []
+        ou_chunks = simulate._ou_chunks
+
+        def counted(sigma, tau, seeds, *args):
+            draws.append(seeds)
+            return ou_chunks(sigma, tau, seeds, *args)
+
+        monkeypatch.setattr(simulate, "_ou_chunks", counted)
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        cfgs = [SimConfig(model=model, dt_max=0.01, t_end=5.0, burn_in=1.0, ensemble_size=3,
+                          base_seed=4) for model in ("reduced-xi", "reduced-naive", "full-linear")]
+        simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), cfgs)
+        assert len(draws) > 1
+        assert [s for seeds in draws for s in seeds] == [simulate.member_seed(4, i)
+                                                         for i in range(3)]
+
+    def test_configurations_must_differ_in_model_only(self):
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        cfgs = [SimConfig(model=model, dt_max=0.01, t_end=5.0, burn_in=1.0, base_seed=seed)
+                for model, seed in (("reduced-xi", 1), ("reduced-naive", 2))]
+        with pytest.raises(InputError, match="share every setting"):
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), cfgs)
 
 
 class TestStatisticalConsistency:
