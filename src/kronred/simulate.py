@@ -17,11 +17,16 @@ Noise channels are always ordered slow buses first, then fast buses.
 All models of the same grid draw their channels from the same layout:
 the reduced "xi" model combines eta_slow + K eta_fast, the naive model
 keeps only eta_slow, the full models apply each bus its own channel.
-So one noise stream drives them all.  A run of several models
-(run_models, behind `compare`) draws each chunk of that noise once,
-steps every model through it in lockstep and folds each model's chunk
-into its statistics before the next chunk is drawn; `simulate` is the
-one-model case of the same run.
+So one noise stream drives them all.
+
+run_models is the one ensemble driver and the only loop over members:
+behind both `compare` and `simulate` (its one-model case), it draws
+each chunk of that noise once per batch of members, steps every model
+through it in lockstep and folds each model's chunk into its
+statistics before the next chunk is drawn.  The one-member collectors
+(ou_sample_path, integrate_full_linear, integrate_reduced,
+integrate_full_nonlinear) step one member through given noise, an
+OUSpec or an array, and return its whole record.
 """
 
 from __future__ import annotations
@@ -156,22 +161,6 @@ class Trajectory:
     xdot: np.ndarray
     y: np.ndarray | None = None
     ydot: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class MemberBatch:
-    """Ensemble members stepped together on one time grid ``t``, streamed
-    in consecutive chunks of rows.
-
-    Iterating ``chunks`` yields ``(k, x, xdot)``: the slow-bus deviations
-    and frequencies at grid rows k, k+1, ... of every member, each of
-    shape (rows, members, n_slow).  They are views of buffers the next
-    chunk overwrites.
-    """
-
-    t: np.ndarray
-    n_slow: int
-    chunks: Iterator[tuple[int, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -753,7 +742,7 @@ class _CoiFold:
     """
 
     def __init__(self, t: np.ndarray, n_slow: int, burn_in: float):
-        self.t, self.n_slow = t, n_slow
+        self.n_slow = n_slow
         self.start = int(np.searchsorted(t, burn_in))  # t increases
         self.n_time = len(t) - self.start
         if not self.n_time:
@@ -767,22 +756,17 @@ class _CoiFold:
         self.batch_means = []
         self.n_members = 0
 
-    def begin(self) -> None:
-        self.total = self.part = None
+    def begin(self, members: int) -> None:
+        self.total = self.part = np.zeros((members, self.n_slow))
         self.sums = []
-        self.expected = 0
 
     def add(self, k: int, xdot: np.ndarray) -> None:
         """Fold grid rows k, k+1, ... of every member, shape (rows, members, n_slow)."""
-        if k != self.expected:
-            raise InputError(f"chunk starts at row {k}, expected {self.expected}")
-        self.expected = end = k + len(xdot)
+        end = k + len(xdot)
         lo = max(k, self.start)
         if lo >= end:
             return
         xdot = xdot[lo - k:]
-        if self.total is None:
-            self.total = self.part = np.zeros(xdot.shape[1:])
         with np.errstate(over="ignore", invalid="ignore"):
             # buf[0] carries the running total; buf[1 + i] is the square of row lo + i
             buf = np.empty((len(xdot) + 1, *xdot.shape[1:]))
@@ -804,8 +788,6 @@ class _CoiFold:
                 row = hi
 
     def end(self) -> None:
-        if self.expected != len(self.t):
-            raise InputError("trajectories do not share grid and bus ordering")
         with np.errstate(over="ignore", invalid="ignore"):
             for total in self.total:
                 self.sq_sum += total
@@ -813,9 +795,13 @@ class _CoiFold:
         self.batch_means.append(means.transpose(1, 0, 2).reshape(-1, self.n_slow))
         self.n_members += len(self.total)
 
-    def stats(self, bus_ids: tuple[int, ...] | None) -> EnsembleStats:
-        if not self.n_members:
-            raise InputError("no trajectories given")
+    def stats(self, bus_ids: tuple[int, ...]) -> EnsembleStats:
+        """Per-bus variance of the COI frequency deviation: at every
+        post-burn-in row the slow-bus mean frequency is subtracted, and the
+        squares are averaged over time and ensemble.  The standard error
+        comes from batch means (_N_BATCHES contiguous time batches per
+        trajectory, pooled over the ensemble).  Raises NumericsError when
+        the estimate is not finite."""
         n_total = self.n_time * self.n_members
         with np.errstate(over="ignore", invalid="ignore"):
             variance = self.sq_sum / n_total
@@ -827,88 +813,19 @@ class _CoiFold:
         if not np.all(np.isfinite(variance)) or (len(batch_means) > 1
                                                  and not np.all(np.isfinite(stderr))):
             raise NumericsError("COI frequency variance estimate is not finite")
-        if bus_ids is None:
-            bus_ids = tuple(range(self.n_slow))
         return EnsembleStats(bus_ids=tuple(bus_ids), variance=variance, stderr=stderr,
                              n_samples=n_total)
 
 
-def coi_frequency_variance_estimate(
-    members: Iterable[MemberBatch],
-    burn_in: float,
-    bus_ids: tuple[int, ...] | None = None,
-) -> EnsembleStats:
-    """Per-bus variance of the COI frequency deviation.
-
-    At every post-burn-in sample the slow-bus mean frequency is
-    subtracted; squares are averaged over time and ensemble.  The
-    standard error comes from batch means (_N_BATCHES contiguous time
-    batches per trajectory, pooled over the ensemble).
-
-    ``members`` is any iterable of MemberBatch streams, such as the stream
-    of run_ensemble: each is folded chunk by chunk into per-member running
-    sums and released before the next one is taken, so only one batch's
-    chunk is held at a time.  The sums add rows in time order and members in
-    ensemble order, so the estimate does not depend on how the members
-    were batched or chunked.  Raises NumericsError when the estimate is
-    not finite.
-    """
-    fold = None
-    for batch in members:
-        if fold is None:
-            fold = _CoiFold(batch.t, batch.n_slow, burn_in)
-        elif batch.n_slow != fold.n_slow or not np.array_equal(batch.t, fold.t):
-            raise InputError("trajectories do not share grid and bus ordering")
-        _fold_batch([batch], [fold])
-        del batch
-    if fold is None:
-        raise InputError("no trajectories given")
-    return fold.stats(bus_ids)
-
-
-def _fold_batch(models: list[MemberBatch], folds: list[_CoiFold],
-                keep: Trajectory | None = None) -> None:
-    """Fold one batch of members of every model into that model's fold,
-    chunk by chunk in lockstep: chunk j of every model before chunk j + 1
-    of any.  With ``keep``, member 0 of the first model is copied into its
-    x and xdot.  No view of a chunk outlives the call."""
-    for fold in folds:
-        fold.begin()
-    for chunks in zip(*(model.chunks for model in models)):
-        for fold, (k, _, xdot) in zip(folds, chunks):
-            fold.add(k, xdot)
-        if keep is not None:
-            k, x, xdot = chunks[0]
-            keep.x[k:k + len(x)] = x[:, 0]
-            keep.xdot[k:k + len(x)] = xdot[:, 0]
-    for fold in folds:
-        fold.end()
-
-
-def _failure(idx: range, seeds: tuple[int, ...], error: Exception) -> NumericsError:
-    if len(idx) == 1:
-        return NumericsError(f"trajectory {idx[0]} (seed {seeds[0]}) failed: {error}")
-    return NumericsError(f"trajectories {idx[0]}-{idx[-1]} (seeds "
-                         f"{', '.join(map(str, seeds))}) failed: {error}")
-
-
-def _guarded(members: MemberBatch, idx: range, seeds: tuple[int, ...]) -> MemberBatch:
-    def chunks():
-        try:
-            yield from members.chunks
-        except _FAILURES as e:
-            raise _failure(idx, seeds, e) from e
-    return replace(members, chunks=chunks())
-
-
-def _build(builder, idx: range, seeds: tuple[int, ...]):
+def _guarded(model: str, chunks: Iterator, idx: range, seeds: tuple[int, ...]) -> Iterator:
+    """``chunks`` of one model's batch of members, a numerical failure
+    while stepping them reported with the model, trajectories and seeds."""
     try:
-        members = builder(seeds)
+        yield from chunks
     except _FAILURES as e:
-        raise _failure(idx, seeds, e) from e
-    if isinstance(members, MemberBatch):
-        return _guarded(members, idx, seeds)
-    return [_guarded(model, idx, seeds) for model in members]
+        members = (f"trajectory {idx[0]} (seed {seeds[0]})" if len(idx) == 1 else
+                   f"trajectories {idx[0]}-{idx[-1]} (seeds {', '.join(map(str, seeds))})")
+        raise NumericsError(f"{model}: {members} failed: {e}") from e
 
 
 def member_seed(base_seed: int, i: int) -> int:
@@ -921,59 +838,55 @@ def member_seed(base_seed: int, i: int) -> int:
     return int(np.random.SeedSequence([base_seed, i]).generate_state(1, np.uint64)[0])
 
 
-def run_ensemble(builder, cfg: SimConfig, batch: int = 1) -> Iterator:
-    """Stream cfg.ensemble_size members in batches of at most ``batch``,
-    each built only when the caller asks for it.
-
-    ``builder(seeds)`` must return the members of those seeds as a
-    MemberBatch, or as a list of MemberBatches, one per model of a
-    lockstep run (see run_models).  Member i gets seed
-    member_seed(base_seed, i), so results are bit-reproducible for a
-    fixed base seed and batch size.  The stream keeps no reference to a
-    batch it has handed out.  An InputError passes through unchanged; a
-    numerical failure (NumericsError, or a ValueError or ArithmeticError
-    from the numerics), while a batch is built or stepped, becomes a
-    NumericsError naming its trajectories and seeds.
-    """
-    for first in range(0, cfg.ensemble_size, batch):
-        idx = range(first, min(first + batch, cfg.ensemble_size))
-        yield _build(builder, idx, tuple(member_seed(cfg.base_seed, i) for i in idx))
-
-
 # ---------------------------------------------------------------------------
 # One setup per run, one noise stream for all its models
 # ---------------------------------------------------------------------------
 
 def linearize_and_reduce(grid: Grid, epsilon: float):
     """Fixed point, linearization and Kron reduction of one grid: the
-    (op, sys, red) every analysis and every model's builder reads from.
+    (op, sys, red) every analysis and every model's run reads from.
     Raises NumericsError when -J_FF is not positive definite."""
     op = solve_fixed_point(grid)
     sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
     return op, sys, reduce_grid(grid, sys)
 
 
-def _lockstep_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
-                      red: ReducedSystem, cfgs: list[SimConfig], keep_first: bool):
-    """Member builder for the models of ``cfgs``, which differ in their
-    model only, and the members it steps together.
+def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
+               cfgs: list[SimConfig], keep_first: bool = False):
+    """Ensemble runs of several models of one setup, stepped in lockstep
+    on one noise stream: the one loop over ensemble members.
 
-    ``builder(seeds)`` draws one OU stream for those members from
-    ou_spec_for_grid and returns one MemberBatch per model, all fed from
-    that stream: each chunk is drawn once, so the chunks of every model
-    must be taken in lockstep, chunk j of each before chunk j + 1 of any.
-    One _plan_batch sizes the members and rows of all models together,
-    counting every model's chunk buffers, step maps and, in the nonlinear
-    model, Picard window arrays, plus member 0's slow x/xdot record when
-    the caller keeps it (``keep_first``), and refuses a run above
-    MAX_MEMBER_BYTES before any buffer or map is built.
+    The configurations must differ in their model only.  One _plan_batch
+    sizes the members per batch and rows per chunk of all models
+    together, counting every model's chunk buffers, step maps and, in the
+    nonlinear model, Picard window arrays, plus member 0's slow x/xdot
+    record when the caller keeps it (``keep_first``), and refuses a run
+    above MAX_MEMBER_BYTES before any buffer or map is built.  Then each
+    model's step maps are built once.  Member i gets seed
+    member_seed(base_seed, i), so results are bit-reproducible for a
+    fixed base seed.  Per batch of members, each chunk of OU noise
+    (ou_spec_for_grid) is drawn once; every model steps through it and
+    folds its chunk into its own statistics before the next chunk is
+    drawn, so no batch or chunk outlives its turn.
+
+    Returns ``(stats, record)``: one EnsembleStats per configuration, in
+    order, and, with ``keep_first``, the slow x/xdot Trajectory of the
+    first model's member 0 (else None).  Each model's statistics equal
+    its run alone up to the rounding of products over the plan's rows
+    per chunk.  An InputError passes through unchanged; a numerical
+    failure (NumericsError, or a ValueError or ArithmeticError from the
+    numerics) while a batch is stepped becomes a NumericsError naming
+    its model, trajectories and seeds.
     """
     cfg = cfgs[0]
+    if any(replace(c, model=cfg.model) != cfg for c in cfgs):
+        raise InputError("models run together must share every setting but the model")
     n, n_s = grid.n_buses, red.n_slow
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
-    widths = tuple(2 * (n_s if c.model.startswith("reduced") else n) for c in cfgs)
+    halves = [n_s if c.model.startswith("reduced") else n for c in cfgs]
     n_lines = len(grid.lines) if any(c.model == "full-nonlinear" for c in cfgs) else None
-    batch, rows, _ = _plan_batch(widths, n, n_s, n_lines, n_steps, cfg.ensemble_size,
+    batch, rows, _ = _plan_batch(tuple(2 * half for half in halves), n, n_s, n_lines, n_steps,
+                                 cfg.ensemble_size,
                                  8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
 
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
@@ -988,62 +901,30 @@ def _lockstep_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
         return lambda eta, members: _linear_chunks(step, forcing, eta, members, rows)
 
     steppers = [stepper(c) for c in cfgs]
-
-    def slow(chunks, half):
-        return ((k, block[..., :n_s], block[..., half:half + n_s]) for k, block in chunks)
-
-    def builder(seeds):
+    folds = [_CoiFold(t_grid, n_s, cfg.burn_in) for _ in cfgs]
+    record = None
+    if keep_first:
+        record = Trajectory(t=t_grid, x=np.empty((len(t_grid), n_s)),
+                            xdot=np.empty((len(t_grid), n_s)))
+    for first in range(0, cfg.ensemble_size, batch):
+        idx = range(first, min(first + batch, cfg.ensemble_size))
+        seeds = tuple(member_seed(cfg.base_seed, i) for i in idx)
         streams = itertools.tee(_ou_chunks(noise.sigma, noise.tau, seeds, dt, n_steps, rows),
                                 len(cfgs))
-        return [MemberBatch(t=t_grid, n_slow=n_s, chunks=slow(step(eta, len(seeds)), width // 2))
-                for step, eta, width in zip(steppers, streams, widths)]
-    return builder, batch
-
-
-def make_builder(grid: Grid, op: OperatingPoint, sys: LinearizedSystem,
-                 red: ReducedSystem, cfg: SimConfig, keep_first: bool = False):
-    """Member builder for cfg.model from one setup (see
-    linearize_and_reduce), and the members it steps together: the
-    one-model case of run_models' builder.
-
-    Returns ``(builder, batch)`` for run_ensemble; ``builder(seeds)``
-    returns a MemberBatch.  Its members and rows come from _plan_batch,
-    which counts member 0's slow x/xdot record too when the caller keeps
-    it (``keep_first``).
-    """
-    builder, batch = _lockstep_builder(grid, op, sys, red, [cfg], keep_first)
-    return (lambda seeds: builder(seeds)[0]), batch
-
-
-def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
-               cfgs: list[SimConfig], keep_first: bool = False):
-    """Ensemble runs of several models of one setup, stepped in lockstep
-    on one noise stream.
-
-    The configurations must differ in their model only.  Per batch of
-    members (run_ensemble), each chunk of OU noise is drawn once; every
-    model then steps through it and folds its chunk into its own
-    statistics before the next chunk is drawn.  Returns ``(stats,
-    record)``: one EnsembleStats per configuration, in order, and, with
-    ``keep_first``, the slow x/xdot Trajectory of the first model's
-    member 0 (else None).  Each model's statistics equal its run alone up
-    to the rounding of products over the plan's rows per chunk.
-    """
-    cfg = cfgs[0]
-    if any(replace(c, model=cfg.model) != cfg for c in cfgs):
-        raise InputError("models run together must share every setting but the model")
-    builder, batch = _lockstep_builder(grid, op, sys, red, cfgs, keep_first)
-    folds = record = None
-    for models in run_ensemble(builder, cfg, batch):
-        keep = None
-        if folds is None:
-            t = models[0].t
-            folds = [_CoiFold(t, red.n_slow, cfg.burn_in) for _ in cfgs]
-            if keep_first:
-                shape = (len(t), red.n_slow)
-                record = keep = Trajectory(t=t, x=np.empty(shape), xdot=np.empty(shape))
-        _fold_batch(models, folds, keep)
-        del models
+        for fold in folds:
+            fold.begin(len(idx))
+        # chunk j of every model before chunk j + 1 of any: each noise chunk is drawn once
+        for chunks in zip(*(_guarded(c.model, step(eta, len(idx)), idx, seeds)
+                            for c, step, eta in zip(cfgs, steppers, streams))):
+            for fold, half, (k, block) in zip(folds, halves, chunks):
+                fold.add(k, block[..., half:half + n_s])
+            if record is not None and first == 0:
+                k, block = chunks[0]
+                record.x[k:k + len(block)] = block[:, 0, :n_s]
+                record.xdot[k:k + len(block)] = block[:, 0, halves[0]:halves[0] + n_s]
+        del chunks, block  # no view of this batch's buffers is held while the next one steps
+        for fold in folds:
+            fold.end()
     return [fold.stats(red.slow_ids) for fold in folds], record
 
 

@@ -1,6 +1,7 @@
 """CLI surface: commands, file outputs, exit codes, reproducibility."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -569,11 +570,14 @@ class TestCompare:
         for bus in doc["buses"]:
             bus["sigma"] = 50.0  # noise far beyond the b=1 line capacity
         grid = write_grid(tmp_path, json.dumps(doc))
-        assert main(["compare", grid, "--models", "full-nonlinear", "--t-end", "5",
-                     "--burn-in", "1", "--seed", "4", "--out-dir", str(tmp_path)]) == 3
         # the four members are stepped as one batch, which the message names
+        # with the failing model, also where a linear model steps beside it
         seeds = ", ".join(str(member_seed(4, i)) for i in range(4))
-        assert f"trajectories 0-3 (seeds {seeds}) failed" in capsys.readouterr().err
+        for models in ("full-nonlinear", "reduced-xi,full-nonlinear"):
+            assert main(["compare", grid, "--models", models, "--t-end", "5", "--burn-in", "1",
+                         "--seed", "4", "--out-dir", str(tmp_path)]) == 3
+            err = capsys.readouterr().err
+            assert f"full-nonlinear: trajectories 0-3 (seeds {seeds}) failed" in err, models
 
 
 class TestStarDemo:
@@ -662,6 +666,21 @@ def test_cli_import_starts_blas_on_one_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True).stdout.split()
     assert out == ["kronred.simulate", "0.1.0"]
+
+
+def test_export_table_resolves():
+    # every exported name loads through the package's PEP 562 __getattr__
+    # from the submodule its table entry names; the removed ensemble API
+    # is not exported
+    import kronred
+    for name in kronred.__all__:
+        module = importlib.import_module(f"kronred.{kronred._EXPORTS[name]}")
+        assert kronred.__getattr__(name) is getattr(module, name), name
+    for name in ("make_builder", "run_ensemble", "coi_frequency_variance_estimate",
+                 "MemberBatch"):
+        with pytest.raises(AttributeError, match=name):
+            kronred.__getattr__(name)
+        assert not hasattr(kronred, name)
 
 
 def test_data_files_do_not_depend_on_blas_threads(tmp_path):

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -13,19 +12,24 @@ from kronred.errors import InputError, NumericsError
 from kronred.grid import (SLOW, FAST, ClassDefaults, assemble_linearized, build_jacobian,
                           parse_matpower_case, solve_fixed_point, with_sigma)
 from kronred.reduction import reduce_grid
-from kronred.simulate import (EnsembleStats, MemberBatch, OUSpec, SimConfig, Trajectory,
-                              coi_frequency_variance_estimate, default_dt_max,
+from kronred.simulate import (OUSpec, SimConfig, Trajectory, default_dt_max,
                               integrate_full_linear, integrate_full_nonlinear,
                               integrate_reduced, make_time_grid, ou_sample_path,
-                              ou_spec_for_grid, run_ensemble, run_model_ensemble)
+                              ou_spec_for_grid, run_model_ensemble)
 from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix, \
     modal_trajectory
 
 
-def as_batch(traj):
-    """A whole Trajectory as a one-member batch of one chunk."""
-    return MemberBatch(t=traj.t, n_slow=traj.xdot.shape[1],
-                       chunks=iter([(0, traj.x[:, None], traj.xdot[:, None])]))
+def fold_whole(trajs, burn_in):
+    """COI statistics of whole Trajectories on one grid, each folded as a
+    one-member batch of one chunk."""
+    n_slow = trajs[0].xdot.shape[1]
+    fold = simulate._CoiFold(trajs[0].t, n_slow, burn_in)
+    for traj in trajs:
+        fold.begin(1)
+        fold.add(0, traj.xdot[:, None])
+        fold.end()
+    return fold.stats(tuple(range(n_slow)))
 
 
 def reduced_of(grid, epsilon=1.0):
@@ -230,10 +234,10 @@ class TestTimeGrid:
             held += 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * 2 * len(grid.lines) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
-            simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
+            simulate.run_models(grid, op, sys, red, [cfg], keep_first=keep_first)
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept - 1)
             with pytest.raises(InputError, match="buffers, above the limit"):
-                simulate.make_builder(grid, op, sys, red, cfg, keep_first=keep_first)
+                simulate.run_models(grid, op, sys, red, [cfg], keep_first=keep_first)
 
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_step_maps_counted_before_they_are_built(self, monkeypatch, model):
@@ -253,7 +257,7 @@ class TestTimeGrid:
         monkeypatch.setattr(simulate, "_linear_maps", no_maps)
         monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", buffers + width * (width + 9) * 8 - 1)
         with pytest.raises(InputError, match="buffers, above the limit"):
-            simulate.make_builder(grid, op, sys, red, cfg, keep_first=True)
+            simulate.run_models(grid, op, sys, red, [cfg], keep_first=True)
 
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_collector_refused_before_it_allocates(self, monkeypatch, model):
@@ -292,11 +296,11 @@ class TestTimeGrid:
         cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=1.5, base_seed=1)
         width = 2 * (red.n_slow if model.startswith("reduced") else grid.n_buses)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
-        *_, held = simulate._plan_batch((width,), grid.n_buses, red.n_slow, n_lines, 300, 1, 0)
+        batch, _, held = simulate._plan_batch((width,), grid.n_buses, red.n_slow, n_lines, 300, 1,
+                                              0)
         tracemalloc.start()
         try:
-            builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
-            coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
+            simulate.run_models(grid, op, sys, red, [cfg])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -304,19 +308,16 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("budget", [2**20, 2**30])
     def test_large_ensemble_split_into_batches_within_budget(self, monkeypatch, budget):
-        # arithmetic only: 10^6 one-step members are never stepped here
-        grid = random_connected_grid(np.random.default_rng(3), 9)
-        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        # arithmetic only: the plan of 10^6 one-step full-linear members of
+        # a 9-bus grid with 6 slow buses, member 0's slow record kept
         monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", budget)
-        cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=0.01, burn_in=0.0,
-                        ensemble_size=10**6)
-        _, batch = simulate.make_builder(grid, op, sys, red, cfg, keep_first=True)
+        batch = simulate._plan_batch((18,), 9, 6, None, 1, 10**6, 2 * 2 * 6 * 8)[0]
         row_bytes = (2 * 9 + 18 + 6 + 1) * 8
-        assert 1 < batch < cfg.ensemble_size
+        assert 1 < batch < 10**6
         assert (1 + 20) * batch * row_bytes + 2 * 2 * 6 * 8 <= min(budget, simulate._BATCH_BYTES)
 
     def test_batch_peak_memory_within_budgeted_bytes(self):
-        # what make_builder counts bounds what a batch really allocates,
+        # what the plan counts bounds what a batch really allocates,
         # the nonlinear model's Picard window arrays included
         for model in ("full-linear", "full-nonlinear"):
             self.check_batch_peak_memory(model)
@@ -327,17 +328,16 @@ class TestTimeGrid:
         cfg = SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0,
                         ensemble_size=3, base_seed=2)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
-        builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
-        rows = simulate._plan_batch((2 * grid.n_buses,), grid.n_buses, red.n_slow, n_lines, 2000,
-                                    cfg.ensemble_size, 0)[1]
+        batch, rows, _ = simulate._plan_batch((2 * grid.n_buses,), grid.n_buses, red.n_slow,
+                                              n_lines, 2000, cfg.ensemble_size, 0)
         # per row and member: noise and draws, state, squares and row means;
         # per member: the Picard window arrays of 64 + 1 rows
         row_bytes = 8 * (2 * grid.n_buses + 2 * grid.n_buses + red.n_slow + 1)
         window_bytes = 0 if n_lines is None else 8 * 65 * (8 * grid.n_buses + n_lines)
         tracemalloc.start()
         try:
-            coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
+            simulate.run_models(grid, op, sys, red, [cfg])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -685,14 +685,14 @@ class TestCoiEstimate:
         t = make_time_grid(1.0, 0.1)
         xdot = np.tile(np.linspace(0, 1, len(t))[:, None], (1, 3))
         traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
-        stats = coi_frequency_variance_estimate([as_batch(traj)], burn_in=0.0)
+        stats = fold_whole([traj], burn_in=0.0)
         assert np.all(stats.variance < 1e-30)  # exact up to mean-subtraction roundoff
 
     def test_single_bus_identically_zero(self):
         t = make_time_grid(1.0, 0.1)
         xdot = np.random.default_rng(1).normal(size=(len(t), 1))
         traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
-        stats = coi_frequency_variance_estimate([as_batch(traj)], burn_in=0.0)
+        stats = fold_whole([traj], burn_in=0.0)
         np.testing.assert_array_equal(stats.variance, 0.0)
 
     def test_iid_normal_projection_identity(self):
@@ -702,7 +702,7 @@ class TestCoiEstimate:
         t = make_time_grid(2000.0, 0.1)
         xdot = rng.normal(0.0, math.sqrt(v), (len(t), n_bus))
         traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
-        stats = coi_frequency_variance_estimate([as_batch(traj)], burn_in=0.0)
+        stats = fold_whole([traj], burn_in=0.0)
         expected = v * (n_bus - 1) / n_bus
         np.testing.assert_allclose(stats.variance, expected, rtol=0.05)
         assert np.all(np.abs(stats.variance - expected) < 4 * stats.stderr)
@@ -711,15 +711,7 @@ class TestCoiEstimate:
         t = make_time_grid(1.0, 0.1)
         traj = Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2)))
         with pytest.raises(InputError, match="burn_in"):
-            coi_frequency_variance_estimate([as_batch(traj)], burn_in=5.0)
-
-    def test_mismatched_grids_rejected(self):
-        t1 = make_time_grid(1.0, 0.1)
-        t2 = make_time_grid(2.0, 0.1)
-        mk = lambda t: as_batch(
-            Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2))))
-        with pytest.raises(InputError, match="share"):
-            coi_frequency_variance_estimate([mk(t1), mk(t2)], burn_in=0.0)
+            fold_whole([traj], burn_in=5.0)
 
     def test_non_finite_estimate_is_numerics_error(self):
         t = make_time_grid(1.0, 0.1)
@@ -727,7 +719,7 @@ class TestCoiEstimate:
         xdot[3] = [1e200, -1e200]  # its square overflows
         traj = Trajectory(t=t, x=np.zeros_like(xdot), xdot=xdot)
         with pytest.raises(NumericsError, match="not finite"):
-            coi_frequency_variance_estimate([as_batch(traj)], burn_in=0.0)
+            fold_whole([traj], burn_in=0.0)
 
 
 class TestEnsembleRun:
@@ -760,62 +752,59 @@ class TestEnsembleRun:
         assert len(set(seeds)) == len(seeds)
         assert all(0 <= seed < 2**64 for seed in seeds)
 
-    def test_failure_propagates_with_index(self):
-        calls = []
+    @staticmethod
+    def failing_after_first_chunk(monkeypatch, error, fails):
+        """Make _linear_chunks raise ``error`` after its first chunk
+        whenever ``fails(step)`` holds for that call's step map."""
+        linear_chunks = simulate._linear_chunks
 
-        def builder(seeds):
-            calls.append(seeds)
-            if len(calls) == 3:
-                raise ValueError("boom")
-            t = make_time_grid(1.0, 0.1)
-            return as_batch(
-                Trajectory(t=t, x=np.zeros((len(t), 2)), xdot=np.zeros((len(t), 2))))
+        def failing(step, *args):
+            chunks = linear_chunks(step, *args)
+            yield next(chunks)
+            if fails(step):
+                raise error
+            yield from chunks
 
+        monkeypatch.setattr(simulate, "_linear_chunks", failing)
+
+    def test_failure_propagates_with_index(self, monkeypatch):
+        # one member per batch; the third batch fails after its first chunk
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
                         ensemble_size=4, base_seed=0)
-        with pytest.raises(NumericsError, match="trajectory 2"):
-            list(run_ensemble(builder, cfg))
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 5000)
+        assert simulate._plan_batch((4,), 3, 2, None, 10, 4, 0)[0] == 1
+        calls = []
+        self.failing_after_first_chunk(monkeypatch, ValueError("boom"),
+                                       lambda step: calls.append(step) or len(calls) == 3)
+        seed = simulate.member_seed(0, 2)
+        with pytest.raises(NumericsError,
+                           match=rf"^reduced-xi: trajectory 2 \(seed {seed}\) failed: boom$"):
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), [cfg])
+        assert len(calls) == 3
 
-    def test_input_error_passes_through(self):
-        def builder(seeds):
-            raise InputError("bad input")
-
+    def test_input_error_passes_through(self, monkeypatch):
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0)
-        with pytest.raises(InputError, match="bad input"):
-            list(run_ensemble(builder, cfg))
+        self.failing_after_first_chunk(monkeypatch, InputError("bad input"), lambda step: True)
+        with pytest.raises(InputError, match="^bad input$"):
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), [cfg])
 
-    def test_stream_builds_lazily_and_holds_no_member(self):
-        built = []
-
-        def builder(seeds):
-            # every member handed out before has been released
-            assert all(ref() is None for ref in built)
-            t = make_time_grid(1.0, 0.1)
-            record = np.ones((len(t), 4)) * seeds[0]
-            built.append(weakref.ref(record))
-            return as_batch(Trajectory(t=t, x=record[:, :2], xdot=record[:, 2:]))
-
-        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
-                        ensemble_size=5, base_seed=0)
-        stream = run_ensemble(builder, cfg)
-        assert built == []
-        stats = coi_frequency_variance_estimate(stream, burn_in=0.0)
-        assert len(built) == 5 and stats.n_samples == 5 * 11
-        np.testing.assert_array_equal(stats.variance, 0.0)
-
-    def test_batch_failure_while_stepping_names_its_members(self):
-        t = make_time_grid(1.0, 0.1)
-
-        def chunks():
-            yield 0, np.zeros((5, 2, 3)), np.zeros((5, 2, 3))
-            raise FloatingPointError("overflow")
-
-        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
-                        ensemble_size=4, base_seed=8)
-        stream = run_ensemble(lambda seeds: MemberBatch(t=t, n_slow=3, chunks=chunks()), cfg, 2)
+    def test_batch_failure_while_stepping_names_its_members(self, monkeypatch):
+        # two members per batch in chunks of 16 rows, two models in lockstep;
+        # only the second model (full-linear, the 6-wide state of the three
+        # buses) fails
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        cfgs = [SimConfig(model=model, dt_max=0.1, t_end=5.0, burn_in=0.0, ensemble_size=4,
+                          base_seed=8) for model in ("reduced-xi", "full-linear")]
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 13_000)
+        assert simulate._plan_batch((4, 6), 3, 2, None, 50, 4, 0)[:2] == (2, 16)
+        self.failing_after_first_chunk(monkeypatch, FloatingPointError("overflow"),
+                                       lambda step: len(step) == 6)
         seeds = rf"8, {simulate.member_seed(8, 1)}"
-        with pytest.raises(NumericsError, match=rf"trajectories 0-1 \(seeds {seeds}\) failed: overflow"):
-            coi_frequency_variance_estimate(stream, burn_in=0.0)
+        with pytest.raises(NumericsError, match=rf"^full-linear: trajectories 0-1 \(seeds {seeds}\) "
+                                                "failed: overflow$"):
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), cfgs)
 
     def test_streamed_statistics_equal_pooled_formula(self, monkeypatch):
         for chunked in (False, True):
@@ -824,28 +813,36 @@ class TestEnsembleRun:
                 # inside the 94-row time batches and the ensemble is split
                 monkeypatch.setattr(simulate, "_MIN_CHUNK_ROWS", 10)
                 monkeypatch.setattr(simulate, "_BATCH_BYTES", 9000)
-            self.check_pooled_formula(chunked)
+            self.check_pooled_formula(monkeypatch, chunked)
 
     @staticmethod
-    def check_pooled_formula(chunked):
+    def check_pooled_formula(monkeypatch, chunked):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
                         ensemble_size=3, base_seed=9)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
-        builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
-        assert batch == (2 if chunked else 3)
-        stats = coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in,
-                                                bus_ids=red.slow_ids)
+        # every batch's chunks as the run steps them, copied
+        batches = []
+        linear_chunks = simulate._linear_chunks
+
+        def recorded(*args):
+            batches.append([])
+            for k, block in linear_chunks(*args):
+                batches[-1].append(block.copy())
+                yield k, block
+
+        monkeypatch.setattr(simulate, "_linear_chunks", recorded)
+        (stats,), _ = simulate.run_models(grid, op, sys, red, [cfg])
 
         # the same members, collected whole and pooled here
+        t, n_s = make_time_grid(cfg.t_end, cfg.dt_max), red.n_slow
+        assert [blocks[0].shape[1] for blocks in batches] == ([2, 1] if chunked else [3])
         members = []
-        for run in run_ensemble(builder, cfg, batch):
-            blocks = [(k, x.copy(), v.copy()) for k, x, v in run.chunks]
+        for blocks in batches:
             assert len(blocks) > (16 if chunked else 0)
-            x = np.concatenate([b[1] for b in blocks])
-            xdot = np.concatenate([b[2] for b in blocks])
-            members += [Trajectory(t=run.t, x=x[:, i], xdot=xdot[:, i])
-                        for i in range(xdot.shape[1])]
+            states = np.concatenate(blocks)
+            members += [Trajectory(t=t, x=states[:, i, :n_s], xdot=states[:, i, n_s:])
+                        for i in range(states.shape[1])]
         assert len(members) == cfg.ensemble_size
         squares = []
         for traj in members:
@@ -871,8 +868,8 @@ class TestEnsembleRun:
             stats.stderr, batch_means.std(axis=0, ddof=1) / math.sqrt(len(batch_means)))
         assert stats.n_samples == n_time * cfg.ensemble_size
         assert stats.bus_ids == red.slow_ids
-        # any iterable: a plain generator of the same whole members folds alike
-        again = coi_frequency_variance_estimate(map(as_batch, members), cfg.burn_in)
+        # the same whole members folded one per batch, in one chunk each, fold alike
+        again = fold_whole(members, cfg.burn_in)
         np.testing.assert_array_equal(again.variance, stats.variance)
         np.testing.assert_array_equal(again.stderr, stats.stderr)
 
@@ -895,16 +892,28 @@ class TestEnsembleRun:
         np.testing.assert_array_equal(first.x, traj.x)
         np.testing.assert_array_equal(first.xdot, traj.xdot)
 
+    def test_kept_record_is_member_0_of_a_split_ensemble(self, monkeypatch):
+        # one member per batch: later batches do not overwrite member 0's record
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 5000)
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=5.0, burn_in=1.0,
+                        ensemble_size=3, base_seed=6)
+        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        assert simulate._plan_batch((4,), 3, 2, None, 50, 3, 51 * 4 * 8)[0] == 1
+        _, first = simulate.run_models(grid, op, sys, red, [cfg], keep_first=True)
+        alone = integrate_reduced(red, cfg, ou_spec_for_grid(grid, 6))
+        np.testing.assert_array_equal(first.x, alone.x)
+        np.testing.assert_array_equal(first.xdot, alone.xdot)
+
     def test_peak_memory_of_streamed_ensemble(self):
         # the fold holds one batch's chunk buffers, never a whole record
         grid = random_connected_grid(np.random.default_rng(1), 40)
         cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=50.0, burn_in=5.0,
                         ensemble_size=4, base_seed=2)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
-        builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
         tracemalloc.start()
         try:
-            coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
+            simulate.run_models(grid, op, sys, red, [cfg])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -931,10 +940,9 @@ class TestEnsembleRun:
             rows = simulate._plan_batch((2 * n_buses,), n_buses, red.n_slow, n_lines, n_steps,
                                         ensemble, 0)[1]
             assert rows < n_steps
-            builder, batch = simulate.make_builder(grid, op, sys, red, cfg)
             tracemalloc.start()
             try:
-                coi_frequency_variance_estimate(run_ensemble(builder, cfg, batch), cfg.burn_in)
+                simulate.run_models(grid, op, sys, red, [cfg])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
