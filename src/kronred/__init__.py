@@ -23,8 +23,7 @@ _EXPORTS = {
     **dict.fromkeys(("ReducedSystem", "make_star_grid", "reduce_grid",
                      "reduced_system_from_dict", "reduced_system_to_dict"), "reduction"),
     **dict.fromkeys(("EnsembleStats", "OUSpec", "SimConfig", "Trajectory", "default_burn_in",
-                     "default_dt_max", "integrate_full_linear", "integrate_full_nonlinear",
-                     "integrate_reduced", "linearize_and_reduce", "make_time_grid",
+                     "default_dt_max", "integrate", "linearize_and_reduce", "make_time_grid",
                      "ou_sample_path", "run_model_ensemble"), "simulate"),
     **dict.fromkeys(("ModalBasis", "VarianceReport", "coi_variance", "eigendecompose_reduced",
                      "frequency_variance_kernel", "gamma_matrix", "h_kernel",

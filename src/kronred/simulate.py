@@ -24,9 +24,9 @@ behind both `compare` and `simulate` (its one-model case), it draws
 each chunk of that noise once per batch of members, steps every model
 through it in lockstep and folds each model's chunk into its
 statistics before the next chunk is drawn.  The one-member collectors
-(ou_sample_path, integrate_full_linear, integrate_reduced,
-integrate_full_nonlinear) step one member through given noise, an
-OUSpec or an array, and return its whole record.
+return a whole record: ou_sample_path samples one member's noise, and
+integrate steps one member of any model through given noise, an OUSpec
+or an array, with run_models' plan and steppers.
 """
 
 from __future__ import annotations
@@ -351,19 +351,19 @@ def _noise_chunks(noise, t_grid: np.ndarray, n_channels: int, rows: int) -> Iter
 # ---------------------------------------------------------------------------
 
 def _full_linear_system(sys: LinearizedSystem, cfg: SimConfig):
-    """(jac, m, d, gain, n_slow) of the full linearized model at cfg.epsilon."""
+    """(jac, m, d, gain) of the full linearized model at cfg.epsilon."""
     jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
     m = np.concatenate([sys.m_slow, cfg.epsilon * sys.m_fast])
     d = np.concatenate([sys.d_slow, cfg.epsilon * sys.d_fast])
-    return jac, m, d, np.eye(len(m)), sys.n_slow
+    return jac, m, d, np.eye(len(m))
 
 
 def _reduced_system(red: ReducedSystem, cfg: SimConfig):
-    """(jac, m, d, gain, n_slow) of the reduced model: "reduced-naive"
-    keeps only eta_slow, any other model is driven by xi = eta_slow + K eta_fast."""
+    """(jac, m, d, gain) of the reduced model: "reduced-naive" keeps only
+    eta_slow, any other model is driven by xi = eta_slow + K eta_fast."""
     n_s = red.n_slow
     k = np.zeros((n_s, red.n_fast)) if cfg.model == "reduced-naive" else red.noise_gain
-    return red.j_red, red.m_slow, red.d_slow, np.hstack([np.eye(n_s), k]), n_s
+    return red.j_red, red.m_slow, red.d_slow, np.hstack([np.eye(n_s), k])
 
 
 def _linear_maps(jac, m, d, gain, dt: float, theta: float):
@@ -416,10 +416,10 @@ def _propagate(rows: list[np.ndarray], step_t: np.ndarray, prod: np.ndarray) -> 
 
 
 def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable[np.ndarray],
-                   members: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """States of ``members`` copies of X_{k+1} = S X_k + G eta_k from rest,
-    stepped together through time a chunk of at most ``rows`` steps at a
-    time.
+                   state: np.ndarray, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """States of members of X_{k+1} = S X_k + G eta_k, stepped together
+    through time a chunk of at most ``rows`` steps at a time from their
+    initial states ``state``, shape (members, width).
 
     ``noise_chunks`` yields each chunk's per-step noise values, flat
     (steps, members x C) as _ou_chunks makes them.  Per chunk the forcing
@@ -431,7 +431,9 @@ def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable
     The first block starts with the initial state.
     """
     width, channels = forcing.shape
-    rec = np.zeros((rows + 1, members, width))
+    members = len(state)
+    rec = np.empty((rows + 1, members, width))
+    rec[0] = state
     row_views = list(rec)
     step_t, forcing_t = step.T, forcing.T
     prod = np.empty((members, width))
@@ -446,109 +448,26 @@ def _linear_chunks(step: np.ndarray, forcing: np.ndarray, noise_chunks: Iterable
         k += n
 
 
-def _collector_plan(cfg: SimConfig, width: int, channels: int, n_slow: int,
-                    n_lines: int | None) -> tuple[np.ndarray, int]:
-    """Time grid and rows per chunk of a one-member collector: a batch of
-    one that keeps its whole state record, refused before the grid exists."""
-    n_steps = _step_count(cfg.t_end, cfg.dt_max)
-    rows = _plan_batch((width,), channels, n_slow, n_lines, n_steps, 1,
-                       8 * (n_steps + 1) * width)[1]
-    return make_time_grid(cfg.t_end, cfg.dt_max), rows
-
-
-def _collect(t_grid: np.ndarray, noise, channels: int, width: int, n_slow: int, rows: int,
-             member_chunks) -> Trajectory:
-    """One member stepped as a batch of one, collected into a whole state
-    record, a row per grid point, positions first, and split into slow
-    x, xdot and, when the state also holds fast buses, fast y, ydot.
-
-    ``member_chunks(noise_chunks)`` steps the member through the per-step
-    noise values ``noise`` (an OUSpec or an array), in chunks of ``rows``
-    rows as _collector_plan gives them, and yields ``(k, block)`` as
-    _linear_chunks does.
-    """
-    record = np.empty((len(t_grid), width))
-    for k, block in member_chunks(_noise_chunks(noise, t_grid, channels, rows)):
-        record[k:k + len(block)] = block[:, 0]
-    n = width // 2
-    if n == n_slow:
-        return Trajectory(t=t_grid, x=record[:, :n], xdot=record[:, n:])
-    return Trajectory(t=t_grid, x=record[:, :n_slow], xdot=record[:, n:n + n_slow],
-                      y=record[:, n_slow:n], ydot=record[:, n + n_slow:])
-
-
-def _integrate_linear(jac, m, d, gain, n_slow: int, cfg: SimConfig, noise) -> Trajectory:
-    """One member of the batched linear loop, collected whole."""
-    width, channels = 2 * len(m), gain.shape[1]
-    t_grid, rows = _collector_plan(cfg, width, channels, n_slow, None)
-    step, forcing = _linear_maps(jac, m, d, gain, t_grid[1] - t_grid[0], cfg.theta)
-    return _collect(t_grid, noise, channels, width, n_slow, rows,
-                    lambda eta: _linear_chunks(step, forcing, eta, 1, rows))
-
-
-def integrate_full_linear(sys: LinearizedSystem, cfg: SimConfig, noise) -> Trajectory:
-    """Drift-implicit integration of the full linearized two-timescale system.
-
-    ``noise`` is an OUSpec or a per-step value array over all buses
-    (slow then fast).  Returns slow x, xdot and fast y, ydot.
-    """
-    return _integrate_linear(*_full_linear_system(sys, cfg), cfg, noise)
-
-
-def integrate_reduced(red: ReducedSystem, cfg: SimConfig, noise) -> Trajectory:
-    """Drift-implicit integration of the Kron-reduced slow dynamics.
-
-    ``noise`` is an OUSpec or a per-step value array over all buses
-    (slow then fast).  Model "reduced-naive" keeps only eta_slow; any
-    other model drives the system with xi = eta_slow + K eta_fast.
-    """
-    return _integrate_linear(*_reduced_system(red, cfg), cfg, noise)
-
-
 # ---------------------------------------------------------------------------
 # Full nonlinear model
 # ---------------------------------------------------------------------------
 
-def integrate_full_nonlinear(
-    grid: Grid,
-    op: OperatingPoint,
-    cfg: SimConfig,
-    noise,
-    x0: np.ndarray | None = None,
-    v0: np.ndarray | None = None,
-) -> Trajectory:
-    """Drift-implicit integration of the nonlinear structure-preserving model.
+def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np.ndarray,
+                      noise_chunks: Iterable[np.ndarray], state: np.ndarray,
+                      rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """States of members of the nonlinear structure-preserving model,
+    stepped together through time a chunk of at most ``rows`` steps at a
+    time from their initial states ``state``, shape (members, 2n): angle
+    deviations from the operating point, then frequencies, slow buses
+    first.  Fast buses use epsilon-scaled inertia and damping.
 
     Each step solves the theta-implicit equation
     ``z - X - dt (1 - theta) f(X) - dt F - dt theta f(z) = 0`` over the
-    2n-dimensional state (F: the noise forcing, constant over the step).
-    The steps are solved a window of rows at a time by Picard sweeps
-    through the linear models' recurrence (see _nonlinear_chunks); a step
-    is accepted when the max-norm of its exact residual is <= 1e-10.  The
-    coupling flows are evaluated over the line list, so a drift costs
-    O(lines).  Fast buses use epsilon-scaled inertia and damping.
-    ``x0``/``v0`` are optional initial angle deviations from the
-    operating point and initial frequencies, in slow-then-fast order
-    (default: start at the operating point at rest).  A deviation beyond
-    pi from the operating point, measured in the COI frame (the uniform
-    angle component is gauge and performs a random walk under noise), is
-    flagged as divergence.
-    """
-    n, n_slow = grid.n_buses, len(grid.slow_ids)
-    t_grid, rows = _collector_plan(cfg, 2 * n, n, n_slow, len(grid.lines))
-    return _collect(t_grid, noise, n, 2 * n, n_slow, rows,
-                    lambda eta: _nonlinear_chunks(grid, op, cfg, t_grid, eta, 1, rows, x0, v0))
-
-
-def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np.ndarray,
-                      noise_chunks: Iterable[np.ndarray], members: int, rows: int,
-                      x0: np.ndarray | None = None,
-                      v0: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """States of ``members`` copies of the nonlinear model (see
-    integrate_full_nonlinear), stepped together through time a chunk of at
-    most ``rows`` steps at a time by windowed Picard sweeps (waveform
-    relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, IEEE TCAD
-    1(3), 1982).
+    2n-dimensional state (F: the noise forcing, constant over the step),
+    by windowed Picard sweeps (waveform relaxation: Lelarasmee, Ruehli &
+    Sangiovanni-Vincentelli, IEEE TCAD 1(3), 1982).  The coupling flows
+    are dense products with the n x lines incidence matrix, so one drift
+    evaluation costs O(n lines) per row and member.
 
     The drift splits as f(X) = A X + r(X), A the drift Jacobian at some
     angles, and r, like the noise, is a force per bus.  The theta step is
@@ -569,7 +488,9 @@ def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np
     with the largest residual; the rebuilt maps are kept for later
     windows.  A one-row window that does not converge within _MAX_SWEEPS
     sweeps fails the run.  Every accepted window is checked for
-    divergence, and the first row past it is reported.
+    divergence, a deviation beyond pi from the operating point measured in
+    the COI frame (the uniform angle component is gauge and performs a
+    random walk under noise), and the first row past it is reported.
 
     ``noise_chunks`` yields each chunk's per-step noise values, flat
     (steps, members x n) as _ou_chunks makes them.  The states, the maps
@@ -621,13 +542,9 @@ def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np
         np.matmul(ang, outflow, out=out)
         np.subtract(p, out, out=out)
 
-    dev0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    omega0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
-    if dev0.shape != (n,) or omega0.shape != (n,):
-        raise InputError(f"initial condition must have shape ({n},)")
+    members = len(state)
     rec = np.empty((rows + 1, members, 2 * n))
-    rec[0, :, :n] = dev0
-    rec[0, :, n:] = omega0
+    rec[0] = state
     row_views = list(rec)
     flat = rec.reshape(-1, 2 * n)  # row i, member j at flat[i * members + j]
     prod = np.empty((members, 2 * n))
@@ -851,6 +768,30 @@ def linearize_and_reduce(grid: Grid, epsilon: float):
     return op, sys, reduce_grid(grid, sys)
 
 
+def _layout(grid: Grid, red: ReducedSystem, cfgs: list[SimConfig]) -> tuple[list[int], int | None]:
+    """Buses whose positions and velocities each model's state holds (the
+    slow buses of a reduced model; every bus, slow then fast, of a full
+    one), and the line count _plan_batch takes: the grid's when a model is
+    nonlinear, else None."""
+    halves = [red.n_slow if c.model.startswith("reduced") else grid.n_buses for c in cfgs]
+    n_lines = len(grid.lines) if any(c.model == "full-nonlinear" for c in cfgs) else None
+    return halves, n_lines
+
+
+def _stepper(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
+             cfg: SimConfig, t_grid: np.ndarray, rows: int):
+    """cfg.model's chunk stepper on ``t_grid``, in chunks of at most
+    ``rows`` rows, with its linear step maps built here, once:
+    ``chunks(noise_chunks, state)`` steps members from their initial
+    states (members, width) and yields ``(k, block)`` as _linear_chunks
+    does."""
+    if cfg.model == "full-nonlinear":
+        return lambda eta, state: _nonlinear_chunks(grid, op, cfg, t_grid, eta, state, rows)
+    system = _full_linear_system(sys, cfg) if cfg.model == "full-linear" else _reduced_system(red, cfg)
+    step, forcing = _linear_maps(*system, t_grid[1] - t_grid[0], cfg.theta)
+    return lambda eta, state: _linear_chunks(step, forcing, eta, state, rows)
+
+
 def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
                cfgs: list[SimConfig], keep_first: bool = False):
     """Ensemble runs of several models of one setup, stepped in lockstep
@@ -883,8 +824,7 @@ def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduc
         raise InputError("models run together must share every setting but the model")
     n, n_s = grid.n_buses, red.n_slow
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
-    halves = [n_s if c.model.startswith("reduced") else n for c in cfgs]
-    n_lines = len(grid.lines) if any(c.model == "full-nonlinear" for c in cfgs) else None
+    halves, n_lines = _layout(grid, red, cfgs)
     batch, rows, _ = _plan_batch(tuple(2 * half for half in halves), n, n_s, n_lines, n_steps,
                                  cfg.ensemble_size,
                                  8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
@@ -893,14 +833,7 @@ def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduc
     dt = t_grid[1] - t_grid[0]
     noise = ou_spec_for_grid(grid, cfg.base_seed)
 
-    def stepper(c):
-        if c.model == "full-nonlinear":
-            return lambda eta, members: _nonlinear_chunks(grid, op, c, t_grid, eta, members, rows)
-        system = _full_linear_system(sys, c) if c.model == "full-linear" else _reduced_system(red, c)
-        step, forcing = _linear_maps(*system[:4], dt, c.theta)
-        return lambda eta, members: _linear_chunks(step, forcing, eta, members, rows)
-
-    steppers = [stepper(c) for c in cfgs]
+    steppers = [_stepper(grid, op, sys, red, c, t_grid, rows) for c in cfgs]
     folds = [_CoiFold(t_grid, n_s, cfg.burn_in) for _ in cfgs]
     record = None
     if keep_first:
@@ -913,9 +846,10 @@ def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduc
                                 len(cfgs))
         for fold in folds:
             fold.begin(len(idx))
+        rest = [np.zeros((len(idx), 2 * half)) for half in halves]
         # chunk j of every model before chunk j + 1 of any: each noise chunk is drawn once
-        for chunks in zip(*(_guarded(c.model, step(eta, len(idx)), idx, seeds)
-                            for c, step, eta in zip(cfgs, steppers, streams))):
+        for chunks in zip(*(_guarded(c.model, step(eta, state), idx, seeds)
+                            for c, step, eta, state in zip(cfgs, steppers, streams, rest))):
             for fold, half, (k, block) in zip(folds, halves, chunks):
                 fold.add(k, block[..., half:half + n_s])
             if record is not None and first == 0:
@@ -926,6 +860,47 @@ def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduc
         for fold in folds:
             fold.end()
     return [fold.stats(red.slow_ids) for fold in folds], record
+
+
+def integrate(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
+              cfg: SimConfig, noise, x0: np.ndarray | None = None,
+              v0: np.ndarray | None = None) -> Trajectory:
+    """One member of model cfg.model of one setup (as run_models takes
+    it), stepped through given noise and returned whole: slow x, xdot
+    and, for a full model, fast y, ydot.
+
+    ``noise`` is an OUSpec or a per-step value array over all buses, slow
+    then fast; each model draws its channels from it as in run_models.
+    ``x0``/``v0`` are the initial positions (angle deviations from the
+    operating point) and velocities of the model's buses, slow then fast
+    (default: at rest at the operating point); a wrong shape or a
+    non-finite value is an InputError, raised before anything is built.
+    The member is stepped as a batch of one by run_models' stepper of the
+    model, planned by _plan_batch with its whole record kept, so a run
+    above MAX_MEMBER_BYTES is refused before any buffer exists.
+    """
+    (half,), n_lines = _layout(grid, red, [cfg])
+    state = np.zeros((1, 2 * half))
+    for name, value, part in (("x0", x0, state[0, :half]), ("v0", v0, state[0, half:])):
+        if value is not None:
+            value = np.asarray(value, dtype=float)
+            if value.shape != (half,) or not np.all(np.isfinite(value)):
+                raise InputError(f"{name} of {cfg.model} must be {half} finite values, one per "
+                                 f"bus, got shape {value.shape}")
+            part[:] = value
+    n_steps = _step_count(cfg.t_end, cfg.dt_max)
+    rows = _plan_batch((2 * half,), grid.n_buses, red.n_slow, n_lines, n_steps, 1,
+                       8 * (n_steps + 1) * 2 * half)[1]
+    t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
+    eta = _noise_chunks(noise, t_grid, grid.n_buses, rows)
+    record = np.empty((len(t_grid), 2 * half))
+    for k, block in _stepper(grid, op, sys, red, cfg, t_grid, rows)(eta, state):
+        record[k:k + len(block)] = block[:, 0]
+    n_s = red.n_slow
+    if half == n_s:
+        return Trajectory(t=t_grid, x=record[:, :n_s], xdot=record[:, n_s:])
+    return Trajectory(t=t_grid, x=record[:, :n_s], xdot=record[:, half:half + n_s],
+                      y=record[:, n_s:half], ydot=record[:, half + n_s:])
 
 
 def run_model_ensemble(grid: Grid, cfg: SimConfig) -> EnsembleStats:

@@ -204,20 +204,13 @@ class VarianceReport:
     """Per-bus COI frequency variance with its slow/fast split.
 
     ``var_slow`` is also the naive prediction (retained-bus noise only);
-    ``var_total = var_slow + var_fast``.  Parameters echo the
-    homogeneous values the formula was evaluated with; ``tau_fast`` is
-    None when there are no fast buses.
+    ``var_total = var_slow + var_fast``.
     """
 
     bus_ids: tuple[int, ...]
     var_total: np.ndarray
     var_slow: np.ndarray
     var_fast: np.ndarray
-    m: float
-    d: float
-    gamma: float
-    tau_slow: float
-    tau_fast: float | None
 
     @property
     def var_naive(self) -> np.ndarray:
@@ -259,8 +252,7 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis, gamma_mat: np.ndarray) -
     if n_s == 1:
         zero = np.zeros(1)
         return VarianceReport(bus_ids=red.slow_ids, var_total=zero.copy(),
-                              var_slow=zero.copy(), var_fast=zero.copy(),
-                              m=m, d=d, gamma=gamma, tau_slow=tau_s, tau_fast=tau_f)
+                              var_slow=zero.copy(), var_fast=zero.copy())
 
     lam = basis.lambdas[1:]
     u_perp = basis.modes[:, 1:]
@@ -282,11 +274,8 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis, gamma_mat: np.ndarray) -
     if not np.all(np.isfinite(var_total)):
         raise InputError("COI variance overflows: bus sigmas too large")
 
-    return VarianceReport(
-        bus_ids=red.slow_ids, var_total=var_total,
-        var_slow=var_slow, var_fast=var_fast,
-        m=m, d=d, gamma=gamma, tau_slow=tau_s, tau_fast=tau_f,
-    )
+    return VarianceReport(bus_ids=red.slow_ids, var_total=var_total, var_slow=var_slow,
+                          var_fast=var_fast)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from kronred.cli import main as cli_main
 from kronred.grid import (FAST, SLOW, assemble_linearized, build_jacobian,
                           solve_fixed_point)
 from kronred.reduction import make_star_grid, reduce_grid
-from kronred.simulate import (OUSpec, SimConfig, integrate_reduced, make_time_grid,
-                              ou_sample_path, run_model_ensemble)
+from kronred.simulate import (OUSpec, SimConfig, integrate, linearize_and_reduce,
+                              make_time_grid, ou_sample_path, run_model_ensemble)
 from kronred.variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
                               lyapunov_oracle_variance, modal_trajectory)
 
@@ -234,7 +234,8 @@ def test_criterion_9_integrator_order():
         [(1, SLOW, 0.0, 0.3), (2, FAST, 0.0, 0.5), (3, SLOW, 0.0, 0.3),
          (4, SLOW, 0.0, 0.3)],
         [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.3), (4, 1, 0.9)])
-    _, red, basis, _ = analyze(grid)
+    op, sys, red = linearize_and_reduce(grid, 1.0)
+    basis = eigendecompose_reduced(red.j_red)
     coarse_dt = 0.02
     t_coarse = make_time_grid(10.0, coarse_dt)
     rng = np.random.default_rng(909)
@@ -248,7 +249,7 @@ def test_criterion_9_integrator_order():
         xi = np.repeat(xi_coarse, refine, axis=0)
         noise = np.hstack([xi, np.zeros((len(xi), red.n_fast))])
         cfg = SimConfig(model="reduced-xi", dt_max=dt, t_end=10.0, burn_in=0.0)
-        traj = integrate_reduced(red, cfg, noise)
+        traj = integrate(grid, op, sys, red, cfg, noise)
         x = traj.xdot[::refine] - traj.xdot[::refine].mean(axis=1, keepdims=True)
         errors.append(float(np.abs(x - exact_x).max()))
     r1 = errors[1] / errors[0]

@@ -671,13 +671,14 @@ def test_cli_import_starts_blas_on_one_thread():
 def test_export_table_resolves():
     # every exported name loads through the package's PEP 562 __getattr__
     # from the submodule its table entry names; the removed ensemble API
-    # is not exported
+    # and per-model collectors are not exported
     import kronred
     for name in kronred.__all__:
         module = importlib.import_module(f"kronred.{kronred._EXPORTS[name]}")
         assert kronred.__getattr__(name) is getattr(module, name), name
     for name in ("make_builder", "run_ensemble", "coi_frequency_variance_estimate",
-                 "MemberBatch"):
+                 "MemberBatch", "integrate_full_linear", "integrate_reduced",
+                 "integrate_full_nonlinear"):
         with pytest.raises(AttributeError, match=name):
             kronred.__getattr__(name)
         assert not hasattr(kronred, name)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ from kronred.errors import InputError, NumericsError
 from kronred.grid import (SLOW, FAST, ClassDefaults, assemble_linearized, build_jacobian,
                           parse_matpower_case, solve_fixed_point, with_sigma)
 from kronred.reduction import reduce_grid
-from kronred.simulate import (OUSpec, SimConfig, Trajectory, default_dt_max,
-                              integrate_full_linear, integrate_full_nonlinear,
-                              integrate_reduced, make_time_grid, ou_sample_path,
-                              ou_spec_for_grid, run_model_ensemble)
+from kronred.simulate import (OUSpec, SimConfig, Trajectory, default_dt_max, integrate,
+                              make_time_grid, ou_sample_path, ou_spec_for_grid,
+                              run_model_ensemble)
 from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix, \
     modal_trajectory
 
@@ -273,12 +273,7 @@ class TestTimeGrid:
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="buffers, above the limit"):
-                if model == "full-nonlinear":
-                    integrate_full_nonlinear(grid, op, cfg, noise)
-                elif model == "full-linear":
-                    integrate_full_linear(sys, cfg, noise)
-                else:
-                    integrate_reduced(red, cfg, noise)
+                integrate(grid, op, sys, red, cfg, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,18 +348,17 @@ class TestTimeGrid:
 class TestFullNonlinear:
     def test_stays_at_fixed_point_without_noise(self):
         grid = two_bus_grid(p=0.5)
-        op = solve_fixed_point(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=10.0, burn_in=0.0)
-        traj = integrate_full_nonlinear(grid, op, cfg, np.zeros((1000, 2)))
+        traj = integrate(grid, *reduced_of(grid), cfg, np.zeros((1000, 2)))
         assert np.abs(traj.x).max() < 1e-9
         assert np.abs(traj.xdot).max() < 1e-9
 
     def test_perturbation_decays_with_monotone_energy(self):
         grid = two_bus_grid(p=0.3)
-        op = solve_fixed_point(grid)
+        op, sys, red = reduced_of(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.002, t_end=10.0, burn_in=0.0)
-        traj = integrate_full_nonlinear(grid, op, cfg, np.zeros((5001, 2)),
-                                        x0=np.array([0.05, -0.05]))
+        traj = integrate(grid, op, sys, red, cfg, np.zeros((5001, 2)),
+                         x0=np.array([0.05, -0.05]))
         # swing energy: kinetic + coupling potential - injection work
         m = grid.param_vector("m")
         p = grid.param_vector("p")
@@ -380,16 +374,15 @@ class TestFullNonlinear:
 
     def test_matches_linear_model_for_small_noise(self):
         grid = path3_grid(sigma_slow=1.0, sigma_fast=1.0)  # scaled below
-        op = solve_fixed_point(grid)
-        sys = assemble_linearized(grid, build_jacobian(grid, op), 1.0)
+        setup = reduced_of(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=20.0, burn_in=0.0)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         base = ou_sample_path(OUSpec(sigma=np.ones(3), tau=np.full(3, 0.1), seed=3), t)[:-1]
         errs = []
         for scale in (0.01, 0.001):
             noise = scale * base
-            nl = integrate_full_nonlinear(grid, op, cfg, noise)
-            lin = integrate_full_linear(sys, cfg, noise)
+            nl = integrate(grid, *setup, cfg, noise)
+            lin = integrate(grid, *setup, replace(cfg, model="full-linear"), noise)
             num = np.abs(nl.x - lin.x).max()
             den = np.abs(lin.x).max()
             errs.append(num / den)
@@ -397,12 +390,11 @@ class TestFullNonlinear:
 
     def test_divergence_flagged(self):
         grid = two_bus_grid(p=0.0)
-        op = solve_fixed_point(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=50.0, burn_in=0.0)
         shove = np.tile([5.0, -5.0], (5000, 1))  # far beyond the b=1 line capacity
         # the first step past pi, as the per-step chord-Newton stepper reported it
         with pytest.raises(NumericsError, match=r"divergence detected at t=0\.54: "):
-            integrate_full_nonlinear(grid, op, cfg, shove)
+            integrate(grid, *reduced_of(grid), cfg, shove)
 
 
 def theta_method_residuals(grid, op, cfg, noise, traj):
@@ -440,9 +432,9 @@ class TestFullNonlinearStepper:
     def test_steps_solve_theta_method_equation(self, theta, seed, epsilon, deviation,
                                                monkeypatch):
         grid = random_connected_grid(np.random.default_rng(seed), 7, injection_scale=0.3)
-        op = solve_fixed_point(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
                         epsilon=epsilon, theta=theta)
+        op, sys, red = reduced_of(grid, epsilon)
         n = grid.n_buses
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
         x0 = deviation * np.cos(np.arange(n))
@@ -454,7 +446,7 @@ class TestFullNonlinearStepper:
             return jacobian(*args)
 
         monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
-        traj = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
+        traj = integrate(grid, op, sys, red, cfg, noise, x0=x0)
         assert theta_method_residuals(grid, op, cfg, noise, traj).max() <= 1e-10
         np.testing.assert_array_equal(traj.x[0], x0[:len(grid.slow_ids)])
         if deviation:
@@ -473,7 +465,7 @@ class TestFullNonlinearStepper:
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, 3, n))
         blocks = [block.copy() for _, block in simulate._nonlinear_chunks(
-            grid, op, cfg, t, [noise.reshape(300, 3 * n)], 3, 300)]
+            grid, op, cfg, t, [noise.reshape(300, 3 * n)], np.zeros((3, 2 * n)), 300)]
         states = np.concatenate(blocks)
         assert states.shape == (301, 3, 2 * n)
         for i in range(3):
@@ -488,13 +480,13 @@ class TestFullNonlinearStepper:
         # state, its flows and the step maps rebuilt far from the operating
         # point carry over every chunk edge
         grid = random_connected_grid(np.random.default_rng(3), 7, injection_scale=0.3)
-        op = solve_fixed_point(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
                         epsilon=0.05)
+        setup = reduced_of(grid, cfg.epsilon)
         n, n_s = grid.n_buses, len(grid.slow_ids)
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
         x0 = 1.2 * np.cos(np.arange(n))
-        whole = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
+        whole = integrate(grid, *setup, cfg, noise, x0=x0)
 
         def plan():
             return simulate._plan_batch((2 * n,), n, n_s, len(grid.lines), 300, 1, 301 * 2 * n * 8)
@@ -510,7 +502,7 @@ class TestFullNonlinearStepper:
         monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
         monkeypatch.setattr(simulate, "_BATCH_BYTES", 2**16)
         assert plan()[1] == simulate._WINDOW_ROWS
-        chunked = integrate_full_nonlinear(grid, op, cfg, noise, x0=x0)
+        chunked = integrate(grid, *setup, cfg, noise, x0=x0)
         assert len(builds) > 1
         for name in ("x", "xdot", "y", "ydot"):
             np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
@@ -528,15 +520,14 @@ class TestFullNonlinearStepper:
 class TestFullLinear:
     def test_zero_noise_zero_state(self):
         grid = path3_grid()
-        _, sys, _ = reduced_of(grid)
         cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=5.0, burn_in=0.0)
-        traj = integrate_full_linear(sys, cfg, np.zeros((500, 3)))
+        traj = integrate(grid, *reduced_of(grid), cfg, np.zeros((500, 3)))
         np.testing.assert_array_equal(traj.x, 0.0)
         np.testing.assert_array_equal(traj.y, 0.0)
 
     def test_sinusoidal_forcing_matches_transfer_function(self):
         grid = path3_grid()
-        _, sys, _ = reduced_of(grid)
+        op, sys, red = reduced_of(grid)
         omega = 2.0
         dt, t_end = 0.005, 100.0
         cfg = SimConfig(model="full-linear", dt_max=dt, t_end=t_end, burn_in=0.0)
@@ -544,7 +535,7 @@ class TestFullLinear:
         noise = np.zeros((len(t) - 1, 3))
         noise[:, 2] = np.sin(omega * t[:-1])  # drive the fast bus
 
-        traj = integrate_full_linear(sys, cfg, noise)
+        traj = integrate(grid, op, sys, red, cfg, noise)
         window = t >= 70.0  # transient decays as e^{-gamma t/2}, gamma/2 = 0.125
         # constant column absorbs the startup offset of the uniform angle mode
         basis_fit = np.column_stack([np.sin(omega * t[window]), np.cos(omega * t[window]),
@@ -580,12 +571,11 @@ class TestLinearRecord:
     @pytest.mark.parametrize("model", ["full-linear", "reduced-xi", "reduced-naive"])
     def test_states_equal_step_recurrence(self, model):
         grid = random_connected_grid(np.random.default_rng(4), 9)
-        _, sys, red = reduced_of(grid, 0.3)
+        op, sys, red = reduced_of(grid, 0.3)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=0.3)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         noise = np.random.default_rng(8).normal(0.0, 0.1, (len(t) - 1, grid.n_buses))
-        integrate = integrate_full_linear if model == "full-linear" else integrate_reduced
-        traj = integrate(sys if model == "full-linear" else red, cfg, noise)
+        traj = integrate(grid, op, sys, red, cfg, noise)
 
         jac, m, d, gain = self.linear_model(model, sys, red, cfg.epsilon)
         n, n_s = len(m), red.n_slow
@@ -613,14 +603,13 @@ class TestLinearRecord:
         # noise path plus one record: the state is not also kept in
         # forcing and per-half position/velocity buffers
         grid = random_connected_grid(np.random.default_rng(1), 40)
-        _, sys, red = reduced_of(grid)
+        op, sys, red = reduced_of(grid)
         assert red.n_slow == 20
         cfg = SimConfig(model=model, dt_max=0.01, t_end=200.0, burn_in=0.0)
         noise = ou_spec_for_grid(grid, seed=2)
-        integrate = integrate_full_linear if model == "full-linear" else integrate_reduced
         tracemalloc.start()
         try:
-            traj = integrate(sys if model == "full-linear" else red, cfg, noise)
+            traj = integrate(grid, op, sys, red, cfg, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -632,32 +621,30 @@ class TestLinearRecord:
 class TestIntegrateReduced:
     def test_naive_with_zero_slow_noise_is_identically_zero(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=1.0)
-        _, _, red = reduced_of(grid)
         cfg = SimConfig(model="reduced-naive", dt_max=0.01, t_end=5.0, burn_in=0.0)
-        traj = integrate_reduced(red, cfg, ou_spec_for_grid(grid, 4))
+        traj = integrate(grid, *reduced_of(grid), cfg, ou_spec_for_grid(grid, 4))
         np.testing.assert_array_equal(traj.x, 0.0)
 
     def test_xi_mode_carries_fast_noise(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=1.0)
-        _, _, red = reduced_of(grid)
         cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=5.0, burn_in=0.0)
-        traj = integrate_reduced(red, cfg, ou_spec_for_grid(grid, 4))
+        traj = integrate(grid, *reduced_of(grid), cfg, ou_spec_for_grid(grid, 4))
         assert np.abs(traj.xdot).max() > 0
 
     def test_spec_and_array_noise_agree(self):
         grid = path3_grid(sigma_slow=0.3, sigma_fast=1.0)
-        _, _, red = reduced_of(grid)
+        setup = reduced_of(grid)
         cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=2.0, burn_in=0.0)
         spec = ou_spec_for_grid(grid, 11)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         path = ou_sample_path(spec, t)[:-1]
-        a = integrate_reduced(red, cfg, spec)
-        b = integrate_reduced(red, cfg, path)
+        a = integrate(grid, *setup, cfg, spec)
+        b = integrate(grid, *setup, cfg, path)
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_converges_to_modal_trajectory_as_dt_shrinks(self):
         grid = path3_grid(sigma_slow=0.4, sigma_fast=0.8)
-        _, _, red = reduced_of(grid)
+        op, sys, red = reduced_of(grid)
         basis = eigendecompose_reduced(red.j_red)
         coarse_dt = 0.02
         t_coarse = make_time_grid(8.0, coarse_dt)
@@ -674,10 +661,64 @@ class TestIntegrateReduced:
             xi = np.repeat(xi_coarse, refine, axis=0)
             noise = np.hstack([xi, np.zeros((len(xi), 1))])  # fast channel silent
             cfg = SimConfig(model="reduced-xi", dt_max=dt, t_end=8.0, burn_in=0.0)
-            traj = integrate_reduced(red, cfg, noise)
+            traj = integrate(grid, op, sys, red, cfg, noise)
             x = traj.x[::refine] - traj.x[::refine].mean(axis=1, keepdims=True)
             errors.append(np.abs(x - exact_x).max())
         assert errors[1] <= 0.55 * errors[0]
+
+    def test_initial_state_matches_modal_trajectory(self):
+        # no noise, a start orthogonal to the uniform mode: the trapezoid
+        # steps follow the exact modal solution to second order in dt
+        grid = random_connected_grid(np.random.default_rng(6), 9, homogeneous=True)
+        op, sys, red = reduced_of(grid)
+        basis = eigendecompose_reduced(red.j_red)
+        rng = np.random.default_rng(2)
+        u_perp = basis.modes[:, 1:]
+        x0 = u_perp @ rng.normal(0.0, 0.1, red.n_slow - 1)
+        v0 = u_perp @ rng.normal(0.0, 0.1, red.n_slow - 1)
+        w_max = math.sqrt(-basis.lambdas.min() / red.m_slow[0])  # fastest mode's frequency
+        errors = []
+        for dt in (0.02, 0.01):
+            cfg = SimConfig(model="reduced-xi", dt_max=dt, t_end=5.0, burn_in=0.0)
+            t = make_time_grid(cfg.t_end, dt)
+            traj = integrate(grid, op, sys, red, cfg, np.zeros((len(t) - 1, grid.n_buses)),
+                             x0=x0, v0=v0)
+            exact = modal_trajectory(red, basis, np.zeros((len(t) - 1, red.n_slow)), t,
+                                     x0=x0, v0=v0)
+            np.testing.assert_array_equal(traj.x[0], x0)
+            np.testing.assert_array_equal(traj.xdot[0], v0)
+            # relative to each path's size, within the trapezoid's phase
+            # error of the fastest mode over [0, t_end]
+            errors.append(max(np.abs(got - want).max() / np.abs(want).max()
+                              for got, want in ((traj.x, exact.x), (traj.xdot, exact.xdot))))
+            assert errors[-1] <= (w_max * dt)**2 * w_max * cfg.t_end / 12
+        assert 0.2 <= errors[1] / errors[0] <= 0.3
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("model", simulate.MODELS)
+    def test_bad_initial_state_is_input_error(self, monkeypatch, model):
+        # x0/v0 hold the positions and velocities of the model's buses; a
+        # wrong shape or a non-finite value is refused before any step map
+        # is built
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        setup = reduced_of(grid)
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=1.0, burn_in=0.0)
+        half = 2 if model.startswith("reduced") else 3
+
+        def no_maps(*args):
+            raise AssertionError("step maps built")
+
+        monkeypatch.setattr(simulate, "_linear_maps", no_maps)
+        noise = ou_spec_for_grid(grid, 1)
+        for bad in ({"x0": np.zeros(half + 1)}, {"v0": np.zeros((1, half))},
+                    {"x0": np.array([math.nan] + [0.0] * (half - 1))},
+                    {"v0": np.full(half, math.inf)}):
+            with pytest.raises(InputError, match=rf"^{next(iter(bad))} of {model} must be "
+                                                 rf"{half} finite values"):
+                integrate(grid, *setup, cfg, noise, **bad)
+        with pytest.raises(AssertionError, match="step maps built"):
+            integrate(grid, *setup, cfg, noise, x0=np.zeros(half), v0=np.ones(half))
 
 
 class TestCoiEstimate:
@@ -860,7 +901,7 @@ class TestEnsembleRun:
         # member_seed(9, i): batching changes only the rounding of the products
         for i, traj in enumerate(members):
             seed = simulate.member_seed(9, i)
-            alone = integrate_reduced(red, cfg, ou_spec_for_grid(grid, seed))
+            alone = integrate(grid, op, sys, red, cfg, ou_spec_for_grid(grid, seed))
             for got, want in ((traj.x, alone.x), (traj.xdot, alone.xdot)):
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
@@ -875,20 +916,14 @@ class TestEnsembleRun:
 
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_one_member_ensemble_is_the_collector(self, model):
-        # integrate_* and the ensemble run are one loop: member 0 kept by
+        # integrate and the ensemble run are one loop: member 0 kept by
         # run_models equals the one-member collector bit for bit
         grid = random_connected_grid(np.random.default_rng(4), 9)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=30.0, burn_in=1.0, base_seed=5,
                         epsilon=0.3)
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
         _, first = simulate.run_models(grid, op, sys, red, [cfg], keep_first=True)
-        noise = ou_spec_for_grid(grid, 5)
-        if model == "full-nonlinear":
-            traj = integrate_full_nonlinear(grid, op, cfg, noise)
-        elif model == "full-linear":
-            traj = integrate_full_linear(sys, cfg, noise)
-        else:
-            traj = integrate_reduced(red, cfg, noise)
+        traj = integrate(grid, op, sys, red, cfg, ou_spec_for_grid(grid, 5))
         np.testing.assert_array_equal(first.x, traj.x)
         np.testing.assert_array_equal(first.xdot, traj.xdot)
 
@@ -901,7 +936,7 @@ class TestEnsembleRun:
         op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
         assert simulate._plan_batch((4,), 3, 2, None, 50, 3, 51 * 4 * 8)[0] == 1
         _, first = simulate.run_models(grid, op, sys, red, [cfg], keep_first=True)
-        alone = integrate_reduced(red, cfg, ou_spec_for_grid(grid, 6))
+        alone = integrate(grid, op, sys, red, cfg, ou_spec_for_grid(grid, 6))
         np.testing.assert_array_equal(first.x, alone.x)
         np.testing.assert_array_equal(first.xdot, alone.xdot)
 

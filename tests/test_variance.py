@@ -322,8 +322,9 @@ class TestCoiVariance:
             _, red, basis, gam = pipeline(grid)
             report = coi_variance(red, basis, gam)
             lam, u = basis.lambdas[1:], basis.modes[:, 1:]
+            m = red.m_slow[0]
             kern_s, kern_f = (frequency_variance_kernel(lam[:, None], lam[None, :], tau,
-                                                        report.gamma, report.m)
+                                                        red.d_slow[0] / m, m)
                               for tau in (0.1, 0.05))
             slow_amp = (u * red.sigma_slow[:, None]**2).T @ u
             var_slow = np.einsum("ia,ab,ib->i", u, slow_amp * kern_s, u)
