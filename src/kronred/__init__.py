@@ -17,7 +17,7 @@ _EXPORTS = {
     **dict.fromkeys(("HomogeneityError", "InputError", "KronredError", "NumericsError"),
                     "errors"),
     **dict.fromkeys(("Bus", "ClassDefaults", "Grid", "Line", "LinearizedSystem",
-                     "OperatingPoint", "assemble_linearized", "build_jacobian",
+                     "OperatingPoint", "assemble_linearized", "build_jacobian", "linearize",
                      "parse_grid_json", "parse_matpower_case", "serialize_grid_json",
                      "solve_fixed_point", "with_sigma"), "grid"),
     **dict.fromkeys(("ReducedSystem", "make_star_grid", "reduce_grid",

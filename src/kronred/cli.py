@@ -136,7 +136,8 @@ def _parse_sigma_dist(spec: str) -> tuple[float, float]:
 
 def cmd_reduce(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
-    op, _, red = linearize_and_reduce(grid, 1.0)
+    # the LinearizedSystem is never bound, so its blocks are freed before eigh
+    op, red = linearize_and_reduce(grid, 1.0)[::2]
     basis = eigendecompose_reduced(red.j_red)
     gap = -basis.lambdas[1] if red.n_slow > 1 else 0.0
     row_sums = np.abs(red.noise_gain).sum(axis=1) if red.n_fast else np.zeros(red.n_slow)
@@ -152,7 +153,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
 
 def cmd_variance(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
-    _, _, red = linearize_and_reduce(grid, 1.0)
+    red = linearize_and_reduce(grid, 1.0)[2]  # the linearization is freed here
     basis = eigendecompose_reduced(red.j_red)
     gam = gamma_matrix(red, basis)
     try:
@@ -264,7 +265,7 @@ def cmd_star_demo(args) -> dict[str, Iterable[str]]:
         raise InputError(f"--n-outer must be >= 2, got {args.n_outer}")
     grid = make_star_grid(args.n_outer, args.center, b=args.b, sigma=args.sigma,
                           m=args.m, d=args.d, tau=args.tau)
-    _, _, red = linearize_and_reduce(grid, 1.0)
+    red = linearize_and_reduce(grid, 1.0)[2]
     basis = eigendecompose_reduced(red.j_red)
     gam = gamma_matrix(red, basis)
     report = coi_variance(red, basis, gam)

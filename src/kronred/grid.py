@@ -18,6 +18,12 @@ Conventions used throughout the package:
     dynamics are invariant under uniform shifts);
   * state orderings are always slow buses first, then fast buses, each
     in the order of appearance in ``Grid.buses``.
+
+The pipeline never forms the dense n x n Jacobian: ``linearize``
+scatters its four slow/fast blocks straight from the edge list.
+``build_jacobian`` (the dense Jacobian, through the same scatter) and
+``assemble_linearized`` (its slices) are the reference it is checked
+against, bit for bit.
 """
 
 from __future__ import annotations
@@ -514,13 +520,22 @@ def _jacobian_entries(edges: EdgeList, theta: np.ndarray):
     return off, -np.bincount(edges.ends, off, minlength=edges.n_buses)
 
 
+def _scatter(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, off: np.ndarray,
+             diag: np.ndarray | None = None) -> np.ndarray:
+    """Dense array of ``shape`` holding ``off`` at (rows, cols) and, when
+    given, ``diag`` on its diagonal: the one scatter behind the dense
+    angle Jacobian and its slow/fast blocks."""
+    out = np.zeros(shape)
+    out[rows, cols] = off
+    if diag is not None:
+        np.fill_diagonal(out, diag)
+    return out
+
+
 def _angle_jacobian(edges: EdgeList, theta: np.ndarray) -> np.ndarray:
     """Dense angle Jacobian, scattered from the edge list."""
     off, diag = _jacobian_entries(edges, theta)
-    jac = np.zeros((edges.n_buses, edges.n_buses))
-    jac[edges.ends, edges.others] = off
-    np.fill_diagonal(jac, diag)
-    return jac
+    return _scatter((edges.n_buses, edges.n_buses), edges.ends, edges.others, off, diag)
 
 
 def solve_fixed_point(grid: Grid) -> OperatingPoint:
@@ -588,16 +603,22 @@ def solve_fixed_point(grid: Grid) -> OperatingPoint:
     return OperatingPoint(theta=theta, residual_norm=rnorm, flagged_lines=flagged)
 
 
+def _operating_angles(grid: Grid, op_point: OperatingPoint) -> np.ndarray:
+    theta = np.asarray(op_point.theta, dtype=float)
+    if theta.shape != (grid.n_buses,):
+        raise InputError(f"operating point has {theta.shape} angles for {grid.n_buses} buses")
+    return theta
+
+
 def build_jacobian(grid: Grid, op_point: OperatingPoint) -> np.ndarray:
     """Jacobian of the coupling at the operating point (negative Laplacian).
 
     J_ij = b_ij cos(theta*_i - theta*_j) for connected i != j, and
-    J_ii = -sum_k J_ik; symmetric with zero row sums.
+    J_ii = -sum_k J_ik; symmetric with zero row sums.  This dense n x n
+    array is the reference ``linearize`` is checked against; the
+    pipeline itself never forms it.
     """
-    theta = np.asarray(op_point.theta, dtype=float)
-    if theta.shape != (grid.n_buses,):
-        raise InputError(f"operating point has {theta.shape} angles for {grid.n_buses} buses")
-    return _angle_jacobian(grid.edge_list(), theta)
+    return _angle_jacobian(grid.edge_list(), _operating_angles(grid, op_point))
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -606,33 +627,58 @@ def _check_epsilon(epsilon: float) -> None:
             f"epsilon must be in (0, 1], got {epsilon}; use the reduced model for the epsilon -> 0 limit")
 
 
+def _linearized_system(grid: Grid, epsilon: float, j_ss: np.ndarray, j_sf: np.ndarray,
+                       j_fs: np.ndarray, j_ff: np.ndarray) -> LinearizedSystem:
+    """The blocks with the slow/fast inertia and damping of the grid."""
+    order = grid.ordering()
+    s, f = order[:len(grid.slow_ids)], order[len(grid.slow_ids):]
+    m = grid.param_vector("m")
+    d = grid.param_vector("d")
+    return LinearizedSystem(
+        slow_ids=tuple(grid.slow_ids), fast_ids=tuple(grid.fast_ids),
+        j_ss=j_ss, j_sf=j_sf, j_fs=j_fs, j_ff=j_ff,
+        m_slow=m[s], m_fast=m[f], d_slow=d[s], d_fast=d[f], epsilon=float(epsilon))
+
+
+def linearize(grid: Grid, op_point: OperatingPoint, epsilon: float) -> LinearizedSystem:
+    """Slow/fast blocks of the Jacobian at the operating point, each
+    scattered straight from the edge list, with diagonal M and D.
+
+    The blocks hold build_jacobian's floats bit for bit, placed by each
+    bus's slot in ``grid.ordering()``: the result equals
+    ``assemble_linearized(grid, build_jacobian(grid, op_point), epsilon)``
+    while no n x n array, only the four blocks, is allocated.
+    """
+    _check_epsilon(epsilon)
+    edges = grid.edge_list()
+    off, diag = _jacobian_entries(edges, _operating_angles(grid, op_point))
+    order = np.asarray(grid.ordering(), dtype=np.intp)
+    n, n_s = grid.n_buses, len(grid.slow_ids)
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = np.arange(n)
+    rows, cols = slot[edges.ends], slot[edges.others]
+    diag = diag[order]
+
+    def block(r0, r1, c0, c1):
+        keep = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
+        return _scatter((r1 - r0, c1 - c0), rows[keep] - r0, cols[keep] - c0, off[keep],
+                        diag[r0:r1] if r0 == c0 else None)
+
+    return _linearized_system(grid, epsilon, block(0, n_s, 0, n_s), block(0, n_s, n_s, n),
+                              block(n_s, n, 0, n_s), block(n_s, n, n_s, n))
+
+
 def assemble_linearized(grid: Grid, jacobian: np.ndarray, epsilon: float) -> LinearizedSystem:
-    """Split the Jacobian into slow/fast blocks with diagonal M and D.
+    """Split a dense Jacobian into slow/fast blocks with diagonal M and D:
+    the reference ``linearize`` is checked against.
 
     Fast-bus inertia and damping are stored unscaled; epsilon in (0, 1]
     is kept separate so the physical fast coefficients are
     epsilon*m_fast and epsilon*d_fast.
     """
     _check_epsilon(epsilon)
-    slow_ids = grid.slow_ids
-    fast_ids = grid.fast_ids
-    if not slow_ids:
-        raise InputError("empty slow set: nothing to retain")
-    idx = grid.bus_index()
-    s = [idx[i] for i in slow_ids]
-    f = [idx[i] for i in fast_ids]
-    m = grid.param_vector("m")
-    d = grid.param_vector("d")
-    return LinearizedSystem(
-        slow_ids=tuple(slow_ids),
-        fast_ids=tuple(fast_ids),
-        j_ss=jacobian[np.ix_(s, s)].copy(),
-        j_sf=jacobian[np.ix_(s, f)].copy(),
-        j_fs=jacobian[np.ix_(f, s)].copy(),
-        j_ff=jacobian[np.ix_(f, f)].copy(),
-        m_slow=m[s].copy(),
-        m_fast=m[f].copy(),
-        d_slow=d[s].copy(),
-        d_fast=d[f].copy(),
-        epsilon=float(epsilon),
-    )
+    order = grid.ordering()
+    s, f = order[:len(grid.slow_ids)], order[len(grid.slow_ids):]
+    # np.ix_ indexing copies, so no block is a view of the Jacobian
+    return _linearized_system(grid, epsilon, jacobian[np.ix_(s, s)], jacobian[np.ix_(s, f)],
+                              jacobian[np.ix_(f, s)], jacobian[np.ix_(f, f)])

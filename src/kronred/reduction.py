@@ -15,7 +15,11 @@ is spatially correlated even when all bus noises are independent.  Its
 equal-time covariance is Sigma_xi = diag(sigma_S^2) + K diag(sigma_F^2) K^T.
 J_red and K come from the same solve W = J_FF^-1 J_FS, made with one
 Cholesky factorization of -J_FF per reduction (never an explicit
-inverse): J_red = J_SS - J_SF W and K = -W^T.
+inverse): J_red = J_SS - J_SF W and K = -W^T.  The reduction reads only
+the four Jacobian blocks, which ``grid.linearize`` scatters from the
+edge list (the dense n x n Jacobian of ``build_jacobian`` is a test
+reference), and holds one N_F x N_F buffer, in which the definiteness
+certificate and then the factor are made in place.
 """
 
 from __future__ import annotations
@@ -75,33 +79,35 @@ def factor_fast_block(j_ff: np.ndarray):
     Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.3), so
     its success leaves every eigenvalue of -J_FF above t.  When it fails,
     the eigenvalues decide, so the gate accepts and rejects as before.
+    The certificate and then the factor are made in place in one n_F x n_F
+    buffer; the result equals ``cho_factor(-j_ff)`` bit for bit.
     """
     n_f = j_ff.shape[0]
     if n_f == 0:
         return None
-    neg = -j_ff
     g = float(np.abs(j_ff).sum(axis=1).max())
     t = 1e-12 * max(1.0, g)
     gamma = (n_f + 1) * _UNIT_ROUNDOFF / (1.0 - (n_f + 1) * _UNIT_ROUNDOFF)
+    # One buffer for the certificate and then the factor, each made in
+    # place: buf.T is Fortran-ordered, the order LAPACK factors in.
+    buf = np.negative(j_ff)
+    certified = False
     if 4 * n_f * gamma <= 1.0:  # delta then bounds the backward error
-        shifted = neg.copy()
-        shifted.flat[::n_f + 1] -= t + 2 * n_f * gamma * (g + t)
+        buf.flat[::n_f + 1] -= t + 2 * n_f * gamma * (g + t)
         try:
-            # the transpose is in the Fortran order LAPACK factors in place,
-            # and its upper triangle is the lower one eigvalsh reads
-            cho_factor(shifted.T, overwrite_a=True)
+            # the upper triangle of buf.T is the lower one eigvalsh reads
+            cho_factor(buf.T, overwrite_a=True)
             certified = True
         except (np.linalg.LinAlgError, ValueError):
-            certified = False
-        del shifted
-        if certified:
-            return cho_factor(neg)
-    eigs = np.linalg.eigvalsh(j_ff)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if eigs.max() >= -1e-12 * scale:
-        raise NumericsError(
-            f"fast block not negative definite: offending eigenvalue {eigs.max():.6e}")
-    return cho_factor(neg)
+            pass
+    if not certified:
+        eigs = np.linalg.eigvalsh(j_ff)
+        scale = max(1.0, float(np.abs(eigs).max()))
+        if eigs.max() >= -1e-12 * scale:
+            raise NumericsError(
+                f"fast block not negative definite: offending eigenvalue {eigs.max():.6e}")
+    np.negative(j_ff.T, out=buf)  # buf.T now holds -J_FF, as cho_factor(-j_ff) copies it
+    return cho_factor(buf.T, overwrite_a=True)
 
 
 def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
@@ -123,10 +129,11 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
         j_red = sys.j_ss
         k = np.zeros((sys.n_slow, 0))
     else:
-        # W = J_FF^-1 J_FS; the factor is of -J_FF, hence the sign
-        w = -cho_solve(factor_fast_block(sys.j_ff), sys.j_fs)
-        j_red = sys.j_ss - sys.j_sf @ w
-        k = -w.T  # K = -J_SF J_FF^-1 = -W^T since J_FF is symmetric
+        # the factor is of -J_FF, so the solve gives -W, W = J_FF^-1 J_FS;
+        # its sign is carried through instead of negating an N_F x N_S array
+        neg_w = cho_solve(factor_fast_block(sys.j_ff), sys.j_fs)
+        j_red = sys.j_ss + sys.j_sf @ neg_w
+        k = neg_w.T  # K = -J_SF J_FF^-1 = -W^T since J_FF is symmetric
     # Each sigma^2 is finite (Bus checks it), but sums over buses can overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         sigma_xi = np.diag(sigma[s]**2) + (k * sigma[f]**2) @ k.T

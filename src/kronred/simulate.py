@@ -41,7 +41,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InputError, NumericsError
 from .grid import (Grid, LinearizedSystem, OperatingPoint, _angle_jacobian, _check_epsilon,
-                   assemble_linearized, build_jacobian, solve_fixed_point)
+                   linearize, solve_fixed_point)
 from .reduction import ReducedSystem, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
@@ -761,10 +761,12 @@ def member_seed(base_seed: int, i: int) -> int:
 
 def linearize_and_reduce(grid: Grid, epsilon: float):
     """Fixed point, linearization and Kron reduction of one grid: the
-    (op, sys, red) every analysis and every model's run reads from.
-    Raises NumericsError when -J_FF is not positive definite."""
+    (op, sys, red) every analysis and every model's run reads from.  The
+    Jacobian's slow/fast blocks are scattered from the edge list, so no
+    dense n x n Jacobian is formed.  Raises NumericsError when -J_FF is
+    not positive definite."""
     op = solve_fixed_point(grid)
-    sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
+    sys = linearize(grid, op, epsilon)
     return op, sys, reduce_grid(grid, sys)
 
 
@@ -873,8 +875,9 @@ def integrate(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduce
     then fast; each model draws its channels from it as in run_models.
     ``x0``/``v0`` are the initial positions (angle deviations from the
     operating point) and velocities of the model's buses, slow then fast
-    (default: at rest at the operating point); a wrong shape or a
-    non-finite value is an InputError, raised before anything is built.
+    (default: at rest at the operating point); a wrong shape, or a value
+    that is not a finite number, is an InputError, raised before anything
+    is built.
     The member is stepped as a batch of one by run_models' stepper of the
     model, planned by _plan_batch with its whole record kept, so a run
     above MAX_MEMBER_BYTES is refused before any buffer exists.
@@ -883,7 +886,11 @@ def integrate(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduce
     state = np.zeros((1, 2 * half))
     for name, value, part in (("x0", x0, state[0, :half]), ("v0", v0, state[0, half:])):
         if value is not None:
-            value = np.asarray(value, dtype=float)
+            try:
+                value = np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as e:
+                raise InputError(f"{name} of {cfg.model} must be {half} finite values, one per "
+                                 f"bus: {e}") from e
             if value.shape != (half,) or not np.all(np.isfinite(value)):
                 raise InputError(f"{name} of {cfg.model} must be {half} finite values, one per "
                                  f"bus, got shape {value.shape}")

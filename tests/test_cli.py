@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,30 @@ class TestVariance:
         naive = [float(r.split(",")[4])
                  for r in (tmp_path / "variance.csv").read_text().strip().split("\n")[1:]]
         assert naive == sorted(naive)
+
+    @pytest.mark.parametrize("command", ["variance", "reduce", "star-demo"])
+    def test_linearization_is_freed_before_modal_stages(self, tmp_path, monkeypatch, command):
+        # the analysis commands read only the reduced system after the
+        # reduction, so the LinearizedSystem's n x n worth of blocks is
+        # freed before eigh, Gamma and the COI sums run
+        import kronred.cli
+        systems, alive = [], []
+        setup = kronred.cli.linearize_and_reduce
+
+        def recorded(*args):
+            result = setup(*args)
+            systems.append(weakref.ref(result[1]))
+            return result
+        monkeypatch.setattr(kronred.cli, "linearize_and_reduce", recorded)
+        for name in ("eigendecompose_reduced", "gamma_matrix", "coi_variance"):
+            def stage(*args, _stage=getattr(kronred.cli, name), _name=name):
+                alive.append((_name, any(ref() is not None for ref in systems)))
+                return _stage(*args)
+            monkeypatch.setattr(kronred.cli, name, stage)
+        args = [] if command == "star-demo" else [homogeneous_grid_file(tmp_path)]
+        assert main([command, *args, "--out-dir", str(tmp_path)]) == 0
+        assert len(systems) == 1 and alive
+        assert not any(held for _, held in alive), alive
 
 
 class TestSimulate:

@@ -12,7 +12,7 @@ import kronred.grid as grid_module
 from conftest import dense_coupling, make_grid, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
 from kronred.grid import (Bus, ClassDefaults, FAST, SLOW, OperatingPoint, assemble_linearized,
-                          build_jacobian, parse_grid_json, parse_matpower_case,
+                          build_jacobian, linearize, parse_grid_json, parse_matpower_case,
                           serialize_grid_json, solve_fixed_point, with_sigma)
 
 TWO_BUS_JSON = """{
@@ -230,9 +230,19 @@ class TestAssembleLinearized:
 
     def test_epsilon_zero_rejected(self):
         grid = two_bus_grid()
-        jac = build_jacobian(grid, solve_fixed_point(grid))
+        op = solve_fixed_point(grid)
+        jac = build_jacobian(grid, op)
         with pytest.raises(InputError, match="epsilon"):
             assemble_linearized(grid, jac, 0.0)
+        with pytest.raises(InputError, match="epsilon"):
+            linearize(grid, op, 0.0)
+
+    def test_operating_point_of_another_grid_rejected(self):
+        grid = path3_grid()
+        op = solve_fixed_point(two_bus_grid())
+        for build in (build_jacobian, lambda g, o: linearize(g, o, 1.0)):
+            with pytest.raises(InputError, match=r"operating point has \(2,\) angles for 3 buses"):
+                build(grid, op)
 
     def test_fast_parameters_stored_unscaled(self):
         grid = parse_grid_json(TWO_BUS_JSON)

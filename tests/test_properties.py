@@ -1,18 +1,22 @@
 """Invariants of the reduction and the closed-form variance over random grids.
 
-Permutation equivariance, quadratic sigma scaling and Laplacian
-preservation, checked with hypothesis on seeded random connected grids.
+Permutation equivariance, quadratic sigma scaling, Laplacian
+preservation, and the blockwise linearization and one-buffer factor
+matching their dense references bit for bit, checked with hypothesis on
+seeded random connected grids.
 Examples are derandomized and bounded so the suite's time stays flat.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import random_connected_grid
 from kronred.grid import (Grid, assemble_linearized, build_jacobian, solve_fixed_point,
                           with_sigma)
-from kronred.reduction import reduce_grid
+from kronred.reduction import factor_fast_block, reduce_grid
+from kronred.simulate import linearize_and_reduce
 from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -73,3 +77,36 @@ def test_reduction_preserves_laplacian(grid):
     assert off_diagonal.min() >= -1e-12 * scale
     # every fast bus's noise reaches the slow buses in full: K's columns sum to 1
     np.testing.assert_allclose(red.noise_gain.sum(axis=0), 1.0, rtol=0, atol=1e-10)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), data=st.data(),
+       epsilon=st.floats(0.01, 1.0))
+def test_pipeline_matches_dense_reference_bit_for_bit(seed, n, data, epsilon):
+    # the blocks scattered from the edge list are build_jacobian's slices,
+    # the one-buffer factor is cho_factor's, and the reduction is the
+    # textbook J_SS - J_SF W, K = -W^T; heterogeneous grids, slow and fast
+    # buses interleaved, an empty fast set included
+    n_slow = data.draw(st.integers(1, n))
+    grid = random_connected_grid(np.random.default_rng(seed), n, n_slow=n_slow)
+    op, sys, red = linearize_and_reduce(grid, epsilon)
+    ref = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
+    for name in ("j_ss", "j_sf", "j_fs", "j_ff", "m_slow", "m_fast", "d_slow", "d_fast"):
+        assert_same_bits(getattr(sys, name), getattr(ref, name))
+    assert (sys.slow_ids, sys.fast_ids, sys.epsilon) == (ref.slow_ids, ref.fast_ids, ref.epsilon)
+    if sys.n_fast == 0:
+        assert factor_fast_block(sys.j_ff) is None
+        return
+    factor, lower = factor_fast_block(sys.j_ff)
+    factor_ref, lower_ref = cho_factor(-ref.j_ff)
+    assert lower == lower_ref and factor.flags.f_contiguous
+    assert_same_bits(factor, factor_ref)
+    w = -cho_solve((factor_ref, lower_ref), ref.j_fs)
+    j_red = ref.j_ss - ref.j_sf @ w
+    assert_same_bits(red.j_red, 0.5 * (j_red + j_red.T))
+    assert_same_bits(red.noise_gain, -w.T)

@@ -1,5 +1,7 @@
 """Kron reduction: Schur complement, noise map, effective covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from kronred.grid import FAST, SLOW, LinearizedSystem, assemble_linearized, \
     build_jacobian, solve_fixed_point
 from kronred.reduction import (factor_fast_block, make_star_grid, reduce_grid,
                                reduced_system_from_dict, reduced_system_to_dict)
-from kronred.simulate import OUSpec, make_time_grid, ou_sample_path
+from kronred.simulate import OUSpec, linearize_and_reduce, make_time_grid, ou_sample_path
 
 
 def linearize(grid, epsilon=1.0):
@@ -79,6 +81,25 @@ class TestSchurReduce:
         with pytest.raises(NumericsError, match="not negative definite"):
             factor_fast_block(-np.diag([1e6, 0.999e-6]))
         assert len(calls) == 2
+
+
+class TestMemory:
+    def test_pipeline_holds_blocks_and_one_fast_buffer(self):
+        # linearize_and_reduce holds the four Jacobian blocks (n^2 floats),
+        # one N_F x N_F buffer for the certificate and the factor of -J_FF,
+        # and a few N_F x N_S arrays (the solve, its products; here
+        # N_S^2 <= N_F N_S); a dense n x n Jacobian beside the blocks, or a
+        # second copy of -J_FF, exceeds it
+        grid = random_connected_grid(np.random.default_rng(5), 800, n_slow=240)
+        n, n_s = grid.n_buses, len(grid.slow_ids)
+        n_f = n - n_s
+        tracemalloc.start()
+        try:
+            linearize_and_reduce(grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * n + n_f * n_f + 3 * n_f * n_s), peak
 
 
 class TestNoiseMap:

@@ -699,8 +699,8 @@ class TestInitialState:
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_bad_initial_state_is_input_error(self, monkeypatch, model):
         # x0/v0 hold the positions and velocities of the model's buses; a
-        # wrong shape or a non-finite value is refused before any step map
-        # is built
+        # wrong shape, or a value that is not a finite number, is refused
+        # before any step map is built
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         setup = reduced_of(grid)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=1.0, burn_in=0.0)
@@ -713,7 +713,8 @@ class TestInitialState:
         noise = ou_spec_for_grid(grid, 1)
         for bad in ({"x0": np.zeros(half + 1)}, {"v0": np.zeros((1, half))},
                     {"x0": np.array([math.nan] + [0.0] * (half - 1))},
-                    {"v0": np.full(half, math.inf)}):
+                    {"v0": np.full(half, math.inf)}, {"x0": ["a"] * half},
+                    {"v0": [{}] * half}):
             with pytest.raises(InputError, match=rf"^{next(iter(bad))} of {model} must be "
                                                  rf"{half} finite values"):
                 integrate(grid, *setup, cfg, noise, **bad)
