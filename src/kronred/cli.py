@@ -136,8 +136,7 @@ def _parse_sigma_dist(spec: str) -> tuple[float, float]:
 
 def cmd_reduce(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
-    # the LinearizedSystem is never bound, so its blocks are freed before eigh
-    op, red = linearize_and_reduce(grid, 1.0)[::2]
+    op, red = linearize_and_reduce(grid)
     basis = eigendecompose_reduced(red.j_red)
     gap = -basis.lambdas[1] if red.n_slow > 1 else 0.0
     row_sums = np.abs(red.noise_gain).sum(axis=1) if red.n_fast else np.zeros(red.n_slow)
@@ -153,7 +152,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
 
 def cmd_variance(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
-    red = linearize_and_reduce(grid, 1.0)[2]  # the linearization is freed here
+    op, red = linearize_and_reduce(grid)
     basis = eigendecompose_reduced(red.j_red)
     gam = gamma_matrix(red, basis)
     try:
@@ -185,9 +184,9 @@ def cmd_simulate(args) -> dict[str, Iterable[str]]:
         raise InputError(f"--decimate must be >= 1, got {args.decimate}")
     grid = _load_grid(args)
     cfg = _run_cfg(args, grid, args.model)  # bad flags are refused before the fixed point
-    op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
+    op, red = linearize_and_reduce(grid)
     # member 0's slow record is kept for trajectory.csv; every batch is folded chunk by chunk
-    (stats,), first = run_models(grid, op, sys, red, [cfg], keep_first=True)
+    (stats,), first = run_models(grid, op, red, [cfg], keep_first=True)
 
     print(f"model {cfg.model}: {cfg.ensemble_size} trajectories, dt {first.t[1]:.4g} s, "
           f"t_end {cfg.t_end} s, burn-in {cfg.burn_in:.4g} s")
@@ -219,7 +218,7 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
     models = _parse_models(args.models)  # before any work, so a typo costs nothing
     grid = _load_grid(args)
     cfgs = [_run_cfg(args, grid, model) for model in models]  # and so are bad flags
-    op, sys, red = linearize_and_reduce(grid, args.epsilon)
+    op, red = linearize_and_reduce(grid)
 
     # per-bus values of every column after bus_id, None where a column has none
     columns = {"var_analytic": None, "var_naive_analytic": None}
@@ -232,7 +231,7 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
         print("heterogeneous parameters: analytic columns omitted, comparing simulated models")
 
     # every model steps through one noise stream in lockstep
-    stats, _ = run_models(grid, op, sys, red, cfgs)
+    stats, _ = run_models(grid, op, red, cfgs)
     columns.update((f"var_sim_{cfg.model}", s.variance) for cfg, s in zip(cfgs, stats))
 
     # ranks follow the analytic columns, else the simulated reduced models
@@ -265,7 +264,7 @@ def cmd_star_demo(args) -> dict[str, Iterable[str]]:
         raise InputError(f"--n-outer must be >= 2, got {args.n_outer}")
     grid = make_star_grid(args.n_outer, args.center, b=args.b, sigma=args.sigma,
                           m=args.m, d=args.d, tau=args.tau)
-    red = linearize_and_reduce(grid, 1.0)[2]
+    op, red = linearize_and_reduce(grid)
     basis = eigendecompose_reduced(red.j_red)
     gam = gamma_matrix(red, basis)
     report = coi_variance(red, basis, gam)
@@ -410,8 +409,12 @@ def main(argv: list[str] | None = None) -> int:
     # before any work, so a typo costs nothing: main makes the missing
     # directories inside the nearest one that exists
     existing = out_dir.absolute()
-    while not existing.exists():
-        existing = existing.parent
+    try:
+        while not existing.exists():
+            existing = existing.parent
+    except OSError as e:  # a path component too long, say
+        print(f"input error: --out-dir {out_dir}: {e}", file=sys.stderr)
+        return 2
     if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
         print(f"input error: --out-dir {out_dir}: {existing} is not a writable directory",
               file=sys.stderr)

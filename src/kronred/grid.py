@@ -3,9 +3,9 @@
 A grid is a connected network of second-order phase oscillators
 (swing dynamics).  Buses are split into a "slow" component (large
 inertia/damping, e.g. synchronous generators) and a "fast" component
-(small inertia/damping, e.g. loads), with the timescale ratio carried
-as a separate parameter ``epsilon`` so the same assembly can be reused
-across timescale studies.
+(small inertia/damping, e.g. loads).  The fast buses' inertia and
+damping are stored unscaled: the full models scale them by the timescale
+ratio ``epsilon``, and the Kron reduction does not depend on it.
 
 Conventions used throughout the package:
   * coupling b_ij = B_ij * |V_i| * |V_j| (line susceptance times voltage
@@ -251,10 +251,8 @@ class LinearizedSystem:
     """Two-timescale linearization around an operating point.
 
     Jacobian blocks follow the slow-then-fast ordering.  ``m_fast`` and
-    ``d_fast`` hold the unscaled fast-bus parameters; the timescale
-    ratio ``epsilon`` is stored separately, so integrators use
-    epsilon*m_fast (resp. epsilon*d_fast) as the physical coefficients
-    and one assembly serves a whole epsilon sweep.
+    ``d_fast`` hold the unscaled fast-bus parameters, which the full
+    models scale by the timescale ratio; the Kron reduction reads none.
     """
 
     slow_ids: tuple[int, ...]

@@ -19,8 +19,11 @@ the reduced "xi" model combines eta_slow + K eta_fast, the naive model
 keeps only eta_slow, the full models apply each bus its own channel.
 So one noise stream drives them all.
 
-run_models is the one ensemble driver and the only loop over members:
-behind both `compare` and `simulate` (its one-model case), it draws
+run_models is the one ensemble driver and the only loop over members,
+behind both `compare` and `simulate` (its one-model case).  Its setup is
+linearize_and_reduce's (op, red), which no timescale ratio enters: the
+full models scale the fast m and d by epsilon as they build their maps,
+full-linear from Jacobian blocks it scatters itself.  It draws
 each chunk of that noise once per batch of members, steps every model
 through it in lockstep and folds each model's chunk into its
 statistics before the next chunk is drawn.  The one-member collectors
@@ -40,8 +43,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InputError, NumericsError
-from .grid import (Grid, LinearizedSystem, OperatingPoint, _angle_jacobian, _check_epsilon,
-                   linearize, solve_fixed_point)
+from .grid import (Grid, OperatingPoint, _angle_jacobian, _check_epsilon, linearize,
+                   solve_fixed_point)
 from .reduction import ReducedSystem, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
@@ -350,12 +353,12 @@ def _noise_chunks(noise, t_grid: np.ndarray, n_channels: int, rows: int) -> Iter
 # Drift-implicit linear stepping
 # ---------------------------------------------------------------------------
 
-def _full_linear_system(sys: LinearizedSystem, cfg: SimConfig):
-    """(jac, m, d, gain) of the full linearized model at cfg.epsilon."""
-    jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
-    m = np.concatenate([sys.m_slow, cfg.epsilon * sys.m_fast])
-    d = np.concatenate([sys.d_slow, cfg.epsilon * sys.d_fast])
-    return jac, m, d, np.eye(len(m))
+def _full_linear_system(grid: Grid, op: OperatingPoint, cfg: SimConfig):
+    """(jac, m, d, gain) of the full model linearized at op, at cfg.epsilon."""
+    lin = linearize(grid, op, cfg.epsilon)
+    m = np.concatenate([lin.m_slow, cfg.epsilon * lin.m_fast])
+    d = np.concatenate([lin.d_slow, cfg.epsilon * lin.d_fast])
+    return np.block([[lin.j_ss, lin.j_sf], [lin.j_fs, lin.j_ff]]), m, d, np.eye(len(m))
 
 
 def _reduced_system(red: ReducedSystem, cfg: SimConfig):
@@ -759,15 +762,13 @@ def member_seed(base_seed: int, i: int) -> int:
 # One setup per run, one noise stream for all its models
 # ---------------------------------------------------------------------------
 
-def linearize_and_reduce(grid: Grid, epsilon: float):
-    """Fixed point, linearization and Kron reduction of one grid: the
-    (op, sys, red) every analysis and every model's run reads from.  The
-    Jacobian's slow/fast blocks are scattered from the edge list, so no
-    dense n x n Jacobian is formed.  Raises NumericsError when -J_FF is
-    not positive definite."""
+def linearize_and_reduce(grid: Grid):
+    """Fixed point and Kron reduction of one grid: the (op, red) every
+    analysis and every model's run reads from.  The Jacobian's slow/fast
+    blocks, scattered from the edge list, are freed before this returns.
+    Raises NumericsError when -J_FF is not positive definite."""
     op = solve_fixed_point(grid)
-    sys = linearize(grid, op, epsilon)
-    return op, sys, reduce_grid(grid, sys)
+    return op, reduce_grid(grid, linearize(grid, op, 1.0))
 
 
 def _layout(grid: Grid, red: ReducedSystem, cfgs: list[SimConfig]) -> tuple[list[int], int | None]:
@@ -780,8 +781,8 @@ def _layout(grid: Grid, red: ReducedSystem, cfgs: list[SimConfig]) -> tuple[list
     return halves, n_lines
 
 
-def _stepper(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
-             cfg: SimConfig, t_grid: np.ndarray, rows: int):
+def _stepper(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfg: SimConfig,
+             t_grid: np.ndarray, rows: int):
     """cfg.model's chunk stepper on ``t_grid``, in chunks of at most
     ``rows`` rows, with its linear step maps built here, once:
     ``chunks(noise_chunks, state)`` steps members from their initial
@@ -789,15 +790,17 @@ def _stepper(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduced
     does."""
     if cfg.model == "full-nonlinear":
         return lambda eta, state: _nonlinear_chunks(grid, op, cfg, t_grid, eta, state, rows)
-    system = _full_linear_system(sys, cfg) if cfg.model == "full-linear" else _reduced_system(red, cfg)
+    system = (_full_linear_system(grid, op, cfg) if cfg.model == "full-linear"
+              else _reduced_system(red, cfg))
     step, forcing = _linear_maps(*system, t_grid[1] - t_grid[0], cfg.theta)
     return lambda eta, state: _linear_chunks(step, forcing, eta, state, rows)
 
 
-def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
-               cfgs: list[SimConfig], keep_first: bool = False):
-    """Ensemble runs of several models of one setup, stepped in lockstep
-    on one noise stream: the one loop over ensemble members.
+def run_models(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfgs: list[SimConfig],
+               keep_first: bool = False):
+    """Ensemble runs of several models of one setup (op, red), as
+    linearize_and_reduce gives it, stepped in lockstep on one noise
+    stream: the one loop over ensemble members.
 
     The configurations must differ in their model only.  One _plan_batch
     sizes the members per batch and rows per chunk of all models
@@ -828,14 +831,13 @@ def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduc
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
     halves, n_lines = _layout(grid, red, cfgs)
     batch, rows, _ = _plan_batch(tuple(2 * half for half in halves), n, n_s, n_lines, n_steps,
-                                 cfg.ensemble_size,
-                                 8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
+                                 cfg.ensemble_size, 8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
 
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     dt = t_grid[1] - t_grid[0]
     noise = ou_spec_for_grid(grid, cfg.base_seed)
 
-    steppers = [_stepper(grid, op, sys, red, c, t_grid, rows) for c in cfgs]
+    steppers = [_stepper(grid, op, red, c, t_grid, rows) for c in cfgs]
     folds = [_CoiFold(t_grid, n_s, cfg.burn_in) for _ in cfgs]
     record = None
     if keep_first:
@@ -864,12 +866,11 @@ def run_models(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduc
     return [fold.stats(red.slow_ids) for fold in folds], record
 
 
-def integrate(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: ReducedSystem,
-              cfg: SimConfig, noise, x0: np.ndarray | None = None,
-              v0: np.ndarray | None = None) -> Trajectory:
-    """One member of model cfg.model of one setup (as run_models takes
-    it), stepped through given noise and returned whole: slow x, xdot
-    and, for a full model, fast y, ydot.
+def integrate(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfg: SimConfig, noise,
+              x0: np.ndarray | None = None, v0: np.ndarray | None = None) -> Trajectory:
+    """One member of model cfg.model of one setup (op, red), as
+    run_models takes it, stepped through given noise and returned whole:
+    slow x, xdot and, for a full model, fast y, ydot.
 
     ``noise`` is an OUSpec or a per-step value array over all buses, slow
     then fast; each model draws its channels from it as in run_models.
@@ -886,14 +887,13 @@ def integrate(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduce
     state = np.zeros((1, 2 * half))
     for name, value, part in (("x0", x0, state[0, :half]), ("v0", v0, state[0, half:])):
         if value is not None:
+            need = f"{name} of {cfg.model} must be {half} finite values, one per bus"
             try:
                 value = np.asarray(value, dtype=float)
             except (TypeError, ValueError) as e:
-                raise InputError(f"{name} of {cfg.model} must be {half} finite values, one per "
-                                 f"bus: {e}") from e
+                raise InputError(f"{need}: {e}") from e
             if value.shape != (half,) or not np.all(np.isfinite(value)):
-                raise InputError(f"{name} of {cfg.model} must be {half} finite values, one per "
-                                 f"bus, got shape {value.shape}")
+                raise InputError(f"{need}, got shape {value.shape}")
             part[:] = value
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
     rows = _plan_batch((2 * half,), grid.n_buses, red.n_slow, n_lines, n_steps, 1,
@@ -901,16 +901,15 @@ def integrate(grid: Grid, op: OperatingPoint, sys: LinearizedSystem, red: Reduce
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     eta = _noise_chunks(noise, t_grid, grid.n_buses, rows)
     record = np.empty((len(t_grid), 2 * half))
-    for k, block in _stepper(grid, op, sys, red, cfg, t_grid, rows)(eta, state):
+    for k, block in _stepper(grid, op, red, cfg, t_grid, rows)(eta, state):
         record[k:k + len(block)] = block[:, 0]
-    n_s = red.n_slow
-    if half == n_s:
-        return Trajectory(t=t_grid, x=record[:, :n_s], xdot=record[:, n_s:])
+    n_s, full = red.n_slow, half > red.n_slow
     return Trajectory(t=t_grid, x=record[:, :n_s], xdot=record[:, half:half + n_s],
-                      y=record[:, n_s:half], ydot=record[:, half + n_s:])
+                      y=record[:, n_s:half] if full else None,
+                      ydot=record[:, half + n_s:] if full else None)
 
 
 def run_model_ensemble(grid: Grid, cfg: SimConfig) -> EnsembleStats:
     """End-to-end ensemble study of one model on one grid."""
-    op, sys, red = linearize_and_reduce(grid, cfg.epsilon)
-    return run_models(grid, op, sys, red, [cfg])[0][0]
+    op, red = linearize_and_reduce(grid)
+    return run_models(grid, op, red, [cfg])[0][0]

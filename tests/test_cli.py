@@ -61,9 +61,9 @@ def count_simulation_runs(monkeypatch):
     runs = []
     run_models = kronred.cli.run_models
 
-    def counted(grid, op, sys, red, cfgs, **kwargs):
+    def counted(grid, op, red, cfgs, **kwargs):
         runs.append([cfg.model for cfg in cfgs])
-        return run_models(grid, op, sys, red, cfgs, **kwargs)
+        return run_models(grid, op, red, cfgs, **kwargs)
     monkeypatch.setattr(kronred.cli, "run_models", counted)
     return runs
 
@@ -142,7 +142,7 @@ def test_files_get_the_mode_open_gives(tmp_path):
 
 @pytest.mark.parametrize("case", ["grid is a directory", "json grid not utf-8",
                                   "m grid not utf-8", "out-dir is a file",
-                                  "out-dir under a file"])
+                                  "out-dir under a file", "out-dir name too long"])
 def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
     grid, out = tmp_path / "grid.json", tmp_path / "out"
     grid.write_text(TWO_BUS)
@@ -156,6 +156,8 @@ def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
         grid.write_bytes(b"\xff" + THREE_BUS_CASE.encode())
     elif case == "out-dir is a file":
         out.write_text("")
+    elif case == "out-dir name too long":  # a component above any file system's 255 bytes
+        out = tmp_path / ("a" * 300) / "out"
     else:
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
@@ -167,6 +169,8 @@ def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
         assert captured.out == ""
     if case == "out-dir is a file":
         assert out.read_text() == ""
+    if case == "out-dir name too long":
+        assert os.listdir(tmp_path) == ["grid.json"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -328,14 +332,15 @@ class TestVariance:
         # reduction, so the LinearizedSystem's n x n worth of blocks is
         # freed before eigh, Gamma and the COI sums run
         import kronred.cli
+        import kronred.simulate
         systems, alive = [], []
-        setup = kronred.cli.linearize_and_reduce
+        linearize = kronred.simulate.linearize
 
         def recorded(*args):
-            result = setup(*args)
-            systems.append(weakref.ref(result[1]))
+            result = linearize(*args)
+            systems.append(weakref.ref(result))
             return result
-        monkeypatch.setattr(kronred.cli, "linearize_and_reduce", recorded)
+        monkeypatch.setattr(kronred.simulate, "linearize", recorded)
         for name in ("eigendecompose_reduced", "gamma_matrix", "coi_variance"):
             def stage(*args, _stage=getattr(kronred.cli, name), _name=name):
                 alive.append((_name, any(ref() is not None for ref in systems)))

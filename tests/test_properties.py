@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import random_connected_grid
-from kronred.grid import (Grid, assemble_linearized, build_jacobian, solve_fixed_point,
-                          with_sigma)
+from kronred.grid import (Grid, assemble_linearized, build_jacobian, linearize,
+                          solve_fixed_point, with_sigma)
 from kronred.reduction import factor_fast_block, reduce_grid
 from kronred.simulate import linearize_and_reduce
 from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix
@@ -94,7 +94,8 @@ def test_pipeline_matches_dense_reference_bit_for_bit(seed, n, data, epsilon):
     # buses interleaved, an empty fast set included
     n_slow = data.draw(st.integers(1, n))
     grid = random_connected_grid(np.random.default_rng(seed), n, n_slow=n_slow)
-    op, sys, red = linearize_and_reduce(grid, epsilon)
+    op, red = linearize_and_reduce(grid)
+    sys = linearize(grid, op, epsilon)
     ref = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
     for name in ("j_ss", "j_sf", "j_fs", "j_ff", "m_slow", "m_fast", "d_slow", "d_fast"):
         assert_same_bits(getattr(sys, name), getattr(ref, name))

@@ -1,12 +1,14 @@
 """Kron reduction: Schur complement, noise map, effective covariance."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import kronred.grid
 import kronred.reduction
+import kronred.simulate
 from conftest import path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
 from kronred.grid import FAST, SLOW, LinearizedSystem, assemble_linearized, \
@@ -95,11 +97,32 @@ class TestMemory:
         n_f = n - n_s
         tracemalloc.start()
         try:
-            linearize_and_reduce(grid, 1.0)
+            linearize_and_reduce(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (n * n + n_f * n_f + 3 * n_f * n_s), peak
+
+    @pytest.mark.parametrize("n_slow", [12, 40])
+    def test_setup_keeps_no_linearization_alive(self, monkeypatch, n_slow):
+        # the run setup is (op, red): the LinearizedSystem it reduced and
+        # its four blocks are dead once linearize_and_reduce returns, a
+        # grid without fast buses (J_red from J_SS alone) included
+        refs = []
+        linearize = kronred.simulate.linearize
+
+        def recorded(*args):
+            result = linearize(*args)
+            refs.extend(weakref.ref(obj) for obj in (result, result.j_ss, result.j_sf,
+                                                      result.j_fs, result.j_ff))
+            return result
+        monkeypatch.setattr(kronred.simulate, "linearize", recorded)
+        setup = linearize_and_reduce(random_connected_grid(np.random.default_rng(5), 40,
+                                                           n_slow=n_slow))
+        assert len(setup) == 2 and len(refs) == 5
+        alive = [name for name, ref in zip(("system", "j_ss", "j_sf", "j_fs", "j_ff"), refs)
+                 if ref() is not None]
+        assert not alive, alive
 
 
 class TestNoiseMap:

@@ -32,10 +32,17 @@ def fold_whole(trajs, burn_in):
     return fold.stats(tuple(range(n_slow)))
 
 
-def reduced_of(grid, epsilon=1.0):
+def dense_reference(grid, epsilon=1.0):
+    """The operating point and the linearization sliced from the dense
+    Jacobian: the reference the simulator's own blocks are checked against."""
     op = solve_fixed_point(grid)
-    sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
-    return op, sys, reduce_grid(grid, sys)
+    return op, assemble_linearized(grid, build_jacobian(grid, op), epsilon)
+
+
+def reduced_of(grid):
+    """A run setup (op, red), reduced from the dense reference."""
+    op, sys = dense_reference(grid)
+    return op, reduce_grid(grid, sys)
 
 
 class TestOUSampling:
@@ -224,7 +231,7 @@ class TestTimeGrid:
         # its batch the 9 x lines incidence and outflow matrices x 8 B.
         # `simulate` also keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
         grid = random_connected_grid(np.random.default_rng(3), 9)
-        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        op, red = simulate.linearize_and_reduce(grid)
         assert red.n_slow == 6 and simulate._PAD_ROWS == 20 and simulate._WINDOW_ROWS == 64
         cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
         half = width // 2
@@ -234,17 +241,17 @@ class TestTimeGrid:
             held += 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * 2 * len(grid.lines) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
-            simulate.run_models(grid, op, sys, red, [cfg], keep_first=keep_first)
+            simulate.run_models(grid, op, red, [cfg], keep_first=keep_first)
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept - 1)
             with pytest.raises(InputError, match="buffers, above the limit"):
-                simulate.run_models(grid, op, sys, red, [cfg], keep_first=keep_first)
+                simulate.run_models(grid, op, red, [cfg], keep_first=keep_first)
 
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_step_maps_counted_before_they_are_built(self, monkeypatch, model):
         # a limit that the buffers and record fit but the step maps do not:
         # the run is refused from its dimensions, before any map is built
         grid = random_connected_grid(np.random.default_rng(3), 9)
-        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        op, red = simulate.linearize_and_reduce(grid)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
         width = 12 if model.startswith("reduced") else 18
         buffers = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 + 1001 * 2 * 6 * 8
@@ -257,14 +264,14 @@ class TestTimeGrid:
         monkeypatch.setattr(simulate, "_linear_maps", no_maps)
         monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", buffers + width * (width + 9) * 8 - 1)
         with pytest.raises(InputError, match="buffers, above the limit"):
-            simulate.run_models(grid, op, sys, red, [cfg], keep_first=True)
+            simulate.run_models(grid, op, red, [cfg], keep_first=True)
 
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_collector_refused_before_it_allocates(self, monkeypatch, model):
         # 20 000 steps: the whole record fits the limit, the record and
         # the batch it is stepped through do not
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        op, sys, red = reduced_of(grid)
+        op, red = reduced_of(grid)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=200.0, burn_in=0.0)
         width = 4 if model.startswith("reduced") else 6
         record = 20_001 * width * 8
@@ -273,7 +280,7 @@ class TestTimeGrid:
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="buffers, above the limit"):
-                integrate(grid, op, sys, red, cfg, noise)
+                integrate(grid, op, red, cfg, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -287,7 +294,7 @@ class TestTimeGrid:
         grid = parse_matpower_case(ieee118_text, slow=ClassDefaults(m=0.2, d=0.05, tau=0.1),
                                    fast=ClassDefaults(m=0.002, d=0.0005, tau=0.1), rebalance=True)
         grid = with_sigma(grid, np.random.default_rng(1).uniform(0.0, 0.01, grid.n_buses))
-        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        op, red = simulate.linearize_and_reduce(grid)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=1.5, base_seed=1)
         width = 2 * (red.n_slow if model.startswith("reduced") else grid.n_buses)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
@@ -295,7 +302,7 @@ class TestTimeGrid:
                                               0)
         tracemalloc.start()
         try:
-            simulate.run_models(grid, op, sys, red, [cfg])
+            simulate.run_models(grid, op, red, [cfg])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -322,7 +329,7 @@ class TestTimeGrid:
         grid = random_connected_grid(np.random.default_rng(1), 40)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0,
                         ensemble_size=3, base_seed=2)
-        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        op, red = simulate.linearize_and_reduce(grid)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
         batch, rows, _ = simulate._plan_batch((2 * grid.n_buses,), grid.n_buses, red.n_slow,
                                               n_lines, 2000, cfg.ensemble_size, 0)
@@ -332,7 +339,7 @@ class TestTimeGrid:
         window_bytes = 0 if n_lines is None else 8 * 65 * (8 * grid.n_buses + n_lines)
         tracemalloc.start()
         try:
-            simulate.run_models(grid, op, sys, red, [cfg])
+            simulate.run_models(grid, op, red, [cfg])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,9 +362,9 @@ class TestFullNonlinear:
 
     def test_perturbation_decays_with_monotone_energy(self):
         grid = two_bus_grid(p=0.3)
-        op, sys, red = reduced_of(grid)
+        op, red = reduced_of(grid)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.002, t_end=10.0, burn_in=0.0)
-        traj = integrate(grid, op, sys, red, cfg, np.zeros((5001, 2)),
+        traj = integrate(grid, op, red, cfg, np.zeros((5001, 2)),
                          x0=np.array([0.05, -0.05]))
         # swing energy: kinetic + coupling potential - injection work
         m = grid.param_vector("m")
@@ -434,7 +441,7 @@ class TestFullNonlinearStepper:
         grid = random_connected_grid(np.random.default_rng(seed), 7, injection_scale=0.3)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
                         epsilon=epsilon, theta=theta)
-        op, sys, red = reduced_of(grid, epsilon)
+        op, red = reduced_of(grid)
         n = grid.n_buses
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
         x0 = deviation * np.cos(np.arange(n))
@@ -446,7 +453,7 @@ class TestFullNonlinearStepper:
             return jacobian(*args)
 
         monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
-        traj = integrate(grid, op, sys, red, cfg, noise, x0=x0)
+        traj = integrate(grid, op, red, cfg, noise, x0=x0)
         assert theta_method_residuals(grid, op, cfg, noise, traj).max() <= 1e-10
         np.testing.assert_array_equal(traj.x[0], x0[:len(grid.slow_ids)])
         if deviation:
@@ -482,7 +489,7 @@ class TestFullNonlinearStepper:
         grid = random_connected_grid(np.random.default_rng(3), 7, injection_scale=0.3)
         cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
                         epsilon=0.05)
-        setup = reduced_of(grid, cfg.epsilon)
+        setup = reduced_of(grid)
         n, n_s = grid.n_buses, len(grid.slow_ids)
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
         x0 = 1.2 * np.cos(np.arange(n))
@@ -527,7 +534,8 @@ class TestFullLinear:
 
     def test_sinusoidal_forcing_matches_transfer_function(self):
         grid = path3_grid()
-        op, sys, red = reduced_of(grid)
+        op, sys = dense_reference(grid)
+        red = reduce_grid(grid, sys)
         omega = 2.0
         dt, t_end = 0.005, 100.0
         cfg = SimConfig(model="full-linear", dt_max=dt, t_end=t_end, burn_in=0.0)
@@ -535,7 +543,7 @@ class TestFullLinear:
         noise = np.zeros((len(t) - 1, 3))
         noise[:, 2] = np.sin(omega * t[:-1])  # drive the fast bus
 
-        traj = integrate(grid, op, sys, red, cfg, noise)
+        traj = integrate(grid, op, red, cfg, noise)
         window = t >= 70.0  # transient decays as e^{-gamma t/2}, gamma/2 = 0.125
         # constant column absorbs the startup offset of the uniform angle mode
         basis_fit = np.column_stack([np.sin(omega * t[window]), np.cos(omega * t[window]),
@@ -570,12 +578,15 @@ class TestLinearRecord:
 
     @pytest.mark.parametrize("model", ["full-linear", "reduced-xi", "reduced-naive"])
     def test_states_equal_step_recurrence(self, model):
+        # the full-linear reference is sliced from the dense Jacobian, so
+        # the blocks integrate scatters itself are pinned bit for bit too
         grid = random_connected_grid(np.random.default_rng(4), 9)
-        op, sys, red = reduced_of(grid, 0.3)
+        op, sys = dense_reference(grid, 0.3)
+        red = reduce_grid(grid, sys)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=0.3)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         noise = np.random.default_rng(8).normal(0.0, 0.1, (len(t) - 1, grid.n_buses))
-        traj = integrate(grid, op, sys, red, cfg, noise)
+        traj = integrate(grid, op, red, cfg, noise)
 
         jac, m, d, gain = self.linear_model(model, sys, red, cfg.epsilon)
         n, n_s = len(m), red.n_slow
@@ -603,13 +614,13 @@ class TestLinearRecord:
         # noise path plus one record: the state is not also kept in
         # forcing and per-half position/velocity buffers
         grid = random_connected_grid(np.random.default_rng(1), 40)
-        op, sys, red = reduced_of(grid)
+        op, red = reduced_of(grid)
         assert red.n_slow == 20
         cfg = SimConfig(model=model, dt_max=0.01, t_end=200.0, burn_in=0.0)
         noise = ou_spec_for_grid(grid, seed=2)
         tracemalloc.start()
         try:
-            traj = integrate(grid, op, sys, red, cfg, noise)
+            traj = integrate(grid, op, red, cfg, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -644,7 +655,7 @@ class TestIntegrateReduced:
 
     def test_converges_to_modal_trajectory_as_dt_shrinks(self):
         grid = path3_grid(sigma_slow=0.4, sigma_fast=0.8)
-        op, sys, red = reduced_of(grid)
+        op, red = reduced_of(grid)
         basis = eigendecompose_reduced(red.j_red)
         coarse_dt = 0.02
         t_coarse = make_time_grid(8.0, coarse_dt)
@@ -661,7 +672,7 @@ class TestIntegrateReduced:
             xi = np.repeat(xi_coarse, refine, axis=0)
             noise = np.hstack([xi, np.zeros((len(xi), 1))])  # fast channel silent
             cfg = SimConfig(model="reduced-xi", dt_max=dt, t_end=8.0, burn_in=0.0)
-            traj = integrate(grid, op, sys, red, cfg, noise)
+            traj = integrate(grid, op, red, cfg, noise)
             x = traj.x[::refine] - traj.x[::refine].mean(axis=1, keepdims=True)
             errors.append(np.abs(x - exact_x).max())
         assert errors[1] <= 0.55 * errors[0]
@@ -670,7 +681,7 @@ class TestIntegrateReduced:
         # no noise, a start orthogonal to the uniform mode: the trapezoid
         # steps follow the exact modal solution to second order in dt
         grid = random_connected_grid(np.random.default_rng(6), 9, homogeneous=True)
-        op, sys, red = reduced_of(grid)
+        op, red = reduced_of(grid)
         basis = eigendecompose_reduced(red.j_red)
         rng = np.random.default_rng(2)
         u_perp = basis.modes[:, 1:]
@@ -681,7 +692,7 @@ class TestIntegrateReduced:
         for dt in (0.02, 0.01):
             cfg = SimConfig(model="reduced-xi", dt_max=dt, t_end=5.0, burn_in=0.0)
             t = make_time_grid(cfg.t_end, dt)
-            traj = integrate(grid, op, sys, red, cfg, np.zeros((len(t) - 1, grid.n_buses)),
+            traj = integrate(grid, op, red, cfg, np.zeros((len(t) - 1, grid.n_buses)),
                              x0=x0, v0=v0)
             exact = modal_trajectory(red, basis, np.zeros((len(t) - 1, red.n_slow)), t,
                                      x0=x0, v0=v0)
@@ -822,7 +833,7 @@ class TestEnsembleRun:
         seed = simulate.member_seed(0, 2)
         with pytest.raises(NumericsError,
                            match=rf"^reduced-xi: trajectory 2 \(seed {seed}\) failed: boom$"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), [cfg])
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), [cfg])
         assert len(calls) == 3
 
     def test_input_error_passes_through(self, monkeypatch):
@@ -830,7 +841,7 @@ class TestEnsembleRun:
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0)
         self.failing_after_first_chunk(monkeypatch, InputError("bad input"), lambda step: True)
         with pytest.raises(InputError, match="^bad input$"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), [cfg])
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), [cfg])
 
     def test_batch_failure_while_stepping_names_its_members(self, monkeypatch):
         # two members per batch in chunks of 16 rows, two models in lockstep;
@@ -846,7 +857,7 @@ class TestEnsembleRun:
         seeds = rf"8, {simulate.member_seed(8, 1)}"
         with pytest.raises(NumericsError, match=rf"^full-linear: trajectories 0-1 \(seeds {seeds}\) "
                                                 "failed: overflow$"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), cfgs)
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfgs)
 
     def test_streamed_statistics_equal_pooled_formula(self, monkeypatch):
         for chunked in (False, True):
@@ -862,7 +873,7 @@ class TestEnsembleRun:
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
                         ensemble_size=3, base_seed=9)
-        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        op, red = simulate.linearize_and_reduce(grid)
         # every batch's chunks as the run steps them, copied
         batches = []
         linear_chunks = simulate._linear_chunks
@@ -874,7 +885,7 @@ class TestEnsembleRun:
                 yield k, block
 
         monkeypatch.setattr(simulate, "_linear_chunks", recorded)
-        (stats,), _ = simulate.run_models(grid, op, sys, red, [cfg])
+        (stats,), _ = simulate.run_models(grid, op, red, [cfg])
 
         # the same members, collected whole and pooled here
         t, n_s = make_time_grid(cfg.t_end, cfg.dt_max), red.n_slow
@@ -902,7 +913,7 @@ class TestEnsembleRun:
         # member_seed(9, i): batching changes only the rounding of the products
         for i, traj in enumerate(members):
             seed = simulate.member_seed(9, i)
-            alone = integrate(grid, op, sys, red, cfg, ou_spec_for_grid(grid, seed))
+            alone = integrate(grid, op, red, cfg, ou_spec_for_grid(grid, seed))
             for got, want in ((traj.x, alone.x), (traj.xdot, alone.xdot)):
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
@@ -922,9 +933,9 @@ class TestEnsembleRun:
         grid = random_connected_grid(np.random.default_rng(4), 9)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=30.0, burn_in=1.0, base_seed=5,
                         epsilon=0.3)
-        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
-        _, first = simulate.run_models(grid, op, sys, red, [cfg], keep_first=True)
-        traj = integrate(grid, op, sys, red, cfg, ou_spec_for_grid(grid, 5))
+        op, red = simulate.linearize_and_reduce(grid)
+        _, first = simulate.run_models(grid, op, red, [cfg], keep_first=True)
+        traj = integrate(grid, op, red, cfg, ou_spec_for_grid(grid, 5))
         np.testing.assert_array_equal(first.x, traj.x)
         np.testing.assert_array_equal(first.xdot, traj.xdot)
 
@@ -934,10 +945,10 @@ class TestEnsembleRun:
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=5.0, burn_in=1.0,
                         ensemble_size=3, base_seed=6)
-        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        op, red = simulate.linearize_and_reduce(grid)
         assert simulate._plan_batch((4,), 3, 2, None, 50, 3, 51 * 4 * 8)[0] == 1
-        _, first = simulate.run_models(grid, op, sys, red, [cfg], keep_first=True)
-        alone = integrate(grid, op, sys, red, cfg, ou_spec_for_grid(grid, 6))
+        _, first = simulate.run_models(grid, op, red, [cfg], keep_first=True)
+        alone = integrate(grid, op, red, cfg, ou_spec_for_grid(grid, 6))
         np.testing.assert_array_equal(first.x, alone.x)
         np.testing.assert_array_equal(first.xdot, alone.xdot)
 
@@ -946,10 +957,10 @@ class TestEnsembleRun:
         grid = random_connected_grid(np.random.default_rng(1), 40)
         cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=50.0, burn_in=5.0,
                         ensemble_size=4, base_seed=2)
-        op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+        op, red = simulate.linearize_and_reduce(grid)
         tracemalloc.start()
         try:
-            simulate.run_models(grid, op, sys, red, [cfg])
+            simulate.run_models(grid, op, red, [cfg])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -970,7 +981,7 @@ class TestEnsembleRun:
         for t_end in t_ends:
             cfg = SimConfig(model=model, dt_max=0.01, t_end=t_end, burn_in=1.0,
                             ensemble_size=ensemble, base_seed=2)
-            op, sys, red = simulate.linearize_and_reduce(grid, cfg.epsilon)
+            op, red = simulate.linearize_and_reduce(grid)
             n_steps = round(t_end / cfg.dt_max)
             n_lines = len(grid.lines) if model == "full-nonlinear" else None
             rows = simulate._plan_batch((2 * n_buses,), n_buses, red.n_slow, n_lines, n_steps,
@@ -978,7 +989,7 @@ class TestEnsembleRun:
             assert rows < n_steps
             tracemalloc.start()
             try:
-                simulate.run_models(grid, op, sys, red, [cfg])
+                simulate.run_models(grid, op, red, [cfg])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1029,14 +1040,14 @@ class TestLockstep:
         grid = random_connected_grid(np.random.default_rng(1), 40)
         cfgs = [SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0, ensemble_size=3,
                           base_seed=2) for model in simulate.MODELS]
-        op, sys, red = simulate.linearize_and_reduce(grid, 1.0)
+        op, red = simulate.linearize_and_reduce(grid)
         widths = tuple(2 * (red.n_slow if m.startswith("reduced") else 40) for m in simulate.MODELS)
         members, rows, held = simulate._plan_batch(widths, 40, red.n_slow, len(grid.lines), 2000,
                                                    3, 0)
         assert members < 3 and rows < 2000 and rows % simulate._WINDOW_ROWS == 0
         tracemalloc.start()
         try:
-            simulate.run_models(grid, op, sys, red, cfgs)
+            simulate.run_models(grid, op, red, cfgs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1056,7 +1067,7 @@ class TestLockstep:
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfgs = [SimConfig(model=model, dt_max=0.01, t_end=5.0, burn_in=1.0, ensemble_size=3,
                           base_seed=4) for model in ("reduced-xi", "reduced-naive", "full-linear")]
-        simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), cfgs)
+        simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfgs)
         assert len(draws) > 1
         assert [s for seeds in draws for s in seeds] == [simulate.member_seed(4, i)
                                                          for i in range(3)]
@@ -1066,7 +1077,7 @@ class TestLockstep:
         cfgs = [SimConfig(model=model, dt_max=0.01, t_end=5.0, burn_in=1.0, base_seed=seed)
                 for model, seed in (("reduced-xi", 1), ("reduced-naive", 2))]
         with pytest.raises(InputError, match="share every setting"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid, 1.0), cfgs)
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfgs)
 
 
 class TestStatisticalConsistency:
