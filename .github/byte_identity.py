@@ -4,10 +4,12 @@ Runs one fixed list of command lines with each tree's `src/` first on
 PYTHONPATH and prints a Markdown table of the sha256 digest of every
 data file and of every command's stdout, on both sides, marked equal or
 differs.  The list covers every command and all four models, on
-tests/data/ieee118.m and on a small inline JSON grid, plus the three
-benchmark workloads at seed 3 when the head tree's perfbench/workloads.py
-can write their inputs.  Both trees read the same input files, the head
-tree's.  Manifests are left out: they record durations and paths.
+tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
+(its full models also at epsilon = 0.3, where the fast buses' inertia and
+damping are scaled), plus the three benchmark workloads at seed 3 when the
+head tree's perfbench/workloads.py can write their inputs.  Both trees
+read the same input files, the head tree's.  Manifests are left out: they
+record durations and paths.
 
 It reports and does not fail: a declared behaviour change may move
 bytes.  Usage:
@@ -26,25 +28,13 @@ from pathlib import Path
 
 MODELS = ("reduced-xi", "reduced-naive", "full-linear", "full-nonlinear")
 
-# five buses, two of them fast, one chord: the grid of CI's console entry step
-JSON_GRID = """{"buses": [
-  {"id": 1, "class": "slow", "m": 0.2, "d": 0.05, "p": 0.3, "sigma": 0.01, "tau": 0.1},
-  {"id": 2, "class": "slow", "m": 0.2, "d": 0.05, "p": 0.1, "sigma": 0.01, "tau": 0.1},
-  {"id": 3, "class": "slow", "m": 0.2, "d": 0.05, "p": -0.1, "sigma": 0.01, "tau": 0.1},
-  {"id": 4, "class": "fast", "m": 0.002, "d": 0.0005, "p": -0.2, "sigma": 0.02, "tau": 0.1},
-  {"id": 5, "class": "fast", "m": 0.002, "d": 0.0005, "p": -0.1, "sigma": 0.02, "tau": 0.1}],
- "lines": [{"from": 1, "to": 2, "B": 1.0}, {"from": 2, "to": 3, "B": 1.5},
-           {"from": 3, "to": 4, "B": 1.0}, {"from": 4, "to": 5, "B": 0.8},
-           {"from": 5, "to": 1, "B": 1.2}, {"from": 2, "to": 4, "B": 0.5}]}
-"""
-
 
 def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
     """Label -> kronred argv (without --out-dir), input files written into ``inputs``."""
     ieee = inputs / "ieee118.m"
     ieee.write_bytes((head / "tests" / "data" / "ieee118.m").read_bytes())
     grid = inputs / "grid.json"
-    grid.write_text(JSON_GRID)
+    grid.write_bytes((head / "tests" / "data" / "five_bus.json").read_bytes())
     runs = {"star-demo": ["star-demo"],
             "star-demo-fast": ["star-demo", "--center", "fast"]}
     for name, path in (("ieee118", ieee), ("json", grid)):
@@ -55,6 +45,10 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
                                                 "--ensemble", "3", "--t-end", "20", "--seed", "3"]
         runs[f"{name}-compare"] = ["compare", str(path), "--models", ",".join(MODELS),
                                    "--ensemble", "2", "--t-end", "20", "--seed", "3"]
+    for model in ("full-linear", "full-nonlinear"):
+        runs[f"json-simulate-{model}-eps0.3"] = ["simulate", str(grid), "--model", model,
+                                                 "--epsilon", "0.3", "--ensemble", "3",
+                                                 "--t-end", "20", "--seed", "3"]
     try:
         sys.path.insert(0, str(head / "perfbench"))
         from workloads import Workload

@@ -3,9 +3,10 @@
 A grid is a connected network of second-order phase oscillators
 (swing dynamics).  Buses are split into a "slow" component (large
 inertia/damping, e.g. synchronous generators) and a "fast" component
-(small inertia/damping, e.g. loads).  The fast buses' inertia and
-damping are stored unscaled: the full models scale them by the timescale
-ratio ``epsilon``, and the Kron reduction does not depend on it.
+(small inertia/damping, e.g. loads).  A ``LinearizedSystem`` is only the
+network: the four slow/fast blocks of the angle Jacobian.  Every per-bus
+parameter stays in the ``Grid``, and the Kron reduction reads no
+timescale ratio: only the full models scale the fast m and d by it.
 
 Conventions used throughout the package:
   * coupling b_ij = B_ij * |V_i| * |V_j| (line susceptance times voltage
@@ -19,7 +20,7 @@ Conventions used throughout the package:
   * state orderings are always slow buses first, then fast buses, each
     in the order of appearance in ``Grid.buses``.
 
-The pipeline never forms the dense n x n Jacobian: ``linearize``
+The analysis never forms the dense n x n Jacobian: ``linearize``
 scatters its four slow/fast blocks straight from the edge list.
 ``build_jacobian`` (the dense Jacobian, through the same scatter) and
 ``assemble_linearized`` (its slices) are the reference it is checked
@@ -248,11 +249,9 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """Two-timescale linearization around an operating point.
-
-    Jacobian blocks follow the slow-then-fast ordering.  ``m_fast`` and
-    ``d_fast`` hold the unscaled fast-bus parameters, which the full
-    models scale by the timescale ratio; the Kron reduction reads none.
+    """The four slow/fast blocks of the angle Jacobian at an operating
+    point, in the slow-then-fast ordering: all the Kron reduction reads of
+    the network.  Inertia, damping and noise stay in the Grid.
     """
 
     slow_ids: tuple[int, ...]
@@ -261,11 +260,6 @@ class LinearizedSystem:
     j_sf: np.ndarray
     j_fs: np.ndarray
     j_ff: np.ndarray
-    m_slow: np.ndarray
-    m_fast: np.ndarray
-    d_slow: np.ndarray
-    d_fast: np.ndarray
-    epsilon: float
 
     @property
     def n_slow(self) -> int:
@@ -625,58 +619,54 @@ def _check_epsilon(epsilon: float) -> None:
             f"epsilon must be in (0, 1], got {epsilon}; use the reduced model for the epsilon -> 0 limit")
 
 
-def _linearized_system(grid: Grid, epsilon: float, j_ss: np.ndarray, j_sf: np.ndarray,
-                       j_fs: np.ndarray, j_ff: np.ndarray) -> LinearizedSystem:
-    """The blocks with the slow/fast inertia and damping of the grid."""
-    order = grid.ordering()
-    s, f = order[:len(grid.slow_ids)], order[len(grid.slow_ids):]
-    m = grid.param_vector("m")
-    d = grid.param_vector("d")
-    return LinearizedSystem(
-        slow_ids=tuple(grid.slow_ids), fast_ids=tuple(grid.fast_ids),
-        j_ss=j_ss, j_sf=j_sf, j_fs=j_fs, j_ff=j_ff,
-        m_slow=m[s], m_fast=m[f], d_slow=d[s], d_fast=d[f], epsilon=float(epsilon))
-
-
-def linearize(grid: Grid, op_point: OperatingPoint, epsilon: float) -> LinearizedSystem:
-    """Slow/fast blocks of the Jacobian at the operating point, each
-    scattered straight from the edge list, with diagonal M and D.
-
-    The blocks hold build_jacobian's floats bit for bit, placed by each
-    bus's slot in ``grid.ordering()``: the result equals
-    ``assemble_linearized(grid, build_jacobian(grid, op_point), epsilon)``
-    while no n x n array, only the four blocks, is allocated.
-    """
-    _check_epsilon(epsilon)
+def _ordered_entries(grid: Grid, op_point: OperatingPoint):
+    """build_jacobian's entries as (rows, cols, off, diag), every bus
+    numbered by its slot in ``grid.ordering()``: ``off`` at (rows, cols),
+    ``diag`` on the diagonal."""
     edges = grid.edge_list()
     off, diag = _jacobian_entries(edges, _operating_angles(grid, op_point))
     order = np.asarray(grid.ordering(), dtype=np.intp)
+    slot = np.empty(grid.n_buses, dtype=np.intp)
+    slot[order] = np.arange(grid.n_buses)
+    return slot[edges.ends], slot[edges.others], off, diag[order]
+
+
+def linearize(grid: Grid, op_point: OperatingPoint) -> LinearizedSystem:
+    """Slow/fast blocks of the Jacobian at the operating point, each
+    scattered straight from the edge list.
+
+    The result equals ``assemble_linearized(grid, build_jacobian(grid,
+    op_point), 1.0)`` bit for bit, while no n x n array, only the four
+    blocks, is allocated.
+    """
+    rows, cols, off, diag = _ordered_entries(grid, op_point)
     n, n_s = grid.n_buses, len(grid.slow_ids)
-    slot = np.empty(n, dtype=np.intp)
-    slot[order] = np.arange(n)
-    rows, cols = slot[edges.ends], slot[edges.others]
-    diag = diag[order]
 
     def block(r0, r1, c0, c1):
         keep = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
         return _scatter((r1 - r0, c1 - c0), rows[keep] - r0, cols[keep] - c0, off[keep],
                         diag[r0:r1] if r0 == c0 else None)
 
-    return _linearized_system(grid, epsilon, block(0, n_s, 0, n_s), block(0, n_s, n_s, n),
-                              block(n_s, n, 0, n_s), block(n_s, n, n_s, n))
+    return LinearizedSystem(
+        slow_ids=tuple(grid.slow_ids), fast_ids=tuple(grid.fast_ids),
+        j_ss=block(0, n_s, 0, n_s), j_sf=block(0, n_s, n_s, n),
+        j_fs=block(n_s, n, 0, n_s), j_ff=block(n_s, n, n_s, n))
 
 
 def assemble_linearized(grid: Grid, jacobian: np.ndarray, epsilon: float) -> LinearizedSystem:
-    """Split a dense Jacobian into slow/fast blocks with diagonal M and D:
-    the reference ``linearize`` is checked against.
+    """Split a dense Jacobian into slow/fast blocks: the reference
+    ``linearize`` is checked against.
 
-    Fast-bus inertia and damping are stored unscaled; epsilon in (0, 1]
-    is kept separate so the physical fast coefficients are
-    epsilon*m_fast and epsilon*d_fast.
+    ``epsilon`` is only checked to lie in (0, 1]; the blocks do not
+    depend on it.  It is the last timescale ratio a linearization takes:
+    the benchmark's oracle check passes 1.0, and ROADMAP item 2b removes
+    it together with that call.
     """
     _check_epsilon(epsilon)
     order = grid.ordering()
     s, f = order[:len(grid.slow_ids)], order[len(grid.slow_ids):]
     # np.ix_ indexing copies, so no block is a view of the Jacobian
-    return _linearized_system(grid, epsilon, jacobian[np.ix_(s, s)], jacobian[np.ix_(s, f)],
-                              jacobian[np.ix_(f, s)], jacobian[np.ix_(f, f)])
+    return LinearizedSystem(
+        slow_ids=tuple(grid.slow_ids), fast_ids=tuple(grid.fast_ids),
+        j_ss=jacobian[np.ix_(s, s)], j_sf=jacobian[np.ix_(s, f)],
+        j_fs=jacobian[np.ix_(f, s)], j_ff=jacobian[np.ix_(f, f)])

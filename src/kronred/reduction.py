@@ -116,15 +116,15 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     J_red = J_SS - J_SF J_FF^-1 J_FS (symmetrized) and the noise map
     K = -J_SF J_FF^-1 share one factorization of -J_FF and one solve;
     sigma_xi = diag(sigma_S^2) + K diag(sigma_F^2) K^T is the equal-time
-    covariance of xi.
+    covariance of xi.  The network comes from the blocks of ``sys``; every
+    per-bus parameter (m, d, sigma, tau) from the grid.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
-    idx = grid.bus_index()
-    s = [idx[i] for i in sys.slow_ids]
-    f = [idx[i] for i in sys.fast_ids]
-    sigma = grid.param_vector("sigma")
-    tau = grid.param_vector("tau")
+    order = grid.ordering()
+    s, f = order[:sys.n_slow], order[sys.n_slow:]
+    sigma, tau = grid.param_vector("sigma"), grid.param_vector("tau")
+    m, d = grid.param_vector("m"), grid.param_vector("d")
     if sys.n_fast == 0:
         j_red = sys.j_ss
         k = np.zeros((sys.n_slow, 0))
@@ -140,18 +140,9 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     if not np.all(np.isfinite(sigma_xi)):
         raise InputError("noise covariance sigma_xi overflows: bus sigmas too large")
     return ReducedSystem(
-        slow_ids=sys.slow_ids,
-        fast_ids=sys.fast_ids,
-        j_red=0.5 * (j_red + j_red.T),
-        noise_gain=k,
-        sigma_slow=sigma[s].copy(),
-        sigma_fast=sigma[f].copy(),
-        tau_slow=tau[s].copy(),
-        tau_fast=tau[f].copy(),
-        m_slow=sys.m_slow.copy(),
-        d_slow=sys.d_slow.copy(),
-        sigma_xi=sigma_xi,
-    )
+        slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=0.5 * (j_red + j_red.T),
+        noise_gain=k, sigma_slow=sigma[s], sigma_fast=sigma[f], tau_slow=tau[s],
+        tau_fast=tau[f], m_slow=m[s], d_slow=d[s], sigma_xi=sigma_xi)
 
 
 def make_star_grid(

@@ -22,8 +22,8 @@ So one noise stream drives them all.
 run_models is the one ensemble driver and the only loop over members,
 behind both `compare` and `simulate` (its one-model case).  Its setup is
 linearize_and_reduce's (op, red), which no timescale ratio enters: the
-full models scale the fast m and d by epsilon as they build their maps,
-full-linear from Jacobian blocks it scatters itself.  It draws
+full models scale the fast m and d by epsilon (_full_masses) as they
+build their maps, full-linear from a Jacobian it scatters itself.  It draws
 each chunk of that noise once per batch of members, steps every model
 through it in lockstep and folds each model's chunk into its
 statistics before the next chunk is drawn.  The one-member collectors
@@ -43,8 +43,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InputError, NumericsError
-from .grid import (Grid, OperatingPoint, _angle_jacobian, _check_epsilon, linearize,
-                   solve_fixed_point)
+from .grid import (Grid, OperatingPoint, _angle_jacobian, _check_epsilon, _ordered_entries,
+                   _scatter, linearize, solve_fixed_point)
 from .reduction import ReducedSystem, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
@@ -92,6 +92,14 @@ _WINDOW_ROWS = 64
 _FAILURES = (NumericsError, ValueError, ArithmeticError)
 
 
+def _as_floats(value, need: str) -> np.ndarray:
+    """``value`` as a float array; an InputError saying ``need`` if it is not numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{need}: {e}") from e
+
+
 @dataclass(frozen=True)
 class OUSpec:
     """Independent stationary OU channels: per-channel sigma, tau, one seed."""
@@ -101,15 +109,17 @@ class OUSpec:
     seed: int
 
     def __post_init__(self):
-        sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "tau", tau)
-        if sigma.shape != tau.shape:
-            raise InputError(f"sigma shape {sigma.shape} != tau shape {tau.shape}")
-        if np.any(sigma < 0):
+        for name in ("sigma", "tau"):
+            need = f"{name} must be finite numbers"
+            value = np.atleast_1d(_as_floats(getattr(self, name), need))
+            if not np.all(np.isfinite(value)):
+                raise InputError(need)
+            object.__setattr__(self, name, value)
+        if self.sigma.shape != self.tau.shape:
+            raise InputError(f"sigma shape {self.sigma.shape} != tau shape {self.tau.shape}")
+        if np.any(self.sigma < 0):
             raise InputError("sigma must be >= 0")
-        if np.any(tau <= 0):
+        if np.any(self.tau <= 0):
             raise InputError("tau must be > 0")
         if not 0 <= self.seed < 2**64:
             raise InputError(f"seed must be in [0, 2^64), got {self.seed}")
@@ -189,6 +199,21 @@ def _step_count(t_end: float, dt_max: float) -> int:
 def make_time_grid(t_end: float, dt_max: float) -> np.ndarray:
     """Uniform grid covering [0, t_end] with step <= dt_max."""
     return np.linspace(0.0, t_end, _step_count(t_end, dt_max) + 1)
+
+
+def _uniform_step(t_grid) -> tuple[np.ndarray, float]:
+    """A given time grid as floats, and its step: an InputError unless it
+    is two or more finite points, uniform (to 1e-9 relative) and increasing."""
+    need = "time grid must be two or more finite, uniform and increasing points"
+    t_grid = _as_floats(t_grid, need)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise InputError(f"{need}, got shape {t_grid.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dts = np.diff(t_grid)  # finite only if every point and every step is
+    if not (np.all(np.isfinite(dts)) and dts[0] > 0
+            and np.allclose(dts, dts[0], rtol=1e-9, atol=0.0)):
+        raise InputError(need)
+    return t_grid, dts[0]
 
 
 def default_dt_max(grid: Grid, epsilon: float) -> float:
@@ -315,14 +340,7 @@ def ou_sample_path(spec: OUSpec, t_grid: np.ndarray) -> np.ndarray:
     `np.exp` differs from `math.exp` in the last bit on some inputs,
     which would change the path's bytes.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    dts = np.diff(t_grid)
-    if len(dts) == 0:
-        raise InputError("time grid needs at least two points")
-    dt = dts[0]
-    if not np.allclose(dts, dt, rtol=1e-9, atol=0.0) or dt <= 0:
-        raise InputError("time grid must be uniform and increasing")
-
+    t_grid, dt = _uniform_step(t_grid)
     return next(_ou_chunks(spec.sigma, spec.tau, (spec.seed,), dt, len(t_grid), len(t_grid)))
 
 
@@ -335,17 +353,20 @@ def ou_spec_for_grid(grid: Grid, seed: int) -> OUSpec:
 
 def _noise_chunks(noise, t_grid: np.ndarray, n_channels: int, rows: int) -> Iterator[np.ndarray]:
     """One member's per-step noise values in chunks of at most ``rows``
-    steps, from an OUSpec or a prebuilt array."""
+    steps, from an OUSpec or a prebuilt array, which must be finite
+    numbers over the rows the steps read."""
     n_steps = len(t_grid) - 1
     if isinstance(noise, OUSpec):
         if noise.n_channels != n_channels:
             raise InputError(f"noise spec has {noise.n_channels} channels, need {n_channels}")
         return _ou_chunks(noise.sigma, noise.tau, (noise.seed,), t_grid[1] - t_grid[0],
                           n_steps, rows)
-    arr = np.asarray(noise, dtype=float)
+    need = f"noise array must be (>= {n_steps}, {n_channels}) finite numbers"
+    arr = _as_floats(noise, need)
     if arr.ndim != 2 or arr.shape[1] != n_channels or arr.shape[0] < n_steps:
-        raise InputError(
-            f"noise array must be (>= {n_steps}, {n_channels}), got {arr.shape}")
+        raise InputError(f"{need}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr[:n_steps])):
+        raise InputError(f"{need}, got a non-finite value")
     return (arr[k:min(k + rows, n_steps)] for k in range(0, n_steps, rows))
 
 
@@ -353,12 +374,20 @@ def _noise_chunks(noise, t_grid: np.ndarray, n_channels: int, rows: int) -> Iter
 # Drift-implicit linear stepping
 # ---------------------------------------------------------------------------
 
+def _full_masses(grid: Grid, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inertia and damping (m, d) of the full models: every bus, slow
+    then fast, the fast buses' multiplied by the timescale ratio."""
+    order = grid.ordering()
+    scale = np.where(np.arange(grid.n_buses) < len(grid.slow_ids), 1.0, epsilon)
+    return grid.param_vector("m")[order] * scale, grid.param_vector("d")[order] * scale
+
+
 def _full_linear_system(grid: Grid, op: OperatingPoint, cfg: SimConfig):
-    """(jac, m, d, gain) of the full model linearized at op, at cfg.epsilon."""
-    lin = linearize(grid, op, cfg.epsilon)
-    m = np.concatenate([lin.m_slow, cfg.epsilon * lin.m_fast])
-    d = np.concatenate([lin.d_slow, cfg.epsilon * lin.d_fast])
-    return np.block([[lin.j_ss, lin.j_sf], [lin.j_fs, lin.j_ff]]), m, d, np.eye(len(m))
+    """(jac, m, d, gain) of the full model linearized at op, at cfg.epsilon;
+    jac is scattered once from linearize's entries."""
+    n = grid.n_buses
+    m, d = _full_masses(grid, cfg.epsilon)
+    return _scatter((n, n), *_ordered_entries(grid, op)), m, d, np.eye(n)
 
 
 def _reduced_system(red: ReducedSystem, cfg: SimConfig):
@@ -512,10 +541,7 @@ def _nonlinear_chunks(grid: Grid, op: OperatingPoint, cfg: SimConfig, t_grid: np
     edges = grid.edge_list(order)
     n_lines = len(edges.b) // 2
     lo, hi = edges.ends[:n_lines], edges.others[:n_lines]
-    scale = np.ones(n)
-    scale[len(grid.slow_ids):] = cfg.epsilon
-    m = grid.param_vector("m")[order] * scale
-    d = grid.param_vector("d")[order] * scale
+    m, d = _full_masses(grid, cfg.epsilon)
     p = grid.param_vector("p")[order]
     theta_star = np.asarray(op.theta, dtype=float)[order]
     # line l's angle difference is (dev @ incidence)[l] + gap[l]; b sin(difference)
@@ -768,7 +794,7 @@ def linearize_and_reduce(grid: Grid):
     blocks, scattered from the edge list, are freed before this returns.
     Raises NumericsError when -J_FF is not positive definite."""
     op = solve_fixed_point(grid)
-    return op, reduce_grid(grid, linearize(grid, op, 1.0))
+    return op, reduce_grid(grid, linearize(grid, op))
 
 
 def _layout(grid: Grid, red: ReducedSystem, cfgs: list[SimConfig]) -> tuple[list[int], int | None]:
@@ -888,10 +914,7 @@ def integrate(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfg: SimConfig
     for name, value, part in (("x0", x0, state[0, :half]), ("v0", v0, state[0, half:])):
         if value is not None:
             need = f"{name} of {cfg.model} must be {half} finite values, one per bus"
-            try:
-                value = np.asarray(value, dtype=float)
-            except (TypeError, ValueError) as e:
-                raise InputError(f"{need}: {e}") from e
+            value = _as_floats(value, need)
             if value.shape != (half,) or not np.all(np.isfinite(value)):
                 raise InputError(f"{need}, got shape {value.shape}")
             part[:] = value

@@ -36,7 +36,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import HomogeneityError, InputError, NumericsError
 from .reduction import ReducedSystem
-from .simulate import Trajectory
+from .simulate import Trajectory, _uniform_step
 
 _ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as zero
 
@@ -363,14 +363,8 @@ def modal_trajectory(
     m = _homogeneous(red.m_slow, "inertia m")
     d = _homogeneous(red.d_slow, "damping d")
     gamma = d / m
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid, dt = _uniform_step(t_grid)
     n_steps = len(t_grid) - 1
-    if n_steps < 1:
-        raise InputError("time grid needs at least two points")
-    dts = np.diff(t_grid)
-    dt = dts[0]
-    if not np.allclose(dts, dt, rtol=1e-9, atol=0.0) or dt <= 0:
-        raise InputError("time grid must be uniform and increasing")
     noise_path = np.asarray(noise_path, dtype=float)
     if noise_path.ndim != 2 or noise_path.shape[1] != red.n_slow or noise_path.shape[0] < n_steps:
         raise InputError(

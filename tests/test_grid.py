@@ -234,22 +234,13 @@ class TestAssembleLinearized:
         jac = build_jacobian(grid, op)
         with pytest.raises(InputError, match="epsilon"):
             assemble_linearized(grid, jac, 0.0)
-        with pytest.raises(InputError, match="epsilon"):
-            linearize(grid, op, 0.0)
 
     def test_operating_point_of_another_grid_rejected(self):
         grid = path3_grid()
         op = solve_fixed_point(two_bus_grid())
-        for build in (build_jacobian, lambda g, o: linearize(g, o, 1.0)):
+        for build in (build_jacobian, linearize):
             with pytest.raises(InputError, match=r"operating point has \(2,\) angles for 3 buses"):
                 build(grid, op)
-
-    def test_fast_parameters_stored_unscaled(self):
-        grid = parse_grid_json(TWO_BUS_JSON)
-        jac = build_jacobian(grid, solve_fixed_point(grid))
-        sys = assemble_linearized(grid, jac, 0.01)
-        np.testing.assert_allclose(sys.m_fast, [0.002])  # not multiplied by epsilon
-        assert sys.epsilon == 0.01
 
 
 THREE_BUS_CASE = """

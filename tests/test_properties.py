@@ -16,7 +16,8 @@ from conftest import random_connected_grid
 from kronred.grid import (Grid, assemble_linearized, build_jacobian, linearize,
                           solve_fixed_point, with_sigma)
 from kronred.reduction import factor_fast_block, reduce_grid
-from kronred.simulate import linearize_and_reduce
+from kronred import simulate
+from kronred.simulate import SimConfig, linearize_and_reduce
 from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -89,17 +90,23 @@ def assert_same_bits(actual, expected):
        epsilon=st.floats(0.01, 1.0))
 def test_pipeline_matches_dense_reference_bit_for_bit(seed, n, data, epsilon):
     # the blocks scattered from the edge list are build_jacobian's slices,
-    # the one-buffer factor is cho_factor's, and the reduction is the
-    # textbook J_SS - J_SF W, K = -W^T; heterogeneous grids, slow and fast
-    # buses interleaved, an empty fast set included
+    # full-linear's dense Jacobian is its permutation, the one-buffer
+    # factor is cho_factor's, and the reduction is the textbook
+    # J_SS - J_SF W, K = -W^T; heterogeneous grids, slow and fast buses
+    # interleaved, an empty fast set included
     n_slow = data.draw(st.integers(1, n))
     grid = random_connected_grid(np.random.default_rng(seed), n, n_slow=n_slow)
     op, red = linearize_and_reduce(grid)
-    sys = linearize(grid, op, epsilon)
-    ref = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
-    for name in ("j_ss", "j_sf", "j_fs", "j_ff", "m_slow", "m_fast", "d_slow", "d_fast"):
+    sys = linearize(grid, op)
+    dense = build_jacobian(grid, op)
+    ref = assemble_linearized(grid, dense, epsilon)
+    for name in ("j_ss", "j_sf", "j_fs", "j_ff"):
         assert_same_bits(getattr(sys, name), getattr(ref, name))
-    assert (sys.slow_ids, sys.fast_ids, sys.epsilon) == (ref.slow_ids, ref.fast_ids, ref.epsilon)
+    assert (sys.slow_ids, sys.fast_ids) == (ref.slow_ids, ref.fast_ids)
+    order = grid.ordering()
+    cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=1.0, burn_in=0.0, epsilon=epsilon)
+    assert_same_bits(simulate._full_linear_system(grid, op, cfg)[0],
+                     dense[np.ix_(order, order)])
     if sys.n_fast == 0:
         assert factor_fast_block(sys.j_ff) is None
         return

@@ -18,13 +18,13 @@ from kronred.reduction import (factor_fast_block, make_star_grid, reduce_grid,
 from kronred.simulate import OUSpec, linearize_and_reduce, make_time_grid, ou_sample_path
 
 
-def linearize(grid, epsilon=1.0):
+def linearize(grid):
     op = solve_fixed_point(grid)
-    return assemble_linearized(grid, build_jacobian(grid, op), epsilon)
+    return assemble_linearized(grid, build_jacobian(grid, op), 1.0)
 
 
-def reduce_pipeline(grid, epsilon=1.0):
-    sys = linearize(grid, epsilon)
+def reduce_pipeline(grid):
+    sys = linearize(grid)
     return sys, reduce_grid(grid, sys)
 
 
@@ -58,11 +58,15 @@ class TestSchurReduce:
         sys = linearize(path3_grid())
         bad = LinearizedSystem(
             slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_ss=sys.j_ss,
-            j_sf=sys.j_sf, j_fs=sys.j_fs, j_ff=np.array([[0.5]]),
-            m_slow=sys.m_slow, m_fast=sys.m_fast, d_slow=sys.d_slow,
-            d_fast=sys.d_fast, epsilon=1.0)
+            j_sf=sys.j_sf, j_fs=sys.j_fs, j_ff=np.array([[0.5]]))
         with pytest.raises(NumericsError, match=r"not negative definite.*5\.0"):
             reduce_grid(path3_grid(), bad)
+
+    def test_linearization_of_another_grid_rejected(self):
+        # the blocks come from the linearization, every per-bus parameter
+        # from the grid: the two must name the same slow and fast buses
+        with pytest.raises(InputError, match="does not belong to this grid"):
+            reduce_grid(two_bus_grid(), linearize(path3_grid()))
 
     def test_definiteness_certified_without_eigenvalues(self, monkeypatch):
         # a grid's fast block passes on the shifted Cholesky alone; a margin

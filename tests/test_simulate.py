@@ -32,11 +32,21 @@ def fold_whole(trajs, burn_in):
     return fold.stats(tuple(range(n_slow)))
 
 
-def dense_reference(grid, epsilon=1.0):
+def dense_reference(grid):
     """The operating point and the linearization sliced from the dense
     Jacobian: the reference the simulator's own blocks are checked against."""
     op = solve_fixed_point(grid)
-    return op, assemble_linearized(grid, build_jacobian(grid, op), epsilon)
+    return op, assemble_linearized(grid, build_jacobian(grid, op), 1.0)
+
+
+def scaled_masses(grid, epsilon):
+    """Inertia and damping of every bus, slow then fast, the fast ones
+    times epsilon: the full models' m and d, read from the grid."""
+    order = grid.ordering()
+    n_s = len(grid.slow_ids)
+    m, d = grid.param_vector("m")[order], grid.param_vector("d")[order]
+    return (np.concatenate([m[:n_s], epsilon * m[n_s:]]),
+            np.concatenate([d[:n_s], epsilon * d[n_s:]]))
 
 
 def reduced_of(grid):
@@ -92,8 +102,10 @@ class TestOUSampling:
 
     def test_nonuniform_grid_rejected(self):
         spec = OUSpec(sigma=[1.0], tau=[0.1], seed=0)
-        with pytest.raises(InputError, match="uniform"):
-            ou_sample_path(spec, np.array([0.0, 0.1, 0.3]))
+        for t in ([0.0, 0.1, 0.3], [0.0, math.inf], [0.0, math.nan], [math.inf, math.inf],
+                  ["a", "b"]):
+            with pytest.raises(InputError, match="uniform"):
+                ou_sample_path(spec, t)
 
     def test_draw_order_and_recurrence(self):
         # initial state first, then all step innovations in row order
@@ -168,6 +180,14 @@ class TestOUSampling:
     def test_seed_out_of_range_is_input_error(self, seed):
         with pytest.raises(InputError, match="seed must be in"):
             OUSpec(sigma=[1.0], tau=[0.1], seed=seed)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "a"])
+    @pytest.mark.parametrize("name", ["sigma", "tau"])
+    def test_non_finite_parameter_is_input_error(self, name, value):
+        params = {"sigma": [1.0, 0.5], "tau": [0.1, 0.2]}
+        params[name][1] = value
+        with pytest.raises(InputError, match=f"^{name} must be finite numbers"):
+            OUSpec(**params, seed=0)
 
     def test_peak_memory_is_one_path(self):
         # innovations are drawn into the path itself, not into a second array
@@ -408,12 +428,9 @@ def theta_method_residuals(grid, op, cfg, noise, traj):
     """Per-step max-norm residual of the theta-method equation, recomputed
     from the returned states with a dense drift written out here."""
     order = grid.ordering()
-    n_s = len(grid.slow_ids)
     b = dense_coupling(grid)[np.ix_(order, order)]
     p = grid.param_vector("p")[order]
-    scale = np.where(np.arange(grid.n_buses) < n_s, 1.0, cfg.epsilon)
-    m = grid.param_vector("m")[order] * scale
-    d = grid.param_vector("d")[order] * scale
+    m, d = scaled_masses(grid, cfg.epsilon)
     ang = np.column_stack([traj.x, traj.y]) + op.theta[order][None, :]
     omega = np.column_stack([traj.xdot, traj.ydot])
 
@@ -555,8 +572,7 @@ class TestFullLinear:
 
         # frequency-domain solve of the full linearized system
         jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
-        m_eff = np.concatenate([sys.m_slow, sys.epsilon * sys.m_fast])
-        d_eff = np.concatenate([sys.d_slow, sys.epsilon * sys.d_fast])
+        m_eff, d_eff = scaled_masses(grid, cfg.epsilon)
         lhs = -omega**2 * np.diag(m_eff) + 1j * omega * np.diag(d_eff) - jac
         response = np.linalg.solve(lhs, np.array([0.0, 0.0, 1.0]))
         amp_exact = np.abs(response[:2])
@@ -567,11 +583,10 @@ class TestLinearRecord:
     """Both linear models step one state record in place."""
 
     @staticmethod
-    def linear_model(model, sys, red, epsilon):
+    def linear_model(model, grid, sys, red, epsilon):
         if model == "full-linear":
             jac = np.block([[sys.j_ss, sys.j_sf], [sys.j_fs, sys.j_ff]])
-            m = np.concatenate([sys.m_slow, epsilon * sys.m_fast])
-            d = np.concatenate([sys.d_slow, epsilon * sys.d_fast])
+            m, d = scaled_masses(grid, epsilon)
             return jac, m, d, np.eye(len(m))
         k = np.zeros_like(red.noise_gain) if model == "reduced-naive" else red.noise_gain
         return red.j_red, red.m_slow, red.d_slow, np.hstack([np.eye(red.n_slow), k])
@@ -581,14 +596,14 @@ class TestLinearRecord:
         # the full-linear reference is sliced from the dense Jacobian, so
         # the blocks integrate scatters itself are pinned bit for bit too
         grid = random_connected_grid(np.random.default_rng(4), 9)
-        op, sys = dense_reference(grid, 0.3)
+        op, sys = dense_reference(grid)
         red = reduce_grid(grid, sys)
         cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=0.3)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         noise = np.random.default_rng(8).normal(0.0, 0.1, (len(t) - 1, grid.n_buses))
         traj = integrate(grid, op, red, cfg, noise)
 
-        jac, m, d, gain = self.linear_model(model, sys, red, cfg.epsilon)
+        jac, m, d, gain = self.linear_model(model, grid, sys, red, cfg.epsilon)
         n, n_s = len(m), red.n_slow
         step, g = simulate._linear_maps(jac, m, d, gain, t[1] - t[0], cfg.theta)
         # the batched loop's arithmetic for one member: one forcing product
@@ -731,6 +746,34 @@ class TestInitialState:
                 integrate(grid, *setup, cfg, noise, **bad)
         with pytest.raises(AssertionError, match="step maps built"):
             integrate(grid, *setup, cfg, noise, x0=np.zeros(half), v0=np.ones(half))
+
+    @pytest.mark.parametrize("model", simulate.MODELS)
+    def test_bad_noise_array_is_input_error(self, monkeypatch, model):
+        # a noise array that is not numbers, or that holds a non-finite
+        # value in a row a step reads, is refused before any step map is
+        # built; rows past the last step are not read
+        grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        setup = reduced_of(grid)
+        cfg = SimConfig(model=model, dt_max=0.01, t_end=1.0, burn_in=0.0)
+
+        def no_maps(*args):
+            raise AssertionError("step maps built")
+
+        monkeypatch.setattr(simulate, "_linear_maps", no_maps)
+        steps = 100
+        bad = [[["a", "b", "c"]] * steps]
+        for value in (math.nan, math.inf, -math.inf):
+            noise = np.zeros((steps, 3))
+            noise[steps - 1, 2] = value
+            bad.append(noise)
+        for noise in bad:
+            with pytest.raises(InputError, match=rf"^noise array must be \(>= {steps}, 3\) "
+                                                 "finite numbers"):
+                integrate(grid, *setup, cfg, noise)
+        unread = np.zeros((steps + 1, 3))
+        unread[steps] = math.nan
+        with pytest.raises(AssertionError, match="step maps built"):
+            integrate(grid, *setup, cfg, unread)
 
 
 class TestCoiEstimate:

@@ -426,5 +426,7 @@ class TestModalTrajectory:
     def test_nonuniform_grid_rejected(self):
         grid = path3_grid()
         _, red, basis, _ = pipeline(grid)
-        with pytest.raises(InputError, match="uniform"):
-            modal_trajectory(red, basis, np.zeros((2, 2)), np.array([0.0, 0.1, 0.3]))
+        for t in ([0.0, 0.1, 0.3], [0.0, math.inf], [0.0, math.nan], [math.inf, math.inf],
+                  ["a", "b"]):
+            with pytest.raises(InputError, match="uniform"):
+                modal_trajectory(red, basis, np.zeros((2, 2)), t)
