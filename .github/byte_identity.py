@@ -6,7 +6,8 @@ data file and of every command's stdout, on both sides, marked equal or
 differs.  The list covers every command and all four models, on
 tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
 (its full models also at epsilon = 0.3, where the fast buses' inertia and
-damping are scaled), plus the three benchmark workloads at seed 3 when the
+damping are scaled, and a compare of all four models at theta = 1.0,
+backward Euler), plus the three benchmark workloads at seed 3 when the
 head tree's perfbench/workloads.py can write their inputs.  Both trees
 read the same input files, the head tree's.  Manifests are left out: they
 record durations and paths.
@@ -49,6 +50,9 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
         runs[f"json-simulate-{model}-eps0.3"] = ["simulate", str(grid), "--model", model,
                                                  "--epsilon", "0.3", "--ensemble", "3",
                                                  "--t-end", "20", "--seed", "3"]
+    runs["json-compare-theta1.0"] = ["compare", str(grid), "--models", ",".join(MODELS),
+                                     "--theta", "1.0", "--ensemble", "2", "--t-end", "20",
+                                     "--seed", "3"]
     try:
         sys.path.insert(0, str(head / "perfbench"))
         from workloads import Workload

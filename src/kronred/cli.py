@@ -50,7 +50,7 @@ from . import __version__
 from .errors import HomogeneityError, InputError, NumericsError
 from .grid import ClassDefaults, Grid, parse_grid_json, parse_matpower_case, with_sigma
 from .reduction import make_star_grid, reduced_system_to_dict
-from .simulate import (MODELS, SimConfig, default_burn_in, default_dt_max,
+from .simulate import (MODELS, SimConfig, check_models, default_burn_in, default_dt_max,
                        linearize_and_reduce, run_models)
 from .variance import coi_variance, eigendecompose_reduced, gamma_matrix
 
@@ -171,10 +171,10 @@ def cmd_variance(args) -> dict[str, Iterable[str]]:
         ["bus_id", "var_total", "var_slow_part", "var_fast_part", "var_naive"], rows)}
 
 
-def _run_cfg(args, grid: Grid, model: str) -> SimConfig:
+def _run_cfg(args, grid: Grid) -> SimConfig:
     dt = args.dt if args.dt is not None else default_dt_max(grid, args.epsilon)
     burn = args.burn_in if args.burn_in is not None else min(default_burn_in(grid), 0.5 * args.t_end)
-    return SimConfig(model=model, dt_max=dt, t_end=args.t_end, burn_in=burn,
+    return SimConfig(dt_max=dt, t_end=args.t_end, burn_in=burn,
                      ensemble_size=args.ensemble, base_seed=args.seed,
                      epsilon=args.epsilon, theta=args.theta)
 
@@ -183,12 +183,12 @@ def cmd_simulate(args) -> dict[str, Iterable[str]]:
     if args.decimate < 1:  # before any work, so a typo costs nothing
         raise InputError(f"--decimate must be >= 1, got {args.decimate}")
     grid = _load_grid(args)
-    cfg = _run_cfg(args, grid, args.model)  # bad flags are refused before the fixed point
+    cfg = _run_cfg(args, grid)  # bad flags are refused before the fixed point
     op, red = linearize_and_reduce(grid)
     # member 0's slow record is kept for trajectory.csv; every batch is folded chunk by chunk
-    (stats,), first = run_models(grid, op, red, [cfg], keep_first=True)
+    (stats,), first = run_models(grid, op, red, cfg, [args.model], keep_first=True)
 
-    print(f"model {cfg.model}: {cfg.ensemble_size} trajectories, dt {first.t[1]:.4g} s, "
+    print(f"model {args.model}: {cfg.ensemble_size} trajectories, dt {first.t[1]:.4g} s, "
           f"t_end {cfg.t_end} s, burn-in {cfg.burn_in:.4g} s")
     print(f"COI variance range {stats.variance.min():.4g} .. {stats.variance.max():.4g}")
     ids = red.slow_ids
@@ -204,20 +204,14 @@ def cmd_simulate(args) -> dict[str, Iterable[str]]:
 
 def _parse_models(spec: str) -> list[str]:
     models = [m.strip() for m in spec.split(",") if m.strip()]
-    if not models:
-        raise InputError(f"--models names no model, got {spec!r}; choose from {MODELS}")
-    unknown = [m for m in models if m not in MODELS]
-    if unknown:
-        raise InputError(f"--models: unknown model(s) {unknown}; choose from {MODELS}")
-    if len(set(models)) < len(models):
-        raise InputError(f"--models names a model twice: {spec!r}")
+    check_models(models, f"--models {spec!r}")
     return models
 
 
 def cmd_compare(args) -> dict[str, Iterable[str]]:
     models = _parse_models(args.models)  # before any work, so a typo costs nothing
     grid = _load_grid(args)
-    cfgs = [_run_cfg(args, grid, model) for model in models]  # and so are bad flags
+    cfg = _run_cfg(args, grid)  # and so are bad flags
     op, red = linearize_and_reduce(grid)
 
     # per-bus values of every column after bus_id, None where a column has none
@@ -231,8 +225,8 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
         print("heterogeneous parameters: analytic columns omitted, comparing simulated models")
 
     # every model steps through one noise stream in lockstep
-    stats, _ = run_models(grid, op, red, cfgs)
-    columns.update((f"var_sim_{cfg.model}", s.variance) for cfg, s in zip(cfgs, stats))
+    stats, _ = run_models(grid, op, red, cfg, models)
+    columns.update((f"var_sim_{model}", s.variance) for model, s in zip(models, stats))
 
     # ranks follow the analytic columns, else the simulated reduced models
     refs = (("var_naive_analytic", "var_analytic") if columns["var_analytic"] is not None

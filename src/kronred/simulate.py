@@ -19,17 +19,17 @@ the reduced "xi" model combines eta_slow + K eta_fast, the naive model
 keeps only eta_slow, the full models apply each bus its own channel.
 So one noise stream drives them all.
 
-run_models is the one ensemble driver and the only loop over members,
-behind both `compare` and `simulate` (its one-model case).  Its setup is
-linearize_and_reduce's (op, red), which no timescale ratio enters: the
-full models scale the fast m and d by epsilon (_full_masses) as they
-build their maps, full-linear from a Jacobian it scatters itself.  It draws
-each chunk of that noise once per batch of members, steps every model
-through it in lockstep and folds each model's chunk into its
-statistics before the next chunk is drawn.  The one-member collectors
-return a whole record: ou_sample_path samples one member's noise, and
-integrate steps one member of any model through given noise, an OUSpec
-or an array, with run_models' plan and steppers.
+run_models is the one ensemble driver and the only loop over members
+of every model a run names, behind both `compare` and `simulate`.  Its
+setup is linearize_and_reduce's (op, red), which no timescale ratio
+enters: the full models scale the fast m and d by epsilon (_full_masses)
+as they build their maps, full-linear from a Jacobian it scatters
+itself.  It draws each chunk of that noise once per batch of members,
+steps every model through it in lockstep and folds each model's chunk
+into its statistics before the next chunk is drawn.  The one-member
+collectors return a whole record: ou_sample_path samples one member's
+noise, and integrate steps one member of a named model through given
+noise, an OUSpec or an array, with run_models' plan and steppers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -100,6 +100,28 @@ def _as_floats(value, need: str) -> np.ndarray:
         raise InputError(f"{need}: {e}") from e
 
 
+def _finite_floats(value, need: str, rows: int, cols: int | None = None) -> np.ndarray:
+    """``value`` as floats: ``rows`` values, or with ``cols`` at least
+    ``rows`` rows of ``cols`` values, finite over the first ``rows``.  An
+    InputError saying ``need`` otherwise, and whether the values were not
+    numbers, of another shape or not finite."""
+    arr = _as_floats(value, need)
+    if (arr.shape != (rows,) if cols is None
+            else arr.ndim != 2 or arr.shape[1] != cols or len(arr) < rows):
+        raise InputError(f"{need}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr[:rows])):
+        raise InputError(f"{need}, got a non-finite value")
+    return arr
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; an InputError unless it is an int or a numpy
+    integer (a bool or a float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OUSpec:
     """Independent stationary OU channels: per-channel sigma, tau, one seed."""
@@ -121,6 +143,7 @@ class OUSpec:
             raise InputError("sigma must be >= 0")
         if np.any(self.tau <= 0):
             raise InputError("tau must be > 0")
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
             raise InputError(f"seed must be in [0, 2^64), got {self.seed}")
 
@@ -131,9 +154,8 @@ class OUSpec:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one simulation study."""
+    """Settings of one simulation run, shared by every model it steps."""
 
-    model: str
     dt_max: float
     t_end: float
     burn_in: float
@@ -143,8 +165,6 @@ class SimConfig:
     theta: float = 0.5
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise InputError(f"unknown model {self.model!r}; choose from {MODELS}")
         for name in ("t_end", "dt_max", "burn_in"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
@@ -152,8 +172,10 @@ class SimConfig:
             raise InputError(f"dt_max must be > 0, got {self.dt_max}")
         if not 0 <= self.burn_in < self.t_end:
             raise InputError(f"need 0 <= burn_in < t_end, got {self.burn_in}, {self.t_end}")
+        object.__setattr__(self, "ensemble_size", _as_int(self.ensemble_size, "ensemble_size"))
         if self.ensemble_size < 1:
             raise InputError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
+        object.__setattr__(self, "base_seed", _as_int(self.base_seed, "base_seed"))
         if not 0 <= self.base_seed < 2**64:
             raise InputError(f"base_seed must be in [0, 2^64), got {self.base_seed}")
         if self.theta not in (0.5, 1.0):
@@ -361,12 +383,8 @@ def _noise_chunks(noise, t_grid: np.ndarray, n_channels: int, rows: int) -> Iter
             raise InputError(f"noise spec has {noise.n_channels} channels, need {n_channels}")
         return _ou_chunks(noise.sigma, noise.tau, (noise.seed,), t_grid[1] - t_grid[0],
                           n_steps, rows)
-    need = f"noise array must be (>= {n_steps}, {n_channels}) finite numbers"
-    arr = _as_floats(noise, need)
-    if arr.ndim != 2 or arr.shape[1] != n_channels or arr.shape[0] < n_steps:
-        raise InputError(f"{need}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr[:n_steps])):
-        raise InputError(f"{need}, got a non-finite value")
+    arr = _finite_floats(noise, f"noise array must be (>= {n_steps}, {n_channels}) finite numbers",
+                         n_steps, n_channels)
     return (arr[k:min(k + rows, n_steps)] for k in range(0, n_steps, rows))
 
 
@@ -382,19 +400,19 @@ def _full_masses(grid: Grid, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return grid.param_vector("m")[order] * scale, grid.param_vector("d")[order] * scale
 
 
-def _full_linear_system(grid: Grid, op: OperatingPoint, cfg: SimConfig):
-    """(jac, m, d, gain) of the full model linearized at op, at cfg.epsilon;
+def _full_linear_system(grid: Grid, op: OperatingPoint, epsilon: float):
+    """(jac, m, d, gain) of the full model linearized at op, at epsilon;
     jac is scattered once from linearize's entries."""
     n = grid.n_buses
-    m, d = _full_masses(grid, cfg.epsilon)
+    m, d = _full_masses(grid, epsilon)
     return _scatter((n, n), *_ordered_entries(grid, op)), m, d, np.eye(n)
 
 
-def _reduced_system(red: ReducedSystem, cfg: SimConfig):
+def _reduced_system(red: ReducedSystem, model: str):
     """(jac, m, d, gain) of the reduced model: "reduced-naive" keeps only
     eta_slow, any other model is driven by xi = eta_slow + K eta_fast."""
     n_s = red.n_slow
-    k = np.zeros((n_s, red.n_fast)) if cfg.model == "reduced-naive" else red.noise_gain
+    k = np.zeros((n_s, red.n_fast)) if model == "reduced-naive" else red.noise_gain
     return red.j_red, red.m_slow, red.d_slow, np.hstack([np.eye(n_s), k])
 
 
@@ -797,38 +815,49 @@ def linearize_and_reduce(grid: Grid):
     return op, reduce_grid(grid, linearize(grid, op))
 
 
-def _layout(grid: Grid, red: ReducedSystem, cfgs: list[SimConfig]) -> tuple[list[int], int | None]:
+def check_models(models: list[str], what: str = "models") -> None:
+    """An InputError naming ``what`` unless ``models`` are one or more of MODELS, each once."""
+    unknown = [model for model in models if model not in MODELS]
+    if unknown or not models:
+        named = f"unknown model(s) {unknown}" if unknown else "no model"
+        raise InputError(f"{what} names {named}; choose from {MODELS}")
+    if len(set(models)) < len(models):
+        raise InputError(f"{what} names a model twice")
+
+
+def _layout(grid: Grid, red: ReducedSystem, models: list[str]) -> tuple[list[int], int | None]:
     """Buses whose positions and velocities each model's state holds (the
     slow buses of a reduced model; every bus, slow then fast, of a full
     one), and the line count _plan_batch takes: the grid's when a model is
-    nonlinear, else None."""
-    halves = [red.n_slow if c.model.startswith("reduced") else grid.n_buses for c in cfgs]
-    n_lines = len(grid.lines) if any(c.model == "full-nonlinear" for c in cfgs) else None
+    nonlinear, else None.  Bad model names are refused first."""
+    check_models(models)
+    halves = [red.n_slow if model.startswith("reduced") else grid.n_buses for model in models]
+    n_lines = len(grid.lines) if "full-nonlinear" in models else None
     return halves, n_lines
 
 
-def _stepper(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfg: SimConfig,
+def _stepper(grid: Grid, op: OperatingPoint, red: ReducedSystem, model: str, cfg: SimConfig,
              t_grid: np.ndarray, rows: int):
-    """cfg.model's chunk stepper on ``t_grid``, in chunks of at most
+    """The model's chunk stepper on ``t_grid``, in chunks of at most
     ``rows`` rows, with its linear step maps built here, once:
     ``chunks(noise_chunks, state)`` steps members from their initial
     states (members, width) and yields ``(k, block)`` as _linear_chunks
     does."""
-    if cfg.model == "full-nonlinear":
+    if model == "full-nonlinear":
         return lambda eta, state: _nonlinear_chunks(grid, op, cfg, t_grid, eta, state, rows)
-    system = (_full_linear_system(grid, op, cfg) if cfg.model == "full-linear"
-              else _reduced_system(red, cfg))
+    system = (_full_linear_system(grid, op, cfg.epsilon) if model == "full-linear"
+              else _reduced_system(red, model))
     step, forcing = _linear_maps(*system, t_grid[1] - t_grid[0], cfg.theta)
     return lambda eta, state: _linear_chunks(step, forcing, eta, state, rows)
 
 
-def run_models(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfgs: list[SimConfig],
-               keep_first: bool = False):
-    """Ensemble runs of several models of one setup (op, red), as
-    linearize_and_reduce gives it, stepped in lockstep on one noise
-    stream: the one loop over ensemble members.
+def run_models(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfg: SimConfig,
+               models: list[str], keep_first: bool = False):
+    """Ensemble runs of the named models of one setup (op, red), as
+    linearize_and_reduce gives it, with the run's settings ``cfg``,
+    stepped in lockstep on one noise stream: the one loop over members.
 
-    The configurations must differ in their model only.  One _plan_batch
+    A bad model name is refused first (check_models).  One _plan_batch
     sizes the members per batch and rows per chunk of all models
     together, counting every model's chunk buffers, step maps and, in the
     nonlinear model, Picard window arrays, plus member 0's slow x/xdot
@@ -841,7 +870,7 @@ def run_models(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfgs: list[Si
     folds its chunk into its own statistics before the next chunk is
     drawn, so no batch or chunk outlives its turn.
 
-    Returns ``(stats, record)``: one EnsembleStats per configuration, in
+    Returns ``(stats, record)``: one EnsembleStats per model, in
     order, and, with ``keep_first``, the slow x/xdot Trajectory of the
     first model's member 0 (else None).  Each model's statistics equal
     its run alone up to the rounding of products over the plan's rows
@@ -850,12 +879,9 @@ def run_models(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfgs: list[Si
     numerics) while a batch is stepped becomes a NumericsError naming
     its model, trajectories and seeds.
     """
-    cfg = cfgs[0]
-    if any(replace(c, model=cfg.model) != cfg for c in cfgs):
-        raise InputError("models run together must share every setting but the model")
     n, n_s = grid.n_buses, red.n_slow
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
-    halves, n_lines = _layout(grid, red, cfgs)
+    halves, n_lines = _layout(grid, red, models)
     batch, rows, _ = _plan_batch(tuple(2 * half for half in halves), n, n_s, n_lines, n_steps,
                                  cfg.ensemble_size, 8 * (n_steps + 1) * 2 * n_s if keep_first else 0)
 
@@ -863,8 +889,8 @@ def run_models(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfgs: list[Si
     dt = t_grid[1] - t_grid[0]
     noise = ou_spec_for_grid(grid, cfg.base_seed)
 
-    steppers = [_stepper(grid, op, red, c, t_grid, rows) for c in cfgs]
-    folds = [_CoiFold(t_grid, n_s, cfg.burn_in) for _ in cfgs]
+    steppers = [_stepper(grid, op, red, model, cfg, t_grid, rows) for model in models]
+    folds = [_CoiFold(t_grid, n_s, cfg.burn_in) for _ in models]
     record = None
     if keep_first:
         record = Trajectory(t=t_grid, x=np.empty((len(t_grid), n_s)),
@@ -873,13 +899,13 @@ def run_models(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfgs: list[Si
         idx = range(first, min(first + batch, cfg.ensemble_size))
         seeds = tuple(member_seed(cfg.base_seed, i) for i in idx)
         streams = itertools.tee(_ou_chunks(noise.sigma, noise.tau, seeds, dt, n_steps, rows),
-                                len(cfgs))
+                                len(models))
         for fold in folds:
             fold.begin(len(idx))
         rest = [np.zeros((len(idx), 2 * half)) for half in halves]
         # chunk j of every model before chunk j + 1 of any: each noise chunk is drawn once
-        for chunks in zip(*(_guarded(c.model, step(eta, state), idx, seeds)
-                            for c, step, eta, state in zip(cfgs, steppers, streams, rest))):
+        for chunks in zip(*(_guarded(model, step(eta, state), idx, seeds)
+                            for model, step, eta, state in zip(models, steppers, streams, rest))):
             for fold, half, (k, block) in zip(folds, halves, chunks):
                 fold.add(k, block[..., half:half + n_s])
             if record is not None and first == 0:
@@ -892,11 +918,11 @@ def run_models(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfgs: list[Si
     return [fold.stats(red.slow_ids) for fold in folds], record
 
 
-def integrate(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfg: SimConfig, noise,
-              x0: np.ndarray | None = None, v0: np.ndarray | None = None) -> Trajectory:
-    """One member of model cfg.model of one setup (op, red), as
-    run_models takes it, stepped through given noise and returned whole:
-    slow x, xdot and, for a full model, fast y, ydot.
+def integrate(grid: Grid, op: OperatingPoint, red: ReducedSystem, model: str, cfg: SimConfig,
+              noise, x0: np.ndarray | None = None, v0: np.ndarray | None = None) -> Trajectory:
+    """One member of the named model of one setup (op, red) with settings
+    ``cfg``, as run_models takes them, stepped through given noise and
+    returned whole: slow x, xdot and, for a full model, fast y, ydot.
 
     ``noise`` is an OUSpec or a per-step value array over all buses, slow
     then fast; each model draws its channels from it as in run_models.
@@ -909,22 +935,19 @@ def integrate(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfg: SimConfig
     model, planned by _plan_batch with its whole record kept, so a run
     above MAX_MEMBER_BYTES is refused before any buffer exists.
     """
-    (half,), n_lines = _layout(grid, red, [cfg])
+    (half,), n_lines = _layout(grid, red, [model])
     state = np.zeros((1, 2 * half))
     for name, value, part in (("x0", x0, state[0, :half]), ("v0", v0, state[0, half:])):
         if value is not None:
-            need = f"{name} of {cfg.model} must be {half} finite values, one per bus"
-            value = _as_floats(value, need)
-            if value.shape != (half,) or not np.all(np.isfinite(value)):
-                raise InputError(f"{need}, got shape {value.shape}")
-            part[:] = value
+            part[:] = _finite_floats(value, f"{name} of {model} must be {half} finite values, "
+                                     "one per bus", half)
     n_steps = _step_count(cfg.t_end, cfg.dt_max)
     rows = _plan_batch((2 * half,), grid.n_buses, red.n_slow, n_lines, n_steps, 1,
                        8 * (n_steps + 1) * 2 * half)[1]
     t_grid = make_time_grid(cfg.t_end, cfg.dt_max)
     eta = _noise_chunks(noise, t_grid, grid.n_buses, rows)
     record = np.empty((len(t_grid), 2 * half))
-    for k, block in _stepper(grid, op, red, cfg, t_grid, rows)(eta, state):
+    for k, block in _stepper(grid, op, red, model, cfg, t_grid, rows)(eta, state):
         record[k:k + len(block)] = block[:, 0]
     n_s, full = red.n_slow, half > red.n_slow
     return Trajectory(t=t_grid, x=record[:, :n_s], xdot=record[:, half:half + n_s],
@@ -932,7 +955,7 @@ def integrate(grid: Grid, op: OperatingPoint, red: ReducedSystem, cfg: SimConfig
                       ydot=record[:, half + n_s:] if full else None)
 
 
-def run_model_ensemble(grid: Grid, cfg: SimConfig) -> EnsembleStats:
+def run_model_ensemble(grid: Grid, model: str, cfg: SimConfig) -> EnsembleStats:
     """End-to-end ensemble study of one model on one grid."""
     op, red = linearize_and_reduce(grid)
-    return run_models(grid, op, red, [cfg])[0][0]
+    return run_models(grid, op, red, cfg, [model])[0][0]

@@ -36,7 +36,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import HomogeneityError, InputError, NumericsError
 from .reduction import ReducedSystem
-from .simulate import Trajectory, _uniform_step
+from .simulate import Trajectory, _finite_floats, _uniform_step
 
 _ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as zero
 
@@ -358,25 +358,26 @@ def modal_trajectory(
     over the step) is projected onto modes 2..N_S, each mode's damped
     oscillator is advanced with its exact matrix-exponential step, and
     x, xdot are reassembled.  Any component along the uniform mode (of
-    the noise or the initial condition) is dropped.
+    the noise or the initial condition) is dropped.  A noise path, x0 or
+    v0 that is not finite numbers of its shape, over the rows the steps
+    read, is an InputError (simulate._finite_floats, as in integrate).
     """
     m = _homogeneous(red.m_slow, "inertia m")
     d = _homogeneous(red.d_slow, "damping d")
     gamma = d / m
     t_grid, dt = _uniform_step(t_grid)
     n_steps = len(t_grid) - 1
-    noise_path = np.asarray(noise_path, dtype=float)
-    if noise_path.ndim != 2 or noise_path.shape[1] != red.n_slow or noise_path.shape[0] < n_steps:
-        raise InputError(
-            f"noise path must be (>= {n_steps}, {red.n_slow}), got {noise_path.shape}")
-
     n_s = red.n_slow
+    noise_path = _finite_floats(noise_path, f"noise path must be (>= {n_steps}, {n_s}) finite "
+                                "numbers", n_steps, n_s)
     u_perp = basis.modes[:, 1:]
     lam = basis.lambdas[1:]
     n_modes = n_s - 1
 
-    z = np.zeros(n_modes) if x0 is None else u_perp.T @ np.asarray(x0, dtype=float)
-    v = np.zeros(n_modes) if v0 is None else u_perp.T @ np.asarray(v0, dtype=float)
+    z, v = (np.zeros(n_modes) if value is None
+            else u_perp.T @ _finite_floats(value, f"{name} must be {n_s} finite values, "
+                                           "one per slow bus", n_s)
+            for name, value in (("x0", x0), ("v0", v0)))
 
     # per-mode exact step: Phi = expm(A dt), forced response g = A^-1 (Phi - I) b
     phi = np.empty((n_modes, 2, 2))

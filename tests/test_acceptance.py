@@ -169,9 +169,8 @@ def test_criterion_6_simulation_vs_analytics():
     assert len(grid.slow_ids) == 5 and len(grid.fast_ids) == 5
     _, red, basis, gam = analyze(grid)
     analytic = coi_variance(red, basis, gam).var_total
-    cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=2000.0, burn_in=60.0,
-                    ensemble_size=10, base_seed=606)
-    stats = run_model_ensemble(grid, cfg)
+    cfg = SimConfig(dt_max=0.01, t_end=2000.0, burn_in=60.0, ensemble_size=10, base_seed=606)
+    stats = run_model_ensemble(grid, "reduced-xi", cfg)
     rel = np.abs(stats.variance - analytic) / analytic
     elapsed = time.time() - started
     ok = bool(np.all(rel < 0.10)) and elapsed < 300.0
@@ -183,12 +182,11 @@ def test_criterion_7_epsilon_limit():
     grid = homogeneous_5_5_grid()
     devs = {}
     for eps, dt in ((1e-2, 0.005), (1e-3, 0.002)):
-        cfg_full = SimConfig(model="full-linear", dt_max=dt, t_end=800.0, burn_in=60.0,
+        cfg_full = SimConfig(dt_max=dt, t_end=800.0, burn_in=60.0,
                              ensemble_size=6, base_seed=707, epsilon=eps)
-        cfg_red = SimConfig(model="reduced-xi", dt_max=dt, t_end=800.0, burn_in=60.0,
-                            ensemble_size=6, base_seed=707)
-        full = run_model_ensemble(grid, cfg_full).variance
-        red = run_model_ensemble(grid, cfg_red).variance
+        cfg_red = SimConfig(dt_max=dt, t_end=800.0, burn_in=60.0, ensemble_size=6, base_seed=707)
+        full = run_model_ensemble(grid, "full-linear", cfg_full).variance
+        red = run_model_ensemble(grid, "reduced-xi", cfg_red).variance
         devs[eps] = float((np.abs(full - red) / red).max())
     elapsed = time.time() - started
     ok = devs[1e-3] < devs[1e-2] and devs[1e-3] < 0.10 and elapsed < 600.0
@@ -205,9 +203,8 @@ def test_criterion_8_naive_model_failure():
     assert design.var_total[0] / design.var_naive[0] > 2.0  # analytic design check
     sim = {}
     for model in ("reduced-xi", "reduced-naive", "full-nonlinear"):
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=600.0, burn_in=40.0,
-                        ensemble_size=4, base_seed=808)
-        sim[model] = run_model_ensemble(grid, cfg).variance
+        cfg = SimConfig(dt_max=0.01, t_end=600.0, burn_in=40.0, ensemble_size=4, base_seed=808)
+        sim[model] = run_model_ensemble(grid, model, cfg).variance
     center = 0  # bus 1 carries the loads
     ratio_xi = sim["reduced-xi"][center] / sim["reduced-naive"][center]
     ratio_full = sim["full-nonlinear"][center] / sim["reduced-naive"][center]
@@ -216,9 +213,8 @@ def test_criterion_8_naive_model_failure():
     star_a = make_star_grid(8, center_class=FAST, sigma=0.01)
     agree = {}
     for model in ("reduced-xi", "reduced-naive"):
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=600.0, burn_in=40.0,
-                        ensemble_size=4, base_seed=809)
-        agree[model] = run_model_ensemble(star_a, cfg).variance
+        cfg = SimConfig(dt_max=0.01, t_end=600.0, burn_in=40.0, ensemble_size=4, base_seed=809)
+        agree[model] = run_model_ensemble(star_a, model, cfg).variance
     rel_a = float((np.abs(agree["reduced-xi"] - agree["reduced-naive"])
                    / agree["reduced-xi"]).max())
     elapsed = time.time() - started
@@ -248,8 +244,8 @@ def test_criterion_9_integrator_order():
         dt = coarse_dt / refine
         xi = np.repeat(xi_coarse, refine, axis=0)
         noise = np.hstack([xi, np.zeros((len(xi), red.n_fast))])
-        cfg = SimConfig(model="reduced-xi", dt_max=dt, t_end=10.0, burn_in=0.0)
-        traj = integrate(grid, op, red, cfg, noise)
+        cfg = SimConfig(dt_max=dt, t_end=10.0, burn_in=0.0)
+        traj = integrate(grid, op, red, "reduced-xi", cfg, noise)
         x = traj.xdot[::refine] - traj.xdot[::refine].mean(axis=1, keepdims=True)
         errors.append(float(np.abs(x - exact_x).max()))
     r1 = errors[1] / errors[0]

@@ -61,9 +61,9 @@ def count_simulation_runs(monkeypatch):
     runs = []
     run_models = kronred.cli.run_models
 
-    def counted(grid, op, red, cfgs, **kwargs):
-        runs.append([cfg.model for cfg in cfgs])
-        return run_models(grid, op, red, cfgs, **kwargs)
+    def counted(grid, op, red, cfg, models, **kwargs):
+        runs.append(list(models))
+        return run_models(grid, op, red, cfg, models, **kwargs)
     monkeypatch.setattr(kronred.cli, "run_models", counted)
     return runs
 
@@ -565,9 +565,9 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         grid = parse_grid_json(Path(path).read_text())
         for model in models.split(","):
-            cfg = SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0,
+            cfg = SimConfig(dt_max=0.01, t_end=20.0, burn_in=5.0,
                             ensemble_size=ensemble, base_seed=6, epsilon=0.5)
-            alone = run_model_ensemble(grid, cfg).variance
+            alone = run_model_ensemble(grid, model, cfg).variance
             np.testing.assert_allclose([float(row[f"var_sim_{model}"]) for row in rows], alone,
                                        rtol=1e-12, atol=0, err_msg=model)
 

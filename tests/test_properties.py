@@ -17,7 +17,7 @@ from kronred.grid import (Grid, assemble_linearized, build_jacobian, linearize,
                           solve_fixed_point, with_sigma)
 from kronred.reduction import factor_fast_block, reduce_grid
 from kronred import simulate
-from kronred.simulate import SimConfig, linearize_and_reduce
+from kronred.simulate import linearize_and_reduce
 from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -104,8 +104,7 @@ def test_pipeline_matches_dense_reference_bit_for_bit(seed, n, data, epsilon):
         assert_same_bits(getattr(sys, name), getattr(ref, name))
     assert (sys.slow_ids, sys.fast_ids) == (ref.slow_ids, ref.fast_ids)
     order = grid.ordering()
-    cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=1.0, burn_in=0.0, epsilon=epsilon)
-    assert_same_bits(simulate._full_linear_system(grid, op, cfg)[0],
+    assert_same_bits(simulate._full_linear_system(grid, op, epsilon)[0],
                      dense[np.ix_(order, order)])
     if sys.n_fast == 0:
         assert factor_fast_block(sys.j_ff) is None

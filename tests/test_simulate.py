@@ -1,8 +1,8 @@
 """OU sampling, integrators, ensemble statistics."""
 
 import math
+import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,10 +176,13 @@ class TestOUSampling:
             alone = ou_sample_path(OUSpec(sigma=sigma, tau=tau, seed=seed), t)
             assert np.array_equal(joined[:, 3 * i:3 * i + 3], alone)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-1), "1", None, 1.5, True])
     def test_seed_out_of_range_is_input_error(self, seed):
-        with pytest.raises(InputError, match="seed must be in"):
+        # integers out of range, a numpy one too; then values that are not integers
+        problem = "must be in" if seed in (-1, 2**64) else "must be an integer"
+        with pytest.raises(InputError, match=f"seed {problem}"):
             OUSpec(sigma=[1.0], tau=[0.1], seed=seed)
+        assert OUSpec(sigma=[1.0], tau=[0.1], seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "a"])
     @pytest.mark.parametrize("name", ["sigma", "tau"])
@@ -215,7 +218,7 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("field", ["t_end", "dt_max", "burn_in"])
     def test_sim_config_rejects_non_finite(self, field):
-        kwargs = dict(model="reduced-xi", dt_max=0.01, t_end=10.0, burn_in=1.0)
+        kwargs = dict(dt_max=0.01, t_end=10.0, burn_in=1.0)
         kwargs[field] = math.inf
         with pytest.raises(InputError, match=f"{field} must be finite"):
             SimConfig(**kwargs)
@@ -223,19 +226,29 @@ class TestTimeGrid:
     @pytest.mark.parametrize("epsilon", [0.0, 1.5, math.nan])
     def test_sim_config_rejects_epsilon_outside_unit_interval(self, epsilon):
         with pytest.raises(InputError, match=r"epsilon must be in \(0, 1\]"):
-            SimConfig(model="full-linear", dt_max=0.01, t_end=1.0, burn_in=0.0, epsilon=epsilon)
+            SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0, epsilon=epsilon)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "1", None, False])
     def test_sim_config_rejects_seed_out_of_range(self, seed):
-        with pytest.raises(InputError, match="base_seed must be in"):
-            SimConfig(model="reduced-xi", dt_max=0.01, t_end=1.0, burn_in=0.0, base_seed=seed)
-        SimConfig(model="reduced-xi", dt_max=0.01, t_end=1.0, burn_in=0.0, base_seed=2**64 - 1)
+        problem = "must be in" if seed in (-1, 2**64) else "must be an integer"
+        with pytest.raises(InputError, match=f"base_seed {problem}"):
+            SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0, base_seed=seed)
+        SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0, base_seed=2**64 - 1)
+
+    @pytest.mark.parametrize("size", [0, np.int64(-2), 2.5, 2.0, "2", True])
+    def test_sim_config_rejects_bad_ensemble_size(self, size):
+        # a count must be an integer: 2.5 members would fail later with a
+        # bare TypeError, and 2.0 is refused with it
+        problem = "must be >= 1" if size in (0, -2) else "must be an integer"
+        with pytest.raises(InputError, match=f"ensemble_size {problem}"):
+            SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0, ensemble_size=size)
+        cfg = SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0, ensemble_size=np.int32(3))
+        assert type(cfg.ensemble_size) is int and cfg.ensemble_size == 3
 
     def test_sim_config_refuses_ensemble_over_step_budget(self):
         # 10 steps per trajectory, but 10^10 steps for the whole ensemble
         with pytest.raises(InputError, match="ensemble_size x steps"):
-            SimConfig(model="reduced-xi", dt_max=0.001, t_end=0.01, burn_in=0.0,
-                      ensemble_size=10**9)
+            SimConfig(dt_max=0.001, t_end=0.01, burn_in=0.0, ensemble_size=10**9)
 
     @pytest.mark.parametrize("model,width", [("full-nonlinear", 18), ("full-linear", 18),
                                              ("reduced-xi", 12), ("reduced-naive", 12)])
@@ -253,7 +266,7 @@ class TestTimeGrid:
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, red = simulate.linearize_and_reduce(grid)
         assert red.n_slow == 6 and simulate._PAD_ROWS == 20 and simulate._WINDOW_ROWS == 64
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=10.0, burn_in=0.0)
         half = width // 2
         held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 \
             + (width * (width + 9) + width * width + half * half + half * 9) * 8
@@ -261,10 +274,10 @@ class TestTimeGrid:
             held += 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * 2 * len(grid.lines) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
-            simulate.run_models(grid, op, red, [cfg], keep_first=keep_first)
+            simulate.run_models(grid, op, red, cfg, [model], keep_first=keep_first)
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept - 1)
             with pytest.raises(InputError, match="buffers, above the limit"):
-                simulate.run_models(grid, op, red, [cfg], keep_first=keep_first)
+                simulate.run_models(grid, op, red, cfg, [model], keep_first=keep_first)
 
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_step_maps_counted_before_they_are_built(self, monkeypatch, model):
@@ -272,7 +285,7 @@ class TestTimeGrid:
         # the run is refused from its dimensions, before any map is built
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, red = simulate.linearize_and_reduce(grid)
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=10.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=10.0, burn_in=0.0)
         width = 12 if model.startswith("reduced") else 18
         buffers = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 + 1001 * 2 * 6 * 8
         if model == "full-nonlinear":
@@ -284,7 +297,7 @@ class TestTimeGrid:
         monkeypatch.setattr(simulate, "_linear_maps", no_maps)
         monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", buffers + width * (width + 9) * 8 - 1)
         with pytest.raises(InputError, match="buffers, above the limit"):
-            simulate.run_models(grid, op, red, [cfg], keep_first=True)
+            simulate.run_models(grid, op, red, cfg, [model], keep_first=True)
 
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_collector_refused_before_it_allocates(self, monkeypatch, model):
@@ -292,7 +305,7 @@ class TestTimeGrid:
         # the batch it is stepped through do not
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         op, red = reduced_of(grid)
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=200.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=200.0, burn_in=0.0)
         width = 4 if model.startswith("reduced") else 6
         record = 20_001 * width * 8
         monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", record + 1)
@@ -300,7 +313,7 @@ class TestTimeGrid:
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="buffers, above the limit"):
-                integrate(grid, op, red, cfg, noise)
+                integrate(grid, op, red, model, cfg, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -315,14 +328,14 @@ class TestTimeGrid:
                                    fast=ClassDefaults(m=0.002, d=0.0005, tau=0.1), rebalance=True)
         grid = with_sigma(grid, np.random.default_rng(1).uniform(0.0, 0.01, grid.n_buses))
         op, red = simulate.linearize_and_reduce(grid)
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=1.5, base_seed=1)
+        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=1.5, base_seed=1)
         width = 2 * (red.n_slow if model.startswith("reduced") else grid.n_buses)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
         batch, _, held = simulate._plan_batch((width,), grid.n_buses, red.n_slow, n_lines, 300, 1,
                                               0)
         tracemalloc.start()
         try:
-            simulate.run_models(grid, op, red, [cfg])
+            simulate.run_models(grid, op, red, cfg, [model])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,8 +360,7 @@ class TestTimeGrid:
     @staticmethod
     def check_batch_peak_memory(model):
         grid = random_connected_grid(np.random.default_rng(1), 40)
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0,
-                        ensemble_size=3, base_seed=2)
+        cfg = SimConfig(dt_max=0.01, t_end=20.0, burn_in=5.0, ensemble_size=3, base_seed=2)
         op, red = simulate.linearize_and_reduce(grid)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
         batch, rows, _ = simulate._plan_batch((2 * grid.n_buses,), grid.n_buses, red.n_slow,
@@ -359,7 +371,7 @@ class TestTimeGrid:
         window_bytes = 0 if n_lines is None else 8 * 65 * (8 * grid.n_buses + n_lines)
         tracemalloc.start()
         try:
-            simulate.run_models(grid, op, red, [cfg])
+            simulate.run_models(grid, op, red, cfg, [model])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -375,16 +387,16 @@ class TestTimeGrid:
 class TestFullNonlinear:
     def test_stays_at_fixed_point_without_noise(self):
         grid = two_bus_grid(p=0.5)
-        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=10.0, burn_in=0.0)
-        traj = integrate(grid, *reduced_of(grid), cfg, np.zeros((1000, 2)))
+        cfg = SimConfig(dt_max=0.01, t_end=10.0, burn_in=0.0)
+        traj = integrate(grid, *reduced_of(grid), "full-nonlinear", cfg, np.zeros((1000, 2)))
         assert np.abs(traj.x).max() < 1e-9
         assert np.abs(traj.xdot).max() < 1e-9
 
     def test_perturbation_decays_with_monotone_energy(self):
         grid = two_bus_grid(p=0.3)
         op, red = reduced_of(grid)
-        cfg = SimConfig(model="full-nonlinear", dt_max=0.002, t_end=10.0, burn_in=0.0)
-        traj = integrate(grid, op, red, cfg, np.zeros((5001, 2)),
+        cfg = SimConfig(dt_max=0.002, t_end=10.0, burn_in=0.0)
+        traj = integrate(grid, op, red, "full-nonlinear", cfg, np.zeros((5001, 2)),
                          x0=np.array([0.05, -0.05]))
         # swing energy: kinetic + coupling potential - injection work
         m = grid.param_vector("m")
@@ -402,14 +414,14 @@ class TestFullNonlinear:
     def test_matches_linear_model_for_small_noise(self):
         grid = path3_grid(sigma_slow=1.0, sigma_fast=1.0)  # scaled below
         setup = reduced_of(grid)
-        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=20.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=20.0, burn_in=0.0)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         base = ou_sample_path(OUSpec(sigma=np.ones(3), tau=np.full(3, 0.1), seed=3), t)[:-1]
         errs = []
         for scale in (0.01, 0.001):
             noise = scale * base
-            nl = integrate(grid, *setup, cfg, noise)
-            lin = integrate(grid, *setup, replace(cfg, model="full-linear"), noise)
+            nl = integrate(grid, *setup, "full-nonlinear", cfg, noise)
+            lin = integrate(grid, *setup, "full-linear", cfg, noise)
             num = np.abs(nl.x - lin.x).max()
             den = np.abs(lin.x).max()
             errs.append(num / den)
@@ -417,11 +429,11 @@ class TestFullNonlinear:
 
     def test_divergence_flagged(self):
         grid = two_bus_grid(p=0.0)
-        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=50.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=50.0, burn_in=0.0)
         shove = np.tile([5.0, -5.0], (5000, 1))  # far beyond the b=1 line capacity
         # the first step past pi, as the per-step chord-Newton stepper reported it
         with pytest.raises(NumericsError, match=r"divergence detected at t=0\.54: "):
-            integrate(grid, *reduced_of(grid), cfg, shove)
+            integrate(grid, *reduced_of(grid), "full-nonlinear", cfg, shove)
 
 
 def theta_method_residuals(grid, op, cfg, noise, traj):
@@ -456,8 +468,7 @@ class TestFullNonlinearStepper:
     def test_steps_solve_theta_method_equation(self, theta, seed, epsilon, deviation,
                                                monkeypatch):
         grid = random_connected_grid(np.random.default_rng(seed), 7, injection_scale=0.3)
-        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
-                        epsilon=epsilon, theta=theta)
+        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon, theta=theta)
         op, red = reduced_of(grid)
         n = grid.n_buses
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
@@ -470,7 +481,7 @@ class TestFullNonlinearStepper:
             return jacobian(*args)
 
         monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
-        traj = integrate(grid, op, red, cfg, noise, x0=x0)
+        traj = integrate(grid, op, red, "full-nonlinear", cfg, noise, x0=x0)
         assert theta_method_residuals(grid, op, cfg, noise, traj).max() <= 1e-10
         np.testing.assert_array_equal(traj.x[0], x0[:len(grid.slow_ids)])
         if deviation:
@@ -483,8 +494,7 @@ class TestFullNonlinearStepper:
         # checked on its own against the dense residual
         grid = random_connected_grid(np.random.default_rng(12), 7, injection_scale=0.3)
         op = solve_fixed_point(grid)
-        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
-                        epsilon=epsilon, theta=theta)
+        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon, theta=theta)
         n, n_s = grid.n_buses, len(grid.slow_ids)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, 3, n))
@@ -504,13 +514,12 @@ class TestFullNonlinearStepper:
         # state, its flows and the step maps rebuilt far from the operating
         # point carry over every chunk edge
         grid = random_connected_grid(np.random.default_rng(3), 7, injection_scale=0.3)
-        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=3.0, burn_in=0.0,
-                        epsilon=0.05)
+        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=0.05)
         setup = reduced_of(grid)
         n, n_s = grid.n_buses, len(grid.slow_ids)
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
         x0 = 1.2 * np.cos(np.arange(n))
-        whole = integrate(grid, *setup, cfg, noise, x0=x0)
+        whole = integrate(grid, *setup, "full-nonlinear", cfg, noise, x0=x0)
 
         def plan():
             return simulate._plan_batch((2 * n,), n, n_s, len(grid.lines), 300, 1, 301 * 2 * n * 8)
@@ -526,17 +535,16 @@ class TestFullNonlinearStepper:
         monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
         monkeypatch.setattr(simulate, "_BATCH_BYTES", 2**16)
         assert plan()[1] == simulate._WINDOW_ROWS
-        chunked = integrate(grid, *setup, cfg, noise, x0=x0)
+        chunked = integrate(grid, *setup, "full-nonlinear", cfg, noise, x0=x0)
         assert len(builds) > 1
         for name in ("x", "xdot", "y", "ydot"):
             np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
     def test_ensemble_bit_identical_for_fixed_seed(self):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfg = SimConfig(model="full-nonlinear", dt_max=0.01, t_end=10.0, burn_in=2.0,
-                        ensemble_size=2, base_seed=31)
-        s1 = run_model_ensemble(grid, cfg)
-        s2 = run_model_ensemble(grid, cfg)
+        cfg = SimConfig(dt_max=0.01, t_end=10.0, burn_in=2.0, ensemble_size=2, base_seed=31)
+        s1 = run_model_ensemble(grid, "full-nonlinear", cfg)
+        s2 = run_model_ensemble(grid, "full-nonlinear", cfg)
         np.testing.assert_array_equal(s1.variance, s2.variance)
         np.testing.assert_array_equal(s1.stderr, s2.stderr)
 
@@ -544,8 +552,8 @@ class TestFullNonlinearStepper:
 class TestFullLinear:
     def test_zero_noise_zero_state(self):
         grid = path3_grid()
-        cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=5.0, burn_in=0.0)
-        traj = integrate(grid, *reduced_of(grid), cfg, np.zeros((500, 3)))
+        cfg = SimConfig(dt_max=0.01, t_end=5.0, burn_in=0.0)
+        traj = integrate(grid, *reduced_of(grid), "full-linear", cfg, np.zeros((500, 3)))
         np.testing.assert_array_equal(traj.x, 0.0)
         np.testing.assert_array_equal(traj.y, 0.0)
 
@@ -555,12 +563,12 @@ class TestFullLinear:
         red = reduce_grid(grid, sys)
         omega = 2.0
         dt, t_end = 0.005, 100.0
-        cfg = SimConfig(model="full-linear", dt_max=dt, t_end=t_end, burn_in=0.0)
+        cfg = SimConfig(dt_max=dt, t_end=t_end, burn_in=0.0)
         t = make_time_grid(t_end, dt)
         noise = np.zeros((len(t) - 1, 3))
         noise[:, 2] = np.sin(omega * t[:-1])  # drive the fast bus
 
-        traj = integrate(grid, op, red, cfg, noise)
+        traj = integrate(grid, op, red, "full-linear", cfg, noise)
         window = t >= 70.0  # transient decays as e^{-gamma t/2}, gamma/2 = 0.125
         # constant column absorbs the startup offset of the uniform angle mode
         basis_fit = np.column_stack([np.sin(omega * t[window]), np.cos(omega * t[window]),
@@ -598,10 +606,10 @@ class TestLinearRecord:
         grid = random_connected_grid(np.random.default_rng(4), 9)
         op, sys = dense_reference(grid)
         red = reduce_grid(grid, sys)
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=0.3)
+        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=0.3)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         noise = np.random.default_rng(8).normal(0.0, 0.1, (len(t) - 1, grid.n_buses))
-        traj = integrate(grid, op, red, cfg, noise)
+        traj = integrate(grid, op, red, model, cfg, noise)
 
         jac, m, d, gain = self.linear_model(model, grid, sys, red, cfg.epsilon)
         n, n_s = len(m), red.n_slow
@@ -631,11 +639,11 @@ class TestLinearRecord:
         grid = random_connected_grid(np.random.default_rng(1), 40)
         op, red = reduced_of(grid)
         assert red.n_slow == 20
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=200.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=200.0, burn_in=0.0)
         noise = ou_spec_for_grid(grid, seed=2)
         tracemalloc.start()
         try:
-            traj = integrate(grid, op, red, cfg, noise)
+            traj = integrate(grid, op, red, model, cfg, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -647,25 +655,25 @@ class TestLinearRecord:
 class TestIntegrateReduced:
     def test_naive_with_zero_slow_noise_is_identically_zero(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=1.0)
-        cfg = SimConfig(model="reduced-naive", dt_max=0.01, t_end=5.0, burn_in=0.0)
-        traj = integrate(grid, *reduced_of(grid), cfg, ou_spec_for_grid(grid, 4))
+        cfg = SimConfig(dt_max=0.01, t_end=5.0, burn_in=0.0)
+        traj = integrate(grid, *reduced_of(grid), "reduced-naive", cfg, ou_spec_for_grid(grid, 4))
         np.testing.assert_array_equal(traj.x, 0.0)
 
     def test_xi_mode_carries_fast_noise(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=1.0)
-        cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=5.0, burn_in=0.0)
-        traj = integrate(grid, *reduced_of(grid), cfg, ou_spec_for_grid(grid, 4))
+        cfg = SimConfig(dt_max=0.01, t_end=5.0, burn_in=0.0)
+        traj = integrate(grid, *reduced_of(grid), "reduced-xi", cfg, ou_spec_for_grid(grid, 4))
         assert np.abs(traj.xdot).max() > 0
 
     def test_spec_and_array_noise_agree(self):
         grid = path3_grid(sigma_slow=0.3, sigma_fast=1.0)
         setup = reduced_of(grid)
-        cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=2.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=2.0, burn_in=0.0)
         spec = ou_spec_for_grid(grid, 11)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         path = ou_sample_path(spec, t)[:-1]
-        a = integrate(grid, *setup, cfg, spec)
-        b = integrate(grid, *setup, cfg, path)
+        a = integrate(grid, *setup, "reduced-xi", cfg, spec)
+        b = integrate(grid, *setup, "reduced-xi", cfg, path)
         np.testing.assert_array_equal(a.x, b.x)
 
     def test_converges_to_modal_trajectory_as_dt_shrinks(self):
@@ -686,8 +694,8 @@ class TestIntegrateReduced:
             t = make_time_grid(8.0, dt)
             xi = np.repeat(xi_coarse, refine, axis=0)
             noise = np.hstack([xi, np.zeros((len(xi), 1))])  # fast channel silent
-            cfg = SimConfig(model="reduced-xi", dt_max=dt, t_end=8.0, burn_in=0.0)
-            traj = integrate(grid, op, red, cfg, noise)
+            cfg = SimConfig(dt_max=dt, t_end=8.0, burn_in=0.0)
+            traj = integrate(grid, op, red, "reduced-xi", cfg, noise)
             x = traj.x[::refine] - traj.x[::refine].mean(axis=1, keepdims=True)
             errors.append(np.abs(x - exact_x).max())
         assert errors[1] <= 0.55 * errors[0]
@@ -705,10 +713,10 @@ class TestIntegrateReduced:
         w_max = math.sqrt(-basis.lambdas.min() / red.m_slow[0])  # fastest mode's frequency
         errors = []
         for dt in (0.02, 0.01):
-            cfg = SimConfig(model="reduced-xi", dt_max=dt, t_end=5.0, burn_in=0.0)
+            cfg = SimConfig(dt_max=dt, t_end=5.0, burn_in=0.0)
             t = make_time_grid(cfg.t_end, dt)
-            traj = integrate(grid, op, red, cfg, np.zeros((len(t) - 1, grid.n_buses)),
-                             x0=x0, v0=v0)
+            traj = integrate(grid, op, red, "reduced-xi", cfg,
+                             np.zeros((len(t) - 1, grid.n_buses)), x0=x0, v0=v0)
             exact = modal_trajectory(red, basis, np.zeros((len(t) - 1, red.n_slow)), t,
                                      x0=x0, v0=v0)
             np.testing.assert_array_equal(traj.x[0], x0)
@@ -729,7 +737,7 @@ class TestInitialState:
         # before any step map is built
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         setup = reduced_of(grid)
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=1.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0)
         half = 2 if model.startswith("reduced") else 3
 
         def no_maps(*args):
@@ -737,15 +745,21 @@ class TestInitialState:
 
         monkeypatch.setattr(simulate, "_linear_maps", no_maps)
         noise = ou_spec_for_grid(grid, 1)
-        for bad in ({"x0": np.zeros(half + 1)}, {"v0": np.zeros((1, half))},
-                    {"x0": np.array([math.nan] + [0.0] * (half - 1))},
-                    {"v0": np.full(half, math.inf)}, {"x0": ["a"] * half},
-                    {"v0": [{}] * half}):
+        # each failure says what was wrong: a shape, a value, not numbers
+        shape, value, numbers = ", got shape", ", got a non-finite value$", "one per bus: "
+        for bad, problem in (({"x0": np.zeros(half + 1)}, shape),
+                             ({"v0": np.zeros((1, half))}, shape),
+                             ({"x0": [0.0] * (half - 1)}, shape), ({"v0": 0.0}, shape),
+                             ({"x0": np.array([math.nan] + [0.0] * (half - 1))}, value),
+                             ({"v0": np.full(half, math.inf)}, value),
+                             ({"x0": [0.0] * (half - 1) + [-math.inf]}, value),
+                             ({"x0": ["a"] * half}, numbers), ({"v0": [{}] * half}, numbers)):
             with pytest.raises(InputError, match=rf"^{next(iter(bad))} of {model} must be "
-                                                 rf"{half} finite values"):
-                integrate(grid, *setup, cfg, noise, **bad)
+                                                 rf"{half} finite values") as error:
+                integrate(grid, *setup, model, cfg, noise, **bad)
+            assert re.search(problem, str(error.value)), (bad, str(error.value))
         with pytest.raises(AssertionError, match="step maps built"):
-            integrate(grid, *setup, cfg, noise, x0=np.zeros(half), v0=np.ones(half))
+            integrate(grid, *setup, model, cfg, noise, x0=np.zeros(half), v0=np.ones(half))
 
     @pytest.mark.parametrize("model", simulate.MODELS)
     def test_bad_noise_array_is_input_error(self, monkeypatch, model):
@@ -754,7 +768,7 @@ class TestInitialState:
         # built; rows past the last step are not read
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         setup = reduced_of(grid)
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=1.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0)
 
         def no_maps(*args):
             raise AssertionError("step maps built")
@@ -769,11 +783,11 @@ class TestInitialState:
         for noise in bad:
             with pytest.raises(InputError, match=rf"^noise array must be \(>= {steps}, 3\) "
                                                  "finite numbers"):
-                integrate(grid, *setup, cfg, noise)
+                integrate(grid, *setup, model, cfg, noise)
         unread = np.zeros((steps + 1, 3))
         unread[steps] = math.nan
         with pytest.raises(AssertionError, match="step maps built"):
-            integrate(grid, *setup, cfg, unread)
+            integrate(grid, *setup, model, cfg, unread)
 
 
 class TestCoiEstimate:
@@ -821,10 +835,9 @@ class TestCoiEstimate:
 class TestEnsembleRun:
     def test_bit_identical_for_fixed_seed(self):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
-                        ensemble_size=3, base_seed=77)
-        s1 = run_model_ensemble(grid, cfg)
-        s2 = run_model_ensemble(grid, cfg)
+        cfg = SimConfig(dt_max=0.01, t_end=20.0, burn_in=5.0, ensemble_size=3, base_seed=77)
+        s1 = run_model_ensemble(grid, "reduced-xi", cfg)
+        s2 = run_model_ensemble(grid, "reduced-xi", cfg)
         np.testing.assert_array_equal(s1.variance, s2.variance)
         np.testing.assert_array_equal(s1.stderr, s2.stderr)
 
@@ -832,12 +845,12 @@ class TestEnsembleRun:
         # (2, 3): adjacent base seeds must not run the same members in another order
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         for seeds in ((1, 2), (2, 3)):
-            cfg1 = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
+            cfg1 = SimConfig(dt_max=0.01, t_end=20.0, burn_in=5.0,
                              ensemble_size=2, base_seed=seeds[0])
-            cfg2 = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
+            cfg2 = SimConfig(dt_max=0.01, t_end=20.0, burn_in=5.0,
                              ensemble_size=2, base_seed=seeds[1])
-            assert not np.array_equal(run_model_ensemble(grid, cfg1).variance,
-                                      run_model_ensemble(grid, cfg2).variance), seeds
+            assert not np.array_equal(run_model_ensemble(grid, "reduced-xi", cfg1).variance,
+                                      run_model_ensemble(grid, "reduced-xi", cfg2).variance), seeds
 
     def test_member_seeds(self):
         # member 0 is the one-member run of the base seed; every other seed
@@ -866,8 +879,7 @@ class TestEnsembleRun:
     def test_failure_propagates_with_index(self, monkeypatch):
         # one member per batch; the third batch fails after its first chunk
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0,
-                        ensemble_size=4, base_seed=0)
+        cfg = SimConfig(dt_max=0.1, t_end=1.0, burn_in=0.0, ensemble_size=4, base_seed=0)
         monkeypatch.setattr(simulate, "_BATCH_BYTES", 5000)
         assert simulate._plan_batch((4,), 3, 2, None, 10, 4, 0)[0] == 1
         calls = []
@@ -876,23 +888,22 @@ class TestEnsembleRun:
         seed = simulate.member_seed(0, 2)
         with pytest.raises(NumericsError,
                            match=rf"^reduced-xi: trajectory 2 \(seed {seed}\) failed: boom$"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), [cfg])
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfg, ["reduced-xi"])
         assert len(calls) == 3
 
     def test_input_error_passes_through(self, monkeypatch):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=1.0, burn_in=0.0)
+        cfg = SimConfig(dt_max=0.1, t_end=1.0, burn_in=0.0)
         self.failing_after_first_chunk(monkeypatch, InputError("bad input"), lambda step: True)
         with pytest.raises(InputError, match="^bad input$"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), [cfg])
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfg, ["reduced-xi"])
 
     def test_batch_failure_while_stepping_names_its_members(self, monkeypatch):
         # two members per batch in chunks of 16 rows, two models in lockstep;
         # only the second model (full-linear, the 6-wide state of the three
         # buses) fails
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfgs = [SimConfig(model=model, dt_max=0.1, t_end=5.0, burn_in=0.0, ensemble_size=4,
-                          base_seed=8) for model in ("reduced-xi", "full-linear")]
+        cfg = SimConfig(dt_max=0.1, t_end=5.0, burn_in=0.0, ensemble_size=4, base_seed=8)
         monkeypatch.setattr(simulate, "_BATCH_BYTES", 13_000)
         assert simulate._plan_batch((4, 6), 3, 2, None, 50, 4, 0)[:2] == (2, 16)
         self.failing_after_first_chunk(monkeypatch, FloatingPointError("overflow"),
@@ -900,7 +911,8 @@ class TestEnsembleRun:
         seeds = rf"8, {simulate.member_seed(8, 1)}"
         with pytest.raises(NumericsError, match=rf"^full-linear: trajectories 0-1 \(seeds {seeds}\) "
                                                 "failed: overflow$"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfgs)
+            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfg,
+                                ["reduced-xi", "full-linear"])
 
     def test_streamed_statistics_equal_pooled_formula(self, monkeypatch):
         for chunked in (False, True):
@@ -914,8 +926,7 @@ class TestEnsembleRun:
     @staticmethod
     def check_pooled_formula(monkeypatch, chunked):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=20.0, burn_in=5.0,
-                        ensemble_size=3, base_seed=9)
+        cfg = SimConfig(dt_max=0.01, t_end=20.0, burn_in=5.0, ensemble_size=3, base_seed=9)
         op, red = simulate.linearize_and_reduce(grid)
         # every batch's chunks as the run steps them, copied
         batches = []
@@ -928,7 +939,7 @@ class TestEnsembleRun:
                 yield k, block
 
         monkeypatch.setattr(simulate, "_linear_chunks", recorded)
-        (stats,), _ = simulate.run_models(grid, op, red, [cfg])
+        (stats,), _ = simulate.run_models(grid, op, red, cfg, ["reduced-xi"])
 
         # the same members, collected whole and pooled here
         t, n_s = make_time_grid(cfg.t_end, cfg.dt_max), red.n_slow
@@ -956,7 +967,7 @@ class TestEnsembleRun:
         # member_seed(9, i): batching changes only the rounding of the products
         for i, traj in enumerate(members):
             seed = simulate.member_seed(9, i)
-            alone = integrate(grid, op, red, cfg, ou_spec_for_grid(grid, seed))
+            alone = integrate(grid, op, red, "reduced-xi", cfg, ou_spec_for_grid(grid, seed))
             for got, want in ((traj.x, alone.x), (traj.xdot, alone.xdot)):
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
@@ -974,11 +985,10 @@ class TestEnsembleRun:
         # integrate and the ensemble run are one loop: member 0 kept by
         # run_models equals the one-member collector bit for bit
         grid = random_connected_grid(np.random.default_rng(4), 9)
-        cfg = SimConfig(model=model, dt_max=0.01, t_end=30.0, burn_in=1.0, base_seed=5,
-                        epsilon=0.3)
+        cfg = SimConfig(dt_max=0.01, t_end=30.0, burn_in=1.0, base_seed=5, epsilon=0.3)
         op, red = simulate.linearize_and_reduce(grid)
-        _, first = simulate.run_models(grid, op, red, [cfg], keep_first=True)
-        traj = integrate(grid, op, red, cfg, ou_spec_for_grid(grid, 5))
+        _, first = simulate.run_models(grid, op, red, cfg, [model], keep_first=True)
+        traj = integrate(grid, op, red, model, cfg, ou_spec_for_grid(grid, 5))
         np.testing.assert_array_equal(first.x, traj.x)
         np.testing.assert_array_equal(first.xdot, traj.xdot)
 
@@ -986,24 +996,22 @@ class TestEnsembleRun:
         # one member per batch: later batches do not overwrite member 0's record
         monkeypatch.setattr(simulate, "_BATCH_BYTES", 5000)
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfg = SimConfig(model="reduced-xi", dt_max=0.1, t_end=5.0, burn_in=1.0,
-                        ensemble_size=3, base_seed=6)
+        cfg = SimConfig(dt_max=0.1, t_end=5.0, burn_in=1.0, ensemble_size=3, base_seed=6)
         op, red = simulate.linearize_and_reduce(grid)
         assert simulate._plan_batch((4,), 3, 2, None, 50, 3, 51 * 4 * 8)[0] == 1
-        _, first = simulate.run_models(grid, op, red, [cfg], keep_first=True)
-        alone = integrate(grid, op, red, cfg, ou_spec_for_grid(grid, 6))
+        _, first = simulate.run_models(grid, op, red, cfg, ["reduced-xi"], keep_first=True)
+        alone = integrate(grid, op, red, "reduced-xi", cfg, ou_spec_for_grid(grid, 6))
         np.testing.assert_array_equal(first.x, alone.x)
         np.testing.assert_array_equal(first.xdot, alone.xdot)
 
     def test_peak_memory_of_streamed_ensemble(self):
         # the fold holds one batch's chunk buffers, never a whole record
         grid = random_connected_grid(np.random.default_rng(1), 40)
-        cfg = SimConfig(model="full-linear", dt_max=0.01, t_end=50.0, burn_in=5.0,
-                        ensemble_size=4, base_seed=2)
+        cfg = SimConfig(dt_max=0.01, t_end=50.0, burn_in=5.0, ensemble_size=4, base_seed=2)
         op, red = simulate.linearize_and_reduce(grid)
         tracemalloc.start()
         try:
-            simulate.run_models(grid, op, red, [cfg])
+            simulate.run_models(grid, op, red, cfg, ["full-linear"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1022,7 +1030,7 @@ class TestEnsembleRun:
         grid = random_connected_grid(np.random.default_rng(1), n_buses)
         peaks = []
         for t_end in t_ends:
-            cfg = SimConfig(model=model, dt_max=0.01, t_end=t_end, burn_in=1.0,
+            cfg = SimConfig(dt_max=0.01, t_end=t_end, burn_in=1.0,
                             ensemble_size=ensemble, base_seed=2)
             op, red = simulate.linearize_and_reduce(grid)
             n_steps = round(t_end / cfg.dt_max)
@@ -1032,7 +1040,7 @@ class TestEnsembleRun:
             assert rows < n_steps
             tracemalloc.start()
             try:
-                simulate.run_models(grid, op, red, [cfg])
+                simulate.run_models(grid, op, red, cfg, [model])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1040,10 +1048,10 @@ class TestEnsembleRun:
 
     def test_stderr_shrinks_with_ensemble(self):
         grid = path3_grid(sigma_slow=0.05, sigma_fast=0.02)
-        mk = lambda ens: SimConfig(model="reduced-xi", dt_max=0.01, t_end=100.0,
+        mk = lambda ens: SimConfig(dt_max=0.01, t_end=100.0,
                                    burn_in=10.0, ensemble_size=ens, base_seed=5)
-        s1 = run_model_ensemble(grid, mk(1))
-        s4 = run_model_ensemble(grid, mk(4))
+        s1 = run_model_ensemble(grid, "reduced-xi", mk(1))
+        s4 = run_model_ensemble(grid, "reduced-xi", mk(4))
         ratio = s1.stderr.mean() / s4.stderr.mean()
         assert 1.2 < ratio < 3.5  # ~2 expected from 4x the batches
 
@@ -1081,8 +1089,7 @@ class TestLockstep:
         # models allocates, over several chunks and member batches
         monkeypatch.setattr(simulate, "_BATCH_BYTES", 2**19)
         grid = random_connected_grid(np.random.default_rng(1), 40)
-        cfgs = [SimConfig(model=model, dt_max=0.01, t_end=20.0, burn_in=5.0, ensemble_size=3,
-                          base_seed=2) for model in simulate.MODELS]
+        cfg = SimConfig(dt_max=0.01, t_end=20.0, burn_in=5.0, ensemble_size=3, base_seed=2)
         op, red = simulate.linearize_and_reduce(grid)
         widths = tuple(2 * (red.n_slow if m.startswith("reduced") else 40) for m in simulate.MODELS)
         members, rows, held = simulate._plan_batch(widths, 40, red.n_slow, len(grid.lines), 2000,
@@ -1090,7 +1097,7 @@ class TestLockstep:
         assert members < 3 and rows < 2000 and rows % simulate._WINDOW_ROWS == 0
         tracemalloc.start()
         try:
-            simulate.run_models(grid, op, red, cfgs)
+            simulate.run_models(grid, op, red, cfg, list(simulate.MODELS))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1108,19 +1115,34 @@ class TestLockstep:
 
         monkeypatch.setattr(simulate, "_ou_chunks", counted)
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfgs = [SimConfig(model=model, dt_max=0.01, t_end=5.0, burn_in=1.0, ensemble_size=3,
-                          base_seed=4) for model in ("reduced-xi", "reduced-naive", "full-linear")]
-        simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfgs)
+        cfg = SimConfig(dt_max=0.01, t_end=5.0, burn_in=1.0, ensemble_size=3, base_seed=4)
+        simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfg,
+                            ["reduced-xi", "reduced-naive", "full-linear"])
         assert len(draws) > 1
         assert [s for seeds in draws for s in seeds] == [simulate.member_seed(4, i)
                                                          for i in range(3)]
 
-    def test_configurations_must_differ_in_model_only(self):
+    def test_bad_model_names_refused_before_anything_is_built(self, monkeypatch):
+        # unknown, missing or repeated names are refused by the one check,
+        # before a run is planned or a step map is built
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
-        cfgs = [SimConfig(model=model, dt_max=0.01, t_end=5.0, burn_in=1.0, base_seed=seed)
-                for model, seed in (("reduced-xi", 1), ("reduced-naive", 2))]
-        with pytest.raises(InputError, match="share every setting"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfgs)
+        setup = simulate.linearize_and_reduce(grid)
+        cfg = SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0)
+
+        def nothing_built(*args):
+            raise AssertionError("planned or built")
+
+        monkeypatch.setattr(simulate, "_plan_batch", nothing_built)
+        monkeypatch.setattr(simulate, "_linear_maps", nothing_built)
+        for models, problem in (([], "names no model"), (["reduced-xi", "bogus"], "'bogus'"),
+                                (["full-linear", "full-linear"], "names a model twice")):
+            with pytest.raises(InputError, match=problem):
+                simulate.run_models(grid, *setup, cfg, models)
+        for model in ("bogus", "", "Reduced-xi"):
+            with pytest.raises(InputError, match="unknown model"):
+                integrate(grid, *setup, model, cfg, ou_spec_for_grid(grid, 1))
+        with pytest.raises(AssertionError, match="planned or built"):
+            simulate.run_models(grid, *setup, cfg, ["reduced-xi"])
 
 
 class TestStatisticalConsistency:
@@ -1135,7 +1157,6 @@ class TestStatisticalConsistency:
         gam = gamma_matrix(red, basis)
         analytic = coi_variance(red, basis, gam).var_total
 
-        cfg = SimConfig(model="reduced-xi", dt_max=0.01, t_end=800.0, burn_in=40.0,
-                        ensemble_size=4, base_seed=3)
-        stats = run_model_ensemble(grid, cfg)
+        cfg = SimConfig(dt_max=0.01, t_end=800.0, burn_in=40.0, ensemble_size=4, base_seed=3)
+        stats = run_model_ensemble(grid, "reduced-xi", cfg)
         assert np.all(np.abs(stats.variance - analytic) < 3 * stats.stderr)

@@ -430,3 +430,29 @@ class TestModalTrajectory:
                   ["a", "b"]):
             with pytest.raises(InputError, match="uniform"):
                 modal_trajectory(red, basis, np.zeros((2, 2)), t)
+
+    def test_bad_noise_path_or_initial_state_rejected(self):
+        # the noise path over the rows the steps read, and x0/v0, must be
+        # finite numbers of their shape; each failure says what was wrong
+        grid = path3_grid()
+        _, red, basis, _ = pipeline(grid)
+        t = make_time_grid(1.0, 0.1)
+        path = np.zeros((10, 2))
+        nan_path = path.copy()
+        nan_path[9, 1] = math.nan
+        value, numbers = ", got a non-finite value$", ": could not convert"
+        for noise, problem in ((nan_path, value), ([["a", "b"]] * 10, numbers),
+                               (np.zeros((9, 2)), r", got shape \(9, 2\)$"),
+                               (np.zeros((10, 3)), r", got shape \(10, 3\)$")):
+            with pytest.raises(InputError, match=r"^noise path must be \(>= 10, 2\) finite "
+                                                 rf"numbers{problem}"):
+                modal_trajectory(red, basis, noise, t)
+        for bad, problem in (({"x0": np.zeros(3)}, r", got shape \(3,\)$"),
+                             ({"v0": [1.0]}, r", got shape \(1,\)$"),
+                             ({"x0": [math.nan, 0.0]}, value), ({"v0": [0.0, math.inf]}, value),
+                             ({"x0": ["a", "b"]}, numbers)):
+            with pytest.raises(InputError, match=rf"^{next(iter(bad))} must be 2 finite values, "
+                                                 rf"one per slow bus{problem}"):
+                modal_trajectory(red, basis, path, t, **bad)
+        unread = np.vstack([path, [[math.nan, math.nan]]])  # a row past the last step
+        np.testing.assert_array_equal(modal_trajectory(red, basis, unread, t).x, 0.0)
