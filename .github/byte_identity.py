@@ -7,10 +7,11 @@ differs.  The list covers every command and all four models, on
 tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
 (its full models also at epsilon = 0.3, where the fast buses' inertia and
 damping are scaled, and a compare of all four models at theta = 1.0,
-backward Euler), plus the three benchmark workloads at seed 3 when the
-head tree's perfbench/workloads.py can write their inputs.  Both trees
-read the same input files, the head tree's.  Manifests are left out: they
-record durations and paths.
+backward Euler), `variance` on both grids also with --order-by-naive,
+plus the three benchmark workloads at seed 3 when the head tree's
+perfbench/workloads.py can write their inputs.  Both trees read the same
+input files, the head tree's.  Manifests are left out: they record
+durations and paths.
 
 It reports and does not fail: a declared behaviour change may move
 bytes.  Usage:
@@ -41,6 +42,7 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
     for name, path in (("ieee118", ieee), ("json", grid)):
         runs[f"{name}-reduce"] = ["reduce", str(path)]
         runs[f"{name}-variance"] = ["variance", str(path)]
+        runs[f"{name}-variance-order-by-naive"] = ["variance", str(path), "--order-by-naive"]
         for model in MODELS:
             runs[f"{name}-simulate-{model}"] = ["simulate", str(path), "--model", model,
                                                 "--ensemble", "3", "--t-end", "20", "--seed", "3"]

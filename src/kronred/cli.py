@@ -153,13 +153,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
 def cmd_variance(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
     op, red = linearize_and_reduce(grid)
-    basis = eigendecompose_reduced(red.j_red)
-    gam = gamma_matrix(red, basis)
-    try:
-        report = coi_variance(red, basis, gam)
-    except HomogeneityError as e:
-        raise HomogeneityError(f"{e}\nhint: the `simulate` command has no homogeneity restriction") \
-            from e
+    report = coi_variance(red, eigendecompose_reduced(red.j_red))
 
     rows = list(zip(report.bus_ids, report.var_total.tolist(), report.var_slow.tolist(),
                     report.var_fast.tolist(), report.var_naive.tolist()))
@@ -216,10 +210,8 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
 
     # per-bus values of every column after bus_id, None where a column has none
     columns = {"var_analytic": None, "var_naive_analytic": None}
-    basis = eigendecompose_reduced(red.j_red)
-    gam = gamma_matrix(red, basis)
     try:
-        report = coi_variance(red, basis, gam)
+        report = coi_variance(red, eigendecompose_reduced(red.j_red))
         columns.update(var_analytic=report.var_total, var_naive_analytic=report.var_naive)
     except HomogeneityError:
         print("heterogeneous parameters: analytic columns omitted, comparing simulated models")
@@ -260,8 +252,8 @@ def cmd_star_demo(args) -> dict[str, Iterable[str]]:
                           m=args.m, d=args.d, tau=args.tau)
     op, red = linearize_and_reduce(grid)
     basis = eigendecompose_reduced(red.j_red)
-    gam = gamma_matrix(red, basis)
-    report = coi_variance(red, basis, gam)
+    report = coi_variance(red, basis)
+    gam = gamma_matrix(red, basis)  # for the printouts; coi_variance builds its own
 
     print(f"star with {args.n_outer} outer buses around a {args.center} center")
     print(f"slow buses: {red.n_slow}, fast buses: {red.n_fast}")

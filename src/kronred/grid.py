@@ -56,6 +56,15 @@ _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_MAX_ITER = 50
 
 
+def _finite(value) -> bool:
+    """Whether a scalar is a finite real number; False, not a TypeError,
+    for a string or None, so the caller's InputError names the field."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):  # OverflowError: an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class Bus:
     """One bus: dynamic parameters, injection and local noise spec.
@@ -80,7 +89,7 @@ class Bus:
             raise InputError(f"bus {self.id}: class must be 'slow' or 'fast', got {self.speed_class!r}")
         for name in ("m", "d", "p", "sigma", "tau", "v"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not _finite(value):
                 raise InputError(f"bus {self.id}: {name} must be finite, got {value}")
         if not self.m > 0:
             raise InputError(f"bus {self.id}: inertia m must be > 0, got {self.m}")
@@ -107,7 +116,7 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise InputError(f"line {self.from_bus}-{self.to_bus}: self-loop not allowed")
-        if not (self.b > 0 and math.isfinite(self.b)):
+        if not (_finite(self.b) and self.b > 0):
             raise InputError(
                 f"line {self.from_bus}-{self.to_bus}: susceptance must be finite and > 0, got {self.b}")
 
@@ -614,7 +623,7 @@ def build_jacobian(grid: Grid, op_point: OperatingPoint) -> np.ndarray:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon <= 1.0:
+    if not (_finite(epsilon) and 0.0 < epsilon <= 1.0):
         raise InputError(
             f"epsilon must be in (0, 1], got {epsilon}; use the reduced model for the epsilon -> 0 limit")
 

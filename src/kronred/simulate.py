@@ -43,8 +43,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InputError, NumericsError
-from .grid import (Grid, OperatingPoint, _angle_jacobian, _check_epsilon, _ordered_entries,
-                   _scatter, linearize, solve_fixed_point)
+from .grid import (Grid, OperatingPoint, _angle_jacobian, _check_epsilon, _finite,
+                   _ordered_entries, _scatter, linearize, solve_fixed_point)
 from .reduction import ReducedSystem, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
@@ -166,7 +166,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("t_end", "dt_max", "burn_in"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt_max > 0:
             raise InputError(f"dt_max must be > 0, got {self.dt_max}")

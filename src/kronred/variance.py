@@ -6,7 +6,10 @@ lambda_2 >= ...).  The center-of-inertia (COI) variance of the
 frequency deviations then splits, mode pair by mode pair, into a
 slow-noise and a fast-noise contribution weighted by a scalar kernel
 that depends only on the two eigenvalues, the noise correlation time
-tau, the damping rate gamma = d/m and the inertia m.
+tau, the damping rate gamma = d/m and the inertia m.  The fast-noise
+amplitudes are the modal coupling Gamma = U^T K diag(sigma_F^2) K^T U
+of the reduction's noise map K, so ``coi_variance(red, basis)`` needs
+nothing beyond the reduction and its modes: it builds Gamma itself.
 
 Two kernels are exposed:
 
@@ -224,35 +227,33 @@ def _homogeneous(values: np.ndarray, label: str) -> float:
     if not np.allclose(values, values[0], rtol=1e-9, atol=0.0):
         raise HomogeneityError(
             f"analytic formula requires homogeneous parameters; use simulation "
-            f"(heterogeneous {label}: min {values.min():.6g}, max {values.max():.6g})")
+            f"(heterogeneous {label}: min {values.min():.6g}, max {values.max():.6g}): "
+            "the `simulate` command has no homogeneity restriction")
     return float(values[0])
 
 
-def coi_variance(red: ReducedSystem, basis: ModalBasis, gamma_mat: np.ndarray) -> VarianceReport:
+def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     """Closed-form per-bus COI frequency variance.
 
-    Requires homogeneous inertia and damping over the slow buses and
-    homogeneous noise correlation time within each class.  The mode
-    sums run over modes 2..N_S: the uniform mode is the COI direction
-    and drops out by definition.
+    The fast-bus noise enters through its modal coupling Gamma
+    (``gamma_matrix``), built first, so an overflowing Gamma is an
+    InputError whatever the parameters.  Then the formula requires
+    homogeneous inertia and damping over the slow buses and homogeneous
+    noise correlation time within each class.  The mode sums run over
+    modes 2..N_S: the uniform mode is the COI direction and drops out by
+    definition, so a single slow bus has variance exactly 0, with no
+    kernel evaluated.
     """
+    gamma_mat = gamma_matrix(red, basis)
     m = _homogeneous(red.m_slow, "inertia m")
     d = _homogeneous(red.d_slow, "damping d")
     tau_s = _homogeneous(red.tau_slow, "tau (slow class)")
     tau_f = _homogeneous(red.tau_fast, "tau (fast class)") if red.n_fast else None
     gamma = d / m
 
-    n_s = red.n_slow
-    if basis.n_modes != n_s:
-        raise InputError(f"basis has {basis.n_modes} modes for {n_s} slow buses")
-    gamma_mat = np.asarray(gamma_mat, dtype=float)
-    if gamma_mat.shape != (n_s, n_s):
-        raise InputError(f"gamma matrix shape {gamma_mat.shape}, expected ({n_s}, {n_s})")
-
-    if n_s == 1:
-        zero = np.zeros(1)
-        return VarianceReport(bus_ids=red.slow_ids, var_total=zero.copy(),
-                              var_slow=zero.copy(), var_fast=zero.copy())
+    if red.n_slow == 1:
+        # exactly 0 for any parameters, also where the kernels overflow (tau = 1e200)
+        return VarianceReport(red.slow_ids, np.zeros(1), np.zeros(1), np.zeros(1))
 
     lam = basis.lambdas[1:]
     u_perp = basis.modes[:, 1:]
@@ -264,12 +265,11 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis, gamma_mat: np.ndarray) -
         slow_amp = (u_perp * red.sigma_slow[:, None]**2).T @ u_perp
         var_slow = ((u_perp @ (slow_amp * kern_s)) * u_perp).sum(1)
 
-        if red.n_fast and tau_f is not None:
+        if red.n_fast:
             kern_f = frequency_variance_kernel(lam[:, None], lam[None, :], tau_f, gamma, m)
-            fast_amp = gamma_mat[1:, 1:]
-            var_fast = ((u_perp @ (fast_amp * kern_f)) * u_perp).sum(1)
+            var_fast = ((u_perp @ (gamma_mat[1:, 1:] * kern_f)) * u_perp).sum(1)
         else:
-            var_fast = np.zeros(n_s)
+            var_fast = np.zeros(red.n_slow)
         var_total = var_slow + var_fast
     if not np.all(np.isfinite(var_total)):
         raise InputError("COI variance overflows: bus sigmas too large")

@@ -1,11 +1,12 @@
-"""Shared grid builders for the test suite."""
+"""Shared grid builders and the dense reference linearization for the test suite."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kronred.grid import FAST, SLOW, Bus, Grid, Line
+from kronred.grid import (FAST, SLOW, Bus, Grid, Line, assemble_linearized, build_jacobian,
+                          solve_fixed_point)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -91,6 +92,13 @@ def dense_coupling(grid):
         i, j = idx[ln.from_bus], idx[ln.to_bus]
         b[i, j] = b[j, i] = ln.b * vmag[i] * vmag[j]
     return b
+
+
+def dense_reference(grid):
+    """The operating point and the linearization sliced from the dense
+    Jacobian: the reference the pipeline's own blocks are checked against."""
+    op = solve_fixed_point(grid)
+    return op, assemble_linearized(grid, build_jacobian(grid, op), 1.0)
 
 
 @pytest.fixture

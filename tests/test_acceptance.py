@@ -12,10 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, make_grid, random_connected_grid
+from conftest import DATA_DIR, dense_reference, make_grid, random_connected_grid
 from kronred.cli import main as cli_main
-from kronred.grid import (FAST, SLOW, assemble_linearized, build_jacobian,
-                          solve_fixed_point)
+from kronred.grid import FAST, SLOW
 from kronred.reduction import make_star_grid, reduce_grid
 from kronred.simulate import (OUSpec, SimConfig, integrate, linearize_and_reduce,
                               make_time_grid, ou_sample_path, run_model_ensemble)
@@ -29,13 +28,10 @@ def report(criterion: str, ok: bool, detail: str, started: float) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def analyze(grid, epsilon=1.0):
-    op = solve_fixed_point(grid)
-    sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
-    red = reduce_grid(grid, sys)
-    basis = eigendecompose_reduced(red.j_red)
-    gam = gamma_matrix(red, basis)
-    return sys, red, basis, gam
+def analyze(grid):
+    """The reduction of the dense reference linearization and its modes."""
+    red = reduce_grid(grid, dense_reference(grid)[1])
+    return red, eigendecompose_reduced(red.j_red)
 
 
 def homogeneous_5_5_grid():
@@ -69,9 +65,7 @@ def test_criterion_1_laplacian_preservation():
     for _ in range(100):
         n = int(rng.integers(2, 31))
         grid = random_connected_grid(rng, n, homogeneous=True)
-        sys = assemble_linearized(
-            grid, build_jacobian(grid, solve_fixed_point(grid)), 1.0)
-        j_red = reduce_grid(grid, sys).j_red
+        j_red = reduce_grid(grid, dense_reference(grid)[1]).j_red
         worst_row = max(worst_row, float(np.abs(j_red.sum(axis=1)).max()))
         worst_sym = max(worst_sym, float(np.abs(j_red - j_red.T).max()))
         eigs = np.sort(np.linalg.eigvalsh(j_red))[::-1]
@@ -90,11 +84,11 @@ def test_criterion_2_star_closed_forms():
     ok = True
     details = []
     for n_f in (4, 8, 16):
-        _, _, _, gam = analyze(make_star_grid(n_f, center_class=SLOW, sigma=sigma))
+        gam = gamma_matrix(*analyze(make_star_grid(n_f, center_class=SLOW, sigma=sigma)))
         rel = abs(gam[0, 0] - sigma**2 * n_f) / (sigma**2 * n_f)
         details.append(f"N_F={n_f}: rel {rel:.1e}")
         ok &= rel < 1e-12
-    _, _, _, gam = analyze(make_star_grid(8, center_class=FAST, sigma=sigma))
+    gam = gamma_matrix(*analyze(make_star_grid(8, center_class=FAST, sigma=sigma)))
     off = float(np.abs(gam[1:, 1:]).max())
     details.append(f"load-center max |Gamma| {off:.1e}")
     ok &= off < 1e-10
@@ -107,7 +101,7 @@ def test_criterion_3_xi_covariance():
     grid = make_grid(
         [(1, SLOW, 0.0, 1.0), (2, FAST, 0.0, 1.0), (3, SLOW, 0.0, 1.0)],
         [(1, 2, 1.0), (2, 3, 1.0)])
-    _, red, _, _ = analyze(grid)
+    red, _ = analyze(grid)
     n_samples = 100_000
     spec = OUSpec(sigma=np.concatenate([red.sigma_slow, red.sigma_fast]),
                   tau=np.concatenate([red.tau_slow, red.tau_fast]), seed=303)
@@ -153,8 +147,8 @@ def test_criterion_5_analytic_vs_oracle():
             rng, n_s + n_f, n_slow=n_s, homogeneous=True,
             sigma_range=(0.002, 0.02),
             tau_slow=float(rng.choice(taus)), tau_fast=float(rng.choice(taus)))
-        _, red, basis, gam = analyze(grid)
-        analytic = coi_variance(red, basis, gam).var_total
+        red, basis = analyze(grid)
+        analytic = coi_variance(red, basis).var_total
         oracle = lyapunov_oracle_variance(red)
         scale = oracle.max()
         worst = max(worst, float(np.abs(analytic - oracle).max() / scale))
@@ -167,8 +161,7 @@ def test_criterion_6_simulation_vs_analytics():
     started = time.time()
     grid = homogeneous_5_5_grid()
     assert len(grid.slow_ids) == 5 and len(grid.fast_ids) == 5
-    _, red, basis, gam = analyze(grid)
-    analytic = coi_variance(red, basis, gam).var_total
+    analytic = coi_variance(*analyze(grid)).var_total
     cfg = SimConfig(dt_max=0.01, t_end=2000.0, burn_in=60.0, ensemble_size=10, base_seed=606)
     stats = run_model_ensemble(grid, "reduced-xi", cfg)
     rel = np.abs(stats.variance - analytic) / analytic
@@ -198,8 +191,7 @@ def test_criterion_8_naive_model_failure():
     started = time.time()
     # (b)-type: star of loads hanging off one bus of a slow ring
     grid = embedded_star_of_loads()
-    _, red, basis, gam = analyze(grid)
-    design = coi_variance(red, basis, gam)
+    design = coi_variance(*analyze(grid))
     assert design.var_total[0] / design.var_naive[0] > 2.0  # analytic design check
     sim = {}
     for model in ("reduced-xi", "reduced-naive", "full-nonlinear"):

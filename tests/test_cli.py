@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -307,17 +308,22 @@ class TestVariance:
     @pytest.mark.parametrize("command", ["variance", "compare"])
     def test_gamma_overflow_is_input_error(self, tmp_path, capsys, command):
         # 8 loads, each tied to all 4 generators: K = 1/4, so sigma_xi holds
-        # 8 sigma^2 / 16 but the uniform mode of Gamma 8 sigma^2 / 4 > max float
+        # 8 sigma^2 / 16 but the uniform mode of Gamma 8 sigma^2 / 4 > max float.
+        # Gamma is built before the homogeneity checks, so with one slow
+        # bus's m changed it is still an input error, not the fallback to
+        # simulation
         sigma = 1.26e154
         grid = make_grid([(i, SLOW, 0.0, 0.0) for i in range(1, 5)]
                          + [(i, FAST, 0.0, sigma) for i in range(5, 13)],
                          [(s, f, 1.0) for f in range(5, 13) for s in range(1, 5)])
-        path = write_grid(tmp_path, serialize_grid_json(grid))
-        assert main([command, path, "--t-end", "1", "--out-dir", str(tmp_path)]
-                    if command == "compare" else [command, path, "--out-dir", str(tmp_path)]) == 2
-        captured = capsys.readouterr()
-        assert "Gamma overflows" in captured.err
-        assert "hint" not in captured.err and "heterogeneous" not in captured.out
+        hetero = replace(grid, buses=(replace(grid.buses[0], m=0.3), *grid.buses[1:]))
+        for case in (grid, hetero):
+            path = write_grid(tmp_path, serialize_grid_json(case))
+            assert main([command, path, "--t-end", "1", "--out-dir", str(tmp_path)]
+                        if command == "compare" else [command, path, "--out-dir", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert "Gamma overflows" in captured.err
+            assert "hint" not in captured.err and "heterogeneous" not in captured.out
 
     def test_order_by_naive(self, tmp_path):
         grid = homogeneous_grid_file(tmp_path)

@@ -11,9 +11,11 @@ import pytest
 import kronred.grid as grid_module
 from conftest import dense_coupling, make_grid, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
-from kronred.grid import (Bus, ClassDefaults, FAST, SLOW, OperatingPoint, assemble_linearized,
-                          build_jacobian, linearize, parse_grid_json, parse_matpower_case,
-                          serialize_grid_json, solve_fixed_point, with_sigma)
+from kronred.grid import (Bus, ClassDefaults, FAST, SLOW, Line, OperatingPoint,
+                          assemble_linearized, build_jacobian, linearize, parse_grid_json,
+                          parse_matpower_case, serialize_grid_json, solve_fixed_point,
+                          with_sigma)
+from kronred.reduction import make_star_grid
 
 TWO_BUS_JSON = """{
   "buses": [
@@ -75,6 +77,11 @@ class TestParseGridJson:
     def test_nan_sigma_bus_rejected(self):
         with pytest.raises(InputError, match="sigma must be finite"):
             Bus(id=1, speed_class=SLOW, m=0.2, d=0.05, p=0.0, sigma=math.nan, tau=0.1)
+        # a value that is no number is refused by the same check, naming its field
+        with pytest.raises(InputError, match="bus 1: m must be finite, got a"):
+            Bus(id=1, speed_class=SLOW, m="a", d=0.05, p=0.0, sigma=0.01, tau=0.1)
+        with pytest.raises(InputError, match="bus 1: sigma must be finite, got None"):
+            make_star_grid(3, SLOW, sigma=None)
 
     def test_non_finite_susceptance_rejected(self):
         for value in (math.nan, math.inf):
@@ -82,6 +89,8 @@ class TestParseGridJson:
             doc["lines"][0]["B"] = value
             with pytest.raises(InputError, match="susceptance must be finite"):
                 parse_grid_json(json.dumps(doc))
+        with pytest.raises(InputError, match="line 1-2: susceptance must be finite"):
+            Line(from_bus=1, to_bus=2, b="a")
 
     def test_non_numeric_susceptance_rejected(self):
         for value in ("abc", None, True):

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import random_connected_grid
-from kronred.grid import (Grid, assemble_linearized, build_jacobian, linearize,
-                          solve_fixed_point, with_sigma)
+from conftest import dense_reference, random_connected_grid
+from kronred.grid import Grid, assemble_linearized, build_jacobian, linearize, with_sigma
 from kronred.reduction import factor_fast_block, reduce_grid
 from kronred import simulate
 from kronred.simulate import linearize_and_reduce
-from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix
+from kronred.variance import coi_variance, eigendecompose_reduced
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -34,10 +33,8 @@ def grids(draw, max_buses=16):
 
 
 def analyze(grid):
-    sys = assemble_linearized(grid, build_jacobian(grid, solve_fixed_point(grid)), 1.0)
-    red = reduce_grid(grid, sys)
-    basis = eigendecompose_reduced(red.j_red)
-    return red, coi_variance(red, basis, gamma_matrix(red, basis))
+    red = reduce_grid(grid, dense_reference(grid)[1])
+    return red, coi_variance(red, eigendecompose_reduced(red.j_red))
 
 
 @PROPERTY_SETTINGS

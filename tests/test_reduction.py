@@ -9,18 +9,16 @@ import pytest
 import kronred.grid
 import kronred.reduction
 import kronred.simulate
-from conftest import path3_grid, random_connected_grid, two_bus_grid
+from conftest import dense_reference, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
-from kronred.grid import FAST, SLOW, LinearizedSystem, assemble_linearized, \
-    build_jacobian, solve_fixed_point
+from kronred.grid import FAST, SLOW, LinearizedSystem, build_jacobian, solve_fixed_point
 from kronred.reduction import (factor_fast_block, make_star_grid, reduce_grid,
                                reduced_system_from_dict, reduced_system_to_dict)
 from kronred.simulate import OUSpec, linearize_and_reduce, make_time_grid, ou_sample_path
 
 
 def linearize(grid):
-    op = solve_fixed_point(grid)
-    return assemble_linearized(grid, build_jacobian(grid, op), 1.0)
+    return dense_reference(grid)[1]
 
 
 def reduce_pipeline(grid):

@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 import kronred.simulate as simulate
-from conftest import dense_coupling, make_grid, path3_grid, random_connected_grid, two_bus_grid
+from conftest import (dense_coupling, dense_reference, path3_grid, random_connected_grid,
+                      two_bus_grid)
 from kronred.errors import InputError, NumericsError
-from kronred.grid import (SLOW, FAST, ClassDefaults, assemble_linearized, build_jacobian,
-                          parse_matpower_case, solve_fixed_point, with_sigma)
+from kronred.grid import ClassDefaults, parse_matpower_case, solve_fixed_point, with_sigma
 from kronred.reduction import reduce_grid
 from kronred.simulate import (OUSpec, SimConfig, Trajectory, default_dt_max, integrate,
                               make_time_grid, ou_sample_path, ou_spec_for_grid,
                               run_model_ensemble)
-from kronred.variance import coi_variance, eigendecompose_reduced, gamma_matrix, \
-    modal_trajectory
+from kronred.variance import coi_variance, eigendecompose_reduced, modal_trajectory
 
 
 def fold_whole(trajs, burn_in):
@@ -30,13 +29,6 @@ def fold_whole(trajs, burn_in):
         fold.add(0, traj.xdot[:, None])
         fold.end()
     return fold.stats(tuple(range(n_slow)))
-
-
-def dense_reference(grid):
-    """The operating point and the linearization sliced from the dense
-    Jacobian: the reference the simulator's own blocks are checked against."""
-    op = solve_fixed_point(grid)
-    return op, assemble_linearized(grid, build_jacobian(grid, op), 1.0)
 
 
 def scaled_masses(grid, epsilon):
@@ -218,12 +210,13 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("field", ["t_end", "dt_max", "burn_in"])
     def test_sim_config_rejects_non_finite(self, field):
-        kwargs = dict(dt_max=0.01, t_end=10.0, burn_in=1.0)
-        kwargs[field] = math.inf
-        with pytest.raises(InputError, match=f"{field} must be finite"):
-            SimConfig(**kwargs)
+        for value in (math.inf, "a", None):  # no number at all is no finite one either
+            kwargs = dict(dt_max=0.01, t_end=10.0, burn_in=1.0)
+            kwargs[field] = value
+            with pytest.raises(InputError, match=f"{field} must be finite"):
+                SimConfig(**kwargs)
 
-    @pytest.mark.parametrize("epsilon", [0.0, 1.5, math.nan])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.5, math.nan, "a"])
     def test_sim_config_rejects_epsilon_outside_unit_interval(self, epsilon):
         with pytest.raises(InputError, match=r"epsilon must be in \(0, 1\]"):
             SimConfig(dt_max=0.01, t_end=1.0, burn_in=0.0, epsilon=epsilon)
@@ -1150,12 +1143,8 @@ class TestStatisticalConsistency:
         rng = np.random.default_rng(40)
         grid = random_connected_grid(rng, 8, homogeneous=True,
                                      sigma_range=(0.005, 0.02))
-        op = solve_fixed_point(grid)
-        sys = assemble_linearized(grid, build_jacobian(grid, op), 1.0)
-        red = reduce_grid(grid, sys)
-        basis = eigendecompose_reduced(red.j_red)
-        gam = gamma_matrix(red, basis)
-        analytic = coi_variance(red, basis, gam).var_total
+        _, red = reduced_of(grid)
+        analytic = coi_variance(red, eigendecompose_reduced(red.j_red)).var_total
 
         cfg = SimConfig(dt_max=0.01, t_end=800.0, burn_in=40.0, ensemble_size=4, base_seed=3)
         stats = run_model_ensemble(grid, "reduced-xi", cfg)

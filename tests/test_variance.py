@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from conftest import make_grid, path3_grid, random_connected_grid
+from conftest import dense_reference, make_grid, path3_grid, random_connected_grid
 from kronred.cli import main
 from kronred.errors import InputError, NumericsError
-from kronred.grid import (FAST, SLOW, ClassDefaults, assemble_linearized, build_jacobian,
-                          parse_matpower_case, serialize_grid_json, solve_fixed_point,
+from kronred.grid import (FAST, SLOW, ClassDefaults, parse_matpower_case, serialize_grid_json,
                           with_sigma)
 from kronred.reduction import ReducedSystem, make_star_grid, reduce_grid
 from kronred.simulate import make_time_grid
@@ -20,13 +19,11 @@ from kronred.variance import (ModalBasis, coi_variance, eigendecompose_reduced,
                               lyapunov_oracle_variance, modal_trajectory)
 
 
-def pipeline(grid, epsilon=1.0):
-    op = solve_fixed_point(grid)
-    sys = assemble_linearized(grid, build_jacobian(grid, op), epsilon)
+def pipeline(grid):
+    """The dense reference linearization, its reduction and modes."""
+    _, sys = dense_reference(grid)
     red = reduce_grid(grid, sys)
-    basis = eigendecompose_reduced(red.j_red)
-    gam = gamma_matrix(red, basis)
-    return sys, red, basis, gam
+    return sys, red, eigendecompose_reduced(red.j_red)
 
 
 class TestEigendecompose:
@@ -51,7 +48,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(23)
         for _ in range(10):
             grid = random_connected_grid(rng, int(rng.integers(3, 20)), homogeneous=True)
-            _, red, basis, _ = pipeline(grid)
+            _, red, basis = pipeline(grid)
             n = red.n_slow
             np.testing.assert_array_equal(basis.modes[:, 0], np.full(n, 1.0 / math.sqrt(n)))
             assert basis.lambdas[0] == 0.0
@@ -78,25 +75,29 @@ class TestGammaMatrix:
         sigma = 0.01
         for n_f in (4, 8, 16):
             grid = make_star_grid(n_f, center_class=SLOW, sigma=sigma)
-            _, red, basis, gam = pipeline(grid)
+            _, red, basis = pipeline(grid)
+            gam = gamma_matrix(red, basis)
             assert gam.shape == (1, 1)
             assert gam[0, 0] == pytest.approx(sigma**2 * n_f, rel=1e-12)
 
     def test_load_center_vanishes_off_uniform(self):
         grid = make_star_grid(8, center_class=FAST, sigma=0.01)
-        _, red, basis, gam = pipeline(grid)
+        _, red, basis = pipeline(grid)
+        gam = gamma_matrix(red, basis)
         assert np.abs(gam[1:, 1:]).max() < 1e-10
 
     def test_zero_fast_noise(self):
         grid = path3_grid(sigma_slow=0.5, sigma_fast=0.0)
-        _, red, basis, gam = pipeline(grid)
+        _, red, basis = pipeline(grid)
+        gam = gamma_matrix(red, basis)
         np.testing.assert_array_equal(gam, np.zeros((2, 2)))
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             grid = random_connected_grid(rng, int(rng.integers(3, 16)), homogeneous=True)
-            _, red, basis, gam = pipeline(grid)
+            _, red, basis = pipeline(grid)
+            gam = gamma_matrix(red, basis)
             assert np.abs(gam - gam.T).max() < 1e-14
             assert np.linalg.eigvalsh(gam).min() > -1e-12
 
@@ -110,20 +111,21 @@ class TestGammaMatrix:
         ieee = parse_matpower_case(ieee118_text, slow, fast, rebalance=True)
         grids.append(with_sigma(ieee, rng.uniform(0.0, 0.01, ieee.n_buses)))
         for grid in grids:
-            sys, red, basis, gam = pipeline(grid)
+            sys, red, basis = pipeline(grid)
+            gam = gamma_matrix(red, basis)
             w = np.linalg.solve(-sys.j_ff, sys.j_fs @ basis.modes)
             ref = (w * red.sigma_fast[:, None]**2).T @ w
             assert np.abs(gam - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_overflowing_fast_noise_is_input_error(self):
         # each sigma^2 is finite, the modal sum over fast buses is not
-        _, red, basis, _ = pipeline(path3_grid())
+        _, red, basis = pipeline(path3_grid())
         big = replace(red, noise_gain=4.0 * red.noise_gain, sigma_fast=np.full(1, 1.2e154))
         with pytest.raises(InputError, match="Gamma overflows"):
             gamma_matrix(big, basis)
 
     def test_inconsistent_reduced_system_rejected(self):
-        _, red, basis, _ = pipeline(path3_grid())
+        _, red, basis = pipeline(path3_grid())
         with pytest.raises(InputError, match="noise-map columns"):
             gamma_matrix(replace(red, sigma_fast=np.ones(2)), basis)
         with pytest.raises(InputError, match="modes for 2 slow buses"):
@@ -142,8 +144,8 @@ class TestGammaMatrix:
                 monkeypatch.setattr(module, "factor_fast_block", counted)
         rng = np.random.default_rng(38)
         grid = random_connected_grid(rng, 12, n_slow=5, homogeneous=True)
-        sys, red, basis, gam = pipeline(grid)
-        coi_variance(red, basis, gam)
+        _, red, basis = pipeline(grid)
+        coi_variance(red, basis)
         assert calls == ["kronred.reduction"]
 
 
@@ -238,22 +240,22 @@ class TestFrequencyVarianceKernel:
 class TestCoiVariance:
     def test_all_zero_noise(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=0.0)
-        _, red, basis, gam = pipeline(grid)
-        report = coi_variance(red, basis, gam)
+        _, red, basis = pipeline(grid)
+        report = coi_variance(red, basis)
         np.testing.assert_array_equal(report.var_total, 0.0)
 
     def test_slow_only_two_bus_matches_oracle(self):
         grid = make_grid([(1, SLOW, 0.0, 0.02), (2, SLOW, 0.0, 0.02)], [(1, 2, 1.0)])
-        _, red, basis, gam = pipeline(grid)
-        report = coi_variance(red, basis, gam)
+        _, red, basis = pipeline(grid)
+        report = coi_variance(red, basis)
         oracle = lyapunov_oracle_variance(red)
         np.testing.assert_allclose(report.var_total, oracle, rtol=1e-6)
         np.testing.assert_array_equal(report.var_fast, 0.0)
 
     def test_path_symmetric_buses_match(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=1.0)
-        _, red, basis, gam = pipeline(grid)
-        report = coi_variance(red, basis, gam)
+        _, red, basis = pipeline(grid)
+        report = coi_variance(red, basis)
         assert report.var_total[0] == pytest.approx(report.var_total[1], abs=1e-15)
         oracle = lyapunov_oracle_variance(red)
         np.testing.assert_allclose(report.var_total, oracle, atol=1e-12)
@@ -261,8 +263,8 @@ class TestCoiVariance:
     def test_additivity_split(self):
         rng = np.random.default_rng(15)
         grid = random_connected_grid(rng, 8, homogeneous=True, sigma_range=(0.005, 0.02))
-        _, red, basis, gam = pipeline(grid)
-        report = coi_variance(red, basis, gam)
+        _, red, basis = pipeline(grid)
+        report = coi_variance(red, basis)
         np.testing.assert_allclose(report.var_total, report.var_slow + report.var_fast,
                                    rtol=1e-12)
         assert np.all(report.var_total >= 0)
@@ -272,10 +274,10 @@ class TestCoiVariance:
         grid = random_connected_grid(rng, 7, homogeneous=True, sigma_range=(0.005, 0.02))
         from kronred.grid import with_sigma
         scaled = with_sigma(grid, 3.0 * grid.param_vector("sigma"))
-        _, red1, basis1, gam1 = pipeline(grid)
-        _, red2, basis2, gam2 = pipeline(scaled)
-        r1 = coi_variance(red1, basis1, gam1)
-        r2 = coi_variance(red2, basis2, gam2)
+        _, red1, basis1 = pipeline(grid)
+        _, red2, basis2 = pipeline(scaled)
+        r1 = coi_variance(red1, basis1)
+        r2 = coi_variance(red2, basis2)
         np.testing.assert_allclose(r2.var_total, 9.0 * r1.var_total, rtol=1e-10)
 
     def test_permutation_equivariance(self):
@@ -284,13 +286,28 @@ class TestCoiVariance:
         perm_buses = tuple(grid.buses[k] for k in rng.permutation(grid.n_buses))
         from kronred.grid import Grid
         permuted = Grid(buses=perm_buses, lines=grid.lines)
-        _, red1, basis1, gam1 = pipeline(grid)
-        _, red2, basis2, gam2 = pipeline(permuted)
-        by_id1 = dict(zip(red1.slow_ids, coi_variance(red1, basis1, gam1).var_total))
-        by_id2 = dict(zip(red2.slow_ids, coi_variance(red2, basis2, gam2).var_total))
+        _, red1, basis1 = pipeline(grid)
+        _, red2, basis2 = pipeline(permuted)
+        by_id1 = dict(zip(red1.slow_ids, coi_variance(red1, basis1).var_total))
+        by_id2 = dict(zip(red2.slow_ids, coi_variance(red2, basis2).var_total))
         assert set(by_id1) == set(by_id2)
         for bid in by_id1:
             assert by_id1[bid] == pytest.approx(by_id2[bid], rel=1e-9)
+
+    def test_single_slow_bus_is_exactly_zero(self, tmp_path):
+        # one slow bus has only the uniform mode, which the COI drops: exactly
+        # 0, also where the kernels would overflow (tau^2, gamma^2 > max float)
+        for star in ({}, {"tau": 1e200}, {"d": 1e300}):
+            _, red, basis = pipeline(make_star_grid(8, center_class=SLOW, **star))
+            report = coi_variance(red, basis)
+            for var in (report.var_total, report.var_slow, report.var_fast):
+                assert var.tolist() == [0.0]
+            np.testing.assert_array_equal(report.var_total, lyapunov_oracle_variance(red))
+        grid = make_star_grid(8, center_class=SLOW)
+        path = tmp_path / "star.json"
+        path.write_text(serialize_grid_json(grid))
+        assert main(["variance", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "variance.csv").read_text().splitlines()[1:] == ["1,0.0,0.0,0.0,0.0"]
 
     def test_heterogeneous_parameters_rejected(self):
         grid = make_grid([(1, SLOW, 0.0), (2, SLOW, 0.0), (3, FAST, 0.0)],
@@ -299,9 +316,9 @@ class TestCoiVariance:
         buses = (replace(grid.buses[0], m=0.3),) + grid.buses[1:]
         from kronred.grid import Grid
         hetero = Grid(buses=buses, lines=grid.lines)
-        _, red, basis, gam = pipeline(hetero)
+        _, red, basis = pipeline(hetero)
         with pytest.raises(InputError, match="use simulation"):
-            coi_variance(red, basis, gam)
+            coi_variance(red, basis)
 
     def test_matches_oracle_on_random_systems(self):
         rng = np.random.default_rng(19)
@@ -309,8 +326,8 @@ class TestCoiVariance:
             grid = random_connected_grid(rng, int(rng.integers(4, 12)),
                                          homogeneous=True, sigma_range=(0.002, 0.02),
                                          tau_slow=0.1, tau_fast=0.05)
-            _, red, basis, gam = pipeline(grid)
-            report = coi_variance(red, basis, gam)
+            _, red, basis = pipeline(grid)
+            report = coi_variance(red, basis)
             oracle = lyapunov_oracle_variance(red)
             np.testing.assert_allclose(report.var_total, oracle, rtol=1e-6)
 
@@ -319,8 +336,9 @@ class TestCoiVariance:
         for n in (5, 40, 200):
             grid = random_connected_grid(rng, n, homogeneous=True, sigma_range=(0.002, 0.02),
                                          tau_slow=0.1, tau_fast=0.05)
-            _, red, basis, gam = pipeline(grid)
-            report = coi_variance(red, basis, gam)
+            _, red, basis = pipeline(grid)
+            gam = gamma_matrix(red, basis)
+            report = coi_variance(red, basis)
             lam, u = basis.lambdas[1:], basis.modes[:, 1:]
             m = red.m_slow[0]
             kern_s, kern_f = (frequency_variance_kernel(lam[:, None], lam[None, :], tau,
@@ -348,16 +366,14 @@ class TestCoiVariance:
 class TestLyapunovOracle:
     def test_zero_noise(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=0.0)
-        _, red, _, _ = pipeline(grid)
+        _, red, _ = pipeline(grid)
         np.testing.assert_allclose(lyapunov_oracle_variance(red), 0.0, atol=1e-18)
 
     def test_heterogeneous_parameters_accepted(self):
         rng = np.random.default_rng(20)
         grid = random_connected_grid(rng, 9, homogeneous=False, sigma_range=(0.005, 0.02),
                                      tau_slow=0.1, tau_fast=0.04)
-        op = solve_fixed_point(grid)
-        sys = assemble_linearized(grid, build_jacobian(grid, op), 1.0)
-        red = reduce_grid(grid, sys)
+        _, red, _ = pipeline(grid)
         var = lyapunov_oracle_variance(red)
         assert var.shape == (red.n_slow,)
         assert np.all(var >= 0)
@@ -367,7 +383,7 @@ class TestLyapunovOracle:
         from dataclasses import replace
         from kronred.grid import Grid
         buses = (replace(grid.buses[0], tau=0.3),) + grid.buses[1:]
-        _, red, _, _ = pipeline(Grid(buses=buses, lines=grid.lines))
+        _, red, _ = pipeline(Grid(buses=buses, lines=grid.lines))
         assert np.all(lyapunov_oracle_variance(red) >= 0)
 
     def test_unstable_system_rejected(self):
@@ -384,7 +400,7 @@ class TestLyapunovOracle:
 class TestModalTrajectory:
     def test_zero_noise_zero_state(self):
         grid = path3_grid()
-        _, red, basis, _ = pipeline(grid)
+        _, red, basis = pipeline(grid)
         t = make_time_grid(5.0, 0.01)
         traj = modal_trajectory(red, basis, np.zeros((len(t) - 1, 2)), t)
         np.testing.assert_array_equal(traj.x, 0.0)
@@ -392,7 +408,7 @@ class TestModalTrajectory:
 
     def test_underdamped_envelope_decays_at_half_gamma(self):
         grid = path3_grid()
-        _, red, basis, _ = pipeline(grid)
+        _, red, basis = pipeline(grid)
         m, d = red.m_slow[0], red.d_slow[0]
         gamma = d / m
         lam = basis.lambdas[1]
@@ -408,7 +424,7 @@ class TestModalTrajectory:
 
     def test_matches_ode_solver_for_constant_forcing(self):
         grid = path3_grid()
-        _, red, basis, _ = pipeline(grid)
+        _, red, basis = pipeline(grid)
         m, d = red.m_slow[0], red.d_slow[0]
         t = make_time_grid(4.0, 0.05)
         force = np.tile([0.03, -0.05], (len(t) - 1, 1))
@@ -425,7 +441,7 @@ class TestModalTrajectory:
 
     def test_nonuniform_grid_rejected(self):
         grid = path3_grid()
-        _, red, basis, _ = pipeline(grid)
+        _, red, basis = pipeline(grid)
         for t in ([0.0, 0.1, 0.3], [0.0, math.inf], [0.0, math.nan], [math.inf, math.inf],
                   ["a", "b"]):
             with pytest.raises(InputError, match="uniform"):
@@ -435,7 +451,7 @@ class TestModalTrajectory:
         # the noise path over the rows the steps read, and x0/v0, must be
         # finite numbers of their shape; each failure says what was wrong
         grid = path3_grid()
-        _, red, basis, _ = pipeline(grid)
+        _, red, basis = pipeline(grid)
         t = make_time_grid(1.0, 0.1)
         path = np.zeros((10, 2))
         nan_path = path.copy()
