@@ -8,8 +8,11 @@ tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
 (its full models also at epsilon = 0.3, where the fast buses' inertia and
 damping are scaled, and a compare of all four models at theta = 1.0,
 backward Euler), `variance` on both grids also with --order-by-naive,
-plus the three benchmark workloads at seed 3 when the head tree's
-perfbench/workloads.py can write their inputs.  Both trees read the same
+two variants of the five-bus grid: every bus slow (m 0.2, d 0.05; `reduce`
+and `variance`, the reduction with no fast bus) and bus 1 at m = 0.3 (a
+compare of all four models, whose heterogeneous parameters omit the
+analytic columns), plus the three benchmark workloads at seed 3 when the
+head tree's perfbench/workloads.py can write their inputs.  Both trees read the same
 input files, the head tree's.  Manifests are left out: they record
 durations and paths.
 
@@ -22,6 +25,7 @@ bytes.  Usage:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -55,6 +59,17 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
     runs["json-compare-theta1.0"] = ["compare", str(grid), "--models", ",".join(MODELS),
                                      "--theta", "1.0", "--ensemble", "2", "--t-end", "20",
                                      "--seed", "3"]
+    doc = json.loads(grid.read_text())
+    all_slow = inputs / "grid_all_slow.json"
+    all_slow.write_text(json.dumps({**doc, "buses": [
+        {**bus, "class": "slow", "m": 0.2, "d": 0.05} for bus in doc["buses"]]}))
+    runs["json-all-slow-reduce"] = ["reduce", str(all_slow)]
+    runs["json-all-slow-variance"] = ["variance", str(all_slow)]
+    hetero = inputs / "grid_hetero.json"
+    hetero.write_text(json.dumps({**doc, "buses": [
+        {**doc["buses"][0], "m": 0.3}, *doc["buses"][1:]]}))
+    runs["json-hetero-compare"] = ["compare", str(hetero), "--models", ",".join(MODELS),
+                                   "--ensemble", "2", "--t-end", "20", "--seed", "3"]
     try:
         sys.path.insert(0, str(head / "perfbench"))
         from workloads import Workload

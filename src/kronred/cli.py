@@ -137,6 +137,8 @@ def _parse_sigma_dist(spec: str) -> tuple[float, float]:
 def cmd_reduce(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
     op, red = linearize_and_reduce(grid)
+    # built first: a noise covariance overflow is refused before anything is printed
+    doc = json.dumps(reduced_system_to_dict(red), indent=2) + "\n"
     basis = eigendecompose_reduced(red.j_red)
     gap = -basis.lambdas[1] if red.n_slow > 1 else 0.0
     row_sums = np.abs(red.noise_gain).sum(axis=1) if red.n_fast else np.zeros(red.n_slow)
@@ -147,7 +149,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
           f"max {row_sums.max():.4g}")
     if not op.angle_window_ok:
         print(f"warning: {len(op.flagged_lines)} line(s) outside the (-pi/2, pi/2) angle window")
-    return {"reduced.json": [json.dumps(reduced_system_to_dict(red), indent=2) + "\n"]}
+    return {"reduced.json": [doc]}
 
 
 def cmd_variance(args) -> dict[str, Iterable[str]]:

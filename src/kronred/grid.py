@@ -65,6 +65,14 @@ def _finite(value) -> bool:
         return False
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; an InputError unless it is an int or a numpy
+    integer (a bool or a float is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Bus:
     """One bus: dynamic parameters, injection and local noise spec.

@@ -13,6 +13,10 @@ noise map K = -J_SF J_FF^-1, so the effective noise
 
 is spatially correlated even when all bus noises are independent.  Its
 equal-time covariance is Sigma_xi = diag(sigma_S^2) + K diag(sigma_F^2) K^T.
+The closed form and the simulator work from K and the sigmas alone, so
+a ReducedSystem does not carry Sigma_xi: ``xi_covariance`` builds it
+where the reduced-system JSON is written.
+
 J_red and K come from the same solve W = J_FF^-1 J_FS, made with one
 Cholesky factorization of -J_FF per reduction (never an explicit
 inverse): J_red = J_SS - J_SF W and K = -W^T.  The reduction reads only
@@ -31,17 +35,18 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, NumericsError
 from . import grid as _grid
-from .grid import FAST, SLOW, Bus, Grid, Line, LinearizedSystem
+from .grid import FAST, SLOW, Bus, Grid, Line, LinearizedSystem, _as_int
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
     """Slow-bus dynamics after Kron reduction.
 
-    ``noise_gain`` is the N_S x N_F map through which fast-bus noise
-    enters the slow buses.  Per-bus parameter vectors (m, d, sigma, tau)
-    are carried so heterogeneous systems can still be simulated; the
-    closed-form variance path validates homogeneity itself.
+    ``noise_gain`` is the N_S x N_F map K through which fast-bus noise
+    enters the slow buses; with the sigmas it fixes the covariance of xi,
+    which ``xi_covariance`` builds on demand.  Per-bus parameter vectors
+    (m, d, sigma, tau) are carried so heterogeneous systems can still be
+    simulated; the closed-form variance path validates homogeneity itself.
     """
 
     slow_ids: tuple[int, ...]
@@ -54,7 +59,6 @@ class ReducedSystem:
     tau_fast: np.ndarray
     m_slow: np.ndarray
     d_slow: np.ndarray
-    sigma_xi: np.ndarray
 
     @property
     def n_slow(self) -> int:
@@ -114,10 +118,9 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     """Kron-reduce a grid's linearization to its slow buses.
 
     J_red = J_SS - J_SF J_FF^-1 J_FS (symmetrized) and the noise map
-    K = -J_SF J_FF^-1 share one factorization of -J_FF and one solve;
-    sigma_xi = diag(sigma_S^2) + K diag(sigma_F^2) K^T is the equal-time
-    covariance of xi.  The network comes from the blocks of ``sys``; every
-    per-bus parameter (m, d, sigma, tau) from the grid.
+    K = -J_SF J_FF^-1 share one factorization of -J_FF and one solve.
+    The network comes from the blocks of ``sys``, which are not written;
+    every per-bus parameter (m, d, sigma, tau) from the grid.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
@@ -126,7 +129,7 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     sigma, tau = grid.param_vector("sigma"), grid.param_vector("tau")
     m, d = grid.param_vector("m"), grid.param_vector("d")
     if sys.n_fast == 0:
-        j_red = sys.j_ss
+        j_red = sys.j_ss.copy()  # symmetrized in place below
         k = np.zeros((sys.n_slow, 0))
     else:
         # the factor is of -J_FF, so the solve gives -W, W = J_FF^-1 J_FS;
@@ -134,15 +137,25 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
         neg_w = cho_solve(factor_fast_block(sys.j_ff), sys.j_fs)
         j_red = sys.j_ss + sys.j_sf @ neg_w
         k = neg_w.T  # K = -J_SF J_FF^-1 = -W^T since J_FF is symmetric
+    np.add(j_red, j_red.T, out=j_red)
+    j_red *= 0.5
+    return ReducedSystem(
+        slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=j_red, noise_gain=k,
+        sigma_slow=sigma[s], sigma_fast=sigma[f], tau_slow=tau[s], tau_fast=tau[f],
+        m_slow=m[s], d_slow=d[s])
+
+
+def xi_covariance(red: ReducedSystem) -> np.ndarray:
+    """Sigma_xi = diag(sigma_S^2) + K diag(sigma_F^2) K^T, the equal-time
+    covariance of the effective noise xi = eta_S + K eta_F; an InputError
+    when it overflows."""
+    k = red.noise_gain
     # Each sigma^2 is finite (Bus checks it), but sums over buses can overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma_xi = np.diag(sigma[s]**2) + (k * sigma[f]**2) @ k.T
+        sigma_xi = np.diag(red.sigma_slow**2) + (k * red.sigma_fast**2) @ k.T
     if not np.all(np.isfinite(sigma_xi)):
         raise InputError("noise covariance sigma_xi overflows: bus sigmas too large")
-    return ReducedSystem(
-        slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=0.5 * (j_red + j_red.T),
-        noise_gain=k, sigma_slow=sigma[s], sigma_fast=sigma[f], tau_slow=tau[s],
-        tau_fast=tau[f], m_slow=m[s], d_slow=d[s], sigma_xi=sigma_xi)
+    return sigma_xi
 
 
 def make_star_grid(
@@ -161,6 +174,7 @@ def make_star_grid(
     the fixed point is theta* = 0 and the reduction closed forms of the
     two idealized star cases hold exactly.
     """
+    n_outer = _as_int(n_outer, "n_outer")
     if n_outer < 1:
         raise InputError(f"n_outer must be >= 1, got {n_outer}")
     if n_outer + 1 > _grid.MAX_BUSES:  # before any bus is built
@@ -182,28 +196,9 @@ def make_star_grid(
 # ---------------------------------------------------------------------------
 
 def reduced_system_to_dict(red: ReducedSystem) -> dict:
-    """JSON-friendly dict, one key per field in field order, with
-    matrices as row-major nested lists."""
+    """JSON-friendly dict, one key per field in field order and then
+    ``sigma_xi`` (from ``xi_covariance``), with matrices as row-major
+    nested lists."""
     doc = {f.name: getattr(red, f.name) for f in fields(red)}
+    doc["sigma_xi"] = xi_covariance(red)
     return {k: list(v) if isinstance(v, tuple) else v.tolist() for k, v in doc.items()}
-
-
-def reduced_system_from_dict(doc: dict) -> ReducedSystem:
-    missing = {f.name for f in fields(ReducedSystem)} - set(doc)
-    if missing:
-        raise InputError(f"reduced-system JSON missing fields {sorted(missing)}")
-    n_s = len(doc["slow_ids"])
-    n_f = len(doc["fast_ids"])
-    return ReducedSystem(
-        slow_ids=tuple(doc["slow_ids"]),
-        fast_ids=tuple(doc["fast_ids"]),
-        j_red=np.asarray(doc["j_red"], dtype=float).reshape(n_s, n_s),
-        noise_gain=np.asarray(doc["noise_gain"], dtype=float).reshape(n_s, n_f),
-        sigma_slow=np.asarray(doc["sigma_slow"], dtype=float),
-        sigma_fast=np.asarray(doc["sigma_fast"], dtype=float),
-        tau_slow=np.asarray(doc["tau_slow"], dtype=float),
-        tau_fast=np.asarray(doc["tau_fast"], dtype=float),
-        m_slow=np.asarray(doc["m_slow"], dtype=float),
-        d_slow=np.asarray(doc["d_slow"], dtype=float),
-        sigma_xi=np.asarray(doc["sigma_xi"], dtype=float).reshape(n_s, n_s),
-    )

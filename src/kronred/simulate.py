@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InputError, NumericsError
-from .grid import (Grid, OperatingPoint, _angle_jacobian, _check_epsilon, _finite,
+from .grid import (Grid, OperatingPoint, _angle_jacobian, _as_int, _check_epsilon, _finite,
                    _ordered_entries, _scatter, linearize, solve_fixed_point)
 from .reduction import ReducedSystem, reduce_grid
 
@@ -112,14 +112,6 @@ def _finite_floats(value, need: str, rows: int, cols: int | None = None) -> np.n
     if not np.all(np.isfinite(arr[:rows])):
         raise InputError(f"{need}, got a non-finite value")
     return arr
-
-
-def _as_int(value, name: str) -> int:
-    """``value`` as an int; an InputError unless it is an int or a numpy
-    integer (a bool or a float is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

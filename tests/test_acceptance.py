@@ -15,7 +15,7 @@ import pytest
 from conftest import DATA_DIR, dense_reference, make_grid, random_connected_grid
 from kronred.cli import main as cli_main
 from kronred.grid import FAST, SLOW
-from kronred.reduction import make_star_grid, reduce_grid
+from kronred.reduction import make_star_grid, reduce_grid, xi_covariance
 from kronred.simulate import (OUSpec, SimConfig, integrate, linearize_and_reduce,
                               make_time_grid, ou_sample_path, run_model_ensemble)
 from kronred.variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
@@ -109,7 +109,8 @@ def test_criterion_3_xi_covariance():
     eta = ou_sample_path(spec, make_time_grid(n_samples * dt, dt))[:n_samples]
     xi = eta[:, :2] + eta[:, 2:] @ red.noise_gain.T
     emp = xi.T @ xi / n_samples
-    rel = np.linalg.norm(emp - red.sigma_xi) / np.linalg.norm(red.sigma_xi)
+    sigma_xi = xi_covariance(red)
+    rel = np.linalg.norm(emp - sigma_xi) / np.linalg.norm(sigma_xi)
     elapsed = time.time() - started
     ok = rel < 0.05 and elapsed < 10.0
     report("3 (xi covariance)", ok, f"relative Frobenius error {rel:.3%}", started)

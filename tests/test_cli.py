@@ -651,11 +651,18 @@ class TestStarDemo:
         assert "sigma^2 must be finite" in capsys.readouterr().err
 
     def test_noise_covariance_overflow_is_input_error(self, tmp_path, capsys):
-        # sigma^2 = 1e308 is finite; the 8 loads' sum at the center is not
+        # sigma^2 = 1e308 is finite; the 8 loads' sum at the center is not.
+        # star-demo never builds sigma_xi: its Gamma overflows first
         assert main(["star-demo", "--sigma", "1e154", "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "Gamma overflows" in captured.err
+        assert captured.out == ""
+        grid = write_grid(tmp_path, serialize_grid_json(make_star_grid(8, "slow", sigma=1e154)))
+        assert main(["reduce", grid, "--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert "sigma_xi overflows" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "reduced.json").exists()
 
 
 def test_analysis_commands_do_not_import_the_simulator_filter(tmp_path):

@@ -82,6 +82,9 @@ class TestParseGridJson:
             Bus(id=1, speed_class=SLOW, m="a", d=0.05, p=0.0, sigma=0.01, tau=0.1)
         with pytest.raises(InputError, match="bus 1: sigma must be finite, got None"):
             make_star_grid(3, SLOW, sigma=None)
+        for value in ("a", 2.5):
+            with pytest.raises(InputError, match=f"n_outer must be an integer, got {value!r}"):
+                make_star_grid(value, SLOW)
 
     def test_non_finite_susceptance_rejected(self):
         for value in (math.nan, math.inf):

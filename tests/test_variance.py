@@ -391,8 +391,7 @@ class TestLyapunovOracle:
             slow_ids=(1, 2), fast_ids=(), j_red=np.array([[0.1, -0.1], [-0.1, 0.1]]),
             noise_gain=np.zeros((2, 0)), sigma_slow=np.array([0.1, 0.1]),
             sigma_fast=np.zeros(0), tau_slow=np.array([0.1, 0.1]), tau_fast=np.zeros(0),
-            m_slow=np.array([0.2, 0.2]), d_slow=np.array([0.05, 0.05]),
-            sigma_xi=np.diag([0.01, 0.01]))
+            m_slow=np.array([0.2, 0.2]), d_slow=np.array([0.05, 0.05]))
         with pytest.raises(NumericsError, match="unstable"):
             lyapunov_oracle_variance(red)
 
