@@ -11,7 +11,10 @@ backward Euler), `variance` on both grids also with --order-by-naive,
 two variants of the five-bus grid: every bus slow (m 0.2, d 0.05; `reduce`
 and `variance`, the reduction with no fast bus) and bus 1 at m = 0.3 (a
 compare of all four models, whose heterogeneous parameters omit the
-analytic columns), plus the three benchmark workloads at seed 3 when the
+analytic columns), plus the three benchmark workloads at seed 3 and
+`reduce` on the benchmark's seed-3 oracle grid (synth_grid(3, ORACLE_BUSES):
+500 buses, mostly fast, whose reduced.json pins J_red, K and Sigma_xi to
+the last bit where the reduction's N_F x N_F buffers matter) when the
 head tree's perfbench/workloads.py can write their inputs.  Both trees read the same
 input files, the head tree's.  Manifests are left out: they record
 durations and paths.
@@ -72,7 +75,10 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
                                    "--ensemble", "2", "--t-end", "20", "--seed", "3"]
     try:
         sys.path.insert(0, str(head / "perfbench"))
-        from workloads import Workload
+        from workloads import ORACLE_BUSES, Workload, synth_grid, write_grid
+        oracle = inputs / "oracle_grid.json"
+        write_grid(oracle, synth_grid(3, ORACLE_BUSES))
+        runs["bench-oracle-grid-reduce"] = ["reduce", str(oracle)]
         for name in ("ieee118-compare", "star-nonlinear", "synth-analysis"):
             work = inputs / name
             work.mkdir()

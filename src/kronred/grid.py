@@ -4,9 +4,10 @@ A grid is a connected network of second-order phase oscillators
 (swing dynamics).  Buses are split into a "slow" component (large
 inertia/damping, e.g. synchronous generators) and a "fast" component
 (small inertia/damping, e.g. loads).  A ``LinearizedSystem`` is only the
-network: the four slow/fast blocks of the angle Jacobian.  Every per-bus
-parameter stays in the ``Grid``, and the Kron reduction reads no
-timescale ratio: only the full models scale the fast m and d by it.
+network: the entries of the angle Jacobian, every bus numbered by its
+slot in the slow-then-fast ordering.  Every per-bus parameter stays in
+the ``Grid``, and the Kron reduction reads no timescale ratio: only the
+full models scale the fast m and d by it.
 
 Conventions used throughout the package:
   * coupling b_ij = B_ij * |V_i| * |V_j| (line susceptance times voltage
@@ -20,10 +21,11 @@ Conventions used throughout the package:
   * state orderings are always slow buses first, then fast buses, each
     in the order of appearance in ``Grid.buses``.
 
-The analysis never forms the dense n x n Jacobian: ``linearize``
-scatters its four slow/fast blocks straight from the edge list.
+The analysis never forms the dense n x n Jacobian: ``linearize`` keeps
+its entries from the edge list, and each slow/fast block is scattered
+from them where it is used, into the buffer its user works in.
 ``build_jacobian`` (the dense Jacobian, through the same scatter) and
-``assemble_linearized`` (its slices) are the reference it is checked
+``assemble_linearized`` (its entries) are the reference it is checked
 against, bit for bit.
 """
 
@@ -266,17 +268,21 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """The four slow/fast blocks of the angle Jacobian at an operating
-    point, in the slow-then-fast ordering: all the Kron reduction reads of
-    the network.  Inertia, damping and noise stay in the Grid.
+    """The angle Jacobian at an operating point as its entries, every bus
+    numbered by its slot in the slow-then-fast ordering: ``off`` at
+    (``rows``, ``cols``) and ``diag`` on the diagonal.  All the Kron
+    reduction reads of the network; inertia, damping and noise stay in
+    the Grid.  ``block`` scatters one slow/fast block where it is used;
+    ``j_ss``, ``j_sf``, ``j_fs`` and ``j_ff`` scatter each anew on every
+    read.
     """
 
     slow_ids: tuple[int, ...]
     fast_ids: tuple[int, ...]
-    j_ss: np.ndarray
-    j_sf: np.ndarray
-    j_fs: np.ndarray
-    j_ff: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    off: np.ndarray
+    diag: np.ndarray
 
     @property
     def n_slow(self) -> int:
@@ -285,6 +291,32 @@ class LinearizedSystem:
     @property
     def n_fast(self) -> int:
         return len(self.fast_ids)
+
+    def block(self, row_class: str, col_class: str, out: np.ndarray | None = None,
+              negate: bool = False) -> np.ndarray:
+        """The (row_class, col_class) block, e.g. J_FS for (FAST, SLOW),
+        scattered into ``out`` (every entry written, in any memory order)
+        or into a new C-ordered array.  With ``negate`` it is the block's
+        negative as ``np.negative`` gives it: -0.0 where the block holds 0.0.
+        """
+        n_s, n = self.n_slow, self.n_slow + self.n_fast
+        (r0, r1), (c0, c1) = ((0, n_s) if cls == SLOW else (n_s, n)
+                              for cls in (row_class, col_class))
+        shape = (r1 - r0, c1 - c0)
+        if out is None:  # np.zeros leaves the pages no entry is written to unmapped
+            out = np.full(shape, -0.0) if negate else np.zeros(shape)
+        else:
+            out.fill(-0.0 if negate else 0.0)
+        keep = (self.rows >= r0) & (self.rows < r1) & (self.cols >= c0) & (self.cols < c1)
+        off, diag = self.off[keep], self.diag[r0:r1] if row_class == col_class else None
+        if negate:
+            off, diag = -off, None if diag is None else -diag
+        return _scatter(out, self.rows[keep] - r0, self.cols[keep] - c0, off, diag)
+
+    j_ss = property(lambda self: self.block(SLOW, SLOW), doc="J_SS, scattered anew")
+    j_sf = property(lambda self: self.block(SLOW, FAST), doc="J_SF, scattered anew")
+    j_fs = property(lambda self: self.block(FAST, SLOW), doc="J_FS, scattered anew")
+    j_ff = property(lambda self: self.block(FAST, FAST), doc="J_FF, scattered anew")
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +561,12 @@ def _jacobian_entries(edges: EdgeList, theta: np.ndarray):
     return off, -np.bincount(edges.ends, off, minlength=edges.n_buses)
 
 
-def _scatter(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, off: np.ndarray,
+def _scatter(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, off: np.ndarray,
              diag: np.ndarray | None = None) -> np.ndarray:
-    """Dense array of ``shape`` holding ``off`` at (rows, cols) and, when
-    given, ``diag`` on its diagonal: the one scatter behind the dense
-    angle Jacobian and its slow/fast blocks."""
-    out = np.zeros(shape)
+    """``out`` with ``off`` written at (rows, cols) and, when given,
+    ``diag`` on its diagonal, every other entry left as it was: the one
+    scatter behind the dense angle Jacobian and the blocks of a
+    LinearizedSystem."""
     out[rows, cols] = off
     if diag is not None:
         np.fill_diagonal(out, diag)
@@ -544,7 +576,7 @@ def _scatter(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, off: np
 def _angle_jacobian(edges: EdgeList, theta: np.ndarray) -> np.ndarray:
     """Dense angle Jacobian, scattered from the edge list."""
     off, diag = _jacobian_entries(edges, theta)
-    return _scatter((edges.n_buses, edges.n_buses), edges.ends, edges.others, off, diag)
+    return _scatter(np.zeros((edges.n_buses, edges.n_buses)), edges.ends, edges.others, off, diag)
 
 
 def solve_fixed_point(grid: Grid) -> OperatingPoint:
@@ -649,41 +681,35 @@ def _ordered_entries(grid: Grid, op_point: OperatingPoint):
 
 
 def linearize(grid: Grid, op_point: OperatingPoint) -> LinearizedSystem:
-    """Slow/fast blocks of the Jacobian at the operating point, each
-    scattered straight from the edge list.
+    """The Jacobian's entries at the operating point, taken from the
+    edge list: no n x n array and no block is allocated.
 
-    The result equals ``assemble_linearized(grid, build_jacobian(grid,
-    op_point), 1.0)`` bit for bit, while no n x n array, only the four
-    blocks, is allocated.
+    Every block scattered from the result equals the slice of
+    ``build_jacobian(grid, op_point)``, bit for bit, as does every block
+    of ``assemble_linearized(grid, build_jacobian(grid, op_point), 1.0)``.
     """
-    rows, cols, off, diag = _ordered_entries(grid, op_point)
-    n, n_s = grid.n_buses, len(grid.slow_ids)
-
-    def block(r0, r1, c0, c1):
-        keep = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
-        return _scatter((r1 - r0, c1 - c0), rows[keep] - r0, cols[keep] - c0, off[keep],
-                        diag[r0:r1] if r0 == c0 else None)
-
-    return LinearizedSystem(
-        slow_ids=tuple(grid.slow_ids), fast_ids=tuple(grid.fast_ids),
-        j_ss=block(0, n_s, 0, n_s), j_sf=block(0, n_s, n_s, n),
-        j_fs=block(n_s, n, 0, n_s), j_ff=block(n_s, n, n_s, n))
+    return LinearizedSystem(tuple(grid.slow_ids), tuple(grid.fast_ids),
+                            *_ordered_entries(grid, op_point))
 
 
 def assemble_linearized(grid: Grid, jacobian: np.ndarray, epsilon: float) -> LinearizedSystem:
-    """Split a dense Jacobian into slow/fast blocks: the reference
-    ``linearize`` is checked against.
+    """The entries of a dense Jacobian: the reference ``linearize`` is
+    checked against.
 
-    ``epsilon`` is only checked to lie in (0, 1]; the blocks do not
-    depend on it.  It is the last timescale ratio a linearization takes:
-    the benchmark's oracle check passes 1.0, and ROADMAP item 2b removes
-    it together with that call.
+    Every off-diagonal entry that is not +0.0 is kept (a -0.0 too), so
+    each block scattered from the result is the dense Jacobian's slice,
+    bit for bit.  ``epsilon`` is only checked to lie in (0, 1]; the
+    entries do not depend on it.  It is the last timescale ratio a
+    linearization takes: the benchmark's oracle check passes 1.0, and
+    ROADMAP item 2b removes it together with that call.
     """
     _check_epsilon(epsilon)
-    order = grid.ordering()
-    s, f = order[:len(grid.slow_ids)], order[len(grid.slow_ids):]
-    # np.ix_ indexing copies, so no block is a view of the Jacobian
-    return LinearizedSystem(
-        slow_ids=tuple(grid.slow_ids), fast_ids=tuple(grid.fast_ids),
-        j_ss=jacobian[np.ix_(s, s)], j_sf=jacobian[np.ix_(s, f)],
-        j_fs=jacobian[np.ix_(f, s)], j_ff=jacobian[np.ix_(f, f)])
+    order = np.asarray(grid.ordering(), dtype=np.intp)
+    slot = np.empty(grid.n_buses, dtype=np.intp)
+    slot[order] = np.arange(grid.n_buses)
+    held = (jacobian != 0) | np.signbit(jacobian)
+    np.fill_diagonal(held, False)
+    i, j = np.nonzero(held)
+    # fancy indexing copies, so no entry is a view of the Jacobian
+    return LinearizedSystem(tuple(grid.slow_ids), tuple(grid.fast_ids),
+                            slot[i], slot[j], jacobian[i, j], jacobian.diagonal()[order])

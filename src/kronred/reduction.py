@@ -19,11 +19,14 @@ where the reduced-system JSON is written.
 
 J_red and K come from the same solve W = J_FF^-1 J_FS, made with one
 Cholesky factorization of -J_FF per reduction (never an explicit
-inverse): J_red = J_SS - J_SF W and K = -W^T.  The reduction reads only
-the four Jacobian blocks, which ``grid.linearize`` scatters from the
-edge list (the dense n x n Jacobian of ``build_jacobian`` is a test
-reference), and holds one N_F x N_F buffer, in which the definiteness
-certificate and then the factor are made in place.
+inverse): J_red = J_SS - J_SF W and K = -W^T.  The reduction reads the
+Jacobian's entries, which ``grid.linearize`` takes from the edge list
+(the dense n x n Jacobian of ``build_jacobian`` is a test reference),
+and scatters each block straight into the buffer it is used in: -J_FF
+into the one N_F x N_F buffer, in which the definiteness certificate
+and then the factor are made in place, and J_FS into the Fortran-ordered
+array the solve overwrites with -W.  The factor is freed before J_SF is
+scattered for the Schur product.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class ReducedSystem:
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def factor_fast_block(j_ff: np.ndarray):
+def factor_fast_block(sys: LinearizedSystem):
     """Cholesky factor of -J_FF, verifying negative definiteness first.
 
     The gate: the largest eigenvalue of J_FF is below -1e-12 x max(1,
@@ -83,18 +86,21 @@ def factor_fast_block(j_ff: np.ndarray):
     Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.3), so
     its success leaves every eigenvalue of -J_FF above t.  When it fails,
     the eigenvalues decide, so the gate accepts and rejects as before.
-    The certificate and then the factor are made in place in one n_F x n_F
-    buffer; the result equals ``cho_factor(-j_ff)`` bit for bit.
+    -J_FF is scattered from the entries of ``sys`` into one n_F x n_F
+    buffer, in which the certificate and then the factor are made in
+    place; the result equals ``cho_factor(-sys.j_ff)`` bit for bit.
     """
-    n_f = j_ff.shape[0]
+    n_f = sys.n_fast
     if n_f == 0:
         return None
-    g = float(np.abs(j_ff).sum(axis=1).max())
-    t = 1e-12 * max(1.0, g)
-    gamma = (n_f + 1) * _UNIT_ROUNDOFF / (1.0 - (n_f + 1) * _UNIT_ROUNDOFF)
     # One buffer for the certificate and then the factor, each made in
     # place: buf.T is Fortran-ordered, the order LAPACK factors in.
-    buf = np.negative(j_ff)
+    buf = sys.block(FAST, FAST, negate=True)
+    # |J_FF|'s row sums, each summed as over the whole array, a block of
+    # rows at a time so no second n_F x n_F array is made
+    g = float(np.max([np.abs(buf[k:k + 64]).sum(axis=1).max() for k in range(0, n_f, 64)]))
+    t = 1e-12 * max(1.0, g)
+    gamma = (n_f + 1) * _UNIT_ROUNDOFF / (1.0 - (n_f + 1) * _UNIT_ROUNDOFF)
     certified = False
     if 4 * n_f * gamma <= 1.0:  # delta then bounds the backward error
         buf.flat[::n_f + 1] -= t + 2 * n_f * gamma * (g + t)
@@ -105,13 +111,29 @@ def factor_fast_block(j_ff: np.ndarray):
         except (np.linalg.LinAlgError, ValueError):
             pass
     if not certified:
-        eigs = np.linalg.eigvalsh(j_ff)
+        eigs = np.linalg.eigvalsh(sys.j_ff)
         scale = max(1.0, float(np.abs(eigs).max()))
         if eigs.max() >= -1e-12 * scale:
             raise NumericsError(
                 f"fast block not negative definite: offending eigenvalue {eigs.max():.6e}")
-    np.negative(j_ff.T, out=buf)  # buf.T now holds -J_FF, as cho_factor(-j_ff) copies it
+    # buf.T holds -J_FF again, as cho_factor(-sys.j_ff) copies it
+    sys.block(FAST, FAST, out=buf.T, negate=True)
     return cho_factor(buf.T, overwrite_a=True)
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """a <- 0.5 (a + a^T) in place, one pair of tiles at a time.  Each
+    entry gets the bits of ``0.5 * (a + a.T)`` (a_ij + a_ji commutes),
+    with no n x n temporary: ``np.add(a, a.T, out=a)`` copies a.T first."""
+    n, step = a.shape[0], 256  # 512 kB tiles
+    for i in range(0, n, step):
+        for j in range(i, n, step):
+            upper, lower = a[i:i + step, j:j + step], a[j:j + step, i:i + step]
+            tile = upper + lower.T
+            tile *= 0.5
+            upper[...] = tile
+            lower[...] = tile.T
+    return a
 
 
 def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
@@ -119,28 +141,31 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
 
     J_red = J_SS - J_SF J_FF^-1 J_FS (symmetrized) and the noise map
     K = -J_SF J_FF^-1 share one factorization of -J_FF and one solve.
-    The network comes from the blocks of ``sys``, which are not written;
+    The network comes from the entries of ``sys``, which are not written;
     every per-bus parameter (m, d, sigma, tau) from the grid.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
     order = grid.ordering()
-    s, f = order[:sys.n_slow], order[sys.n_slow:]
+    n_s, n_f = sys.n_slow, sys.n_fast
+    s, f = order[:n_s], order[n_s:]
     sigma, tau = grid.param_vector("sigma"), grid.param_vector("tau")
     m, d = grid.param_vector("m"), grid.param_vector("d")
-    if sys.n_fast == 0:
-        j_red = sys.j_ss.copy()  # symmetrized in place below
-        k = np.zeros((sys.n_slow, 0))
+    if n_f == 0:
+        j_red = sys.j_ss
+        k = np.zeros((n_s, 0))
     else:
-        # the factor is of -J_FF, so the solve gives -W, W = J_FF^-1 J_FS;
-        # its sign is carried through instead of negating an N_F x N_S array
-        neg_w = cho_solve(factor_fast_block(sys.j_ff), sys.j_fs)
-        j_red = sys.j_ss + sys.j_sf @ neg_w
+        # the factor is of -J_FF, so the solve turns J_FS into -W, W =
+        # J_FF^-1 J_FS; its sign is carried through instead of negating
+        # an N_F x N_S array.  The factor dies with the call.
+        neg_w = cho_solve(factor_fast_block(sys),
+                          sys.block(FAST, SLOW, out=np.empty((n_f, n_s), order="F")),
+                          overwrite_b=True)
+        j_red = sys.j_sf @ neg_w
+        j_red += sys.j_ss  # J_SS + J_SF (-W): the sum commutes bit for bit
         k = neg_w.T  # K = -J_SF J_FF^-1 = -W^T since J_FF is symmetric
-    np.add(j_red, j_red.T, out=j_red)
-    j_red *= 0.5
     return ReducedSystem(
-        slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=j_red, noise_gain=k,
+        slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=_symmetrize(j_red), noise_gain=k,
         sigma_slow=sigma[s], sigma_fast=sigma[f], tau_slow=tau[s], tau_fast=tau[f],
         m_slow=m[s], d_slow=d[s])
 

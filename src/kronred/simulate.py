@@ -397,7 +397,7 @@ def _full_linear_system(grid: Grid, op: OperatingPoint, epsilon: float):
     jac is scattered once from linearize's entries."""
     n = grid.n_buses
     m, d = _full_masses(grid, epsilon)
-    return _scatter((n, n), *_ordered_entries(grid, op)), m, d, np.eye(n)
+    return _scatter(np.zeros((n, n)), *_ordered_entries(grid, op)), m, d, np.eye(n)
 
 
 def _reduced_system(red: ReducedSystem, model: str):
@@ -800,9 +800,10 @@ def member_seed(base_seed: int, i: int) -> int:
 
 def linearize_and_reduce(grid: Grid):
     """Fixed point and Kron reduction of one grid: the (op, red) every
-    analysis and every model's run reads from.  The Jacobian's slow/fast
-    blocks, scattered from the edge list, are freed before this returns.
-    Raises NumericsError when -J_FF is not positive definite."""
+    analysis and every model's run reads from.  The Jacobian's entries,
+    taken from the edge list, and every block the reduction scatters from
+    them are freed before this returns.  Raises NumericsError when -J_FF
+    is not positive definite."""
     op = solve_fixed_point(grid)
     return op, reduce_grid(grid, linearize(grid, op))
 

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import HomogeneityError, InputError, NumericsError
-from .reduction import ReducedSystem
+from .reduction import ReducedSystem, _symmetrize
 from .simulate import Trajectory, _finite_floats, _uniform_step
 
 _ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as zero
@@ -116,8 +116,7 @@ def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
                          "noise-map columns")
     w = red.noise_gain.T @ basis.modes  # K^T U
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (w * red.sigma_fast[:, None]**2).T @ w
-        g = 0.5 * (g + g.T)
+        g = _symmetrize((w * red.sigma_fast[:, None]**2).T @ w)
     if not np.all(np.isfinite(g)):
         raise InputError("modal noise coupling Gamma overflows: fast-bus sigmas too large")
     return g
@@ -128,16 +127,39 @@ def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _h_formula(lam_a, lam_b, tau, gamma, m):
-    """Raw kernel ratio; no domain checks, broadcasts over arrays."""
-    lam_sum = lam_a + lam_b
-    lam_diff = lam_a - lam_b
-    num = 0.5 * (2.0 * gamma * m * lam_sum * (gamma * tau + 1.0)
-                 + 4.0 * gamma * lam_a * lam_b * tau**2
-                 - tau * lam_diff**2)
-    den = ((2.0 * gamma**2 * m * lam_sum + lam_diff**2)
-           * (gamma * m * tau + lam_a * tau**2 + m)
-           * (gamma * m * tau + lam_b * tau**2 + m))
-    return num / den
+    """Raw kernel ratio; no domain checks, broadcasts over arrays.
+
+    The ratio is
+
+        0.5 (2 gamma m S (gamma tau + 1) + 4 gamma a b tau^2 - tau D^2)
+        / ((2 gamma^2 m S + D^2) (gamma m tau + a tau^2 + m) (gamma m tau + b tau^2 + m))
+
+    with S = a + b and D = a - b.  Each term the size of the result is
+    made in place in one of three buffers, with the operations of the
+    expression above in the order Python evaluates it (S is summed twice,
+    as D^2 is in the expression), so an overflow raises at the same
+    operation and every float is that expression's.
+    """
+    shape = np.broadcast_shapes(np.shape(lam_a), np.shape(lam_b))
+    num = np.add(lam_a, lam_b, out=np.empty(shape))  # S
+    diff_sq = np.subtract(lam_a, lam_b, out=np.empty(shape))  # D, squared below
+    num *= 2.0 * gamma * m
+    num *= gamma * tau + 1.0
+    den = np.multiply(4.0 * gamma * lam_a, lam_b, out=np.empty(shape))  # a term of num first
+    den *= tau**2
+    num += den
+    np.square(diff_sq, out=diff_sq)
+    np.multiply(diff_sq, tau, out=den)
+    num -= den
+    num *= 0.5
+    np.add(lam_a, lam_b, out=den)  # S again, and the denominator from here on
+    den *= 2.0 * gamma**2 * m
+    den += diff_sq
+    del diff_sq
+    den *= gamma * m * tau + lam_a * tau**2 + m
+    den *= gamma * m * tau + lam_b * tau**2 + m
+    num /= den
+    return num
 
 
 def h_kernel(lam_a: float, lam_b: float, tau: float, gamma: float, m: float) -> float:
@@ -169,7 +191,10 @@ def h_kernel(lam_a: float, lam_b: float, tau: float, gamma: float, m: float) -> 
     for name, (value, scale) in factors.items():
         if abs(value) < 1e-14 * max(scale, 1e-300):
             raise NumericsError(f"degenerate kernel: factor {name} vanishes")
-    return float(_h_formula(lam_a, lam_b, tau, gamma, m))
+    # as in Python's float arithmetic, an overflow is silent and a zero
+    # divisor raises
+    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+        return float(_h_formula(lam_a, lam_b, tau, gamma, m))
 
 
 def frequency_variance_kernel(lam_a, lam_b, tau: float, gamma: float, m: float):
@@ -192,7 +217,9 @@ def frequency_variance_kernel(lam_a, lam_b, tau: float, gamma: float, m: float):
         raise InputError(f"tau, gamma, m must be > 0, got ({tau}, {gamma}, {m})")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return 2.0 * tau * _h_formula(-lam_a, -lam_b, tau, gamma, m)
+            kernel = _h_formula(-lam_a, -lam_b, tau, gamma, m)
+            kernel *= 2.0 * tau
+            return kernel
     except ArithmeticError as e:  # also Python float overflow in the scalar powers
         raise NumericsError(
             f"kernel not finite at tau={tau}, gamma={gamma}, m={m}: {e}") from e
@@ -232,6 +259,18 @@ def _homogeneous(values: np.ndarray, label: str) -> float:
     return float(values[0])
 
 
+def _mode_sum(u_perp: np.ndarray, kernel: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
+    """Per-bus sum over mode pairs (a, b) of u_ia (amplitude_ab kernel_ab) u_ib:
+    the row sums of (u_perp @ (amplitude * kernel)) * u_perp, the
+    products made in place, ``kernel`` (which the caller does not keep)
+    freed before the last."""
+    kernel *= amplitude
+    rows = u_perp @ kernel
+    del kernel, amplitude
+    rows *= u_perp
+    return rows.sum(1)
+
+
 def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     """Closed-form per-bus COI frequency variance.
 
@@ -259,15 +298,17 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     u_perp = basis.modes[:, 1:]
 
     # The kernels keep their own overflow checks; an overflow in the
-    # amplitudes or mode sums shows as a non-finite total.
+    # amplitudes or mode sums shows as a non-finite total.  Each kernel is
+    # freed inside its mode sum, before the next is built.
     with np.errstate(over="ignore", invalid="ignore"):
-        kern_s = frequency_variance_kernel(lam[:, None], lam[None, :], tau_s, gamma, m)
-        slow_amp = (u_perp * red.sigma_slow[:, None]**2).T @ u_perp
-        var_slow = ((u_perp @ (slow_amp * kern_s)) * u_perp).sum(1)
-
+        var_slow = _mode_sum(u_perp,
+                             frequency_variance_kernel(lam[:, None], lam[None, :], tau_s, gamma, m),
+                             (u_perp * red.sigma_slow[:, None]**2).T @ u_perp)
         if red.n_fast:
-            kern_f = frequency_variance_kernel(lam[:, None], lam[None, :], tau_f, gamma, m)
-            var_fast = ((u_perp @ (gamma_mat[1:, 1:] * kern_f)) * u_perp).sum(1)
+            var_fast = _mode_sum(u_perp,
+                                 frequency_variance_kernel(lam[:, None], lam[None, :], tau_f,
+                                                           gamma, m),
+                                 gamma_mat[1:, 1:])
         else:
             var_fast = np.zeros(red.n_slow)
         var_total = var_slow + var_fast

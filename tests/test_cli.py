@@ -335,8 +335,9 @@ class TestVariance:
     @pytest.mark.parametrize("command", ["variance", "reduce", "star-demo"])
     def test_linearization_is_freed_before_modal_stages(self, tmp_path, monkeypatch, command):
         # the analysis commands read only the reduced system after the
-        # reduction, so the LinearizedSystem's n x n worth of blocks is
-        # freed before eigh, Gamma and the COI sums run
+        # reduction, so the LinearizedSystem (the Jacobian's entries) and
+        # every block the reduction scattered from it are freed before
+        # eigh, Gamma and the COI sums run
         import kronred.cli
         import kronred.simulate
         systems, alive = [], []

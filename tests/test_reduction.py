@@ -23,6 +23,13 @@ def linearize(grid):
     return dense_reference(grid)[1]
 
 
+def diagonal_fast_block(neg_diag):
+    """A linearization whose every bus is fast, J_FF = -diag(neg_diag)."""
+    none = np.zeros(0, dtype=np.intp)
+    return LinearizedSystem(slow_ids=(), fast_ids=tuple(range(len(neg_diag))), rows=none,
+                            cols=none, off=np.zeros(0), diag=-np.asarray(neg_diag, dtype=float))
+
+
 def reduce_pipeline(grid):
     sys = linearize(grid)
     return sys, reduce_grid(grid, sys)
@@ -54,16 +61,17 @@ class TestSchurReduce:
         assert red.noise_gain.shape == (3, 0)
 
     def test_blocks_of_the_linearization_are_not_written(self):
-        # J_SS made asymmetric: symmetrizing the caller's array in place
-        # would change its bytes
+        # J_SS made asymmetric by one more entry: symmetrizing a block the
+        # reduction was handed, rather than one it scattered itself, would
+        # change the entries or the blocks read back from them
         all_slow = make_grid([(1, SLOW, 0.0), (2, SLOW, 0.0), (3, SLOW, 0.0)],
                              [(1, 2, 1.0), (2, 3, 1.0)])
         for grid in (path3_grid(), all_slow):
             sys = linearize(grid)
-            j_ss = sys.j_ss.copy()
-            j_ss[0, -1] += 0.25
-            sys = replace(sys, j_ss=j_ss)
-            names = ("j_ss", "j_sf", "j_fs", "j_ff")
+            sys = replace(sys, rows=np.append(sys.rows, 0),
+                          cols=np.append(sys.cols, sys.n_slow - 1), off=np.append(sys.off, 0.25))
+            assert (sys.j_ss[0, -1], sys.j_ss[-1, 0]) == (0.25, 0.0)
+            names = ("rows", "cols", "off", "diag", "j_ss", "j_sf", "j_fs", "j_ff")
             before = [getattr(sys, name).tobytes() for name in names]
             reduce_grid(grid, sys)
             assert [getattr(sys, name).tobytes() for name in names] == before
@@ -71,8 +79,9 @@ class TestSchurReduce:
     def test_indefinite_fast_block_reports_eigenvalue(self):
         sys = linearize(path3_grid())
         bad = LinearizedSystem(
-            slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_ss=sys.j_ss,
-            j_sf=sys.j_sf, j_fs=sys.j_fs, j_ff=np.array([[0.5]]))
+            slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, rows=sys.rows, cols=sys.cols,
+            off=sys.off, diag=np.array([*sys.diag[:sys.n_slow], 0.5]))
+        assert bad.j_ff.tolist() == [[0.5]]
         with pytest.raises(NumericsError, match=r"not negative definite.*5\.0"):
             reduce_grid(path3_grid(), bad)
 
@@ -91,54 +100,53 @@ class TestSchurReduce:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
         sys = linearize(random_connected_grid(np.random.default_rng(2), 30))
         assert sys.n_fast > 1
-        factor_fast_block(sys.j_ff)
+        factor_fast_block(sys)
         assert calls == []
         # g = 1e6: the gate needs eigenvalues of -J_FF above 1e-6, and the
         # Cholesky's allowance adds about 1.3e-9 to its shift
-        factor, _ = factor_fast_block(-np.diag([1e6, 1e-6 + 1e-10]))
+        factor, _ = factor_fast_block(diagonal_fast_block([1e6, 1e-6 + 1e-10]))
         assert len(calls) == 1
         np.testing.assert_allclose(np.abs(np.diag(factor)), np.sqrt([1e6, 1e-6 + 1e-10]))
         with pytest.raises(NumericsError, match="not negative definite"):
-            factor_fast_block(-np.diag([1e6, 0.999e-6]))
+            factor_fast_block(diagonal_fast_block([1e6, 0.999e-6]))
         assert len(calls) == 2
 
 
 class TestMemory:
-    def test_pipeline_holds_blocks_and_one_fast_buffer(self):
-        # linearize_and_reduce holds the four Jacobian blocks (n^2 floats),
-        # one N_F x N_F buffer for the certificate and the factor of -J_FF,
-        # and a few N_F x N_S arrays (the solve, its products; here
-        # N_S^2 <= N_F N_S); a dense n x n Jacobian beside the blocks, or a
-        # second copy of -J_FF, exceeds it
+    def test_pipeline_holds_one_fast_buffer_and_the_solve(self):
+        # linearize_and_reduce holds the Jacobian's entries (O(lines)), one
+        # N_F x N_F buffer for the certificate and the factor of -J_FF, the
+        # N_F x N_S solve, then J_SF and the N_S x N_S products; a dense
+        # J_FF beside the buffer, or four dense blocks, exceeds it
         grid = random_connected_grid(np.random.default_rng(5), 800, n_slow=240)
-        n, n_s = grid.n_buses, len(grid.slow_ids)
-        n_f = n - n_s
+        n_s = len(grid.slow_ids)
+        n_f = grid.n_buses - n_s
         tracemalloc.start()
         try:
             linearize_and_reduce(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (n * n + n_f * n_f + 3 * n_f * n_s), peak
+        assert peak <= 8 * (n_f * n_f + 2 * n_f * n_s + 4 * n_s * n_s) + 2**20, peak
 
     @pytest.mark.parametrize("n_slow", [12, 40])
     def test_setup_keeps_no_linearization_alive(self, monkeypatch, n_slow):
         # the run setup is (op, red): the LinearizedSystem it reduced and
-        # its four blocks are dead once linearize_and_reduce returns, a
+        # its entries are dead once linearize_and_reduce returns, a
         # grid without fast buses (J_red from J_SS alone) included
         refs = []
         linearize = kronred.simulate.linearize
 
         def recorded(*args):
             result = linearize(*args)
-            refs.extend(weakref.ref(obj) for obj in (result, result.j_ss, result.j_sf,
-                                                      result.j_fs, result.j_ff))
+            refs.extend(weakref.ref(obj) for obj in (result, result.rows, result.cols,
+                                                      result.off, result.diag))
             return result
         monkeypatch.setattr(kronred.simulate, "linearize", recorded)
         setup = linearize_and_reduce(random_connected_grid(np.random.default_rng(5), 40,
                                                            n_slow=n_slow))
         assert len(setup) == 2 and len(refs) == 5
-        alive = [name for name, ref in zip(("system", "j_ss", "j_sf", "j_fs", "j_ff"), refs)
+        alive = [name for name, ref in zip(("system", "rows", "cols", "off", "diag"), refs)
                  if ref() is not None]
         assert not alive, alive
 

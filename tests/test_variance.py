@@ -1,6 +1,7 @@
 """Modal analysis, kernels, closed-form variance, oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -232,6 +233,21 @@ class TestFrequencyVarianceKernel:
         vals = frequency_variance_kernel(lam, lam, 0.1, 0.25, 0.2)
         assert np.all(vals > 0)
 
+    def test_is_the_expression_bit_for_bit(self):
+        # the buffers are written in place, with the operations of the
+        # ratio's expression in its order, so every float is that of the
+        # expression evaluated term by term
+        rng = np.random.default_rng(4)
+        lam = -np.abs(rng.standard_normal(60)) * 10.0 ** rng.integers(-3, 4, 60)
+        for tau, gamma, m in ((0.1, 0.25, 0.2), (3.0, 1e-3, 5.0)):
+            a, b = -lam[:, None], -lam[None, :]
+            num = 0.5 * (2.0 * gamma * m * (a + b) * (gamma * tau + 1.0)
+                         + 4.0 * gamma * a * b * tau**2 - tau * (a - b)**2)
+            den = ((2.0 * gamma**2 * m * (a + b) + (a - b)**2)
+                   * (gamma * m * tau + a * tau**2 + m) * (gamma * m * tau + b * tau**2 + m))
+            kernel = frequency_variance_kernel(lam[:, None], lam[None, :], tau, gamma, m)
+            assert kernel.tobytes() == (2.0 * tau * (num / den)).tobytes()
+
     def test_zero_mode_pair_rejected(self):
         with pytest.raises(InputError, match="zero"):
             frequency_variance_kernel(0.0, 0.0, 0.1, 1.0, 1.0)
@@ -349,6 +365,22 @@ class TestCoiVariance:
             var_fast = np.einsum("ia,ab,ib->i", u, gam[1:, 1:] * kern_f, u)
             np.testing.assert_allclose(report.var_slow, var_slow, rtol=1e-12, atol=0)
             np.testing.assert_allclose(report.var_fast, var_fast, rtol=1e-12, atol=0)
+
+    def test_holds_gamma_and_one_kernel(self):
+        # beside the modes it is handed, coi_variance holds Gamma and one
+        # kernel's three N_S x N_S buffers (Gamma's two N_F x N_S arrays make
+        # one N_S x N_S here, N_F = N_S / 2); a second kernel held beside
+        # the first, or one kernel's expression temporaries, exceed it
+        grid = random_connected_grid(np.random.default_rng(7), 600, n_slow=400,
+                                     homogeneous=True)
+        _, red, basis = pipeline(grid)
+        tracemalloc.start()
+        try:
+            coi_variance(red, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 5 * red.n_slow**2, peak
 
     def test_csv_columns(self, tmp_path):
         grid = tmp_path / "path3.json"
