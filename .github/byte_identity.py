@@ -8,10 +8,11 @@ tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
 (its full models also at epsilon = 0.3, where the fast buses' inertia and
 damping are scaled, and a compare of all four models at theta = 1.0,
 backward Euler), `variance` on both grids also with --order-by-naive,
-two variants of the five-bus grid: every bus slow (m 0.2, d 0.05; `reduce`
-and `variance`, the reduction with no fast bus) and bus 1 at m = 0.3 (a
-compare of all four models, whose heterogeneous parameters omit the
-analytic columns), plus the three benchmark workloads at seed 3 and
+three variants of the five-bus grid: every bus slow (m 0.2, d 0.05; `reduce`
+and `variance`, the reduction with no fast bus), bus 1 at m = 0.3 (a
+compare of all four models, whose non-uniform damping ratio omits the
+analytic columns) and bus 1 at m = 0.3, d = 0.075 (`variance` and a compare
+of all four models, a uniform damping ratio with unequal inertia), plus the three benchmark workloads at seed 3 and
 `reduce` on the benchmark's seed-3 oracle grid (synth_grid(3, ORACLE_BUSES):
 500 buses, mostly fast, whose reduced.json pins J_red, K and Sigma_xi to
 the last bit where the reduction's N_F x N_F buffers matter) when the
@@ -73,6 +74,12 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
         {**doc["buses"][0], "m": 0.3}, *doc["buses"][1:]]}))
     runs["json-hetero-compare"] = ["compare", str(hetero), "--models", ",".join(MODELS),
                                    "--ensemble", "2", "--t-end", "20", "--seed", "3"]
+    ratio = inputs / "grid_ratio.json"
+    ratio.write_text(json.dumps({**doc, "buses": [
+        {**doc["buses"][0], "m": 0.3, "d": 0.075}, *doc["buses"][1:]]}))
+    runs["json-ratio-variance"] = ["variance", str(ratio)]
+    runs["json-ratio-compare"] = ["compare", str(ratio), "--models", ",".join(MODELS),
+                                  "--ensemble", "2", "--t-end", "20", "--seed", "3"]
     try:
         sys.path.insert(0, str(head / "perfbench"))
         from workloads import ORACLE_BUSES, Workload, synth_grid, write_grid

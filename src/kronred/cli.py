@@ -139,7 +139,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
     op, red = linearize_and_reduce(grid)
     # built first: a noise covariance overflow is refused before anything is printed
     doc = json.dumps(reduced_system_to_dict(red), indent=2) + "\n"
-    basis = eigendecompose_reduced(red.j_red)
+    basis = eigendecompose_reduced(red.j_red, np.ones(red.n_slow))  # J_red's own spectrum
     gap = -basis.lambdas[1] if red.n_slow > 1 else 0.0
     row_sums = np.abs(red.noise_gain).sum(axis=1) if red.n_fast else np.zeros(red.n_slow)
     print(f"slow buses : {red.n_slow}")
@@ -155,10 +155,10 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
 def cmd_variance(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
     op, red = linearize_and_reduce(grid)
-    report = coi_variance(red, eigendecompose_reduced(red.j_red))
+    report = coi_variance(red, eigendecompose_reduced(red.j_red, red.m_slow))
 
     rows = list(zip(report.bus_ids, report.var_total.tolist(), report.var_slow.tolist(),
-                    report.var_fast.tolist(), report.var_naive.tolist()))
+                    report.var_fast.tolist(), report.var_slow.tolist()))
     if args.order_by_naive:
         rows.sort(key=lambda row: row[4])  # stable: ties keep bus order
     print(f"wrote variance.csv for {red.n_slow} slow buses "
@@ -213,8 +213,8 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
     # per-bus values of every column after bus_id, None where a column has none
     columns = {"var_analytic": None, "var_naive_analytic": None}
     try:
-        report = coi_variance(red, eigendecompose_reduced(red.j_red))
-        columns.update(var_analytic=report.var_total, var_naive_analytic=report.var_naive)
+        report = coi_variance(red, eigendecompose_reduced(red.j_red, red.m_slow))
+        columns.update(var_analytic=report.var_total, var_naive_analytic=report.var_slow)
     except HomogeneityError:
         print("heterogeneous parameters: analytic columns omitted, comparing simulated models")
 
@@ -253,7 +253,7 @@ def cmd_star_demo(args) -> dict[str, Iterable[str]]:
     grid = make_star_grid(args.n_outer, args.center, b=args.b, sigma=args.sigma,
                           m=args.m, d=args.d, tau=args.tau)
     op, red = linearize_and_reduce(grid)
-    basis = eigendecompose_reduced(red.j_red)
+    basis = eigendecompose_reduced(red.j_red, red.m_slow)
     report = coi_variance(red, basis)
     gam = gamma_matrix(red, basis)  # for the printouts; coi_variance builds its own
 
@@ -270,7 +270,7 @@ def cmd_star_demo(args) -> dict[str, Iterable[str]]:
 
     print("bus_id  var_total      var_naive      ratio")
     for k, bid in enumerate(report.bus_ids):
-        tot, nai = float(report.var_total[k]), float(report.var_naive[k])
+        tot, nai = float(report.var_total[k]), float(report.var_slow[k])
         ratio = tot / nai if nai > 0 else float("inf") if tot > 0 else 1.0
         print(f"{bid:>6}  {tot:<13.6g}  {nai:<13.6g}  {ratio:.3g}")
     return {}

@@ -14,7 +14,7 @@ class InputError(KronredError):
 
 
 class HomogeneityError(InputError):
-    """The closed-form variance needs homogeneous parameters; simulation does not."""
+    """The closed form needs one damping ratio d/m over the slow buses; simulation does not."""
 
 
 class NumericsError(KronredError):

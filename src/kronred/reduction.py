@@ -48,8 +48,8 @@ class ReducedSystem:
     ``noise_gain`` is the N_S x N_F map K through which fast-bus noise
     enters the slow buses; with the sigmas it fixes the covariance of xi,
     which ``xi_covariance`` builds on demand.  Per-bus parameter vectors
-    (m, d, sigma, tau) are carried so heterogeneous systems can still be
-    simulated; the closed-form variance path validates homogeneity itself.
+    (m, d, sigma, tau) are carried for the simulator and the closed form,
+    which checks its one precondition, a uniform d/m, itself.
     """
 
     slow_ids: tuple[int, ...]

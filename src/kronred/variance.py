@@ -1,15 +1,16 @@
 """Modal analysis and closed-form frequency variance of the reduced system.
 
-The reduced dynamics  m x'' + d x' = J_red x + xi  are expanded over the
-orthonormal eigenmodes u_alpha of J_red (eigenvalues 0 = lambda_1 >=
-lambda_2 >= ...).  The center-of-inertia (COI) variance of the
-frequency deviations then splits, mode pair by mode pair, into a
-slow-noise and a fast-noise contribution weighted by a scalar kernel
-that depends only on the two eigenvalues, the noise correlation time
-tau, the damping rate gamma = d/m and the inertia m.  The fast-noise
-amplitudes are the modal coupling Gamma = U^T K diag(sigma_F^2) K^T U
-of the reduction's noise map K, so ``coi_variance(red, basis)`` needs
-nothing beyond the reduction and its modes: it builds Gamma itself.
+The reduced dynamics  M x'' + D x' = J_red x + xi, with one damping
+ratio gamma = d/m over the slow buses, decouple over the mass-normalized
+eigenmodes v_alpha of J_red (ModalBasis; eigenvalues 0 = lambda_1 >=
+lambda_2 >= ...).  The center-of-inertia (COI) variance of the frequency
+deviations then splits, mode pair by mode pair, into a slow-noise and a
+fast-noise contribution weighted by a scalar kernel of the two
+eigenvalues, the noise correlation time tau, gamma and the first slow
+bus's inertia m_0.  The fast-noise amplitudes are the modal coupling
+Gamma = V^T K diag(sigma_F^2) K^T V of the reduction's noise map K, so
+``coi_variance(red, basis)`` needs nothing beyond the reduction and its
+modes: it builds Gamma itself.
 
 Two kernels are exposed:
 
@@ -26,13 +27,14 @@ Two kernels are exposed:
 ``lyapunov_oracle_variance`` is that independent oracle: it builds the
 augmented state (modal x orthogonal to the uniform mode, full xdot, all
 OU channels), solves A P + P A^T + Q = 0 densely, and reads off the COI
-frequency variances.  It has no homogeneity restriction.
+frequency variances.  It has no restriction on m, d or tau.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -46,11 +48,11 @@ _ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as 
 
 @dataclass(frozen=True)
 class ModalBasis:
-    """Eigenpairs of J_red, sorted 0 = lambda_1 >= lambda_2 >= ...
+    """Eigenpairs of the mass-scaled J_red, sorted 0 = lambda_1 >= lambda_2 >= ...
 
-    Column alpha of ``modes`` is the orthonormal eigenvector u_alpha;
-    the first column is snapped to the exact uniform vector (the COI
-    direction).
+    Column alpha of ``modes`` is the mass-normalized mode v_alpha, so
+    V^T diag(m / m_0) V = I; the first column is uniform (the COI
+    direction).  With uniform m they are J_red's orthonormal eigenvectors.
     """
 
     lambdas: np.ndarray
@@ -61,25 +63,34 @@ class ModalBasis:
         return len(self.lambdas)
 
 
-def eigendecompose_reduced(j_red: np.ndarray) -> ModalBasis:
-    """Symmetric eigendecomposition with the zero mode snapped.
+def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
+    """Mass-normalized eigendecomposition of J_red with the zero mode snapped.
 
-    The zero eigenvalue is set to exactly 0 and its eigenvector to the
-    exact uniform vector; the remaining columns are re-orthogonalized
-    against it.  A second near-zero eigenvalue means the reduced network
-    is disconnected and is an error.
+    ``eigh`` runs on L = diag(s) J_red diag(s), s = mu^-1/2 with
+    mu = m / m[0], which is J_red itself when m is uniform.  The zero
+    eigenvalue is set to exactly 0 and its eigenvector to
+    sqrt(mu) / |sqrt(mu)|; the remaining columns are re-orthogonalized
+    against it, and the rows are scaled by s.  A second near-zero
+    eigenvalue means the reduced network is disconnected and is an error.
     """
     j_red = np.asarray(j_red, dtype=float)
     n = j_red.shape[0]
     if j_red.shape != (n, n):
         raise InputError(f"j_red must be square, got {j_red.shape}")
+    if np.shape(m) != (n,) or not np.all(np.greater(m, 0)):
+        raise InputError(f"m must be {n} positive inertias, one per slow bus")
     scale = max(1.0, float(np.abs(j_red).max()))
     if np.abs(j_red - j_red.T).max() > 1e-10 * scale:
         raise InputError("j_red is not symmetric")
     if np.abs(j_red.sum(axis=1)).max() > 1e-8 * scale:
         raise InputError("j_red does not have zero row sums (not a Laplacian)")
 
-    vals, vecs = np.linalg.eigh(j_red)
+    root_mu = np.sqrt(np.divide(m, m[0]))
+    s = 1.0 / root_mu
+    lap = j_red * s[:, None]  # L, bit for bit J_red when m is uniform
+    lap *= s
+    vals, vecs = np.linalg.eigh(lap)
+    del lap
     lambdas = vals[::-1].copy()
     modes = vecs[:, ::-1].copy()
 
@@ -92,19 +103,20 @@ def eigendecompose_reduced(j_red: np.ndarray) -> ModalBasis:
             "reduced network disconnected")
 
     lambdas[0] = 0.0
-    uniform = np.full(n, 1.0 / math.sqrt(n))
-    modes[:, 0] = uniform
+    zero = root_mu / np.linalg.norm(root_mu)
+    modes[:, 0] = zero
     for a in range(1, n):
         col = modes[:, a]
-        col = col - (uniform @ col) * uniform
+        col = col - (zero @ col) * zero
         modes[:, a] = col / np.linalg.norm(col)
+    modes *= s[:, None]
     return ModalBasis(lambdas=lambdas, modes=modes)
 
 
 def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
     """Modal cross-coupling of the fast-bus noise.
 
-    Entry (alpha, beta) is u_alpha^T K diag(sigma_F^2) K^T u_beta with
+    Entry (alpha, beta) is v_alpha^T K diag(sigma_F^2) K^T v_beta with
     K the noise map the reduction stored in ``red.noise_gain``; no
     further solve with J_FF is needed.  Symmetric positive semidefinite.
     """
@@ -114,7 +126,7 @@ def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
     if len(red.sigma_fast) != n_f:
         raise InputError(f"sigma_fast has {len(red.sigma_fast)} entries for {n_f} "
                          "noise-map columns")
-    w = red.noise_gain.T @ basis.modes  # K^T U
+    w = red.noise_gain.T @ basis.modes  # K^T V
     with np.errstate(over="ignore", invalid="ignore"):
         g = _symmetrize((w * red.sigma_fast[:, None]**2).T @ w)
     if not np.all(np.isfinite(g)):
@@ -242,53 +254,49 @@ class VarianceReport:
     var_slow: np.ndarray
     var_fast: np.ndarray
 
-    @property
-    def var_naive(self) -> np.ndarray:
-        return self.var_slow
 
-
-def _homogeneous(values: np.ndarray, label: str) -> float:
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise InputError(f"empty {label} vector")
-    if not np.allclose(values, values[0], rtol=1e-9, atol=0.0):
+def _damping_ratio(red: ReducedSystem) -> tuple[float, float]:
+    """(gamma, m_0): the slow buses' one d/m (else HomogeneityError) and their first m."""
+    ratio = red.d_slow / red.m_slow
+    if not np.allclose(ratio, ratio[0], rtol=1e-9, atol=0.0):
         raise HomogeneityError(
-            f"analytic formula requires homogeneous parameters; use simulation "
-            f"(heterogeneous {label}: min {values.min():.6g}, max {values.max():.6g}): "
-            "the `simulate` command has no homogeneity restriction")
-    return float(values[0])
+            "analytic formula requires a uniform damping ratio d/m over the slow buses; use "
+            f"simulation (d/m: min {ratio.min():.6g}, max {ratio.max():.6g}): "
+            "the `simulate` command has no such restriction")
+    return float(ratio[0]), float(red.m_slow[0])
 
 
-def _mode_sum(u_perp: np.ndarray, kernel: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
-    """Per-bus sum over mode pairs (a, b) of u_ia (amplitude_ab kernel_ab) u_ib:
-    the row sums of (u_perp @ (amplitude * kernel)) * u_perp, the
-    products made in place, ``kernel`` (which the caller does not keep)
-    freed before the last."""
+def _mode_sum(u_perp: np.ndarray, kernel: np.ndarray, amplitude: np.ndarray,
+              r: np.ndarray) -> np.ndarray:
+    """Per-bus sum over mode pairs (a, b) of c_ia (amplitude_ab kernel_ab) c_ib,
+    with C = u_perp - 1 r^T the modes less their slow-bus mean:
+    rowsum((u_perp X) * u_perp) - 2 (u_perp X) r + r^T X r for
+    X = amplitude * kernel, the products made in place, ``kernel`` (which
+    the caller does not keep) freed before the last."""
     kernel *= amplitude
     rows = u_perp @ kernel
+    r_x_r = r @ (kernel @ r)
     del kernel, amplitude
+    cross = rows @ r
     rows *= u_perp
-    return rows.sum(1)
+    return rows.sum(1) - 2.0 * cross + r_x_r
 
 
 def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     """Closed-form per-bus COI frequency variance.
 
-    The fast-bus noise enters through its modal coupling Gamma
+    ``basis`` is ``eigendecompose_reduced(red.j_red, red.m_slow)``.  The
+    fast-bus noise enters through its modal coupling Gamma
     (``gamma_matrix``), built first, so an overflowing Gamma is an
-    InputError whatever the parameters.  Then the formula requires
-    homogeneous inertia and damping over the slow buses and homogeneous
-    noise correlation time within each class.  The mode sums run over
-    modes 2..N_S: the uniform mode is the COI direction and drops out by
-    definition, so a single slow bus has variance exactly 0, with no
-    kernel evaluated.
+    InputError whatever the parameters.  Then the formula requires one
+    damping ratio d/m over the slow buses.  A noise class sums its mode
+    sums over its distinct tau, masking the others' sigma to 0.  The
+    sums run over modes 2..N_S: the uniform mode is the COI direction
+    and drops out by definition, so a single slow bus has variance
+    exactly 0, with no kernel evaluated.
     """
     gamma_mat = gamma_matrix(red, basis)
-    m = _homogeneous(red.m_slow, "inertia m")
-    d = _homogeneous(red.d_slow, "damping d")
-    tau_s = _homogeneous(red.tau_slow, "tau (slow class)")
-    tau_f = _homogeneous(red.tau_fast, "tau (fast class)") if red.n_fast else None
-    gamma = d / m
+    gamma, m0 = _damping_ratio(red)
 
     if red.n_slow == 1:
         # exactly 0 for any parameters, also where the kernels overflow (tau = 1e200)
@@ -296,19 +304,26 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
 
     lam = basis.lambdas[1:]
     u_perp = basis.modes[:, 1:]
+    # each mode's slow-bus mean: (1 - m/m_0) @ V / N_S, as (m/m_0) @ V = 0; 0 for uniform m
+    r = ((1.0 - red.m_slow / m0) @ u_perp) / red.n_slow
+
+    def class_sum(taus, amplitude):
+        # one kernel per distinct tau, freed inside its mode sum before the next is built
+        return functools.reduce(np.add, (
+            _mode_sum(u_perp, frequency_variance_kernel(lam[:, None], lam[None, :], t, gamma, m0),
+                      amplitude(t), r) for t in np.unique(taus)))
 
     # The kernels keep their own overflow checks; an overflow in the
-    # amplitudes or mode sums shows as a non-finite total.  Each kernel is
-    # freed inside its mode sum, before the next is built.
+    # amplitudes or mode sums shows as a non-finite total.
     with np.errstate(over="ignore", invalid="ignore"):
-        var_slow = _mode_sum(u_perp,
-                             frequency_variance_kernel(lam[:, None], lam[None, :], tau_s, gamma, m),
-                             (u_perp * red.sigma_slow[:, None]**2).T @ u_perp)
+        var_slow = class_sum(red.tau_slow, lambda t: (
+            u_perp * np.where(red.tau_slow == t, red.sigma_slow**2, 0.0)[:, None]).T @ u_perp)
         if red.n_fast:
-            var_fast = _mode_sum(u_perp,
-                                 frequency_variance_kernel(lam[:, None], lam[None, :], tau_f,
-                                                           gamma, m),
-                                 gamma_mat[1:, 1:])
+            if len(np.unique(red.tau_fast)) > 1:  # each tau's Gamma in turn, one held at a time
+                gamma_mat = None
+            var_fast = class_sum(red.tau_fast, lambda t: (gamma_mat if gamma_mat is not None else
+                gamma_matrix(replace(red, sigma_fast=np.where(red.tau_fast == t, red.sigma_fast,
+                                                              0.0)), basis))[1:, 1:])
         else:
             var_fast = np.zeros(red.n_slow)
         var_total = var_slow + var_fast
@@ -339,9 +354,9 @@ def lyapunov_oracle_variance(red: ReducedSystem) -> np.ndarray:
     State: modal displacement z (orthogonal complement of the uniform
     mode), full frequency vector v, and one OU channel per bus (slow
     and fast), each entering through its generator m_i v_i' += eta.
-    Heterogeneous m, d and tau are fully supported, which makes this
-    the reference for heterogeneous-parameter studies as well as the
-    cross-check that pins the closed-form kernel.
+    Any m, d and tau are supported, non-uniform d/m included, which makes
+    this the reference for such studies as well as the cross-check that
+    pins the closed-form kernel.
     """
     n_s, n_f = red.n_slow, red.n_fast
     if n_s == 1:
@@ -398,14 +413,14 @@ def modal_trajectory(
     The noise path (one row of slow-space values per step, held constant
     over the step) is projected onto modes 2..N_S, each mode's damped
     oscillator is advanced with its exact matrix-exponential step, and
-    x, xdot are reassembled.  Any component along the uniform mode (of
-    the noise or the initial condition) is dropped.  A noise path, x0 or
-    v0 that is not finite numbers of its shape, over the rows the steps
-    read, is an InputError (simulate._finite_floats, as in integrate).
+    x, xdot are reassembled.  Like the closed form, it needs one damping
+    ratio d/m over the slow buses.  Any component along the uniform mode
+    (of the noise, or of the initial condition in the diag(m) inner
+    product) is dropped.  A noise path, x0 or v0 that is not finite
+    numbers of its shape, over the rows the steps read, is an InputError
+    (simulate._finite_floats, as in integrate).
     """
-    m = _homogeneous(red.m_slow, "inertia m")
-    d = _homogeneous(red.d_slow, "damping d")
-    gamma = d / m
+    gamma, m = _damping_ratio(red)
     t_grid, dt = _uniform_step(t_grid)
     n_steps = len(t_grid) - 1
     n_s = red.n_slow
@@ -415,9 +430,9 @@ def modal_trajectory(
     lam = basis.lambdas[1:]
     n_modes = n_s - 1
 
-    z, v = (np.zeros(n_modes) if value is None
-            else u_perp.T @ _finite_floats(value, f"{name} must be {n_s} finite values, "
-                                           "one per slow bus", n_s)
+    z, v = (np.zeros(n_modes) if value is None  # weighted by m / m_0
+            else u_perp.T @ (red.m_slow / m * _finite_floats(
+                value, f"{name} must be {n_s} finite values, one per slow bus", n_s))
             for name, value in (("x0", x0), ("v0", v0)))
 
     # per-mode exact step: Phi = expm(A dt), forced response g = A^-1 (Phi - I) b

@@ -511,6 +511,27 @@ class TestCompare:
             assert cells[1] == "" and cells[2] == ""
             assert cells[3] != "" and cells[4] != ""
 
+    def test_uniform_damping_ratio_fills_analytic_columns(self, tmp_path, capsys):
+        # unequal inertia at one d/m: the closed form applies, and its
+        # columns are filled
+        doc = {
+            "buses": [
+                {"id": 1, "class": "slow", "m": 0.2, "d": 0.05, "p": 0.0, "sigma": 0.01, "tau": 0.1},
+                {"id": 2, "class": "slow", "m": 0.4, "d": 0.1, "p": 0.0, "sigma": 0.01, "tau": 0.1},
+                {"id": 3, "class": "fast", "m": 0.002, "d": 0.0005, "p": 0.0, "sigma": 0.01, "tau": 0.1},
+            ],
+            "lines": [{"from": 1, "to": 2, "B": 1.0}, {"from": 2, "to": 3, "B": 1.0}],
+        }
+        grid = write_grid(tmp_path, json.dumps(doc))
+        assert main(["compare", grid, "--t-end", "30", "--burn-in", "5",
+                     "--models", "reduced-xi,reduced-naive", "--out-dir", str(tmp_path)]) == 0
+        assert "omitted" not in capsys.readouterr().out
+        rows = (tmp_path / "compare.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 2
+        for row in rows:
+            cells = row.split(",")
+            assert float(cells[1]) > float(cells[2]) > 0.0
+
     def test_one_setup_for_all_models(self, tmp_path, monkeypatch):
         import kronred.cli
         import kronred.reduction

@@ -8,6 +8,7 @@ Examples are derandomized and bounded so the suite's time stays flat.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from kronred.grid import (FAST, SLOW, Grid, assemble_linearized, build_jacobian,
 from kronred.reduction import factor_fast_block, reduce_grid
 from kronred import simulate
 from kronred.simulate import linearize_and_reduce
-from kronred.variance import coi_variance, eigendecompose_reduced
+from kronred.variance import coi_variance, eigendecompose_reduced, lyapunov_oracle_variance
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -39,7 +40,7 @@ def grids(draw, max_buses=16):
 
 def analyze(grid):
     red = reduce_grid(grid, dense_reference(grid)[1])
-    return red, coi_variance(red, eigendecompose_reduced(red.j_red))
+    return red, coi_variance(red, eigendecompose_reduced(red.j_red, red.m_slow))
 
 
 @PROPERTY_SETTINGS
@@ -66,6 +67,21 @@ def test_variance_scales_quadratically_with_sigma(grid, c):
     _, report = analyze(grid)
     _, scaled = analyze(with_sigma(grid, c * grid.param_vector("sigma")))
     np.testing.assert_allclose(scaled.var_total, c**2 * report.var_total, rtol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1))
+def test_uniform_damping_ratio_matches_oracle(grid, seed):
+    # each slow bus's m and d scaled by its own draw, so d/m stays uniform
+    # while m does not, and every bus's tau drawn from three values in
+    # both classes: the closed form is the dense Lyapunov solve's value
+    rng = np.random.default_rng(seed)
+    buses = tuple(replace(bus, tau=float(tau), **({"m": bus.m * c, "d": bus.d * c}
+                                                 if bus.speed_class == SLOW else {}))
+                  for bus, c, tau in zip(grid.buses, rng.uniform(0.3, 3.0, grid.n_buses),
+                                         rng.choice((0.05, 0.1, 0.3), grid.n_buses)))
+    red, report = analyze(Grid(buses=buses, lines=grid.lines))
+    np.testing.assert_allclose(report.var_total, lyapunov_oracle_variance(red), rtol=1e-6)
 
 
 @PROPERTY_SETTINGS

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import kronred.simulate as simulate
 from conftest import (dense_coupling, dense_reference, path3_grid, random_connected_grid,
                       two_bus_grid)
 from kronred.errors import InputError, NumericsError
-from kronred.grid import ClassDefaults, parse_matpower_case, solve_fixed_point, with_sigma
+from kronred.grid import (SLOW, ClassDefaults, Grid, parse_matpower_case, solve_fixed_point,
+                          with_sigma)
 from kronred.reduction import reduce_grid
 from kronred.simulate import (OUSpec, SimConfig, Trajectory, default_dt_max, integrate,
                               make_time_grid, ou_sample_path, ou_spec_for_grid,
@@ -672,7 +674,7 @@ class TestIntegrateReduced:
     def test_converges_to_modal_trajectory_as_dt_shrinks(self):
         grid = path3_grid(sigma_slow=0.4, sigma_fast=0.8)
         op, red = reduced_of(grid)
-        basis = eigendecompose_reduced(red.j_red)
+        basis = eigendecompose_reduced(red.j_red, red.m_slow)
         coarse_dt = 0.02
         t_coarse = make_time_grid(8.0, coarse_dt)
         rng = np.random.default_rng(21)
@@ -698,7 +700,7 @@ class TestIntegrateReduced:
         # steps follow the exact modal solution to second order in dt
         grid = random_connected_grid(np.random.default_rng(6), 9, homogeneous=True)
         op, red = reduced_of(grid)
-        basis = eigendecompose_reduced(red.j_red)
+        basis = eigendecompose_reduced(red.j_red, red.m_slow)
         rng = np.random.default_rng(2)
         u_perp = basis.modes[:, 1:]
         x0 = u_perp @ rng.normal(0.0, 0.1, red.n_slow - 1)
@@ -718,6 +720,42 @@ class TestIntegrateReduced:
             # error of the fastest mode over [0, t_end]
             errors.append(max(np.abs(got - want).max() / np.abs(want).max()
                               for got, want in ((traj.x, exact.x), (traj.xdot, exact.xdot))))
+            assert errors[-1] <= (w_max * dt)**2 * w_max * cfg.t_end / 12
+        assert 0.2 <= errors[1] / errors[0] <= 0.3
+
+    def test_unequal_inertia_matches_modal_trajectory(self):
+        # slow m and d scaled per bus at one damping ratio d/m; a start in
+        # the non-uniform modes and a zero-sum noise path leave the uniform
+        # mode at rest, so the trapezoid steps follow the exact
+        # mass-normalized modal solution, to second order in dt
+        grid = random_connected_grid(np.random.default_rng(6), 9, homogeneous=True)
+        rng = np.random.default_rng(2)
+        scales = rng.uniform(0.3, 3.0, grid.n_buses)
+        grid = Grid(buses=tuple(bus if bus.speed_class != SLOW else replace(bus, m=bus.m * c,
+                                                                            d=bus.d * c)
+                                for bus, c in zip(grid.buses, scales)), lines=grid.lines)
+        op, red = reduced_of(grid)
+        assert red.m_slow.max() > 2 * red.m_slow.min()
+        basis = eigendecompose_reduced(red.j_red, red.m_slow)
+        u_perp = basis.modes[:, 1:]
+        x0, v0 = (u_perp @ rng.normal(0.0, 0.1, red.n_slow - 1) for _ in range(2))
+        coarse_dt = 0.02
+        t_coarse = make_time_grid(5.0, coarse_dt)
+        xi = rng.normal(0.0, 0.3, (len(t_coarse) - 1, red.n_slow))
+        xi -= xi.mean(axis=1, keepdims=True)
+        exact = modal_trajectory(red, basis, xi, t_coarse, x0=x0, v0=v0)
+        np.testing.assert_allclose(exact.x[0], x0, rtol=0, atol=1e-14)
+        w_max = math.sqrt(-basis.lambdas.min() / red.m_slow[0])  # fastest mode's frequency
+        errors = []
+        for refine in (1, 2):
+            dt = coarse_dt / refine
+            cfg = SimConfig(dt_max=dt, t_end=5.0, burn_in=0.0)
+            noise = np.hstack([np.repeat(xi, refine, axis=0),
+                               np.zeros((len(xi) * refine, red.n_fast))])  # fast channels silent
+            traj = integrate(grid, op, red, "reduced-xi", cfg, noise, x0=x0, v0=v0)
+            errors.append(max(np.abs(got[::refine] - want).max() / np.abs(want).max()
+                              for got, want in ((traj.x, exact.x), (traj.xdot, exact.xdot))))
+            # within the trapezoid's phase error of the fastest mode
             assert errors[-1] <= (w_max * dt)**2 * w_max * cfg.t_end / 12
         assert 0.2 <= errors[1] / errors[0] <= 0.3
 
@@ -1144,7 +1182,7 @@ class TestStatisticalConsistency:
         grid = random_connected_grid(rng, 8, homogeneous=True,
                                      sigma_range=(0.005, 0.02))
         _, red = reduced_of(grid)
-        analytic = coi_variance(red, eigendecompose_reduced(red.j_red)).var_total
+        analytic = coi_variance(red, eigendecompose_reduced(red.j_red, red.m_slow)).var_total
 
         cfg = SimConfig(dt_max=0.01, t_end=800.0, burn_in=40.0, ensemble_size=4, base_seed=3)
         stats = run_model_ensemble(grid, "reduced-xi", cfg)

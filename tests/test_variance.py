@@ -24,25 +24,25 @@ def pipeline(grid):
     """The dense reference linearization, its reduction and modes."""
     _, sys = dense_reference(grid)
     red = reduce_grid(grid, sys)
-    return sys, red, eigendecompose_reduced(red.j_red)
+    return sys, red, eigendecompose_reduced(red.j_red, red.m_slow)
 
 
 class TestEigendecompose:
     def test_two_mode_analytic(self):
-        basis = eigendecompose_reduced(np.array([[-0.5, 0.5], [0.5, -0.5]]))
+        basis = eigendecompose_reduced(np.array([[-0.5, 0.5], [0.5, -0.5]]), np.ones(2))
         np.testing.assert_allclose(basis.lambdas, [0.0, -1.0], atol=1e-14)
         np.testing.assert_allclose(np.abs(basis.modes[:, 1]),
                                    [1 / math.sqrt(2)] * 2, atol=1e-14)
 
     def test_single_bus(self):
-        basis = eigendecompose_reduced(np.zeros((1, 1)))
+        basis = eigendecompose_reduced(np.zeros((1, 1)), np.ones(1))
         assert basis.lambdas[0] == 0.0
         np.testing.assert_allclose(basis.modes, [[1.0]])
 
     def test_star_rank_one_spectrum(self):
         n = 6
         j_red = -np.eye(n) + np.full((n, n), 1.0 / n)
-        basis = eigendecompose_reduced(j_red)
+        basis = eigendecompose_reduced(j_red, np.ones(n))
         np.testing.assert_allclose(basis.lambdas, [0.0] + [-1.0] * (n - 1), atol=1e-12)
 
     def test_zero_mode_snapped_and_orthonormal(self):
@@ -58,17 +58,37 @@ class TestEigendecompose:
             resid = red.j_red @ basis.modes - basis.modes * basis.lambdas
             assert np.abs(resid).max() < 1e-8
 
+    def test_unequal_inertia_modes_are_mass_normalized(self):
+        # modes of the mass-scaled J_red: V^T diag(m / m_0) V = I, the
+        # first one uniform, and J_red v = lambda diag(m / m_0) v
+        rng = np.random.default_rng(29)
+        grid = random_connected_grid(rng, 14, n_slow=8)
+        _, red, _ = pipeline(grid)
+        m = rng.uniform(0.06, 0.6, red.n_slow)
+        mu = m / m[0]
+        basis = eigendecompose_reduced(red.j_red, m)
+        modes = basis.modes
+        assert np.abs(modes.T @ (mu[:, None] * modes) - np.eye(red.n_slow)).max() < 1e-10
+        np.testing.assert_allclose(modes[:, 0], modes[0, 0], rtol=1e-14)
+        resid = red.j_red @ modes - mu[:, None] * modes * basis.lambdas
+        assert np.abs(resid).max() < 1e-8
+
+    def test_inertia_of_wrong_shape_or_sign_rejected(self):
+        for m in (np.ones(3), np.array([0.2, 0.0]), np.array([0.2, np.nan])):
+            with pytest.raises(InputError, match="positive inertias"):
+                eigendecompose_reduced(np.array([[-0.5, 0.5], [0.5, -0.5]]), m)
+
     def test_disconnected_reduced_network_rejected(self):
         block = np.array([[-1.0, 1.0], [1.0, -1.0]])
         j_red = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
         with pytest.raises(NumericsError, match="not simple"):
-            eigendecompose_reduced(j_red)
+            eigendecompose_reduced(j_red, np.ones(4))
 
     def test_non_laplacian_rejected(self):
         with pytest.raises(InputError, match="row sums"):
-            eigendecompose_reduced(np.array([[-2.0, 1.0], [1.0, -2.0]]))
+            eigendecompose_reduced(np.array([[-2.0, 1.0], [1.0, -2.0]]), np.ones(2))
         with pytest.raises(InputError, match="symmetric"):
-            eigendecompose_reduced(np.array([[-1.0, 1.0], [0.5, -0.5]]))
+            eigendecompose_reduced(np.array([[-1.0, 1.0], [0.5, -0.5]]), np.ones(2))
 
 
 class TestGammaMatrix:
@@ -130,7 +150,7 @@ class TestGammaMatrix:
         with pytest.raises(InputError, match="noise-map columns"):
             gamma_matrix(replace(red, sigma_fast=np.ones(2)), basis)
         with pytest.raises(InputError, match="modes for 2 slow buses"):
-            gamma_matrix(red, eigendecompose_reduced(np.zeros((1, 1))))
+            gamma_matrix(red, eigendecompose_reduced(np.zeros((1, 1)), np.ones(1)))
 
     def test_fast_block_factored_once_per_reduction(self, monkeypatch):
         import kronred.reduction
