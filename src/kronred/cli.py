@@ -14,12 +14,13 @@ existing ancestor is not a writable directory, is refused before the
 command runs, and a failed write exits 2.
 
 The data files depend on the BLAS threads too: a threaded product splits
-its sums differently.  So every command runs with numpy's and scipy's
-bundled OpenBLAS pinned to one thread, and the manifest records the
-numpy, scipy and BLAS versions and the threads in use.  Importing this
-module sets OPENBLAS_NUM_THREADS=1 unless it is set already, so a
-process that imports it before numpy starts OpenBLAS with one thread
-and spawns no idle BLAS threads.
+its sums differently.  So every command runs with numpy's bundled
+OpenBLAS pinned to one thread, and the manifest records the numpy and
+BLAS versions and the threads in use.  No command imports scipy: the
+run path computes with numpy alone.  Importing this module sets
+OPENBLAS_NUM_THREADS=1 unless it is set already, so a process that
+imports it before numpy starts OpenBLAS with one thread and spawns no
+idle BLAS threads.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
@@ -44,7 +45,6 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import HomogeneityError, InputError, NumericsError
@@ -88,7 +88,7 @@ def _write_manifest(args, argv: list[str], blas: dict, started: float,
         "seeds": {"seed": args.seed},
         "input_digests": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
         "version": __version__,
-        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas},
+        "libraries": {"numpy": np.__version__, "blas": blas},
         "duration_s": round(time.time() - started, 3),
         "outputs": outputs,
     }
@@ -347,43 +347,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# numpy's and scipy's bundled OpenBLAS: the package whose ``<name>.libs``
-# folder holds it, and the suffix of its exported names.
-_BUNDLED_BLAS = (("numpy", "64_"), ("scipy", ""))
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Pin numpy's and scipy's bundled OpenBLAS to one thread, and restore
-    their thread counts on exit.  Yields, per library found, its
-    configuration string (version included) and the threads in use.  A
-    library that is not there, or lacks the thread-count functions, is
-    left alone."""
+    """Pin numpy's bundled OpenBLAS to one thread, and restore its thread
+    count on exit.  Yields, if it is found, {"numpy": its configuration
+    string (version included) and the threads in use}.  A library that
+    is not there, or lacks the thread-count functions, is left alone."""
     import ctypes
 
     pinned = []
-    for package, suffix in _BUNDLED_BLAS:
-        site = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
-        for path in sorted(glob.glob(os.path.join(site, f"{package}.libs",
-                                                  "libscipy_openblas*.so"))):
-            try:
-                lib = ctypes.CDLL(path)
-                get, put, config = (getattr(lib, f"scipy_openblas_{name}{suffix}")
-                                    for name in ("get_num_threads", "set_num_threads",
-                                                 "get_config"))
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            config.argtypes, config.restype = [], ctypes.c_char_p
-            pinned.append((package, get, put, config, get()))
-    for _, _, put, _, _ in pinned:
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for path in sorted(glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put, config = (getattr(lib, f"scipy_openblas_{name}64_")
+                                for name in ("get_num_threads", "set_num_threads", "get_config"))
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        pinned.append((get, put, config, get()))
+    for _, put, _, _ in pinned:
         put(1)
     try:
-        yield {package: {"config": config().decode(), "threads": get()}
-               for package, get, _, config, _ in pinned}
+        yield {"numpy": {"config": config().decode(), "threads": get()}
+               for get, _, config, _ in pinned}
     finally:
-        for _, _, put, _, before in pinned:
+        for _, put, _, before in pinned:
             put(before)
 
 

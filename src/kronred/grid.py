@@ -37,8 +37,6 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import InputError, NumericsError
 
@@ -579,16 +577,66 @@ def _angle_jacobian(edges: EdgeList, theta: np.ndarray) -> np.ndarray:
     return _scatter(np.zeros((edges.n_buses, edges.n_buses)), edges.ends, edges.others, off, diag)
 
 
+def _minres(apply, rhs: np.ndarray, inv_diag: np.ndarray, rtol: float, maxiter: int):
+    """Preconditioned MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12(4),
+    1975) for apply(x) = rhs, with ``apply`` symmetric, possibly
+    indefinite, and the positive preconditioner diag(1 / inv_diag): x whose
+    residual, in the preconditioner's inverse norm, is at most rtol times
+    rhs's, or None when the Lanczos process breaks down or maxiter steps
+    do not get there."""
+    x = np.zeros_like(rhs)
+    r1 = r2 = rhs
+    y = rhs * inv_diag
+    beta1 = math.sqrt(rhs @ y)
+    if beta1 == 0.0:
+        return x
+    oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
+    w, w2 = np.zeros_like(rhs), np.zeros_like(rhs)
+    for itn in range(maxiter):
+        v = y / beta
+        y = apply(v)
+        if itn:
+            y -= (beta / oldb) * r1
+        alfa = v @ y
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = r2 * inv_diag
+        oldb, beta = beta, r2 @ y
+        if not beta >= 0.0:
+            return None
+        beta = math.sqrt(beta)
+        # the previous rotation, then the next one, on the tridiagonal's column
+        oldeps, delta = epsln, cs * dbar + sn * alfa
+        gbar, epsln, dbar = sn * dbar - cs * alfa, sn * beta, -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if not gamma > 0.0:
+            return None
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w2, w = w, (v - oldeps * w2 - delta * w) / gamma
+        x += phi * w
+        if phibar <= rtol * beta1:
+            return x
+    return None
+
+
 def solve_fixed_point(grid: Grid) -> OperatingPoint:
     """Newton solve of the synchronized fixed point in the zero-mean gauge.
 
     The injections must balance (sum to ~0); the iteration runs on the
-    subspace orthogonal to the uniform shift via a bordered system, with
-    step halving (up to 40 halvings) when the residual does not decrease.
-    Residuals and Jacobians are evaluated over the edge list, and the
-    bordered matrix [[J, 1], [1^T, 0]] is assembled sparse and factored
-    with a sparse LU (minimum-degree ordering), so a step costs about
-    O(lines) plus the fill of that factor instead of O(n^3).
+    subspace orthogonal to the uniform shift, with step halving (up to 40
+    halvings) when the residual does not decrease.  Residuals and
+    Jacobians are evaluated over the edge list, and each Newton step
+    solves -J delta = r, r projected off the uniform vector, by a Krylov
+    method that only applies -J, the Laplacian with weights b cos(dtheta),
+    over the edge list: no n x n array and no factor.  It is inexact
+    Newton, each linear residual at most 1e-3 min(1, |r|) times r's.  The
+    solve is MINRES preconditioned by the row sums of the weights'
+    magnitudes, the Jacobi diagonal while every weight is positive and -J
+    positive semidefinite; MINRES also solves the indefinite system of an
+    iterate with a line at or beyond pi/2.  A solve that breaks down, or
+    does not converge within 2 n + 100 steps (exact arithmetic needs at
+    most n - 1), is a singular Jacobian.
     """
     p = grid.param_vector("p")
     if abs(p.sum()) > 1e-8 * max(1.0, np.abs(p).max()) * grid.n_buses:
@@ -596,11 +644,7 @@ def solve_fixed_point(grid: Grid) -> OperatingPoint:
 
     edges = grid.edge_list()
     n = grid.n_buses
-    bus = np.arange(n)
-    border = np.full(n, n)
-    rows = np.concatenate([edges.ends, bus, bus, border])
-    cols = np.concatenate([edges.others, bus, border, bus])
-    ones = np.ones(2 * n)
+    maxiter = 2 * n + 100
     theta = np.zeros(n)
     r = p - edges.flows(theta)
     rnorm = float(np.linalg.norm(r))
@@ -608,13 +652,16 @@ def solve_fixed_point(grid: Grid) -> OperatingPoint:
     for _ in range(_FIXED_POINT_MAX_ITER):
         if rnorm <= _FIXED_POINT_TOL:
             break
-        bordered = csc_matrix((np.concatenate([*_jacobian_entries(edges, theta), ones]),
-                               (rows, cols)), shape=(n + 1, n + 1))
-        rhs = np.concatenate([-r, [0.0]])
-        try:
-            delta = splu(bordered, permc_spec="MMD_AT_PLUS_A").solve(rhs)[:n]
-        except RuntimeError as e:  # SuperLU: factor exactly singular
-            raise NumericsError("singular Jacobian away from the uniform mode") from e
+        weights, _ = _jacobian_entries(edges, theta)
+        diag = np.bincount(edges.ends, np.abs(weights), minlength=n)
+        delta = _minres(lambda x: np.bincount(edges.ends,
+                                              weights * (x[edges.ends] - x[edges.others]),
+                                              minlength=n),
+                        r - r.mean(), np.divide(1.0, diag, out=np.zeros(n), where=diag > 0),
+                        1e-3 * min(1.0, rnorm), maxiter)
+        if delta is None or not np.all(np.isfinite(delta)):
+            raise NumericsError("singular Jacobian away from the uniform mode")
+        delta -= delta.mean()
 
         step = 1.0
         for _halving in range(41):

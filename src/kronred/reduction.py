@@ -23,10 +23,13 @@ inverse): J_red = J_SS - J_SF W and K = -W^T.  The reduction reads the
 Jacobian's entries, which ``grid.linearize`` takes from the edge list
 (the dense n x n Jacobian of ``build_jacobian`` is a test reference),
 and scatters each block straight into the buffer it is used in: -J_FF
-into the one N_F x N_F buffer, in which the definiteness certificate
-and then the factor are made in place, and J_FS into the Fortran-ordered
-array the solve overwrites with -W.  The factor is freed before J_SF is
-scattered for the Schur product.
+into the N_F x N_F buffer the definiteness certificate and the factor
+are made from, and J_FS into the Fortran-ordered array that the blocked
+triangular solves overwrite with -W.  ``np.linalg.cholesky`` copies its
+input for LAPACK and writes the factor to a new array, so each
+factorization holds three N_F x N_F arrays: the buffer, LAPACK's copy
+and the factor.  The factor is freed before J_SF is scattered for the
+Schur product.  Only numpy is used.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, NumericsError
 from . import grid as _grid
@@ -76,7 +78,7 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def factor_fast_block(sys: LinearizedSystem):
-    """Cholesky factor of -J_FF, verifying negative definiteness first.
+    """Lower Cholesky factor of -J_FF, verifying negative definiteness first.
 
     The gate: the largest eigenvalue of J_FF is below -1e-12 x max(1,
     largest |eigenvalue|).  A Cholesky factorization of -J_FF - delta I
@@ -87,14 +89,15 @@ def factor_fast_block(sys: LinearizedSystem):
     its success leaves every eigenvalue of -J_FF above t.  When it fails,
     the eigenvalues decide, so the gate accepts and rejects as before.
     -J_FF is scattered from the entries of ``sys`` into one n_F x n_F
-    buffer, in which the certificate and then the factor are made in
-    place; the result equals ``cho_factor(-sys.j_ff)`` bit for bit.
+    buffer, shifted there for the certificate and scattered again for
+    the factor.  Each ``np.linalg.cholesky`` factors a LAPACK copy of the
+    buffer and writes its factor to a new array, so it holds three n_F x
+    n_F arrays; the result equals ``np.linalg.cholesky(-sys.j_ff)`` bit
+    for bit.
     """
     n_f = sys.n_fast
     if n_f == 0:
         return None
-    # One buffer for the certificate and then the factor, each made in
-    # place: buf.T is Fortran-ordered, the order LAPACK factors in.
     buf = sys.block(FAST, FAST, negate=True)
     # |J_FF|'s row sums, each summed as over the whole array, a block of
     # rows at a time so no second n_F x n_F array is made
@@ -105,10 +108,9 @@ def factor_fast_block(sys: LinearizedSystem):
     if 4 * n_f * gamma <= 1.0:  # delta then bounds the backward error
         buf.flat[::n_f + 1] -= t + 2 * n_f * gamma * (g + t)
         try:
-            # the upper triangle of buf.T is the lower one eigvalsh reads
-            cho_factor(buf.T, overwrite_a=True)
+            np.linalg.cholesky(buf.T)  # the factor is dropped: only its success counts
             certified = True
-        except (np.linalg.LinAlgError, ValueError):
+        except np.linalg.LinAlgError:
             pass
     if not certified:
         eigs = np.linalg.eigvalsh(sys.j_ff)
@@ -116,9 +118,35 @@ def factor_fast_block(sys: LinearizedSystem):
         if eigs.max() >= -1e-12 * scale:
             raise NumericsError(
                 f"fast block not negative definite: offending eigenvalue {eigs.max():.6e}")
-    # buf.T holds -J_FF again, as cho_factor(-sys.j_ff) copies it
-    sys.block(FAST, FAST, out=buf.T, negate=True)
-    return cho_factor(buf.T, overwrite_a=True)
+    # buf is symmetric, and its transpose is Fortran-ordered, the order
+    # numpy copies it into for LAPACK: a plain copy instead of a transposing one
+    return np.linalg.cholesky(sys.block(FAST, FAST, out=buf, negate=True).T)
+
+
+_SOLVE_ROWS = 128  # rows of a diagonal block in the triangular solves
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b <- (L L^T)^-1 b in place, L = ``factor`` lower triangular and b
+    Fortran-ordered: the forward solve L Y = b, then the back solve
+    L^T X = Y, _SOLVE_ROWS rows at a time, as numpy has no triangular
+    solve.  Each diagonal block of L is inverted by ``np.linalg.solve``
+    against the identity and applied by a matrix product; one more
+    product updates the rows not yet solved in place, made as the
+    transpose of a C-ordered product so that it is ordered as b is."""
+    n = len(factor)
+    starts = range(0, n, _SOLVE_ROWS)
+    for k in starts:
+        rows, below = slice(k, k + _SOLVE_ROWS), slice(k + _SOLVE_ROWS, n)
+        block = factor[rows, rows]
+        b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
+        b[below] -= (b[rows].T @ factor[below, rows].T).T
+    for k in reversed(starts):
+        rows = slice(k, k + _SOLVE_ROWS)
+        block = factor[rows, rows].T
+        b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
+        b[:k] -= (b[rows].T @ factor[rows, :k]).T
+    return b
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -140,9 +168,11 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     """Kron-reduce a grid's linearization to its slow buses.
 
     J_red = J_SS - J_SF J_FF^-1 J_FS (symmetrized) and the noise map
-    K = -J_SF J_FF^-1 share one factorization of -J_FF and one solve.
-    The network comes from the entries of ``sys``, which are not written;
-    every per-bus parameter (m, d, sigma, tau) from the grid.
+    K = -J_SF J_FF^-1 share one factorization of -J_FF
+    (``factor_fast_block``) and one solve (``_cho_solve``), which turns
+    the J_FS buffer into -W in place.  The network comes from the entries
+    of ``sys``, which are not written; every per-bus parameter (m, d,
+    sigma, tau) from the grid.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
@@ -158,9 +188,8 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
         # the factor is of -J_FF, so the solve turns J_FS into -W, W =
         # J_FF^-1 J_FS; its sign is carried through instead of negating
         # an N_F x N_S array.  The factor dies with the call.
-        neg_w = cho_solve(factor_fast_block(sys),
-                          sys.block(FAST, SLOW, out=np.empty((n_f, n_s), order="F")),
-                          overwrite_b=True)
+        neg_w = _cho_solve(factor_fast_block(sys),
+                           sys.block(FAST, SLOW, out=np.empty((n_f, n_s), order="F")))
         j_red = sys.j_sf @ neg_w
         j_red += sys.j_ss  # J_SS + J_SF (-W): the sum commutes bit for bit
         k = neg_w.T  # K = -J_SF J_FF^-1 = -W^T since J_FF is symmetric

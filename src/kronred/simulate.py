@@ -40,7 +40,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InputError, NumericsError
 from .grid import (Grid, OperatingPoint, _angle_jacobian, _as_int, _check_epsilon, _finite,
@@ -271,9 +270,13 @@ def _plan_batch(widths: tuple[int, ...], channels: int, n_slow: int, n_lines: in
     before anything exists.  Returns (members, rows, bytes held).
     """
     row_bytes = 8 * (2 * channels + sum(width + n_slow + 1 for width in widths))
-    # per model S, G and their LU factor (see _linear_maps), and the Jacobian
-    # (width / 2 squared) and noise gain (width / 2 x channels) they are built from
-    map_bytes = sum(8 * width * (2 * width + channels) + 2 * width * (width + 2 * channels)
+    # per model what _linear_maps holds while it solves, LAPACK's copies
+    # included: the implicit matrix (width / 2 squared) and its copy, the
+    # right-hand side and its copy and the velocity rows (each width / 2 x
+    # (width + channels)); S and G, made after, hold less.  And the
+    # Jacobian (width / 2 squared) and noise gain (width / 2 x channels)
+    # they are built from
+    map_bytes = sum(4 * width * (4 * width + 3 * channels) + 2 * width * (width + 2 * channels)
                     for width in widths)
     window, window_bytes = 1, 0
     if n_lines is not None:
@@ -414,34 +417,40 @@ def _linear_maps(jac, m, d, gain, dt: float, theta: float):
     of the first-order form X' = A X + B eta is X_{k+1} = S X_k + G eta_k,
     S = (I - theta dt A)^-1 (I + (1 - theta) dt A), G = (I - theta dt A)^-1 dt B.
 
-    A and B are never formed: I + s A is assembled block by block in
-    place (the same floats as I + s * A), Fortran-ordered, and LAPACK
-    factors the implicit matrix and solves for S and G in place.  So
-    building the maps holds one width x width LU factor besides them and
-    their inputs."""
+    A and B are never formed.  With s = theta dt, u = (1 - theta) dt and
+    D = d / m, the first block row of (I - s A) [S | G] = [I + u A | dt B]
+    gives the position rows as [I | u I | 0] + s times the velocity rows,
+    so the solve is one ``np.linalg.solve`` of half the width: the
+    velocity rows V from
+
+        (I + s D - s^2 jac / m) V = [dt jac / m | I - u D + s u jac / m | dt gain / m].
+
+    It holds the n x n matrix, the n x (2 n + channels) right-hand side,
+    LAPACK's copies of both and V.  S and G are returned Fortran-ordered,
+    so their transposes, which the steps multiply by, are C-ordered."""
     n = len(m)
-    damping, diag = -(d / m), np.arange(n)
-
-    def shifted(s):
-        out = np.zeros((2 * n, 2 * n), order="F")
-        out[diag, diag] = 1.0
-        out[diag, n + diag] = s
-        block = out[n:, :n]
-        np.divide(jac, m[:, None], out=block)
-        block *= s
-        block += 0.0  # a -0.0 becomes the +0.0 of I + s A
-        out[n + diag, n + diag] = 1.0 + s * damping
-        return out
-
-    forcing = np.zeros((2 * n, gain.shape[1]), order="F")
-    np.divide(gain, m[:, None], out=forcing[n:])
-    forcing *= dt
+    s, u, damping, diag = theta * dt, (1.0 - theta) * dt, d / m, np.arange(n)
+    rhs = np.empty((n, 2 * n + gain.shape[1]))
+    coupling = np.divide(jac, m[:, None], out=rhs[:, :n])
+    np.multiply(coupling, s * u, out=rhs[:, n:2 * n])
+    rhs[diag, n + diag] += 1.0 - u * damping
+    implicit = coupling * (-s * s)
+    implicit[diag, diag] += 1.0 + s * damping
+    coupling *= dt
+    np.divide(gain, m[:, None], out=rhs[:, 2 * n:])
+    rhs[:, 2 * n:] *= dt
     try:
-        factor = lu_factor(shifted(-theta * dt), overwrite_a=True)
-        step = lu_solve(factor, shifted((1.0 - theta) * dt), overwrite_b=True)
-        forcing = lu_solve(factor, forcing, overwrite_b=True)
-    except (np.linalg.LinAlgError, ValueError) as e:
+        velocity = np.linalg.solve(implicit, rhs)
+    except np.linalg.LinAlgError as e:
         raise NumericsError(f"singular implicit-step matrix at dt={dt}") from e
+    del implicit, rhs, coupling
+    step = np.empty((2 * n, 2 * n), order="F")
+    forcing = np.empty((2 * n, gain.shape[1]), order="F")
+    step[n:], forcing[n:] = velocity[:, :2 * n], velocity[:, 2 * n:]
+    np.multiply(velocity[:, :2 * n], s, out=step[:n])
+    np.multiply(velocity[:, 2 * n:], s, out=forcing[:n])
+    step[diag, diag] += 1.0
+    step[diag, n + diag] += u
     if not (np.all(np.isfinite(step)) and np.all(np.isfinite(forcing))):
         raise NumericsError(f"singular implicit-step matrix at dt={dt}")
     return step, forcing

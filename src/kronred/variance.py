@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import HomogeneityError, InputError, NumericsError
 from .reduction import ReducedSystem, _symmetrize
@@ -53,10 +52,13 @@ class ModalBasis:
     Column alpha of ``modes`` is the mass-normalized mode v_alpha, so
     V^T diag(m / m_0) V = I; the first column is uniform (the COI
     direction).  With uniform m they are J_red's orthonormal eigenvectors.
+    ``mu`` is the m / m_0 the basis was scaled by: the closed form and
+    ``modal_trajectory`` refuse a basis whose mu is not the reduction's.
     """
 
     lambdas: np.ndarray
     modes: np.ndarray
+    mu: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -85,7 +87,8 @@ def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
     if np.abs(j_red.sum(axis=1)).max() > 1e-8 * scale:
         raise InputError("j_red does not have zero row sums (not a Laplacian)")
 
-    root_mu = np.sqrt(np.divide(m, m[0]))
+    mu = np.divide(m, m[0])
+    root_mu = np.sqrt(mu)
     s = 1.0 / root_mu
     lap = j_red * s[:, None]  # L, bit for bit J_red when m is uniform
     lap *= s
@@ -110,7 +113,7 @@ def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
         col = col - (zero @ col) * zero
         modes[:, a] = col / np.linalg.norm(col)
     modes *= s[:, None]
-    return ModalBasis(lambdas=lambdas, modes=modes)
+    return ModalBasis(lambdas=lambdas, modes=modes, mu=mu)
 
 
 def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
@@ -255,14 +258,20 @@ class VarianceReport:
     var_fast: np.ndarray
 
 
-def _damping_ratio(red: ReducedSystem) -> tuple[float, float]:
-    """(gamma, m_0): the slow buses' one d/m (else HomogeneityError) and their first m."""
+def _damping_ratio(red: ReducedSystem, basis: ModalBasis) -> tuple[float, float]:
+    """(gamma, m_0): the slow buses' one d/m (else HomogeneityError) and
+    their first m; an InputError when ``basis`` was not scaled by their
+    m / m_0."""
     ratio = red.d_slow / red.m_slow
     if not np.allclose(ratio, ratio[0], rtol=1e-9, atol=0.0):
         raise HomogeneityError(
             "analytic formula requires a uniform damping ratio d/m over the slow buses; use "
             f"simulation (d/m: min {ratio.min():.6g}, max {ratio.max():.6g}): "
             "the `simulate` command has no such restriction")
+    mu = red.m_slow / red.m_slow[0]
+    if basis.mu.shape != mu.shape or not np.allclose(basis.mu, mu, rtol=1e-9, atol=0.0):
+        raise InputError("basis was scaled by other inertias than the slow buses' m: "
+                         "build it with eigendecompose_reduced(red.j_red, red.m_slow)")
     return float(ratio[0]), float(red.m_slow[0])
 
 
@@ -285,7 +294,8 @@ def _mode_sum(u_perp: np.ndarray, kernel: np.ndarray, amplitude: np.ndarray,
 def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     """Closed-form per-bus COI frequency variance.
 
-    ``basis`` is ``eigendecompose_reduced(red.j_red, red.m_slow)``.  The
+    ``basis`` is ``eigendecompose_reduced(red.j_red, red.m_slow)``; one
+    scaled by other inertias (its ``mu``) is an InputError.  The
     fast-bus noise enters through its modal coupling Gamma
     (``gamma_matrix``), built first, so an overflowing Gamma is an
     InputError whatever the parameters.  Then the formula requires one
@@ -296,7 +306,7 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     exactly 0, with no kernel evaluated.
     """
     gamma_mat = gamma_matrix(red, basis)
-    gamma, m0 = _damping_ratio(red)
+    gamma, m0 = _damping_ratio(red, basis)
 
     if red.n_slow == 1:
         # exactly 0 for any parameters, also where the kernels overflow (tau = 1e200)
@@ -384,6 +394,8 @@ def lyapunov_oracle_variance(red: ReducedSystem) -> np.ndarray:
     a[i_es, i_es] = -np.diag(1.0 / red.tau_slow)
     q[i_es, i_es] = np.diag(2.0 * red.sigma_slow**2 / red.tau_slow)
 
+    from scipy.linalg import solve_continuous_lyapunov  # a test reference: off the run path
+
     eig_real = np.linalg.eigvals(a).real
     if eig_real.max() >= 0:
         raise NumericsError(
@@ -414,13 +426,14 @@ def modal_trajectory(
     over the step) is projected onto modes 2..N_S, each mode's damped
     oscillator is advanced with its exact matrix-exponential step, and
     x, xdot are reassembled.  Like the closed form, it needs one damping
-    ratio d/m over the slow buses.  Any component along the uniform mode
+    ratio d/m over the slow buses, and a basis scaled by their m.  Any
+    component along the uniform mode
     (of the noise, or of the initial condition in the diag(m) inner
     product) is dropped.  A noise path, x0 or v0 that is not finite
     numbers of its shape, over the rows the steps read, is an InputError
     (simulate._finite_floats, as in integrate).
     """
-    gamma, m = _damping_ratio(red)
+    gamma, m = _damping_ratio(red, basis)
     t_grid, dt = _uniform_step(t_grid)
     n_steps = len(t_grid) - 1
     n_s = red.n_slow
@@ -434,6 +447,8 @@ def modal_trajectory(
             else u_perp.T @ (red.m_slow / m * _finite_floats(
                 value, f"{name} must be {n_s} finite values, one per slow bus", n_s))
             for name, value in (("x0", x0), ("v0", v0)))
+
+    from scipy.linalg import expm  # a test reference: off the run path
 
     # per-mode exact step: Phi = expm(A dt), forced response g = A^-1 (Phi - I) b
     phi = np.empty((n_modes, 2, 2))

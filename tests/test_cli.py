@@ -688,13 +688,16 @@ class TestStarDemo:
 
 
 def test_analysis_commands_do_not_import_the_simulator_filter(tmp_path):
-    # No command loads scipy.signal (or the scipy.stats it pulls in): not
-    # the import of the CLI, and not the commands that sample OU noise.
+    # The run path computes with numpy alone: no scipy module is loaded by
+    # the import of the CLI, nor by any command, all four models included.
     grid = homogeneous_grid_file(tmp_path)
     sim_flags = ["--t-end", "1", "--burn-in", "0.5", "--ensemble", "1"]
     runs = [[],
-            ["simulate", grid, "--model", "reduced-xi", *sim_flags,
-             "--out-dir", str(tmp_path / "simulate")],
+            ["reduce", grid, "--out-dir", str(tmp_path / "reduce")],
+            ["variance", grid, "--out-dir", str(tmp_path / "variance")],
+            ["star-demo", "--out-dir", str(tmp_path / "star-demo")],
+            *(["simulate", grid, "--model", model, *sim_flags,
+               "--out-dir", str(tmp_path / f"simulate-{model}")] for model in MODELS),
             ["compare", grid, "--models", ",".join(MODELS), *sim_flags,
              "--out-dir", str(tmp_path / "compare")]]
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -702,7 +705,7 @@ def test_analysis_commands_do_not_import_the_simulator_filter(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, kronred.cli\n"
             "assert not sys.argv[1:] or kronred.cli.main(sys.argv[1:]) == 0\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     for argv in runs:
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                              text=True, timeout=120, check=True).stdout
@@ -778,7 +781,7 @@ def test_data_files_do_not_depend_on_blas_threads(tmp_path):
             assert counts[0] == counts[1], (argv[0], threads, counts)
             manifest = json.loads((out / f"manifest_{argv[0]}.json").read_text())
             libraries = manifest["libraries"]
-            assert libraries["numpy"] == np.__version__ and "scipy" in libraries
+            assert libraries["numpy"] == np.__version__ and "scipy" not in libraries
             assert all(blas["threads"] == 1 for blas in libraries["blas"].values())
             files.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
         assert files[0] and files[0] == files[1], argv[0]

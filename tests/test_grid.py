@@ -449,10 +449,37 @@ class TestEdgeList:
         assert op.residual_norm <= 1e-10
         assert peak < n * n * 8 / 10  # a tenth of one dense n x n float array
 
-    def test_singular_sparse_factor_is_numerics_error(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(grid_module, "splu", singular)
+    def test_krylov_breakdown_is_numerics_error(self, monkeypatch, tmp_path, capsys):
+        # MINRES reports a breakdown, here on a singular system whose
+        # right-hand side leaves its range, and a Newton step whose solve
+        # breaks down is a singular Jacobian: exit 3, the message unchanged
+        lap = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        assert grid_module._minres(lambda x: lap @ x, np.array([1.0, -1.0, 1.0]), np.ones(3),
+                                   1e-8, 50) is None
+        monkeypatch.setattr(grid_module, "_minres", lambda *args: None)
         with pytest.raises(NumericsError, match="singular Jacobian away from the uniform mode"):
             solve_fixed_point(two_bus_grid(p=0.5))
+        from kronred.cli import main
+        path = tmp_path / "grid.json"
+        path.write_text(serialize_grid_json(two_bus_grid(p=0.5)))
+        assert main(["variance", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: singular Jacobian away from the uniform mode\n")
+
+    def test_indefinite_newton_step_reaches_the_sparse_lu_angles(self, monkeypatch):
+        # the triangle of test_large_angles_flagged_not_fatal: its chord ends
+        # beyond pi/2, so a Newton step solves an indefinite system (a
+        # negative weight); the angles are those the sparse-LU Newton
+        # reached, to 1e-12
+        p1 = 2.0 * math.sin(0.9) + 0.4 * math.sin(1.8)
+        grid = make_grid([(1, SLOW, p1), (2, FAST, 0.0), (3, FAST, -p1)],
+                         [(1, 2, 2.0), (2, 3, 2.0), (1, 3, 0.4)])
+        weights = []
+        entries = grid_module._jacobian_entries
+        monkeypatch.setattr(grid_module, "_jacobian_entries",
+                            lambda *args: weights.append(entries(*args)[0]) or entries(*args))
+        op = solve_fixed_point(grid)
+        assert any(np.any(w < 0) for w in weights) and op.residual_norm <= 1e-10
+        np.testing.assert_allclose(
+            op.theta, [0.8999999999717488, -2.1200423180047406e-17, -0.8999999999717487],
+            rtol=0, atol=1e-12)

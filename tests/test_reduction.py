@@ -76,6 +76,20 @@ class TestSchurReduce:
             reduce_grid(grid, sys)
             assert [getattr(sys, name).tobytes() for name in names] == before
 
+    def test_blocked_solve_matches_dense_solve(self):
+        # N_F = 300: three diagonal blocks of the substitutions, the last a
+        # partial one, so the updates of the rows below and above run too
+        grid = random_connected_grid(np.random.default_rng(7), 420, n_slow=120)
+        sys = linearize(grid)
+        assert sys.n_fast == 300
+        reference = np.linalg.solve(-sys.j_ff, sys.j_fs)  # -W, of which K is the transpose
+        k = reduce_grid(grid, sys).noise_gain
+        assert np.abs(k.T - reference).max() <= 1e-12 * np.abs(reference).max()
+        rhs = np.random.default_rng(8).standard_normal((300, 7))
+        solved = kronred.reduction._cho_solve(factor_fast_block(sys), np.asfortranarray(rhs))
+        reference = np.linalg.solve(-sys.j_ff, rhs)
+        assert np.abs(solved - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_indefinite_fast_block_reports_eigenvalue(self):
         sys = linearize(path3_grid())
         bad = LinearizedSystem(
@@ -104,7 +118,7 @@ class TestSchurReduce:
         assert calls == []
         # g = 1e6: the gate needs eigenvalues of -J_FF above 1e-6, and the
         # Cholesky's allowance adds about 1.3e-9 to its shift
-        factor, _ = factor_fast_block(diagonal_fast_block([1e6, 1e-6 + 1e-10]))
+        factor = factor_fast_block(diagonal_fast_block([1e6, 1e-6 + 1e-10]))
         assert len(calls) == 1
         np.testing.assert_allclose(np.abs(np.diag(factor)), np.sqrt([1e6, 1e-6 + 1e-10]))
         with pytest.raises(NumericsError, match="not negative definite"):
@@ -114,10 +128,11 @@ class TestSchurReduce:
 
 class TestMemory:
     def test_pipeline_holds_one_fast_buffer_and_the_solve(self):
-        # linearize_and_reduce holds the Jacobian's entries (O(lines)), one
-        # N_F x N_F buffer for the certificate and the factor of -J_FF, the
-        # N_F x N_S solve, then J_SF and the N_S x N_S products; a dense
-        # J_FF beside the buffer, or four dense blocks, exceeds it
+        # linearize_and_reduce holds the Jacobian's entries (O(lines)), the
+        # N_F x N_F buffer of -J_FF and the Cholesky factor numpy writes
+        # beside it (LAPACK's copy of the buffer is not traced), the N_F x
+        # N_S solve, then J_SF and the N_S x N_S products; a dense J_FF
+        # beside those, or four dense blocks, exceeds it
         grid = random_connected_grid(np.random.default_rng(5), 800, n_slow=240)
         n_s = len(grid.slow_ids)
         n_f = grid.n_buses - n_s

@@ -251,12 +251,14 @@ class TestTimeGrid:
         # 9 buses, 6 slow, 1000 steps.  Every model's batch holds chunk
         # buffers of (rows + 20 padding rows) x members x (2 x 9 channels
         # + state width + 6 + 1) x 8 B, at least one member and one row.
-        # The batch holds its step maps S (width x width) and G (width x 9),
-        # and while it builds them their LU factor (width x width) and the
-        # Jacobian ((width / 2) squared) and noise gain (width / 2 x 9) they
-        # come from, x 8 B.  The nonlinear model's members also hold Picard
-        # window arrays of (64 + 1) rows x (8 x 9 + lines) x 8 B each, and
-        # its batch the 9 x lines incidence and outflow matrices x 8 B.
+        # While the batch builds its step maps it holds the half-width
+        # implicit matrix ((width / 2) squared) and LAPACK's copy of it, the
+        # right-hand side, its copy and the velocity rows solved for (each
+        # width / 2 x (width + 9)), and the Jacobian ((width / 2) squared)
+        # and noise gain (width / 2 x 9) they come from, x 8 B.  The
+        # nonlinear model's members also hold Picard window arrays of
+        # (64 + 1) rows x (8 x 9 + lines) x 8 B each, and its batch the
+        # 9 x lines incidence and outflow matrices x 8 B.
         # `simulate` also keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, red = simulate.linearize_and_reduce(grid)
@@ -264,7 +266,7 @@ class TestTimeGrid:
         cfg = SimConfig(dt_max=0.01, t_end=10.0, burn_in=0.0)
         half = width // 2
         held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 \
-            + (width * (width + 9) + width * width + half * half + half * 9) * 8
+            + (2 * half * half + 3 * half * (width + 9) + half * half + half * 9) * 8
         if model == "full-nonlinear":
             held += 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * 2 * len(grid.lines) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
@@ -593,6 +595,24 @@ class TestLinearRecord:
             return jac, m, d, np.eye(len(m))
         k = np.zeros_like(red.noise_gain) if model == "reduced-naive" else red.noise_gain
         return red.j_red, red.m_slow, red.d_slow, np.hstack([np.eye(red.n_slow), k])
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("model", ["full-linear", "reduced-xi"])
+    def test_maps_solve_the_first_order_theta_step(self, model, theta):
+        # the half-width solve against the first-order form it eliminates:
+        # (I - theta dt A) [S | G] = [I + (1 - theta) dt A | dt B], with
+        # unequal inertia and damping and a noise gain wider than the state
+        grid = random_connected_grid(np.random.default_rng(4), 9)
+        _, sys = dense_reference(grid)
+        jac, m, d, gain = self.linear_model(model, grid, sys, reduce_grid(grid, sys), 0.3)
+        m, d = m * np.linspace(0.5, 2.0, len(m)), d * np.linspace(1.5, 0.7, len(m))
+        n, dt = len(m), 0.01
+        a = np.block([[np.zeros((n, n)), np.eye(n)], [jac / m[:, None], -np.diag(d / m)]])
+        b = np.vstack([np.zeros_like(gain), gain / m[:, None]])
+        reference = np.linalg.solve(np.eye(2 * n) - theta * dt * a,
+                                    np.hstack([np.eye(2 * n) + (1 - theta) * dt * a, dt * b]))
+        maps = np.hstack(simulate._linear_maps(jac, m, d, gain, dt, theta))
+        assert np.abs(maps - reference).max() <= 1e-14 * np.abs(reference).max()
 
     @pytest.mark.parametrize("model", ["full-linear", "reduced-xi", "reduced-naive"])
     def test_states_equal_step_recurrence(self, model):
@@ -1090,8 +1110,9 @@ class TestEnsembleRun:
 class TestLockstep:
     @staticmethod
     def map_bytes(width, channels):
-        # S, G, their LU factor, and the Jacobian and noise gain they are built from
-        return 8 * width * (2 * width + channels) + 2 * width * (width + 2 * channels)
+        # the half-width solve with LAPACK's copies, and the Jacobian and
+        # noise gain the maps are built from
+        return 4 * width * (4 * width + 3 * channels) + 2 * width * (width + 2 * channels)
 
     def test_shared_plan_within_one_budget(self):
         # ieee118-compare's run: 54 slow of 118 buses, 2 members x 30 000

@@ -356,6 +356,31 @@ class TestCoiVariance:
         with pytest.raises(InputError, match="use simulation"):
             coi_variance(red, basis)
 
+    def test_basis_of_other_inertias_rejected(self):
+        # slow m scaled by U(0.3, 3) at one d/m: the basis of the slow
+        # buses' m gives the oracle's values, while one built with unit m,
+        # as `reduce` builds for its spectral gap, is refused (it summed to
+        # relative errors of up to 9.6); scaling every m by one factor
+        # leaves m / m_0, and so the basis, as it was
+        from kronred.grid import Grid
+        rng = np.random.default_rng(12)
+        grid = random_connected_grid(rng, 12, n_slow=6, homogeneous=True,
+                                     sigma_range=(0.002, 0.02))
+        buses = tuple(replace(bus, m=bus.m * c, d=bus.d * c) if bus.speed_class == SLOW else bus
+                      for bus, c in zip(grid.buses, rng.uniform(0.3, 3.0, grid.n_buses)))
+        _, red, basis = pipeline(Grid(buses=buses, lines=grid.lines))
+        assert np.ptp(red.m_slow) > 0 and np.ptp(red.d_slow / red.m_slow) == 0
+        np.testing.assert_allclose(coi_variance(red, basis).var_total,
+                                   lyapunov_oracle_variance(red), rtol=1e-6)
+        unit = eigendecompose_reduced(red.j_red, np.ones(red.n_slow))
+        with pytest.raises(InputError, match="other inertias"):
+            coi_variance(red, unit)
+        with pytest.raises(InputError, match="other inertias"):
+            modal_trajectory(red, unit, np.zeros((1, red.n_slow)), np.array([0.0, 0.1]))
+        np.testing.assert_allclose(
+            coi_variance(red, eigendecompose_reduced(red.j_red, 2.0 * red.m_slow)).var_total,
+            coi_variance(red, basis).var_total, rtol=1e-12)
+
     def test_matches_oracle_on_random_systems(self):
         rng = np.random.default_rng(19)
         for _ in range(5):
