@@ -18,7 +18,10 @@ of all four models, a uniform damping ratio with unequal inertia), plus the thre
 the last bit where the reduction's N_F x N_F buffers matter) when the
 head tree's perfbench/workloads.py can write their inputs.  Both trees read the same
 input files, the head tree's.  Manifests are left out: they record
-durations and paths.
+durations and paths.  Where a digest differs, the table also gives the
+largest relative deviation of one number, |head - base| / max(|head|, |base|),
+over the numbers of a CSV or JSON data file taken in file order, when
+both sides hold the same count of numbers ("—" otherwise, and for stdout).
 
 It reports and does not fail: a declared behaviour change may move
 bytes.  Usage:
@@ -28,8 +31,10 @@ bytes.  Usage:
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +125,42 @@ def run_tree(tree: Path, runs: dict[str, list[str]], out: Path) -> dict[str, str
     return digests
 
 
+def numbers(path: Path) -> list[float] | None:
+    """Every number of a CSV or JSON data file, in file order; None for
+    any other file or a missing one."""
+    if path.suffix not in (".csv", ".json") or not path.is_file():
+        return None
+    found: list[float] = []
+    if path.suffix == ".json":
+        keep = lambda text: found.append(float(text))  # noqa: E731
+        json.loads(path.read_text(), parse_float=keep, parse_int=keep, parse_constant=keep)
+        return found
+    with path.open(newline="") as f:
+        for cell in (cell for row in csv.reader(f) for cell in row):
+            try:
+                found.append(float(cell))
+            except ValueError:  # a header or an empty cell
+                pass
+    return found
+
+
+def max_deviation(base: Path, head: Path) -> str:
+    """Largest |head - base| / max(|head|, |base|) over the two files'
+    numbers paired in order: 0 for equal numbers (two NaNs included), inf
+    where one is not finite and the other differs; "—" unless both files
+    parse to the same count of numbers."""
+    a, b = numbers(base), numbers(head)
+    if a is None or b is None or len(a) != len(b):
+        return "—"
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        dev = abs(y - x) / max(abs(x), abs(y))
+        worst = max(worst, dev if math.isfinite(dev) else math.inf)
+    return f"{worst:.1e}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -130,14 +171,17 @@ def main(argv: list[str]) -> int:
         (tmp / "inputs").mkdir()
         runs = command_lines(tmp / "inputs", head)
         sides = [run_tree(tree, runs, tmp / side) for side, tree in (("base", base), ("head", head))]
-    files = sorted(set(sides[0]) | set(sides[1]))
+        files = sorted(set(sides[0]) | set(sides[1]))
+        rows = []
+        for f in files:
+            a, b = (side.get(f, "missing") for side in sides)
+            rows.append(f"| `{f}` | `{a}` | `{b}` | " + ("equal | |" if a == b else
+                        f"**differs** | {max_deviation(tmp / 'base' / f, tmp / 'head' / f)} |"))
     equal = sum(sides[0].get(f) == sides[1].get(f) for f in files)
     print("### Byte identity against the base commit\n")
     print(f"{equal} of {len(files)} outputs equal, {len(runs)} command lines.\n")
-    print("| output | base sha256 | head sha256 | |\n|---|---|---|---|")
-    for f in files:
-        a, b = (side.get(f, "missing") for side in sides)
-        print(f"| `{f}` | `{a}` | `{b}` | {'equal' if a == b else '**differs**'} |")
+    print("| output | base sha256 | head sha256 | | max rel. deviation |\n|---|---|---|---|---|")
+    print("\n".join(rows))
     return 0
 
 

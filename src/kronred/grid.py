@@ -290,26 +290,21 @@ class LinearizedSystem:
     def n_fast(self) -> int:
         return len(self.fast_ids)
 
-    def block(self, row_class: str, col_class: str, out: np.ndarray | None = None,
-              negate: bool = False) -> np.ndarray:
+    def block(self, row_class: str, col_class: str, out: np.ndarray | None = None) -> np.ndarray:
         """The (row_class, col_class) block, e.g. J_FS for (FAST, SLOW),
         scattered into ``out`` (every entry written, in any memory order)
-        or into a new C-ordered array.  With ``negate`` it is the block's
-        negative as ``np.negative`` gives it: -0.0 where the block holds 0.0.
+        or into a new C-ordered array.
         """
         n_s, n = self.n_slow, self.n_slow + self.n_fast
         (r0, r1), (c0, c1) = ((0, n_s) if cls == SLOW else (n_s, n)
                               for cls in (row_class, col_class))
-        shape = (r1 - r0, c1 - c0)
         if out is None:  # np.zeros leaves the pages no entry is written to unmapped
-            out = np.full(shape, -0.0) if negate else np.zeros(shape)
+            out = np.zeros((r1 - r0, c1 - c0))
         else:
-            out.fill(-0.0 if negate else 0.0)
+            out.fill(0.0)
         keep = (self.rows >= r0) & (self.rows < r1) & (self.cols >= c0) & (self.cols < c1)
-        off, diag = self.off[keep], self.diag[r0:r1] if row_class == col_class else None
-        if negate:
-            off, diag = -off, None if diag is None else -diag
-        return _scatter(out, self.rows[keep] - r0, self.cols[keep] - c0, off, diag)
+        return _scatter(out, self.rows[keep] - r0, self.cols[keep] - c0, self.off[keep],
+                        self.diag[r0:r1] if row_class == col_class else None)
 
     j_ss = property(lambda self: self.block(SLOW, SLOW), doc="J_SS, scattered anew")
     j_sf = property(lambda self: self.block(SLOW, FAST), doc="J_SF, scattered anew")

@@ -17,19 +17,23 @@ The closed form and the simulator work from K and the sigmas alone, so
 a ReducedSystem does not carry Sigma_xi: ``xi_covariance`` builds it
 where the reduced-system JSON is written.
 
-J_red and K come from the same solve W = J_FF^-1 J_FS, made with one
-Cholesky factorization of -J_FF per reduction (never an explicit
-inverse): J_red = J_SS - J_SF W and K = -W^T.  The reduction reads the
-Jacobian's entries, which ``grid.linearize`` takes from the edge list
-(the dense n x n Jacobian of ``build_jacobian`` is a test reference),
-and scatters each block straight into the buffer it is used in: -J_FF
-into the N_F x N_F buffer the definiteness certificate and the factor
-are made from, and J_FS into the Fortran-ordered array that the blocked
-triangular solves overwrite with -W.  ``np.linalg.cholesky`` copies its
-input for LAPACK and writes the factor to a new array, so each
-factorization holds three N_F x N_F arrays: the buffer, LAPACK's copy
-and the factor.  The factor is freed before J_SF is scattered for the
-Schur product.  Only numpy is used.
+J_red and K come from one Cholesky factorization -J_FF = L L^T per
+reduction (never an explicit inverse).  With Y = L^-1 J_FS,
+J_red = J_SS + Y^T Y and K = (L^-T Y)^T.  Every symmetric matrix of the
+analysis is such a Gram product Z^T Z or Z Z^T (J_red here, Sigma_xi
+below, the modal coupling Gamma in ``variance``), which numpy's matmul
+computes as one symmetric rank-k update: exactly symmetric, with no
+symmetrization step.  The reduction reads the Jacobian's entries, which
+``grid.linearize`` takes from the edge list (the dense n x n Jacobian of
+``build_jacobian`` is a test reference), and scatters each block
+straight into the buffer it is used in: -J_FF into the N_F x N_F buffer
+the definiteness certificate and the factor are made from, and J_FS
+into the Fortran-ordered array that the blocked forward and back
+substitutions overwrite with Y and then with L^-T Y.  J_SF is never
+scattered.  ``np.linalg.cholesky`` copies its input for LAPACK and
+writes the factor to a new array, so each factorization holds three
+N_F x N_F arrays: the buffer, LAPACK's copy and the factor.  The factor
+is freed before J_SS is scattered.  Only numpy is used.
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ def factor_fast_block(sys: LinearizedSystem):
     n_f = sys.n_fast
     if n_f == 0:
         return None
-    buf = sys.block(FAST, FAST, negate=True)
+    buf = sys.block(FAST, FAST)
+    np.negative(buf, out=buf)  # -0.0 where J_FF holds 0.0
     # |J_FF|'s row sums, each summed as over the whole array, a block of
     # rows at a time so no second n_F x n_F array is made
     g = float(np.max([np.abs(buf[k:k + 64]).sum(axis=1).max() for k in range(0, n_f, 64)]))
@@ -120,28 +125,33 @@ def factor_fast_block(sys: LinearizedSystem):
                 f"fast block not negative definite: offending eigenvalue {eigs.max():.6e}")
     # buf is symmetric, and its transpose is Fortran-ordered, the order
     # numpy copies it into for LAPACK: a plain copy instead of a transposing one
-    return np.linalg.cholesky(sys.block(FAST, FAST, out=buf, negate=True).T)
+    return np.linalg.cholesky(np.negative(sys.block(FAST, FAST, out=buf), out=buf).T)
 
 
 _SOLVE_ROWS = 128  # rows of a diagonal block in the triangular solves
 
 
-def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b <- (L L^T)^-1 b in place, L = ``factor`` lower triangular and b
-    Fortran-ordered: the forward solve L Y = b, then the back solve
-    L^T X = Y, _SOLVE_ROWS rows at a time, as numpy has no triangular
-    solve.  Each diagonal block of L is inverted by ``np.linalg.solve``
-    against the identity and applied by a matrix product; one more
-    product updates the rows not yet solved in place, made as the
-    transpose of a C-ordered product so that it is ordered as b is."""
+def _forward_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b <- L^-1 b in place, L = ``factor`` lower triangular and b
+    Fortran-ordered, _SOLVE_ROWS rows at a time, as numpy has no
+    triangular solve.  Each diagonal block of L is inverted by
+    ``np.linalg.solve`` against the identity and applied by a matrix
+    product; one more product updates the rows not yet solved in place,
+    made as the transpose of a C-ordered product so that it is ordered
+    as b is."""
     n = len(factor)
-    starts = range(0, n, _SOLVE_ROWS)
-    for k in starts:
+    for k in range(0, n, _SOLVE_ROWS):
         rows, below = slice(k, k + _SOLVE_ROWS), slice(k + _SOLVE_ROWS, n)
         block = factor[rows, rows]
         b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
         b[below] -= (b[rows].T @ factor[below, rows].T).T
-    for k in reversed(starts):
+    return b
+
+
+def _back_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b <- L^-T b in place, by the blocks of ``_forward_solve`` taken
+    from the last."""
+    for k in reversed(range(0, len(factor), _SOLVE_ROWS)):
         rows = slice(k, k + _SOLVE_ROWS)
         block = factor[rows, rows].T
         b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
@@ -149,30 +159,16 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """a <- 0.5 (a + a^T) in place, one pair of tiles at a time.  Each
-    entry gets the bits of ``0.5 * (a + a.T)`` (a_ij + a_ji commutes),
-    with no n x n temporary: ``np.add(a, a.T, out=a)`` copies a.T first."""
-    n, step = a.shape[0], 256  # 512 kB tiles
-    for i in range(0, n, step):
-        for j in range(i, n, step):
-            upper, lower = a[i:i + step, j:j + step], a[j:j + step, i:i + step]
-            tile = upper + lower.T
-            tile *= 0.5
-            upper[...] = tile
-            lower[...] = tile.T
-    return a
-
-
 def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     """Kron-reduce a grid's linearization to its slow buses.
 
-    J_red = J_SS - J_SF J_FF^-1 J_FS (symmetrized) and the noise map
-    K = -J_SF J_FF^-1 share one factorization of -J_FF
-    (``factor_fast_block``) and one solve (``_cho_solve``), which turns
-    the J_FS buffer into -W in place.  The network comes from the entries
-    of ``sys``, which are not written; every per-bus parameter (m, d,
-    sigma, tau) from the grid.
+    With -J_FF = L L^T (``factor_fast_block``) and Y = L^-1 J_FS, the
+    Schur complement is the Gram product J_red = J_SS + Y^T Y, exactly
+    symmetric as numpy's matmul makes it, and the back solve L^-T Y =
+    -J_FF^-1 J_FS gives the noise map K = -J_SF J_FF^-1 as its transpose.
+    Both solves overwrite the J_FS buffer in place.  The network comes
+    from the entries of ``sys``, which are not written; every per-bus
+    parameter (m, d, sigma, tau) from the grid.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
@@ -182,31 +178,29 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     sigma, tau = grid.param_vector("sigma"), grid.param_vector("tau")
     m, d = grid.param_vector("m"), grid.param_vector("d")
     if n_f == 0:
-        j_red = sys.j_ss
-        k = np.zeros((n_s, 0))
+        j_red, k = sys.j_ss, np.zeros((n_s, 0))  # J_SS is symmetric as scattered
     else:
-        # the factor is of -J_FF, so the solve turns J_FS into -W, W =
-        # J_FF^-1 J_FS; its sign is carried through instead of negating
-        # an N_F x N_S array.  The factor dies with the call.
-        neg_w = _cho_solve(factor_fast_block(sys),
-                           sys.block(FAST, SLOW, out=np.empty((n_f, n_s), order="F")))
-        j_red = sys.j_sf @ neg_w
-        j_red += sys.j_ss  # J_SS + J_SF (-W): the sum commutes bit for bit
-        k = neg_w.T  # K = -J_SF J_FF^-1 = -W^T since J_FF is symmetric
+        factor = factor_fast_block(sys)
+        y = _forward_solve(factor, sys.block(FAST, SLOW, out=np.empty((n_f, n_s), order="F")))
+        j_red = y.T @ y
+        k = _back_solve(factor, y).T
+        del factor  # before J_SS is scattered
+        j_red += sys.j_ss
     return ReducedSystem(
-        slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=_symmetrize(j_red), noise_gain=k,
+        slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=j_red, noise_gain=k,
         sigma_slow=sigma[s], sigma_fast=sigma[f], tau_slow=tau[s], tau_fast=tau[f],
         m_slow=m[s], d_slow=d[s])
 
 
 def xi_covariance(red: ReducedSystem) -> np.ndarray:
-    """Sigma_xi = diag(sigma_S^2) + K diag(sigma_F^2) K^T, the equal-time
-    covariance of the effective noise xi = eta_S + K eta_F; an InputError
-    when it overflows."""
-    k = red.noise_gain
+    """Sigma_xi = diag(sigma_S^2) + Z Z^T with Z = K diag(sigma_F), the
+    equal-time covariance of the effective noise xi = eta_S + K eta_F,
+    exactly symmetric as a Gram product; an InputError when it overflows."""
     # Each sigma^2 is finite (Bus checks it), but sums over buses can overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma_xi = np.diag(red.sigma_slow**2) + (k * red.sigma_fast**2) @ k.T
+        z = red.noise_gain * red.sigma_fast
+        sigma_xi = z @ z.T
+        sigma_xi.flat[::red.n_slow + 1] += red.sigma_slow**2
     if not np.all(np.isfinite(sigma_xi)):
         raise InputError("noise covariance sigma_xi overflows: bus sigmas too large")
     return sigma_xi

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HomogeneityError, InputError, NumericsError
-from .reduction import ReducedSystem, _symmetrize
+from .reduction import ReducedSystem
 from .simulate import Trajectory, _finite_floats, _uniform_step
 
 _ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as zero
@@ -121,7 +121,9 @@ def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
 
     Entry (alpha, beta) is v_alpha^T K diag(sigma_F^2) K^T v_beta with
     K the noise map the reduction stored in ``red.noise_gain``; no
-    further solve with J_FF is needed.  Symmetric positive semidefinite.
+    further solve with J_FF is needed.  It is the Gram product W^T W of
+    W = diag(sigma_F) K^T V, scaled in place, so it is exactly symmetric
+    and positive semidefinite.
     """
     n_s, n_f = red.n_slow, red.noise_gain.shape[1]
     if basis.n_modes != n_s:
@@ -131,7 +133,8 @@ def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
                          "noise-map columns")
     w = red.noise_gain.T @ basis.modes  # K^T V
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _symmetrize((w * red.sigma_fast[:, None]**2).T @ w)
+        w *= red.sigma_fast[:, None]
+        g = w.T @ w
     if not np.all(np.isfinite(g)):
         raise InputError("modal noise coupling Gamma overflows: fast-bus sigmas too large")
     return g
@@ -317,6 +320,10 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     # each mode's slow-bus mean: (1 - m/m_0) @ V / N_S, as (m/m_0) @ V = 0; 0 for uniform m
     r = ((1.0 - red.m_slow / m0) @ u_perp) / red.n_slow
 
+    def slow_amplitude(t):  # V_perp^T diag(sigma_S^2) V_perp over the slow buses of this tau
+        z = u_perp * np.where(red.tau_slow == t, red.sigma_slow, 0.0)[:, None]
+        return z.T @ z
+
     def class_sum(taus, amplitude):
         # one kernel per distinct tau, freed inside its mode sum before the next is built
         return functools.reduce(np.add, (
@@ -326,8 +333,7 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     # The kernels keep their own overflow checks; an overflow in the
     # amplitudes or mode sums shows as a non-finite total.
     with np.errstate(over="ignore", invalid="ignore"):
-        var_slow = class_sum(red.tau_slow, lambda t: (
-            u_perp * np.where(red.tau_slow == t, red.sigma_slow**2, 0.0)[:, None]).T @ u_perp)
+        var_slow = class_sum(red.tau_slow, slow_amplitude)
         if red.n_fast:
             if len(np.unique(red.tau_fast)) > 1:  # each tau's Gamma in turn, one held at a time
                 gamma_mat = None

@@ -19,10 +19,12 @@ from conftest import dense_reference, make_grid, random_connected_grid
 from kronred.errors import NumericsError
 from kronred.grid import (FAST, SLOW, Grid, assemble_linearized, build_jacobian, linearize,
                           solve_fixed_point, with_sigma)
-from kronred.reduction import _cho_solve, factor_fast_block, reduce_grid
+from kronred.reduction import (_back_solve, _forward_solve, factor_fast_block, reduce_grid,
+                               xi_covariance)
 from kronred import simulate
 from kronred.simulate import linearize_and_reduce
-from kronred.variance import coi_variance, eigendecompose_reduced, lyapunov_oracle_variance
+from kronred.variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
+                              lyapunov_oracle_variance)
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -89,7 +91,10 @@ def test_reduction_preserves_laplacian(grid):
     red, _ = analyze(grid)
     j_red = red.j_red
     scale = np.abs(j_red).max()
-    np.testing.assert_array_equal(j_red, j_red.T)
+    # J_red, Gamma and Sigma_xi are Gram products, exactly symmetric
+    for sym in (j_red, gamma_matrix(red, eigendecompose_reduced(j_red, red.m_slow)),
+                xi_covariance(red)):
+        np.testing.assert_array_equal(sym, sym.T)
     assert np.abs(j_red.sum(axis=1)).max() <= 1e-10 * scale
     off_diagonal = j_red[~np.eye(red.n_slow, dtype=bool)]
     assert off_diagonal.min() >= -1e-12 * scale
@@ -111,21 +116,23 @@ def dense_blocks(grid, op):
 
 
 def assert_reduction_is_the_dense_reference(grid, op, red):
-    """``red`` against the textbook reduction of the dense Jacobian's
-    slices, W = (L L^T)^-1 J_FS negated for L = np.linalg.cholesky(-J_FF)
-    and the reduction's blocked triangular solves on a Fortran-ordered
-    J_FS, J_red the symmetrized J_SS - J_SF W and K = -W^T, bit for bit,
-    signed zeros included; the reduction of ``assemble_linearized``'s
-    entries too."""
-    j_ss, j_sf, j_fs, j_ff = dense_blocks(grid, op)
+    """``red`` against the reduction of the dense Jacobian's slices: with
+    L = np.linalg.cholesky(-J_FF) and the reduction's blocked forward
+    solve Y = L^-1 J_FS on a Fortran-ordered J_FS, J_red = Y^T Y + J_SS
+    and K the transpose of the back solve L^-T Y, bit for bit, signed
+    zeros included; the reduction of ``assemble_linearized``'s entries
+    too."""
+    j_ss, _, j_fs, j_ff = dense_blocks(grid, op)
     if j_ff.size:
-        w = -_cho_solve(np.linalg.cholesky(-j_ff), np.asfortranarray(j_fs))
-        j_red, k = j_ss - j_sf @ w, -w.T
+        factor = np.linalg.cholesky(-j_ff)
+        y = _forward_solve(factor, np.asfortranarray(j_fs))
+        j_red = y.T @ y + j_ss
+        k = _back_solve(factor, y).T
     else:
         j_red, k = j_ss, np.zeros((len(j_ss), 0))
     for reduced in (red, reduce_grid(grid, assemble_linearized(grid, build_jacobian(grid, op),
                                                                 1.0))):
-        assert_same_bits(reduced.j_red, 0.5 * (j_red + j_red.T))
+        assert_same_bits(reduced.j_red, j_red)
         assert_same_bits(reduced.noise_gain, k)
 
 
@@ -135,8 +142,9 @@ def assert_reduction_is_the_dense_reference(grid, op, red):
 def test_pipeline_matches_dense_reference_bit_for_bit(seed, n, data, epsilon):
     # the blocks scattered from the entries are build_jacobian's slices, as
     # are those of assemble_linearized's entries, full-linear's dense
-    # Jacobian is its permutation, the one-buffer factor is np.linalg.cholesky's,
-    # and the reduction is the textbook J_SS - J_SF W, K = -W^T;
+    # Jacobian is its permutation, J_SS is symmetric and J_SF is J_FS^T bit
+    # for bit, the one-buffer factor is np.linalg.cholesky's, and the
+    # reduction is J_SS + Y^T Y, K = (L^-T Y)^T with Y = L^-1 J_FS;
     # heterogeneous grids, slow and fast buses interleaved, an empty fast
     # set included
     n_slow = data.draw(st.integers(1, n))
@@ -149,6 +157,8 @@ def test_pipeline_matches_dense_reference_bit_for_bit(seed, n, data, epsilon):
         assert_same_bits(getattr(sys, name), block)
         assert_same_bits(getattr(ref, name), block)
     assert (sys.slow_ids, sys.fast_ids) == (ref.slow_ids, ref.fast_ids)
+    assert_same_bits(sys.j_ss, sys.j_ss.T)
+    assert_same_bits(sys.j_sf, sys.j_fs.T)
     order = grid.ordering()
     assert_same_bits(simulate._full_linear_system(grid, op, epsilon)[0],
                      dense[np.ix_(order, order)])

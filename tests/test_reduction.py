@@ -61,9 +61,10 @@ class TestSchurReduce:
         assert red.noise_gain.shape == (3, 0)
 
     def test_blocks_of_the_linearization_are_not_written(self):
-        # J_SS made asymmetric by one more entry: symmetrizing a block the
-        # reduction was handed, rather than one it scattered itself, would
-        # change the entries or the blocks read back from them
+        # J_SS made asymmetric by one more entry: adding to a block the
+        # reduction was handed, rather than one it scattered itself, or
+        # returning it as J_red, would change the entries or the blocks
+        # read back from them
         all_slow = make_grid([(1, SLOW, 0.0), (2, SLOW, 0.0), (3, SLOW, 0.0)],
                              [(1, 2, 1.0), (2, 3, 1.0)])
         for grid in (path3_grid(), all_slow):
@@ -86,7 +87,11 @@ class TestSchurReduce:
         k = reduce_grid(grid, sys).noise_gain
         assert np.abs(k.T - reference).max() <= 1e-12 * np.abs(reference).max()
         rhs = np.random.default_rng(8).standard_normal((300, 7))
-        solved = kronred.reduction._cho_solve(factor_fast_block(sys), np.asfortranarray(rhs))
+        factor = factor_fast_block(sys)
+        half = kronred.reduction._forward_solve(factor, np.asfortranarray(rhs))
+        reference = np.linalg.solve(factor, rhs)  # Y = L^-1 b, pinned on its own
+        assert np.abs(half - reference).max() <= 1e-12 * np.abs(reference).max()
+        solved = kronred.reduction._back_solve(factor, half)
         reference = np.linalg.solve(-sys.j_ff, rhs)
         assert np.abs(solved - reference).max() <= 1e-12 * np.abs(reference).max()
 

@@ -413,8 +413,8 @@ class TestCoiVariance:
 
     def test_holds_gamma_and_one_kernel(self):
         # beside the modes it is handed, coi_variance holds Gamma and one
-        # kernel's three N_S x N_S buffers (Gamma's two N_F x N_S arrays make
-        # one N_S x N_S here, N_F = N_S / 2); a second kernel held beside
+        # kernel's three N_S x N_S buffers (Gamma's N_F x N_S factor is half
+        # an N_S x N_S here, N_F = N_S / 2); a second kernel held beside
         # the first, or one kernel's expression temporaries, exceed it
         grid = random_connected_grid(np.random.default_rng(7), 600, n_slow=400,
                                      homogeneous=True)
