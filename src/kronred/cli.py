@@ -204,6 +204,16 @@ def _parse_models(spec: str) -> list[str]:
     return models
 
 
+def _ascending(values: np.ndarray) -> np.ndarray:
+    """Positions that sort ``values`` ascending.  Values within 1e-12
+    relative of their neighbour in that order are ties, taken in position
+    order, so roundoff in the last digits decides no rank."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    tied = np.abs(np.diff(v)) <= 1e-12 * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
+    return order[np.lexsort((order, np.cumsum(np.r_[False, ~tied])))]
+
+
 def cmd_compare(args) -> dict[str, Iterable[str]]:
     models = _parse_models(args.models)  # before any work, so a typo costs nothing
     grid = _load_grid(args)
@@ -225,9 +235,10 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
     # ranks follow the analytic columns, else the simulated reduced models
     refs = (("var_naive_analytic", "var_analytic") if columns["var_analytic"] is not None
             else ("var_sim_reduced-naive", "var_sim_reduced-xi"))
-    naive_ref, corrected_ref = map(columns.get, refs)
-    rn, rc = (None if ref is None else np.argsort(np.argsort(ref))  # ascending, per bus
-              for ref in (naive_ref, corrected_ref))
+    naive_order, corrected_order = (None if ref is None else _ascending(ref)
+                                    for ref in map(columns.get, refs))
+    rn, rc = (None if order is None else np.argsort(order)  # rank per bus
+              for order in (naive_order, corrected_order))
     columns.update(rank_naive=rn, rank_corrected=rc,
                    rank_change=None if rn is None or rc is None else rn - rc)
 
@@ -236,8 +247,8 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
     plot = {
         "x_axis": "slow buses ordered by naive variance (ascending)",
         "y_axis": "COI frequency variance [(rad/s)^2]",
-        "order": [int(red.slow_ids[k]) for k in np.argsort(naive_ref)]
-        if naive_ref is not None else list(map(int, red.slow_ids)),
+        "order": [int(red.slow_ids[k]) for k in naive_order]
+        if naive_order is not None else list(map(int, red.slow_ids)),
         "series": [c for c in columns if not c.startswith("rank")],
     }
     n_moved = np.count_nonzero(columns["rank_change"]) if columns["rank_change"] is not None else 0

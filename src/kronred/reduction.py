@@ -26,14 +26,16 @@ computes as one symmetric rank-k update: exactly symmetric, with no
 symmetrization step.  The reduction reads the Jacobian's entries, which
 ``grid.linearize`` takes from the edge list (the dense n x n Jacobian of
 ``build_jacobian`` is a test reference), and scatters each block
-straight into the buffer it is used in: -J_FF into the N_F x N_F buffer
-the definiteness certificate and the factor are made from, and J_FS
-into the Fortran-ordered array that the blocked forward and back
-substitutions overwrite with Y and then with L^-T Y.  J_SF is never
-scattered.  ``np.linalg.cholesky`` copies its input for LAPACK and
-writes the factor to a new array, so each factorization holds three
-N_F x N_F arrays: the buffer, LAPACK's copy and the factor.  The factor
-is freed before J_SS is scattered.  Only numpy is used.
+straight into the buffer it is used in: -J_FF into the one N_F x N_F
+buffer that the definiteness certificate and then the factor overwrite
+in place (a blocked Cholesky factorization, ``_cholesky_in_place``), and
+J_FS into the Fortran-ordered array that the blocked forward and back
+substitutions overwrite with Y and then with L^-T Y.  No N_F x N_F
+array is made beside the buffer (unless the certificate falls back to
+the eigenvalues), and no N_F x N_S one beside J_FS: every other LAPACK
+call and temporary spans at most _SOLVE_ROWS rows or columns.  J_SF is
+never scattered.  The factor is freed before J_SS is
+scattered.  Only numpy is used.
 """
 
 from __future__ import annotations
@@ -93,11 +95,12 @@ def factor_fast_block(sys: LinearizedSystem):
     its success leaves every eigenvalue of -J_FF above t.  When it fails,
     the eigenvalues decide, so the gate accepts and rejects as before.
     -J_FF is scattered from the entries of ``sys`` into one n_F x n_F
-    buffer, shifted there for the certificate and scattered again for
-    the factor.  Each ``np.linalg.cholesky`` factors a LAPACK copy of the
-    buffer and writes its factor to a new array, so it holds three n_F x
-    n_F arrays; the result equals ``np.linalg.cholesky(-sys.j_ff)`` bit
-    for bit.
+    buffer, shifted there and factored in place for the certificate, then
+    scattered again and factored in place into the result
+    (``_cholesky_in_place``): no second n_F x n_F array is made, unless
+    the eigenvalues are needed.  For n_F <= _SOLVE_ROWS the result equals
+    ``np.linalg.cholesky(-sys.j_ff)`` bit for bit; above, it differs by
+    roundoff.
     """
     n_f = sys.n_fast
     if n_f == 0:
@@ -113,7 +116,7 @@ def factor_fast_block(sys: LinearizedSystem):
     if 4 * n_f * gamma <= 1.0:  # delta then bounds the backward error
         buf.flat[::n_f + 1] -= t + 2 * n_f * gamma * (g + t)
         try:
-            np.linalg.cholesky(buf.T)  # the factor is dropped: only its success counts
+            _cholesky_in_place(buf)  # the factor is overwritten: only its success counts
             certified = True
         except np.linalg.LinAlgError:
             pass
@@ -123,12 +126,36 @@ def factor_fast_block(sys: LinearizedSystem):
         if eigs.max() >= -1e-12 * scale:
             raise NumericsError(
                 f"fast block not negative definite: offending eigenvalue {eigs.max():.6e}")
-    # buf is symmetric, and its transpose is Fortran-ordered, the order
-    # numpy copies it into for LAPACK: a plain copy instead of a transposing one
-    return np.linalg.cholesky(np.negative(sys.block(FAST, FAST, out=buf), out=buf).T)
+    return _cholesky_in_place(np.negative(sys.block(FAST, FAST, out=buf), out=buf))
 
 
-_SOLVE_ROWS = 128  # rows of a diagonal block in the triangular solves
+_SOLVE_ROWS = 128  # rows of a diagonal block, a panel and a tile in the blocked routines
+
+
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """a <- L, the lower Cholesky factor of the symmetric positive definite
+    ``a``, its strict upper triangle set to 0; a LinAlgError when ``a`` is
+    not positive definite.
+
+    Left-looking and blocked, _SOLVE_ROWS columns a panel, as numpy has no
+    in-place Cholesky: one matrix product updates the panel from the
+    columns already factored, ``np.linalg.cholesky`` factors its diagonal
+    block D, and the rows below solve X D^T = B by substitution.  That is
+    ``np.linalg.solve`` on D with rows and columns reversed, which is upper
+    triangular, so partial pivoting neither swaps nor eliminates and the
+    solve is LAPACK's triangular one, as in its blocked ``dpotrf``: the
+    backward error bound of Higham's Thm 10.3 holds.  With one panel
+    (n <= _SOLVE_ROWS) this is ``np.linalg.cholesky(a)``, bit for bit.
+    """
+    n = len(a)
+    for k in range(0, n, _SOLVE_ROWS):
+        cols, below = slice(k, k + _SOLVE_ROWS), slice(k + _SOLVE_ROWS, n)
+        a[k:, cols] -= a[k:, :k] @ a[cols, :k].T
+        a[cols, cols] = np.linalg.cholesky(a[cols, cols])
+        a[:k, cols] = 0.0
+        flipped = a[cols, cols][::-1, ::-1]  # upper triangular
+        a[below, cols] = np.linalg.solve(flipped, a[below, cols].T[::-1])[::-1].T
+    return a
 
 
 def _forward_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,26 +163,30 @@ def _forward_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     Fortran-ordered, _SOLVE_ROWS rows at a time, as numpy has no
     triangular solve.  Each diagonal block of L is inverted by
     ``np.linalg.solve`` against the identity and applied by a matrix
-    product; one more product updates the rows not yet solved in place,
-    made as the transpose of a C-ordered product so that it is ordered
-    as b is."""
+    product; the rows not yet solved are updated in place, _SOLVE_ROWS
+    at a time, each tile by a product made as the transpose of a
+    C-ordered one so that it is ordered as b is."""
     n = len(factor)
     for k in range(0, n, _SOLVE_ROWS):
-        rows, below = slice(k, k + _SOLVE_ROWS), slice(k + _SOLVE_ROWS, n)
+        rows = slice(k, k + _SOLVE_ROWS)
         block = factor[rows, rows]
         b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
-        b[below] -= (b[rows].T @ factor[below, rows].T).T
+        for j in range(k + _SOLVE_ROWS, n, _SOLVE_ROWS):
+            tile = slice(j, j + _SOLVE_ROWS)
+            b[tile] -= (b[rows].T @ factor[tile, rows].T).T
     return b
 
 
 def _back_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b <- L^-T b in place, by the blocks of ``_forward_solve`` taken
-    from the last."""
+    """b <- L^-T b in place, by the blocks and tiles of ``_forward_solve``
+    taken from the last."""
     for k in reversed(range(0, len(factor), _SOLVE_ROWS)):
         rows = slice(k, k + _SOLVE_ROWS)
         block = factor[rows, rows].T
         b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
-        b[:k] -= (b[rows].T @ factor[rows, :k]).T
+        for j in range(0, k, _SOLVE_ROWS):
+            tile = slice(j, j + _SOLVE_ROWS)
+            b[tile] -= (b[rows].T @ factor[rows, tile]).T
     return b
 
 

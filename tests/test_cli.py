@@ -493,6 +493,38 @@ class TestCompare:
             assert float(cells[1]) == 0.0
             assert int(cells[-1]) == 0 or cells[-1] == "0"
 
+    def test_mirror_buses_tie_in_bus_order_and_roundoff_moves_no_rank(self, tmp_path,
+                                                                      monkeypatch):
+        # a ring of six slow buses whose bus 1 carries a star of eight fast
+        # loads: buses 2/6 and 3/5 mirror each other, and every naive
+        # variance is the same, up to the last digits.  Ties rank in bus
+        # order, and a 1-ulp change of J_red moves no rank
+        import kronred.cli
+        ring = [(k, SLOW, 0.0, 0.002) for k in range(1, 7)]
+        loads = [(k, FAST, 0.0, 0.012) for k in range(7, 15)]
+        lines = [(k, k % 6 + 1, 1.0) for k in range(1, 7)] + [(1, k, 1.0) for k in range(7, 15)]
+        grid = write_grid(tmp_path, serialize_grid_json(make_grid(ring + loads, lines)))
+
+        def ranks(out):
+            assert main(["compare", grid, "--models", "reduced-xi", "--t-end", "2",
+                         "--burn-in", "1", "--out-dir", str(out)]) == 0
+            with open(out / "compare.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            plot = json.loads((out / "compare_plot.json").read_text())
+            return ([(int(r["rank_naive"]), int(r["rank_corrected"])) for r in rows],
+                    plot["order"])
+        exact = ranks(tmp_path / "exact")
+        naive, corrected = zip(*exact[0])
+        assert naive == (0, 1, 2, 3, 4, 5) and exact[1] == [1, 2, 3, 4, 5, 6]
+        assert corrected[5] == corrected[1] + 1 and corrected[4] == corrected[2] + 1
+        setup = kronred.cli.linearize_and_reduce
+
+        def perturbed(g):
+            op, red = setup(g)
+            return op, replace(red, j_red=np.nextafter(red.j_red, np.inf))
+        monkeypatch.setattr(kronred.cli, "linearize_and_reduce", perturbed)
+        assert ranks(tmp_path / "ulp") == exact
+
     def test_heterogeneous_analytic_columns_absent(self, tmp_path, capsys):
         doc = {
             "buses": [

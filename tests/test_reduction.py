@@ -14,7 +14,7 @@ import kronred.simulate
 from conftest import dense_reference, make_grid, path3_grid, random_connected_grid, two_bus_grid
 from kronred.errors import InputError, NumericsError
 from kronred.grid import FAST, SLOW, LinearizedSystem, build_jacobian, solve_fixed_point
-from kronred.reduction import (factor_fast_block, make_star_grid, reduce_grid,
+from kronred.reduction import (_SOLVE_ROWS, factor_fast_block, make_star_grid, reduce_grid,
                                reduced_system_to_dict, xi_covariance)
 from kronred.simulate import OUSpec, linearize_and_reduce, make_time_grid, ou_sample_path
 
@@ -78,8 +78,10 @@ class TestSchurReduce:
             assert [getattr(sys, name).tobytes() for name in names] == before
 
     def test_blocked_solve_matches_dense_solve(self):
-        # N_F = 300: three diagonal blocks of the substitutions, the last a
-        # partial one, so the updates of the rows below and above run too
+        # N_F = 300: three diagonal blocks of the substitutions and three
+        # panels of the in-place factor, the last a partial one, so the
+        # updates of the rows below and above run too; the factor is
+        # LAPACK's to roundoff, and lower triangular with exact zeros
         grid = random_connected_grid(np.random.default_rng(7), 420, n_slow=120)
         sys = linearize(grid)
         assert sys.n_fast == 300
@@ -88,6 +90,9 @@ class TestSchurReduce:
         assert np.abs(k.T - reference).max() <= 1e-12 * np.abs(reference).max()
         rhs = np.random.default_rng(8).standard_normal((300, 7))
         factor = factor_fast_block(sys)
+        reference = np.linalg.cholesky(-sys.j_ff)
+        assert np.abs(factor - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert not np.triu(factor, 1).any()
         half = kronred.reduction._forward_solve(factor, np.asfortranarray(rhs))
         reference = np.linalg.solve(factor, rhs)  # Y = L^-1 b, pinned on its own
         assert np.abs(half - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -130,14 +135,77 @@ class TestSchurReduce:
             factor_fast_block(diagonal_fast_block([1e6, 0.999e-6]))
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("margin, accepted", [(3e-12, True), (0.3e-12, False),
+                                                  (-1e-3, False)])
+    def test_certificate_fails_in_the_last_panel_and_the_eigenvalues_decide(
+            self, monkeypatch, margin, accepted):
+        # N_F = 300, -J_FF shifted so its smallest eigenvalue is margin x
+        # its largest: the leading 256 x 256 block stays well inside the
+        # gate, so the shifted Cholesky fails in the last of three panels.
+        # 3e-12 lies inside the allowance (about 2e-11 here) and above the
+        # gate (1e-12), so the eigenvalues accept it and the factor is
+        # made in three panels; 0.3e-12 is below the gate and -1e-3 is
+        # indefinite
+        outcomes = []
+        cholesky = np.linalg.cholesky
+
+        def recorded(a):
+            try:
+                factor = cholesky(a)
+            except np.linalg.LinAlgError:
+                outcomes.append((len(a), False))
+                raise
+            outcomes.append((len(a), True))
+            return factor
+        sys = linearize(random_connected_grid(np.random.default_rng(7), 420, n_slow=120))
+        eigs = np.linalg.eigvalsh(-sys.j_ff)
+        n_s, shift = sys.n_slow, eigs.min() - margin * eigs.max()
+        weak = replace(sys, diag=np.concatenate([sys.diag[:n_s], sys.diag[n_s:] + shift]))
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        certificate = [(128, True), (128, True), (44, False)]
+        if accepted:
+            factor = factor_fast_block(weak)
+            assert outcomes == certificate + [(128, True), (128, True), (44, True)]
+            j_ff = weak.j_ff  # near singular: L is checked by its backward error
+            assert np.abs(factor @ factor.T + j_ff).max() <= 1e-13 * np.abs(j_ff).max()
+        else:
+            with pytest.raises(NumericsError, match="not negative definite"):
+                factor_fast_block(weak)
+            assert outcomes == certificate
+
 
 class TestMemory:
+    def test_factor_holds_one_fast_buffer(self, monkeypatch):
+        # every np.linalg.cholesky and np.linalg.solve operand of the
+        # reduction spans at most _SOLVE_ROWS rows or columns, so LAPACK
+        # copies no N_F x N_F buffer; and the factor is made in the buffer
+        # -J_FF is scattered into, beside temporaries of _SOLVE_ROWS columns
+        grid = random_connected_grid(np.random.default_rng(5), 1400, n_slow=400)
+        operands = []
+        for name in ("cholesky", "solve"):
+            def recorded(*args, _original=getattr(np.linalg, name)):
+                operands.extend(np.shape(a) for a in args)
+                return _original(*args)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        linearize_and_reduce(grid)
+        assert len(operands) > 20 and max(min(shape) for shape in operands) <= _SOLVE_ROWS
+        monkeypatch.undo()
+        sys = kronred.grid.linearize(grid, solve_fixed_point(grid))
+        n_f = sys.n_fast
+        assert n_f == 1000
+        tracemalloc.start()
+        try:
+            factor_fast_block(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n_f * n_f + 4 * _SOLVE_ROWS * n_f) + 2**20, peak
+
     def test_pipeline_holds_one_fast_buffer_and_the_solve(self):
         # linearize_and_reduce holds the Jacobian's entries (O(lines)), the
-        # N_F x N_F buffer of -J_FF and the Cholesky factor numpy writes
-        # beside it (LAPACK's copy of the buffer is not traced), the N_F x
-        # N_S solve, then J_SF and the N_S x N_S products; a dense J_FF
-        # beside those, or four dense blocks, exceeds it
+        # N_F x N_F buffer of -J_FF that the factor is made in, the N_F x
+        # N_S solve and the N_S x N_S products; a dense J_FF beside those,
+        # or four dense blocks, exceeds it
         grid = random_connected_grid(np.random.default_rng(5), 800, n_slow=240)
         n_s = len(grid.slow_ids)
         n_f = grid.n_buses - n_s
