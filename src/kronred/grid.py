@@ -22,9 +22,9 @@ Conventions used throughout the package:
     in the order of appearance in ``Grid.buses``.
 
 The analysis never forms the dense n x n Jacobian: ``linearize`` keeps
-its entries from the edge list, and each slow/fast block is scattered
-from them where it is used, into the buffer its user works in.
-``build_jacobian`` (the dense Jacobian, through the same scatter) and
+its entries from the edge list, which the Kron reduction reads as one
+row of neighbours per bus (``reduction.factor_fast_block``).
+``build_jacobian`` (the dense Jacobian, scattered as the blocks are) and
 ``assemble_linearized`` (its entries) are the reference it is checked
 against, bit for bit.
 """
@@ -270,9 +270,8 @@ class LinearizedSystem:
     numbered by its slot in the slow-then-fast ordering: ``off`` at
     (``rows``, ``cols``) and ``diag`` on the diagonal.  All the Kron
     reduction reads of the network; inertia, damping and noise stay in
-    the Grid.  ``block`` scatters one slow/fast block where it is used;
-    ``j_ss``, ``j_sf``, ``j_fs`` and ``j_ff`` scatter each anew on every
-    read.
+    the Grid.  ``block`` scatters one slow/fast block; ``j_ss``,
+    ``j_sf``, ``j_fs`` and ``j_ff`` scatter each anew on every read.
     """
 
     slow_ids: tuple[int, ...]
@@ -290,18 +289,14 @@ class LinearizedSystem:
     def n_fast(self) -> int:
         return len(self.fast_ids)
 
-    def block(self, row_class: str, col_class: str, out: np.ndarray | None = None) -> np.ndarray:
+    def block(self, row_class: str, col_class: str) -> np.ndarray:
         """The (row_class, col_class) block, e.g. J_FS for (FAST, SLOW),
-        scattered into ``out`` (every entry written, in any memory order)
-        or into a new C-ordered array.
+        scattered into a new C-ordered array.
         """
         n_s, n = self.n_slow, self.n_slow + self.n_fast
         (r0, r1), (c0, c1) = ((0, n_s) if cls == SLOW else (n_s, n)
                               for cls in (row_class, col_class))
-        if out is None:  # np.zeros leaves the pages no entry is written to unmapped
-            out = np.zeros((r1 - r0, c1 - c0))
-        else:
-            out.fill(0.0)
+        out = np.zeros((r1 - r0, c1 - c0))  # pages no entry is written to stay unmapped
         keep = (self.rows >= r0) & (self.rows < r1) & (self.cols >= c0) & (self.cols < c1)
         return _scatter(out, self.rows[keep] - r0, self.cols[keep] - c0, self.off[keep],
                         self.diag[r0:r1] if row_class == col_class else None)

@@ -17,29 +17,40 @@ The closed form and the simulator work from K and the sigmas alone, so
 a ReducedSystem does not carry Sigma_xi: ``xi_covariance`` builds it
 where the reduced-system JSON is written.
 
-J_red and K come from one Cholesky factorization -J_FF = L L^T per
-reduction (never an explicit inverse).  With Y = L^-1 J_FS,
-J_red = J_SS + Y^T Y and K = (L^-T Y)^T.  Every symmetric matrix of the
-analysis is such a Gram product Z^T Z or Z Z^T (J_red here, Sigma_xi
-below, the modal coupling Gamma in ``variance``), which numpy's matmul
-computes as one symmetric rank-k update: exactly symmetric, with no
-symmetrization step.  The reduction reads the Jacobian's entries, which
-``grid.linearize`` takes from the edge list (the dense n x n Jacobian of
-``build_jacobian`` is a test reference), and scatters each block
-straight into the buffer it is used in: -J_FF into the one N_F x N_F
-buffer that the definiteness certificate and then the factor overwrite
-in place (a blocked Cholesky factorization, ``_cholesky_in_place``), and
-J_FS into the Fortran-ordered array that the blocked forward and back
-substitutions overwrite with Y and then with L^-T Y.  No N_F x N_F
-array is made beside the buffer (unless the certificate falls back to
-the eigenvalues), and no N_F x N_S one beside J_FS: every other LAPACK
-call and temporary spans at most _SOLVE_ROWS rows or columns.  J_SF is
-never scattered.  The factor is freed before J_SS is
-scattered.  Only numpy is used.
+J_red and K come from one Cholesky factorization of -J_FF per reduction
+(never an explicit inverse), taken in two parts.  A Schur complement can
+be taken one bus at a time and gives the same J_red and K (the quotient
+property; Dorfler & Bullo, Kron Reduction of Graphs with Applications to
+Electrical Networks, IEEE TCAS-I 60(1), 2013), and eliminating a bus of
+low degree first adds almost no fill (minimum-degree ordering; George &
+Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
+So fast buses of degree <= 3 are eliminated one at a time on the
+Jacobian's entries, held as one dict of neighbours per bus, which never
+grows the edge set; what remains of J_FF, the core C, is factored
+densely, -J_CC = L L^T.  With Y = L^-1 J_CS after the eliminations,
+J_red = J_SS + Y^T Y and the core's columns of K are (L^-T Y)^T; each
+eliminated bus's column is a weighted sum of its neighbours'.  Every
+symmetric matrix of the analysis is such a Gram product Z^T Z or Z Z^T
+(J_red here, Sigma_xi below, the modal coupling Gamma in ``variance``),
+which numpy's matmul computes as one symmetric rank-k update: exactly
+symmetric, with no symmetrization step.  The reduction reads the
+Jacobian's entries, which ``grid.linearize`` takes from the edge list
+(the dense n x n Jacobian of ``build_jacobian`` is a test reference),
+and scatters each block of the core straight into the buffer it is used
+in: -J_CC into an n_C x n_C buffer that the definiteness certificate,
+and then the factor, overwrites in place (a blocked Cholesky
+factorization, ``_cholesky_in_place``), and J_CS into the
+Fortran-ordered array that the blocked forward and back substitutions
+overwrite with Y and then with L^-T Y.  No N_F x N_F array is made
+(unless the certificate falls back to the eigenvalues): every other
+LAPACK call and temporary spans at most _SOLVE_ROWS rows or columns.
+J_SF is never scattered.  The factor is freed before K is made.  Only
+numpy is used.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,51 +93,167 @@ class ReducedSystem:
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
+# Eliminating a bus of degree k removes its k edges and adds at most
+# k (k - 1) / 2 between its neighbours, which is no more than k only for
+# k <= 3: eliminating such buses never grows the edge set.
+_MAX_DEGREE = 3
 
-def factor_fast_block(sys: LinearizedSystem):
-    """Lower Cholesky factor of -J_FF, verifying negative definiteness first.
+
+@dataclass(frozen=True)
+class FastFactor:
+    """-J_FF as ``factor_fast_block`` factors it: fast buses eliminated one
+    at a time, then a dense Cholesky factor of the core that remains.
+
+    ``eliminated`` lists the eliminated buses in order, each as (f,
+    ((j, w_fj / p_f), ...)): its slot, and its neighbours j then, in slot
+    order, with the coupling w_fj and the pivot p_f = -J_ff it was
+    eliminated with.  ``core`` holds the slots of the fast buses left, in
+    slot order, and ``factor`` the lower Cholesky factor of their -J_CC
+    after the eliminations.  ``couplings[i]`` maps each neighbour of bus
+    i to J_ij and ``diag[i]`` is J_ii, both after the eliminations; the
+    rows of eliminated buses are None.
+    """
+
+    eliminated: list
+    core: list
+    factor: np.ndarray
+    couplings: list
+    diag: list
+
+
+def _couplings(sys: LinearizedSystem) -> list:
+    """The off-diagonal entries of ``sys`` as one dict per row, neighbour
+    to entry, the +0.0 entries dropped: a dense Jacobian's nonzeros
+    (``assemble_linearized``) and the edge list's (``linearize``) give
+    the same rows."""
+    keep = ((sys.off != 0) | np.signbit(sys.off)) & (sys.rows != sys.cols)
+    rows = [{} for _ in sys.diag]
+    for i, j, w in zip(sys.rows[keep].tolist(), sys.cols[keep].tolist(), sys.off[keep].tolist()):
+        rows[i][j] = w
+    return rows
+
+
+def _eliminate(rows: list, diag: list, n_s: int):
+    """Eliminate fast buses (slots n_s and up) of current degree <=
+    _MAX_DEGREE one at a time, in place: the records of
+    ``FastFactor.eliminated``, or None at a pivot <= 0.
+
+    The buses are taken off a queue in slot order; a fast neighbour of
+    an eliminated bus rejoins it when its degree is <= _MAX_DEGREE.
+    With p_f = -J_ff, every pair of neighbours j, k of f takes
+    J_jk += w_fj w_fk / p_f, the same term for (j, k) and (k, j), which
+    merges edges and, when both are slow, couples two slow buses: a
+    right-looking Cholesky step of -J_FF in the elimination's order.
+    """
+    queue = deque(range(n_s, len(diag)))
+    records = []
+    while queue:
+        f = queue.popleft()
+        row = rows[f]
+        if row is None or len(row) > _MAX_DEGREE:
+            continue
+        p = -diag[f]
+        if not p > 0.0:
+            return None
+        nbrs = sorted(row.items())
+        for a, (j, w_j) in enumerate(nbrs):
+            row_j = rows[j]
+            del row_j[f]
+            diag[j] += w_j * w_j / p
+            for k, w_k in nbrs[a + 1:]:
+                t = w_j * w_k / p
+                row_j[k] = row_j.get(k, 0.0) + t
+                rows[k][j] = rows[k].get(j, 0.0) + t
+        rows[f] = None
+        records.append((f, tuple((j, w / p) for j, w in nbrs)))
+        for j, _ in nbrs:
+            if j >= n_s and len(rows[j]) <= _MAX_DEGREE:
+                queue.append(j)
+    return records
+
+
+def _scatter_rows(out: np.ndarray, rows: list, row_slots: list, col_pos: dict,
+                  diag: list | None = None) -> np.ndarray:
+    """``out`` zeroed, then J_ij of each row i = row_slots[r] written at
+    (r, col_pos[j]) for every neighbour j that ``col_pos`` holds, and,
+    when given, diag[i] at (r, r), by the Jacobian's one scatter."""
+    r, c, v = [], [], []
+    for at, i in enumerate(row_slots):
+        for j, w in rows[i].items():
+            if j in col_pos:
+                r.append(at)
+                c.append(col_pos[j])
+                v.append(w)
+    out.fill(0.0)
+    return _grid._scatter(out, r, c, v, None if diag is None else [diag[i] for i in row_slots])
+
+
+def factor_fast_block(sys: LinearizedSystem) -> FastFactor | None:
+    """-J_FF factored, its negative definiteness verified first: fast
+    buses of degree <= 3 eliminated one at a time (``_eliminate``), then
+    the core C that remains factored densely, -J_CC = L L^T; None when
+    there is no fast bus.
 
     The gate: the largest eigenvalue of J_FF is below -1e-12 x max(1,
-    largest |eigenvalue|).  A Cholesky factorization of -J_FF - delta I
-    proves that without the eigenvalues.  With g the Gershgorin bound on
-    |eigenvalue| and t = 1e-12 max(1, g), delta = t + 2 n gamma_{n+1} (g + t)
-    exceeds t by more than the factorization's backward error (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.3), so
-    its success leaves every eigenvalue of -J_FF above t.  When it fails,
-    the eigenvalues decide, so the gate accepts and rejects as before.
-    -J_FF is scattered from the entries of ``sys`` into one n_F x n_F
-    buffer, shifted there and factored in place for the certificate, then
-    scattered again and factored in place into the result
-    (``_cholesky_in_place``): no second n_F x n_F array is made, unless
-    the eigenvalues are needed.  For n_F <= _SOLVE_ROWS the result equals
-    ``np.linalg.cholesky(-sys.j_ff)`` bit for bit; above, it differs by
-    roundoff.
+    largest |eigenvalue|).  The same elimination and core factorization
+    of -J_FF - delta I prove that without the eigenvalues: they are a
+    Cholesky factorization of P (-J_FF - delta I) P^T for the
+    elimination's permutation P.  With g the Gershgorin bound on
+    |eigenvalue| (from the entries' absolute row sums), n = n_F and
+    t = 1e-12 max(1, g), delta = t + 2 n gamma_{n+1} (g + t) exceeds t
+    by more than the factorization's backward error (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, Thm 10.3), so its
+    success leaves every eigenvalue of -J_FF above t.  When a shifted
+    pivot is <= 0 or the core's factorization breaks down, the
+    eigenvalues decide, so the gate accepts and rejects as before.  A
+    breakdown of the unshifted pass after the gate accepts is a
+    NumericsError too.  Each pass scatters its -J_CC into one n_C x n_C
+    buffer and factors it there in place (``_cholesky_in_place``); the
+    certificate's is freed before the second is made, and no n_F x n_F
+    array is made unless the eigenvalues are needed.  For n_C <=
+    _SOLVE_ROWS the factor equals ``np.linalg.cholesky`` of -J_CC bit
+    for bit.
     """
-    n_f = sys.n_fast
+    n_s, n_f = sys.n_slow, sys.n_fast
     if n_f == 0:
         return None
-    buf = sys.block(FAST, FAST)
-    np.negative(buf, out=buf)  # -0.0 where J_FF holds 0.0
-    # |J_FF|'s row sums, each summed as over the whole array, a block of
-    # rows at a time so no second n_F x n_F array is made
-    g = float(np.max([np.abs(buf[k:k + 64]).sum(axis=1).max() for k in range(0, n_f, 64)]))
+    ff = (sys.rows >= n_s) & (sys.cols >= n_s) & (sys.rows != sys.cols)
+    g = float((np.bincount(sys.rows[ff] - n_s, np.abs(sys.off[ff]), minlength=n_f)
+               + np.abs(sys.diag[n_s:])).max())  # |J_FF|'s largest row sum
     t = 1e-12 * max(1.0, g)
     gamma = (n_f + 1) * _UNIT_ROUNDOFF / (1.0 - (n_f + 1) * _UNIT_ROUNDOFF)
+    rows, diag = _couplings(sys), sys.diag.tolist()
     certified = False
     if 4 * n_f * gamma <= 1.0:  # delta then bounds the backward error
-        buf.flat[::n_f + 1] -= t + 2 * n_f * gamma * (g + t)
-        try:
-            _cholesky_in_place(buf)  # the factor is overwritten: only its success counts
-            certified = True
-        except np.linalg.LinAlgError:
-            pass
+        delta = t + 2 * n_f * gamma * (g + t)
+        shifted = diag[:n_s] + [x + delta for x in diag[n_s:]]
+        certified = _factor([dict(row) for row in rows], shifted, n_s) is not None
     if not certified:
         eigs = np.linalg.eigvalsh(sys.j_ff)
         scale = max(1.0, float(np.abs(eigs).max()))
         if eigs.max() >= -1e-12 * scale:
             raise NumericsError(
                 f"fast block not negative definite: offending eigenvalue {eigs.max():.6e}")
-    return _cholesky_in_place(np.negative(sys.block(FAST, FAST, out=buf), out=buf))
+    fast = _factor(rows, diag, n_s)
+    if fast is None:
+        raise NumericsError("fast block not negative definite: its factorization broke down")
+    return fast
+
+
+def _factor(rows: list, diag: list, n_s: int) -> FastFactor | None:
+    """``_eliminate``, then the core's -J_CC scattered into one buffer and
+    factored in place; None at a pivot <= 0 or a breakdown."""
+    eliminated = _eliminate(rows, diag, n_s)
+    if eliminated is None:
+        return None
+    core = [f for f in range(n_s, len(diag)) if rows[f] is not None]
+    buf = _scatter_rows(np.empty((len(core), len(core))), rows, core,
+                        {f: at for at, f in enumerate(core)}, diag)
+    try:
+        factor = _cholesky_in_place(np.negative(buf, out=buf))  # -0.0 where J_CC holds 0.0
+    except np.linalg.LinAlgError:
+        return None
+    return FastFactor(eliminated, core, factor, rows, diag)
 
 
 _SOLVE_ROWS = 128  # rows of a diagonal block, a panel and a tile in the blocked routines
@@ -193,13 +320,18 @@ def _back_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     """Kron-reduce a grid's linearization to its slow buses.
 
-    With -J_FF = L L^T (``factor_fast_block``) and Y = L^-1 J_FS, the
-    Schur complement is the Gram product J_red = J_SS + Y^T Y, exactly
-    symmetric as numpy's matmul makes it, and the back solve L^-T Y =
-    -J_FF^-1 J_FS gives the noise map K = -J_SF J_FF^-1 as its transpose.
-    Both solves overwrite the J_FS buffer in place.  The network comes
-    from the entries of ``sys``, which are not written; every per-bus
-    parameter (m, d, sigma, tau) from the grid.
+    ``factor_fast_block`` eliminates fast buses one at a time, which
+    leaves the Schur complement of the core C in J after the
+    eliminations (the quotient property: the same J_red and K as one
+    Schur complement of J_FF).  With -J_CC = L L^T and Y = L^-1 J_CS, it
+    is the Gram product J_red = J_SS + Y^T Y, exactly symmetric as
+    numpy's matmul makes it, and the back solve L^-T Y = -J_CC^-1 J_CS
+    gives the core's columns of the noise map K = -J_SF J_FF^-1.  Both
+    solves overwrite the J_CS buffer in place.  Each eliminated bus's
+    column follows in reverse elimination order, K[:, f] = sum_j
+    (w_fj / p_f) K[:, j] over its neighbours then, with e_j for a slow
+    j.  The network comes from the entries of ``sys``, which are not
+    written; every per-bus parameter (m, d, sigma, tau) from the grid.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
@@ -211,16 +343,40 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     if n_f == 0:
         j_red, k = sys.j_ss, np.zeros((n_s, 0))  # J_SS is symmetric as scattered
     else:
-        factor = factor_fast_block(sys)
-        y = _forward_solve(factor, sys.block(FAST, SLOW, out=np.empty((n_f, n_s), order="F")))
-        j_red = y.T @ y
-        k = _back_solve(factor, y).T
-        del factor  # before J_SS is scattered
-        j_red += sys.j_ss
+        fast = factor_fast_block(sys)
+        slow = {i: i for i in range(n_s)}
+        y = _forward_solve(fast.factor, _scatter_rows(np.empty((len(fast.core), n_s), order="F"),
+                                                      fast.couplings, fast.core, slow))
+        j_red = y.T @ y if fast.core else None
+        y = _back_solve(fast.factor, y)
+        core, eliminated, rows, diag = fast.core, fast.eliminated, fast.couplings, fast.diag
+        del fast  # the factor, before K is made
+        k_t = np.zeros((n_f, n_s))  # K^T, so that each bus's column of K is one row
+        k_t[np.array(core, dtype=np.intp) - n_s] = y
+        del y
+        k = _noise_columns(k_t, eliminated, n_s).T
+        j_ss = _scatter_rows(np.empty((n_s, n_s)), rows, range(n_s), slow, diag)
+        j_red = j_ss if j_red is None else np.add(j_red, j_ss, out=j_red)
     return ReducedSystem(
         slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=j_red, noise_gain=k,
         sigma_slow=sigma[s], sigma_fast=sigma[f], tau_slow=tau[s], tau_fast=tau[f],
         m_slow=m[s], d_slow=d[s])
+
+
+def _noise_columns(k_t: np.ndarray, eliminated: list, n_s: int) -> np.ndarray:
+    """The eliminated buses' rows of K^T, in place: the slow neighbours'
+    weights set first, then each fast neighbour's row added, in slot
+    order, the buses taken in reverse elimination order."""
+    slow = [(f - n_s, j, c) for f, nbrs in eliminated for j, c in nbrs if j < n_s]
+    if slow:
+        row, j, c = zip(*slow)
+        k_t[row, j] = c
+    for f, nbrs in reversed(eliminated):
+        row = k_t[f - n_s]
+        for j, c in nbrs:
+            if j >= n_s:
+                row += c * k_t[j - n_s]
+    return k_t
 
 
 def xi_covariance(red: ReducedSystem) -> np.ndarray:

@@ -92,10 +92,9 @@ def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
     s = 1.0 / root_mu
     lap = j_red * s[:, None]  # L, bit for bit J_red when m is uniform
     lap *= s
-    vals, vecs = np.linalg.eigh(lap)
+    vals, vecs = np.linalg.eigh(lap)  # ascending: the zero mode is the last column
     del lap
     lambdas = vals[::-1].copy()
-    modes = vecs[:, ::-1].copy()
 
     if abs(lambdas[0]) >= _ZERO_TOL * scale:
         raise InputError(
@@ -107,12 +106,11 @@ def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
 
     lambdas[0] = 0.0
     zero = root_mu / np.linalg.norm(root_mu)
-    modes[:, 0] = zero
-    for a in range(1, n):
-        col = modes[:, a]
-        col = col - (zero @ col) * zero
-        modes[:, a] = col / np.linalg.norm(col)
-    modes *= s[:, None]
+    rest = vecs[:, :-1]  # every mode but the zero mode, a view
+    rest -= np.outer(zero, zero @ rest)  # projected off the zero mode by one product
+    rest /= np.linalg.norm(rest, axis=0)
+    vecs[:, -1] = zero
+    modes = vecs[:, ::-1] * s[:, None]  # a new array, its columns in descending order
     return ModalBasis(lambdas=lambdas, modes=modes, mu=mu)
 
 

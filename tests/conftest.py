@@ -83,6 +83,27 @@ def random_connected_grid(rng, n, slow_frac=0.5, injection_scale=0.1,
     return Grid(buses=tuple(buses), lines=lines)
 
 
+def ring_lattice_grid(rng, n_fast, n_slow, anchors=None):
+    """Fast buses 1..n_fast on a ring, each joined to the two next on
+    either side (degree >= 4, so the reduction eliminates none of them
+    one at a time and factors all of -J_FF densely), and slow buses
+    n_fast+1.. each joined to two random fast buses among the first
+    ``anchors`` (default: all); small balanced injections, m and d by
+    class as in ``random_connected_grid``."""
+    n = n_fast + n_slow
+    p = rng.normal(0.0, 0.05, n)
+    p -= p.mean()
+    buses = [Bus(id=i + 1, speed_class=FAST if i < n_fast else SLOW,
+                 m=0.002 if i < n_fast else 0.2, d=0.0005 if i < n_fast else 0.05,
+                 p=float(p[i]), sigma=float(rng.uniform(0.0, 0.01)), tau=0.1)
+             for i in range(n)]
+    edges = {tuple(sorted((i + 1, (i + k) % n_fast + 1))) for i in range(n_fast) for k in (1, 2)}
+    for s in range(n_fast + 1, n + 1):
+        edges.update((int(f) + 1, s) for f in rng.choice(anchors or n_fast, size=2, replace=False))
+    return Grid(buses=tuple(buses), lines=tuple(
+        Line(from_bus=f, to_bus=t, b=float(rng.uniform(0.5, 2.0))) for f, t in sorted(edges)))
+
+
 def dense_coupling(grid):
     """Dense symmetric coupling matrix b_ij = B_ij |V_i||V_j| in ``buses`` order."""
     idx = grid.bus_index()

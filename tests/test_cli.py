@@ -218,6 +218,25 @@ class TestReduce:
         assert main(["reduce", grid, "--out-dir", str(tmp_path)]) == 3
         assert "no fixed point" in capsys.readouterr().err
 
+    def test_factor_breakdown_after_the_certificate_exit_code(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the certificate's core factorization succeeds and the unshifted
+        # one breaks down: exit 3 with the gate's message, no traceback
+        import kronred.reduction
+        original, calls = kronred.reduction._cholesky_in_place, []
+
+        def second_fails(a):
+            calls.append(len(a))
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return original(a)
+        monkeypatch.setattr(kronred.reduction, "_cholesky_in_place", second_fails)
+        out = tmp_path / "out"
+        assert main(["reduce", write_grid(tmp_path, TWO_BUS), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "fast block not negative definite" in err and "Traceback" not in err
+        assert calls == [0, 0]
+
     def test_format_flag_removed(self, tmp_path, capsys):
         grid = write_grid(tmp_path, TWO_BUS)
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,8 @@ import pytest
 import kronred.grid
 import kronred.reduction
 import kronred.simulate
-from conftest import dense_reference, make_grid, path3_grid, random_connected_grid, two_bus_grid
+from conftest import (dense_reference, make_grid, path3_grid, random_connected_grid,
+                      ring_lattice_grid, two_bus_grid)
 from kronred.errors import InputError, NumericsError
 from kronred.grid import FAST, SLOW, LinearizedSystem, build_jacobian, solve_fixed_point
 from kronred.reduction import (_SOLVE_ROWS, factor_fast_block, make_star_grid, reduce_grid,
@@ -78,18 +79,21 @@ class TestSchurReduce:
             assert [getattr(sys, name).tobytes() for name in names] == before
 
     def test_blocked_solve_matches_dense_solve(self):
-        # N_F = 300: three diagonal blocks of the substitutions and three
-        # panels of the in-place factor, the last a partial one, so the
-        # updates of the rows below and above run too; the factor is
-        # LAPACK's to roundoff, and lower triangular with exact zeros
-        grid = random_connected_grid(np.random.default_rng(7), 420, n_slow=120)
+        # N_F = 300, every fast bus of degree >= 4, so none is eliminated
+        # and the core is all of them: three diagonal blocks of the
+        # substitutions and three panels of the in-place factor, the last
+        # a partial one, so the updates of the rows below and above run
+        # too; the factor is LAPACK's to roundoff, and lower triangular
+        # with exact zeros
+        grid = ring_lattice_grid(np.random.default_rng(7), 300, 120)
         sys = linearize(grid)
-        assert sys.n_fast == 300
         reference = np.linalg.solve(-sys.j_ff, sys.j_fs)  # -W, of which K is the transpose
         k = reduce_grid(grid, sys).noise_gain
         assert np.abs(k.T - reference).max() <= 1e-12 * np.abs(reference).max()
         rhs = np.random.default_rng(8).standard_normal((300, 7))
-        factor = factor_fast_block(sys)
+        fast = factor_fast_block(sys)
+        assert (fast.eliminated, fast.core) == ([], list(range(120, 420)))
+        factor = fast.factor
         reference = np.linalg.cholesky(-sys.j_ff)
         assert np.abs(factor - reference).max() <= 1e-13 * np.abs(reference).max()
         assert not np.triu(factor, 1).any()
@@ -116,32 +120,41 @@ class TestSchurReduce:
             reduce_grid(two_bus_grid(), linearize(path3_grid()))
 
     def test_definiteness_certified_without_eigenvalues(self, monkeypatch):
-        # a grid's fast block passes on the shifted Cholesky alone; a margin
-        # inside the Cholesky's error allowance goes to the eigenvalues, which
-        # accept it above the gate and reject it below
-        calls = []
+        # a grid's fast block passes on the shifted elimination and core
+        # factor alone; a margin inside their error allowance goes to the
+        # eigenvalues, which accept it above the gate and reject it below
+        calls, cores = [], []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        cholesky_in_place = kronred.reduction._cholesky_in_place
+        monkeypatch.setattr(kronred.reduction, "_cholesky_in_place",
+                            lambda a: cores.append(len(a)) or cholesky_in_place(a))
         sys = linearize(random_connected_grid(np.random.default_rng(2), 30))
         assert sys.n_fast > 1
-        factor_fast_block(sys)
-        assert calls == []
+        fast = factor_fast_block(sys)
+        assert calls == [] and cores == [len(fast.core)] * 2
         # g = 1e6: the gate needs eigenvalues of -J_FF above 1e-6, and the
-        # Cholesky's allowance adds about 1.3e-9 to its shift
-        factor = factor_fast_block(diagonal_fast_block([1e6, 1e-6 + 1e-10]))
-        assert len(calls) == 1
-        np.testing.assert_allclose(np.abs(np.diag(factor)), np.sqrt([1e6, 1e-6 + 1e-10]))
+        # allowance adds about 1.3e-9 to the shift.  Both buses have no
+        # neighbour and are eliminated: the shifted pivot of the second is
+        # <= 0, so no core is factored until the eigenvalues have accepted
+        cores.clear()
+        fast = factor_fast_block(diagonal_fast_block([1e6, 1e-6 + 1e-10]))
+        assert len(calls) == 1 and cores == [0]
+        assert fast.eliminated == [(0, ()), (1, ())] and fast.core == []
+        np.testing.assert_allclose(fast.diag, [-1e6, -1e-6 - 1e-10], rtol=0)
         with pytest.raises(NumericsError, match="not negative definite"):
             factor_fast_block(diagonal_fast_block([1e6, 0.999e-6]))
-        assert len(calls) == 2
+        assert len(calls) == 2 and cores == [0]
 
     @pytest.mark.parametrize("margin, accepted", [(3e-12, True), (0.3e-12, False),
                                                   (-1e-3, False)])
     def test_certificate_fails_in_the_last_panel_and_the_eigenvalues_decide(
             self, monkeypatch, margin, accepted):
-        # N_F = 300, -J_FF shifted so its smallest eigenvalue is margin x
-        # its largest: the leading 256 x 256 block stays well inside the
-        # gate, so the shifted Cholesky fails in the last of three panels.
+        # N_F = 300, every fast bus of degree >= 4, so the core is all of
+        # them, and no slow bus joined to the last 50; -J_FF shifted so its
+        # smallest eigenvalue, which lives on those 50, is margin x its
+        # largest: the leading 256 x 256 block stays well inside the gate,
+        # so the shifted Cholesky fails in the last of three panels.
         # 3e-12 lies inside the allowance (about 2e-11 here) and above the
         # gate (1e-12), so the eigenvalues accept it and the factor is
         # made in three panels; 0.3e-12 is below the gate and -1e-3 is
@@ -157,29 +170,52 @@ class TestSchurReduce:
                 raise
             outcomes.append((len(a), True))
             return factor
-        sys = linearize(random_connected_grid(np.random.default_rng(7), 420, n_slow=120))
+        sys = linearize(ring_lattice_grid(np.random.default_rng(7), 300, 120, anchors=250))
         eigs = np.linalg.eigvalsh(-sys.j_ff)
         n_s, shift = sys.n_slow, eigs.min() - margin * eigs.max()
         weak = replace(sys, diag=np.concatenate([sys.diag[:n_s], sys.diag[n_s:] + shift]))
         monkeypatch.setattr(np.linalg, "cholesky", recorded)
         certificate = [(128, True), (128, True), (44, False)]
         if accepted:
-            factor = factor_fast_block(weak)
+            fast = factor_fast_block(weak)
             assert outcomes == certificate + [(128, True), (128, True), (44, True)]
+            assert len(fast.core) == 300
             j_ff = weak.j_ff  # near singular: L is checked by its backward error
-            assert np.abs(factor @ factor.T + j_ff).max() <= 1e-13 * np.abs(j_ff).max()
+            assert np.abs(fast.factor @ fast.factor.T + j_ff).max() <= 1e-13 * np.abs(j_ff).max()
         else:
             with pytest.raises(NumericsError, match="not negative definite"):
                 factor_fast_block(weak)
             assert outcomes == certificate
+
+    @pytest.mark.parametrize("failing", ["_eliminate", "_cholesky_in_place"])
+    def test_breakdown_after_the_gate_accepts_is_a_numerics_error(self, monkeypatch, failing):
+        # the certificate passes, then the unshifted pass meets a pivot
+        # <= 0 (_eliminate returns None) or its core factorization breaks
+        # down: a NumericsError, not a LinAlgError
+        original = getattr(kronred.reduction, failing)
+        calls = []
+
+        def second_fails(*args):
+            calls.append(failing)
+            if len(calls) == 2:
+                if failing == "_eliminate":
+                    return None
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return original(*args)
+        monkeypatch.setattr(kronred.reduction, failing, second_fails)
+        grid = ring_lattice_grid(np.random.default_rng(3), 12, 4)
+        with pytest.raises(NumericsError, match="fast block not negative definite"):
+            reduce_grid(grid, linearize(grid))
+        assert len(calls) == 2
 
 
 class TestMemory:
     def test_factor_holds_one_fast_buffer(self, monkeypatch):
         # every np.linalg.cholesky and np.linalg.solve operand of the
         # reduction spans at most _SOLVE_ROWS rows or columns, so LAPACK
-        # copies no N_F x N_F buffer; and the factor is made in the buffer
-        # -J_FF is scattered into, beside temporaries of _SOLVE_ROWS columns
+        # copies no n_C x n_C buffer; and the factor is made in the buffer
+        # -J_CC is scattered into, beside temporaries of _SOLVE_ROWS columns
+        # and the rows of the entries (O(lines)), with no N_F x N_F array
         grid = random_connected_grid(np.random.default_rng(5), 1400, n_slow=400)
         operands = []
         for name in ("cholesky", "solve"):
@@ -188,34 +224,36 @@ class TestMemory:
                 return _original(*args)
             monkeypatch.setattr(np.linalg, name, recorded)
         linearize_and_reduce(grid)
-        assert len(operands) > 20 and max(min(shape) for shape in operands) <= _SOLVE_ROWS
+        assert len(operands) > 10 and max(min(shape) for shape in operands) <= _SOLVE_ROWS
         monkeypatch.undo()
         sys = kronred.grid.linearize(grid, solve_fixed_point(grid))
-        n_f = sys.n_fast
-        assert n_f == 1000
+        assert sys.n_fast == 1000
         tracemalloc.start()
         try:
-            factor_fast_block(sys)
+            n_c = len(factor_fast_block(sys).core)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (n_f * n_f + 4 * _SOLVE_ROWS * n_f) + 2**20, peak
+        assert 2 * _SOLVE_ROWS < n_c < 500  # three panels
+        assert peak <= 8 * (n_c * n_c + 4 * _SOLVE_ROWS * n_c) + 2**20, peak
 
     def test_pipeline_holds_one_fast_buffer_and_the_solve(self):
-        # linearize_and_reduce holds the Jacobian's entries (O(lines)), the
-        # N_F x N_F buffer of -J_FF that the factor is made in, the N_F x
-        # N_S solve and the N_S x N_S products; a dense J_FF beside those,
-        # or four dense blocks, exceeds it
+        # linearize_and_reduce holds the Jacobian's entries and their rows
+        # (O(lines)), the n_C x n_C buffer of -J_CC that the factor is made
+        # in, the n_C x N_S solve, K^T (N_F x N_S) and the N_S x N_S
+        # products; an N_F x N_F array beside those exceeds it
         grid = random_connected_grid(np.random.default_rng(5), 800, n_slow=240)
         n_s = len(grid.slow_ids)
         n_f = grid.n_buses - n_s
+        n_c = len(factor_fast_block(kronred.grid.linearize(grid, solve_fixed_point(grid))).core)
         tracemalloc.start()
         try:
             linearize_and_reduce(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (n_f * n_f + 2 * n_f * n_s + 4 * n_s * n_s) + 2**20, peak
+        assert 8 * n_f * n_f > 2**20 + 8 * n_c * n_c
+        assert peak <= 8 * (n_c * n_c + (n_f + n_c) * n_s + 4 * n_s * n_s) + 2**20, peak
 
     @pytest.mark.parametrize("n_slow", [12, 40])
     def test_setup_keeps_no_linearization_alive(self, monkeypatch, n_slow):
