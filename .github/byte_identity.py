@@ -19,9 +19,14 @@ the last bit where the reduction's N_F x N_F buffers matter) when the
 head tree's perfbench/workloads.py can write their inputs.  Both trees read the same
 input files, the head tree's.  Manifests are left out: they record
 durations and paths.  Where a digest differs, the table also gives the
-largest relative deviation of one number, |head - base| / max(|head|, |base|),
-over the numbers of a CSV or JSON data file taken in file order, when
-both sides hold the same count of numbers ("—" otherwise, and for stdout).
+largest deviation over the numbers of a CSV or JSON data file taken in
+file order, when both sides hold the same count of numbers ("—"
+otherwise, and for stdout), twice: relative to the number itself,
+|head - base| / max(|head|, |base|), and relative to its column,
+|head - base| / the largest |value| of that number's CSV column, or of
+its JSON top-level key, on either side.  The second tells roundoff from
+drift: a number near 0 in a column of large ones can move far relative to
+itself and not at all relative to the column.
 
 It reports and does not fail: a declared behaviour change may move
 bytes.  Usage:
@@ -125,40 +130,57 @@ def run_tree(tree: Path, runs: dict[str, list[str]], out: Path) -> dict[str, str
     return digests
 
 
-def numbers(path: Path) -> list[float] | None:
-    """Every number of a CSV or JSON data file, in file order; None for
-    any other file or a missing one."""
+def numbers(path: Path) -> list[tuple[object, float]] | None:
+    """Every number of a CSV or JSON data file, in file order, each with
+    its column: its CSV column's index, or its JSON document's top-level
+    key; None for any other file or a missing one."""
     if path.suffix not in (".csv", ".json") or not path.is_file():
         return None
-    found: list[float] = []
+    found: list[tuple[object, float]] = []
     if path.suffix == ".json":
-        keep = lambda text: found.append(float(text))  # noqa: E731
-        json.loads(path.read_text(), parse_float=keep, parse_int=keep, parse_constant=keep)
+        def walk(column, node):
+            if isinstance(node, float):
+                found.append((column, node))
+            elif isinstance(node, (dict, list)):
+                for child in node.values() if isinstance(node, dict) else node:
+                    walk(column, child)
+        doc = json.loads(path.read_text(), parse_float=float, parse_int=float,
+                         parse_constant=float)
+        for column, node in doc.items() if isinstance(doc, dict) else [(None, doc)]:
+            walk(column, node)
         return found
     with path.open(newline="") as f:
-        for cell in (cell for row in csv.reader(f) for cell in row):
-            try:
-                found.append(float(cell))
-            except ValueError:  # a header or an empty cell
-                pass
+        for row in csv.reader(f):
+            for column, cell in enumerate(row):
+                try:
+                    found.append((column, float(cell)))
+                except ValueError:  # a header or an empty cell
+                    pass
     return found
 
 
-def max_deviation(base: Path, head: Path) -> str:
-    """Largest |head - base| / max(|head|, |base|) over the two files'
-    numbers paired in order: 0 for equal numbers (two NaNs included), inf
-    where one is not finite and the other differs; "—" unless both files
-    parse to the same count of numbers."""
+def max_deviations(base: Path, head: Path) -> tuple[str, str]:
+    """Largest |head - base| over the two files' numbers paired in order,
+    divided by max(|head|, |base|) of the pair, and by the largest |value|
+    of the pair's column on either side: 0 for equal numbers (two NaNs
+    included), inf where one is not finite and the other differs; "—"
+    unless both files parse to the same count of numbers (and, for the
+    second, the same columns)."""
     a, b = numbers(base), numbers(head)
     if a is None or b is None or len(a) != len(b):
-        return "—"
-    worst = 0.0
-    for x, y in zip(a, b):
+        return "—", "—"
+    same_columns = [c for c, _ in a] == [c for c, _ in b]
+    scale: dict[object, float] = {}
+    for column, x in a + b:
+        scale[column] = max(scale.get(column, 0.0), abs(x))
+    worst = [0.0, 0.0]
+    for (column, x), (_, y) in zip(a, b):
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
-        dev = abs(y - x) / max(abs(x), abs(y))
-        worst = max(worst, dev if math.isfinite(dev) else math.inf)
-    return f"{worst:.1e}"
+        diff = abs(y - x)  # then 0 < max(|x|, |y|) <= the column's scale, unless not finite
+        for k, by in enumerate((max(abs(x), abs(y)), scale[column])):
+            worst[k] = max(worst[k], diff / by if math.isfinite(diff) else math.inf)
+    return f"{worst[0]:.1e}", f"{worst[1]:.1e}" if same_columns else "—"
 
 
 def main(argv: list[str]) -> int:
@@ -175,12 +197,14 @@ def main(argv: list[str]) -> int:
         rows = []
         for f in files:
             a, b = (side.get(f, "missing") for side in sides)
-            rows.append(f"| `{f}` | `{a}` | `{b}` | " + ("equal | |" if a == b else
-                        f"**differs** | {max_deviation(tmp / 'base' / f, tmp / 'head' / f)} |"))
+            rows.append(f"| `{f}` | `{a}` | `{b}` | " + ("equal | | |" if a == b else
+                        "**differs** | {} | {} |".format(
+                            *max_deviations(tmp / "base" / f, tmp / "head" / f))))
     equal = sum(sides[0].get(f) == sides[1].get(f) for f in files)
     print("### Byte identity against the base commit\n")
     print(f"{equal} of {len(files)} outputs equal, {len(runs)} command lines.\n")
-    print("| output | base sha256 | head sha256 | | max rel. deviation |\n|---|---|---|---|---|")
+    print("| output | base sha256 | head sha256 | | max rel. deviation | per column |\n"
+          "|---|---|---|---|---|---|")
     print("\n".join(rows))
     return 0
 

@@ -22,7 +22,7 @@ OPENBLAS_NUM_THREADS=1 unless it is set already, so a process that
 imports it before numpy starts OpenBLAS with one thread and spawns no
 idle BLAS threads.
 
-Exit codes: 0 success, 2 input error, 3 numerical failure.
+Exit codes: 0 success, 2 input error (out of memory too), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
 def cmd_variance(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
     op, red = linearize_and_reduce(grid)
-    report = coi_variance(red, eigendecompose_reduced(red.j_red, red.m_slow))
+    report = coi_variance(red)
 
     rows = list(zip(report.bus_ids, report.var_total.tolist(), report.var_slow.tolist(),
                     report.var_fast.tolist(), report.var_slow.tolist()))
@@ -223,7 +223,7 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
     # per-bus values of every column after bus_id, None where a column has none
     columns = {"var_analytic": None, "var_naive_analytic": None}
     try:
-        report = coi_variance(red, eigendecompose_reduced(red.j_red, red.m_slow))
+        report = coi_variance(red)
         columns.update(var_analytic=report.var_total, var_naive_analytic=report.var_slow)
     except HomogeneityError:
         print("heterogeneous parameters: analytic columns omitted, comparing simulated models")
@@ -264,9 +264,8 @@ def cmd_star_demo(args) -> dict[str, Iterable[str]]:
     grid = make_star_grid(args.n_outer, args.center, b=args.b, sigma=args.sigma,
                           m=args.m, d=args.d, tau=args.tau)
     op, red = linearize_and_reduce(grid)
-    basis = eigendecompose_reduced(red.j_red, red.m_slow)
-    report = coi_variance(red, basis)
-    gam = gamma_matrix(red, basis)  # for the printouts; coi_variance builds its own
+    report = coi_variance(red)
+    gam = gamma_matrix(red, eigendecompose_reduced(red.j_red, red.m_slow))  # for the printouts
 
     print(f"star with {args.n_outer} outer buses around a {args.center} center")
     print(f"slow buses: {red.n_slow}, fast buses: {red.n_fast}")
@@ -419,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("input error: not enough memory for this request", file=sys.stderr)
+        return 2
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, pieces in files.items():
@@ -426,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         _write_manifest(args, argv, blas, started, list(files))
     except OSError as e:
         print(f"input error: cannot write to --out-dir {out_dir}: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a file's pieces are made as it is written
+        print("input error: not enough memory for this request", file=sys.stderr)
         return 2
     return 0
 

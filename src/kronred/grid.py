@@ -738,7 +738,7 @@ def assemble_linearized(grid: Grid, jacobian: np.ndarray, epsilon: float) -> Lin
     bit for bit.  ``epsilon`` is only checked to lie in (0, 1]; the
     entries do not depend on it.  It is the last timescale ratio a
     linearization takes: the benchmark's oracle check passes 1.0, and
-    ROADMAP item 2b removes it together with that call.
+    ROADMAP item 4b removes it together with that call.
     """
     _check_epsilon(epsilon)
     order = np.asarray(grid.ordering(), dtype=np.intp)

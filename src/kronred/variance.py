@@ -9,8 +9,8 @@ fast-noise contribution weighted by a scalar kernel of the two
 eigenvalues, the noise correlation time tau, gamma and the first slow
 bus's inertia m_0.  The fast-noise amplitudes are the modal coupling
 Gamma = V^T K diag(sigma_F^2) K^T V of the reduction's noise map K, so
-``coi_variance(red, basis)`` needs nothing beyond the reduction and its
-modes: it builds Gamma itself.
+``coi_variance(red)`` needs nothing beyond the reduction: it builds the
+modes and Gamma itself.
 
 Two kernels are exposed:
 
@@ -52,13 +52,10 @@ class ModalBasis:
     Column alpha of ``modes`` is the mass-normalized mode v_alpha, so
     V^T diag(m / m_0) V = I; the first column is uniform (the COI
     direction).  With uniform m they are J_red's orthonormal eigenvectors.
-    ``mu`` is the m / m_0 the basis was scaled by: the closed form and
-    ``modal_trajectory`` refuse a basis whose mu is not the reduction's.
     """
 
     lambdas: np.ndarray
     modes: np.ndarray
-    mu: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -111,7 +108,7 @@ def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
     rest /= np.linalg.norm(rest, axis=0)
     vecs[:, -1] = zero
     modes = vecs[:, ::-1] * s[:, None]  # a new array, its columns in descending order
-    return ModalBasis(lambdas=lambdas, modes=modes, mu=mu)
+    return ModalBasis(lambdas=lambdas, modes=modes)
 
 
 def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
@@ -259,20 +256,15 @@ class VarianceReport:
     var_fast: np.ndarray
 
 
-def _damping_ratio(red: ReducedSystem, basis: ModalBasis) -> tuple[float, float]:
+def _damping_ratio(red: ReducedSystem) -> tuple[float, float]:
     """(gamma, m_0): the slow buses' one d/m (else HomogeneityError) and
-    their first m; an InputError when ``basis`` was not scaled by their
-    m / m_0."""
+    their first m."""
     ratio = red.d_slow / red.m_slow
     if not np.allclose(ratio, ratio[0], rtol=1e-9, atol=0.0):
         raise HomogeneityError(
             "analytic formula requires a uniform damping ratio d/m over the slow buses; use "
             f"simulation (d/m: min {ratio.min():.6g}, max {ratio.max():.6g}): "
             "the `simulate` command has no such restriction")
-    mu = red.m_slow / red.m_slow[0]
-    if basis.mu.shape != mu.shape or not np.allclose(basis.mu, mu, rtol=1e-9, atol=0.0):
-        raise InputError("basis was scaled by other inertias than the slow buses' m: "
-                         "build it with eigendecompose_reduced(red.j_red, red.m_slow)")
     return float(ratio[0]), float(red.m_slow[0])
 
 
@@ -292,13 +284,12 @@ def _mode_sum(u_perp: np.ndarray, kernel: np.ndarray, amplitude: np.ndarray,
     return rows.sum(1) - 2.0 * cross + r_x_r
 
 
-def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
+def coi_variance(red: ReducedSystem) -> VarianceReport:
     """Closed-form per-bus COI frequency variance.
 
-    ``basis`` is ``eigendecompose_reduced(red.j_red, red.m_slow)``; one
-    scaled by other inertias (its ``mu``) is an InputError.  The
+    The modes are ``eigendecompose_reduced(red.j_red, red.m_slow)``.  The
     fast-bus noise enters through its modal coupling Gamma
-    (``gamma_matrix``), built first, so an overflowing Gamma is an
+    (``gamma_matrix``), built next, so an overflowing Gamma is an
     InputError whatever the parameters.  Then the formula requires one
     damping ratio d/m over the slow buses.  A noise class sums its mode
     sums over its distinct tau, masking the others' sigma to 0.  The
@@ -306,8 +297,9 @@ def coi_variance(red: ReducedSystem, basis: ModalBasis) -> VarianceReport:
     and drops out by definition, so a single slow bus has variance
     exactly 0, with no kernel evaluated.
     """
+    basis = eigendecompose_reduced(red.j_red, red.m_slow)
     gamma_mat = gamma_matrix(red, basis)
-    gamma, m0 = _damping_ratio(red, basis)
+    gamma, m0 = _damping_ratio(red)
 
     if red.n_slow == 1:
         # exactly 0 for any parameters, also where the kernels overflow (tau = 1e200)
@@ -370,7 +362,8 @@ def lyapunov_oracle_variance(red: ReducedSystem) -> np.ndarray:
     and fast), each entering through its generator m_i v_i' += eta.
     Any m, d and tau are supported, non-uniform d/m included, which makes
     this the reference for such studies as well as the cross-check that
-    pins the closed-form kernel.
+    pins the closed-form kernel.  It is a test reference and needs scipy
+    (``solve_continuous_lyapunov``).
     """
     n_s, n_f = red.n_slow, red.n_fast
     if n_s == 1:
@@ -418,7 +411,6 @@ def lyapunov_oracle_variance(red: ReducedSystem) -> np.ndarray:
 
 def modal_trajectory(
     red: ReducedSystem,
-    basis: ModalBasis,
     noise_path: np.ndarray,
     t_grid: np.ndarray,
     x0: np.ndarray | None = None,
@@ -429,15 +421,16 @@ def modal_trajectory(
     The noise path (one row of slow-space values per step, held constant
     over the step) is projected onto modes 2..N_S, each mode's damped
     oscillator is advanced with its exact matrix-exponential step, and
-    x, xdot are reassembled.  Like the closed form, it needs one damping
-    ratio d/m over the slow buses, and a basis scaled by their m.  Any
-    component along the uniform mode
-    (of the noise, or of the initial condition in the diag(m) inner
-    product) is dropped.  A noise path, x0 or v0 that is not finite
-    numbers of its shape, over the rows the steps read, is an InputError
-    (simulate._finite_floats, as in integrate).
+    x, xdot are reassembled.  Like the closed form, it builds the modes
+    of J_red scaled by the slow buses' m and needs one damping ratio d/m
+    over them.  Any component along the uniform mode (of the noise, or
+    of the initial condition in the diag(m) inner product) is dropped.
+    A noise path, x0 or v0 that is not finite numbers of its shape, over
+    the rows the steps read, is an InputError (simulate._finite_floats,
+    as in integrate).  It is a test reference and needs scipy (``expm``).
     """
-    gamma, m = _damping_ratio(red, basis)
+    basis = eigendecompose_reduced(red.j_red, red.m_slow)
+    gamma, m = _damping_ratio(red)
     t_grid, dt = _uniform_step(t_grid)
     n_steps = len(t_grid) - 1
     n_s = red.n_slow

@@ -115,6 +115,22 @@ def test_failed_command_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("phase", ["coi_variance", "_write_file"])
+def test_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch, phase):
+    # an allocation that fails in the command, or while its files are
+    # written, exits 2 with no traceback and leaves no file
+    import kronred.cli
+
+    def fail(*args):
+        raise MemoryError
+    monkeypatch.setattr(kronred.cli, phase, fail)
+    out = tmp_path / "out"
+    assert main(["variance", homogeneous_grid_file(tmp_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: not enough memory for this request\n" and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["reduce", "variance", "simulate", "compare", "star-demo"])
 def test_manifest_lists_the_files_written(tmp_path, capsys, command):
     grid = homogeneous_grid_file(tmp_path)
@@ -738,7 +754,7 @@ class TestStarDemo:
         assert not (tmp_path / "reduced.json").exists()
 
 
-def test_analysis_commands_do_not_import_the_simulator_filter(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # The run path computes with numpy alone: no scipy module is loaded by
     # the import of the CLI, nor by any command, all four models included.
     grid = homogeneous_grid_file(tmp_path)

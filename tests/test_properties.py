@@ -42,7 +42,7 @@ def grids(draw, max_buses=16):
 
 def analyze(grid):
     red = reduce_grid(grid, dense_reference(grid)[1])
-    return red, coi_variance(red, eigendecompose_reduced(red.j_red, red.m_slow))
+    return red, coi_variance(red)
 
 
 @PROPERTY_SETTINGS

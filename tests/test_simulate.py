@@ -694,13 +694,12 @@ class TestIntegrateReduced:
     def test_converges_to_modal_trajectory_as_dt_shrinks(self):
         grid = path3_grid(sigma_slow=0.4, sigma_fast=0.8)
         op, red = reduced_of(grid)
-        basis = eigendecompose_reduced(red.j_red, red.m_slow)
         coarse_dt = 0.02
         t_coarse = make_time_grid(8.0, coarse_dt)
         rng = np.random.default_rng(21)
         xi_coarse = rng.normal(0.0, 0.3, (len(t_coarse) - 1, 2))
 
-        exact = modal_trajectory(red, basis, xi_coarse, t_coarse)
+        exact = modal_trajectory(red, xi_coarse, t_coarse)
         exact_x = exact.x - exact.x.mean(axis=1, keepdims=True)
 
         errors = []
@@ -732,7 +731,7 @@ class TestIntegrateReduced:
             t = make_time_grid(cfg.t_end, dt)
             traj = integrate(grid, op, red, "reduced-xi", cfg,
                              np.zeros((len(t) - 1, grid.n_buses)), x0=x0, v0=v0)
-            exact = modal_trajectory(red, basis, np.zeros((len(t) - 1, red.n_slow)), t,
+            exact = modal_trajectory(red, np.zeros((len(t) - 1, red.n_slow)), t,
                                      x0=x0, v0=v0)
             np.testing.assert_array_equal(traj.x[0], x0)
             np.testing.assert_array_equal(traj.xdot[0], v0)
@@ -763,7 +762,7 @@ class TestIntegrateReduced:
         t_coarse = make_time_grid(5.0, coarse_dt)
         xi = rng.normal(0.0, 0.3, (len(t_coarse) - 1, red.n_slow))
         xi -= xi.mean(axis=1, keepdims=True)
-        exact = modal_trajectory(red, basis, xi, t_coarse, x0=x0, v0=v0)
+        exact = modal_trajectory(red, xi, t_coarse, x0=x0, v0=v0)
         np.testing.assert_allclose(exact.x[0], x0, rtol=0, atol=1e-14)
         w_max = math.sqrt(-basis.lambdas.min() / red.m_slow[0])  # fastest mode's frequency
         errors = []
@@ -1203,7 +1202,7 @@ class TestStatisticalConsistency:
         grid = random_connected_grid(rng, 8, homogeneous=True,
                                      sigma_range=(0.005, 0.02))
         _, red = reduced_of(grid)
-        analytic = coi_variance(red, eigendecompose_reduced(red.j_red, red.m_slow)).var_total
+        analytic = coi_variance(red).var_total
 
         cfg = SimConfig(dt_max=0.01, t_end=800.0, burn_in=40.0, ensemble_size=4, base_seed=3)
         stats = run_model_ensemble(grid, "reduced-xi", cfg)

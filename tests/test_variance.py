@@ -165,8 +165,8 @@ class TestGammaMatrix:
                 monkeypatch.setattr(module, "factor_fast_block", counted)
         rng = np.random.default_rng(38)
         grid = random_connected_grid(rng, 12, n_slow=5, homogeneous=True)
-        _, red, basis = pipeline(grid)
-        coi_variance(red, basis)
+        _, red, _ = pipeline(grid)
+        coi_variance(red)
         assert calls == ["kronred.reduction"]
 
 
@@ -276,22 +276,22 @@ class TestFrequencyVarianceKernel:
 class TestCoiVariance:
     def test_all_zero_noise(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=0.0)
-        _, red, basis = pipeline(grid)
-        report = coi_variance(red, basis)
+        _, red, _ = pipeline(grid)
+        report = coi_variance(red)
         np.testing.assert_array_equal(report.var_total, 0.0)
 
     def test_slow_only_two_bus_matches_oracle(self):
         grid = make_grid([(1, SLOW, 0.0, 0.02), (2, SLOW, 0.0, 0.02)], [(1, 2, 1.0)])
-        _, red, basis = pipeline(grid)
-        report = coi_variance(red, basis)
+        _, red, _ = pipeline(grid)
+        report = coi_variance(red)
         oracle = lyapunov_oracle_variance(red)
         np.testing.assert_allclose(report.var_total, oracle, rtol=1e-6)
         np.testing.assert_array_equal(report.var_fast, 0.0)
 
     def test_path_symmetric_buses_match(self):
         grid = path3_grid(sigma_slow=0.0, sigma_fast=1.0)
-        _, red, basis = pipeline(grid)
-        report = coi_variance(red, basis)
+        _, red, _ = pipeline(grid)
+        report = coi_variance(red)
         assert report.var_total[0] == pytest.approx(report.var_total[1], abs=1e-15)
         oracle = lyapunov_oracle_variance(red)
         np.testing.assert_allclose(report.var_total, oracle, atol=1e-12)
@@ -299,8 +299,8 @@ class TestCoiVariance:
     def test_additivity_split(self):
         rng = np.random.default_rng(15)
         grid = random_connected_grid(rng, 8, homogeneous=True, sigma_range=(0.005, 0.02))
-        _, red, basis = pipeline(grid)
-        report = coi_variance(red, basis)
+        _, red, _ = pipeline(grid)
+        report = coi_variance(red)
         np.testing.assert_allclose(report.var_total, report.var_slow + report.var_fast,
                                    rtol=1e-12)
         assert np.all(report.var_total >= 0)
@@ -310,10 +310,10 @@ class TestCoiVariance:
         grid = random_connected_grid(rng, 7, homogeneous=True, sigma_range=(0.005, 0.02))
         from kronred.grid import with_sigma
         scaled = with_sigma(grid, 3.0 * grid.param_vector("sigma"))
-        _, red1, basis1 = pipeline(grid)
-        _, red2, basis2 = pipeline(scaled)
-        r1 = coi_variance(red1, basis1)
-        r2 = coi_variance(red2, basis2)
+        _, red1, _ = pipeline(grid)
+        _, red2, _ = pipeline(scaled)
+        r1 = coi_variance(red1)
+        r2 = coi_variance(red2)
         np.testing.assert_allclose(r2.var_total, 9.0 * r1.var_total, rtol=1e-10)
 
     def test_permutation_equivariance(self):
@@ -322,10 +322,10 @@ class TestCoiVariance:
         perm_buses = tuple(grid.buses[k] for k in rng.permutation(grid.n_buses))
         from kronred.grid import Grid
         permuted = Grid(buses=perm_buses, lines=grid.lines)
-        _, red1, basis1 = pipeline(grid)
-        _, red2, basis2 = pipeline(permuted)
-        by_id1 = dict(zip(red1.slow_ids, coi_variance(red1, basis1).var_total))
-        by_id2 = dict(zip(red2.slow_ids, coi_variance(red2, basis2).var_total))
+        _, red1, _ = pipeline(grid)
+        _, red2, _ = pipeline(permuted)
+        by_id1 = dict(zip(red1.slow_ids, coi_variance(red1).var_total))
+        by_id2 = dict(zip(red2.slow_ids, coi_variance(red2).var_total))
         assert set(by_id1) == set(by_id2)
         for bid in by_id1:
             assert by_id1[bid] == pytest.approx(by_id2[bid], rel=1e-9)
@@ -334,8 +334,8 @@ class TestCoiVariance:
         # one slow bus has only the uniform mode, which the COI drops: exactly
         # 0, also where the kernels would overflow (tau^2, gamma^2 > max float)
         for star in ({}, {"tau": 1e200}, {"d": 1e300}):
-            _, red, basis = pipeline(make_star_grid(8, center_class=SLOW, **star))
-            report = coi_variance(red, basis)
+            _, red, _ = pipeline(make_star_grid(8, center_class=SLOW, **star))
+            report = coi_variance(red)
             for var in (report.var_total, report.var_slow, report.var_fast):
                 assert var.tolist() == [0.0]
             np.testing.assert_array_equal(report.var_total, lyapunov_oracle_variance(red))
@@ -352,34 +352,23 @@ class TestCoiVariance:
         buses = (replace(grid.buses[0], m=0.3),) + grid.buses[1:]
         from kronred.grid import Grid
         hetero = Grid(buses=buses, lines=grid.lines)
-        _, red, basis = pipeline(hetero)
+        _, red, _ = pipeline(hetero)
         with pytest.raises(InputError, match="use simulation"):
-            coi_variance(red, basis)
+            coi_variance(red)
 
-    def test_basis_of_other_inertias_rejected(self):
-        # slow m scaled by U(0.3, 3) at one d/m: the basis of the slow
-        # buses' m gives the oracle's values, while one built with unit m,
-        # as `reduce` builds for its spectral gap, is refused (it summed to
-        # relative errors of up to 9.6); scaling every m by one factor
-        # leaves m / m_0, and so the basis, as it was
+    def test_unequal_inertia_matches_oracle(self):
+        # slow m scaled by U(0.3, 3) at one d/m: the modes coi_variance
+        # builds from the slow buses' m give the oracle's values
         from kronred.grid import Grid
         rng = np.random.default_rng(12)
         grid = random_connected_grid(rng, 12, n_slow=6, homogeneous=True,
                                      sigma_range=(0.002, 0.02))
         buses = tuple(replace(bus, m=bus.m * c, d=bus.d * c) if bus.speed_class == SLOW else bus
                       for bus, c in zip(grid.buses, rng.uniform(0.3, 3.0, grid.n_buses)))
-        _, red, basis = pipeline(Grid(buses=buses, lines=grid.lines))
+        _, red, _ = pipeline(Grid(buses=buses, lines=grid.lines))
         assert np.ptp(red.m_slow) > 0 and np.ptp(red.d_slow / red.m_slow) == 0
-        np.testing.assert_allclose(coi_variance(red, basis).var_total,
+        np.testing.assert_allclose(coi_variance(red).var_total,
                                    lyapunov_oracle_variance(red), rtol=1e-6)
-        unit = eigendecompose_reduced(red.j_red, np.ones(red.n_slow))
-        with pytest.raises(InputError, match="other inertias"):
-            coi_variance(red, unit)
-        with pytest.raises(InputError, match="other inertias"):
-            modal_trajectory(red, unit, np.zeros((1, red.n_slow)), np.array([0.0, 0.1]))
-        np.testing.assert_allclose(
-            coi_variance(red, eigendecompose_reduced(red.j_red, 2.0 * red.m_slow)).var_total,
-            coi_variance(red, basis).var_total, rtol=1e-12)
 
     def test_matches_oracle_on_random_systems(self):
         rng = np.random.default_rng(19)
@@ -387,8 +376,8 @@ class TestCoiVariance:
             grid = random_connected_grid(rng, int(rng.integers(4, 12)),
                                          homogeneous=True, sigma_range=(0.002, 0.02),
                                          tau_slow=0.1, tau_fast=0.05)
-            _, red, basis = pipeline(grid)
-            report = coi_variance(red, basis)
+            _, red, _ = pipeline(grid)
+            report = coi_variance(red)
             oracle = lyapunov_oracle_variance(red)
             np.testing.assert_allclose(report.var_total, oracle, rtol=1e-6)
 
@@ -399,7 +388,7 @@ class TestCoiVariance:
                                          tau_slow=0.1, tau_fast=0.05)
             _, red, basis = pipeline(grid)
             gam = gamma_matrix(red, basis)
-            report = coi_variance(red, basis)
+            report = coi_variance(red)
             lam, u = basis.lambdas[1:], basis.modes[:, 1:]
             m = red.m_slow[0]
             kern_s, kern_f = (frequency_variance_kernel(lam[:, None], lam[None, :], tau,
@@ -412,20 +401,21 @@ class TestCoiVariance:
             np.testing.assert_allclose(report.var_fast, var_fast, rtol=1e-12, atol=0)
 
     def test_holds_gamma_and_one_kernel(self):
-        # beside the modes it is handed, coi_variance holds Gamma and one
-        # kernel's three N_S x N_S buffers (Gamma's N_F x N_S factor is half
-        # an N_S x N_S here, N_F = N_S / 2); a second kernel held beside
-        # the first, or one kernel's expression temporaries, exceed it
+        # coi_variance holds the modes it builds (N_S x N_S), and beside
+        # them Gamma and one kernel's three N_S x N_S buffers (Gamma's
+        # N_F x N_S factor is half an N_S x N_S here, N_F = N_S / 2); a
+        # second kernel held beside the first, or one kernel's expression
+        # temporaries, exceed it
         grid = random_connected_grid(np.random.default_rng(7), 600, n_slow=400,
                                      homogeneous=True)
-        _, red, basis = pipeline(grid)
+        _, red, _ = pipeline(grid)
         tracemalloc.start()
         try:
-            coi_variance(red, basis)
+            coi_variance(red)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 5 * red.n_slow**2, peak
+        assert peak <= 8 * 5 * red.n_slow**2 + 8 * red.n_slow**2, peak
 
     def test_csv_columns(self, tmp_path):
         grid = tmp_path / "path3.json"
@@ -476,9 +466,9 @@ class TestLyapunovOracle:
 class TestModalTrajectory:
     def test_zero_noise_zero_state(self):
         grid = path3_grid()
-        _, red, basis = pipeline(grid)
+        _, red, _ = pipeline(grid)
         t = make_time_grid(5.0, 0.01)
-        traj = modal_trajectory(red, basis, np.zeros((len(t) - 1, 2)), t)
+        traj = modal_trajectory(red, np.zeros((len(t) - 1, 2)), t)
         np.testing.assert_array_equal(traj.x, 0.0)
         np.testing.assert_array_equal(traj.xdot, 0.0)
 
@@ -491,7 +481,7 @@ class TestModalTrajectory:
         omega = math.sqrt(-lam / m - gamma**2 / 4)
         u2 = basis.modes[:, 1]
         t = make_time_grid(20.0, 0.01)
-        traj = modal_trajectory(red, basis, np.zeros((len(t) - 1, 2)), t, x0=u2)
+        traj = modal_trajectory(red, np.zeros((len(t) - 1, 2)), t, x0=u2)
         z = traj.x @ u2
         zdot = traj.xdot @ u2
         # amplitude-phase energy: sqrt(z^2 + ((zdot + gamma z/2)/omega)^2) = A0 e^{-gamma t/2}
@@ -500,11 +490,11 @@ class TestModalTrajectory:
 
     def test_matches_ode_solver_for_constant_forcing(self):
         grid = path3_grid()
-        _, red, basis = pipeline(grid)
+        _, red, _ = pipeline(grid)
         m, d = red.m_slow[0], red.d_slow[0]
         t = make_time_grid(4.0, 0.05)
         force = np.tile([0.03, -0.05], (len(t) - 1, 1))
-        traj = modal_trajectory(red, basis, force, t)
+        traj = modal_trajectory(red, force, t)
 
         proj = np.eye(2) - np.full((2, 2), 0.5)  # forcing enters orthogonal to uniform
         def rhs(_, state):
@@ -517,17 +507,17 @@ class TestModalTrajectory:
 
     def test_nonuniform_grid_rejected(self):
         grid = path3_grid()
-        _, red, basis = pipeline(grid)
+        _, red, _ = pipeline(grid)
         for t in ([0.0, 0.1, 0.3], [0.0, math.inf], [0.0, math.nan], [math.inf, math.inf],
                   ["a", "b"]):
             with pytest.raises(InputError, match="uniform"):
-                modal_trajectory(red, basis, np.zeros((2, 2)), t)
+                modal_trajectory(red, np.zeros((2, 2)), t)
 
     def test_bad_noise_path_or_initial_state_rejected(self):
         # the noise path over the rows the steps read, and x0/v0, must be
         # finite numbers of their shape; each failure says what was wrong
         grid = path3_grid()
-        _, red, basis = pipeline(grid)
+        _, red, _ = pipeline(grid)
         t = make_time_grid(1.0, 0.1)
         path = np.zeros((10, 2))
         nan_path = path.copy()
@@ -538,13 +528,13 @@ class TestModalTrajectory:
                                (np.zeros((10, 3)), r", got shape \(10, 3\)$")):
             with pytest.raises(InputError, match=r"^noise path must be \(>= 10, 2\) finite "
                                                  rf"numbers{problem}"):
-                modal_trajectory(red, basis, noise, t)
+                modal_trajectory(red, noise, t)
         for bad, problem in (({"x0": np.zeros(3)}, r", got shape \(3,\)$"),
                              ({"v0": [1.0]}, r", got shape \(1,\)$"),
                              ({"x0": [math.nan, 0.0]}, value), ({"v0": [0.0, math.inf]}, value),
                              ({"x0": ["a", "b"]}, numbers)):
             with pytest.raises(InputError, match=rf"^{next(iter(bad))} must be 2 finite values, "
                                                  rf"one per slow bus{problem}"):
-                modal_trajectory(red, basis, path, t, **bad)
+                modal_trajectory(red, path, t, **bad)
         unread = np.vstack([path, [[math.nan, math.nan]]])  # a row past the last step
-        np.testing.assert_array_equal(modal_trajectory(red, basis, unread, t).x, 0.0)
+        np.testing.assert_array_equal(modal_trajectory(red, unread, t).x, 0.0)
