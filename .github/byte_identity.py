@@ -8,15 +8,22 @@ tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
 (its full models also at epsilon = 0.3, where the fast buses' inertia and
 damping are scaled, and a compare of all four models at theta = 1.0,
 backward Euler), `variance` on both grids also with --order-by-naive,
-three variants of the five-bus grid: every bus slow (m 0.2, d 0.05; `reduce`
+four variants of the five-bus grid: every bus slow (m 0.2, d 0.05; `reduce`
 and `variance`, the reduction with no fast bus), bus 1 at m = 0.3 (a
 compare of all four models, whose non-uniform damping ratio omits the
-analytic columns) and bus 1 at m = 0.3, d = 0.075 (`variance` and a compare
-of all four models, a uniform damping ratio with unequal inertia), plus the three benchmark workloads at seed 3 and
-`reduce` on the benchmark's seed-3 oracle grid (synth_grid(3, ORACLE_BUSES):
-500 buses, mostly fast, whose reduced.json pins J_red, K and Sigma_xi to
-the last bit where the reduction's N_F x N_F buffers matter) when the
-head tree's perfbench/workloads.py can write their inputs.  Both trees read the same
+analytic columns), bus 1 at m = 0.3, d = 0.075 (`variance` and a compare
+of all four models, a uniform damping ratio with unequal inertia) and the
+slow bus 3 and the fast bus 5 at tau = 0.3, the fast bus 4 at tau = 0.05
+(`variance` and a compare of all four models: two tau in each noise class,
+one of them shared, so the closed form's loop over tau builds a kernel that
+weights both classes and a Gamma per fast tau), plus the three benchmark
+workloads at seed 3 and `reduce` on the benchmark's seed-3 grids, when the
+head tree's perfbench/workloads.py can write their inputs: the oracle grid
+(synth_grid(3, ORACLE_BUSES): 500 buses, mostly fast, whose reduced.json
+pins J_red, K and Sigma_xi to the last bit where the reduction's N_F x N_F
+buffers matter) and the 2000-bus grid (synth_grid(3, SYNTH_BUSES), whose
+core of 477 fast buses spans four 128-row blocks, so its reduced.json pins
+K through both sweeps of the blocked triangular solve).  Both trees read the same
 input files, the head tree's.  Manifests are left out: they record
 durations and paths.  Where a digest differs, the table also gives the
 largest deviation over the numbers of a CSV or JSON data file taken in
@@ -90,12 +97,20 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
     runs["json-ratio-variance"] = ["variance", str(ratio)]
     runs["json-ratio-compare"] = ["compare", str(ratio), "--models", ",".join(MODELS),
                                   "--ensemble", "2", "--t-end", "20", "--seed", "3"]
+    taus = inputs / "grid_taus.json"  # tau 0.1 and 0.3 slow, 0.05 and 0.3 fast
+    taus.write_text(json.dumps({**doc, "buses": [
+        {**bus, "tau": {3: 0.3, 4: 0.05, 5: 0.3}.get(bus["id"], bus["tau"])}
+        for bus in doc["buses"]]}))
+    runs["json-taus-variance"] = ["variance", str(taus)]
+    runs["json-taus-compare"] = ["compare", str(taus), "--models", ",".join(MODELS),
+                                 "--ensemble", "2", "--t-end", "20", "--seed", "3"]
     try:
         sys.path.insert(0, str(head / "perfbench"))
-        from workloads import ORACLE_BUSES, Workload, synth_grid, write_grid
-        oracle = inputs / "oracle_grid.json"
-        write_grid(oracle, synth_grid(3, ORACLE_BUSES))
-        runs["bench-oracle-grid-reduce"] = ["reduce", str(oracle)]
+        from workloads import ORACLE_BUSES, SYNTH_BUSES, Workload, synth_grid, write_grid
+        for label, buses in (("oracle", ORACLE_BUSES), ("synth", SYNTH_BUSES)):
+            path = inputs / f"{label}_grid.json"
+            write_grid(path, synth_grid(3, buses))
+            runs[f"bench-{label}-grid-reduce"] = ["reduce", str(path)]
         for name in ("ieee118-compare", "star-nonlinear", "synth-analysis"):
             work = inputs / name
             work.mkdir()

@@ -2,16 +2,17 @@
 
 Each command computes its data files and returns them, file name to an
 iterable of text pieces (a CSV table line by line from `_csv_lines`, a
-JSON document as one piece); it opens no file and holds no table as
-text.  Once the command has succeeded, `main` streams each file into
---out-dir atomically (temp file + rename), in the order returned, then
-writes a run manifest (command, resolved configuration, seeds, input
-digests, version, duration) sufficient to reproduce them bit-for-bit:
-re-running the recorded argv against the same inputs yields
-byte-identical CSV/JSON data files.  A command that fails (exit 2 or 3)
-leaves no file behind; an --out-dir that is a file, or whose nearest
-existing ancestor is not a writable directory, is refused before the
-command runs, and a failed write exits 2.
+JSON document in its encoder's pieces from `_json_pieces`); it opens no
+file and holds no table or document as text.  Once the command has
+succeeded, `main` streams each file into --out-dir atomically (temp
+file + rename), in the order returned, then writes a run manifest
+(command, resolved configuration, seeds, input digests, version,
+duration) sufficient to reproduce them bit-for-bit: re-running the
+recorded argv against the same inputs yields byte-identical CSV/JSON
+data files.  A command that fails (exit 2 or 3) leaves no file behind;
+an --out-dir that is a file, or whose nearest existing ancestor is not
+a writable directory, is refused before the command runs, and a failed
+write exits 2 after removing the files the run has already written.
 
 The data files depend on the BLAS threads too: a threaded product splits
 its sums differently.  So every command runs with numpy's bundled
@@ -63,6 +64,12 @@ def _csv_lines(header: Iterable[str], rows: Iterable) -> Iterable[str]:
         yield ",".join("" if v is None else repr(v) for v in row) + "\n"
 
 
+def _json_pieces(doc) -> Iterable[str]:
+    """json.dumps(doc, indent=2) and a newline, in the encoder's pieces."""
+    yield from json.JSONEncoder(indent=2).iterencode(doc)
+    yield "\n"
+
+
 def _write_file(path: Path, pieces: Iterable[str]) -> None:
     """Write the pieces to a new file beside ``path``, then rename it over
     ``path``.  Unlike mkstemp's 0600, the file gets the mode that
@@ -93,23 +100,23 @@ def _write_manifest(args, argv: list[str], blas: dict, started: float,
         "outputs": outputs,
     }
     _write_file(Path(args.out_dir) / f"manifest_{args.command.replace('-', '_')}.json",
-                [json.dumps(manifest, indent=2) + "\n"])
+                _json_pieces(manifest))
 
 
 def _load_grid(args) -> Grid:
     path = Path(args.grid)
-    if not path.exists():
-        raise InputError(f"grid file not found: {path}")
     try:
         text = path.read_text()
-    except (OSError, UnicodeDecodeError) as e:
+    except FileNotFoundError:
+        raise InputError(f"grid file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:  # a directory, a name too long, not UTF-8
         raise InputError(f"cannot read grid file {path}: {e}") from e
     if path.suffix == ".json":
         return parse_grid_json(text)
     if path.suffix == ".m":
         slow = ClassDefaults(m=args.slow_m, d=args.slow_d, tau=args.tau)
         fast = ClassDefaults(m=args.fast_m, d=args.fast_d, tau=args.tau)
-        grid = parse_matpower_case(text, slow=slow, fast=fast, rebalance=True)
+        grid = parse_matpower_case(text, slow=slow, fast=fast)
         lo, hi = _parse_sigma_dist(args.sigma_dist)
         rng = np.random.default_rng(np.uint64(args.seed))
         sigma = rng.uniform(lo, hi, grid.n_buses)
@@ -138,7 +145,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
     grid = _load_grid(args)
     op, red = linearize_and_reduce(grid)
     # built first: a noise covariance overflow is refused before anything is printed
-    doc = json.dumps(reduced_system_to_dict(red), indent=2) + "\n"
+    doc = reduced_system_to_dict(red)
     basis = eigendecompose_reduced(red.j_red, np.ones(red.n_slow))  # J_red's own spectrum
     gap = -basis.lambdas[1] if red.n_slow > 1 else 0.0
     row_sums = np.abs(red.noise_gain).sum(axis=1) if red.n_fast else np.zeros(red.n_slow)
@@ -149,7 +156,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
           f"max {row_sums.max():.4g}")
     if not op.angle_window_ok:
         print(f"warning: {len(op.flagged_lines)} line(s) outside the (-pi/2, pi/2) angle window")
-    return {"reduced.json": [doc]}
+    return {"reduced.json": _json_pieces(doc)}
 
 
 def cmd_variance(args) -> dict[str, Iterable[str]]:
@@ -255,7 +262,7 @@ def cmd_compare(args) -> dict[str, Iterable[str]]:
     print(f"compared models {models} on {red.n_slow} slow buses; "
           f"{n_moved} buses change rank between naive and corrected ordering")
     return {"compare.csv": _csv_lines(["bus_id", *columns], zip(red.slow_ids, *cells)),
-            "compare_plot.json": [json.dumps(plot, indent=2) + "\n"]}
+            "compare_plot.json": _json_pieces(plot)}
 
 
 def cmd_star_demo(args) -> dict[str, Iterable[str]]:
@@ -421,16 +428,19 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("input error: not enough memory for this request", file=sys.stderr)
         return 2
+    written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, pieces in files.items():
             _write_file(out_dir / name, pieces)
+            written.append(out_dir / name)
         _write_manifest(args, argv, blas, started, list(files))
-    except OSError as e:
-        print(f"input error: cannot write to --out-dir {out_dir}: {e}", file=sys.stderr)
-        return 2
-    except MemoryError:  # a file's pieces are made as it is written
-        print("input error: not enough memory for this request", file=sys.stderr)
+    except (OSError, MemoryError) as e:  # a file's pieces are made as it is written
+        for path in written:  # a failed run leaves no file
+            with contextlib.suppress(OSError):
+                path.unlink()
+        print("input error: not enough memory for this request" if isinstance(e, MemoryError)
+              else f"input error: cannot write to --out-dir {out_dir}: {e}", file=sys.stderr)
         return 2
     return 0
 

@@ -435,7 +435,6 @@ def parse_matpower_case(
     text: str,
     slow: ClassDefaults,
     fast: ClassDefaults,
-    rebalance: bool = False,
 ) -> Grid:
     """Build a Grid from a MATPOWER case file (plain-text subset).
 
@@ -447,8 +446,9 @@ def parse_matpower_case(
     are merged by adding 1/x); voltage magnitudes come from the bus VM
     column; injections are total generator output minus bus load, in
     per-unit of baseMVA.  Shunts, phase shifts and line resistance are
-    ignored.  With ``rebalance`` the generator outputs are scaled by a
-    common factor so injections sum to zero (case files carry losses).
+    ignored.  The generator outputs are scaled by a common factor so
+    injections sum to zero: case files carry losses, and a grid whose
+    injections do not balance has no fixed point.
     """
     comment_free = re.sub(r"%.*", "", text)
     m = re.search(r"mpc\.baseMVA\s*=\s*([^;\s]+)\s*;", comment_free)
@@ -503,12 +503,9 @@ def parse_matpower_case(
         couplings[frozenset((f, t))] = couplings.get(frozenset((f, t)), 0.0) + 1.0 / abs(x)
 
     gen_total = sum(gen_output.values())
-    load_total = sum(load.values())
-    scale = 1.0
-    if rebalance:
-        if gen_total == 0:
-            raise InputError("cannot rebalance: no generation in case")
-        scale = load_total / gen_total
+    if gen_total == 0:
+        raise InputError("cannot rebalance: no generation in case")
+    scale = sum(load.values()) / gen_total
 
     buses = []
     for row in (row for row in bus_rows if row[1] != 4):  # isolated buses skipped

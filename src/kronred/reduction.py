@@ -40,8 +40,10 @@ and scatters each block of the core straight into the buffer it is used
 in: -J_CC into an n_C x n_C buffer that the definiteness certificate,
 and then the factor, overwrites in place (a blocked Cholesky
 factorization, ``_cholesky_in_place``), and J_CS into the
-Fortran-ordered array that the blocked forward and back substitutions
-overwrite with Y and then with L^-T Y.  No N_F x N_F array is made
+Fortran-ordered array that one blocked triangular solve, swept forward
+on L and then backward on L^T (``_triangular_solve``), overwrites with Y
+and then with L^-T Y.  A grid with no fast bus takes the same path, with
+nothing eliminated and an empty core.  No N_F x N_F array is made
 (unless the certificate falls back to the eigenvalues): every other
 LAPACK call and temporary spans at most _SOLVE_ROWS rows or columns.
 J_SF is never scattered.  The factor is freed before K is made.  Only
@@ -109,9 +111,10 @@ class FastFactor:
     order, with the coupling w_fj and the pivot p_f = -J_ff it was
     eliminated with.  ``core`` holds the slots of the fast buses left, in
     slot order, and ``factor`` the lower Cholesky factor of their -J_CC
-    after the eliminations.  ``couplings[i]`` maps each neighbour of bus
-    i to J_ij and ``diag[i]`` is J_ii, both after the eliminations; the
-    rows of eliminated buses are None.
+    after the eliminations; both are empty when there is no fast bus.
+    ``couplings[i]`` maps each neighbour of bus i to J_ij and ``diag[i]``
+    is J_ii, both after the eliminations; the rows of eliminated buses are
+    None.
     """
 
     eliminated: list
@@ -188,11 +191,11 @@ def _scatter_rows(out: np.ndarray, rows: list, row_slots: list, col_pos: dict,
     return _grid._scatter(out, r, c, v, None if diag is None else [diag[i] for i in row_slots])
 
 
-def factor_fast_block(sys: LinearizedSystem) -> FastFactor | None:
+def factor_fast_block(sys: LinearizedSystem) -> FastFactor:
     """-J_FF factored, its negative definiteness verified first: fast
     buses of degree <= 3 eliminated one at a time (``_eliminate``), then
-    the core C that remains factored densely, -J_CC = L L^T; None when
-    there is no fast bus.
+    the core C that remains factored densely, -J_CC = L L^T.  With no
+    fast bus nothing is eliminated and the core is empty.
 
     The gate: the largest eigenvalue of J_FF is below -1e-12 x max(1,
     largest |eigenvalue|).  The same elimination and core factorization
@@ -215,11 +218,9 @@ def factor_fast_block(sys: LinearizedSystem) -> FastFactor | None:
     for bit.
     """
     n_s, n_f = sys.n_slow, sys.n_fast
-    if n_f == 0:
-        return None
     ff = (sys.rows >= n_s) & (sys.cols >= n_s) & (sys.rows != sys.cols)
     g = float((np.bincount(sys.rows[ff] - n_s, np.abs(sys.off[ff]), minlength=n_f)
-               + np.abs(sys.diag[n_s:])).max())  # |J_FF|'s largest row sum
+               + np.abs(sys.diag[n_s:])).max(initial=0.0))  # |J_FF|'s largest row sum
     t = 1e-12 * max(1.0, g)
     gamma = (n_f + 1) * _UNIT_ROUNDOFF / (1.0 - (n_f + 1) * _UNIT_ROUNDOFF)
     rows, diag = _couplings(sys), sys.diag.tolist()
@@ -285,35 +286,26 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _forward_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b <- L^-1 b in place, L = ``factor`` lower triangular and b
-    Fortran-ordered, _SOLVE_ROWS rows at a time, as numpy has no
-    triangular solve.  Each diagonal block of L is inverted by
-    ``np.linalg.solve`` against the identity and applied by a matrix
-    product; the rows not yet solved are updated in place, _SOLVE_ROWS
-    at a time, each tile by a product made as the transpose of a
-    C-ordered one so that it is ordered as b is."""
-    n = len(factor)
-    for k in range(0, n, _SOLVE_ROWS):
+def _triangular_solve(factor: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """b <- L^-1 b, or L^-T b with ``transpose``, in place, L = ``factor``
+    lower triangular and b Fortran-ordered, _SOLVE_ROWS rows at a time, as
+    numpy has no triangular solve.  The blocks of T = L, or of the view
+    T = L^T, are swept forward, or backward as L^T is upper triangular.
+    Each diagonal block of T is inverted by ``np.linalg.solve`` against the
+    identity and applied by a matrix product; the rows not yet solved are
+    updated in place, _SOLVE_ROWS at a time, each tile by a product made
+    as the transpose of a C-ordered one so that it is ordered as b is."""
+    t = factor.T if transpose else factor
+    starts = list(range(0, len(t), _SOLVE_ROWS))
+    if transpose:
+        starts.reverse()
+    for at, k in enumerate(starts):
         rows = slice(k, k + _SOLVE_ROWS)
-        block = factor[rows, rows]
+        block = t[rows, rows]
         b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
-        for j in range(k + _SOLVE_ROWS, n, _SOLVE_ROWS):
+        for j in starts[at + 1:]:
             tile = slice(j, j + _SOLVE_ROWS)
-            b[tile] -= (b[rows].T @ factor[tile, rows].T).T
-    return b
-
-
-def _back_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b <- L^-T b in place, by the blocks and tiles of ``_forward_solve``
-    taken from the last."""
-    for k in reversed(range(0, len(factor), _SOLVE_ROWS)):
-        rows = slice(k, k + _SOLVE_ROWS)
-        block = factor[rows, rows].T
-        b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
-        for j in range(0, k, _SOLVE_ROWS):
-            tile = slice(j, j + _SOLVE_ROWS)
-            b[tile] -= (b[rows].T @ factor[rows, tile]).T
+            b[tile] -= (b[rows].T @ t[tile, rows].T).T
     return b
 
 
@@ -325,13 +317,15 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     eliminations (the quotient property: the same J_red and K as one
     Schur complement of J_FF).  With -J_CC = L L^T and Y = L^-1 J_CS, it
     is the Gram product J_red = J_SS + Y^T Y, exactly symmetric as
-    numpy's matmul makes it, and the back solve L^-T Y = -J_CC^-1 J_CS
-    gives the core's columns of the noise map K = -J_SF J_FF^-1.  Both
-    solves overwrite the J_CS buffer in place.  Each eliminated bus's
-    column follows in reverse elimination order, K[:, f] = sum_j
-    (w_fj / p_f) K[:, j] over its neighbours then, with e_j for a slow
-    j.  The network comes from the entries of ``sys``, which are not
-    written; every per-bus parameter (m, d, sigma, tau) from the grid.
+    numpy's matmul makes it, and L^-T Y = -J_CC^-1 J_CS gives the core's
+    columns of the noise map K = -J_SF J_FF^-1.  Both sweeps of
+    ``_triangular_solve`` overwrite the J_CS buffer in place.  Each
+    eliminated bus's column follows in reverse elimination order,
+    K[:, f] = sum_j (w_fj / p_f) K[:, j] over its neighbours then, with
+    e_j for a slow j.  J_SS is scattered from the entries after the
+    eliminations; with an empty core it is J_red itself.  The network
+    comes from the entries of ``sys``, which are not written; every
+    per-bus parameter (m, d, sigma, tau) from the grid.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
@@ -340,23 +334,20 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     s, f = order[:n_s], order[n_s:]
     sigma, tau = grid.param_vector("sigma"), grid.param_vector("tau")
     m, d = grid.param_vector("m"), grid.param_vector("d")
-    if n_f == 0:
-        j_red, k = sys.j_ss, np.zeros((n_s, 0))  # J_SS is symmetric as scattered
-    else:
-        fast = factor_fast_block(sys)
-        slow = {i: i for i in range(n_s)}
-        y = _forward_solve(fast.factor, _scatter_rows(np.empty((len(fast.core), n_s), order="F"),
-                                                      fast.couplings, fast.core, slow))
-        j_red = y.T @ y if fast.core else None
-        y = _back_solve(fast.factor, y)
-        core, eliminated, rows, diag = fast.core, fast.eliminated, fast.couplings, fast.diag
-        del fast  # the factor, before K is made
-        k_t = np.zeros((n_f, n_s))  # K^T, so that each bus's column of K is one row
-        k_t[np.array(core, dtype=np.intp) - n_s] = y
-        del y
-        k = _noise_columns(k_t, eliminated, n_s).T
-        j_ss = _scatter_rows(np.empty((n_s, n_s)), rows, range(n_s), slow, diag)
-        j_red = j_ss if j_red is None else np.add(j_red, j_ss, out=j_red)
+    fast = factor_fast_block(sys)
+    slow = {i: i for i in range(n_s)}
+    y = _triangular_solve(fast.factor, _scatter_rows(np.empty((len(fast.core), n_s), order="F"),
+                                                     fast.couplings, fast.core, slow))
+    j_red = y.T @ y if fast.core else None  # not +0.0, which would turn a -0.0 of J_SS to 0.0
+    y = _triangular_solve(fast.factor, y, transpose=True)
+    core, eliminated, rows, diag = fast.core, fast.eliminated, fast.couplings, fast.diag
+    del fast  # the factor, before K is made
+    k_t = np.zeros((n_f, n_s))  # K^T, so that each bus's column of K is one row
+    k_t[np.array(core, dtype=np.intp) - n_s] = y
+    del y
+    k = _noise_columns(k_t, eliminated, n_s).T
+    j_ss = _scatter_rows(np.empty((n_s, n_s)), rows, range(n_s), slow, diag)
+    j_red = j_ss if j_red is None else np.add(j_red, j_ss, out=j_red)
     return ReducedSystem(
         slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=j_red, noise_gain=k,
         sigma_slow=sigma[s], sigma_fast=sigma[f], tau_slow=tau[s], tau_fast=tau[f],

@@ -273,12 +273,11 @@ def _mode_sum(u_perp: np.ndarray, kernel: np.ndarray, amplitude: np.ndarray,
     """Per-bus sum over mode pairs (a, b) of c_ia (amplitude_ab kernel_ab) c_ib,
     with C = u_perp - 1 r^T the modes less their slow-bus mean:
     rowsum((u_perp X) * u_perp) - 2 (u_perp X) r + r^T X r for
-    X = amplitude * kernel, the products made in place, ``kernel`` (which
-    the caller does not keep) freed before the last."""
-    kernel *= amplitude
-    rows = u_perp @ kernel
-    r_x_r = r @ (kernel @ r)
-    del kernel, amplitude
+    X = amplitude * kernel, made in place in ``amplitude``, which the
+    caller does not use again; ``kernel`` is only read."""
+    amplitude *= kernel
+    rows = u_perp @ amplitude
+    r_x_r = r @ (amplitude @ r)
     cross = rows @ r
     rows *= u_perp
     return rows.sum(1) - 2.0 * cross + r_x_r
@@ -291,11 +290,12 @@ def coi_variance(red: ReducedSystem) -> VarianceReport:
     fast-bus noise enters through its modal coupling Gamma
     (``gamma_matrix``), built next, so an overflowing Gamma is an
     InputError whatever the parameters.  Then the formula requires one
-    damping ratio d/m over the slow buses.  A noise class sums its mode
-    sums over its distinct tau, masking the others' sigma to 0.  The
-    sums run over modes 2..N_S: the uniform mode is the COI direction
-    and drops out by definition, so a single slow bus has variance
-    exactly 0, with no kernel evaluated.
+    damping ratio d/m over the slow buses.  One loop over the distinct tau
+    of both noise classes, ascending, builds each tau's kernel once; each
+    class with buses at that tau adds its mode sum, the others' sigma
+    masked to 0.  The sums run over modes 2..N_S: the uniform mode is the
+    COI direction and drops out by definition, so a single slow bus has
+    variance exactly 0, with no kernel evaluated.
     """
     basis = eigendecompose_reduced(red.j_red, red.m_slow)
     gamma_mat = gamma_matrix(red, basis)
@@ -309,29 +309,28 @@ def coi_variance(red: ReducedSystem) -> VarianceReport:
     u_perp = basis.modes[:, 1:]
     # each mode's slow-bus mean: (1 - m/m_0) @ V / N_S, as (m/m_0) @ V = 0; 0 for uniform m
     r = ((1.0 - red.m_slow / m0) @ u_perp) / red.n_slow
+    if len(np.unique(red.tau_fast)) > 1:  # each tau's Gamma in turn, one held at a time
+        gamma_mat = None
 
-    def slow_amplitude(t):  # V_perp^T diag(sigma_S^2) V_perp over the slow buses of this tau
-        z = u_perp * np.where(red.tau_slow == t, red.sigma_slow, 0.0)[:, None]
-        return z.T @ z
-
-    def class_sum(taus, amplitude):
-        # one kernel per distinct tau, freed inside its mode sum before the next is built
-        return functools.reduce(np.add, (
-            _mode_sum(u_perp, frequency_variance_kernel(lam[:, None], lam[None, :], t, gamma, m0),
-                      amplitude(t), r) for t in np.unique(taus)))
-
+    slow_sums, fast_sums = [], []
     # The kernels keep their own overflow checks; an overflow in the
     # amplitudes or mode sums shows as a non-finite total.
     with np.errstate(over="ignore", invalid="ignore"):
-        var_slow = class_sum(red.tau_slow, slow_amplitude)
-        if red.n_fast:
-            if len(np.unique(red.tau_fast)) > 1:  # each tau's Gamma in turn, one held at a time
-                gamma_mat = None
-            var_fast = class_sum(red.tau_fast, lambda t: (gamma_mat if gamma_mat is not None else
-                gamma_matrix(replace(red, sigma_fast=np.where(red.tau_fast == t, red.sigma_fast,
-                                                              0.0)), basis))[1:, 1:])
-        else:
-            var_fast = np.zeros(red.n_slow)
+        for t in np.unique(np.concatenate((red.tau_slow, red.tau_fast))):
+            kernel = frequency_variance_kernel(lam[:, None], lam[None, :], t, gamma, m0)
+            if t in red.tau_slow:  # V_perp^T diag(sigma_S^2) V_perp over the slow buses at t
+                amplitude = u_perp * np.where(red.tau_slow == t, red.sigma_slow, 0.0)[:, None]
+                amplitude = amplitude.T @ amplitude  # its factor freed as it is replaced
+                slow_sums.append(_mode_sum(u_perp, kernel, amplitude, r))
+                del amplitude
+            if t in red.tau_fast:  # Gamma over the fast buses at t
+                amplitude = gamma_mat if gamma_mat is not None else gamma_matrix(replace(
+                    red, sigma_fast=np.where(red.tau_fast == t, red.sigma_fast, 0.0)), basis)
+                fast_sums.append(_mode_sum(u_perp, kernel, amplitude[1:, 1:], r))
+                del amplitude
+            del kernel
+        var_slow = functools.reduce(np.add, slow_sums)
+        var_fast = functools.reduce(np.add, fast_sums) if fast_sums else np.zeros(red.n_slow)
         var_total = var_slow + var_fast
     if not np.all(np.isfinite(var_total)):
         raise InputError("COI variance overflows: bus sigmas too large")

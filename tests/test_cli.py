@@ -1,6 +1,7 @@
 """CLI surface: commands, file outputs, exit codes, reproducibility."""
 
 import csv
+import errno
 import importlib
 import json
 import os
@@ -131,6 +132,48 @@ def test_out_of_memory_is_input_error(tmp_path, capsys, monkeypatch, phase):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   MemoryError()])
+def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch, error):
+    # the second file fails: the first, already renamed into --out-dir, goes too
+    import kronred.cli
+    calls = []
+    write = kronred.cli._write_file
+
+    def fail_second(path, pieces):
+        calls.append(path.name)
+        if len(calls) == 2:
+            raise error
+        write(path, pieces)
+    monkeypatch.setattr(kronred.cli, "_write_file", fail_second)
+    out = tmp_path / "out"
+    argv = ["compare", homogeneous_grid_file(tmp_path), "--t-end", "2", "--burn-in", "1",
+            "--ensemble", "1", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert calls == ["compare.csv", "compare_plot.json"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_json_is_written_in_small_pieces(tmp_path, monkeypatch):
+    # reduced.json streams from the encoder: no piece is a large share of it
+    import kronred.cli
+    sizes = {}
+    write = kronred.cli._write_file
+
+    def measured(path, pieces):
+        pieces = list(pieces)
+        sizes[path.name] = (max(map(len, pieces)), sum(map(len, pieces)))
+        write(path, pieces)
+    monkeypatch.setattr(kronred.cli, "_write_file", measured)
+    grid = write_grid(tmp_path, serialize_grid_json(make_star_grid(200, FAST)))
+    out = tmp_path / "out"
+    assert main(["reduce", grid, "--out-dir", str(out)]) == 0
+    largest, total = sizes["reduced.json"]
+    assert total == (out / "reduced.json").stat().st_size >= 2**20
+    assert largest <= 0.01 * total
+
+
 @pytest.mark.parametrize("command", ["reduce", "variance", "simulate", "compare", "star-demo"])
 def test_manifest_lists_the_files_written(tmp_path, capsys, command):
     grid = homogeneous_grid_file(tmp_path)
@@ -159,7 +202,8 @@ def test_files_get_the_mode_open_gives(tmp_path):
 
 @pytest.mark.parametrize("case", ["grid is a directory", "json grid not utf-8",
                                   "m grid not utf-8", "out-dir is a file",
-                                  "out-dir under a file", "out-dir name too long"])
+                                  "out-dir under a file", "out-dir name too long",
+                                  "grid name too long"])
 def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
     grid, out = tmp_path / "grid.json", tmp_path / "out"
     grid.write_text(TWO_BUS)
@@ -175,6 +219,8 @@ def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
         out.write_text("")
     elif case == "out-dir name too long":  # a component above any file system's 255 bytes
         out = tmp_path / ("a" * 300) / "out"
+    elif case == "grid name too long":
+        grid = tmp_path / ("a" * 300 + ".json")
     else:
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"

@@ -347,9 +347,8 @@ class TestParseMatpower:
         case = case.replace(" 1 3 0.01 0.25 0 0 0 0 0 0 1 -360 360;",
                             " 1 3 0.01 0.25 0 0 0 0 0 0 1 -360 360;\n"
                             " 3 4 0.01 0.5 0 0 0 0 0 0 1 -360 360;")
-        grid = parse_matpower_case(case, DEFAULTS_SLOW, DEFAULTS_FAST, rebalance=True)
-        plain = parse_matpower_case(THREE_BUS_CASE, DEFAULTS_SLOW, DEFAULTS_FAST,
-                                    rebalance=True)
+        grid = parse_matpower_case(case, DEFAULTS_SLOW, DEFAULTS_FAST)
+        plain = parse_matpower_case(THREE_BUS_CASE, DEFAULTS_SLOW, DEFAULTS_FAST)
         assert grid == plain
 
     @pytest.mark.parametrize("old,new,match", [
@@ -370,11 +369,11 @@ class TestParseMatpower:
             parse_matpower_case(bad, DEFAULTS_SLOW, DEFAULTS_FAST)
 
     def test_rebalance_scales_generation(self):
-        grid = parse_matpower_case(THREE_BUS_CASE, DEFAULTS_SLOW, DEFAULTS_FAST, rebalance=True)
+        grid = parse_matpower_case(THREE_BUS_CASE, DEFAULTS_SLOW, DEFAULTS_FAST)
         assert abs(sum(b.p for b in grid.buses)) < 1e-12
 
     def test_ieee118_counts_match_case_file(self, ieee118_text):
-        grid = parse_matpower_case(ieee118_text, DEFAULTS_SLOW, DEFAULTS_FAST, rebalance=True)
+        grid = parse_matpower_case(ieee118_text, DEFAULTS_SLOW, DEFAULTS_FAST)
         assert grid.n_buses == 118
         # the slow set is exactly the set of buses appearing in the gen table
         gen_buses = set()
@@ -410,8 +409,7 @@ class TestEdgeList:
     def grids(self, ieee118_text):
         rng = np.random.default_rng(21)
         grids = [random_connected_grid(rng, int(rng.integers(2, 60))) for _ in range(10)]
-        grids.append(parse_matpower_case(ieee118_text, DEFAULTS_SLOW, DEFAULTS_FAST,
-                                         rebalance=True))
+        grids.append(parse_matpower_case(ieee118_text, DEFAULTS_SLOW, DEFAULTS_FAST))
         return grids
 
     def test_flows_and_jacobian_match_dense_formulas(self, ieee118_text):

@@ -61,6 +61,20 @@ class TestSchurReduce:
         np.testing.assert_allclose(red.j_red, build_jacobian(g, solve_fixed_point(g)))
         assert red.noise_gain.shape == (3, 0)
 
+    def test_no_fast_bus_takes_the_general_path(self, monkeypatch):
+        # nothing is eliminated and the core is empty; J_red is scattered
+        # from the entries, as for every grid, and no block is read
+        grid = make_grid([(1, SLOW, 0.0), (2, SLOW, 0.0), (3, SLOW, 0.0)],
+                         [(1, 2, 1.0), (2, 3, 1.0)])
+        sys = linearize(grid)
+        fast = factor_fast_block(sys)
+        assert (fast.eliminated, fast.core, fast.factor.shape) == ([], [], (0, 0))
+        for name in ("j_ss", "j_sf", "j_fs", "j_ff"):
+            monkeypatch.setattr(LinearizedSystem, name,
+                                property(lambda self: pytest.fail("a block was read")))
+        red = reduce_grid(grid, sys)
+        np.testing.assert_allclose(red.j_red, build_jacobian(grid, solve_fixed_point(grid)))
+
     def test_blocks_of_the_linearization_are_not_written(self):
         # J_SS made asymmetric by one more entry: adding to a block the
         # reduction was handed, rather than one it scattered itself, or
@@ -97,10 +111,10 @@ class TestSchurReduce:
         reference = np.linalg.cholesky(-sys.j_ff)
         assert np.abs(factor - reference).max() <= 1e-13 * np.abs(reference).max()
         assert not np.triu(factor, 1).any()
-        half = kronred.reduction._forward_solve(factor, np.asfortranarray(rhs))
+        half = kronred.reduction._triangular_solve(factor, np.asfortranarray(rhs))
         reference = np.linalg.solve(factor, rhs)  # Y = L^-1 b, pinned on its own
         assert np.abs(half - reference).max() <= 1e-12 * np.abs(reference).max()
-        solved = kronred.reduction._back_solve(factor, half)
+        solved = kronred.reduction._triangular_solve(factor, half, transpose=True)
         reference = np.linalg.solve(-sys.j_ff, rhs)
         assert np.abs(solved - reference).max() <= 1e-12 * np.abs(reference).max()
 

@@ -322,7 +322,7 @@ class TestTimeGrid:
         # what building them takes, chunk buffers and Picard windows
         # (one ieee118 member)
         grid = parse_matpower_case(ieee118_text, slow=ClassDefaults(m=0.2, d=0.05, tau=0.1),
-                                   fast=ClassDefaults(m=0.002, d=0.0005, tau=0.1), rebalance=True)
+                                   fast=ClassDefaults(m=0.002, d=0.0005, tau=0.1))
         grid = with_sigma(grid, np.random.default_rng(1).uniform(0.0, 0.01, grid.n_buses))
         op, red = simulate.linearize_and_reduce(grid)
         cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=1.5, base_seed=1)

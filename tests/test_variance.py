@@ -129,7 +129,7 @@ class TestGammaMatrix:
                  for n in (4, 9, 17, 30)]
         slow = ClassDefaults(m=0.2, d=0.05, tau=0.1)
         fast = ClassDefaults(m=0.002, d=0.0005, tau=0.1)
-        ieee = parse_matpower_case(ieee118_text, slow, fast, rebalance=True)
+        ieee = parse_matpower_case(ieee118_text, slow, fast)
         grids.append(with_sigma(ieee, rng.uniform(0.0, 0.01, ieee.n_buses)))
         for grid in grids:
             sys, red, basis = pipeline(grid)
@@ -399,6 +399,26 @@ class TestCoiVariance:
             var_fast = np.einsum("ia,ab,ib->i", u, gam[1:, 1:] * kern_f, u)
             np.testing.assert_allclose(report.var_slow, var_slow, rtol=1e-12, atol=0)
             np.testing.assert_allclose(report.var_fast, var_fast, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("tau_slow, tau_fast", [(0.1, 0.1), (0.1, 0.05)])
+    def test_one_kernel_per_tau(self, monkeypatch, tau_slow, tau_fast):
+        # each distinct tau's kernel is built once, in ascending order, and
+        # weights the mode sums of both noise classes
+        import kronred.variance
+        taus = []
+        kernel = kronred.variance.frequency_variance_kernel
+
+        def counted(lam_a, lam_b, tau, gamma, m):
+            taus.append(float(tau))
+            return kernel(lam_a, lam_b, tau, gamma, m)
+        grid = random_connected_grid(np.random.default_rng(5), 12, homogeneous=True,
+                                     sigma_range=(0.002, 0.02), tau_slow=tau_slow,
+                                     tau_fast=tau_fast)
+        _, red, _ = pipeline(grid)
+        assert red.n_fast and red.n_slow > 1
+        monkeypatch.setattr(kronred.variance, "frequency_variance_kernel", counted)
+        coi_variance(red)
+        assert taus == sorted({tau_slow, tau_fast})
 
     def test_holds_gamma_and_one_kernel(self):
         # coi_variance holds the modes it builds (N_S x N_S), and beside
