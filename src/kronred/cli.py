@@ -148,7 +148,7 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
     doc = reduced_system_to_dict(red)
     basis = eigendecompose_reduced(red.j_red, np.ones(red.n_slow))  # J_red's own spectrum
     gap = -basis.lambdas[1] if red.n_slow > 1 else 0.0
-    row_sums = np.abs(red.noise_gain).sum(axis=1) if red.n_fast else np.zeros(red.n_slow)
+    row_sums = np.abs(red.noise_gain).sum(axis=1)
     print(f"slow buses : {red.n_slow}")
     print(f"fast buses : {red.n_fast}")
     print(f"spectral gap of J_red : {gap:.6g}")

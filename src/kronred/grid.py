@@ -4,10 +4,10 @@ A grid is a connected network of second-order phase oscillators
 (swing dynamics).  Buses are split into a "slow" component (large
 inertia/damping, e.g. synchronous generators) and a "fast" component
 (small inertia/damping, e.g. loads).  A ``LinearizedSystem`` is only the
-network: the entries of the angle Jacobian, every bus numbered by its
-slot in the slow-then-fast ordering.  Every per-bus parameter stays in
-the ``Grid``, and the Kron reduction reads no timescale ratio: only the
-full models scale the fast m and d by it.
+network: the angle Jacobian as one row of neighbours per bus, every bus
+numbered by its slot in the slow-then-fast ordering.  Every per-bus
+parameter stays in the ``Grid``, and the Kron reduction reads no
+timescale ratio: only the full models scale the fast m and d by it.
 
 Conventions used throughout the package:
   * coupling b_ij = B_ij * |V_i| * |V_j| (line susceptance times voltage
@@ -21,12 +21,13 @@ Conventions used throughout the package:
   * state orderings are always slow buses first, then fast buses, each
     in the order of appearance in ``Grid.buses``.
 
-The analysis never forms the dense n x n Jacobian: ``linearize`` keeps
-its entries from the edge list, which the Kron reduction reads as one
-row of neighbours per bus (``reduction.factor_fast_block``).
-``build_jacobian`` (the dense Jacobian, scattered as the blocks are) and
-``assemble_linearized`` (its entries) are the reference it is checked
-against, bit for bit.
+The analysis never forms the dense n x n Jacobian: ``linearize`` builds
+its rows from the edge list, and the Kron reduction eliminates on them
+(``reduction.factor_fast_block``).  ``build_jacobian`` (the dense
+Jacobian) and ``assemble_linearized`` (its rows) are the reference it is
+checked against, bit for bit.  Every dense array made from rows, a block,
+a buffer of the reduction or the full model's Jacobian, is made by one
+scatter, ``_scatter_rows``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_seed(value, name: str) -> int:
+    """``value`` as a seed of numpy's generators: an int in [0, 2^64); an
+    InputError otherwise."""
+    seed = _as_int(value, name)
+    if not 0 <= seed < 2**64:
+        raise InputError(f"{name} must be in [0, 2^64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -266,19 +276,18 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """The angle Jacobian at an operating point as its entries, every bus
-    numbered by its slot in the slow-then-fast ordering: ``off`` at
-    (``rows``, ``cols``) and ``diag`` on the diagonal.  All the Kron
-    reduction reads of the network; inertia, damping and noise stay in
-    the Grid.  ``block`` scatters one slow/fast block; ``j_ss``,
-    ``j_sf``, ``j_fs`` and ``j_ff`` scatter each anew on every read.
+    """The angle Jacobian at an operating point as one row per bus, every
+    bus numbered by its slot in the slow-then-fast ordering:
+    ``neighbours[i]`` maps the slot of each neighbour j of bus i to J_ij,
+    and ``diag[i]`` is J_ii.  All the Kron reduction reads of the
+    network; inertia, damping and noise stay in the Grid.  ``block``
+    scatters one slow/fast block; ``j_ss``, ``j_sf``, ``j_fs`` and
+    ``j_ff`` scatter each anew on every read.
     """
 
     slow_ids: tuple[int, ...]
     fast_ids: tuple[int, ...]
-    rows: np.ndarray
-    cols: np.ndarray
-    off: np.ndarray
+    neighbours: tuple[dict[int, float], ...]
     diag: np.ndarray
 
     @property
@@ -294,12 +303,11 @@ class LinearizedSystem:
         scattered into a new C-ordered array.
         """
         n_s, n = self.n_slow, self.n_slow + self.n_fast
-        (r0, r1), (c0, c1) = ((0, n_s) if cls == SLOW else (n_s, n)
-                              for cls in (row_class, col_class))
-        out = np.zeros((r1 - r0, c1 - c0))  # pages no entry is written to stay unmapped
-        keep = (self.rows >= r0) & (self.rows < r1) & (self.cols >= c0) & (self.cols < c1)
-        return _scatter(out, self.rows[keep] - r0, self.cols[keep] - c0, self.off[keep],
-                        self.diag[r0:r1] if row_class == col_class else None)
+        rows, cols = (range(n_s) if cls == SLOW else range(n_s, n)
+                      for cls in (row_class, col_class))
+        return _scatter_rows(np.zeros((len(rows), len(cols))), self.neighbours, rows,
+                             {j: at for at, j in enumerate(cols)},
+                             self.diag if row_class == col_class else None)
 
     j_ss = property(lambda self: self.block(SLOW, SLOW), doc="J_SS, scattered anew")
     j_sf = property(lambda self: self.block(SLOW, FAST), doc="J_SF, scattered anew")
@@ -549,13 +557,27 @@ def _jacobian_entries(edges: EdgeList, theta: np.ndarray):
 def _scatter(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, off: np.ndarray,
              diag: np.ndarray | None = None) -> np.ndarray:
     """``out`` with ``off`` written at (rows, cols) and, when given,
-    ``diag`` on its diagonal, every other entry left as it was: the one
-    scatter behind the dense angle Jacobian and the blocks of a
-    LinearizedSystem."""
+    ``diag`` on its diagonal, every other entry left as it was."""
     out[rows, cols] = off
     if diag is not None:
         np.fill_diagonal(out, diag)
     return out
+
+
+def _scatter_rows(out: np.ndarray, rows, row_slots, col_pos, diag=None) -> np.ndarray:
+    """``out`` with J_ij of each row i = row_slots[r] written at (r,
+    col_pos[j]) for every neighbour j that ``col_pos`` holds and, when
+    given, diag[i] at (r, r), every other entry left as it was: the one
+    scatter of rows of neighbours into a dense array.  ``range(n)`` as
+    ``col_pos`` puts each neighbour j in column j."""
+    r, c, v = [], [], []
+    for at, i in enumerate(row_slots):
+        for j, w in rows[i].items():
+            if j in col_pos:
+                r.append(at)
+                c.append(col_pos[j])
+                v.append(w)
+    return _scatter(out, r, c, v, None if diag is None else [diag[i] for i in row_slots])
 
 
 def _angle_jacobian(edges: EdgeList, theta: np.ndarray) -> np.ndarray:
@@ -702,48 +724,48 @@ def _check_epsilon(epsilon: float) -> None:
             f"epsilon must be in (0, 1], got {epsilon}; use the reduced model for the epsilon -> 0 limit")
 
 
-def _ordered_entries(grid: Grid, op_point: OperatingPoint):
-    """build_jacobian's entries as (rows, cols, off, diag), every bus
-    numbered by its slot in ``grid.ordering()``: ``off`` at (rows, cols),
-    ``diag`` on the diagonal."""
-    edges = grid.edge_list()
-    off, diag = _jacobian_entries(edges, _operating_angles(grid, op_point))
+def _linearized(grid: Grid, ends: np.ndarray, others: np.ndarray, off: np.ndarray,
+                diag: np.ndarray) -> LinearizedSystem:
+    """The LinearizedSystem with J_ij = off[e] for i = ends[e], j =
+    others[e] and J_ii = diag[i], buses given by their position in
+    ``grid.buses``.  Every entry but +0.0 is held, a -0.0 too: +0.0 is
+    what a dense array holds where nothing is written, so each block
+    scattered from the rows is the dense Jacobian's slice, bit for bit."""
     order = np.asarray(grid.ordering(), dtype=np.intp)
     slot = np.empty(grid.n_buses, dtype=np.intp)
     slot[order] = np.arange(grid.n_buses)
-    return slot[edges.ends], slot[edges.others], off, diag[order]
+    held = (off != 0) | np.signbit(off)
+    neighbours = tuple({} for _ in range(grid.n_buses))
+    for i, j, w in zip(slot[ends[held]].tolist(), slot[others[held]].tolist(), off[held].tolist()):
+        neighbours[i][j] = w
+    # fancy indexing copies, so the diagonal is no view of a caller's array
+    return LinearizedSystem(tuple(grid.slow_ids), tuple(grid.fast_ids), neighbours, diag[order])
 
 
 def linearize(grid: Grid, op_point: OperatingPoint) -> LinearizedSystem:
-    """The Jacobian's entries at the operating point, taken from the
-    edge list: no n x n array and no block is allocated.
+    """The Jacobian's rows at the operating point, built in one pass over
+    the edge list: no n x n array and no block is allocated.
 
     Every block scattered from the result equals the slice of
     ``build_jacobian(grid, op_point)``, bit for bit, as does every block
     of ``assemble_linearized(grid, build_jacobian(grid, op_point), 1.0)``.
     """
-    return LinearizedSystem(tuple(grid.slow_ids), tuple(grid.fast_ids),
-                            *_ordered_entries(grid, op_point))
+    edges = grid.edge_list()
+    off, diag = _jacobian_entries(edges, _operating_angles(grid, op_point))
+    return _linearized(grid, edges.ends, edges.others, off, diag)
 
 
 def assemble_linearized(grid: Grid, jacobian: np.ndarray, epsilon: float) -> LinearizedSystem:
-    """The entries of a dense Jacobian: the reference ``linearize`` is
+    """The rows of a dense Jacobian: the reference ``linearize`` is
     checked against.
 
-    Every off-diagonal entry that is not +0.0 is kept (a -0.0 too), so
-    each block scattered from the result is the dense Jacobian's slice,
-    bit for bit.  ``epsilon`` is only checked to lie in (0, 1]; the
-    entries do not depend on it.  It is the last timescale ratio a
-    linearization takes: the benchmark's oracle check passes 1.0, and
-    ROADMAP item 4b removes it together with that call.
+    Every off-diagonal entry but +0.0 is held (``_linearized``), so each
+    block scattered from the result is the dense Jacobian's slice, bit
+    for bit.  ``epsilon`` is only checked to lie in (0, 1]; the rows do
+    not depend on it.  It is the last timescale ratio a linearization
+    takes: the benchmark's oracle check passes 1.0, and ROADMAP item 4b
+    removes it together with that call.
     """
     _check_epsilon(epsilon)
-    order = np.asarray(grid.ordering(), dtype=np.intp)
-    slot = np.empty(grid.n_buses, dtype=np.intp)
-    slot[order] = np.arange(grid.n_buses)
-    held = (jacobian != 0) | np.signbit(jacobian)
-    np.fill_diagonal(held, False)
-    i, j = np.nonzero(held)
-    # fancy indexing copies, so no entry is a view of the Jacobian
-    return LinearizedSystem(tuple(grid.slow_ids), tuple(grid.fast_ids),
-                            slot[i], slot[j], jacobian[i, j], jacobian.diagonal()[order])
+    i, j = np.nonzero(~np.eye(grid.n_buses, dtype=bool))
+    return _linearized(grid, i, j, jacobian[i, j], jacobian.diagonal())

@@ -24,8 +24,8 @@ property; Dorfler & Bullo, Kron Reduction of Graphs with Applications to
 Electrical Networks, IEEE TCAS-I 60(1), 2013), and eliminating a bus of
 low degree first adds almost no fill (minimum-degree ordering; George &
 Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
-So fast buses of degree <= 3 are eliminated one at a time on the
-Jacobian's entries, held as one dict of neighbours per bus, which never
+So fast buses of degree <= 3 are eliminated one at a time on a copy of
+the linearization's rows, one dict of neighbours per bus, which never
 grows the edge set; what remains of J_FF, the core C, is factored
 densely, -J_CC = L L^T.  With Y = L^-1 J_CS after the eliminations,
 J_red = J_SS + Y^T Y and the core's columns of K are (L^-T Y)^T; each
@@ -34,18 +34,19 @@ symmetric matrix of the analysis is such a Gram product Z^T Z or Z Z^T
 (J_red here, Sigma_xi below, the modal coupling Gamma in ``variance``),
 which numpy's matmul computes as one symmetric rank-k update: exactly
 symmetric, with no symmetrization step.  The reduction reads the
-Jacobian's entries, which ``grid.linearize`` takes from the edge list
+Jacobian's rows, which ``grid.linearize`` builds from the edge list
 (the dense n x n Jacobian of ``build_jacobian`` is a test reference),
 and scatters each block of the core straight into the buffer it is used
-in: -J_CC into an n_C x n_C buffer that the definiteness certificate,
-and then the factor, overwrites in place (a blocked Cholesky
-factorization, ``_cholesky_in_place``), and J_CS into the
-Fortran-ordered array that one blocked triangular solve, swept forward
-on L and then backward on L^T (``_triangular_solve``), overwrites with Y
-and then with L^-T Y.  A grid with no fast bus takes the same path, with
-nothing eliminated and an empty core.  No N_F x N_F array is made
-(unless the certificate falls back to the eigenvalues): every other
-LAPACK call and temporary spans at most _SOLVE_ROWS rows or columns.
+in (``grid._scatter_rows``): -J_CC into an n_C x n_C buffer that the
+definiteness certificate, and then the factor, overwrites in place (a
+blocked Cholesky factorization, ``_cholesky_in_place``), and J_CS into
+the Fortran-ordered array that one blocked triangular solve, swept
+forward on L and then backward on L^T (``_triangular_solve``),
+overwrites with Y and then with L^-T Y.  A grid with no fast bus takes
+the same path, with nothing eliminated and an empty core.  No N_F x N_F
+array is made (unless the certificate falls back to the eigenvalues):
+every other LAPACK call and temporary spans at most _SOLVE_ROWS rows or
+columns.
 J_SF is never scattered.  The factor is freed before K is made.  Only
 numpy is used.
 """
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import InputError, NumericsError
 from . import grid as _grid
-from .grid import FAST, SLOW, Bus, Grid, Line, LinearizedSystem, _as_int
+from .grid import FAST, SLOW, Bus, Grid, Line, LinearizedSystem, _as_int, _scatter_rows
 
 
 @dataclass(frozen=True)
@@ -112,28 +113,16 @@ class FastFactor:
     eliminated with.  ``core`` holds the slots of the fast buses left, in
     slot order, and ``factor`` the lower Cholesky factor of their -J_CC
     after the eliminations; both are empty when there is no fast bus.
-    ``couplings[i]`` maps each neighbour of bus i to J_ij and ``diag[i]``
-    is J_ii, both after the eliminations; the rows of eliminated buses are
-    None.
+    ``neighbours[i]`` maps each neighbour of bus i to J_ij and
+    ``diag[i]`` is J_ii, both after the eliminations; the rows of
+    eliminated buses are None.
     """
 
     eliminated: list
     core: list
     factor: np.ndarray
-    couplings: list
+    neighbours: list
     diag: list
-
-
-def _couplings(sys: LinearizedSystem) -> list:
-    """The off-diagonal entries of ``sys`` as one dict per row, neighbour
-    to entry, the +0.0 entries dropped: a dense Jacobian's nonzeros
-    (``assemble_linearized``) and the edge list's (``linearize``) give
-    the same rows."""
-    keep = ((sys.off != 0) | np.signbit(sys.off)) & (sys.rows != sys.cols)
-    rows = [{} for _ in sys.diag]
-    for i, j, w in zip(sys.rows[keep].tolist(), sys.cols[keep].tolist(), sys.off[keep].tolist()):
-        rows[i][j] = w
-    return rows
 
 
 def _eliminate(rows: list, diag: list, n_s: int):
@@ -175,22 +164,6 @@ def _eliminate(rows: list, diag: list, n_s: int):
     return records
 
 
-def _scatter_rows(out: np.ndarray, rows: list, row_slots: list, col_pos: dict,
-                  diag: list | None = None) -> np.ndarray:
-    """``out`` zeroed, then J_ij of each row i = row_slots[r] written at
-    (r, col_pos[j]) for every neighbour j that ``col_pos`` holds, and,
-    when given, diag[i] at (r, r), by the Jacobian's one scatter."""
-    r, c, v = [], [], []
-    for at, i in enumerate(row_slots):
-        for j, w in rows[i].items():
-            if j in col_pos:
-                r.append(at)
-                c.append(col_pos[j])
-                v.append(w)
-    out.fill(0.0)
-    return _grid._scatter(out, r, c, v, None if diag is None else [diag[i] for i in row_slots])
-
-
 def factor_fast_block(sys: LinearizedSystem) -> FastFactor:
     """-J_FF factored, its negative definiteness verified first: fast
     buses of degree <= 3 eliminated one at a time (``_eliminate``), then
@@ -202,7 +175,7 @@ def factor_fast_block(sys: LinearizedSystem) -> FastFactor:
     of -J_FF - delta I prove that without the eigenvalues: they are a
     Cholesky factorization of P (-J_FF - delta I) P^T for the
     elimination's permutation P.  With g the Gershgorin bound on
-    |eigenvalue| (from the entries' absolute row sums), n = n_F and
+    |eigenvalue| (the largest absolute row sum of J_FF), n = n_F and
     t = 1e-12 max(1, g), delta = t + 2 n gamma_{n+1} (g + t) exceeds t
     by more than the factorization's backward error (Higham, Accuracy
     and Stability of Numerical Algorithms, 2002, Thm 10.3), so its
@@ -210,32 +183,31 @@ def factor_fast_block(sys: LinearizedSystem) -> FastFactor:
     pivot is <= 0 or the core's factorization breaks down, the
     eigenvalues decide, so the gate accepts and rejects as before.  A
     breakdown of the unshifted pass after the gate accepts is a
-    NumericsError too.  Each pass scatters its -J_CC into one n_C x n_C
-    buffer and factors it there in place (``_cholesky_in_place``); the
-    certificate's is freed before the second is made, and no n_F x n_F
-    array is made unless the eigenvalues are needed.  For n_C <=
-    _SOLVE_ROWS the factor equals ``np.linalg.cholesky`` of -J_CC bit
-    for bit.
+    NumericsError too.  Each pass eliminates on its own copy of the rows
+    of ``sys``, scatters its -J_CC into one n_C x n_C buffer and factors
+    it there in place (``_cholesky_in_place``); the certificate's is
+    freed before the second is made, and no n_F x n_F array is made
+    unless the eigenvalues are needed.  For n_C <= _SOLVE_ROWS the factor
+    equals ``np.linalg.cholesky`` of -J_CC bit for bit.
     """
     n_s, n_f = sys.n_slow, sys.n_fast
-    ff = (sys.rows >= n_s) & (sys.cols >= n_s) & (sys.rows != sys.cols)
-    g = float((np.bincount(sys.rows[ff] - n_s, np.abs(sys.off[ff]), minlength=n_f)
-               + np.abs(sys.diag[n_s:])).max(initial=0.0))  # |J_FF|'s largest row sum
+    diag = sys.diag.tolist()
+    g = max((sum(abs(w) for j, w in sys.neighbours[f].items() if j >= n_s) + abs(diag[f])
+             for f in range(n_s, n_s + n_f)), default=0.0)  # |J_FF|'s largest row sum
     t = 1e-12 * max(1.0, g)
     gamma = (n_f + 1) * _UNIT_ROUNDOFF / (1.0 - (n_f + 1) * _UNIT_ROUNDOFF)
-    rows, diag = _couplings(sys), sys.diag.tolist()
     certified = False
     if 4 * n_f * gamma <= 1.0:  # delta then bounds the backward error
         delta = t + 2 * n_f * gamma * (g + t)
         shifted = diag[:n_s] + [x + delta for x in diag[n_s:]]
-        certified = _factor([dict(row) for row in rows], shifted, n_s) is not None
+        certified = _factor([dict(row) for row in sys.neighbours], shifted, n_s) is not None
     if not certified:
         eigs = np.linalg.eigvalsh(sys.j_ff)
         scale = max(1.0, float(np.abs(eigs).max()))
         if eigs.max() >= -1e-12 * scale:
             raise NumericsError(
                 f"fast block not negative definite: offending eigenvalue {eigs.max():.6e}")
-    fast = _factor(rows, diag, n_s)
+    fast = _factor([dict(row) for row in sys.neighbours], diag, n_s)
     if fast is None:
         raise NumericsError("fast block not negative definite: its factorization broke down")
     return fast
@@ -248,7 +220,7 @@ def _factor(rows: list, diag: list, n_s: int) -> FastFactor | None:
     if eliminated is None:
         return None
     core = [f for f in range(n_s, len(diag)) if rows[f] is not None]
-    buf = _scatter_rows(np.empty((len(core), len(core))), rows, core,
+    buf = _scatter_rows(np.zeros((len(core), len(core))), rows, core,
                         {f: at for at, f in enumerate(core)}, diag)
     try:
         factor = _cholesky_in_place(np.negative(buf, out=buf))  # -0.0 where J_CC holds 0.0
@@ -322,10 +294,12 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     ``_triangular_solve`` overwrite the J_CS buffer in place.  Each
     eliminated bus's column follows in reverse elimination order,
     K[:, f] = sum_j (w_fj / p_f) K[:, j] over its neighbours then, with
-    e_j for a slow j.  J_SS is scattered from the entries after the
+    e_j for a slow j.  J_SS is scattered from the rows after the
     eliminations; with an empty core it is J_red itself.  The network
-    comes from the entries of ``sys``, which are not written; every
-    per-bus parameter (m, d, sigma, tau) from the grid.
+    comes from the rows of ``sys``, which are not written; every per-bus
+    parameter (m, d, sigma, tau) from the grid.  A J_red that is not
+    finite is an InputError: the eliminations' products of couplings
+    overflow for susceptances near 1e154 and above.
     """
     if tuple(grid.slow_ids) != sys.slow_ids or tuple(grid.fast_ids) != sys.fast_ids:
         raise InputError("linearized system does not belong to this grid")
@@ -335,19 +309,21 @@ def reduce_grid(grid: Grid, sys: LinearizedSystem) -> ReducedSystem:
     sigma, tau = grid.param_vector("sigma"), grid.param_vector("tau")
     m, d = grid.param_vector("m"), grid.param_vector("d")
     fast = factor_fast_block(sys)
-    slow = {i: i for i in range(n_s)}
-    y = _triangular_solve(fast.factor, _scatter_rows(np.empty((len(fast.core), n_s), order="F"),
-                                                     fast.couplings, fast.core, slow))
+    slow = range(n_s)  # each slow bus's column is its slot
+    y = _triangular_solve(fast.factor, _scatter_rows(np.zeros((len(fast.core), n_s), order="F"),
+                                                     fast.neighbours, fast.core, slow))
     j_red = y.T @ y if fast.core else None  # not +0.0, which would turn a -0.0 of J_SS to 0.0
     y = _triangular_solve(fast.factor, y, transpose=True)
-    core, eliminated, rows, diag = fast.core, fast.eliminated, fast.couplings, fast.diag
+    core, eliminated, rows, diag = fast.core, fast.eliminated, fast.neighbours, fast.diag
     del fast  # the factor, before K is made
     k_t = np.zeros((n_f, n_s))  # K^T, so that each bus's column of K is one row
     k_t[np.array(core, dtype=np.intp) - n_s] = y
     del y
     k = _noise_columns(k_t, eliminated, n_s).T
-    j_ss = _scatter_rows(np.empty((n_s, n_s)), rows, range(n_s), slow, diag)
+    j_ss = _scatter_rows(np.zeros((n_s, n_s)), rows, slow, slow, diag)
     j_red = j_ss if j_red is None else np.add(j_red, j_ss, out=j_red)
+    if not np.all(np.isfinite(j_red)):
+        raise InputError("Kron reduction overflows: line susceptances too large")
     return ReducedSystem(
         slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, j_red=j_red, noise_gain=k,
         sigma_slow=sigma[s], sigma_fast=sigma[f], tau_slow=tau[s], tau_fast=tau[f],

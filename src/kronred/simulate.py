@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .grid import (Grid, OperatingPoint, _angle_jacobian, _as_int, _check_epsilon, _finite,
-                   _ordered_entries, _scatter, linearize, solve_fixed_point)
+from .grid import (Grid, OperatingPoint, _angle_jacobian, _as_int, _as_seed, _check_epsilon,
+                   _finite, _scatter_rows, linearize, solve_fixed_point)
 from .reduction import ReducedSystem, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
@@ -125,6 +125,8 @@ class OUSpec:
         for name in ("sigma", "tau"):
             need = f"{name} must be finite numbers"
             value = np.atleast_1d(_as_floats(getattr(self, name), need))
+            if value.ndim != 1:
+                raise InputError(f"{name} must be one value per channel, got shape {value.shape}")
             if not np.all(np.isfinite(value)):
                 raise InputError(need)
             object.__setattr__(self, name, value)
@@ -134,9 +136,7 @@ class OUSpec:
             raise InputError("sigma must be >= 0")
         if np.any(self.tau <= 0):
             raise InputError("tau must be > 0")
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        if not 0 <= self.seed < 2**64:
-            raise InputError(f"seed must be in [0, 2^64), got {self.seed}")
+        object.__setattr__(self, "seed", _as_seed(self.seed, "seed"))
 
     @property
     def n_channels(self) -> int:
@@ -166,9 +166,7 @@ class SimConfig:
         object.__setattr__(self, "ensemble_size", _as_int(self.ensemble_size, "ensemble_size"))
         if self.ensemble_size < 1:
             raise InputError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
-        object.__setattr__(self, "base_seed", _as_int(self.base_seed, "base_seed"))
-        if not 0 <= self.base_seed < 2**64:
-            raise InputError(f"base_seed must be in [0, 2^64), got {self.base_seed}")
+        object.__setattr__(self, "base_seed", _as_seed(self.base_seed, "base_seed"))
         if self.theta not in (0.5, 1.0):
             raise InputError(f"theta must be 0.5 or 1.0, got {self.theta}")
         _check_epsilon(self.epsilon)
@@ -397,10 +395,12 @@ def _full_masses(grid: Grid, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _full_linear_system(grid: Grid, op: OperatingPoint, epsilon: float):
     """(jac, m, d, gain) of the full model linearized at op, at epsilon;
-    jac is scattered once from linearize's entries."""
+    jac is scattered once from linearize's rows."""
     n = grid.n_buses
     m, d = _full_masses(grid, epsilon)
-    return _scatter(np.zeros((n, n)), *_ordered_entries(grid, op)), m, d, np.eye(n)
+    sys = linearize(grid, op)
+    jac = _scatter_rows(np.zeros((n, n)), sys.neighbours, range(n), range(n), sys.diag)
+    return jac, m, d, np.eye(n)
 
 
 def _reduced_system(red: ReducedSystem, model: str):

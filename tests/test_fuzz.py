@@ -250,6 +250,8 @@ def test_case_file_numeric_flags(command, seed, values, lo, hi):
        values=st.lists(FLOAT_FLAGS, min_size=5, max_size=5))
 @example(n_outer=2, center="fast", values=["0.0", "1e+300", "1e-300", "1e-300", "1.0"])
 @example(n_outer=2, center="slow", values=["1e+300", "1e-300", "1e-300", "1e-300", "1e+300"])
+@example(n_outer=2, center="slow", values=["0.01", "0.1", "0.2", "0.05", "1e+300"])
+@example(n_outer=2, center="fast", values=["0.01", "0.1", "0.2", "0.05", "1e+300"])
 def test_star_demo_numeric_flags(n_outer, center, values):
     argv = ["star-demo", "--n-outer", str(n_outer), "--center", center]
     for name, v in zip(("--sigma", "--tau", "--m", "--d", "--b"), values):

@@ -26,9 +26,9 @@ def linearize(grid):
 
 def diagonal_fast_block(neg_diag):
     """A linearization whose every bus is fast, J_FF = -diag(neg_diag)."""
-    none = np.zeros(0, dtype=np.intp)
-    return LinearizedSystem(slow_ids=(), fast_ids=tuple(range(len(neg_diag))), rows=none,
-                            cols=none, off=np.zeros(0), diag=-np.asarray(neg_diag, dtype=float))
+    return LinearizedSystem(slow_ids=(), fast_ids=tuple(range(len(neg_diag))),
+                            neighbours=tuple({} for _ in neg_diag),
+                            diag=-np.asarray(neg_diag, dtype=float))
 
 
 def reduce_pipeline(grid):
@@ -76,21 +76,25 @@ class TestSchurReduce:
         np.testing.assert_allclose(red.j_red, build_jacobian(grid, solve_fixed_point(grid)))
 
     def test_blocks_of_the_linearization_are_not_written(self):
-        # J_SS made asymmetric by one more entry: adding to a block the
-        # reduction was handed, rather than one it scattered itself, or
-        # returning it as J_red, would change the entries or the blocks
-        # read back from them
+        # J_SS made asymmetric by one more neighbour: eliminating on the
+        # rows the reduction was handed, adding to a block it was handed
+        # rather than one it scattered itself, or returning it as J_red,
+        # would change the rows (their repr shows a sign and the order of
+        # the neighbours too) or the blocks read back from them
         all_slow = make_grid([(1, SLOW, 0.0), (2, SLOW, 0.0), (3, SLOW, 0.0)],
                              [(1, 2, 1.0), (2, 3, 1.0)])
         for grid in (path3_grid(), all_slow):
             sys = linearize(grid)
-            sys = replace(sys, rows=np.append(sys.rows, 0),
-                          cols=np.append(sys.cols, sys.n_slow - 1), off=np.append(sys.off, 0.25))
+            neighbours = tuple(dict(row) for row in sys.neighbours)
+            neighbours[0][sys.n_slow - 1] = 0.25
+            sys = replace(sys, neighbours=neighbours)
             assert (sys.j_ss[0, -1], sys.j_ss[-1, 0]) == (0.25, 0.0)
-            names = ("rows", "cols", "off", "diag", "j_ss", "j_sf", "j_fs", "j_ff")
-            before = [getattr(sys, name).tobytes() for name in names]
+            names = ("diag", "j_ss", "j_sf", "j_fs", "j_ff")
+            def state():
+                return [repr(sys.neighbours)] + [getattr(sys, name).tobytes() for name in names]
+            before = state()
             reduce_grid(grid, sys)
-            assert [getattr(sys, name).tobytes() for name in names] == before
+            assert state() == before
 
     def test_blocked_solve_matches_dense_solve(self):
         # N_F = 300, every fast bus of degree >= 4, so none is eliminated
@@ -121,8 +125,8 @@ class TestSchurReduce:
     def test_indefinite_fast_block_reports_eigenvalue(self):
         sys = linearize(path3_grid())
         bad = LinearizedSystem(
-            slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, rows=sys.rows, cols=sys.cols,
-            off=sys.off, diag=np.array([*sys.diag[:sys.n_slow], 0.5]))
+            slow_ids=sys.slow_ids, fast_ids=sys.fast_ids, neighbours=sys.neighbours,
+            diag=np.array([*sys.diag[:sys.n_slow], 0.5]))
         assert bad.j_ff.tolist() == [[0.5]]
         with pytest.raises(NumericsError, match=r"not negative definite.*5\.0"):
             reduce_grid(path3_grid(), bad)
@@ -271,23 +275,29 @@ class TestMemory:
 
     @pytest.mark.parametrize("n_slow", [12, 40])
     def test_setup_keeps_no_linearization_alive(self, monkeypatch, n_slow):
-        # the run setup is (op, red): the LinearizedSystem it reduced and
-        # its entries are dead once linearize_and_reduce returns, a
-        # grid without fast buses (J_red from J_SS alone) included
+        # the run setup is (op, red): the LinearizedSystem it reduced, its
+        # diagonal and its rows are dead once linearize_and_reduce returns,
+        # a grid without fast buses (J_red from J_SS alone) included.  A
+        # dict or tuple takes no weak reference, so each row is handed on
+        # as a dict subclass that does; the tuple of rows holds every row,
+        # so their deaths are its death too
+        class Row(dict):
+            pass
+
         refs = []
         linearize = kronred.simulate.linearize
 
         def recorded(*args):
             result = linearize(*args)
-            refs.extend(weakref.ref(obj) for obj in (result, result.rows, result.cols,
-                                                      result.off, result.diag))
+            result = replace(result, neighbours=tuple(Row(row) for row in result.neighbours))
+            refs.extend(weakref.ref(obj) for obj in (result, result.diag, *result.neighbours))
             return result
         monkeypatch.setattr(kronred.simulate, "linearize", recorded)
         setup = linearize_and_reduce(random_connected_grid(np.random.default_rng(5), 40,
                                                            n_slow=n_slow))
-        assert len(setup) == 2 and len(refs) == 5
-        alive = [name for name, ref in zip(("system", "rows", "cols", "off", "diag"), refs)
-                 if ref() is not None]
+        assert len(setup) == 2 and len(refs) == 2 + 40
+        names = ["system", "diag"] + [f"row {i}" for i in range(40)]
+        alive = [name for name, ref in zip(names, refs) if ref() is not None]
         assert not alive, alive
 
 

@@ -186,6 +186,17 @@ class TestOUSampling:
         with pytest.raises(InputError, match=f"^{name} must be finite numbers"):
             OUSpec(**params, seed=0)
 
+    @pytest.mark.parametrize("two_d", [("sigma",), ("tau",), ("sigma", "tau")])
+    def test_parameter_of_more_dimensions_is_input_error(self, two_d):
+        # one value per channel: a 2-D sigma or tau is refused by its
+        # shape, sigma's first, not left to fail when the path is drawn
+        params = {"sigma": [0.1, 0.2], "tau": [1.0, 1.0]}
+        for name in two_d:
+            params[name] = [params[name]]
+        with pytest.raises(InputError, match=rf"^{two_d[0]} must be one value per channel, "
+                                             r"got shape \(1, 2\)$"):
+            OUSpec(**params, seed=0)
+
     def test_peak_memory_is_one_path(self):
         # innovations are drawn into the path itself, not into a second array
         spec = OUSpec(sigma=np.full(10, 0.5), tau=np.full(10, 0.1), seed=3)
