@@ -19,11 +19,13 @@ one of them shared, so the closed form's loop over tau builds a kernel that
 weights both classes and a Gamma per fast tau), plus the three benchmark
 workloads at seed 3 and `reduce` on the benchmark's seed-3 grids, when the
 head tree's perfbench/workloads.py can write their inputs: the oracle grid
-(synth_grid(3, ORACLE_BUSES): 500 buses, mostly fast, whose reduced.json
-pins J_red, K and Sigma_xi to the last bit where the reduction's N_F x N_F
-buffers matter) and the 2000-bus grid (synth_grid(3, SYNTH_BUSES), whose
-core of 477 fast buses spans four 128-row blocks, so its reduced.json pins
-K through both sweeps of the blocked triangular solve).  Both trees read the same
+(synth_grid(3, ORACLE_BUSES): 500 buses, mostly fast, with a core of 114
+fast buses left after the eliminations, one diagonal block, whose
+reduced.json pins J_red, K and Sigma_xi to the last bit through the
+eliminations and the core factor) and the 2000-bus grid (synth_grid(3,
+SYNTH_BUSES), whose core of 477 fast buses is the case above one diagonal
+block: it spans four 128-row blocks, so its reduced.json pins K through
+both sweeps of the blocked triangular solve).  Both trees read the same
 input files, the head tree's.  Manifests are left out: they record
 durations and paths.  Where a digest differs, the table also gives the
 largest deviation over the numbers of a CSV or JSON data file taken in

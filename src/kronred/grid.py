@@ -439,6 +439,12 @@ def _bus_number(value: float, table: str) -> int:
     return int(value)
 
 
+def _not_nan(row: list[float], col: int, table: str, name: str) -> float:
+    if math.isnan(row[col]):
+        raise InputError(f"mpc.{table}: {name} (column {col + 1}) is NaN")
+    return row[col]
+
+
 def parse_matpower_case(
     text: str,
     slow: ClassDefaults,
@@ -452,7 +458,9 @@ def parse_matpower_case(
     equal to 4) are skipped together with their gen and branch rows, as
     MATPOWER does.  Line couplings use 1/x per branch (parallel branches
     are merged by adding 1/x); voltage magnitudes come from the bus VM
-    column; injections are total generator output minus bus load, in
+    column (8), and a VM <= 0 means 1.0.  A NaN in BUS_TYPE, VM,
+    GEN_STATUS or BR_STATUS is an InputError naming its table and
+    column.  Injections are total generator output minus bus load, in
     per-unit of baseMVA.  Shunts, phase shifts and line resistance are
     ignored.  The generator outputs are scaled by a common factor so
     injections sum to zero: case files carry losses, and a grid whose
@@ -478,11 +486,11 @@ def parse_matpower_case(
         if len(row) < 9:
             raise InputError("mpc.bus: row too short (need at least 9 columns)")
         bid = _bus_number(row[0], "bus")
-        if row[1] == 4:
+        if _not_nan(row, 1, "bus", "BUS_TYPE") == 4:
             isolated.add(bid)
             continue
         load[bid] = row[2]
-        vmag[bid] = row[7] if row[7] > 0 else 1.0
+        vmag[bid] = row[7] if _not_nan(row, 7, "bus", "VM") > 0 else 1.0
 
     gen_output: dict[int, float] = {}
     for row in gen_rows:
@@ -491,7 +499,7 @@ def parse_matpower_case(
         bid = _bus_number(row[0], "gen")
         if bid not in load and bid not in isolated:
             raise InputError(f"mpc.gen: unknown bus {bid}")
-        if bid in isolated or len(row) >= 8 and row[7] <= 0:
+        if bid in isolated or len(row) >= 8 and _not_nan(row, 7, "gen", "GEN_STATUS") <= 0:
             continue  # at an isolated bus, or out of service
         gen_output[bid] = gen_output.get(bid, 0.0) + row[1]
 
@@ -502,7 +510,7 @@ def parse_matpower_case(
         f, t, x = _bus_number(row[0], "branch"), _bus_number(row[1], "branch"), row[3]
         if not {f, t} <= load.keys() | isolated:
             raise InputError(f"mpc.branch: branch {f}-{t} references unknown bus")
-        if {f, t} & isolated or len(row) >= 11 and row[10] == 0:
+        if {f, t} & isolated or len(row) >= 11 and _not_nan(row, 10, "branch", "BR_STATUS") == 0:
             continue  # touches an isolated bus, or out of service
         if f == t:
             raise InputError(f"mpc.branch: branch {f}-{t} connects a bus to itself")

@@ -37,18 +37,15 @@ symmetric, with no symmetrization step.  The reduction reads the
 Jacobian's rows, which ``grid.linearize`` builds from the edge list
 (the dense n x n Jacobian of ``build_jacobian`` is a test reference),
 and scatters each block of the core straight into the buffer it is used
-in (``grid._scatter_rows``): -J_CC into an n_C x n_C buffer that the
-definiteness certificate, and then the factor, overwrites in place (a
-blocked Cholesky factorization, ``_cholesky_in_place``), and J_CS into
-the Fortran-ordered array that one blocked triangular solve, swept
-forward on L and then backward on L^T (``_triangular_solve``),
-overwrites with Y and then with L^-T Y.  A grid with no fast bus takes
-the same path, with nothing eliminated and an empty core.  No N_F x N_F
-array is made (unless the certificate falls back to the eigenvalues):
-every other LAPACK call and temporary spans at most _SOLVE_ROWS rows or
-columns.
-J_SF is never scattered.  The factor is freed before K is made.  Only
-numpy is used.
+in (``grid._scatter_rows``): -J_CC into an n_C x n_C buffer that
+``np.linalg.cholesky`` (LAPACK's dpotrf) factors, once for the
+definiteness certificate and once for the factor, and J_CS into the
+Fortran-ordered array that one blocked triangular solve, swept forward
+on L and then backward on L^T (``_triangular_solve``), overwrites with
+Y and then with L^-T Y.  A grid with no fast bus takes the same path,
+with nothing eliminated and an empty core.  No N_F x N_F array is made
+unless the certificate falls back to the eigenvalues.  J_SF is never
+scattered.  The factor is freed before K is made.  Only numpy is used.
 """
 
 from __future__ import annotations
@@ -112,7 +109,8 @@ class FastFactor:
     order, with the coupling w_fj and the pivot p_f = -J_ff it was
     eliminated with.  ``core`` holds the slots of the fast buses left, in
     slot order, and ``factor`` the lower Cholesky factor of their -J_CC
-    after the eliminations; both are empty when there is no fast bus.
+    after the eliminations, ``np.linalg.cholesky``'s; both are empty when
+    there is no fast bus.
     ``neighbours[i]`` maps each neighbour of bus i to J_ij and
     ``diag[i]`` is J_ii, both after the eliminations; the rows of
     eliminated buses are None.
@@ -185,10 +183,10 @@ def factor_fast_block(sys: LinearizedSystem) -> FastFactor:
     breakdown of the unshifted pass after the gate accepts is a
     NumericsError too.  Each pass eliminates on its own copy of the rows
     of ``sys``, scatters its -J_CC into one n_C x n_C buffer and factors
-    it there in place (``_cholesky_in_place``); the certificate's is
-    freed before the second is made, and no n_F x n_F array is made
-    unless the eigenvalues are needed.  For n_C <= _SOLVE_ROWS the factor
-    equals ``np.linalg.cholesky`` of -J_CC bit for bit.
+    it with ``np.linalg.cholesky``, LAPACK's dpotrf, which holds a copy
+    and the factor beside the buffer: 3 n_C^2 words, the certificate's
+    freed before the second pass.  No n_F x n_F array is made unless the
+    eigenvalues are needed.
     """
     n_s, n_f = sys.n_slow, sys.n_fast
     diag = sys.diag.tolist()
@@ -215,7 +213,7 @@ def factor_fast_block(sys: LinearizedSystem) -> FastFactor:
 
 def _factor(rows: list, diag: list, n_s: int) -> FastFactor | None:
     """``_eliminate``, then the core's -J_CC scattered into one buffer and
-    factored in place; None at a pivot <= 0 or a breakdown."""
+    factored by ``np.linalg.cholesky``; None at a pivot <= 0 or a breakdown."""
     eliminated = _eliminate(rows, diag, n_s)
     if eliminated is None:
         return None
@@ -223,39 +221,13 @@ def _factor(rows: list, diag: list, n_s: int) -> FastFactor | None:
     buf = _scatter_rows(np.zeros((len(core), len(core))), rows, core,
                         {f: at for at, f in enumerate(core)}, diag)
     try:
-        factor = _cholesky_in_place(np.negative(buf, out=buf))  # -0.0 where J_CC holds 0.0
+        factor = np.linalg.cholesky(np.negative(buf, out=buf))  # -0.0 where J_CC holds 0.0
     except np.linalg.LinAlgError:
         return None
     return FastFactor(eliminated, core, factor, rows, diag)
 
 
-_SOLVE_ROWS = 128  # rows of a diagonal block, a panel and a tile in the blocked routines
-
-
-def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
-    """a <- L, the lower Cholesky factor of the symmetric positive definite
-    ``a``, its strict upper triangle set to 0; a LinAlgError when ``a`` is
-    not positive definite.
-
-    Left-looking and blocked, _SOLVE_ROWS columns a panel, as numpy has no
-    in-place Cholesky: one matrix product updates the panel from the
-    columns already factored, ``np.linalg.cholesky`` factors its diagonal
-    block D, and the rows below solve X D^T = B by substitution.  That is
-    ``np.linalg.solve`` on D with rows and columns reversed, which is upper
-    triangular, so partial pivoting neither swaps nor eliminates and the
-    solve is LAPACK's triangular one, as in its blocked ``dpotrf``: the
-    backward error bound of Higham's Thm 10.3 holds.  With one panel
-    (n <= _SOLVE_ROWS) this is ``np.linalg.cholesky(a)``, bit for bit.
-    """
-    n = len(a)
-    for k in range(0, n, _SOLVE_ROWS):
-        cols, below = slice(k, k + _SOLVE_ROWS), slice(k + _SOLVE_ROWS, n)
-        a[k:, cols] -= a[k:, :k] @ a[cols, :k].T
-        a[cols, cols] = np.linalg.cholesky(a[cols, cols])
-        a[:k, cols] = 0.0
-        flipped = a[cols, cols][::-1, ::-1]  # upper triangular
-        a[below, cols] = np.linalg.solve(flipped, a[below, cols].T[::-1])[::-1].T
-    return a
+_SOLVE_ROWS = 128  # rows of a diagonal block of the triangular sweeps
 
 
 def _triangular_solve(factor: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -265,19 +237,17 @@ def _triangular_solve(factor: np.ndarray, b: np.ndarray, transpose: bool = False
     T = L^T, are swept forward, or backward as L^T is upper triangular.
     Each diagonal block of T is inverted by ``np.linalg.solve`` against the
     identity and applied by a matrix product; the rows not yet solved are
-    updated in place, _SOLVE_ROWS at a time, each tile by a product made
-    as the transpose of a C-ordered one so that it is ordered as b is."""
+    then updated in place by one product, made as the transpose of a
+    C-ordered one so that it is ordered as b is."""
     t = factor.T if transpose else factor
-    starts = list(range(0, len(t), _SOLVE_ROWS))
-    if transpose:
-        starts.reverse()
-    for at, k in enumerate(starts):
+    n = len(t)
+    starts = range(0, n, _SOLVE_ROWS)
+    for k in reversed(starts) if transpose else starts:
         rows = slice(k, k + _SOLVE_ROWS)
+        rest = slice(0, k) if transpose else slice(k + _SOLVE_ROWS, n)
         block = t[rows, rows]
         b[rows] = np.linalg.solve(block, np.eye(len(block))) @ b[rows]
-        for j in starts[at + 1:]:
-            tile = slice(j, j + _SOLVE_ROWS)
-            b[tile] -= (b[rows].T @ t[tile, rows].T).T
+        b[rest] -= (b[rows].T @ t[rest, rows].T).T
     return b
 
 

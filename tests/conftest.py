@@ -122,6 +122,11 @@ def dense_reference(grid):
     return op, assemble_linearized(grid, build_jacobian(grid, op), 1.0)
 
 
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
 @pytest.fixture
 def ieee118_text():
     return (DATA_DIR / "ieee118.m").read_text()

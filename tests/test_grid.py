@@ -301,6 +301,22 @@ class TestParseMatpower:
         assert (parse_matpower_case(plain, DEFAULTS_SLOW, DEFAULTS_FAST)
                 == parse_matpower_case(THREE_BUS_CASE, DEFAULTS_SLOW, DEFAULTS_FAST))
 
+    @pytest.mark.parametrize("row, nan_row, message", [
+        (" 2 1 60 10 0 0 1 1.0 ", " 2 1 60 10 0 0 1 NaN ", r"mpc\.bus: VM \(column 8\)"),
+        (" 2 1 60 ", " 2 NaN 60 ", r"mpc\.bus: BUS_TYPE \(column 2\)"),
+        (" 1 100 0 50 -50 1.02 100 1 ", " 1 100 0 50 -50 1.02 100 NaN ",
+         r"mpc\.gen: GEN_STATUS \(column 8\)"),
+        (" 2 3 0.01 0.2  0 0 0 0 0 0 1 ", " 2 3 0.01 0.2  0 0 0 0 0 0 NaN ",
+         r"mpc\.branch: BR_STATUS \(column 11\)"),
+    ], ids=["VM", "BUS_TYPE", "GEN_STATUS", "BR_STATUS"])
+    def test_nan_in_a_column_read_rejected(self, row, nan_row, message):
+        # not a default: a NaN VM is not taken as VM <= 0 (v = 1.0), nor a
+        # NaN status as in service
+        bad = THREE_BUS_CASE.replace(row, nan_row)
+        assert bad.count("NaN") == 1
+        with pytest.raises(InputError, match=message + " is NaN"):
+            parse_matpower_case(bad, DEFAULTS_SLOW, DEFAULTS_FAST)
+
     def test_zero_reactance_rejected(self):
         bad = THREE_BUS_CASE.replace("1 2 0.01 0.1 ", "1 2 0.01 0.0 ")
         with pytest.raises(InputError, match="zero reactance"):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_reference, make_grid, random_connected_grid
+from conftest import assert_same_bits, dense_reference, make_grid, random_connected_grid
 from kronred.errors import NumericsError
 from kronred.grid import (FAST, SLOW, Grid, assemble_linearized, build_jacobian, linearize,
                           solve_fixed_point, with_sigma)
@@ -103,11 +103,6 @@ def test_reduction_preserves_laplacian(grid):
     np.testing.assert_allclose(red.noise_gain.sum(axis=0), 1.0, rtol=0, atol=1e-10)
 
 
-def assert_same_bits(actual, expected):
-    assert actual.shape == expected.shape and actual.dtype == expected.dtype
-    assert actual.tobytes() == expected.tobytes()
-
-
 def dense_blocks(grid, op):
     """The dense Jacobian's slow/fast slices: J_SS, J_SF, J_FS, J_FF."""
     dense = build_jacobian(grid, op)
@@ -177,7 +172,7 @@ def assert_reduction_is_the_dense_reference(grid, op, red):
     """``red``, and the reduction of ``assemble_linearized``'s entries,
     against ``dense_elimination_reference``, bit for bit, signed zeros
     included; and the elimination and the core factor of both against
-    the reference's, for a core of at most _SOLVE_ROWS buses."""
+    the reference's."""
     records, core, factor, j_red, k = dense_elimination_reference(grid, op)
     ref = assemble_linearized(grid, build_jacobian(grid, op), 1.0)
     for sys in (linearize(grid, op), ref):

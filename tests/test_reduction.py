@@ -11,8 +11,8 @@ import pytest
 import kronred.grid
 import kronred.reduction
 import kronred.simulate
-from conftest import (dense_reference, make_grid, path3_grid, random_connected_grid,
-                      ring_lattice_grid, two_bus_grid)
+from conftest import (assert_same_bits, dense_reference, make_grid, path3_grid,
+                      random_connected_grid, ring_lattice_grid, two_bus_grid)
 from kronred.errors import InputError, NumericsError
 from kronred.grid import FAST, SLOW, LinearizedSystem, build_jacobian, solve_fixed_point
 from kronred.reduction import (_SOLVE_ROWS, factor_fast_block, make_star_grid, reduce_grid,
@@ -99,10 +99,9 @@ class TestSchurReduce:
     def test_blocked_solve_matches_dense_solve(self):
         # N_F = 300, every fast bus of degree >= 4, so none is eliminated
         # and the core is all of them: three diagonal blocks of the
-        # substitutions and three panels of the in-place factor, the last
-        # a partial one, so the updates of the rows below and above run
-        # too; the factor is LAPACK's to roundoff, and lower triangular
-        # with exact zeros
+        # substitutions, the last a partial one, so the updates of the
+        # rows below and above run too; the factor is LAPACK's bit for
+        # bit, and lower triangular with exact zeros
         grid = ring_lattice_grid(np.random.default_rng(7), 300, 120)
         sys = linearize(grid)
         reference = np.linalg.solve(-sys.j_ff, sys.j_fs)  # -W, of which K is the transpose
@@ -112,8 +111,7 @@ class TestSchurReduce:
         fast = factor_fast_block(sys)
         assert (fast.eliminated, fast.core) == ([], list(range(120, 420)))
         factor = fast.factor
-        reference = np.linalg.cholesky(-sys.j_ff)
-        assert np.abs(factor - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert_same_bits(factor, np.linalg.cholesky(-sys.j_ff))
         assert not np.triu(factor, 1).any()
         half = kronred.reduction._triangular_solve(factor, np.asfortranarray(rhs))
         reference = np.linalg.solve(factor, rhs)  # Y = L^-1 b, pinned on its own
@@ -144,9 +142,8 @@ class TestSchurReduce:
         calls, cores = [], []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        cholesky_in_place = kronred.reduction._cholesky_in_place
-        monkeypatch.setattr(kronred.reduction, "_cholesky_in_place",
-                            lambda a: cores.append(len(a)) or cholesky_in_place(a))
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: cores.append(len(a)) or cholesky(a))
         sys = linearize(random_connected_grid(np.random.default_rng(2), 30))
         assert sys.n_fast > 1
         fast = factor_fast_block(sys)
@@ -166,16 +163,16 @@ class TestSchurReduce:
 
     @pytest.mark.parametrize("margin, accepted", [(3e-12, True), (0.3e-12, False),
                                                   (-1e-3, False)])
-    def test_certificate_fails_in_the_last_panel_and_the_eigenvalues_decide(
+    def test_certificate_fails_on_the_core_and_the_eigenvalues_decide(
             self, monkeypatch, margin, accepted):
         # N_F = 300, every fast bus of degree >= 4, so the core is all of
         # them, and no slow bus joined to the last 50; -J_FF shifted so its
         # smallest eigenvalue, which lives on those 50, is margin x its
-        # largest: the leading 256 x 256 block stays well inside the gate,
-        # so the shifted Cholesky fails in the last of three panels.
+        # largest: nothing is eliminated, so the shifted pass fails in the
+        # one Cholesky factorization of the 300 x 300 core.
         # 3e-12 lies inside the allowance (about 2e-11 here) and above the
-        # gate (1e-12), so the eigenvalues accept it and the factor is
-        # made in three panels; 0.3e-12 is below the gate and -1e-3 is
+        # gate (1e-12), so the eigenvalues accept it and the unshifted
+        # core is factored; 0.3e-12 is below the gate and -1e-3 is
         # indefinite
         outcomes = []
         cholesky = np.linalg.cholesky
@@ -193,10 +190,10 @@ class TestSchurReduce:
         n_s, shift = sys.n_slow, eigs.min() - margin * eigs.max()
         weak = replace(sys, diag=np.concatenate([sys.diag[:n_s], sys.diag[n_s:] + shift]))
         monkeypatch.setattr(np.linalg, "cholesky", recorded)
-        certificate = [(128, True), (128, True), (44, False)]
+        certificate = [(300, False)]
         if accepted:
             fast = factor_fast_block(weak)
-            assert outcomes == certificate + [(128, True), (128, True), (44, True)]
+            assert outcomes == certificate + [(300, True)]
             assert len(fast.core) == 300
             j_ff = weak.j_ff  # near singular: L is checked by its backward error
             assert np.abs(fast.factor @ fast.factor.T + j_ff).max() <= 1e-13 * np.abs(j_ff).max()
@@ -205,12 +202,15 @@ class TestSchurReduce:
                 factor_fast_block(weak)
             assert outcomes == certificate
 
-    @pytest.mark.parametrize("failing", ["_eliminate", "_cholesky_in_place"])
-    def test_breakdown_after_the_gate_accepts_is_a_numerics_error(self, monkeypatch, failing):
+    @pytest.mark.parametrize("owner, failing", [(kronred.reduction, "_eliminate"),
+                                                (np.linalg, "cholesky")],
+                             ids=["_eliminate", "cholesky"])
+    def test_breakdown_after_the_gate_accepts_is_a_numerics_error(self, monkeypatch, owner,
+                                                                  failing):
         # the certificate passes, then the unshifted pass meets a pivot
         # <= 0 (_eliminate returns None) or its core factorization breaks
         # down: a NumericsError, not a LinAlgError
-        original = getattr(kronred.reduction, failing)
+        original = getattr(owner, failing)
         calls = []
 
         def second_fails(*args):
@@ -220,7 +220,7 @@ class TestSchurReduce:
                     return None
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             return original(*args)
-        monkeypatch.setattr(kronred.reduction, failing, second_fails)
+        monkeypatch.setattr(owner, failing, second_fails)
         grid = ring_lattice_grid(np.random.default_rng(3), 12, 4)
         with pytest.raises(NumericsError, match="fast block not negative definite"):
             reduce_grid(grid, linearize(grid))
@@ -229,20 +229,22 @@ class TestSchurReduce:
 
 class TestMemory:
     def test_factor_holds_one_fast_buffer(self, monkeypatch):
-        # every np.linalg.cholesky and np.linalg.solve operand of the
-        # reduction spans at most _SOLVE_ROWS rows or columns, so LAPACK
-        # copies no n_C x n_C buffer; and the factor is made in the buffer
-        # -J_CC is scattered into, beside temporaries of _SOLVE_ROWS columns
-        # and the rows of the entries (O(lines)), with no N_F x N_F array
+        # np.linalg.cholesky runs once per pass, on the n_C x n_C buffer
+        # -J_CC is scattered into, and every np.linalg.solve operand of the
+        # reduction spans at most _SOLVE_ROWS rows or columns; the factor
+        # stage holds that buffer, LAPACK's copy and the factor, beside
+        # temporaries of _SOLVE_ROWS columns and the rows of the entries
+        # (O(lines)), with no N_F x N_F array
         grid = random_connected_grid(np.random.default_rng(5), 1400, n_slow=400)
-        operands = []
-        for name in ("cholesky", "solve"):
-            def recorded(*args, _original=getattr(np.linalg, name)):
-                operands.extend(np.shape(a) for a in args)
+        operands = {"cholesky": [], "solve": []}
+        for name, shapes in operands.items():
+            def recorded(*args, _original=getattr(np.linalg, name), _shapes=shapes):
+                _shapes.extend(np.shape(a) for a in args)
                 return _original(*args)
             monkeypatch.setattr(np.linalg, name, recorded)
         linearize_and_reduce(grid)
-        assert len(operands) > 10 and max(min(shape) for shape in operands) <= _SOLVE_ROWS
+        solves = operands["solve"]
+        assert len(solves) > 10 and max(min(shape) for shape in solves) <= _SOLVE_ROWS
         monkeypatch.undo()
         sys = kronred.grid.linearize(grid, solve_fixed_point(grid))
         assert sys.n_fast == 1000
@@ -252,7 +254,8 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 2 * _SOLVE_ROWS < n_c < 500  # three panels
+        assert operands["cholesky"] == [(n_c, n_c)] * 2
+        assert 2 * _SOLVE_ROWS < n_c < 500  # three diagonal blocks
         assert peak <= 8 * (n_c * n_c + 4 * _SOLVE_ROWS * n_c) + 2**20, peak
 
     def test_pipeline_holds_one_fast_buffer_and_the_solve(self):
