@@ -7,11 +7,15 @@ differs.  The list covers every command and all four models, on
 tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
 (its full models also at epsilon = 0.3, where the fast buses' inertia and
 damping are scaled, and a compare of all four models at theta = 1.0,
-backward Euler), `variance` on both grids also with --order-by-naive,
-four variants of the five-bus grid: every bus slow (m 0.2, d 0.05; `reduce`
-and `variance`, the reduction with no fast bus), bus 1 at m = 0.3 (a
-compare of all four models, whose non-uniform damping ratio omits the
-analytic columns), bus 1 at m = 0.3, d = 0.075 (`variance` and a compare
+backward Euler), `simulate` of full-linear on ieee118 at epsilon = 0.001
+(its stiff fast modes, stepped in the modes of the full Jacobian),
+`variance` on both grids also with --order-by-naive, four variants of the
+five-bus grid: every bus slow (m 0.2, d 0.05; `reduce` and `variance`, the
+reduction with no fast bus), bus 1 at m = 0.3 (a compare of all four
+models, whose non-uniform damping ratio omits the analytic columns and
+steps every linear model by its dense maps, and a `simulate` of
+reduced-xi, whose kept trajectory comes from those maps), bus 1 at
+m = 0.3, d = 0.075 (`variance` and a compare
 of all four models, a uniform damping ratio with unequal inertia) and the
 slow bus 3 and the fast bus 5 at tau = 0.3, the fast bus 4 at tau = 0.05
 (`variance` and a compare of all four models: two tau in each noise class,
@@ -79,6 +83,10 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
         runs[f"json-simulate-{model}-eps0.3"] = ["simulate", str(grid), "--model", model,
                                                  "--epsilon", "0.3", "--ensemble", "3",
                                                  "--t-end", "20", "--seed", "3"]
+    runs["ieee118-simulate-full-linear-eps0.001"] = ["simulate", str(ieee), "--model",
+                                                     "full-linear", "--epsilon", "0.001",
+                                                     "--ensemble", "3", "--t-end", "20",
+                                                     "--seed", "3"]
     runs["json-compare-theta1.0"] = ["compare", str(grid), "--models", ",".join(MODELS),
                                      "--theta", "1.0", "--ensemble", "2", "--t-end", "20",
                                      "--seed", "3"]
@@ -93,6 +101,8 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
         {**doc["buses"][0], "m": 0.3}, *doc["buses"][1:]]}))
     runs["json-hetero-compare"] = ["compare", str(hetero), "--models", ",".join(MODELS),
                                    "--ensemble", "2", "--t-end", "20", "--seed", "3"]
+    runs["json-hetero-simulate-reduced-xi"] = ["simulate", str(hetero), "--model", "reduced-xi",
+                                               "--ensemble", "3", "--t-end", "20", "--seed", "3"]
     ratio = inputs / "grid_ratio.json"
     ratio.write_text(json.dumps({**doc, "buses": [
         {**doc["buses"][0], "m": 0.3, "d": 0.075}, *doc["buses"][1:]]}))

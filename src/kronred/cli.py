@@ -320,7 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simflags.add_argument("--burn-in", type=float, default=None, help="discarded initial time [s]")
     simflags.add_argument("--ensemble", type=int, default=4, help="number of trajectories")
     simflags.add_argument("--theta", type=float, default=0.5,
-                          help="drift implicitness (0.5 trapezoid, 1.0 backward Euler)")
+                          help="drift implicitness: 0.5 trapezoid (default), or 1.0 backward "
+                               "Euler, which damps each mode of frequency w by about "
+                               "w^2 dt / 2 more: at dt 0.01 it puts ieee118's variances "
+                               "43-85%% low")
 
     parser = argparse.ArgumentParser(
         prog="kronred",

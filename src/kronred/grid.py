@@ -445,6 +445,12 @@ def _not_nan(row: list[float], col: int, table: str, name: str) -> float:
     return row[col]
 
 
+def _finite_entry(row: list[float], col: int, table: str, name: str) -> float:
+    if not math.isfinite(row[col]):
+        raise InputError(f"mpc.{table}: {name} (column {col + 1}) must be finite, got {row[col]}")
+    return row[col]
+
+
 def parse_matpower_case(
     text: str,
     slow: ClassDefaults,
@@ -459,8 +465,9 @@ def parse_matpower_case(
     MATPOWER does.  Line couplings use 1/x per branch (parallel branches
     are merged by adding 1/x); voltage magnitudes come from the bus VM
     column (8), and a VM <= 0 means 1.0.  A NaN in BUS_TYPE, VM,
-    GEN_STATUS or BR_STATUS is an InputError naming its table and
-    column.  Injections are total generator output minus bus load, in
+    GEN_STATUS or BR_STATUS, and a PD or PG (bus column 3, gen column 2)
+    that is not finite, is an InputError naming its table and column.
+    Injections are total generator output minus bus load, in
     per-unit of baseMVA.  Shunts, phase shifts and line resistance are
     ignored.  The generator outputs are scaled by a common factor so
     injections sum to zero: case files carry losses, and a grid whose
@@ -489,7 +496,7 @@ def parse_matpower_case(
         if _not_nan(row, 1, "bus", "BUS_TYPE") == 4:
             isolated.add(bid)
             continue
-        load[bid] = row[2]
+        load[bid] = _finite_entry(row, 2, "bus", "PD")
         vmag[bid] = row[7] if _not_nan(row, 7, "bus", "VM") > 0 else 1.0
 
     gen_output: dict[int, float] = {}
@@ -501,7 +508,7 @@ def parse_matpower_case(
             raise InputError(f"mpc.gen: unknown bus {bid}")
         if bid in isolated or len(row) >= 8 and _not_nan(row, 7, "gen", "GEN_STATUS") <= 0:
             continue  # at an isolated bus, or out of service
-        gen_output[bid] = gen_output.get(bid, 0.0) + row[1]
+        gen_output[bid] = gen_output.get(bid, 0.0) + _finite_entry(row, 1, "gen", "PG")
 
     couplings: dict[frozenset, float] = {}
     for row in branch_rows:

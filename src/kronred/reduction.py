@@ -330,6 +330,105 @@ def xi_covariance(red: ReducedSystem) -> np.ndarray:
     return sigma_xi
 
 
+# ---------------------------------------------------------------------------
+# Modes of a Laplacian under its buses' inertia
+# ---------------------------------------------------------------------------
+
+_ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as zero
+
+
+def _uniform_ratio(m: np.ndarray, d: np.ndarray) -> float | None:
+    """The buses' one damping ratio d/m, the first bus's, when every
+    bus's equals it to 1e-9 relative; else None.  The closed form needs
+    one, and a linear model with one steps in its modes."""
+    ratio = d / m
+    return float(ratio[0]) if np.allclose(ratio, ratio[0], rtol=1e-9, atol=0.0) else None
+
+
+def _mass_scaled_eigh(jac: np.ndarray, m: np.ndarray):
+    """``eigh`` of L = diag(s) jac diag(s), s = mu^-1/2 with mu = m / m[0],
+    which is jac itself when m is uniform: (the eigenvalues ascending, the
+    orthonormal eigenvectors W, sqrt(mu)).  The columns of diag(s) W are
+    the mass-normalized modes Phi of jac: jac Phi = diag(mu) Phi
+    diag(lambda) and Phi^T diag(mu) Phi = I.  Holds jac, L, LAPACK's copy
+    of L and its workspace (two n x n) and W while it runs."""
+    root_mu = np.sqrt(np.divide(m, m[0]))
+    s = 1.0 / root_mu
+    lap = jac * s[:, None]  # L, bit for bit jac when m is uniform
+    lap *= s
+    vals, vecs = np.linalg.eigh(lap)
+    return vals, vecs, root_mu
+
+
+def _snap_uniform_mode(vals: np.ndarray, vecs: np.ndarray, root_mu: np.ndarray) -> None:
+    """Make the last eigenpair of ``_mass_scaled_eigh`` the uniform mode,
+    in place: eigenvalue exactly 0 and vector sqrt(mu) / |sqrt(mu)|, which
+    is exact for a Laplacian (jac 1 = 0), with every other vector
+    projected off it by one product and renormalized."""
+    vals[-1] = 0.0
+    zero = root_mu / np.linalg.norm(root_mu)
+    rest = vecs[:, :-1]  # every mode but the uniform mode, a view
+    rest -= np.outer(zero, zero @ rest)
+    rest /= np.linalg.norm(rest, axis=0)
+    vecs[:, -1] = zero
+
+
+@dataclass(frozen=True)
+class ModalBasis:
+    """Eigenpairs of the mass-scaled J_red, sorted 0 = lambda_1 >= lambda_2 >= ...
+
+    Column alpha of ``modes`` is the mass-normalized mode v_alpha, so
+    V^T diag(m / m_0) V = I; the first column is uniform (the COI
+    direction).  With uniform m they are J_red's orthonormal eigenvectors.
+    """
+
+    lambdas: np.ndarray
+    modes: np.ndarray
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.lambdas)
+
+
+def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
+    """Mass-normalized eigendecomposition of J_red with the zero mode snapped.
+
+    ``eigh`` runs on L = diag(s) J_red diag(s), s = mu^-1/2 with
+    mu = m / m[0] (``_mass_scaled_eigh``).  The zero eigenvalue is set to
+    exactly 0 and its eigenvector to sqrt(mu) / |sqrt(mu)|; the remaining
+    columns are re-orthogonalized against it (``_snap_uniform_mode``), and
+    the rows are scaled by s.  A second near-zero eigenvalue means the reduced network is
+    disconnected and is an error.
+    """
+    j_red = np.asarray(j_red, dtype=float)
+    n = j_red.shape[0]
+    if j_red.shape != (n, n):
+        raise InputError(f"j_red must be square, got {j_red.shape}")
+    if np.shape(m) != (n,) or not np.all(np.greater(m, 0)):
+        raise InputError(f"m must be {n} positive inertias, one per slow bus")
+    scale = max(1.0, float(np.abs(j_red).max()))
+    if np.abs(j_red - j_red.T).max() > 1e-10 * scale:
+        raise InputError("j_red is not symmetric")
+    if np.abs(j_red.sum(axis=1)).max() > 1e-8 * scale:
+        raise InputError("j_red does not have zero row sums (not a Laplacian)")
+
+    vals, vecs, root_mu = _mass_scaled_eigh(j_red, m)  # ascending: the zero mode is last
+    lambdas = vals[::-1].copy()
+
+    if abs(lambdas[0]) >= _ZERO_TOL * scale:
+        raise InputError(
+            f"largest eigenvalue {lambdas[0]:.3e} is not a zero mode")
+    if n >= 2 and lambdas[1] >= -_ZERO_TOL * scale:
+        raise NumericsError(
+            f"zero eigenvalue not simple (second eigenvalue {lambdas[1]:.3e}): "
+            "reduced network disconnected")
+
+    lambdas[0] = 0.0
+    _snap_uniform_mode(vals, vecs, root_mu)
+    modes = vecs[:, ::-1] * (1.0 / root_mu)[:, None]  # a new array, its columns descending
+    return ModalBasis(lambdas=lambdas, modes=modes)
+
+
 def make_star_grid(
     n_outer: int,
     center_class: str,

@@ -3,11 +3,14 @@
 The reduced dynamics  M x'' + D x' = J_red x + xi, with one damping
 ratio gamma = d/m over the slow buses, decouple over the mass-normalized
 eigenmodes v_alpha of J_red (ModalBasis; eigenvalues 0 = lambda_1 >=
-lambda_2 >= ...).  The center-of-inertia (COI) variance of the frequency
-deviations then splits, mode pair by mode pair, into a slow-noise and a
-fast-noise contribution weighted by a scalar kernel of the two
-eigenvalues, the noise correlation time tau, gamma and the first slow
-bus's inertia m_0.  The fast-noise amplitudes are the modal coupling
+lambda_2 >= ...).  ModalBasis and eigendecompose_reduced live in
+``reduction``, below this module and ``simulate``, whose linear models
+step in the same modes; they are re-exported here.  The
+center-of-inertia (COI) variance of the frequency deviations then
+splits, mode pair by mode pair, into a slow-noise and a fast-noise
+contribution weighted by a scalar kernel of the two eigenvalues, the
+noise correlation time tau, gamma and the first slow bus's inertia m_0.
+The fast-noise amplitudes are the modal coupling
 Gamma = V^T K diag(sigma_F^2) K^T V of the reduction's noise map K, so
 ``coi_variance(red)`` needs nothing beyond the reduction: it builds the
 modes and Gamma itself.
@@ -39,76 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HomogeneityError, InputError, NumericsError
-from .reduction import ReducedSystem
+from .reduction import ModalBasis, ReducedSystem, _uniform_ratio, eigendecompose_reduced
 from .simulate import Trajectory, _finite_floats, _uniform_step
-
-_ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as zero
-
-
-@dataclass(frozen=True)
-class ModalBasis:
-    """Eigenpairs of the mass-scaled J_red, sorted 0 = lambda_1 >= lambda_2 >= ...
-
-    Column alpha of ``modes`` is the mass-normalized mode v_alpha, so
-    V^T diag(m / m_0) V = I; the first column is uniform (the COI
-    direction).  With uniform m they are J_red's orthonormal eigenvectors.
-    """
-
-    lambdas: np.ndarray
-    modes: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.lambdas)
-
-
-def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
-    """Mass-normalized eigendecomposition of J_red with the zero mode snapped.
-
-    ``eigh`` runs on L = diag(s) J_red diag(s), s = mu^-1/2 with
-    mu = m / m[0], which is J_red itself when m is uniform.  The zero
-    eigenvalue is set to exactly 0 and its eigenvector to
-    sqrt(mu) / |sqrt(mu)|; the remaining columns are re-orthogonalized
-    against it, and the rows are scaled by s.  A second near-zero
-    eigenvalue means the reduced network is disconnected and is an error.
-    """
-    j_red = np.asarray(j_red, dtype=float)
-    n = j_red.shape[0]
-    if j_red.shape != (n, n):
-        raise InputError(f"j_red must be square, got {j_red.shape}")
-    if np.shape(m) != (n,) or not np.all(np.greater(m, 0)):
-        raise InputError(f"m must be {n} positive inertias, one per slow bus")
-    scale = max(1.0, float(np.abs(j_red).max()))
-    if np.abs(j_red - j_red.T).max() > 1e-10 * scale:
-        raise InputError("j_red is not symmetric")
-    if np.abs(j_red.sum(axis=1)).max() > 1e-8 * scale:
-        raise InputError("j_red does not have zero row sums (not a Laplacian)")
-
-    mu = np.divide(m, m[0])
-    root_mu = np.sqrt(mu)
-    s = 1.0 / root_mu
-    lap = j_red * s[:, None]  # L, bit for bit J_red when m is uniform
-    lap *= s
-    vals, vecs = np.linalg.eigh(lap)  # ascending: the zero mode is the last column
-    del lap
-    lambdas = vals[::-1].copy()
-
-    if abs(lambdas[0]) >= _ZERO_TOL * scale:
-        raise InputError(
-            f"largest eigenvalue {lambdas[0]:.3e} is not a zero mode")
-    if n >= 2 and lambdas[1] >= -_ZERO_TOL * scale:
-        raise NumericsError(
-            f"zero eigenvalue not simple (second eigenvalue {lambdas[1]:.3e}): "
-            "reduced network disconnected")
-
-    lambdas[0] = 0.0
-    zero = root_mu / np.linalg.norm(root_mu)
-    rest = vecs[:, :-1]  # every mode but the zero mode, a view
-    rest -= np.outer(zero, zero @ rest)  # projected off the zero mode by one product
-    rest /= np.linalg.norm(rest, axis=0)
-    vecs[:, -1] = zero
-    modes = vecs[:, ::-1] * s[:, None]  # a new array, its columns in descending order
-    return ModalBasis(lambdas=lambdas, modes=modes)
 
 
 def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
@@ -259,13 +194,14 @@ class VarianceReport:
 def _damping_ratio(red: ReducedSystem) -> tuple[float, float]:
     """(gamma, m_0): the slow buses' one d/m (else HomogeneityError) and
     their first m."""
-    ratio = red.d_slow / red.m_slow
-    if not np.allclose(ratio, ratio[0], rtol=1e-9, atol=0.0):
+    gamma = _uniform_ratio(red.m_slow, red.d_slow)
+    if gamma is None:
+        ratio = red.d_slow / red.m_slow
         raise HomogeneityError(
             "analytic formula requires a uniform damping ratio d/m over the slow buses; use "
             f"simulation (d/m: min {ratio.min():.6g}, max {ratio.max():.6g}): "
             "the `simulate` command has no such restriction")
-    return float(ratio[0]), float(red.m_slow[0])
+    return gamma, float(red.m_slow[0])
 
 
 def _mode_sum(u_perp: np.ndarray, kernel: np.ndarray, amplitude: np.ndarray,

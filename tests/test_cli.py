@@ -379,6 +379,18 @@ class TestVariance:
         assert "grid has 9 buses, above the limit of 8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, bad_row, where", [
+        (" 2 1 60 ", " 2 1 NaN ", "mpc.bus: PD (column 3) must be finite, got nan"),
+        (" 1 100 0 ", " 1 Inf 0 ", "mpc.gen: PG (column 2) must be finite, got inf"),
+    ], ids=["PD-nan", "PG-inf"])
+    def test_non_finite_load_or_generation_is_input_error(self, tmp_path, capsys, row, bad_row,
+                                                          where):
+        case = write_grid(tmp_path, THREE_BUS_CASE.replace(row, bad_row), name="case3.m")
+        out = tmp_path / "out"
+        assert main(["variance", case, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {where}\n"
+        assert not out.exists()
+
     def test_sigma_dist_overflowing_sigma_squared_is_input_error(self, tmp_path, capsys):
         case = write_grid(tmp_path, THREE_BUS_CASE, name="case3.m")
         assert main(["variance", case, "--sigma-dist", "uniform:0:1e300",

@@ -317,6 +317,19 @@ class TestParseMatpower:
         with pytest.raises(InputError, match=message + " is NaN"):
             parse_matpower_case(bad, DEFAULTS_SLOW, DEFAULTS_FAST)
 
+    @pytest.mark.parametrize("row, bad_row, message", [
+        (" 2 1 60 ", " 2 1 NaN ", r"mpc\.bus: PD \(column 3\) must be finite, got nan"),
+        (" 1 100 0 ", " 1 Inf 0 ", r"mpc\.gen: PG \(column 2\) must be finite, got inf"),
+        (" 1 100 0 ", " 1 -Inf 0 ", r"mpc\.gen: PG \(column 2\) must be finite, got -inf"),
+    ], ids=["PD-nan", "PG-inf", "PG-minus-inf"])
+    def test_non_finite_load_or_generation_rejected(self, row, bad_row, message):
+        # named where it is read, not as the first bus's injection after
+        # the rebalance scale has carried it into every bus
+        bad = THREE_BUS_CASE.replace(row, bad_row)
+        assert bad != THREE_BUS_CASE
+        with pytest.raises(InputError, match=f"^{message}$"):
+            parse_matpower_case(bad, DEFAULTS_SLOW, DEFAULTS_FAST)
+
     def test_zero_reactance_rejected(self):
         bad = THREE_BUS_CASE.replace("1 2 0.01 0.1 ", "1 2 0.01 0.0 ")
         with pytest.raises(InputError, match="zero reactance"):

@@ -23,7 +23,7 @@ from kronred.grid import (FAST, SLOW, Grid, assemble_linearized, build_jacobian,
 from kronred.reduction import (_triangular_solve, factor_fast_block, make_star_grid,
                                reduce_grid, xi_covariance)
 from kronred import simulate
-from kronred.simulate import linearize_and_reduce
+from kronred.simulate import SimConfig, integrate, linearize_and_reduce
 from kronred.variance import (coi_variance, eigendecompose_reduced, gamma_matrix,
                               lyapunov_oracle_variance)
 
@@ -211,6 +211,40 @@ def test_pipeline_matches_dense_reference_bit_for_bit(seed, n, data, epsilon):
     assert_same_bits(simulate._full_linear_system(grid, op, epsilon)[0],
                      dense[np.ix_(order, order)])
     assert_reduction_is_the_dense_reference(grid, op, red)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 24), data=st.data(),
+       model=st.sampled_from(["full-linear", "reduced-xi", "reduced-naive"]),
+       theta=st.sampled_from([0.5, 1.0]), epsilon=st.sampled_from([1.0, 0.3, 1e-3]))
+def test_modal_steps_match_dense_steps(seed, n, data, model, theta, epsilon):
+    # a linear model with one damping ratio steps in its modes; its dense
+    # maps step the same member within 1e-11 of each column's largest
+    # value, and within 1e-8 at epsilon = 1e-3, where the fast modes are
+    # stiff.  Unequal inertia at that one ratio, a start off the operating
+    # point, several chunks
+    rng = np.random.default_rng(seed)
+    grid = random_connected_grid(rng, n, n_slow=data.draw(st.integers(2, n - 1)))
+    grid = replace(grid, buses=tuple(replace(bus, m=bus.m * c, d=bus.d * c) for bus, c in
+                                     zip(grid.buses, rng.uniform(0.5, 2.0, n))))
+    op, red = linearize_and_reduce(grid)
+    cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon, theta=theta)
+    half = n if model == "full-linear" else red.n_slow
+    noise = rng.normal(0.0, 0.1, (300, n))
+    x0, v0 = rng.normal(0.0, 0.05, (2, half))
+    assert simulate._layout(grid, red, [model], epsilon)[1] == (True,)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_BATCH_BYTES", 2**15)
+        modal = integrate(grid, op, red, model, cfg, noise, x0=x0, v0=v0)
+        patch.setattr(simulate, "_uniform_ratio", lambda m, d: None)
+        dense = integrate(grid, op, red, model, cfg, noise, x0=x0, v0=v0)
+    bound = 1e-8 if epsilon < 0.3 else 1e-11
+    for name in ("x", "xdot", "y", "ydot"):
+        got, want = getattr(modal, name), getattr(dense, name)
+        if want is None:
+            assert got is None
+            continue
+        assert np.all(np.abs(got - want) <= bound * np.abs(want).max(axis=0)), name
 
 
 def test_reduction_matches_dense_reference_where_the_buffers_hold_zeros():

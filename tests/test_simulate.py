@@ -12,7 +12,7 @@ import kronred.simulate as simulate
 from conftest import (dense_coupling, dense_reference, path3_grid, random_connected_grid,
                       two_bus_grid)
 from kronred.errors import InputError, NumericsError
-from kronred.grid import (SLOW, ClassDefaults, Grid, parse_matpower_case, solve_fixed_point,
+from kronred.grid import (FAST, SLOW, ClassDefaults, Grid, parse_matpower_case, solve_fixed_point,
                           with_sigma)
 from kronred.reduction import reduce_grid
 from kronred.simulate import (OUSpec, SimConfig, Trajectory, default_dt_max, integrate,
@@ -259,27 +259,35 @@ class TestTimeGrid:
     @pytest.mark.parametrize("model,width", [("full-nonlinear", 18), ("full-linear", 18),
                                              ("reduced-xi", 12), ("reduced-naive", 12)])
     def test_member_byte_budget(self, monkeypatch, model, width):
-        # 9 buses, 6 slow, 1000 steps.  Every model's batch holds chunk
-        # buffers of (rows + 20 padding rows) x members x (2 x 9 channels
-        # + state width + 6 + 1) x 8 B, at least one member and one row.
-        # While the batch builds its step maps it holds the half-width
-        # implicit matrix ((width / 2) squared) and LAPACK's copy of it, the
-        # right-hand side, its copy and the velocity rows solved for (each
-        # width / 2 x (width + 9)), and the Jacobian ((width / 2) squared)
-        # and noise gain (width / 2 x 9) they come from, x 8 B.  The
-        # nonlinear model's members also hold Picard window arrays of
+        # 9 buses, 6 slow, 1000 steps, one damping ratio.  Every model's
+        # batch holds chunk buffers of (rows + 20 padding rows) x members x
+        # (2 x 9 channels + state width + 6 + 1) x 8 B, at least one member
+        # and one row; a linear model, which steps in its modes, reads 6
+        # slow velocities per row and member more.  While the batch builds
+        # its step maps it holds the Jacobian ((width / 2) squared) and
+        # noise gain (width / 2 x 9) they come from and, for the nonlinear
+        # model, the half-width implicit matrix ((width / 2) squared) and
+        # LAPACK's copy of it, the right-hand side, its copy and the
+        # velocity rows solved for (each width / 2 x (width + 9)); for a
+        # linear model, the mass-scaled Jacobian, LAPACK's copy and
+        # workspace and the eigenvectors (five (width / 2) squared), the
+        # modes' forcing and its stacked copy (two width / 2 x 9), x 8 B.
+        # The nonlinear model's members also hold Picard window arrays of
         # (64 + 1) rows x (8 x 9 + lines) x 8 B each, and its batch the
-        # 9 x lines incidence and outflow matrices x 8 B.
-        # `simulate` also keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
+        # 9 x lines incidence and outflow matrices x 8 B.  `simulate` also
+        # keeps member 0's slow record, 1001 x 2 x 6 x 8 B.
         grid = random_connected_grid(np.random.default_rng(3), 9)
         op, red = simulate.linearize_and_reduce(grid)
         assert red.n_slow == 6 and simulate._PAD_ROWS == 20 and simulate._WINDOW_ROWS == 64
         cfg = SimConfig(dt_max=0.01, t_end=10.0, burn_in=0.0)
         half = width // 2
-        held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 \
-            + (2 * half * half + 3 * half * (width + 9) + half * half + half * 9) * 8
         if model == "full-nonlinear":
-            held += 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * 2 * len(grid.lines) * 8
+            held = (1 + 20) * (2 * 9 + width + 6 + 1) * 8 \
+                + (2 * half * half + 3 * half * (width + 9) + half * half + half * 9) * 8 \
+                + 65 * (8 * 9 + len(grid.lines)) * 8 + 9 * 2 * len(grid.lines) * 8
+        else:
+            held = (1 + 20) * (2 * 9 + width + 2 * 6 + 1) * 8 \
+                + (half * half + half * 9 + 5 * half * half + 2 * half * 9) * 8
         for keep_first, kept in ((False, 0), (True, 1001 * 2 * 6 * 8)):
             monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", held + kept)
             simulate.run_models(grid, op, red, cfg, [model], keep_first=keep_first)
@@ -303,6 +311,7 @@ class TestTimeGrid:
             raise AssertionError("step maps built")
 
         monkeypatch.setattr(simulate, "_linear_maps", no_maps)
+        monkeypatch.setattr(simulate, "_modal_maps", no_maps)
         monkeypatch.setattr(simulate, "MAX_MEMBER_BYTES", buffers + width * (width + 9) * 8 - 1)
         with pytest.raises(InputError, match="buffers, above the limit"):
             simulate.run_models(grid, op, red, cfg, [model], keep_first=True)
@@ -339,8 +348,10 @@ class TestTimeGrid:
         cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=1.5, base_seed=1)
         width = 2 * (red.n_slow if model.startswith("reduced") else grid.n_buses)
         n_lines = len(grid.lines) if model == "full-nonlinear" else None
+        modal = simulate._layout(grid, red, [model], cfg.epsilon)[1]  # the linear models' modes
+        assert modal == (model != "full-nonlinear",)
         batch, _, held = simulate._plan_batch((width,), grid.n_buses, red.n_slow, n_lines, 300, 1,
-                                              0)
+                                              0, modal)
         tracemalloc.start()
         try:
             simulate.run_models(grid, op, red, cfg, [model])
@@ -627,17 +638,23 @@ class TestLinearRecord:
 
     @pytest.mark.parametrize("model", ["full-linear", "reduced-xi", "reduced-naive"])
     def test_states_equal_step_recurrence(self, model):
-        # the full-linear reference is sliced from the dense Jacobian, so
-        # the blocks integrate scatters itself are pinned bit for bit too
+        # a grid whose slow bus 1 has another damping ratio steps by the
+        # dense maps; the full-linear reference is sliced from the dense
+        # Jacobian, so the blocks integrate scatters itself are pinned bit
+        # for bit too
         grid = random_connected_grid(np.random.default_rng(4), 9)
-        op, sys = dense_reference(grid)
-        red = reduce_grid(grid, sys)
+        slow = grid.buses.index(next(bus for bus in grid.buses if bus.speed_class == SLOW))
+        hetero = replace(grid, buses=tuple(replace(bus, m=1.5 * bus.m) if i == slow else bus
+                                           for i, bus in enumerate(grid.buses)))
         cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=0.3)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         noise = np.random.default_rng(8).normal(0.0, 0.1, (len(t) - 1, grid.n_buses))
-        traj = integrate(grid, op, red, model, cfg, noise)
+        op, sys = dense_reference(hetero)
+        red = reduce_grid(hetero, sys)
+        assert simulate._layout(hetero, red, [model], cfg.epsilon)[1] == (False,)
+        traj = integrate(hetero, op, red, model, cfg, noise)
 
-        jac, m, d, gain = self.linear_model(model, grid, sys, red, cfg.epsilon)
+        jac, m, d, gain = self.linear_model(model, hetero, sys, red, cfg.epsilon)
         n, n_s = len(m), red.n_slow
         step, g = simulate._linear_maps(jac, m, d, gain, t[1] - t[0], cfg.theta)
         # the batched loop's arithmetic for one member: one forcing product
@@ -650,13 +667,41 @@ class TestLinearRecord:
             state = forced[k] + np.dot(state, step.T)
             states.append(state)
         states = np.concatenate(states)
-        np.testing.assert_array_equal(traj.x, states[:, :n_s])
-        np.testing.assert_array_equal(traj.xdot, states[:, n:n + n_s])
-        if model == "full-linear":
-            np.testing.assert_array_equal(traj.y, states[:, n_s:n])
-            np.testing.assert_array_equal(traj.ydot, states[:, n + n_s:])
-        else:
+        full = model == "full-linear"
+        self.check_record(traj, states[:, :n_s], states[:, n:n + n_s],
+                          *((states[:, n_s:n], states[:, n + n_s:]) if full else ()))
+
+        # with one damping ratio the model steps in its modes: per mode a,
+        # the velocity forcing f_a of one forcing product, the position
+        # forcing theta dt f_a, then the diagonal of S_a, then its
+        # off-diagonal; the buses read back through the modes
+        op, sys = dense_reference(grid)
+        red = reduce_grid(grid, sys)
+        assert simulate._layout(grid, red, [model], cfg.epsilon)[1] == (True,)
+        traj = integrate(grid, op, red, model, cfg, noise)
+        jac, m, d, gain = self.linear_model(model, grid, sys, red, cfg.epsilon)
+        dt = t[1] - t[0]
+        basis, mu, step, forcing = simulate._modal_maps(jac, m, d, gain, dt, cfg.theta)
+        f = noise @ forcing.T
+        z, v = np.zeros((len(t), n)), np.zeros((len(t), n))
+        for a in range(n):
+            (s_zz, s_zv), (s_vz, s_vv) = step[a]
+            for k in range(len(t) - 1):
+                z[k + 1, a] = f[k, a] * (cfg.theta * dt) + s_zz * z[k, a] + s_zv * v[k, a]
+                v[k + 1, a] = f[k, a] + s_vv * v[k, a] + s_vz * z[k, a]
+        slow, fast = basis[:n_s].T, basis[n_s:].T
+        self.check_record(traj, z @ slow, v @ slow, *((z @ fast, v @ fast) if full else ()))
+
+    @staticmethod
+    def check_record(traj, x, xdot, y=None, ydot=None):
+        """The record is x, xdot and, of a full model only, y, ydot, bit for bit."""
+        np.testing.assert_array_equal(traj.x, x)
+        np.testing.assert_array_equal(traj.xdot, xdot)
+        if y is None:
             assert traj.y is None and traj.ydot is None
+        else:
+            np.testing.assert_array_equal(traj.y, y)
+            np.testing.assert_array_equal(traj.ydot, ydot)
 
     @pytest.mark.parametrize("model,bound", [("full-linear", 2.0), ("reduced-xi", 2.5)])
     def test_peak_memory_of_one_trajectory(self, model, bound):
@@ -805,6 +850,7 @@ class TestInitialState:
             raise AssertionError("step maps built")
 
         monkeypatch.setattr(simulate, "_linear_maps", no_maps)
+        monkeypatch.setattr(simulate, "_modal_maps", no_maps)
         noise = ou_spec_for_grid(grid, 1)
         # each failure says what was wrong: a shape, a value, not numbers
         shape, value, numbers = ", got shape", ", got a non-finite value$", "one per bus: "
@@ -835,6 +881,7 @@ class TestInitialState:
             raise AssertionError("step maps built")
 
         monkeypatch.setattr(simulate, "_linear_maps", no_maps)
+        monkeypatch.setattr(simulate, "_modal_maps", no_maps)
         steps = 100
         bad = [[["a", "b", "c"]] * steps]
         for value in (math.nan, math.inf, -math.inf):
@@ -924,14 +971,15 @@ class TestEnsembleRun:
 
     @staticmethod
     def failing_after_first_chunk(monkeypatch, error, fails):
-        """Make _linear_chunks raise ``error`` after its first chunk
-        whenever ``fails(step)`` holds for that call's step map."""
+        """Make _linear_chunks, which every linear model steps through, in
+        its modes or not, raise ``error`` after its first chunk whenever
+        ``fails(state)`` holds for that call's initial states."""
         linear_chunks = simulate._linear_chunks
 
-        def failing(step, *args):
-            chunks = linear_chunks(step, *args)
+        def failing(advance, force, noise_chunks, state, rows):
+            chunks = linear_chunks(advance, force, noise_chunks, state, rows)
             yield next(chunks)
-            if fails(step):
+            if fails(state):
                 raise error
             yield from chunks
 
@@ -945,7 +993,7 @@ class TestEnsembleRun:
         assert simulate._plan_batch((4,), 3, 2, None, 10, 4, 0)[0] == 1
         calls = []
         self.failing_after_first_chunk(monkeypatch, ValueError("boom"),
-                                       lambda step: calls.append(step) or len(calls) == 3)
+                                       lambda state: calls.append(state) or len(calls) == 3)
         seed = simulate.member_seed(0, 2)
         with pytest.raises(NumericsError,
                            match=rf"^reduced-xi: trajectory 2 \(seed {seed}\) failed: boom$"):
@@ -955,25 +1003,32 @@ class TestEnsembleRun:
     def test_input_error_passes_through(self, monkeypatch):
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
         cfg = SimConfig(dt_max=0.1, t_end=1.0, burn_in=0.0)
-        self.failing_after_first_chunk(monkeypatch, InputError("bad input"), lambda step: True)
+        self.failing_after_first_chunk(monkeypatch, InputError("bad input"), lambda state: True)
         with pytest.raises(InputError, match="^bad input$"):
             simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfg, ["reduced-xi"])
 
     def test_batch_failure_while_stepping_names_its_members(self, monkeypatch):
-        # two members per batch in chunks of 16 rows, two models in lockstep;
-        # only the second model (full-linear, the 6-wide state of the three
-        # buses) fails
+        # two members per batch in several chunks, two models in lockstep.
+        # The fast bus has another damping ratio, so full-linear (the 6-wide
+        # state of the three buses) steps alone and reduced-xi in its modes;
+        # only full-linear fails.  With one damping ratio both step in their
+        # modes, as one state, and a failure names both.
         grid = path3_grid(sigma_slow=0.02, sigma_fast=0.05)
+        hetero = replace(grid, buses=tuple(replace(bus, d=2 * bus.d) if bus.speed_class == FAST
+                                           else bus for bus in grid.buses))
         cfg = SimConfig(dt_max=0.1, t_end=5.0, burn_in=0.0, ensemble_size=4, base_seed=8)
-        monkeypatch.setattr(simulate, "_BATCH_BYTES", 13_000)
-        assert simulate._plan_batch((4, 6), 3, 2, None, 50, 4, 0)[:2] == (2, 16)
-        self.failing_after_first_chunk(monkeypatch, FloatingPointError("overflow"),
-                                       lambda step: len(step) == 6)
+        monkeypatch.setattr(simulate, "_BATCH_BYTES", 15_000)
+        for modal in ((True, False), (True, True)):
+            members, rows, _ = simulate._plan_batch((4, 6), 3, 2, None, 50, 4, 0, modal)
+            assert members == 2 and rows < 50
         seeds = rf"8, {simulate.member_seed(8, 1)}"
-        with pytest.raises(NumericsError, match=rf"^full-linear: trajectories 0-1 \(seeds {seeds}\) "
-                                                "failed: overflow$"):
-            simulate.run_models(grid, *simulate.linearize_and_reduce(grid), cfg,
-                                ["reduced-xi", "full-linear"])
+        for case, names, fails in ((hetero, "full-linear", lambda state: state.shape == (2, 6)),
+                                   (grid, "reduced-xi, full-linear", lambda state: True)):
+            self.failing_after_first_chunk(monkeypatch, FloatingPointError("overflow"), fails)
+            with pytest.raises(NumericsError, match=rf"^{names}: trajectories 0-1 "
+                                                    rf"\(seeds {seeds}\) failed: overflow$"):
+                simulate.run_models(case, *simulate.linearize_and_reduce(case), cfg,
+                                    ["reduced-xi", "full-linear"])
 
     def test_streamed_statistics_equal_pooled_formula(self, monkeypatch):
         for chunked in (False, True):
@@ -1002,14 +1057,17 @@ class TestEnsembleRun:
         monkeypatch.setattr(simulate, "_linear_chunks", recorded)
         (stats,), _ = simulate.run_models(grid, op, red, cfg, ["reduced-xi"])
 
-        # the same members, collected whole and pooled here
+        # the same members, collected whole and pooled here: the model
+        # steps in its modes, read back through them
         t, n_s = make_time_grid(cfg.t_end, cfg.dt_max), red.n_slow
+        basis_t = simulate._modal_maps(*simulate._reduced_system(red, "reduced-xi"),
+                                       t[1] - t[0], cfg.theta)[0].T
         assert [blocks[0].shape[1] for blocks in batches] == ([2, 1] if chunked else [3])
         members = []
         for blocks in batches:
             assert len(blocks) > (16 if chunked else 0)
             states = np.concatenate(blocks)
-            members += [Trajectory(t=t, x=states[:, i, :n_s], xdot=states[:, i, n_s:])
+            members += [Trajectory(t=t, x=states[:, i, 0] @ basis_t, xdot=states[:, i, 1] @ basis_t)
                         for i in range(states.shape[1])]
         assert len(members) == cfg.ensemble_size
         squares = []
