@@ -6,8 +6,7 @@ data file and of every command's stdout, on both sides, marked equal or
 differs.  The list covers every command and all four models, on
 tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
 (its full models also at epsilon = 0.3, where the fast buses' inertia and
-damping are scaled, and a compare of all four models at theta = 1.0,
-backward Euler), `simulate` of full-linear on ieee118 at epsilon = 0.001
+damping are scaled), `simulate` of full-linear on ieee118 at epsilon = 0.001
 (its stiff fast modes, stepped in the modes of the full Jacobian),
 `variance` on both grids also with --order-by-naive, four variants of the
 five-bus grid: every bus slow (m 0.2, d 0.05; `reduce` and `variance`, the
@@ -87,9 +86,6 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
                                                      "full-linear", "--epsilon", "0.001",
                                                      "--ensemble", "3", "--t-end", "20",
                                                      "--seed", "3"]
-    runs["json-compare-theta1.0"] = ["compare", str(grid), "--models", ",".join(MODELS),
-                                     "--theta", "1.0", "--ensemble", "2", "--t-end", "20",
-                                     "--seed", "3"]
     doc = json.loads(grid.read_text())
     all_slow = inputs / "grid_all_slow.json"
     all_slow.write_text(json.dumps({**doc, "buses": [

@@ -7,9 +7,14 @@ file and holds no table or document as text.  Once the command has
 succeeded, `main` streams each file into --out-dir atomically (temp
 file + rename), in the order returned, then writes a run manifest
 (command, resolved configuration, seeds, input digests, version,
-duration) sufficient to reproduce them bit-for-bit: re-running the
-recorded argv against the same inputs yields byte-identical CSV/JSON
-data files.  A command that fails (exit 2 or 3) leaves no file behind;
+libraries, duration).  Re-running the recorded argv against the same
+inputs yields byte-identical CSV/JSON data files under the same BLAS
+kernel, which the manifest records in libraries.blas.numpy.config;
+OPENBLAS_CORETYPE=<kernel> replays another kernel where the CPU allows
+it.  Kernels round differently: `variance tests/data/ieee118.m` wrote
+three different variance.csv files under SkylakeX, Prescott and
+Haswell, whose columns differ by at most 1.2e-14 of the column's
+largest value.  A command that fails (exit 2 or 3) leaves no file behind;
 an --out-dir that is a file, or whose nearest existing ancestor is not
 a writable directory, is refused before the command runs, and a failed
 write exits 2 after removing the files the run has already written.
@@ -179,7 +184,7 @@ def _run_cfg(args, grid: Grid) -> SimConfig:
     burn = args.burn_in if args.burn_in is not None else min(default_burn_in(grid), 0.5 * args.t_end)
     return SimConfig(dt_max=dt, t_end=args.t_end, burn_in=burn,
                      ensemble_size=args.ensemble, base_seed=args.seed,
-                     epsilon=args.epsilon, theta=args.theta)
+                     epsilon=args.epsilon)
 
 
 def cmd_simulate(args) -> dict[str, Iterable[str]]:
@@ -319,11 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simflags.add_argument("--dt", type=float, default=None, help="max time step [s]")
     simflags.add_argument("--burn-in", type=float, default=None, help="discarded initial time [s]")
     simflags.add_argument("--ensemble", type=int, default=4, help="number of trajectories")
-    simflags.add_argument("--theta", type=float, default=0.5,
-                          help="drift implicitness: 0.5 trapezoid (default), or 1.0 backward "
-                               "Euler, which damps each mode of frequency w by about "
-                               "w^2 dt / 2 more: at dt 0.01 it puts ieee118's variances "
-                               "43-85%% low")
 
     parser = argparse.ArgumentParser(
         prog="kronred",

@@ -5,6 +5,7 @@ import errno
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -237,7 +238,7 @@ def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["compare", "--theta", "0.7"], "theta must be 0.5 or 1.0"),
+    (["compare", "--burn-in", "300"], "need 0 <= burn_in < t_end"),
     (["simulate", "--model", "reduced-xi", "--epsilon", "2"], "epsilon must be in (0, 1]"),
     (["compare", "--epsilon", "2"], "epsilon must be in (0, 1]"),
 ])
@@ -251,6 +252,24 @@ def test_bad_simulation_flags_refused_before_the_fixed_point(tmp_path, capsys, m
     out = tmp_path / "out"
     assert main([argv[0], str(DATA_DIR / "ieee118.m"), *argv[1:], "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--model", "reduced-xi"], ["compare"]],
+                         ids=["simulate", "compare"])
+def test_theta_flag_removed(tmp_path, capsys, monkeypatch, command):
+    # the drift step is the trapezoid only: --theta is an unknown argument
+    import kronred.simulate
+
+    def solve(*args):
+        raise AssertionError("fixed point solved")
+    monkeypatch.setattr(kronred.simulate, "solve_fixed_point", solve)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], str(DATA_DIR / "ieee118.m"), *command[1:], "--theta", "1.0",
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --theta 1.0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -909,3 +928,34 @@ def test_data_files_do_not_depend_on_blas_threads(tmp_path):
             assert all(blas["threads"] == 1 for blas in libraries["blas"].values())
             files.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
         assert files[0] and files[0] == files[1], argv[0]
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE=Prescott needs an x86-64 CPU")
+def test_variance_bounded_across_blas_kernels(tmp_path):
+    # The bytes repeat under one BLAS kernel only: another kernel rounds
+    # differently (ieee118's columns moved by up to 1.2e-14 of their
+    # largest value under Prescott and Haswell against SkylakeX).  The
+    # oldest x86-64 kernel keeps the bus order and stays within 1e-12.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = []
+    for kernel in (None, "Prescott"):
+        out = tmp_path / (kernel or "native")
+        subprocess.run([sys.executable, "-m", "kronred.cli", "variance",
+                        str(DATA_DIR / "ieee118.m"), "--out-dir", str(out)],
+                       env={**env, "OPENBLAS_CORETYPE": kernel} if kernel else env,
+                       capture_output=True, text=True, timeout=120, check=True)
+        manifest = json.loads((out / "manifest_variance.json").read_text())
+        with open(out / "variance.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        runs.append((manifest["libraries"]["blas"], rows))  # the kernel is in its config
+    (native, rows), (prescott, other) = runs
+    if native == prescott:
+        pytest.skip(f"OPENBLAS_CORETYPE=Prescott selected the native kernel: {native}")
+    assert rows[0] == other[0]
+    assert [row[0] for row in rows] == [row[0] for row in other]
+    want = np.array([row[1:] for row in rows[1:]], dtype=float)
+    got = np.array([row[1:] for row in other[1:]], dtype=float)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0))

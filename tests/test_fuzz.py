@@ -207,7 +207,6 @@ def simulation_flags(draw):
         optional("--burn-in", st.one_of(st.sampled_from([-1.0, math.nan, 0.0]),
                                         st.floats(0.0, 0.3)).map(repr)),
         optional("--epsilon", FLOAT_FLAGS),
-        optional("--theta", st.sampled_from(["0.5", "1.0", "0", "0.7", "nan"])),
         optional("--ensemble", st.integers(-1, 3).map(str)),
         optional("--seed", SEEDS),
     ]

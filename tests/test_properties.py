@@ -216,8 +216,8 @@ def test_pipeline_matches_dense_reference_bit_for_bit(seed, n, data, epsilon):
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 24), data=st.data(),
        model=st.sampled_from(["full-linear", "reduced-xi", "reduced-naive"]),
-       theta=st.sampled_from([0.5, 1.0]), epsilon=st.sampled_from([1.0, 0.3, 1e-3]))
-def test_modal_steps_match_dense_steps(seed, n, data, model, theta, epsilon):
+       epsilon=st.sampled_from([1.0, 0.3, 1e-3]))
+def test_modal_steps_match_dense_steps(seed, n, data, model, epsilon):
     # a linear model with one damping ratio steps in its modes; its dense
     # maps step the same member within 1e-11 of each column's largest
     # value, and within 1e-8 at epsilon = 1e-3, where the fast modes are
@@ -228,7 +228,7 @@ def test_modal_steps_match_dense_steps(seed, n, data, model, theta, epsilon):
     grid = replace(grid, buses=tuple(replace(bus, m=bus.m * c, d=bus.d * c) for bus, c in
                                      zip(grid.buses, rng.uniform(0.5, 2.0, n))))
     op, red = linearize_and_reduce(grid)
-    cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon, theta=theta)
+    cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon)
     half = n if model == "full-linear" else red.n_slow
     noise = rng.normal(0.0, 0.1, (300, n))
     x0, v0 = rng.normal(0.0, 0.05, (2, half))

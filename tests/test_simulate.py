@@ -455,8 +455,8 @@ class TestFullNonlinear:
             integrate(grid, *reduced_of(grid), "full-nonlinear", cfg, shove)
 
 
-def theta_method_residuals(grid, op, cfg, noise, traj):
-    """Per-step max-norm residual of the theta-method equation, recomputed
+def trapezoid_residuals(grid, op, cfg, noise, traj):
+    """Per-step max-norm residual of the trapezoid equation, recomputed
     from the returned states with a dense drift written out here."""
     order = grid.ordering()
     b = dense_coupling(grid)[np.ix_(order, order)]
@@ -470,24 +470,22 @@ def theta_method_residuals(grid, op, cfg, noise, traj):
         return w, (p - flow - d * w) / m
 
     dt = traj.t[1] - traj.t[0]
-    th = cfg.theta
     va, vw = drift(ang, omega)
-    res_ang = ang[1:] - ang[:-1] - dt * ((1 - th) * va[:-1] + th * va[1:])
-    res_w = (omega[1:] - omega[:-1] - dt * ((1 - th) * vw[:-1] + th * vw[1:])
-             - dt * noise / m)
+    res_ang = ang[1:] - ang[:-1] - dt * (va[:-1] + va[1:]) / 2
+    res_w = omega[1:] - omega[:-1] - dt * (vw[:-1] + vw[1:]) / 2 - dt * noise / m
     return np.maximum(np.abs(res_ang).max(axis=1), np.abs(res_w).max(axis=1))
 
 
 class TestFullNonlinearStepper:
     # the cases with a large initial deviation drive the iterate far from
     # the operating point: their Picard windows stall down to one row,
-    # where the step maps must be rebuilt
-    @pytest.mark.parametrize("theta,seed,epsilon,deviation", [
-        (0.5, 12, 0.1, 0.0), (1.0, 12, 0.1, 0.0), (0.5, 3, 0.05, 1.2), (1.0, 12, 0.1, 1.6)])
-    def test_steps_solve_theta_method_equation(self, theta, seed, epsilon, deviation,
-                                               monkeypatch):
+    # where the step maps must be rebuilt.  The ids keep the theta of the
+    # theta method, 0.5: the trapezoid
+    @pytest.mark.parametrize("seed,epsilon,deviation", [(12, 0.1, 0.0), (3, 0.05, 1.2)],
+                             ids=["0.5-12-0.1-0.0", "0.5-3-0.05-1.2"])
+    def test_steps_solve_theta_method_equation(self, seed, epsilon, deviation, monkeypatch):
         grid = random_connected_grid(np.random.default_rng(seed), 7, injection_scale=0.3)
-        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon, theta=theta)
+        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon)
         op, red = reduced_of(grid)
         n = grid.n_buses
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, n))
@@ -501,19 +499,18 @@ class TestFullNonlinearStepper:
 
         monkeypatch.setattr(simulate, "_angle_jacobian", counting_jacobian)
         traj = integrate(grid, op, red, "full-nonlinear", cfg, noise, x0=x0)
-        assert theta_method_residuals(grid, op, cfg, noise, traj).max() <= 1e-10
+        assert trapezoid_residuals(grid, op, cfg, noise, traj).max() <= 1e-10
         np.testing.assert_array_equal(traj.x[0], x0[:len(grid.slow_ids)])
         if deviation:
             assert len(builds) > 1
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    @pytest.mark.parametrize("epsilon", [1.0, 0.05])
-    def test_batched_members_solve_theta_method_equation(self, theta, epsilon):
+    @pytest.mark.parametrize("epsilon", [1.0, 0.05], ids=["1.0-0.5", "0.05-0.5"])
+    def test_batched_members_solve_theta_method_equation(self, epsilon):
         # three members stepped together, each with its own noise, each
         # checked on its own against the dense residual
         grid = random_connected_grid(np.random.default_rng(12), 7, injection_scale=0.3)
         op = solve_fixed_point(grid)
-        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon, theta=theta)
+        cfg = SimConfig(dt_max=0.01, t_end=3.0, burn_in=0.0, epsilon=epsilon)
         n, n_s = grid.n_buses, len(grid.slow_ids)
         t = make_time_grid(cfg.t_end, cfg.dt_max)
         noise = np.random.default_rng(5).normal(0.0, 0.05, (300, 3, n))
@@ -525,7 +522,7 @@ class TestFullNonlinearStepper:
             s = states[:, i]
             traj = Trajectory(t=t, x=s[:, :n_s], xdot=s[:, n:n + n_s], y=s[:, n_s:n],
                               ydot=s[:, n + n_s:])
-            assert theta_method_residuals(grid, op, cfg, noise[:, i], traj).max() <= 1e-10
+            assert trapezoid_residuals(grid, op, cfg, noise[:, i], traj).max() <= 1e-10
         assert not np.array_equal(states[:, 0], states[:, 1])
 
     def test_chunk_edges_leave_a_member_unchanged(self, monkeypatch):
@@ -618,11 +615,12 @@ class TestLinearRecord:
         k = np.zeros_like(red.noise_gain) if model == "reduced-naive" else red.noise_gain
         return red.j_red, red.m_slow, red.d_slow, np.hstack([np.eye(red.n_slow), k])
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    @pytest.mark.parametrize("model", ["full-linear", "reduced-xi"])
-    def test_maps_solve_the_first_order_theta_step(self, model, theta):
-        # the half-width solve against the first-order form it eliminates:
-        # (I - theta dt A) [S | G] = [I + (1 - theta) dt A | dt B], with
+    @pytest.mark.parametrize("model", ["full-linear", "reduced-xi"],
+                             ids=["full-linear-0.5", "reduced-xi-0.5"])
+    def test_maps_solve_the_first_order_theta_step(self, model):
+        # the half-width solve against the first-order form it eliminates,
+        # the theta method at theta = 0.5 (the trapezoid):
+        # (I - dt A / 2) [S | G] = [I + dt A / 2 | dt B], with
         # unequal inertia and damping and a noise gain wider than the state
         grid = random_connected_grid(np.random.default_rng(4), 9)
         _, sys = dense_reference(grid)
@@ -631,9 +629,9 @@ class TestLinearRecord:
         n, dt = len(m), 0.01
         a = np.block([[np.zeros((n, n)), np.eye(n)], [jac / m[:, None], -np.diag(d / m)]])
         b = np.vstack([np.zeros_like(gain), gain / m[:, None]])
-        reference = np.linalg.solve(np.eye(2 * n) - theta * dt * a,
-                                    np.hstack([np.eye(2 * n) + (1 - theta) * dt * a, dt * b]))
-        maps = np.hstack(simulate._linear_maps(jac, m, d, gain, dt, theta))
+        reference = np.linalg.solve(np.eye(2 * n) - dt / 2 * a,
+                                    np.hstack([np.eye(2 * n) + dt / 2 * a, dt * b]))
+        maps = np.hstack(simulate._linear_maps(jac, m, d, gain, dt))
         assert np.abs(maps - reference).max() <= 1e-14 * np.abs(reference).max()
 
     @pytest.mark.parametrize("model", ["full-linear", "reduced-xi", "reduced-naive"])
@@ -656,7 +654,7 @@ class TestLinearRecord:
 
         jac, m, d, gain = self.linear_model(model, hetero, sys, red, cfg.epsilon)
         n, n_s = len(m), red.n_slow
-        step, g = simulate._linear_maps(jac, m, d, gain, t[1] - t[0], cfg.theta)
+        step, g = simulate._linear_maps(jac, m, d, gain, t[1] - t[0])
         # the batched loop's arithmetic for one member: one forcing product
         # over the chunk (here the whole path), then per step the row
         # (1, width) times step.T, added to the step's forcing
@@ -673,7 +671,7 @@ class TestLinearRecord:
 
         # with one damping ratio the model steps in its modes: per mode a,
         # the velocity forcing f_a of one forcing product, the position
-        # forcing theta dt f_a, then the diagonal of S_a, then its
+        # forcing dt / 2 f_a, then the diagonal of S_a, then its
         # off-diagonal; the buses read back through the modes
         op, sys = dense_reference(grid)
         red = reduce_grid(grid, sys)
@@ -681,13 +679,13 @@ class TestLinearRecord:
         traj = integrate(grid, op, red, model, cfg, noise)
         jac, m, d, gain = self.linear_model(model, grid, sys, red, cfg.epsilon)
         dt = t[1] - t[0]
-        basis, mu, step, forcing = simulate._modal_maps(jac, m, d, gain, dt, cfg.theta)
+        basis, mu, step, forcing = simulate._modal_maps(jac, m, d, gain, dt)
         f = noise @ forcing.T
         z, v = np.zeros((len(t), n)), np.zeros((len(t), n))
         for a in range(n):
             (s_zz, s_zv), (s_vz, s_vv) = step[a]
             for k in range(len(t) - 1):
-                z[k + 1, a] = f[k, a] * (cfg.theta * dt) + s_zz * z[k, a] + s_zv * v[k, a]
+                z[k + 1, a] = f[k, a] * (0.5 * dt) + s_zz * z[k, a] + s_zv * v[k, a]
                 v[k + 1, a] = f[k, a] + s_vv * v[k, a] + s_vz * z[k, a]
         slow, fast = basis[:n_s].T, basis[n_s:].T
         self.check_record(traj, z @ slow, v @ slow, *((z @ fast, v @ fast) if full else ()))
@@ -1061,7 +1059,7 @@ class TestEnsembleRun:
         # steps in its modes, read back through them
         t, n_s = make_time_grid(cfg.t_end, cfg.dt_max), red.n_slow
         basis_t = simulate._modal_maps(*simulate._reduced_system(red, "reduced-xi"),
-                                       t[1] - t[0], cfg.theta)[0].T
+                                       t[1] - t[0])[0].T
         assert [blocks[0].shape[1] for blocks in batches] == ([2, 1] if chunked else [3])
         members = []
         for blocks in batches:
