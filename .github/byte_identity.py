@@ -7,7 +7,10 @@ differs.  The list covers every command and all four models, on
 tests/data/ieee118.m and on the five-bus JSON grid tests/data/five_bus.json
 (its full models also at epsilon = 0.3, where the fast buses' inertia and
 damping are scaled), `simulate` of full-linear on ieee118 at epsilon = 0.001
-(its stiff fast modes, stepped in the modes of the full Jacobian),
+(its stiff fast modes, stepped in the modes of the full Jacobian) and at
+epsilon = 1e-6 with --dt 0.01 (modes stiffer still, whose roundoff sets
+the uniform mode's eigenvalue; the default dt there would exceed
+MAX_STEPS),
 `variance` on both grids also with --order-by-naive, four variants of the
 five-bus grid: every bus slow (m 0.2, d 0.05; `reduce` and `variance`, the
 reduction with no fast bus), bus 1 at m = 0.3 (a compare of all four
@@ -85,6 +88,10 @@ def command_lines(inputs: Path, head: Path) -> dict[str, list[str]]:
     runs["ieee118-simulate-full-linear-eps0.001"] = ["simulate", str(ieee), "--model",
                                                      "full-linear", "--epsilon", "0.001",
                                                      "--ensemble", "3", "--t-end", "20",
+                                                     "--seed", "3"]
+    runs["ieee118-simulate-full-linear-eps1e-06"] = ["simulate", str(ieee), "--model",
+                                                     "full-linear", "--epsilon", "1e-6", "--dt",
+                                                     "0.01", "--ensemble", "3", "--t-end", "20",
                                                      "--seed", "3"]
     doc = json.loads(grid.read_text())
     all_slow = inputs / "grid_all_slow.json"

@@ -334,7 +334,7 @@ def xi_covariance(red: ReducedSystem) -> np.ndarray:
 # Modes of a Laplacian under its buses' inertia
 # ---------------------------------------------------------------------------
 
-_ZERO_TOL = 1e-9  # |eigenvalue| below this times max(1, max |J_red|) counts as zero
+_ZERO_TOL = 1e-9  # relative bound on a zero eigenvalue; eigendecompose_reduced gives its scales
 
 
 def _uniform_ratio(m: np.ndarray, d: np.ndarray) -> float | None:
@@ -345,32 +345,37 @@ def _uniform_ratio(m: np.ndarray, d: np.ndarray) -> float | None:
     return float(ratio[0]) if np.allclose(ratio, ratio[0], rtol=1e-9, atol=0.0) else None
 
 
-def _mass_scaled_eigh(jac: np.ndarray, m: np.ndarray):
-    """``eigh`` of L = diag(s) jac diag(s), s = mu^-1/2 with mu = m / m[0],
-    which is jac itself when m is uniform: (the eigenvalues ascending, the
-    orthonormal eigenvectors W, sqrt(mu)).  The columns of diag(s) W are
-    the mass-normalized modes Phi of jac: jac Phi = diag(mu) Phi
-    diag(lambda) and Phi^T diag(mu) Phi = I.  Holds jac, L, LAPACK's copy
-    of L and its workspace (two n x n) and W while it runs."""
-    root_mu = np.sqrt(np.divide(m, m[0]))
+def _modes(jac: np.ndarray, m: np.ndarray):
+    """The mass-normalized modes of a Laplacian jac under its buses'
+    inertia m: (lambda, Phi, mu) with mu = m / m[0], jac Phi = diag(mu) Phi
+    diag(lambda) and Phi^T diag(mu) Phi = I, the uniform mode last.
+
+    ``eigh`` runs on L = diag(s) jac diag(s), s = mu^-1/2, which is jac
+    itself when m is uniform, and gives the eigenvalues ascending.  The
+    uniform mode is the eigenvector of largest overlap with sqrt(mu); it
+    swaps places with the last (it is last unless jac has a positive
+    eigenvalue) and is snapped to sqrt(mu) / |sqrt(mu)|, exact for a
+    Laplacian (jac 1 = 0), with every other vector projected off it by one
+    product and renormalized.  Its eigenvalue is left as eigh gives it,
+    roundoff of the largest, for the caller to judge and zero.  The rows
+    are then scaled by s in place.  Holds jac, L, LAPACK's copy of L and
+    its workspace (two n x n) and the eigenvectors while it runs."""
+    mu = np.divide(m, m[0])
+    root_mu = np.sqrt(mu)
     s = 1.0 / root_mu
     lap = jac * s[:, None]  # L, bit for bit jac when m is uniform
     lap *= s
-    vals, vecs = np.linalg.eigh(lap)
-    return vals, vecs, root_mu
-
-
-def _snap_uniform_mode(vals: np.ndarray, vecs: np.ndarray, root_mu: np.ndarray) -> None:
-    """Make the last eigenpair of ``_mass_scaled_eigh`` the uniform mode,
-    in place: eigenvalue exactly 0 and vector sqrt(mu) / |sqrt(mu)|, which
-    is exact for a Laplacian (jac 1 = 0), with every other vector
-    projected off it by one product and renormalized."""
-    vals[-1] = 0.0
+    vals, phi = np.linalg.eigh(lap)
+    del lap
+    a = int(np.argmax(np.abs(root_mu @ phi)))
+    vals[[a, -1]], phi[:, [a, -1]] = vals[[-1, a]], phi[:, [-1, a]]
     zero = root_mu / np.linalg.norm(root_mu)
-    rest = vecs[:, :-1]  # every mode but the uniform mode, a view
+    rest = phi[:, :-1]  # every mode but the uniform mode, a view
     rest -= np.outer(zero, zero @ rest)
     rest /= np.linalg.norm(rest, axis=0)
-    vecs[:, -1] = zero
+    phi[:, -1] = zero
+    phi *= s[:, None]
+    return vals, phi, mu
 
 
 @dataclass(frozen=True)
@@ -393,40 +398,41 @@ class ModalBasis:
 def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
     """Mass-normalized eigendecomposition of J_red with the zero mode snapped.
 
-    ``eigh`` runs on L = diag(s) J_red diag(s), s = mu^-1/2 with
-    mu = m / m[0] (``_mass_scaled_eigh``).  The zero eigenvalue is set to
-    exactly 0 and its eigenvector to sqrt(mu) / |sqrt(mu)|; the remaining
-    columns are re-orthogonalized against it (``_snap_uniform_mode``), and
-    the rows are scaled by s.  A second near-zero eigenvalue means the reduced network is
-    disconnected and is an error.
+    The modes are ``_modes``' with their columns reversed, so the
+    eigenvalues descend from the uniform mode's, which is set to exactly
+    0.  J_red and m must be finite, J_red a symmetric matrix with zero row
+    sums and m positive.  The largest eigenvalue must be zero to 1e-9 of
+    max(1, max |J_red|, max |lambda|), the scale of the mass-scaled matrix
+    that ``eigh`` reads, which exceeds J_red's by up to m_0 / min m: else
+    J_red is no negative semidefinite Laplacian, an InputError.  A second
+    eigenvalue above -1e-9 max(1, max |J_red|) means the reduced network
+    is disconnected, a NumericsError.
     """
     j_red = np.asarray(j_red, dtype=float)
     n = j_red.shape[0]
     if j_red.shape != (n, n):
         raise InputError(f"j_red must be square, got {j_red.shape}")
-    if np.shape(m) != (n,) or not np.all(np.greater(m, 0)):
-        raise InputError(f"m must be {n} positive inertias, one per slow bus")
+    if not np.all(np.isfinite(j_red)):
+        raise InputError("j_red must be finite numbers")
+    if np.shape(m) != (n,) or not np.all(np.greater(m, 0) & np.isfinite(m)):
+        raise InputError(f"m must be {n} finite positive inertias, one per slow bus")
     scale = max(1.0, float(np.abs(j_red).max()))
     if np.abs(j_red - j_red.T).max() > 1e-10 * scale:
         raise InputError("j_red is not symmetric")
     if np.abs(j_red.sum(axis=1)).max() > 1e-8 * scale:
         raise InputError("j_red does not have zero row sums (not a Laplacian)")
 
-    vals, vecs, root_mu = _mass_scaled_eigh(j_red, m)  # ascending: the zero mode is last
+    vals, phi, _ = _modes(j_red, m)  # the uniform mode last, the rest ascending
+    top = vals.max()
+    if abs(top) >= _ZERO_TOL * max(scale, float(np.abs(vals).max())):
+        raise InputError(f"largest eigenvalue {top:.3e} is not a zero mode")
     lambdas = vals[::-1].copy()
-
-    if abs(lambdas[0]) >= _ZERO_TOL * scale:
-        raise InputError(
-            f"largest eigenvalue {lambdas[0]:.3e} is not a zero mode")
     if n >= 2 and lambdas[1] >= -_ZERO_TOL * scale:
         raise NumericsError(
             f"zero eigenvalue not simple (second eigenvalue {lambdas[1]:.3e}): "
             "reduced network disconnected")
-
     lambdas[0] = 0.0
-    _snap_uniform_mode(vals, vecs, root_mu)
-    modes = vecs[:, ::-1] * (1.0 / root_mu)[:, None]  # a new array, its columns descending
-    return ModalBasis(lambdas=lambdas, modes=modes)
+    return ModalBasis(lambdas=lambdas, modes=phi[:, ::-1].copy())  # C-ordered, as matmul reads
 
 
 def make_star_grid(

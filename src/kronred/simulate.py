@@ -62,8 +62,7 @@ import numpy as np
 from .errors import InputError, NumericsError
 from .grid import (Grid, OperatingPoint, _angle_jacobian, _as_int, _as_seed, _check_epsilon,
                    _finite, _scatter_rows, linearize, solve_fixed_point)
-from .reduction import (ReducedSystem, _mass_scaled_eigh, _snap_uniform_mode, _uniform_ratio,
-                        reduce_grid)
+from .reduction import ReducedSystem, _modes, _uniform_ratio, reduce_grid
 
 MODELS = ("full-nonlinear", "full-linear", "reduced-xi", "reduced-naive")
 
@@ -297,10 +296,10 @@ def _plan_batch(widths: tuple[int, ...], channels: int, n_slow: int, n_lines: in
     # implicit matrix (half squared) and its copy, the right-hand side and
     # its copy and the velocity rows (each half x (width + channels)); S and
     # G, made after, hold less.  For a model in its modes, what
-    # _mass_scaled_eigh holds (the scaled Jacobian, LAPACK's copy and
+    # reduction._modes holds (the scaled Jacobian, LAPACK's copy and
     # workspace, the eigenvectors: five half squared) and the modes'
-    # forcing and its stacked copy (two half x channels); the basis, made
-    # after, holds less.
+    # forcing and its stacked copy (two half x channels); the snap, after
+    # the scaled Jacobian is freed, holds less.
     map_bytes = sum(8 * (6 * (width // 2) ** 2 + 3 * (width // 2) * channels) if flag
                     else 4 * width * (4 * width + 3 * channels) + 2 * width * (width + 2 * channels)
                     for width, flag in zip(widths, modal))
@@ -521,32 +520,27 @@ def _modal_maps(jac, m, d, gain, dt: float):
     gamma = d/m, and their trapezoid steps.
 
     With mu = m / m_0 the mass-normalized modes Phi of jac
-    (``reduction._mass_scaled_eigh``) give jac Phi = diag(mu) Phi
-    diag(lambda) and Phi^-1 = Phi^T diag(mu), so x = Phi z turns the model
-    into one oscillator per mode, z_a'' = (lambda_a / m_0) z_a - gamma z_a'
-    + (Phi^T gain eta)_a / m_0.  The trapezoid step is a rational function
-    of the drift, so it decouples the same way: the model's step is
-    trapezoid_mode_maps' step of every mode.  The uniform mode, whose
-    eigenvalue eigh gives only to roundoff of the largest (the stiff fast
-    modes' at small epsilon), is snapped to eigenvalue 0 and vector
-    sqrt(mu) as in eigendecompose_reduced (``_snap_uniform_mode``), which
-    keeps the undamped drift of the angles exact.  Nothing is refused:
-    the model steps wherever its dense maps would.  Returns (Phi, mu, S,
+    (``reduction._modes``, the uniform mode last) give jac Phi = diag(mu)
+    Phi diag(lambda) and Phi^-1 = Phi^T diag(mu), so x = Phi z turns the
+    model into one oscillator per mode, z_a'' = (lambda_a / m_0) z_a -
+    gamma z_a' + (Phi^T gain eta)_a / m_0.  The trapezoid step is a
+    rational function of the drift, so it decouples the same way: the
+    model's step is trapezoid_mode_maps' step of every mode.  The uniform
+    mode's eigenvalue, which eigh gives only to roundoff of the largest
+    (the stiff fast modes' at small epsilon), is set to 0; with its vector
+    snapped to sqrt(mu) by _modes, as under eigendecompose_reduced, this
+    keeps the undamped drift of the angles exact.  Nothing is refused: the
+    model steps wherever its dense maps would.  Returns (Phi, mu, S,
     forcing): S of shape (K, 2, 2), and forcing of shape (K, channels),
     each mode's velocity forcing per unit of every channel, (g_a)_1
     (Phi^T gain)_a / m_0; its position forcing is dt / 2 times that.
-    Besides jac and gain it holds what _mass_scaled_eigh holds, then W,
-    Phi and Phi^T gain."""
+    Besides jac and gain it holds what _modes holds, then Phi and Phi^T
+    gain."""
     m0 = m[0]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            vals, vecs, root_mu = _mass_scaled_eigh(jac, m)
-            # the uniform mode is last unless jac has a positive eigenvalue
-            a = int(np.argmax(np.abs(root_mu @ vecs)))
-            vals[[a, -1]], vecs[:, [a, -1]] = vals[[-1, a]], vecs[:, [-1, a]]
-            _snap_uniform_mode(vals, vecs, root_mu)
-            basis = vecs * (1.0 / root_mu)[:, None]
-            del vecs
+            vals, basis, mu = _modes(jac, m)
+            vals[-1] = 0.0
             step, g = trapezoid_mode_maps(vals / m0, d[0] / m0, dt)
             forcing = basis.T @ gain
             forcing *= (g[:, 1] / m0)[:, None]
@@ -554,7 +548,7 @@ def _modal_maps(jac, m, d, gain, dt: float):
         raise NumericsError(f"modes of the implicit step failed at dt={dt}: {e}") from e
     if not all(np.all(np.isfinite(a)) for a in (basis, step, forcing)):
         raise NumericsError(f"modes of the implicit step not finite at dt={dt}")
-    return basis, root_mu * root_mu, step, forcing
+    return basis, mu, step, forcing
 
 
 def _propagate(rows: list[np.ndarray], step_t: np.ndarray, prod: np.ndarray) -> None:
@@ -839,13 +833,10 @@ class _CoiFold:
         self.total = self.part = np.zeros((members, self.n_slow))
         self.sums = []
 
-    def add(self, k: int, xdot: np.ndarray) -> None:
-        """Fold grid rows k, k+1, ... of every member, shape (rows, members, n_slow)."""
-        end = k + len(xdot)
-        lo = max(k, self.start)
-        if lo >= end:
-            return
-        xdot = xdot[lo - k:]
+    def add(self, lo: int, xdot: np.ndarray) -> None:
+        """Fold grid rows lo, lo+1, ... of every member, shape (rows, members,
+        n_slow), lo >= ``start``: the caller skips the burn-in."""
+        end = lo + len(xdot)
         with np.errstate(over="ignore", invalid="ignore"):
             # buf[0] carries the running total; buf[1 + i] is the square of row lo + i
             buf = np.empty((len(xdot) + 1, *xdot.shape[1:]))

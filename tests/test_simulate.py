@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import kronred.simulate as simulate
-from conftest import (dense_coupling, dense_reference, path3_grid, random_connected_grid,
-                      two_bus_grid)
+from conftest import (assert_same_bits, dense_coupling, dense_reference, path3_grid,
+                      random_connected_grid, two_bus_grid)
 from kronred.errors import InputError, NumericsError
 from kronred.grid import (FAST, SLOW, ClassDefaults, Grid, parse_matpower_case, solve_fixed_point,
                           with_sigma)
@@ -28,7 +28,7 @@ def fold_whole(trajs, burn_in):
     fold = simulate._CoiFold(trajs[0].t, n_slow, burn_in)
     for traj in trajs:
         fold.begin(1)
-        fold.add(0, traj.xdot[:, None])
+        fold.add(fold.start, traj.xdot[fold.start:, None])
         fold.end()
     return fold.stats(tuple(range(n_slow)))
 
@@ -601,6 +601,19 @@ class TestFullLinear:
         response = np.linalg.solve(lhs, np.array([0.0, 0.0, 1.0]))
         amp_exact = np.abs(response[:2])
         np.testing.assert_allclose(amp_sim, amp_exact, rtol=2e-3)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1e-3, 1e-5, 1e-6, 1e-7])
+    def test_closed_form_takes_the_steps_modes(self, epsilon, ieee118_text):
+        # the full Jacobian's modes under eigendecompose_reduced, whose
+        # zero-mode check reads the scale of the mass-scaled matrix, are
+        # the simulator's, the uniform mode first rather than last
+        grid = parse_matpower_case(ieee118_text, slow=ClassDefaults(m=0.2, d=0.05, tau=0.1),
+                                   fast=ClassDefaults(m=0.002, d=0.0005, tau=0.1))
+        op, _ = simulate.linearize_and_reduce(grid)
+        jac, m, d, gain = simulate._full_linear_system(grid, op, epsilon)
+        basis = eigendecompose_reduced(jac, m)
+        assert basis.lambdas[0] == 0.0 and basis.lambdas[1] < 0.0
+        assert_same_bits(basis.modes, simulate._modal_maps(jac, m, d, gain, 0.01)[0][:, ::-1])
 
 
 class TestLinearRecord:

@@ -74,7 +74,8 @@ class TestEigendecompose:
         assert np.abs(resid).max() < 1e-8
 
     def test_inertia_of_wrong_shape_or_sign_rejected(self):
-        for m in (np.ones(3), np.array([0.2, 0.0]), np.array([0.2, np.nan])):
+        for m in (np.ones(3), np.array([0.2, 0.0]), np.array([0.2, np.nan]),
+                  np.array([0.2, np.inf])):
             with pytest.raises(InputError, match="positive inertias"):
                 eigendecompose_reduced(np.array([[-0.5, 0.5], [0.5, -0.5]]), m)
 
@@ -89,6 +90,14 @@ class TestEigendecompose:
             eigendecompose_reduced(np.array([[-2.0, 1.0], [1.0, -2.0]]), np.ones(2))
         with pytest.raises(InputError, match="symmetric"):
             eigendecompose_reduced(np.array([[-1.0, 1.0], [0.5, -0.5]]), np.ones(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match="finite"):
+                eigendecompose_reduced(np.array([[-1.0, 1.0], [1.0, bad]]), np.ones(2))
+        # symmetric with zero row sums, but with an eigenvalue of +1.646:
+        # the uniform mode is not the largest, and the largest is judged
+        j_red = np.array([[1.0, -1.0, 0.0], [-1.0, -1.0, 2.0], [0.0, 2.0, -2.0]])
+        with pytest.raises(InputError, match=r"largest eigenvalue 1\.646e\+00 is not a zero mode"):
+            eigendecompose_reduced(j_red, np.ones(3))
 
 
 class TestGammaMatrix:
