@@ -20,8 +20,8 @@ _EXPORTS = {
                      "OperatingPoint", "assemble_linearized", "build_jacobian", "linearize",
                      "parse_grid_json", "parse_matpower_case", "serialize_grid_json",
                      "solve_fixed_point", "with_sigma"), "grid"),
-    **dict.fromkeys(("ModalBasis", "ReducedSystem", "eigendecompose_reduced", "make_star_grid",
-                     "reduce_grid", "reduced_system_to_dict", "xi_covariance"), "reduction"),
+    **dict.fromkeys(("ReducedSystem", "eigendecompose_reduced", "make_star_grid", "reduce_grid",
+                     "reduced_system_to_dict", "xi_covariance"), "reduction"),
     **dict.fromkeys(("EnsembleStats", "OUSpec", "SimConfig", "Trajectory", "default_burn_in",
                      "default_dt_max", "integrate", "linearize_and_reduce", "make_time_grid",
                      "ou_sample_path", "run_model_ensemble"), "simulate"),

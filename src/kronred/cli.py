@@ -151,8 +151,8 @@ def cmd_reduce(args) -> dict[str, Iterable[str]]:
     op, red = linearize_and_reduce(grid)
     # built first: a noise covariance overflow is refused before anything is printed
     doc = reduced_system_to_dict(red)
-    basis = eigendecompose_reduced(red.j_red, np.ones(red.n_slow))  # J_red's own spectrum
-    gap = -basis.lambdas[1] if red.n_slow > 1 else 0.0
+    lambdas, _ = eigendecompose_reduced(red.j_red, np.ones(red.n_slow))  # J_red's own spectrum
+    gap = -lambdas[-2] if red.n_slow > 1 else 0.0
     row_sums = np.abs(red.noise_gain).sum(axis=1)
     print(f"slow buses : {red.n_slow}")
     print(f"fast buses : {red.n_fast}")
@@ -277,16 +277,17 @@ def cmd_star_demo(args) -> dict[str, Iterable[str]]:
                           m=args.m, d=args.d, tau=args.tau)
     op, red = linearize_and_reduce(grid)
     report = coi_variance(red)
-    gam = gamma_matrix(red, eigendecompose_reduced(red.j_red, red.m_slow))  # for the printouts
+    # for the printouts; the uniform mode's row and column are last
+    gam = gamma_matrix(red, eigendecompose_reduced(red.j_red, red.m_slow)[1])
 
     print(f"star with {args.n_outer} outer buses around a {args.center} center")
     print(f"slow buses: {red.n_slow}, fast buses: {red.n_fast}")
     if args.center == "slow":
         predicted = args.sigma * args.sigma * red.n_fast
-        print(f"uniform-mode Gamma value : {float(gam[0, 0])!r}")
+        print(f"uniform-mode Gamma value : {float(gam[-1, -1])!r}")
         print(f"closed-form prediction   : sigma^2 * N_F = {predicted!r}")
     else:
-        off = np.abs(gam[1:, 1:]).max() if red.n_slow > 1 else 0.0
+        off = np.abs(gam[:-1, :-1]).max() if red.n_slow > 1 else 0.0
         print(f"max |Gamma_ab| over modes >= 2 : {off:.3e}")
         print("closed-form prediction         : 0 (reduction error is small)")
 

@@ -348,7 +348,9 @@ def _uniform_ratio(m: np.ndarray, d: np.ndarray) -> float | None:
 def _modes(jac: np.ndarray, m: np.ndarray):
     """The mass-normalized modes of a Laplacian jac under its buses'
     inertia m: (lambda, Phi, mu) with mu = m / m[0], jac Phi = diag(mu) Phi
-    diag(lambda) and Phi^T diag(mu) Phi = I, the uniform mode last.
+    diag(lambda) and Phi^T diag(mu) Phi = I, the uniform mode last: the
+    one order of modes, which the closed form (eigendecompose_reduced) and
+    the simulator (_modal_maps) both read.
 
     ``eigh`` runs on L = diag(s) jac diag(s), s = mu^-1/2, which is jac
     itself when m is uniform, and gives the eigenvalues ascending.  The
@@ -378,35 +380,20 @@ def _modes(jac: np.ndarray, m: np.ndarray):
     return vals, phi, mu
 
 
-@dataclass(frozen=True)
-class ModalBasis:
-    """Eigenpairs of the mass-scaled J_red, sorted 0 = lambda_1 >= lambda_2 >= ...
-
-    Column alpha of ``modes`` is the mass-normalized mode v_alpha, so
-    V^T diag(m / m_0) V = I; the first column is uniform (the COI
-    direction).  With uniform m they are J_red's orthonormal eigenvectors.
-    """
-
-    lambdas: np.ndarray
-    modes: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.lambdas)
-
-
-def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
+def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mass-normalized eigendecomposition of J_red with the zero mode snapped.
 
-    The modes are ``_modes``' with their columns reversed, so the
-    eigenvalues descend from the uniform mode's, which is set to exactly
-    0.  J_red and m must be finite, J_red a symmetric matrix with zero row
-    sums and m positive.  The largest eigenvalue must be zero to 1e-9 of
-    max(1, max |J_red|, max |lambda|), the scale of the mass-scaled matrix
-    that ``eigh`` reads, which exceeds J_red's by up to m_0 / min m: else
-    J_red is no negative semidefinite Laplacian, an InputError.  A second
-    eigenvalue above -1e-9 max(1, max |J_red|) means the reduced network
-    is disconnected, a NumericsError.
+    ``(lambdas, modes)`` are ``_modes``' own, the order the simulator
+    steps in: the uniform mode last, its eigenvalue set to exactly 0, the
+    rest ascending.  Column alpha of ``modes`` is the mode v_alpha, so
+    V^T diag(m / m_0) V = I; with uniform m they are J_red's orthonormal
+    eigenvectors.  J_red and m must be finite, J_red a symmetric matrix
+    with zero row sums and m positive.  The largest eigenvalue must be
+    zero to 1e-9 of max(1, max |J_red|, max |lambda|), the scale of the
+    mass-scaled matrix that ``eigh`` reads, which exceeds J_red's by up to
+    m_0 / min m: else J_red is no negative semidefinite Laplacian, an
+    InputError.  A second eigenvalue above -1e-9 max(1, max |J_red|)
+    means the reduced network is disconnected, a NumericsError.
     """
     j_red = np.asarray(j_red, dtype=float)
     n = j_red.shape[0]
@@ -422,17 +409,16 @@ def eigendecompose_reduced(j_red: np.ndarray, m: np.ndarray) -> ModalBasis:
     if np.abs(j_red.sum(axis=1)).max() > 1e-8 * scale:
         raise InputError("j_red does not have zero row sums (not a Laplacian)")
 
-    vals, phi, _ = _modes(j_red, m)  # the uniform mode last, the rest ascending
-    top = vals.max()
-    if abs(top) >= _ZERO_TOL * max(scale, float(np.abs(vals).max())):
+    lambdas, modes, _ = _modes(j_red, m)
+    top = lambdas.max()
+    if abs(top) >= _ZERO_TOL * max(scale, float(np.abs(lambdas).max())):
         raise InputError(f"largest eigenvalue {top:.3e} is not a zero mode")
-    lambdas = vals[::-1].copy()
-    if n >= 2 and lambdas[1] >= -_ZERO_TOL * scale:
+    if n >= 2 and lambdas[-2] >= -_ZERO_TOL * scale:
         raise NumericsError(
-            f"zero eigenvalue not simple (second eigenvalue {lambdas[1]:.3e}): "
+            f"zero eigenvalue not simple (second eigenvalue {lambdas[-2]:.3e}): "
             "reduced network disconnected")
-    lambdas[0] = 0.0
-    return ModalBasis(lambdas=lambdas, modes=phi[:, ::-1].copy())  # C-ordered, as matmul reads
+    lambdas[-1] = 0.0
+    return lambdas, modes
 
 
 def make_star_grid(

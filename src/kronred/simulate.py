@@ -214,11 +214,14 @@ class EnsembleStats:
 
 def _step_count(t_end: float, dt_max: float) -> int:
     """Steps of the uniform grid over [0, t_end] with step <= dt_max;
-    refuses more than MAX_STEPS before anything is allocated."""
-    steps = round(t_end / dt_max, 9)
+    refuses more than MAX_STEPS before anything is allocated, and a t_end
+    or dt_max that is not positive."""
+    steps = round(t_end / dt_max, 9) if dt_max else 0.0
     if not steps <= MAX_STEPS:
         raise InputError(f"t_end / dt_max = {steps:.4g} steps exceeds the limit of "
                          f"{MAX_STEPS} steps")
+    if not (t_end > 0 and dt_max > 0):
+        raise InputError(f"a time grid needs t_end > 0 and dt_max > 0, got {t_end}, {dt_max}")
     return max(1, math.ceil(steps))
 
 
@@ -247,6 +250,7 @@ def default_dt_max(grid: Grid, epsilon: float) -> float:
     by the epsilon-scaled fast relaxation scale m/d.  It does not see the
     modes' frequencies: the trapezoid is A-stable, so dt sets the
     accuracy, not the stability."""
+    _check_epsilon(epsilon)
     tau_min = float(grid.param_vector("tau").min())
     bound = tau_min / 10.0
     fast = [b for b in grid.buses if b.speed_class == "fast"]

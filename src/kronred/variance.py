@@ -2,11 +2,12 @@
 
 The reduced dynamics  M x'' + D x' = J_red x + xi, with one damping
 ratio gamma = d/m over the slow buses, decouple over the mass-normalized
-eigenmodes v_alpha of J_red (ModalBasis; eigenvalues 0 = lambda_1 >=
-lambda_2 >= ...).  ModalBasis and eigendecompose_reduced live in
+eigenmodes v_alpha of J_red, ``eigendecompose_reduced``'s
+``(lambdas, modes)``: the uniform mode last, its eigenvalue exactly 0,
+the others before it, eigenvalues ascending.  That routine lives in
 ``reduction``, below this module and ``simulate``, whose linear models
-step in the same modes; they are re-exported here.  The
-center-of-inertia (COI) variance of the frequency deviations then
+step in the same modes, in the same order; it is re-exported here.
+The center-of-inertia (COI) variance of the frequency deviations then
 splits, mode pair by mode pair, into a slow-noise and a fast-noise
 contribution weighted by a scalar kernel of the two eigenvalues, the
 noise correlation time tau, gamma and the first slow bus's inertia m_0.
@@ -42,12 +43,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import HomogeneityError, InputError, NumericsError
-from .reduction import ModalBasis, ReducedSystem, _uniform_ratio, eigendecompose_reduced
+from .reduction import ReducedSystem, _uniform_ratio, eigendecompose_reduced
 from .simulate import Trajectory, _finite_floats, _uniform_step
 
 
-def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
-    """Modal cross-coupling of the fast-bus noise.
+def gamma_matrix(red: ReducedSystem, modes: np.ndarray) -> np.ndarray:
+    """Modal cross-coupling of the fast-bus noise over the columns of
+    ``modes`` (eigendecompose_reduced's, so the uniform mode's is last).
 
     Entry (alpha, beta) is v_alpha^T K diag(sigma_F^2) K^T v_beta with
     K the noise map the reduction stored in ``red.noise_gain``; no
@@ -56,12 +58,13 @@ def gamma_matrix(red: ReducedSystem, basis: ModalBasis) -> np.ndarray:
     and positive semidefinite.
     """
     n_s, n_f = red.n_slow, red.noise_gain.shape[1]
-    if basis.n_modes != n_s:
-        raise InputError(f"basis has {basis.n_modes} modes for {n_s} slow buses")
+    if np.shape(modes) != (n_s, n_s):
+        raise InputError(f"modes of shape {np.shape(modes)}, "
+                         f"not {n_s} modes for {n_s} slow buses")
     if len(red.sigma_fast) != n_f:
         raise InputError(f"sigma_fast has {len(red.sigma_fast)} entries for {n_f} "
                          "noise-map columns")
-    w = red.noise_gain.T @ basis.modes  # K^T V
+    w = red.noise_gain.T @ modes  # K^T V
     with np.errstate(over="ignore", invalid="ignore"):
         w *= red.sigma_fast[:, None]
         g = w.T @ w
@@ -229,20 +232,20 @@ def coi_variance(red: ReducedSystem) -> VarianceReport:
     damping ratio d/m over the slow buses.  One loop over the distinct tau
     of both noise classes, ascending, builds each tau's kernel once; each
     class with buses at that tau adds its mode sum, the others' sigma
-    masked to 0.  The sums run over modes 2..N_S: the uniform mode is the
-    COI direction and drops out by definition, so a single slow bus has
-    variance exactly 0, with no kernel evaluated.
+    masked to 0.  The sums run over every mode but the last, the uniform
+    mode: it is the COI direction and drops out by definition, so a single
+    slow bus has variance exactly 0, with no kernel evaluated.
     """
-    basis = eigendecompose_reduced(red.j_red, red.m_slow)
-    gamma_mat = gamma_matrix(red, basis)
+    lambdas, modes = eigendecompose_reduced(red.j_red, red.m_slow)
+    gamma_mat = gamma_matrix(red, modes)
     gamma, m0 = _damping_ratio(red)
 
     if red.n_slow == 1:
         # exactly 0 for any parameters, also where the kernels overflow (tau = 1e200)
         return VarianceReport(red.slow_ids, np.zeros(1), np.zeros(1), np.zeros(1))
 
-    lam = basis.lambdas[1:]
-    u_perp = basis.modes[:, 1:]
+    lam = lambdas[:-1]
+    u_perp = modes[:, :-1]
     # each mode's slow-bus mean: (1 - m/m_0) @ V / N_S, as (m/m_0) @ V = 0; 0 for uniform m
     r = ((1.0 - red.m_slow / m0) @ u_perp) / red.n_slow
     if len(np.unique(red.tau_fast)) > 1:  # each tau's Gamma in turn, one held at a time
@@ -261,8 +264,8 @@ def coi_variance(red: ReducedSystem) -> VarianceReport:
                 del amplitude
             if t in red.tau_fast:  # Gamma over the fast buses at t
                 amplitude = gamma_mat if gamma_mat is not None else gamma_matrix(replace(
-                    red, sigma_fast=np.where(red.tau_fast == t, red.sigma_fast, 0.0)), basis)
-                fast_sums.append(_mode_sum(u_perp, kernel, amplitude[1:, 1:], r))
+                    red, sigma_fast=np.where(red.tau_fast == t, red.sigma_fast, 0.0)), modes)
+                fast_sums.append(_mode_sum(u_perp, kernel, amplitude[:-1, :-1], r))
                 del amplitude
             del kernel
         var_slow = functools.reduce(np.add, slow_sums)
@@ -354,9 +357,9 @@ def modal_trajectory(
     """Exact per-mode integration of the reduced dynamics.
 
     The noise path (one row of slow-space values per step, held constant
-    over the step) is projected onto modes 2..N_S, each mode's damped
-    oscillator is advanced with its exact matrix-exponential step, and
-    x, xdot are reassembled.  Like the closed form, it builds the modes
+    over the step) is projected onto every mode but the last, the uniform
+    one; each mode's damped oscillator is advanced with its exact
+    matrix-exponential step, and x, xdot are reassembled.  Like the closed form, it builds the modes
     of J_red scaled by the slow buses' m and needs one damping ratio d/m
     over them.  Any component along the uniform mode (of the noise, or
     of the initial condition in the diag(m) inner product) is dropped.
@@ -364,15 +367,15 @@ def modal_trajectory(
     the rows the steps read, is an InputError (simulate._finite_floats,
     as in integrate).  It is a test reference and needs scipy (``expm``).
     """
-    basis = eigendecompose_reduced(red.j_red, red.m_slow)
+    lambdas, modes = eigendecompose_reduced(red.j_red, red.m_slow)
     gamma, m = _damping_ratio(red)
     t_grid, dt = _uniform_step(t_grid)
     n_steps = len(t_grid) - 1
     n_s = red.n_slow
     noise_path = _finite_floats(noise_path, f"noise path must be (>= {n_steps}, {n_s}) finite "
                                 "numbers", n_steps, n_s)
-    u_perp = basis.modes[:, 1:]
-    lam = basis.lambdas[1:]
+    u_perp = modes[:, :-1]
+    lam = lambdas[:-1]
     n_modes = n_s - 1
 
     z, v = (np.zeros(n_modes) if value is None  # weighted by m / m_0

@@ -241,6 +241,9 @@ def test_unreadable_grid_or_unusable_out_dir_exits_2(tmp_path, capsys, case):
     (["compare", "--burn-in", "300"], "need 0 <= burn_in < t_end"),
     (["simulate", "--model", "reduced-xi", "--epsilon", "2"], "epsilon must be in (0, 1]"),
     (["compare", "--epsilon", "2"], "epsilon must be in (0, 1]"),
+    # without --dt the step is derived from epsilon, which is checked first
+    (["simulate", "--model", "reduced-xi", "--epsilon", "0"], "epsilon must be in (0, 1]"),
+    (["compare", "--epsilon", "-1"], "epsilon must be in (0, 1]"),
 ])
 def test_bad_simulation_flags_refused_before_the_fixed_point(tmp_path, capsys, monkeypatch,
                                                             argv, message):
@@ -828,6 +831,23 @@ class TestStarDemo:
         assert "sigma_xi overflows" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "reduced.json").exists()
+
+
+def test_modal_printouts(tmp_path, capsys):
+    # reduce's spectral gap is J_red's second largest eigenvalue, negated;
+    # star-demo's Gamma values are criterion 2's closed forms
+    assert main(["reduce", str(DATA_DIR / "five_bus.json"), "--out-dir", str(tmp_path)]) == 0
+    j_red = np.array(json.loads((tmp_path / "reduced.json").read_text())["j_red"])
+    gap = capsys.readouterr().out.split("spectral gap of J_red : ")[1].split()[0]
+    assert gap == f"{-np.linalg.eigvalsh(j_red)[-2]:.6g}"
+    sigma, n_outer = 0.01, 8
+    assert main(["star-demo", "--n-outer", str(n_outer), "--sigma", str(sigma),
+                 "--out-dir", str(tmp_path)]) == 0
+    value = float(capsys.readouterr().out.split("uniform-mode Gamma value : ")[1].split()[0])
+    assert value == pytest.approx(sigma**2 * n_outer, rel=1e-12, abs=0)
+    assert main(["star-demo", "--center", "fast", "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("max |Gamma_ab| over modes >= 2 : ")[1].split()[0]) < 1e-10
 
 
 def test_no_command_imports_scipy(tmp_path):

@@ -221,6 +221,12 @@ class TestTimeGrid:
         with pytest.raises(InputError, match="steps"):
             make_time_grid(t_end, dt)
 
+    @pytest.mark.parametrize("t_end,dt", [(-1.0, 0.1), (0.0, 0.1), (1.0, -0.1), (1.0, 0.0)])
+    def test_non_positive_end_or_step_refused(self, t_end, dt):
+        # no decreasing grid, no grid of step 0
+        with pytest.raises(InputError, match=rf"t_end > 0 and dt_max > 0, got {t_end}, {dt}$"):
+            make_time_grid(t_end, dt)
+
     @pytest.mark.parametrize("field", ["t_end", "dt_max", "burn_in"])
     def test_sim_config_rejects_non_finite(self, field):
         for value in (math.inf, "a", None):  # no number at all is no finite one either
@@ -606,14 +612,14 @@ class TestFullLinear:
     def test_closed_form_takes_the_steps_modes(self, epsilon, ieee118_text):
         # the full Jacobian's modes under eigendecompose_reduced, whose
         # zero-mode check reads the scale of the mass-scaled matrix, are
-        # the simulator's, the uniform mode first rather than last
+        # the simulator's, in its order: the uniform mode last
         grid = parse_matpower_case(ieee118_text, slow=ClassDefaults(m=0.2, d=0.05, tau=0.1),
                                    fast=ClassDefaults(m=0.002, d=0.0005, tau=0.1))
         op, _ = simulate.linearize_and_reduce(grid)
         jac, m, d, gain = simulate._full_linear_system(grid, op, epsilon)
-        basis = eigendecompose_reduced(jac, m)
-        assert basis.lambdas[0] == 0.0 and basis.lambdas[1] < 0.0
-        assert_same_bits(basis.modes, simulate._modal_maps(jac, m, d, gain, 0.01)[0][:, ::-1])
+        lambdas, modes = eigendecompose_reduced(jac, m)
+        assert lambdas[-1] == 0.0 and lambdas[-2] < 0.0
+        assert_same_bits(modes, simulate._modal_maps(jac, m, d, gain, 0.01)[0])
 
 
 class TestLinearRecord:
@@ -786,12 +792,12 @@ class TestIntegrateReduced:
         # steps follow the exact modal solution to second order in dt
         grid = random_connected_grid(np.random.default_rng(6), 9, homogeneous=True)
         op, red = reduced_of(grid)
-        basis = eigendecompose_reduced(red.j_red, red.m_slow)
+        lambdas, modes = eigendecompose_reduced(red.j_red, red.m_slow)
         rng = np.random.default_rng(2)
-        u_perp = basis.modes[:, 1:]
+        u_perp = modes[:, :-1]
         x0 = u_perp @ rng.normal(0.0, 0.1, red.n_slow - 1)
         v0 = u_perp @ rng.normal(0.0, 0.1, red.n_slow - 1)
-        w_max = math.sqrt(-basis.lambdas.min() / red.m_slow[0])  # fastest mode's frequency
+        w_max = math.sqrt(-lambdas.min() / red.m_slow[0])  # fastest mode's frequency
         errors = []
         for dt in (0.02, 0.01):
             cfg = SimConfig(dt_max=dt, t_end=5.0, burn_in=0.0)
@@ -822,8 +828,8 @@ class TestIntegrateReduced:
                                 for bus, c in zip(grid.buses, scales)), lines=grid.lines)
         op, red = reduced_of(grid)
         assert red.m_slow.max() > 2 * red.m_slow.min()
-        basis = eigendecompose_reduced(red.j_red, red.m_slow)
-        u_perp = basis.modes[:, 1:]
+        lambdas, modes = eigendecompose_reduced(red.j_red, red.m_slow)
+        u_perp = modes[:, :-1]
         x0, v0 = (u_perp @ rng.normal(0.0, 0.1, red.n_slow - 1) for _ in range(2))
         coarse_dt = 0.02
         t_coarse = make_time_grid(5.0, coarse_dt)
@@ -831,7 +837,7 @@ class TestIntegrateReduced:
         xi -= xi.mean(axis=1, keepdims=True)
         exact = modal_trajectory(red, xi, t_coarse, x0=x0, v0=v0)
         np.testing.assert_allclose(exact.x[0], x0, rtol=0, atol=1e-14)
-        w_max = math.sqrt(-basis.lambdas.min() / red.m_slow[0])  # fastest mode's frequency
+        w_max = math.sqrt(-lambdas.min() / red.m_slow[0])  # fastest mode's frequency
         errors = []
         for refine in (1, 2):
             dt = coarse_dt / refine

@@ -15,7 +15,7 @@ from kronred.grid import (FAST, SLOW, ClassDefaults, parse_matpower_case, serial
                           with_sigma)
 from kronred.reduction import ReducedSystem, make_star_grid, reduce_grid
 from kronred.simulate import make_time_grid
-from kronred.variance import (ModalBasis, coi_variance, eigendecompose_reduced,
+from kronred.variance import (coi_variance, eigendecompose_reduced,
                               frequency_variance_kernel, gamma_matrix, h_kernel,
                               lyapunov_oracle_variance, modal_trajectory)
 
@@ -29,48 +29,47 @@ def pipeline(grid):
 
 class TestEigendecompose:
     def test_two_mode_analytic(self):
-        basis = eigendecompose_reduced(np.array([[-0.5, 0.5], [0.5, -0.5]]), np.ones(2))
-        np.testing.assert_allclose(basis.lambdas, [0.0, -1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(basis.modes[:, 1]),
+        lambdas, modes = eigendecompose_reduced(np.array([[-0.5, 0.5], [0.5, -0.5]]), np.ones(2))
+        np.testing.assert_allclose(lambdas, [-1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(np.abs(modes[:, 0]),
                                    [1 / math.sqrt(2)] * 2, atol=1e-14)
 
     def test_single_bus(self):
-        basis = eigendecompose_reduced(np.zeros((1, 1)), np.ones(1))
-        assert basis.lambdas[0] == 0.0
-        np.testing.assert_allclose(basis.modes, [[1.0]])
+        lambdas, modes = eigendecompose_reduced(np.zeros((1, 1)), np.ones(1))
+        assert lambdas[-1] == 0.0
+        np.testing.assert_allclose(modes, [[1.0]])
 
     def test_star_rank_one_spectrum(self):
         n = 6
         j_red = -np.eye(n) + np.full((n, n), 1.0 / n)
-        basis = eigendecompose_reduced(j_red, np.ones(n))
-        np.testing.assert_allclose(basis.lambdas, [0.0] + [-1.0] * (n - 1), atol=1e-12)
+        lambdas, _ = eigendecompose_reduced(j_red, np.ones(n))
+        np.testing.assert_allclose(lambdas, [-1.0] * (n - 1) + [0.0], atol=1e-12)
 
     def test_zero_mode_snapped_and_orthonormal(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             grid = random_connected_grid(rng, int(rng.integers(3, 20)), homogeneous=True)
-            _, red, basis = pipeline(grid)
+            _, red, (lambdas, modes) = pipeline(grid)
             n = red.n_slow
-            np.testing.assert_array_equal(basis.modes[:, 0], np.full(n, 1.0 / math.sqrt(n)))
-            assert basis.lambdas[0] == 0.0
-            gram = basis.modes.T @ basis.modes
+            np.testing.assert_array_equal(modes[:, -1], np.full(n, 1.0 / math.sqrt(n)))
+            assert lambdas[-1] == 0.0
+            gram = modes.T @ modes
             assert np.abs(gram - np.eye(n)).max() < 1e-10
-            resid = red.j_red @ basis.modes - basis.modes * basis.lambdas
+            resid = red.j_red @ modes - modes * lambdas
             assert np.abs(resid).max() < 1e-8
 
     def test_unequal_inertia_modes_are_mass_normalized(self):
         # modes of the mass-scaled J_red: V^T diag(m / m_0) V = I, the
-        # first one uniform, and J_red v = lambda diag(m / m_0) v
+        # last one uniform, and J_red v = lambda diag(m / m_0) v
         rng = np.random.default_rng(29)
         grid = random_connected_grid(rng, 14, n_slow=8)
         _, red, _ = pipeline(grid)
         m = rng.uniform(0.06, 0.6, red.n_slow)
         mu = m / m[0]
-        basis = eigendecompose_reduced(red.j_red, m)
-        modes = basis.modes
+        lambdas, modes = eigendecompose_reduced(red.j_red, m)
         assert np.abs(modes.T @ (mu[:, None] * modes) - np.eye(red.n_slow)).max() < 1e-10
-        np.testing.assert_allclose(modes[:, 0], modes[0, 0], rtol=1e-14)
-        resid = red.j_red @ modes - mu[:, None] * modes * basis.lambdas
+        np.testing.assert_allclose(modes[:, -1], modes[0, -1], rtol=1e-14)
+        resid = red.j_red @ modes - mu[:, None] * modes * lambdas
         assert np.abs(resid).max() < 1e-8
 
     def test_inertia_of_wrong_shape_or_sign_rejected(self):
@@ -105,29 +104,29 @@ class TestGammaMatrix:
         sigma = 0.01
         for n_f in (4, 8, 16):
             grid = make_star_grid(n_f, center_class=SLOW, sigma=sigma)
-            _, red, basis = pipeline(grid)
-            gam = gamma_matrix(red, basis)
+            _, red, (_, modes) = pipeline(grid)
+            gam = gamma_matrix(red, modes)
             assert gam.shape == (1, 1)
             assert gam[0, 0] == pytest.approx(sigma**2 * n_f, rel=1e-12)
 
     def test_load_center_vanishes_off_uniform(self):
         grid = make_star_grid(8, center_class=FAST, sigma=0.01)
-        _, red, basis = pipeline(grid)
-        gam = gamma_matrix(red, basis)
-        assert np.abs(gam[1:, 1:]).max() < 1e-10
+        _, red, (_, modes) = pipeline(grid)
+        gam = gamma_matrix(red, modes)
+        assert np.abs(gam[:-1, :-1]).max() < 1e-10
 
     def test_zero_fast_noise(self):
         grid = path3_grid(sigma_slow=0.5, sigma_fast=0.0)
-        _, red, basis = pipeline(grid)
-        gam = gamma_matrix(red, basis)
+        _, red, (_, modes) = pipeline(grid)
+        gam = gamma_matrix(red, modes)
         np.testing.assert_array_equal(gam, np.zeros((2, 2)))
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             grid = random_connected_grid(rng, int(rng.integers(3, 16)), homogeneous=True)
-            _, red, basis = pipeline(grid)
-            gam = gamma_matrix(red, basis)
+            _, red, (_, modes) = pipeline(grid)
+            gam = gamma_matrix(red, modes)
             assert np.abs(gam - gam.T).max() < 1e-14
             assert np.linalg.eigvalsh(gam).min() > -1e-12
 
@@ -141,25 +140,25 @@ class TestGammaMatrix:
         ieee = parse_matpower_case(ieee118_text, slow, fast)
         grids.append(with_sigma(ieee, rng.uniform(0.0, 0.01, ieee.n_buses)))
         for grid in grids:
-            sys, red, basis = pipeline(grid)
-            gam = gamma_matrix(red, basis)
-            w = np.linalg.solve(-sys.j_ff, sys.j_fs @ basis.modes)
+            sys, red, (_, modes) = pipeline(grid)
+            gam = gamma_matrix(red, modes)
+            w = np.linalg.solve(-sys.j_ff, sys.j_fs @ modes)
             ref = (w * red.sigma_fast[:, None]**2).T @ w
             assert np.abs(gam - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_overflowing_fast_noise_is_input_error(self):
         # each sigma^2 is finite, the modal sum over fast buses is not
-        _, red, basis = pipeline(path3_grid())
+        _, red, (_, modes) = pipeline(path3_grid())
         big = replace(red, noise_gain=4.0 * red.noise_gain, sigma_fast=np.full(1, 1.2e154))
         with pytest.raises(InputError, match="Gamma overflows"):
-            gamma_matrix(big, basis)
+            gamma_matrix(big, modes)
 
     def test_inconsistent_reduced_system_rejected(self):
-        _, red, basis = pipeline(path3_grid())
+        _, red, (_, modes) = pipeline(path3_grid())
         with pytest.raises(InputError, match="noise-map columns"):
-            gamma_matrix(replace(red, sigma_fast=np.ones(2)), basis)
+            gamma_matrix(replace(red, sigma_fast=np.ones(2)), modes)
         with pytest.raises(InputError, match="modes for 2 slow buses"):
-            gamma_matrix(red, eigendecompose_reduced(np.zeros((1, 1)), np.ones(1)))
+            gamma_matrix(red, eigendecompose_reduced(np.zeros((1, 1)), np.ones(1))[1])
 
     def test_fast_block_factored_once_per_reduction(self, monkeypatch):
         import kronred.reduction
@@ -395,17 +394,17 @@ class TestCoiVariance:
         for n in (5, 40, 200):
             grid = random_connected_grid(rng, n, homogeneous=True, sigma_range=(0.002, 0.02),
                                          tau_slow=0.1, tau_fast=0.05)
-            _, red, basis = pipeline(grid)
-            gam = gamma_matrix(red, basis)
+            _, red, (lambdas, modes) = pipeline(grid)
+            gam = gamma_matrix(red, modes)
             report = coi_variance(red)
-            lam, u = basis.lambdas[1:], basis.modes[:, 1:]
+            lam, u = lambdas[:-1], modes[:, :-1]
             m = red.m_slow[0]
             kern_s, kern_f = (frequency_variance_kernel(lam[:, None], lam[None, :], tau,
                                                         red.d_slow[0] / m, m)
                               for tau in (0.1, 0.05))
             slow_amp = (u * red.sigma_slow[:, None]**2).T @ u
             var_slow = np.einsum("ia,ab,ib->i", u, slow_amp * kern_s, u)
-            var_fast = np.einsum("ia,ab,ib->i", u, gam[1:, 1:] * kern_f, u)
+            var_fast = np.einsum("ia,ab,ib->i", u, gam[:-1, :-1] * kern_f, u)
             np.testing.assert_allclose(report.var_slow, var_slow, rtol=1e-12, atol=0)
             np.testing.assert_allclose(report.var_fast, var_fast, rtol=1e-12, atol=0)
 
@@ -503,12 +502,12 @@ class TestModalTrajectory:
 
     def test_underdamped_envelope_decays_at_half_gamma(self):
         grid = path3_grid()
-        _, red, basis = pipeline(grid)
+        _, red, (lambdas, modes) = pipeline(grid)
         m, d = red.m_slow[0], red.d_slow[0]
         gamma = d / m
-        lam = basis.lambdas[1]
+        lam = lambdas[-2]
         omega = math.sqrt(-lam / m - gamma**2 / 4)
-        u2 = basis.modes[:, 1]
+        u2 = modes[:, -2]
         t = make_time_grid(20.0, 0.01)
         traj = modal_trajectory(red, np.zeros((len(t) - 1, 2)), t, x0=u2)
         z = traj.x @ u2
